@@ -47,7 +47,7 @@ lint-cold:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Machine-readable seed-vs-shared dispatch overhead (BENCH_parallel.json)
+# Machine-readable warm shared-pool dispatch overhead (BENCH_parallel.json)
 # plus the observability stream (metrics.jsonl + trace.json), the
 # profiler's collapsed stacks (profile.collapsed — render with
 # `repro-butterfly profile profile.collapsed`), and one appended

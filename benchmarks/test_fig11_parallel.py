@@ -1,11 +1,10 @@
 """Experiment fig11 — parallel (6-worker) timings, 8 invariants × 5 datasets.
 
 The paper's Fig. 11 reruns every invariant with 6 threads.  Here each cell
-runs :func:`count_butterflies_parallel` with 6 **process** workers under
-the same ``spmv`` cost model as the sequential Fig. 10 sweep, so the two
-tables are directly comparable; a thread-pool column is measured on one
-dataset as the GIL-bound contrast (a Python-specific lesson recorded in
-EXPERIMENTS.md).
+runs :func:`count_butterflies_parallel` with 6 workers on the warm
+shared-memory process pool (``executor="shared"``) under the same
+``spmv`` cost model as the sequential Fig. 10 sweep, so the two tables
+are directly comparable.
 
 Reproduced shapes:
 
@@ -31,7 +30,7 @@ from repro.graphs import dataset_names, load_dataset
 
 N_WORKERS = 6
 
-SWEEP = Sweep(title=f"fig11: parallel times ({N_WORKERS} process workers, spmv), seconds")
+SWEEP = Sweep(title=f"fig11: parallel times ({N_WORKERS} shared workers, spmv), seconds")
 
 
 @pytest.mark.parametrize("invariant", range(1, 9))
@@ -43,7 +42,7 @@ def test_fig11_cell(benchmark, name, invariant):
         return count_butterflies_parallel(
             g,
             n_workers=N_WORKERS,
-            executor="process",
+            executor="shared",
             invariant=invariant,
             strategy="spmv",
         )
@@ -79,28 +78,13 @@ def test_fig11_speedup_on_heavy_workload(benchmark):
     value = run_cell(
         benchmark,
         lambda: count_butterflies_parallel(
-            g, n_workers=N_WORKERS, executor="process", invariant=6
+            g, n_workers=N_WORKERS, executor="shared", invariant=6
         ),
         experiment="fig11-speedup",
     )
     assert value == expected
     par = benchmark.stats.stats.min
     assert par < seq, (par, seq)
-
-
-def test_fig11_thread_pool_contrast(benchmark):
-    """One cell through the thread pool: same count, GIL-bound timing."""
-    g = load_dataset("github")
-    value = run_cell(
-        benchmark,
-        lambda: count_butterflies_parallel(
-            g, n_workers=N_WORKERS, executor="thread", invariant=2,
-            strategy="spmv",
-        ),
-        dataset="github",
-        experiment="fig11-thread",
-    )
-    assert value == count_butterflies_unblocked(g, 2)
 
 
 def test_fig11_table_and_shapes(benchmark):
@@ -111,7 +95,7 @@ def test_fig11_table_and_shapes(benchmark):
     assert SWEEP.values_agree()
     # the smaller-side rule persists in parallel — asserted only where the
     # side ratio is decisive (>= 2×): on near-balanced or tiny datasets the
-    # fixed ~0.1 s pool start-up is larger than the family gap, the same
+    # per-call dispatch cost is larger than the family gap, the same
     # reason the paper's Fig. 11 speedups are weakest on its small inputs
     for name in dataset_names():
         g = load_dataset(name)

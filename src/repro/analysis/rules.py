@@ -77,16 +77,7 @@ DEFAULT_KNOWN_PACKAGES: frozenset[str] = frozenset(
 #: shim list, docs/analysis.md §RPR005).  Anywhere else a deprecation is
 #: policy-reviewed first — silent API churn is how exactness conventions
 #: rot.
-DEPRECATION_SHIM_MODULES: frozenset[str] = frozenset(
-    {
-        "repro.core.family",
-        "repro.core.peeling.tip",
-        "repro.core.peeling.wing",
-        "repro.core.parallel",
-        "repro.core.dynamic",
-        "repro.bench.workmodel",
-    }
-)
+DEPRECATION_SHIM_MODULES: frozenset[str] = frozenset({"repro.core.family"})
 
 #: dtype expressions accepted as "explicitly wide enough" by RPR002.
 _SAFE_DTYPE_NAMES = frozenset({"COUNT_DTYPE", "INDEX_DTYPE"})

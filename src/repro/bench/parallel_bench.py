@@ -1,25 +1,18 @@
-"""Seed-vs-shared parallel dispatch benchmark (writes ``BENCH_parallel.json``).
+"""Shared-pool parallel dispatch benchmark (writes ``BENCH_parallel.json``).
 
-Measures the *per-call dispatch overhead* of the two process-parallel
-paths on a ≥10⁵-edge generated graph:
+Measures the *per-call dispatch overhead* of the warm shared-memory pool
+(:class:`~repro.parallel.ButterflyExecutor`: workers attached zero-copy
+to one published segment, so a call costs a handful of
+``(meta, side, reference, strategy, lo, hi)`` task tuples) on a
+≥10⁵-edge generated graph.
 
-- **seed** (``executor="process"``): a fresh ``ProcessPoolExecutor`` per
-  call, graph arrays shipped through the pool initializer.  Per-call cost
-  = pool startup + array transport + teardown (under ``fork`` the
-  transport rides copy-on-write; under ``spawn`` it is an
-  ``O(workers · nnz)`` pickle — either way it is paid *every call*).
-- **shared** (:class:`~repro.parallel.ButterflyExecutor`): a warm pool
-  attached zero-copy to one published shared-memory segment.  Per-call
-  cost = a handful of ``(meta, side, reference, strategy, lo, hi)`` task
-  tuples.
-
-Dispatch overhead is isolated as ``t_path − t_inproc`` where ``t_inproc``
-runs the *identical* chunked sweep in-process (an ``n_workers=1``
-executor, which short-circuits to serial), clamped at a timing-noise
-floor.  The measurement graph is wide but shallow (few pivots, ≥10⁵
-edges) so transport and pool costs dominate compute; a power-law
-*throughput* section on a second ≥10⁵-edge graph is recorded alongside
-for context.
+Dispatch overhead is isolated as ``t_shared − t_inproc`` where
+``t_inproc`` runs the *identical* chunked sweep in-process (an
+``n_workers=1`` executor, which short-circuits to serial), clamped at a
+timing-noise floor.  The measurement graph is wide but shallow (few
+pivots, ≥10⁵ edges) so transport and pool costs dominate compute; a
+power-law *throughput* section on a second ≥10⁵-edge graph is recorded
+alongside for context.
 
 Run as::
 
@@ -27,7 +20,7 @@ Run as::
 
 (the ``make bench-quick`` target), or call :func:`run_benchmark` from the
 benchmark suite (``benchmarks/test_parallel_sharedmem.py`` asserts the
-ISSUE's ≥2× overhead-reduction criterion on the payload).
+warm pool starts once and publishes once).
 """
 
 from __future__ import annotations
@@ -74,14 +67,6 @@ def _dispatch_overhead_section(n_workers: int, repeats: int) -> dict:
     with ButterflyExecutor(n_workers=1) as ex1:
         t_inproc, expected = _best_of(lambda: ex1.count(g), repeats)
 
-    t_seed, v_seed = _best_of(
-        lambda: count_butterflies_parallel(
-            g, n_workers=n_workers, executor="process"
-        ),
-        repeats,
-    )
-    assert v_seed == expected, "seed process path disagrees"
-
     with ButterflyExecutor(n_workers=n_workers) as ex:
         warm_value = ex.count(g)  # warm-up: starts pool, publishes segment
         assert warm_value == expected, "shared path disagrees"
@@ -93,7 +78,6 @@ def _dispatch_overhead_section(n_workers: int, repeats: int) -> dict:
         }
     assert v_shared == expected
 
-    overhead_seed = max(t_seed - t_inproc, OVERHEAD_FLOOR_SECONDS)
     overhead_shared = max(t_shared - t_inproc, OVERHEAD_FLOOR_SECONDS)
     return {
         "graph": {
@@ -104,11 +88,8 @@ def _dispatch_overhead_section(n_workers: int, repeats: int) -> dict:
             "butterflies": expected,
         },
         "seconds_inproc": t_inproc,
-        "seconds_seed_per_call": t_seed,
         "seconds_shared_warm_per_call": t_shared,
-        "overhead_seed_seconds": overhead_seed,
         "overhead_shared_seconds": overhead_shared,
-        "overhead_ratio": overhead_seed / overhead_shared,
         "executor_telemetry": telemetry,
     }
 
@@ -119,16 +100,10 @@ def _throughput_section(n_workers: int, repeats: int) -> dict:
 
     with ButterflyExecutor(n_workers=1) as ex1:
         t_serial, expected = _best_of(lambda: ex1.count(g), repeats)
-    t_seed, v_seed = _best_of(
-        lambda: count_butterflies_parallel(
-            g, n_workers=n_workers, executor="process"
-        ),
-        repeats,
-    )
     with ButterflyExecutor(n_workers=n_workers) as ex:
         ex.count(g)
         t_shared, v_shared = _best_of(lambda: ex.count(g), repeats)
-    assert v_seed == expected and v_shared == expected
+    assert v_shared == expected
     return {
         "graph": {
             "generator": "power_law_bipartite(3000, 4000, 150000, seed=7)",
@@ -136,7 +111,6 @@ def _throughput_section(n_workers: int, repeats: int) -> dict:
             "butterflies": expected,
         },
         "seconds_serial": t_serial,
-        "seconds_seed_per_call": t_seed,
         "seconds_shared_warm_per_call": t_shared,
     }
 
@@ -598,7 +572,7 @@ def run_benchmark(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.parallel_bench",
-        description="Measure seed-vs-shared parallel dispatch overhead.",
+        description="Measure warm shared-pool parallel dispatch overhead.",
     )
     parser.add_argument("--out", default="BENCH_parallel.json",
                         help="output JSON path (default: BENCH_parallel.json)")
@@ -663,9 +637,7 @@ def main(argv=None) -> int:
     print(f"wrote {args.out}")
     print(f"per-call dispatch overhead ({args.workers} workers, "
           f"{d['graph']['n_edges']} edges):")
-    print(f"  seed process pool : {d['overhead_seed_seconds'] * 1e3:8.2f} ms/call")
     print(f"  shared warm pool  : {d['overhead_shared_seconds'] * 1e3:8.2f} ms/call")
-    print(f"  ratio             : {d['overhead_ratio']:8.1f}x")
     r = payload["planner_regret"]
     print(f"planner regret ({r['graph']['n_edges']} edges):")
     print(f"  auto plan [{r['chosen_plan']}] : "

@@ -85,14 +85,14 @@ def fig10_report(datasets: list[str], repeats: int = 1) -> str:
 def fig11_report(
     datasets: list[str], n_workers: int = 6, repeats: int = 1
 ) -> str:
-    """The parallel 8-invariant timing grid (Fig. 11), process pool."""
+    """The parallel 8-invariant timing grid (Fig. 11), shared pool."""
     sweep, md = _grid_sweep(
         datasets,
         lambda g, inv: count_butterflies_parallel(
-            g, n_workers=n_workers, executor="process", invariant=inv,
+            g, n_workers=n_workers, executor="shared", invariant=inv,
             strategy="spmv",
         ),
-        f"fig11 — parallel times ({n_workers} process workers, spmv), seconds",
+        f"fig11 — parallel times ({n_workers} shared workers, spmv), seconds",
         repeats,
     )
     if not sweep.values_agree():
@@ -132,10 +132,10 @@ def record_run(datasets: list[str] | None = None, n_workers: int = 6) -> dict:
     fig11, _ = _grid_sweep(
         datasets,
         lambda g, inv: count_butterflies_parallel(
-            g, n_workers=n_workers, executor="process", invariant=inv,
+            g, n_workers=n_workers, executor="shared", invariant=inv,
             strategy="spmv",
         ),
-        f"fig11 — parallel times ({n_workers} process workers, spmv), seconds",
+        f"fig11 — parallel times ({n_workers} shared workers, spmv), seconds",
     )
     return {"fig10": fig10, "fig11": fig11}
 

@@ -163,14 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="count in parallel over N workers (default: sequential)",
-    )
-    p_count.add_argument(
-        "--executor",
-        choices=("shared", "process", "thread", "serial"),
-        default="shared",
-        help="parallel executor used with --workers (default: shared — "
-        "zero-copy shared-memory buffers on a warm process pool)",
+        help="count in parallel over N workers on the warm shared-memory "
+        "pool (default: sequential)",
     )
     p_count.add_argument(
         "--storage",
@@ -243,10 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=("adjacency", "scratch", "spmv", "blocked", "wedge"),
         default=None, help="pin the update strategy",
-    )
-    p_explain.add_argument(
-        "--executor", choices=("shared", "process", "thread", "serial"),
-        default=None, help="pin the executor",
     )
     p_explain.add_argument("--workers", type=int, default=None, metavar="N",
                            help="pin the pool size")
@@ -548,7 +538,7 @@ def _count_plan_from_args(args, g):
             block_size=args.block_size, executor="serial", layout=layout,
         )
     if args.workers is not None:
-        executor = args.executor if args.workers > 1 else "serial"
+        executor = "shared" if args.workers > 1 else "serial"
         return engine.plan(
             g, "count", invariant=args.invariant, strategy=args.strategy,
             executor=executor, workers=args.workers, layout=layout,
@@ -682,7 +672,6 @@ def _cmd_explain(args) -> int:
         args.workload,
         invariant=args.invariant,
         strategy=args.strategy,
-        executor=args.executor,
         workers=args.workers,
         block_size=args.block_size,
         side=args.side,

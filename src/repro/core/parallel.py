@@ -6,24 +6,17 @@ pivot's positional prefix (A0) or suffix (A2), and those pair sets are
 disjoint across pivots — so disjoint pivot ranges contribute disjoint
 butterfly sets and the totals simply add, regardless of the order the
 ranges run in.  This is exactly what the paper exploits for its 6-thread
-numbers (Fig. 11); here the same decomposition is executed on either
+numbers (Fig. 11); here the same decomposition runs on one of two
+executors, both thin wrappers over :class:`repro.parallel.ButterflyExecutor`:
 
-- a **shared-memory warm pool** (default) — the graph's compressed arrays
-  live in one POSIX shared-memory segment that workers attach zero-copy,
-  and the pool persists across calls; see
-  :class:`repro.parallel.ButterflyExecutor`, or
-- a **process pool** (the seed path, kept as the ablation baseline and
-  the fallback where shared memory is unavailable) — each worker receives
-  the graph's compressed arrays once per call via the pool initializer
-  and counts a set of pivot ranges; this is the configuration that
-  actually scales in CPython, standing in for the paper's OpenMP threads,
-  or
-- a **thread pool** — shares the arrays with zero copies but is mostly
-  GIL-bound in pure-NumPy code; provided because that comparison is itself
-  one of the lessons of porting the paper's parallelisation to Python (the
-  fig11 benchmark reports both), or
-- ``"serial"`` — the same range decomposition with no pool, used by tests
-  to validate the tiling independently of pool plumbing.
+- ``"shared"`` (default) — a warm process pool whose workers attach the
+  graph's compressed arrays zero-copy from one POSIX shared-memory
+  segment; the pool persists across calls and stands in for the paper's
+  OpenMP threads.  Where shared memory is unavailable the call falls
+  back to ``"serial"`` (observable as ``parallel.shared_fallback``), or
+- ``"serial"`` — the same ``n_workers × chunks_per_worker`` range
+  decomposition run in-process, used by tests to validate the tiling
+  independently of pool plumbing.
 
 All three sequential strategies are supported so the parallel numbers are
 directly comparable to the sequential ones: ``"spmv"`` (the paper-literal
@@ -38,7 +31,6 @@ equal-width ranges would leave most workers idle.
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 import os
 
 import numpy as np
@@ -51,12 +43,9 @@ from repro.core.family import (
     _butterflies_at_pivot_adjacency,
     _butterflies_at_pivot_scratch,
     _butterflies_at_pivot_spmv,
-    _matrices_for_side,
-    _resolve_invariant,
 )
 from repro.core.workinfo import pivot_work_estimate, spmv_scan_lengths
 from repro.graphs.bipartite import BipartiteGraph
-from repro.sparsela import PatternCSC, PatternCSR
 
 __all__ = [
     "count_butterflies_parallel",
@@ -222,57 +211,38 @@ def count_range(
     return total
 
 
-# ----------------------------------------------------------------------
-# process-pool plumbing: the graph arrays are shipped once per worker via
-# the initializer and cached in module globals, so each range task is a
-# tiny (lo, hi) message.
-# ----------------------------------------------------------------------
-_WORKER: dict = {}
+def _resolve_workers(executor: str, n_workers: int | None) -> int:
+    # same vocabulary as repro.engine.plan.EXECUTORS
+    if executor not in ("shared", "serial"):
+        raise ValueError(
+            f"unknown executor {executor!r}; expected 'shared' or 'serial'"
+        )
+    if n_workers is None:
+        n_workers = min(os.cpu_count() or 1, 6)
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    return n_workers
 
 
-#: Back-compat private aliases (public names are the supported surface).
-_count_range = count_range
-_parallel_work_model = parallel_work_model
+def _run(executor: str, n_workers: int, chunks_per_worker: int, call):
+    """Run ``call(butterfly_executor, chunks_per_worker)`` on the right
+    :class:`~repro.parallel.ButterflyExecutor`.
 
+    ``"shared"`` with more than one worker goes to the process-wide warm
+    pool.  Everything else — ``"serial"``, ``n_workers == 1`` and the
+    shared-memory fallback — runs a one-worker executor's in-process
+    branch over the same ``n_workers × chunks_per_worker`` ranges.
+    """
+    from repro.parallel import ButterflyExecutor, get_default_executor
 
-def _worker_init(
-    side_value,
-    reference_value,
-    strategy,
-    pm_indptr,
-    pm_indices,
-    pm_shape,
-    co_indptr,
-    co_indices,
-    co_shape,
-):
-    cls_major = PatternCSC if side_value == Side.COLUMNS.value else PatternCSR
-    cls_comp = PatternCSR if side_value == Side.COLUMNS.value else PatternCSC
-    pm = cls_major(pm_indptr, pm_indices, pm_shape, check=False)
-    _WORKER["pivot_major"] = pm
-    _WORKER["complementary"] = cls_comp(co_indptr, co_indices, co_shape, check=False)
-    _WORKER["reference"] = Reference(reference_value)
-    _WORKER["strategy"] = strategy
-    if strategy == "spmv":
-        _WORKER["entry_major_ids"] = pm.expand_major()
-        _WORKER["marker"] = np.zeros(pm.minor_dim, dtype=bool)
-    else:
-        _WORKER["entry_major_ids"] = None
-        _WORKER["marker"] = None
-
-
-def _worker_count_range(bounds: tuple[int, int]) -> int:
-    lo, hi = bounds
-    return count_range(
-        _WORKER["pivot_major"],
-        _WORKER["complementary"],
-        lo,
-        hi,
-        _WORKER["reference"],
-        _WORKER["strategy"],
-        _WORKER["entry_major_ids"],
-        _WORKER["marker"],
-    )
+    if executor == "shared" and n_workers > 1:
+        try:
+            return call(get_default_executor(n_workers), chunks_per_worker)
+        except (OSError, PermissionError):
+            # documented heal path: no usable shared memory (or a
+            # publish/attach failure) reruns the call in-process
+            obs.inc("parallel.shared_fallback")
+    return call(ButterflyExecutor(n_workers=1), n_workers * chunks_per_worker)
 
 
 def count_butterflies_parallel(
@@ -301,13 +271,11 @@ def count_butterflies_parallel(
         ``"shared"`` (default — zero-copy shared-memory buffers on a
         process-wide warm pool, see
         :class:`repro.parallel.ButterflyExecutor`; falls back to
-        ``"process"`` where POSIX shared memory is unavailable),
-        ``"process"`` (the seed path: cold pool per call, graph pickled
-        into every worker via initargs), ``"thread"`` (GIL-bound
-        comparison), or ``"serial"`` (same decomposition, no pool — used
-        by tests).
+        ``"serial"`` where POSIX shared memory is unavailable) or
+        ``"serial"`` (same decomposition, in-process — used by tests).
     chunks_per_worker:
-        Over-decomposition factor for load balancing on skewed graphs.
+        Over-decomposition factor for load balancing on skewed graphs;
+        must be >= 1.
     invariant:
         Optional family member (1–8 or :class:`Invariant`): fixes the side
         *and* the reference partition, making each cell of the paper's
@@ -327,134 +295,24 @@ def count_butterflies_parallel(
     int
         Ξ_G, identical to every sequential member of the family.
     """
-    if executor not in ("shared", "process", "thread", "serial"):
-        raise ValueError(
-            f"unknown executor {executor!r}; expected 'shared', 'process', "
-            "'thread' or 'serial'"
-        )
-    if strategy not in ("adjacency", "scratch", "spmv", "wedge"):
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected 'adjacency', 'scratch', "
-            "'spmv' or 'wedge'"
-        )
-    if n_workers is None:
-        n_workers = min(os.cpu_count() or 1, 6)
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    n_workers = _resolve_workers(executor, n_workers)
     if obs._enabled:
         obs.inc(f"parallel.executor.{executor}")
-    # the span subsumes the old flat ``parallel.count.calls`` counter and
-    # is the ancestor every ``executor.map`` dispatch span nests under
+    # the span is the ancestor every ``executor.map`` dispatch span
+    # nests under
     with obs.span(
         "parallel.count",
         executor=executor,
         workers=n_workers,
         strategy=strategy,
     ):
-        return _count_parallel_body(
-            graph, n_workers, side, executor, chunks_per_worker,
-            invariant, strategy,
+        return _run(
+            executor, n_workers, chunks_per_worker,
+            lambda ex, cpw: ex.count(
+                graph, invariant=invariant, side=side, strategy=strategy,
+                chunks_per_worker=cpw,
+            ),
         )
-
-
-def _count_parallel_body(
-    graph, n_workers, side, executor, chunks_per_worker, invariant, strategy
-) -> int:
-    if executor == "shared" and n_workers > 1:
-        try:
-            from repro.parallel import get_default_executor
-
-            return get_default_executor(n_workers).count(
-                graph,
-                invariant=invariant,
-                side=side,
-                strategy=strategy,
-                chunks_per_worker=chunks_per_worker,
-            )
-        except (ImportError, OSError, PermissionError):
-            # documented heal path: platform without usable shared memory
-            # (or a publish/attach failure) falls back to the seed pickling
-            # executor — observable as parallel.shared_fallback
-            obs.inc("parallel.shared_fallback")
-            executor = "process"
-
-    reference = Reference.SUFFIX
-    if invariant is not None:
-        inv = _resolve_invariant(invariant)
-        side_e = inv.side
-        reference = inv.reference
-    elif side is None:
-        # cost-model side choice (reduces to the paper's smaller-side rule
-        # on an uncalibrated machine) — one decision point for the repo
-        from repro.engine import select_count_invariant
-
-        side_e = _resolve_invariant(select_count_invariant(graph)).side
-    elif isinstance(side, Side):
-        side_e = side
-    else:
-        side_e = Side(side)
-    pivot_major, complementary = _matrices_for_side(graph, side_e)
-    work = parallel_work_model(pivot_major, complementary, strategy, reference)
-    if strategy == "wedge":
-        ranges = wedge_shards(work, n_workers * chunks_per_worker)
-    else:
-        ranges = balanced_ranges(work, n_workers * chunks_per_worker)
-    if obs._enabled:
-        obs.inc("parallel.ranges", len(ranges))
-    if not ranges:
-        return 0
-
-    if executor in ("serial", "shared") or n_workers == 1:
-        return sum(
-            count_range(pivot_major, complementary, lo, hi, reference, strategy)
-            for lo, hi in ranges
-        )
-
-    if executor == "thread":
-        entry_ids = pivot_major.expand_major() if strategy == "spmv" else None
-
-        def run(bounds):
-            lo, hi = bounds
-            # markers are per-task scratch: tasks may share a thread but a
-            # fresh marker per call keeps them independent
-            marker = (
-                np.zeros(pivot_major.minor_dim, dtype=bool)
-                if strategy == "spmv"
-                else None
-            )
-            return count_range(
-                pivot_major, complementary, lo, hi, reference, strategy,
-                entry_ids, marker,
-            )
-
-        with cf.ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return sum(pool.map(run, ranges))
-
-    # executor == "process" (validated above)
-    initargs = (
-        side_e.value,
-        reference.value,
-        strategy,
-        pivot_major.entry_offsets(),
-        pivot_major.entries(0, pivot_major.nnz),
-        pivot_major.shape,
-        complementary.entry_offsets(),
-        complementary.entries(0, complementary.nnz),
-        complementary.shape,
-    )
-    with cf.ProcessPoolExecutor(
-        max_workers=n_workers, initializer=_worker_init, initargs=initargs
-    ) as pool:
-        return sum(pool.map(_worker_count_range, ranges))
-
-
-def _worker_vertex_range(bounds: tuple[int, int]):
-    from repro.core.local_counts import vertex_counts_panel
-
-    lo, hi = bounds
-    return lo, vertex_counts_panel(
-        _WORKER["pivot_major"], _WORKER["complementary"], lo, hi
-    )
 
 
 def vertex_butterfly_counts_parallel(
@@ -476,72 +334,8 @@ def vertex_butterfly_counts_parallel(
     ``"shared"`` warm-pool default); ``side`` selects the counted vertex
     set rather than an invariant.
     """
-    if executor not in ("shared", "process", "thread", "serial"):
-        raise ValueError(
-            f"unknown executor {executor!r}; expected 'shared', 'process', "
-            "'thread' or 'serial'"
-        )
-    if side == "left":
-        pivot_major, complementary = graph.csr, graph.csc
-    elif side == "right":
-        pivot_major, complementary = graph.csc, graph.csr
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if n_workers is None:
-        n_workers = min(os.cpu_count() or 1, 6)
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-
-    if executor == "shared" and n_workers > 1:
-        try:
-            from repro.parallel import get_default_executor
-
-            return get_default_executor(n_workers).vertex_counts(
-                graph, side, chunks_per_worker=chunks_per_worker
-            )
-        except (ImportError, OSError, PermissionError):
-            obs.inc("parallel.shared_fallback")
-            executor = "process"  # platform without usable shared memory
-
-    from repro.core.local_counts import vertex_counts_panel
-
-    n = pivot_major.major_dim
-    out = np.zeros(n, dtype=np.int64)
-    work = pivot_work_estimate(pivot_major, complementary)
-    ranges = balanced_ranges(work, n_workers * chunks_per_worker)
-    if not ranges:
-        return out
-
-    if executor in ("serial", "shared") or n_workers == 1:
-        for lo, hi in ranges:
-            out[lo:hi] = vertex_counts_panel(pivot_major, complementary, lo, hi)
-        return out
-
-    if executor == "thread":
-        def run(bounds):
-            lo, hi = bounds
-            return lo, vertex_counts_panel(pivot_major, complementary, lo, hi)
-
-        with cf.ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for lo, counts in pool.map(run, ranges):
-                out[lo : lo + len(counts)] = counts
-        return out
-
-    side_value = Side.COLUMNS.value if side == "right" else Side.ROWS.value
-    initargs = (
-        side_value,
-        Reference.SUFFIX.value,  # unused by the vertex kernel
-        "adjacency",
-        pivot_major.entry_offsets(),
-        pivot_major.entries(0, pivot_major.nnz),
-        pivot_major.shape,
-        complementary.entry_offsets(),
-        complementary.entries(0, complementary.nnz),
-        complementary.shape,
+    n_workers = _resolve_workers(executor, n_workers)
+    return _run(
+        executor, n_workers, chunks_per_worker,
+        lambda ex, cpw: ex.vertex_counts(graph, side, chunks_per_worker=cpw),
     )
-    with cf.ProcessPoolExecutor(
-        max_workers=n_workers, initializer=_worker_init, initargs=initargs
-    ) as pool:
-        for lo, counts in pool.map(_worker_vertex_range, ranges):
-            out[lo : lo + len(counts)] = counts
-    return out

@@ -1,8 +1,6 @@
 """Streaming tier: batched maintenance, sketch estimation, snapshots.
 
-This package is ROADMAP item 2 — the dynamic/streaming subsystem the
-future service tier plugs into.  It promotes and supersedes
-``repro.core.dynamic`` (now a deprecation shim):
+This package holds the dynamic/streaming subsystem:
 
 - :class:`StreamingButterflyCounter` — exact global + per-vertex counts
   under *batched* insert/delete updates, vectorised with the panel

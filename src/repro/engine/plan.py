@@ -54,7 +54,7 @@ COUNT_STRATEGIES: tuple[str, ...] = (
 
 #: Executors a plan may select (same vocabulary as
 #: :func:`repro.core.parallel.count_butterflies_parallel`).
-EXECUTORS: tuple[str, ...] = ("serial", "shared", "process", "thread")
+EXECUTORS: tuple[str, ...] = ("serial", "shared")
 
 #: Storage layouts a plan may select — mirrors
 #: :data:`repro.storage.LAYOUTS` (kept literal here so the plan record

@@ -8,7 +8,7 @@ mechanical:
 1. **Candidate generation** — enumerate the plans worth considering for
    the workload, respecting any caller-pinned fields (a pinned
    ``invariant=3`` restricts candidates to invariant 3; a pinned
-   ``executor="process"`` restricts the pool kind; etc.).
+   ``executor="serial"`` drops the pool rows; etc.).
 2. **Exact work model** — each candidate's element-operation count comes
    from :mod:`repro.core.workinfo` (the same model the parallel range
    balancer and the Fig. 10 analysis use), never from asymptotics.
@@ -282,15 +282,12 @@ def _count_candidates(
     else:
         strategies = (strategy,)
     pool_workers = _pool_workers(workers)
-    pin_pool = (executor not in (None, "serial")) or (
-        workers is not None and workers > 1
-    )
+    pin_pool = executor == "shared" or (workers is not None and workers > 1)
     pin_serial = (executor == "serial") or (workers == 1)
     emit_serial = not pin_pool
     emit_parallel = (
         not pin_serial and not family_only and pool_workers > 1
     )
-    pool_kind = executor if executor not in (None, "serial") else "shared"
 
     out: list[Plan] = []
     works: dict[int, _SideWork] = {}
@@ -329,11 +326,11 @@ def _count_candidates(
                     out.append(Plan(
                         workload="count", invariant=number,
                         storage=inv.storage, strategy="wedge",
-                        executor=pool_kind, workers=pool_workers, side=side,
+                        executor="shared", workers=pool_workers, side=side,
                         modeled_ops=work.adjacency_ops, est_seconds=est,
                         reason=f"~{shards} equal-wedge-work shard(s) "
-                               f"(≤2^18 wedges each) on the {pool_kind} "
-                               "pool, fused panel reduction per shard",
+                               "(≤2^18 wedges each) on the shared pool, "
+                               "fused panel reduction per shard",
                     ))
                 continue
             if strat == "blocked":
@@ -365,9 +362,9 @@ def _count_candidates(
                 est = _cost_parallel(serial_est, pool_workers, cal)
                 out.append(Plan(
                     workload="count", invariant=number, storage=inv.storage,
-                    strategy=strat, executor=pool_kind, workers=pool_workers,
+                    strategy=strat, executor="shared", workers=pool_workers,
                     side=side, modeled_ops=work.ops(strat), est_seconds=est,
-                    reason=f"{pool_kind} pool: modeled serial cost "
+                    reason="shared pool: modeled serial cost "
                            f"{serial_est * 1e3:.2f} ms vs dispatch overhead "
                            f"{cal.parallel_dispatch_ns * 1e-6:.2f} ms",
                 ))
@@ -392,9 +389,7 @@ def _vertex_candidates(
     b = block_size or max(_auto_block_size(work, budget), 128)
     serial_est = _cost_blocked(work, b, cal) * rounds
     pool_workers = _pool_workers(workers)
-    pin_pool = (executor not in (None, "serial")) or (
-        workers is not None and workers > 1
-    )
+    pin_pool = executor == "shared" or (workers is not None and workers > 1)
     pin_serial = (executor == "serial") or (workers == 1)
     out = []
     if not pin_pool:
@@ -406,14 +401,13 @@ def _vertex_candidates(
             reason=f"serial panel kernel, ~{rounds} round(s) modeled",
         ))
     if not pin_serial and pool_workers > 1:
-        pool_kind = executor if executor not in (None, "serial") else "shared"
         est = _cost_parallel(serial_est / rounds, pool_workers, cal) * rounds
         out.append(Plan(
             workload=workload, invariant=None, storage=storage,
-            strategy="blocked", executor=pool_kind, workers=pool_workers,
+            strategy="blocked", executor="shared", workers=pool_workers,
             block_size=b, side=side, k=k,
             modeled_ops=work.adjacency_ops * rounds, est_seconds=est,
-            reason=f"warm {pool_kind} pool amortised across fixpoint rounds",
+            reason="warm shared pool amortised across fixpoint rounds",
         ))
     if workload != "vertex-counts":
         return out  # peeling rounds mutate views in place: raw-only

@@ -3,17 +3,19 @@
 :class:`ButterflyExecutor` owns two long-lived resources and amortises
 both across *every* parallel entry point in the package:
 
-1. **A warm process pool.**  The seed path created (and tore down) a
-   ``ProcessPoolExecutor`` per call; multi-round workloads — the peeling
-   fixpoints foremost — paid pool startup per round.  Here the pool is
-   created once, lazily, and reused until :meth:`close`.
+1. **A warm process pool.**  The pool is created once, lazily, and
+   reused until :meth:`close`, so multi-round workloads — the peeling
+   fixpoints foremost — pay pool startup once, not per round.
 2. **Published graphs.**  Graph buffers travel to workers through
    :class:`~repro.parallel.shm.SharedGraphBuffers` (one ``O(nnz)`` memcpy
-   into ``/dev/shm``, zero copies per worker) instead of the seed's
-   ``O(workers · nnz)`` pickling initargs.  Publications are cached per
-   matrix object (weakly — a segment is unlinked the moment its matrix is
-   garbage collected) so repeated sweeps over the same graph, e.g. the
-   eight-invariant benchmark grid, publish once.
+   into ``/dev/shm``, zero copies per worker).  Publications are cached
+   per matrix object (weakly — a segment is unlinked the moment its
+   matrix is garbage collected) so repeated sweeps over the same graph,
+   e.g. the eight-invariant benchmark grid, publish once.
+
+A one-worker executor runs every call in-process over the same ranges
+(no pool, no segments); the ``"serial"`` executor of
+:func:`repro.core.parallel.count_butterflies_parallel` is exactly that.
 
 Task messages are tiny: ``(meta, side, reference, strategy, lo, hi,
 collect)`` tuples.  Workers attach each named segment once, cache the
@@ -25,8 +27,8 @@ fresh subgraph per round) does not accumulate mappings.
 Failure containment: a broken pool (worker killed, fork failure) is
 rebuilt once per dispatch — each heal bumps the ``executor.pool_healed``
 counter; if shared memory itself is unavailable the caller
-(:func:`repro.core.parallel.count_butterflies_parallel`) falls back to
-the seed pickling path (``parallel.shared_fallback``).
+(:func:`repro.core.parallel.count_butterflies_parallel`, the peeling
+loops) reruns the call in-process (``parallel.shared_fallback``).
 
 Observability: every pool start / publish / dispatch / heal is recorded
 on the :mod:`repro.obs` registry, and when observability is enabled at
@@ -255,6 +257,14 @@ def _shm_vertex_range(args) -> tuple:
 # ----------------------------------------------------------------------
 
 
+def _check_chunks(chunks_per_worker: int) -> int:
+    if chunks_per_worker < 1:
+        raise ValueError(
+            f"chunks_per_worker must be >= 1, got {chunks_per_worker}"
+        )
+    return int(chunks_per_worker)
+
+
 class ButterflyExecutor:
     """Reusable parallel execution context for the whole counting family.
 
@@ -290,12 +300,8 @@ class ButterflyExecutor:
             n_workers = min(os.cpu_count() or 1, 6)
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if chunks_per_worker < 1:
-            raise ValueError(
-                f"chunks_per_worker must be >= 1, got {chunks_per_worker}"
-            )
         self.n_workers = int(n_workers)
-        self.chunks_per_worker = int(chunks_per_worker)
+        self.chunks_per_worker = _check_chunks(chunks_per_worker)
         self._pool: cf.ProcessPoolExecutor | None = None
         self._closed = False
         #: id(csr matrix) -> (SharedGraphBuffers, weakref to the matrix)
@@ -395,6 +401,13 @@ class ButterflyExecutor:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
+    def _n_chunks(self, chunks_per_worker: int | None) -> int:
+        """Range count for one call: ``n_workers`` × the per-call (or
+        default) over-decomposition factor."""
+        if chunks_per_worker is None:
+            chunks_per_worker = self.chunks_per_worker
+        return self.n_workers * _check_chunks(chunks_per_worker)
+
     def _map(self, fn, tasks):
         """Run ``fn`` over ``tasks`` on the warm pool, healing it once.
 
@@ -463,6 +476,7 @@ class ButterflyExecutor:
                 f"unknown strategy {strategy!r}; expected 'adjacency', "
                 "'scratch', 'spmv' or 'wedge'"
             )
+        n_chunks = self._n_chunks(chunks_per_worker)
         reference = Reference.SUFFIX
         if invariant is not None:
             inv = resolve_invariant(invariant)
@@ -477,11 +491,10 @@ class ButterflyExecutor:
             side_e = Side(side)
         pivot_major, complementary = matrices_for_side(graph, side_e)
         work = parallel_work_model(pivot_major, complementary, strategy, reference)
-        cpw = self.chunks_per_worker if chunks_per_worker is None else chunks_per_worker
         if strategy == "wedge":
-            ranges = wedge_shards(work, self.n_workers * cpw)
+            ranges = wedge_shards(work, n_chunks)
         else:
-            ranges = balanced_ranges(work, self.n_workers * cpw)
+            ranges = balanced_ranges(work, n_chunks)
         if not ranges:
             return 0
         if self.n_workers == 1:
@@ -531,8 +544,7 @@ class ButterflyExecutor:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         out = np.zeros(pivot_major.major_dim, dtype=COUNT_DTYPE)
         work = pivot_work_estimate(pivot_major, complementary)
-        cpw = self.chunks_per_worker if chunks_per_worker is None else chunks_per_worker
-        ranges = balanced_ranges(work, self.n_workers * cpw)
+        ranges = balanced_ranges(work, self._n_chunks(chunks_per_worker))
         if not ranges:
             return out
         if self.n_workers == 1:
@@ -577,14 +589,14 @@ class ButterflyExecutor:
             side_value = Side.COLUMNS.value
         else:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        n_chunks = self._n_chunks(chunks_per_worker)
         out = np.zeros(pivot_major.major_dim, dtype=COUNT_DTYPE)
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
             return out
         if work is None:
             work = pivot_work_estimate(pivot_major, complementary)
-        cpw = self.chunks_per_worker if chunks_per_worker is None else chunks_per_worker
-        ranges = balanced_ranges(work[ids], self.n_workers * cpw)
+        ranges = balanced_ranges(work[ids], n_chunks)
         if self.n_workers == 1 or len(ranges) <= 1:
             affected, lost = tip_decrement_batch(pivot_major, complementary, ids)
             out[affected] += lost
@@ -620,8 +632,7 @@ class ButterflyExecutor:
         csr, csc = graph.csr, graph.csc
         support = np.zeros(csr.nnz, dtype=COUNT_DTYPE)
         work = pivot_work_estimate(csr, csc)
-        cpw = self.chunks_per_worker if chunks_per_worker is None else chunks_per_worker
-        ranges = balanced_ranges(work, self.n_workers * cpw)
+        ranges = balanced_ranges(work, self._n_chunks(chunks_per_worker))
         if not ranges:
             return support
         if self.n_workers == 1:

@@ -1,9 +1,7 @@
 """Zero-copy shared-memory transport for compressed graph buffers.
 
-The seed parallel path shipped the four CSR/CSC arrays (two ``indptr``,
-two ``indices``) to *every* worker through the process-pool initializer —
-an ``O(workers · nnz)`` pickle + copy on **each** call.  This module places
-those arrays in a single POSIX shared-memory segment once
+This module places a graph's four CSR/CSC arrays (two ``indptr``, two
+``indices``) in a single POSIX shared-memory segment once
 (``O(nnz)`` memcpy total), after which any number of workers attach
 zero-copy: the kernels in the workers operate directly on the parent's
 pages.

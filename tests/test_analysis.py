@@ -355,7 +355,7 @@ class TestDeprecationPolicy:
             def f():
                 warnings.warn("use g() instead", DeprecationWarning, stacklevel=2)
         """
-        (f,) = run(src, "repro.core.parallel", rules=["RPR005"])
+        (f,) = run(src, "repro.core.family", rules=["RPR005"])
         assert "deprecated" in f.message
 
     def test_other_warnings_ignored(self):

@@ -20,7 +20,7 @@ def test_fig10_report_grid():
 
 def test_fig11_report_grid():
     md = fig11_report(["arxiv"], n_workers=2)
-    assert "2 process workers" in md
+    assert "2 shared workers" in md
     assert "| arxiv |" in md
 
 

@@ -6,8 +6,10 @@ The matrix crosses
 - two storage layouts ("csr" runs the graph as given; "csc" runs the
   side-swapped graph with the transpose-mapped invariant i <-> i±4, which
   exercises the opposite compressed axis for the same logical graph),
-- three executors (serial decomposition, cold process pool, warm
-  shared-memory pool), and
+- three executor cells: the serial in-process decomposition, a cold
+  process pool (a cell-owned :class:`~repro.parallel.ButterflyExecutor`
+  that starts, publishes and tears down per cell) and the warm
+  process-wide shared-memory pool behind ``executor="shared"``, and
 - six structurally distinct graph shapes, including the degenerate ones
   (empty, star) that historically break boundary arithmetic.
 
@@ -33,6 +35,7 @@ from repro.graphs import (
     planted_bicliques,
     power_law_bipartite,
 )
+from repro.parallel import ButterflyExecutor
 
 @pytest.fixture(scope="module", autouse=True)
 def _retire_shared_executors():
@@ -73,17 +76,23 @@ REFERENCE = {name: count_butterflies(g) for name, g in GRAPHS.items()}
 TRANSPOSE_MAP = {i: ((i + 3) % 8) + 1 for i in INVARIANTS}
 
 
+def _count(g: BipartiteGraph, executor: str, **kwargs) -> int:
+    """One global count through an executor cell; ``"process"`` is a
+    cold pool owned by the cell, the others are the public executors."""
+    if executor == "process":
+        with ButterflyExecutor(n_workers=N_WORKERS) as ex:
+            return ex.count(g, **kwargs)
+    return count_butterflies_parallel(
+        g, n_workers=N_WORKERS, executor=executor, **kwargs
+    )
+
+
 def _cell(graph_name: str, invariant: int, layout: str, executor: str) -> int:
     g = GRAPHS[graph_name]
     if layout == "csc":
         g = g.swap_sides()
         invariant = TRANSPOSE_MAP[invariant]
-    return count_butterflies_parallel(
-        g,
-        n_workers=N_WORKERS,
-        executor=executor,
-        invariant=invariant,
-    )
+    return _count(g, executor, invariant=invariant)
 
 
 def test_transpose_map_is_an_involution():
@@ -135,12 +144,8 @@ def test_wedge_strategy_conformance(graph_name, layout, invariant, executor):
 def test_wedge_strategy_process_executor(graph_name, invariant):
     """The cold process pool on the two non-trivial graphs (sampled, as
     in the per-vertex block, rather than crossed with the full matrix)."""
-    got = count_butterflies_parallel(
-        GRAPHS[graph_name],
-        n_workers=N_WORKERS,
-        executor="process",
-        invariant=invariant,
-        strategy="wedge",
+    got = _count(
+        GRAPHS[graph_name], "process", invariant=invariant, strategy="wedge"
     )
     assert got == REFERENCE[graph_name]
 
@@ -170,10 +175,10 @@ def test_vertex_counts_conformance(graph_name, side, executor):
 @pytest.mark.parametrize("side", ("left", "right"))
 def test_vertex_counts_process_executor(graph_name, side):
     """The cold process pool on the two non-trivial graphs (it is the
-    slowest executor, so the matrix samples it rather than crossing it)."""
-    got = vertex_butterfly_counts_parallel(
-        GRAPHS[graph_name], side=side, n_workers=N_WORKERS, executor="process"
-    )
+    slowest executor cell, so the matrix samples it rather than crossing
+    it)."""
+    with ButterflyExecutor(n_workers=N_WORKERS) as ex:
+        got = ex.vertex_counts(GRAPHS[graph_name], side)
     np.testing.assert_array_equal(got, VERTEX_REFERENCE[(graph_name, side)])
 
 

@@ -167,16 +167,3 @@ def test_add_edges_duplicate_in_batch_reports_correct_created():
     assert dc.n_edges == 4
     _assert_state_matches(dc)
 
-
-def test_moved_module_shim_warns():
-    # repro.core.dynamic is a deprecation shim over repro.core.stream.dynamic
-    import importlib
-    import sys
-
-    sys.modules.pop("repro.core.dynamic", None)
-    with pytest.warns(DeprecationWarning, match="repro.core.stream"):
-        importlib.import_module("repro.core.dynamic")
-    from repro.core.dynamic import DynamicButterflyCounter as shimmed
-    from repro.core.stream.dynamic import DynamicButterflyCounter as canonical
-
-    assert shimmed is canonical

@@ -233,9 +233,9 @@ class TestPinning:
 
     def test_pinned_workers_yield_parallel_plan(self, g):
         p = engine.plan(
-            g, "count", workers=2, executor="process", calibration=DEFAULTS,
+            g, "count", workers=2, executor="shared", calibration=DEFAULTS,
         )
-        assert p.workers == 2 and p.executor == "process"
+        assert p.workers == 2 and p.executor == "shared"
         assert p.execute(g) == butterflies_spec_bform(g)
 
     def test_overconstrained_pins_fall_back(self, g):
@@ -268,7 +268,7 @@ class TestPinning:
         p = engine.plan(g, "count", calibration=DEFAULTS)
         d = p.as_dict()
         assert d["label"] == p.label and json.dumps(d)
-        clone = p.with_(workers=3, executor="thread")
+        clone = p.with_(workers=3, executor="shared")
         assert clone.workers == 3 and p.workers == 1
 
 

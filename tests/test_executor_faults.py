@@ -8,8 +8,8 @@ Three failure classes, each with a documented containment behaviour:
   the ``executor.pool_healed`` metric.
 - **Publish failure** (``/dev/shm`` unavailable / quota) — the shared
   path raises ``OSError`` on the owner side;
-  :func:`count_butterflies_parallel` falls back to the seed pickling
-  executor and records ``parallel.shared_fallback``.
+  :func:`count_butterflies_parallel` reruns the call in-process and
+  records ``parallel.shared_fallback``.
 - **Worker-side attach failure** — the segment exists but a worker
   cannot map it; the task's ``OSError`` propagates through the pool and
   triggers the same documented fallback.
@@ -128,9 +128,9 @@ def test_persistent_killer_exhausts_single_heal(graph):
 
 
 # ----------------------------------------------------------------------
-# publish failure -> documented fallback to the seed process executor
+# publish failure -> documented in-process fallback
 # ----------------------------------------------------------------------
-def test_publish_failure_falls_back_to_process(monkeypatch, graph, expected):
+def test_publish_failure_falls_back_in_process(monkeypatch, graph, expected):
     shutdown_default_executors()  # drop any cached publication of `graph`
 
     def _refuse(cls_graph):
@@ -145,6 +145,8 @@ def test_publish_failure_falls_back_to_process(monkeypatch, graph, expected):
         assert got == expected
         assert metrics.value("parallel.shared_fallback") == 1
         assert metrics.value("parallel.executor.shared") == 1
+        # the fallback ran in-process: no pool was ever started
+        assert metrics.value("executor.pool_starts") == 0
     finally:
         shutdown_default_executors()
 
@@ -177,7 +179,7 @@ def test_publish_failure_vertex_counts_falls_back(monkeypatch, graph):
 def test_worker_attach_failure_falls_back(monkeypatch, graph, expected):
     """Patch the attach hook *before* the pool forks, so every worker
     inherits a broken attach path; the resulting OSError propagates
-    through ``pool.map`` and lands in the documented fallback."""
+    through ``pool.map`` and the call reruns in-process."""
     import repro.parallel.executor as executor_mod
 
     shutdown_default_executors()  # force a fresh (post-patch) fork

@@ -3,8 +3,8 @@
 The contract under test (ISSUE acceptance criteria):
 
 - ``executor="shared"`` produces the bit-identical Ξ_G on every
-  invariant × strategy combination (vs. the serial family and the seed
-  ``process`` executor);
+  invariant × strategy combination (vs. the serial family, the serial
+  executor's in-process tiling, and a cold caller-owned pool);
 - no shared-memory segments survive any executor lifecycle — normal
   close, context-manager exit, mid-sweep exceptions, or publication-cache
   eviction;
@@ -220,7 +220,7 @@ class TestExecutorLifecycle:
 
 
 # ----------------------------------------------------------------------
-# equivalence: shared == process == serial, all invariants x strategies
+# equivalence: shared == cold pool == serial, all invariants x strategies
 # ----------------------------------------------------------------------
 
 
@@ -239,15 +239,16 @@ class TestEquivalence:
                 ) == expected
 
     def test_shared_matches_process_executor(self, medium_graph):
+        """The warm default pool, a cold caller-owned process pool and the
+        serial executor's in-process tiling agree."""
         serial = count_butterflies_parallel(
-            medium_graph, n_workers=1, executor="serial"
+            medium_graph, n_workers=2, executor="serial"
         )
         shared = count_butterflies_parallel(
             medium_graph, n_workers=2, executor="shared"
         )
-        process = count_butterflies_parallel(
-            medium_graph, n_workers=2, executor="process"
-        )
+        with ButterflyExecutor(n_workers=2) as ex:
+            process = ex.count(medium_graph)
         assert serial == shared == process == count_butterflies(medium_graph)
 
     def test_tiny_graphs(self):

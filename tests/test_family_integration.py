@@ -69,7 +69,7 @@ def test_medium_graph_cross_validation(medium_graph):
     assert count_butterflies_blocked(medium_graph, 2, block_size=64) == expected
     assert count_butterflies_blocked(medium_graph, 7, block_size=64) == expected
     assert (
-        count_butterflies_parallel(medium_graph, n_workers=2, executor="thread")
+        count_butterflies_parallel(medium_graph, n_workers=2, executor="shared")
         == expected
     )
     assert count_butterflies_vertex_priority(medium_graph) == expected

@@ -439,11 +439,13 @@ class TestSpans:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module", autouse=True)
 def _retire_shared_executors():
-    """Leave no warm default executor (and no published /dev/shm segment)
-    behind — the sharedmem suite asserts segment-leak-freedom globally."""
-    yield
+    """Start cold — the workload below asserts a pool start — and leave no
+    warm default executor (and no published /dev/shm segment) behind:
+    the sharedmem suite asserts segment-leak-freedom globally."""
     from repro.parallel import shutdown_default_executors
 
+    shutdown_default_executors()
+    yield
     shutdown_default_executors()
 
 

@@ -13,6 +13,16 @@ from repro.core.family import Side
 from tests.conftest import tiny_named_graphs
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _retire_shared_executors():
+    """Leave no warm default executor (and no published /dev/shm segment)
+    behind for later modules."""
+    yield
+    from repro.parallel import shutdown_default_executors
+
+    shutdown_default_executors()
+
+
 # ----------------------------------------------------------- range splitting
 def test_balanced_ranges_cover_everything():
     work = np.array([5, 1, 1, 1, 5, 1, 1, 1, 5, 1])
@@ -68,7 +78,7 @@ def test_pivot_work_estimate_is_exact_wedge_count(medium_graph):
 
 
 # ----------------------------------------------------------------- executors
-@pytest.mark.parametrize("executor", ["serial", "thread"])
+@pytest.mark.parametrize("executor", ["serial", "shared"])
 def test_executors_match_sequential(executor, corpus):
     for name, g in corpus:
         assert count_butterflies_parallel(
@@ -79,7 +89,7 @@ def test_executors_match_sequential(executor, corpus):
 def test_process_executor_matches(medium_graph):
     expected = count_butterflies(medium_graph)
     got = count_butterflies_parallel(
-        medium_graph, n_workers=2, executor="process"
+        medium_graph, n_workers=2, executor="shared"
     )
     assert got == expected
 
@@ -93,7 +103,7 @@ def test_side_override():
 
 def test_single_worker_shortcuts_to_serial():
     g = tiny_named_graphs()["k33"]
-    assert count_butterflies_parallel(g, n_workers=1, executor="process") == 9
+    assert count_butterflies_parallel(g, n_workers=1, executor="shared") == 9
 
 
 def test_empty_graph_parallel():
@@ -134,15 +144,7 @@ def test_parallel_per_invariant_grid(invariant, strategy, medium_graph):
 def test_parallel_invariant_through_process_pool(medium_graph):
     expected = count_butterflies(medium_graph)
     assert count_butterflies_parallel(
-        medium_graph, n_workers=2, executor="process", invariant=5,
-        strategy="spmv",
-    ) == expected
-
-
-def test_parallel_invariant_through_thread_pool(medium_graph):
-    expected = count_butterflies(medium_graph)
-    assert count_butterflies_parallel(
-        medium_graph, n_workers=2, executor="thread", invariant=4,
+        medium_graph, n_workers=2, executor="shared", invariant=5,
         strategy="spmv",
     ) == expected
 
@@ -154,7 +156,7 @@ def test_parallel_invalid_strategy():
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "shared"])
 def test_vertex_counts_parallel(side, executor, medium_graph):
     from repro.core import (
         vertex_butterfly_counts,
@@ -194,8 +196,62 @@ def test_chunks_per_worker_does_not_change_result(medium_graph):
     expected = count_butterflies(medium_graph)
     for cpw in (1, 2, 8):
         assert count_butterflies_parallel(
-            medium_graph, n_workers=2, executor="thread", chunks_per_worker=cpw
+            medium_graph, n_workers=2, executor="shared", chunks_per_worker=cpw
         ) == expected
+
+
+@pytest.mark.parametrize("cpw", [0, -5])
+def test_bad_chunks_per_worker_rejected_everywhere(cpw, medium_graph):
+    """Every entry point rejects a non-positive over-decomposition factor
+    with a ValueError instead of silently running a clamped tiling."""
+    from repro.core import vertex_butterfly_counts_parallel
+    from repro.parallel import ButterflyExecutor
+
+    for executor in ("serial", "shared"):
+        for n_workers in (1, 2):
+            with pytest.raises(ValueError, match="chunks_per_worker"):
+                count_butterflies_parallel(
+                    medium_graph, n_workers=n_workers, executor=executor,
+                    chunks_per_worker=cpw,
+                )
+            with pytest.raises(ValueError, match="chunks_per_worker"):
+                vertex_butterfly_counts_parallel(
+                    medium_graph, n_workers=n_workers, executor=executor,
+                    chunks_per_worker=cpw,
+                )
+    with pytest.raises(ValueError, match="chunks_per_worker"):
+        ButterflyExecutor(n_workers=2, chunks_per_worker=cpw)
+    with ButterflyExecutor(n_workers=2) as ex:
+        calls = (
+            lambda: ex.count(medium_graph, chunks_per_worker=cpw),
+            lambda: ex.vertex_counts(medium_graph, chunks_per_worker=cpw),
+            lambda: ex.tip_decrements(
+                medium_graph, np.arange(3), chunks_per_worker=cpw
+            ),
+            lambda: ex.edge_support(medium_graph, chunks_per_worker=cpw),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="chunks_per_worker"):
+                call()
+        assert ex.pool_starts == 0  # rejected before any dispatch
+
+
+@pytest.mark.parametrize("removed", ["process", "thread"])
+def test_removed_executors_rejected(removed, medium_graph):
+    """Only ``serial`` and ``shared`` exist: the old pool names are typed
+    errors at every entry point that takes an executor."""
+    from repro import engine
+    from repro.core import vertex_butterfly_counts_parallel
+    from repro.engine import Plan
+
+    with pytest.raises(ValueError, match="executor"):
+        count_butterflies_parallel(medium_graph, executor=removed)
+    with pytest.raises(ValueError, match="executor"):
+        vertex_butterfly_counts_parallel(medium_graph, executor=removed)
+    with pytest.raises(ValueError, match="executor"):
+        engine.plan(medium_graph, "count", executor=removed)
+    with pytest.raises(ValueError, match="executor"):
+        Plan(executor=removed)
 
 
 # ------------------------------------------------- int64-exact load balancing
@@ -296,7 +352,7 @@ def test_wedge_shards_default_budget_matches_constant():
 
 def test_count_wedge_strategy_matches_family(medium_graph):
     expected = count_butterflies(medium_graph)
-    for executor in ("serial", "thread", "process"):
+    for executor in ("serial", "shared"):
         for invariant in (2, 6):
             got = count_butterflies_parallel(
                 medium_graph,
