@@ -44,14 +44,33 @@ __all__ = [
     "paper_tip_vector",
 ]
 
+#: Pivot cap of one per-vertex panel (and the pinned-width default): on
+#: the e2e benchmark's ``skewed`` and ``occupations`` shapes, panels
+#: filled to the whole wedge budget reduced ~1.5x slower than panels
+#: capped at 128 pivots (2-vCPU host).
+_PANEL_PIVOTS = 128
+
+
+def _side_patterns(graph: BipartiteGraph, side: str):
+    """(pivot-major, complementary) patterns for peeling-style ``side``."""
+    if side == "left":
+        return graph.csr, graph.csc
+    if side == "right":
+        return graph.csc, graph.csr
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
 
 def vertex_butterfly_counts(graph: BipartiteGraph, side: str = "left") -> np.ndarray:
     """Number of butterflies containing each vertex of ``side``.
 
     For a left vertex u this is Σ_{w≠u} C(|N(u) ∩ N(w)|, 2) with w ranging
     over the left side — each butterfly at u pairs u with exactly one other
-    left vertex.  Computed by expanding u's wedge multiset and reducing
-    multiplicities, O(Σ wedges) total.
+    left vertex.  Panelised: pivots are cut into contiguous panels of at
+    most :data:`~repro.core.parallel.DEFAULT_WEDGE_SHARD_BUDGET` wedge
+    expansions (a hub heavier than that gets a singleton panel) and at most
+    128 pivots, and each panel is reduced by
+    :func:`vertex_counts_panel` — O(Σ wedges) total, with transient memory
+    bounded by the budget rather than the graph.
 
     Parameters
     ----------
@@ -66,47 +85,36 @@ def vertex_butterfly_counts(graph: BipartiteGraph, side: str = "left") -> np.nda
     numpy.ndarray
         int64 vector of length ``n_left`` or ``n_right``.
     """
-    if side == "left":
-        pivot_major, complementary = graph.csr, graph.csc
-    elif side == "right":
-        pivot_major, complementary = graph.csc, graph.csr
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    n = pivot_major.major_dim
-    out = np.zeros(n, dtype=COUNT_DTYPE)
-    for u in range(n):
-        endpoints = complementary.gather(pivot_major.slice(u))
-        if endpoints.size == 0:
-            continue
-        endpoints = endpoints[endpoints != u]
-        if endpoints.size == 0:
-            continue
-        _, counts = np.unique(endpoints, return_counts=True)
-        counts = counts.astype(COUNT_DTYPE)
-        out[u] = np.sum(counts * (counts - 1)) // 2
+    from repro.core.blocked import work_bounded_panels
+    from repro.core.parallel import DEFAULT_WEDGE_SHARD_BUDGET
+    from repro.core.workinfo import pivot_work_estimate
+
+    pivot_major, complementary = _side_patterns(graph, side)
+    out = np.zeros(pivot_major.major_dim, dtype=COUNT_DTYPE)
+    work = pivot_work_estimate(pivot_major, complementary)
+    for lo, hi in work_bounded_panels(work, DEFAULT_WEDGE_SHARD_BUDGET):
+        for p_lo in range(lo, hi, _PANEL_PIVOTS):
+            p_hi = min(p_lo + _PANEL_PIVOTS, hi)
+            out[p_lo:p_hi] = vertex_counts_panel(
+                pivot_major, complementary, p_lo, p_hi
+            )
     return out
 
 
 def vertex_butterfly_counts_blocked(
-    graph: BipartiteGraph, side: str = "left", block_size: int = 128
+    graph: BipartiteGraph,
+    side: str = "left",
+    block_size: int = _PANEL_PIVOTS,
 ) -> np.ndarray:
-    """Blocked fast path for :func:`vertex_butterfly_counts`.
+    """:func:`vertex_butterfly_counts` with a pinned panel width.
 
-    Identical output; processes ``block_size`` vertices per iteration with
-    one panel-wide gather and a single ``np.unique`` over
-    ``pivot_local · n + endpoint`` keys, amortising the per-vertex
-    interpreter overhead exactly as the blocked counting family does.
-    This is the kernel the peeling fixpoint loops call, since their cost
-    is dominated by recomputing this vector each round.
+    Identical output; every panel is exactly ``block_size`` consecutive
+    pivots (the last one may be shorter) regardless of their wedge work —
+    the form the peeling fixpoint loops and the block-size ablations call.
     """
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    if side == "left":
-        pivot_major, complementary = graph.csr, graph.csc
-    elif side == "right":
-        pivot_major, complementary = graph.csc, graph.csr
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    pivot_major, complementary = _side_patterns(graph, side)
     n = pivot_major.major_dim
     out = np.zeros(n, dtype=COUNT_DTYPE)
     for lo in range(0, n, block_size):

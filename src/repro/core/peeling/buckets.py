@@ -26,6 +26,7 @@ import numpy as np
 from repro import obs
 from repro._types import COUNT_DTYPE
 from repro.core.local_counts import vertex_butterfly_counts
+from repro.core.parallel import DEFAULT_WEDGE_SHARD_BUDGET
 from repro.core.workinfo import pivot_work_estimate
 from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela import gather_slices
@@ -37,6 +38,10 @@ __all__ = [
     "tip_numbers_bucket_parallel",
     "wing_numbers_bucket_parallel",
 ]
+
+#: Count held by already-peeled vertices in the parallel bucket loop —
+#: above every real count, so the minimum-bucket scan skips them.
+_PEELED = np.iinfo(COUNT_DTYPE).max
 
 
 def tip_numbers_bucket(graph: BipartiteGraph, side: str = "left") -> np.ndarray:
@@ -115,10 +120,13 @@ def tip_decrement_batch(
     """Butterfly-count losses caused by removing the vertex batch ``ids``.
 
     Vectorised over the whole batch: one gather expands every wedge of
-    every removed vertex, one ``np.unique`` over ``batch_pos·n + w`` keys
-    yields the pairwise multiplicities, and the per-pair C(mult, 2) losses
-    are aggregated per surviving endpoint.  Multiplicities come from the
-    *static original graph* — the same-side-decrement argument behind
+    every removed vertex, and one sort of the endpoint-major keys
+    ``w·|ids| + batch_pos`` yields the pairwise multiplicities already
+    grouped by endpoint, so the per-pair C(mult, 2) losses reduce to one
+    exact int64 ``np.add.reduceat`` over the endpoint runs — no length-n
+    scratch, so a round costs its wedges, not the side's size.
+    Multiplicities come from the *static original graph* — the
+    same-side-decrement argument behind
     :func:`tip_numbers_bucket` makes per-removed-vertex contributions
     additive, so batching is exact.  Callers mask out already-removed
     endpoints themselves (the batch never has to know the peel state).
@@ -126,7 +134,6 @@ def tip_decrement_batch(
     Returns ``(affected, lost)``: the sorted unique same-side vertices
     that lose butterflies and their int64 losses (self-pairs excluded).
     """
-    n = pivot_major.major_dim
     ids = np.asarray(ids, dtype=np.int64)
     empty = np.zeros(0, dtype=np.int64)
     if ids.size == 0:
@@ -146,14 +153,27 @@ def tip_decrement_batch(
     sel = endpoints != ids[batch_pos]
     if not sel.any():
         return empty, np.zeros(0, dtype=COUNT_DTYPE)
-    keys = batch_pos[sel] * np.int64(n) + endpoints[sel]
-    uniq, mult = np.unique(keys, return_counts=True)
-    mult = mult.astype(COUNT_DTYPE)
+    width = np.int64(ids.size)
+    keys = endpoints[sel] * width + batch_pos[sel]
+    keys.sort()
+    starts = _run_starts(keys)
+    mult = np.diff(starts, append=keys.size).astype(COUNT_DTYPE, copy=False)
+    shared = mult > 1  # pairs with one common neighbour lose nothing
+    if not shared.any():
+        return empty, np.zeros(0, dtype=COUNT_DTYPE)
+    mult = mult[shared]
     per_pair = (mult * (mult - 1)) // 2
-    out = np.zeros(n, dtype=COUNT_DTYPE)
-    np.add.at(out, uniq % np.int64(n), per_pair)
-    affected = np.nonzero(out)[0]
-    return affected, out[affected]
+    owner = keys[starts[shared]] // width
+    first = _run_starts(owner)
+    return owner[first], np.add.reduceat(per_pair, first)
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Offsets at which each run of equal entries of sorted ``values`` starts."""
+    flags = np.empty(values.size, dtype=bool)
+    flags[:1] = True
+    np.not_equal(values[1:], values[:-1], out=flags[1:])
+    return np.flatnonzero(flags)
 
 
 def _peel_dispatch(n_workers, executor):
@@ -188,11 +208,18 @@ def tip_numbers_bucket_parallel(
     each round extracts the *entire* minimum bucket at once and assigns it
     the running-max level — counts only ever decrease, so intra-bucket
     cascades cannot lift any member above the level it is extracted at —
-    then computes the batch's butterfly losses with
-    :func:`tip_decrement_batch`, sharded over the warm shared-memory pool
-    when one is available.  ``executor`` accepts a caller-owned
-    :class:`~repro.parallel.ButterflyExecutor`; ``n_workers=1`` (or an
-    unavailable pool) runs every round in-process.
+    then computes the batch's butterfly losses.
+
+    A round goes to the warm shared-memory pool
+    (:meth:`ButterflyExecutor.tip_decrements`) only when its members'
+    static wedge work reaches :data:`DEFAULT_WEDGE_SHARD_BUDGET` — below
+    that a pool round-trip costs more than the wedges it would shard, so
+    the round runs :func:`tip_decrement_batch` in-process.  Either way
+    only the sparse ``(affected, lost)`` losses of surviving vertices are
+    applied; nothing per round is O(side) beyond the minimum-bucket scan.
+    The initial counts use the pool when there is one.  ``executor``
+    accepts a caller-owned :class:`~repro.parallel.ButterflyExecutor`;
+    ``n_workers=1`` (or an unavailable pool) runs every round in-process.
     """
     if side == "left":
         pivot_major, complementary = graph.csr, graph.csc
@@ -212,17 +239,18 @@ def tip_numbers_bucket_parallel(
     if counts is None:
         counts = vertex_butterfly_counts(graph, side).astype(COUNT_DTYPE)
     tip = np.zeros(n, dtype=COUNT_DTYPE)
-    removed = np.zeros(n, dtype=bool)
-    # static per-pivot wedge work, computed once for every round's sharding
+    # static per-pivot wedge work, computed once for every round's gate
+    # and sharding
     work = pivot_work_estimate(pivot_major, complementary)
     level = 0
     remaining = n
     while remaining:
-        current = int(counts[~removed].min())
-        members = np.nonzero(~removed & (counts == current))[0]
+        # peeled vertices hold _PEELED, so they never win the minimum
+        current = int(counts.min())
+        members = np.flatnonzero(counts == current)
         level = max(level, current)
         tip[members] = level
-        removed[members] = True
+        counts[members] = _PEELED
         remaining -= len(members)
         if obs._enabled:
             obs.gauge(
@@ -230,23 +258,27 @@ def tip_numbers_bucket_parallel(
             )
         if not remaining:
             break
-        dec = None
-        if dispatch is not None:
+        affected = None
+        if (
+            dispatch is not None
+            and int(work[members].sum(dtype=COUNT_DTYPE))
+            >= DEFAULT_WEDGE_SHARD_BUDGET
+        ):
             try:
                 dec = dispatch.tip_decrements(
                     graph, members, side=side, work=work
                 )
+                affected = np.flatnonzero(dec)
+                lost = dec[affected]
             except (OSError, PermissionError):
                 obs.inc("parallel.shared_fallback")
                 dispatch = None
-        if dec is None:
+        if affected is None:
             affected, lost = tip_decrement_batch(
                 pivot_major, complementary, members
             )
-            dec = np.zeros(n, dtype=COUNT_DTYPE)
-            dec[affected] = lost
-        alive = ~removed
-        counts[alive] -= dec[alive]
+        alive = counts[affected] != _PEELED
+        counts[affected[alive]] -= lost[alive]
     return tip
 
 

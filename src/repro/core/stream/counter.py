@@ -356,21 +356,7 @@ class StreamingButterflyCounter:
         )
         self._csr: PatternCSR = graph.csr
         self._csc: PatternCSC = graph.csc
-        if graph.n_edges:
-            from repro.core.family import count_butterflies
-            from repro.core.local_counts import vertex_butterfly_counts
-
-            self.count: int = count_butterflies(graph)
-            self._per_left = vertex_butterfly_counts(graph, "left").astype(
-                COUNT_DTYPE, copy=True
-            )
-            self._per_right = vertex_butterfly_counts(graph, "right").astype(
-                COUNT_DTYPE, copy=True
-            )
-        else:
-            self.count = 0
-            self._per_left = np.zeros(n_left, dtype=COUNT_DTYPE)
-            self._per_right = np.zeros(n_right, dtype=COUNT_DTYPE)
+        self._count_from(graph)
         #: stats dict of the most recent :meth:`apply` (None before any)
         self.last_stats: dict | None = None
 
@@ -671,28 +657,30 @@ class StreamingButterflyCounter:
 
     def _recount_to(self, new_keys: np.ndarray, new_ckeys: np.ndarray) -> None:
         """Swap in ``new_keys`` and recompute every count from scratch."""
-        from repro.core.family import count_butterflies
-        from repro.core.local_counts import vertex_butterfly_counts
-
         csr, csc = self._structures_for(new_keys, new_ckeys)
         before = self.count
         self._keys, self._ckeys = new_keys, new_ckeys
         self._csr, self._csc = csr, csc
-        if new_keys.size:
-            g = self.to_graph()
-            self.count = count_butterflies(g)
-            self._per_left = vertex_butterfly_counts(g, "left").astype(
-                COUNT_DTYPE, copy=True
-            )
-            self._per_right = vertex_butterfly_counts(g, "right").astype(
-                COUNT_DTYPE, copy=True
-            )
-        else:
-            self.count = 0
-            self._per_left = np.zeros(self.n_left, dtype=COUNT_DTYPE)
-            self._per_right = np.zeros(self.n_right, dtype=COUNT_DTYPE)
+        self._count_from(self.to_graph())
         # stash the phase delta for the caller's stats bookkeeping
         self._last_recount_delta = abs(self.count - before)
+
+    def _count_from(self, graph: BipartiteGraph) -> None:
+        """Set Ξ and both per-vertex arrays from scratch for ``graph``.
+
+        Ξ comes from the per-left vector — every butterfly holds exactly
+        two left vertices, so ``Σ per_left = 2Ξ`` — with no extra wedge
+        pass of its own.
+        """
+        if graph.n_edges:
+            from repro.core.local_counts import vertex_butterfly_counts
+
+            self._per_left = vertex_butterfly_counts(graph, "left")
+            self._per_right = vertex_butterfly_counts(graph, "right")
+        else:
+            self._per_left = np.zeros(self.n_left, dtype=COUNT_DTYPE)
+            self._per_right = np.zeros(self.n_right, dtype=COUNT_DTYPE)
+        self.count: int = int(self._per_left.sum(dtype=COUNT_DTYPE)) // 2
 
     # convenience wrappers matching the per-edge counter's vocabulary ---
     def add_edges(self, edges) -> int:

@@ -570,13 +570,18 @@ class ButterflyExecutor:
     ) -> np.ndarray:
         """Dense per-vertex butterfly losses from removing the bucket ``ids``.
 
-        The per-round kernel of the parallel tip decomposition
-        (:func:`~repro.core.peeling.tip_numbers_bucket_parallel`): batches
-        of removed vertices are sharded by wedge work and each worker runs
+        The pooled round of the parallel tip decomposition
+        (:func:`~repro.core.peeling.tip_numbers_bucket_parallel`), which
+        calls it only for rounds of at least
+        :data:`~repro.core.parallel.DEFAULT_WEDGE_SHARD_BUDGET` wedges —
+        lighter rounds run in-process.  Batches of removed vertices are
+        sharded by wedge work and each worker runs
         :func:`~repro.core.peeling.tip_decrement_batch` on its slice of
         the *original* graph (multiplicities are static), the owner sums
-        the compressed partials.  ``work`` is the precomputed per-pivot
-        wedge work, so the fixpoint loop does not recompute it per round.
+        the compressed partials; a batch that yields a single shard runs
+        in-process without a dispatch.  ``work`` is the precomputed
+        per-pivot wedge work, so the peel loop does not recompute it per
+        round.
         """
         from repro.core.parallel import balanced_ranges, pivot_work_estimate
         from repro.core.peeling.buckets import tip_decrement_batch

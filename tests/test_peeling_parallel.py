@@ -21,6 +21,7 @@ from repro.core import (
     wing_numbers_bucket,
     wing_numbers_bucket_parallel,
 )
+from repro.core.peeling import buckets
 from repro.graphs import (
     BipartiteGraph,
     erdos_renyi_bipartite,
@@ -79,6 +80,39 @@ def test_wing_parallel_matches_serial_bucket(graph_name, n_workers):
     assert got == WING_REFERENCE[graph_name]
 
 
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize("side", ("left", "right"))
+def test_tip_parallel_pooled_rounds_match_serial_bucket(
+    graph_name, side, monkeypatch
+):
+    """With the round gate's wedge budget at 0 every round goes to
+    ``tip_decrements``, so multi-member rounds really use the pool."""
+    from repro.parallel import get_default_executor
+
+    monkeypatch.setattr(buckets, "DEFAULT_WEDGE_SHARD_BUDGET", 0)
+    executor = get_default_executor(2)
+    before = executor.dispatch_count
+    got = tip_numbers_bucket_parallel(
+        GRAPHS[graph_name], side=side, n_workers=2
+    )
+    np.testing.assert_array_equal(got, TIP_REFERENCE[(graph_name, side)])
+    if graph_name in ("er", "powerlaw", "planted"):
+        assert executor.dispatch_count - before > 1
+
+
+def test_tip_parallel_light_rounds_skip_the_pool():
+    """Under the real gate corpus rounds are far below the wedge budget:
+    the only dispatch of a call is the initial per-vertex counts."""
+    from repro.parallel import get_default_executor
+
+    executor = get_default_executor(2)
+    g = GRAPHS["powerlaw"]
+    for _ in range(2):
+        before = executor.dispatch_count
+        tip_numbers_bucket_parallel(g, side="left", n_workers=2)
+        assert executor.dispatch_count - before == 1
+
+
 def test_tip_parallel_rejects_bad_args():
     g = GRAPHS["er"]
     with pytest.raises(ValueError, match="side"):
@@ -90,18 +124,44 @@ def test_tip_parallel_rejects_bad_args():
 def test_tip_decrement_batch_matches_single_removals():
     """A batch's per-vertex count losses equal the sum of the losses each
     removed vertex would cause alone on the *same static graph* — the
-    additivity the bucketed rounds rely on."""
+    additivity the bucketed rounds rely on.  Also pinned against the
+    dense Σ_{u∈batch} C((AAᵀ)_uw, 2) form, on a spread-out batch, a batch
+    holding the hub, and a batch whose members share endpoints (so the
+    endpoint-major aggregation sums runs from several batch positions)."""
     g = GRAPHS["powerlaw"]
     pm, comp = g.csr, g.csc
-    ids = np.array([0, 3, 7, 11], dtype=np.int64)
-    affected, lost = tip_decrement_batch(pm, comp, ids)
-    dense = np.zeros(pm.major_dim, dtype=np.int64)
-    dense[affected] = lost
-    expected = np.zeros(pm.major_dim, dtype=np.int64)
-    for v in ids:
-        a, ls = tip_decrement_batch(pm, comp, np.array([v], dtype=np.int64))
-        expected[a] += ls
-    np.testing.assert_array_equal(dense, expected)
+    a = g.biadjacency_dense(np.int64)
+    common = a @ a.T
+    hub = int(np.argmax(pm.degrees()))
+    # every partner has >= 2 common neighbours with the hub, so the hub is
+    # an endpoint that loses butterflies to each of them
+    partners = [int(w) for w in np.flatnonzero(common[hub] >= 2) if w != hub]
+    assert len(partners) >= 3
+    batches = {
+        "spread": [0, 3, 7, 11],
+        "hub": [hub, 0, 3],
+        "shared": partners[:4],
+    }
+    for name, members in batches.items():
+        ids = np.array(members, dtype=np.int64)
+        affected, lost = tip_decrement_batch(pm, comp, ids)
+        assert np.all(np.diff(affected) > 0) and np.all(lost > 0), name
+        dense = np.zeros(pm.major_dim, dtype=np.int64)
+        dense[affected] = lost
+        expected = np.zeros(pm.major_dim, dtype=np.int64)
+        for v in ids:
+            a_v, l_v = tip_decrement_batch(
+                pm, comp, np.array([v], dtype=np.int64)
+            )
+            expected[a_v] += l_v
+        np.testing.assert_array_equal(dense, expected, err_msg=name)
+        pair_losses = common[ids] * (common[ids] - 1) // 2
+        pair_losses[np.arange(ids.size), ids] = 0  # no self-pairs
+        np.testing.assert_array_equal(
+            dense, pair_losses.sum(axis=0), err_msg=name
+        )
+        if name == "shared":
+            assert dense[hub] > 0  # the members' common endpoint
 
 
 def test_tip_decrement_batch_empty_ids():

@@ -19,8 +19,8 @@ from repro.core import (
     butterflies_spec,
     count_butterflies,
     iter_butterflies,
-    vertex_butterfly_counts,
     vertex_butterfly_counts_blocked,
+    vertex_counts_dense,
 )
 from repro.graphs import BipartiteGraph, count_from_projection, is_butterfly_free
 from repro.reference import butterflies_reference
@@ -122,7 +122,7 @@ def test_butterfly_free_agrees_with_count(g):
 def test_blocked_vertex_counts_property(g, block, side):
     assert np.array_equal(
         vertex_butterfly_counts_blocked(g, side, block),
-        vertex_butterfly_counts(g, side),
+        vertex_counts_dense(g, side),
     )
 
 

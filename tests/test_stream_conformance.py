@@ -148,6 +148,16 @@ def test_recount_strategy_matches_incremental(case):
     assert np.array_equal(inc.vertex_counts("right"), rec.vertex_counts("right"))
 
 
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_constructor_count_agrees_with_both_sides(name):
+    """The constructor derives Ξ from the per-left vector alone; it must
+    equal an independent whole-graph count and the per-right half-sum."""
+    g = CORPUS[name]
+    counter = StreamingButterflyCounter(g)
+    assert counter.count == count_butterflies(g)
+    assert counter.count == int(counter.vertex_counts("right").sum()) // 2
+
+
 # ----------------------------------------------------------------------
 # adversarial deterministic cases
 # ----------------------------------------------------------------------
