@@ -7,14 +7,12 @@ PYTHON ?= python
 BASELINE ?= BENCH_baseline.json
 TOLERANCE ?= 0.15
 
-.PHONY: install test test-fast lint lint-cold bench bench-quick bench-check bench-tables calibrate stats profile-report report examples clean all
+.PHONY: install test test-fast lint bench bench-quick bench-check bench-tables calibrate stats profile-report report examples clean all
 
-# Scan roots and shared flags for the project analyzer (rules
-# RPR001-RPR012, see docs/analysis.md).  tests/ and scripts/ run under
-# the relaxed profile (RPR003/RPR006 off) automatically.
+# Scan roots for the project analyzer (rules RPR001-RPR012, see
+# docs/analysis.md).  tests/ and scripts/ run under the relaxed profile
+# (RPR003/RPR006 off) automatically.
 ANALYZE_ROOTS ?= src/repro tests scripts
-ANALYZE_CACHE ?= results/analysis_cache.json
-ANALYZE_JOBS ?= 4
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -26,23 +24,14 @@ test-fast:
 	$(PYTHON) -m pytest tests/ -x -q -p no:randomly -m "not slow"
 
 # Static gates: the stdlib-only project analyzer (rules RPR001-RPR012,
-# see docs/analysis.md) always runs — warm via the content-hash cache;
+# see docs/analysis.md) always runs — one cold in-process scan, ~2 s;
 # ruff and mypy run when installed (`pip install -e .[lint]`) and are
 # skipped with a notice otherwise so `make lint` works in the leanest
 # container.
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro.cli analyze $(ANALYZE_ROOTS) --jobs $(ANALYZE_JOBS) --cache $(ANALYZE_CACHE)
+	PYTHONPATH=src $(PYTHON) -m repro.cli analyze $(ANALYZE_ROOTS)
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then 		$(PYTHON) -m ruff check src tests; 	else 		echo "lint: ruff not installed, skipping (pip install -e .[lint])"; 	fi
 	@if $(PYTHON) -m mypy --version >/dev/null 2>&1; then 		$(PYTHON) -m mypy src/repro/_types.py src/repro/analysis; 	else 		echo "lint: mypy not installed, skipping (pip install -e .[lint])"; 	fi
-
-# Cold/warm cache parity check: delete the cache, scan cold, scan warm,
-# and assert both runs produced byte-identical findings.  CI runs this
-# weekly so a stale-cache bug can never silently mask a finding.
-lint-cold:
-	rm -f $(ANALYZE_CACHE)
-	PYTHONPATH=src $(PYTHON) -m repro.cli analyze $(ANALYZE_ROOTS) --jobs $(ANALYZE_JOBS) --cache $(ANALYZE_CACHE) --format json --out results/analysis_cold.json > /dev/null
-	PYTHONPATH=src $(PYTHON) -m repro.cli analyze $(ANALYZE_ROOTS) --jobs $(ANALYZE_JOBS) --cache $(ANALYZE_CACHE) --format json --out results/analysis_warm.json > /dev/null
-	PYTHONPATH=src $(PYTHON) -c "import json; a=json.load(open('results/analysis_cold.json')); b=json.load(open('results/analysis_warm.json')); assert a['findings']==b['findings'] and a['counts']==b['counts'] and a['parse_errors']==b['parse_errors'], 'cold/warm analyzer runs disagree'; print('lint-cold: cold/warm parity OK (%d finding(s), %d/%d cached on warm)' % (len(b['findings']), b['cached'], b['files']))"
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -4,14 +4,14 @@ An AST-walking analyzer enforcing *this repo's* correctness conventions,
 not generic style: the int64 overflow discipline that keeps eq. (4) /
 eq. (18) butterfly counts exact, the layer boundaries between sparsela /
 core / parallel / engine, the observability hygiene contract, and the
-deprecation/exception policies.  Stdlib-only, so it runs in the leanest
-CI job and inside ``bench-quick``.
+exception policy.  Stdlib-only, so it runs in the leanest CI job and
+inside ``bench-quick``.
 
-Since the whole-program pass the analyzer runs in **two passes**: pass 1
-parses each file once (cache-aware, parallel with ``--jobs``), runs the
-per-file rules and extracts its slice of the project model; pass 2
-assembles the model — symbol tables, import graph, conservative call
-graph — and runs the interprocedural rules over it.
+The analyzer runs in **two passes**, in one process: pass 1 reads and
+parses each file once, runs the per-file rules and extracts its slice of
+the project model; pass 2 assembles the model — symbol tables, import
+graph, conservative call graph — and runs the interprocedural rules over
+it.  Every scan is cold (about 1.5 s for ``src/repro tests scripts``).
 
 Entry points::
 
@@ -19,8 +19,6 @@ Entry points::
     repro-butterfly analyze --format json --out analysis.json
     repro-butterfly analyze --format sarif       # GitHub code-scanning upload
     repro-butterfly analyze --rules RPR001,RPR002
-    repro-butterfly analyze --jobs 4 --cache results/analysis_cache.json
-    repro-butterfly analyze --diff origin/main   # changed files, full model
     make lint                                    # analyzer + ruff + mypy (if present)
 
 Library use::
@@ -36,7 +34,6 @@ RPR001    private-module/symbol import across a package boundary
 RPR002    sum/cumsum without explicit ``COUNT_DTYPE`` in sparsela/core
 RPR003    observability hygiene (span usage, names, disabled-path cost)
 RPR004    engine-plan purity (no plan mutation / inline member selection)
-RPR005    deprecation policy (stacklevel>=2, documented shim list)
 RPR006    exception discipline (no bare/broad/swallowed handlers)
 RPR007    engine sink discipline (no ad-hoc ``open()`` writes in engine)
 RPR008    storage accessor discipline (no raw ``.indptr``/``.indices``)
@@ -47,10 +44,9 @@ RPR012    public-API surface drift (``__all__`` vs ``docs/api.md``)
 ========  ==============================================================
 
 Per-line suppression: ``# repro: noqa[RPR006] <justification>``.
-Exit codes: 0 clean, 1 findings, 2 parse errors.
+Exit codes: 0 clean, 1 findings, 2 parse errors or bad CLI input.
 """
 
-from repro.analysis.cache import ANALYZER_VERSION, AnalysisCache
 from repro.analysis.engine import (
     ModuleContext,
     RELAXED_PROFILE_EXCLUDES,
@@ -73,13 +69,18 @@ from repro.analysis.render import (
 )
 from repro.analysis.rules import (
     ALL_RULE_IDS,
-    DEPRECATION_SHIM_MODULES,
     RULES,
     ProjectRule,
     Rule,
     resolve_rules,
 )
-from repro.analysis.sarif import SARIF_VERSION, findings_from_sarif, render_sarif, sarif_payload
+from repro.analysis.sarif import (
+    ANALYZER_VERSION,
+    SARIF_VERSION,
+    findings_from_sarif,
+    render_sarif,
+    sarif_payload,
+)
 
 __all__ = [
     "Finding",
@@ -99,7 +100,6 @@ __all__ = [
     "ProjectRule",
     "RULES",
     "ALL_RULE_IDS",
-    "DEPRECATION_SHIM_MODULES",
     "resolve_rules",
     "render_text",
     "render_json",
@@ -109,7 +109,6 @@ __all__ = [
     "ProjectModel",
     "extract_module_facts",
     "ANALYZER_VERSION",
-    "AnalysisCache",
     "RELAXED_PROFILE_EXCLUDES",
     "SARIF_VERSION",
     "sarif_payload",

@@ -1,22 +1,19 @@
-"""File discovery, parsing, two-pass rule dispatch, cache, baselines.
+"""File discovery, parsing, two-pass rule dispatch, baselines.
 
-The engine is deliberately stdlib-only (``ast`` + ``os`` +
-``concurrent.futures``): the analyzer must run in the leanest CI
-container and inside ``bench-quick`` without dragging optional
-dependencies in.
+The engine is deliberately stdlib-only (``ast`` + ``os``): the analyzer
+must run in the leanest CI container and inside ``bench-quick`` without
+dragging optional dependencies in.
 
-A scan is two passes.  **Pass 1** builds one :class:`ModuleContext` per
-file (source text, parsed tree, dotted module name, suppression table),
-runs the per-file rules over it, and extracts the serialisable
-:class:`~repro.analysis.model.ModuleFacts` slice of the project model —
-each file is read and parsed exactly once per scan, in parallel when
-``jobs > 1``, and skipped entirely on a warm run when the content-hash
-cache (:mod:`repro.analysis.cache`) still holds its result.  **Pass 2**
-assembles the facts into a :class:`~repro.analysis.model.ProjectModel`
-and runs the interprocedural rules (RPR009–RPR012) over the whole
-program; those always see every file — even in ``--diff`` mode, where
-per-file findings are restricted to changed files but the model stays
-complete so cross-file reasoning stays sound.
+A scan is two passes, both in-process.  **Pass 1** is one loop over the
+files: read and parse each file exactly once, build its
+:class:`ModuleContext` (source text, parsed tree, dotted module name,
+suppression table), run the per-file rules over it, and keep its
+:class:`~repro.analysis.model.ModuleFacts` slice of the project model.
+**Pass 2** assembles the facts into a
+:class:`~repro.analysis.model.ProjectModel` and runs the interprocedural
+rules (RPR009–RPR012) over the whole program.  A cold scan of
+``src/repro tests scripts`` takes about 1.5 s on a 2-vCPU host, so there
+is no result cache and no worker pool.
 
 Scan profiles: files under a ``tests``/``scripts`` directory get the
 *relaxed* profile (RPR003 and RPR006 off — test code legitimately
@@ -35,7 +32,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro.analysis.cache import AnalysisCache, content_hash, ruleset_signature
 from repro.analysis.findings import Finding, Suppressions, parse_suppressions
 from repro.analysis.model import ModuleFacts, ProjectModel, extract_module_facts
 
@@ -89,7 +85,6 @@ class Report:
     suppressed: int = 0  #: findings absorbed by ``# repro: noqa`` pragmas
     baselined: int = 0  #: findings absorbed by the ``--baseline`` file
     files: int = 0
-    cached: int = 0  #: files served from the content-hash cache
     rules: tuple[str, ...] = ()
     elapsed_ms: float = 0.0
     parse_errors: list[str] = field(default_factory=list)
@@ -195,46 +190,19 @@ def _scan_module(
     source: str,
     display: str,
     module: str,
-    file_rule_ids: list[str],
+    file_rules: list,
     known_packages: frozenset[str],
-    run_rules: bool = True,
-) -> dict:
-    """Pass-1 work unit for one file: per-file findings + model facts.
+    *,
+    is_package: bool,
+) -> tuple[list[Finding], Suppressions, ModuleFacts]:
+    """Pass 1 for one file: parse once, run the per-file rules, extract facts.
 
-    Module-level and dict-in/dict-out so it pickles cleanly across the
-    ``--jobs`` process pool.  ``findings`` is ``None`` when per-file
-    rules were skipped (``--diff`` mode on an unchanged, uncached file);
-    facts are always extracted so pass 2 sees the whole program.
+    Returns the findings before pragma filtering, the file's suppression
+    table and its model slice; raises :class:`SyntaxError` when the source
+    does not parse.
     """
-    from repro.analysis.rules import resolve_rules
-
-    try:
-        tree = ast.parse(source, filename=display)
-    except SyntaxError as exc:
-        return {
-            "display": display,
-            "parse_error": str(exc),
-            "findings": None,
-            "suppressed": 0,
-            "facts": None,
-        }
+    tree = ast.parse(source, filename=display)
     suppressions = parse_suppressions(source)
-    facts = extract_module_facts(
-        tree,
-        display,
-        module,
-        is_package=os.path.basename(display) == "__init__.py",
-        noqa=suppressions.by_line,
-    )
-    result: dict = {
-        "display": display,
-        "parse_error": None,
-        "facts": facts.to_dict(),
-        "suppressed": 0,
-        "findings": None,
-    }
-    if not run_rules:
-        return result
     ctx = ModuleContext(
         path=display,
         module=module,
@@ -243,25 +211,38 @@ def _scan_module(
         suppressions=suppressions,
         known_packages=known_packages,
     )
-    kept: list[dict] = []
+    raw = [f for rule in file_rules for f in rule.check(ctx)]
+    facts = extract_module_facts(tree, display, module, is_package=is_package)
+    return raw, suppressions, facts
+
+
+def _project_findings(
+    project_rules: list,
+    facts: list[ModuleFacts],
+    api_doc: str | None = None,
+    api_doc_path: str | None = None,
+) -> list[Finding]:
+    """Pass 2: assemble the whole-program model and run the project rules."""
+    if not project_rules:
+        return []
+    model = ProjectModel(facts, api_doc=api_doc, api_doc_path=api_doc_path)
+    return [f for rule in project_rules for f in rule.check_project(model)]
+
+
+def _apply_suppressions(
+    raw: list[Finding], suppressions: dict[str, Suppressions]
+) -> tuple[list[Finding], int]:
+    """(sorted findings no pragma absorbs, how many pragmas absorbed)."""
+    kept: list[Finding] = []
     suppressed = 0
-    raw: list[Finding] = []
-    if file_rule_ids:
-        for rule in resolve_rules(file_rule_ids):
-            raw.extend(rule.check(ctx))
     for f in raw:
-        if suppressions.suppresses(f):
+        supp = suppressions.get(f.path)
+        if supp is not None and supp.suppresses(f):
             suppressed += 1
         else:
-            kept.append(f.to_dict())
-    kept.sort(key=lambda d: (d["line"], d["col"], d["rule"]))
-    result["findings"] = kept
-    result["suppressed"] = suppressed
-    return result
-
-
-def _scan_module_star(args: tuple) -> dict:
-    return _scan_module(*args)
+            kept.append(f)
+    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return kept, suppressed
 
 
 def analyze_source(
@@ -287,37 +268,12 @@ def analyze_source(
     selected = resolve_rules(rules)
     file_rules, project_rules = _split_rules(selected)
 
-    tree = ast.parse(source, filename=path)
-    suppressions = parse_suppressions(source)
-    ctx = ModuleContext(
-        path=path,
-        module=mod_name,
-        source=source,
-        tree=tree,
-        suppressions=suppressions,
-        known_packages=packages,
+    raw, suppressions, facts = _scan_module(
+        source, path, mod_name, file_rules, packages,
+        is_package=os.path.basename(path) == "__init__.py",
     )
-    raw: list[Finding] = []
-    for rule in file_rules:
-        raw.extend(rule.check(ctx))
-    if project_rules:
-        facts = extract_module_facts(
-            tree,
-            path,
-            mod_name,
-            is_package=ctx.is_package,
-            noqa=suppressions.by_line,
-        )
-        model = ProjectModel([facts])
-        for rule in project_rules:
-            raw.extend(rule.check_project(model))
-    kept: list[Finding] = []
-    for f in raw:
-        if suppressions.suppresses(f):
-            suppressions.used += 1
-        else:
-            kept.append(f)
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    raw.extend(_project_findings(project_rules, [facts]))
+    kept, suppressions.used = _apply_suppressions(raw, {path: suppressions})
     return kept, suppressions
 
 
@@ -346,45 +302,20 @@ def analyze_sources(
                 inferred_packages.add(module)
     known = DEFAULT_KNOWN_PACKAGES | frozenset(inferred_packages)
 
-    all_facts: list[ModuleFacts] = []
-    per_module_suppressions: dict[str, Suppressions] = {}
+    facts: list[ModuleFacts] = []
+    suppressions: dict[str, Suppressions] = {}
     raw: list[Finding] = []
     for module in sorted(sources):
-        source = sources[module]
         is_pkg = module in inferred_packages
         display = f"<memory:{module}>" if not is_pkg else f"<memory:{module}/__init__.py>"
-        tree = ast.parse(source, filename=display)
-        suppressions = parse_suppressions(source)
-        per_module_suppressions[display] = suppressions
-        ctx = ModuleContext(
-            path=display,
-            module=module,
-            source=source,
-            tree=tree,
-            suppressions=suppressions,
-            known_packages=known,
+        found, suppressions[display], mod_facts = _scan_module(
+            sources[module], display, module, file_rules, known,
+            is_package=is_pkg,
         )
-        for rule in file_rules:
-            raw.extend(rule.check(ctx))
-        all_facts.append(
-            extract_module_facts(
-                tree, display, module, is_package=is_pkg,
-                noqa=suppressions.by_line,
-            )
-        )
-    model = ProjectModel(all_facts, api_doc=api_doc, api_doc_path=api_doc_path)
-    for rule in project_rules:
-        raw.extend(rule.check_project(model))
-    kept: list[Finding] = []
-    suppressed = 0
-    for f in raw:
-        supp = per_module_suppressions.get(f.path)
-        if supp is not None and supp.suppresses(f):
-            suppressed += 1
-        else:
-            kept.append(f)
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return kept, suppressed
+        raw.extend(found)
+        facts.append(mod_facts)
+    raw.extend(_project_findings(project_rules, facts, api_doc, api_doc_path))
+    return _apply_suppressions(raw, suppressions)
 
 
 def _locate_api_doc(paths: list[str]) -> tuple[str | None, str | None]:
@@ -423,32 +354,17 @@ def _read_text_or_none(path: str) -> str | None:
         return None
 
 
-def _noqa_suppresses(noqa: dict[int, list[str]], finding: Finding) -> bool:
-    rules = noqa.get(finding.line)
-    if rules is None:
-        return False
-    return not rules or finding.rule.upper() in rules
-
-
 def analyze_paths(
     paths: list[str],
     rules: list[str] | None = None,
     baseline: set[tuple[str, str, str]] | None = None,
-    *,
-    jobs: int = 1,
-    cache_path: str | None = None,
-    changed_only: set[str] | None = None,
 ) -> Report:
     """Analyze files/directories and return a :class:`Report`.
 
+    Every file is read and parsed exactly once, in this process.
     ``baseline`` is a set of :meth:`Finding.baseline_key` tuples to
     filter out (see :func:`load_baseline`); matches are counted in
     ``report.baselined`` rather than silently dropped.
-
-    ``jobs > 1`` fans pass 1 out over a process pool; ``cache_path``
-    enables the content-hash cache; ``changed_only`` (absolute paths)
-    restricts *per-file* findings to those files while still extracting
-    facts everywhere so pass 2 stays whole-program.
     """
     from repro.analysis.rules import resolve_rules
 
@@ -458,134 +374,37 @@ def analyze_paths(
     files = iter_python_files(paths)
     packages = known_packages_for(files)
     report = Report(rules=tuple(r.id for r in selected), files=len(files))
-    cache = AnalysisCache(cache_path) if cache_path else None
 
-    ordered: list[dict] = []  # one result per file, scan order
-    pending: list[tuple[int, tuple]] = []  # (slot, _scan_module args)
+    facts: list[ModuleFacts] = []
+    suppressions: dict[str, Suppressions] = {}
+    raw: list[Finding] = []
     for filepath in files:
         display = _display_path(filepath)
-        slot = len(ordered)
-        ordered.append({})  # placeholder
+        excludes = profile_excludes_for(display)
         try:
             with open(filepath, "rb") as fh:
-                raw_bytes = fh.read()
-        except OSError as exc:
-            ordered[slot] = {
-                "display": display,
-                "parse_error": str(exc),
-                "findings": None,
-                "suppressed": 0,
-                "facts": None,
-            }
-            continue
-        excludes = profile_excludes_for(display)
-        effective_ids = [r.id for r in file_rules if r.id not in excludes]
-        signature = ruleset_signature(tuple(effective_ids) + ("+".join(sorted(r.id for r in project_rules)),))
-        digest = content_hash(raw_bytes)
-        changed = changed_only is None or os.path.abspath(filepath) in changed_only
-        entry = cache.get(display, digest, signature) if cache else None
-        if entry is not None and (entry.get("findings") is not None or not changed):
-            ordered[slot] = {
-                "display": display,
-                "parse_error": entry.get("parse_error"),
-                "findings": entry.get("findings"),
-                "suppressed": entry.get("suppressed", 0),
-                "facts": entry.get("facts"),
-                "from_cache": True,
-            }
-            continue
-        try:
-            source = raw_bytes.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            ordered[slot] = {
-                "display": display,
-                "parse_error": str(exc),
-                "findings": None,
-                "suppressed": 0,
-                "facts": None,
-            }
-            continue
-        pending.append(
-            (
-                slot,
-                (source, display, module_name_for(filepath), effective_ids,
-                 packages, changed),
+                source = fh.read().decode("utf-8")
+            found, supp, mod_facts = _scan_module(
+                source, display, module_name_for(filepath),
+                [r for r in file_rules if r.id not in excludes], packages,
+                is_package=os.path.basename(display) == "__init__.py",
             )
-        )
-        ordered[slot]["_cache_key"] = (display, digest, signature)
-
-    if pending:
-        if jobs > 1 and len(pending) > 1:
-            import concurrent.futures
-
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending))
-            ) as pool:
-                results = list(
-                    pool.map(
-                        _scan_module_star,
-                        [args for _, args in pending],
-                        chunksize=max(1, len(pending) // (4 * jobs) or 1),
-                    )
-                )
-        else:
-            results = [_scan_module_star(args) for _, args in pending]
-        for (slot, _args), result in zip(pending, results):
-            cache_key = ordered[slot].get("_cache_key")
-            ordered[slot] = result
-            if cache is not None and cache_key is not None:
-                display, digest, signature = cache_key
-                cache.put(
-                    display,
-                    digest,
-                    signature,
-                    {
-                        "parse_error": result["parse_error"],
-                        "findings": result["findings"],
-                        "suppressed": result["suppressed"],
-                        "facts": result["facts"],
-                    },
-                )
-
-    all_facts: list[ModuleFacts] = []
-    noqa_by_path: dict[str, dict[int, list[str]]] = {}
-    for result in ordered:
-        if result.get("parse_error"):
-            report.parse_errors.append(f"{result['display']}: {result['parse_error']}")
+        except (OSError, UnicodeDecodeError, SyntaxError) as exc:
+            report.parse_errors.append(f"{display}: {exc}")
             continue
-        if result.get("from_cache"):
-            report.cached += 1
-        facts_dict = result.get("facts")
-        if facts_dict is not None:
-            facts = ModuleFacts.from_dict(facts_dict)
-            all_facts.append(facts)
-            noqa_by_path[facts.path] = facts.noqa
-        findings = result.get("findings")
-        if findings is not None:
-            report.suppressed += result.get("suppressed", 0)
-            for d in findings:
-                f = Finding(**d)
-                if baseline and f.baseline_key() in baseline:
-                    report.baselined += 1
-                else:
-                    report.findings.append(f)
+        raw.extend(found)
+        facts.append(mod_facts)
+        suppressions[display] = supp
 
     if project_rules:
         api_doc, api_doc_path = _locate_api_doc(paths)
-        model = ProjectModel(all_facts, api_doc=api_doc, api_doc_path=api_doc_path)
-        for rule in project_rules:
-            for f in rule.check_project(model):
-                noqa = noqa_by_path.get(f.path)
-                if noqa is not None and _noqa_suppresses(noqa, f):
-                    report.suppressed += 1
-                elif baseline and f.baseline_key() in baseline:
-                    report.baselined += 1
-                else:
-                    report.findings.append(f)
-
-    report.findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    if cache is not None:
-        cache.save()
+        raw.extend(_project_findings(project_rules, facts, api_doc, api_doc_path))
+    kept, report.suppressed = _apply_suppressions(raw, suppressions)
+    for f in kept:
+        if baseline and f.baseline_key() in baseline:
+            report.baselined += 1
+        else:
+            report.findings.append(f)
     report.elapsed_ms = (time.perf_counter() - t0) * 1e3
     _record_obs(report)
     return report
@@ -601,14 +420,16 @@ def _record_obs(report: Report) -> None:
         obs.inc("analysis.scans")
         obs.inc("analysis.files", report.files)
         obs.inc("analysis.findings", len(report.findings))
-        obs.inc("analysis.cached", report.cached)
         obs.observe("analysis.scan_ms", report.elapsed_ms)
 
 
 def load_baseline(path: str) -> set[tuple[str, str, str]]:
     """Load a baseline JSON written by ``analyze --write-baseline``."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed baseline JSON: {exc}") from exc
     entries = payload.get("entries", payload if isinstance(payload, list) else [])
     out: set[tuple[str, str, str]] = set()
     for entry in entries:

@@ -5,9 +5,7 @@ extracts one :class:`ModuleFacts` record per file — symbol table,
 import aliases, ``__all__`` exports, and one :class:`FunctionFacts` per
 function (calls made, resource acquisitions with their syntactic
 protection, module-global writes, reduction sites, return-dtype atoms).
-Facts are plain serialisable data, so the content-hash cache
-(:mod:`repro.analysis.cache`) can persist them and a warm scan can
-rebuild the :class:`ProjectModel` without re-parsing unchanged files.
+Facts are plain in-memory records built once per file per scan.
 
 The model then resolves a **conservative call graph**: direct calls,
 aliased-import calls, ``self.method`` / ``ClassName.method`` calls and
@@ -105,7 +103,7 @@ def _keyword(call: ast.Call, name: str) -> ast.expr | None:
 
 
 # ----------------------------------------------------------------------
-# fact records (all round-trip through plain dicts for the cache)
+# fact records
 # ----------------------------------------------------------------------
 
 
@@ -125,25 +123,6 @@ class CallFact:
     #: first positional argument when it is a bare Name (dispatcher
     #: indirection: ``self._map(_task_fn, items)`` roots ``_task_fn``)
     first_arg: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "callee": self.callee,
-            "line": self.line,
-            "col": self.col,
-            "protection": self.protection,
-            "first_arg": self.first_arg,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CallFact":
-        return cls(
-            d["callee"],
-            d["line"],
-            d["col"],
-            d.get("protection", "transfer"),
-            d.get("first_arg"),
-        )
 
 
 @dataclass
@@ -168,19 +147,6 @@ class AcquisitionFact:
     col: int
     protection: str
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "callee": self.callee,
-            "line": self.line,
-            "col": self.col,
-            "protection": self.protection,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AcquisitionFact":
-        return cls(d["kind"], d["callee"], d["line"], d["col"], d["protection"])
-
 
 @dataclass
 class StoreFact:
@@ -198,18 +164,6 @@ class StoreFact:
     col: int
     kind: str
 
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "line": self.line,
-            "col": self.col,
-            "kind": self.kind,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StoreFact":
-        return cls(d["target"], d["line"], d["col"], d["kind"])
-
 
 @dataclass
 class ReductionFact:
@@ -220,18 +174,6 @@ class ReductionFact:
     spelled: str  #: how the reduction was written, for the message
     line: int
     col: int
-
-    def to_dict(self) -> dict:
-        return {
-            "callee": self.callee,
-            "spelled": self.spelled,
-            "line": self.line,
-            "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReductionFact":
-        return cls(d["callee"], d["spelled"], d["line"], d["col"])
 
 
 @dataclass
@@ -262,45 +204,6 @@ class FunctionFacts:
     #: aliasing for RPR010's attached-array-mutation check)
     assigned_from: dict[str, str] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "cls": self.cls,
-            "line": self.line,
-            "params": list(self.params),
-            "calls": [c.to_dict() for c in self.calls],
-            "acquisitions": [a.to_dict() for a in self.acquisitions],
-            "stores": [s.to_dict() for s in self.stores],
-            "obs_state_calls": [c.to_dict() for c in self.obs_state_calls],
-            "reductions": [r.to_dict() for r in self.reductions],
-            "returns": list(self.returns),
-            "dispatches": list(self.dispatches),
-            "returns_resource": self.returns_resource,
-            "local_names": list(self.local_names),
-            "assigned_from": dict(self.assigned_from),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FunctionFacts":
-        return cls(
-            qualname=d["qualname"],
-            name=d["name"],
-            cls=d["cls"],
-            line=d["line"],
-            params=list(d["params"]),
-            calls=[CallFact.from_dict(x) for x in d["calls"]],
-            acquisitions=[AcquisitionFact.from_dict(x) for x in d["acquisitions"]],
-            stores=[StoreFact.from_dict(x) for x in d["stores"]],
-            obs_state_calls=[CallFact.from_dict(x) for x in d["obs_state_calls"]],
-            reductions=[ReductionFact.from_dict(x) for x in d["reductions"]],
-            returns=list(d["returns"]),
-            dispatches=list(d["dispatches"]),
-            returns_resource=d["returns_resource"],
-            local_names=list(d.get("local_names", [])),
-            assigned_from=dict(d.get("assigned_from", {})),
-        )
-
 
 @dataclass
 class ModuleFacts:
@@ -319,36 +222,6 @@ class ModuleFacts:
     #: class name -> method names (for self./ClassName. resolution)
     classes: dict[str, list[str]] = field(default_factory=dict)
     functions: list[FunctionFacts] = field(default_factory=list)
-    #: line -> sorted rule-id list ([] meaning "all rules") — the noqa
-    #: table, serialised so project-rule findings respect pragmas
-    noqa: dict[int, list[str]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "is_package": self.is_package,
-            "exports": self.exports,
-            "symbols": dict(self.symbols),
-            "imports": dict(self.imports),
-            "classes": {k: list(v) for k, v in self.classes.items()},
-            "functions": [f.to_dict() for f in self.functions],
-            "noqa": {str(k): list(v) for k, v in self.noqa.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModuleFacts":
-        return cls(
-            path=d["path"],
-            module=d["module"],
-            is_package=d["is_package"],
-            exports=d["exports"],
-            symbols=dict(d["symbols"]),
-            imports=dict(d["imports"]),
-            classes={k: list(v) for k, v in d["classes"].items()},
-            functions=[FunctionFacts.from_dict(x) for x in d["functions"]],
-            noqa={int(k): list(v) for k, v in d["noqa"].items()},
-        )
 
 
 # ----------------------------------------------------------------------
@@ -828,12 +701,9 @@ class _FunctionScanner:
 
 def extract_module_facts(
     tree: ast.Module, path: str, module: str, *, is_package: bool = False,
-    noqa: dict[int, frozenset[str]] | None = None,
 ) -> ModuleFacts:
-    """One AST walk producing the serialisable per-file model slice."""
+    """One AST walk producing the per-file model slice."""
     facts = ModuleFacts(path=path, module=module, is_package=is_package)
-    if noqa:
-        facts.noqa = {line: sorted(rules) for line, rules in noqa.items()}
     for stmt in tree.body:
         if isinstance(stmt, ast.Import):
             for alias in stmt.names:

@@ -11,7 +11,7 @@ from repro.analysis.engine import Report
 __all__ = ["render_text", "render_json", "report_payload", "JSON_SCHEMA_ID"]
 
 #: Schema identifier stamped into every JSON report (bump on shape change).
-JSON_SCHEMA_ID = "repro.analysis.report/v1"
+JSON_SCHEMA_ID = "repro.analysis.report/v2"
 
 
 def render_text(report: Report, *, verbose: bool = False) -> str:
@@ -45,19 +45,17 @@ def render_text(report: Report, *, verbose: bool = False) -> str:
     if report.suppressed or report.baselined or verbose:
         lines.append(
             f"   ({report.suppressed} suppressed by noqa, "
-            f"{report.baselined} filtered by baseline, "
-            f"{report.cached}/{report.files} file(s) from cache)"
+            f"{report.baselined} filtered by baseline)"
         )
     return "\n".join(lines)
 
 
 def report_payload(report: Report) -> dict[str, Any]:
-    """The JSON report as a plain dict (schema ``repro.analysis.report/v1``)."""
+    """The JSON report as a plain dict (schema ``repro.analysis.report/v2``)."""
     return {
         "schema": JSON_SCHEMA_ID,
         "generated": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "files": report.files,
-        "cached": report.cached,
         "rules": list(report.rules),
         "elapsed_ms": round(report.elapsed_ms, 3),
         "exit_code": report.exit_code,

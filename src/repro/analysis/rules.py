@@ -9,7 +9,6 @@ RPR001  private-module/symbol imports across package boundaries
 RPR002  integer reductions without an explicit ``COUNT_DTYPE`` dtype
 RPR003  observability hygiene (span usage, metric names, disabled-path cost)
 RPR004  engine-plan purity (no plan mutation / inline member selection)
-RPR005  deprecation policy (``stacklevel>=2``, documented shim list)
 RPR006  exception discipline (no bare/broad/swallowed handlers)
 RPR007  engine sink discipline (no ad-hoc ``open()`` writes in repro.engine)
 RPR008  storage accessor discipline (no direct ``.indptr``/``.indices``
@@ -47,7 +46,6 @@ __all__ = [
     "ALL_RULE_IDS",
     "resolve_rules",
     "DEFAULT_KNOWN_PACKAGES",
-    "DEPRECATION_SHIM_MODULES",
     "WORKER_OBS_SANCTIONED",
 ]
 
@@ -72,12 +70,6 @@ DEFAULT_KNOWN_PACKAGES: frozenset[str] = frozenset(
         "repro.sparsela",
     }
 )
-
-#: Modules allowed to raise :class:`DeprecationWarning` (the documented
-#: shim list, docs/analysis.md §RPR005).  Anywhere else a deprecation is
-#: policy-reviewed first — silent API churn is how exactness conventions
-#: rot.
-DEPRECATION_SHIM_MODULES: frozenset[str] = frozenset({"repro.core.family"})
 
 #: dtype expressions accepted as "explicitly wide enough" by RPR002.
 _SAFE_DTYPE_NAMES = frozenset({"COUNT_DTYPE", "INDEX_DTYPE"})
@@ -696,70 +688,6 @@ class EnginePurityRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# RPR005 — deprecation policy
-# ----------------------------------------------------------------------
-
-class DeprecationPolicyRule(Rule):
-    """DeprecationWarning only from documented shims, with stacklevel>=2.
-
-    ``stacklevel=2`` makes the warning point at the *caller's* line (the
-    thing that needs changing); a shim outside the documented list means
-    API churn that skipped policy review.  The message must say what is
-    deprecated and name the replacement.
-    """
-
-    id = "RPR005"
-    title = "deprecation policy violation"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func_name = _dotted(node.func)
-            if func_name not in ("warnings.warn", "warn"):
-                continue
-            category = (
-                node.args[1] if len(node.args) > 1 else _keyword(node, "category")
-            )
-            cat_name = _dotted(category) if category is not None else None
-            if cat_name is None or "DeprecationWarning" not in cat_name:
-                continue
-            stacklevel = _keyword(node, "stacklevel")
-            if not (
-                isinstance(stacklevel, ast.Constant)
-                and isinstance(stacklevel.value, int)
-                and stacklevel.value >= 2
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    "DeprecationWarning without stacklevel>=2; the warning "
-                    "must point at the caller's line, not the shim's",
-                )
-            if ctx.module not in DEPRECATION_SHIM_MODULES:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"DeprecationWarning raised in '{ctx.module}', which is "
-                    "not on the documented shim list (docs/analysis.md "
-                    "§RPR005); add it there first or route through an "
-                    "existing shim",
-                )
-            message = node.args[0] if node.args else _keyword(node, "message")
-            if (
-                isinstance(message, ast.Constant)
-                and isinstance(message.value, str)
-                and "deprecated" not in message.value.lower()
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    "deprecation message must say 'deprecated' and name the "
-                    "replacement",
-                )
-
-
-# ----------------------------------------------------------------------
 # RPR006 — exception discipline
 # ----------------------------------------------------------------------
 
@@ -1192,13 +1120,10 @@ class InterprocDtypeRule(ProjectRule):
 class ApiSurfaceDriftRule(ProjectRule):
     """RPR012 — ``__all__`` exports and ``docs/api.md`` stay in sync.
 
-    Three checks: (a) every name a ``repro`` package exports via a
+    Two checks: (a) every name a ``repro`` package exports via a
     literal ``__all__`` appears in ``docs/api.md``; (b) every
     ``## repro.<pkg>`` section header in the doc names a module that
-    actually exists; (c) deprecation shims (the documented
-    ``DEPRECATION_SHIM_MODULES`` list) still bind every name in their
-    ``__all__`` — a shim that drops a name breaks the documented
-    signature silently.  Doc checks are skipped when the scan has no
+    actually exists.  Both are skipped when the scan has no
     ``docs/api.md`` next to it (fixture scans).
     """
 
@@ -1228,16 +1153,6 @@ class ApiSurfaceDriftRule(ProjectRule):
                         "docs/api.md never mentions it; document the "
                         "symbol or stop exporting it",
                     )
-            if module in DEPRECATION_SHIM_MODULES:
-                bound = set(mod.symbols) | set(mod.imports)
-                for name in exports:
-                    if name not in bound:
-                        yield self.project_finding(
-                            mod.path, 1, 0,
-                            f"deprecation shim '{module}' lists '{name}' "
-                            "in __all__ but no longer binds it; shims "
-                            "must keep their documented surface",
-                        )
         # reverse direction: headers in the doc must name real modules
         if doc is not None and "repro" in model.modules:
             doc_path = model.api_doc_path or "docs/api.md"
@@ -1258,7 +1173,6 @@ RULES: tuple[Rule, ...] = (
     UnsafeAccumulationRule(),
     ObsHygieneRule(),
     EnginePurityRule(),
-    DeprecationPolicyRule(),
     ExceptionDisciplineRule(),
     EngineSinkDisciplineRule(),
     StorageAccessorDisciplineRule(),

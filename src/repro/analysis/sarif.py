@@ -20,7 +20,17 @@ import json
 from repro.analysis.engine import Report
 from repro.analysis.findings import Finding
 
-__all__ = ["SARIF_VERSION", "sarif_payload", "render_sarif", "findings_from_sarif"]
+__all__ = [
+    "ANALYZER_VERSION",
+    "SARIF_VERSION",
+    "sarif_payload",
+    "render_sarif",
+    "findings_from_sarif",
+]
+
+#: Analyzer version stamped into ``tool.driver.version``; bump on any
+#: semantic change to rules, facts extraction, or the model.
+ANALYZER_VERSION = "2.1"
 
 SARIF_VERSION = "2.1.0"
 _SCHEMA_URI = (
@@ -92,7 +102,7 @@ def sarif_payload(report: Report) -> dict:
             "driver": {
                 "name": "repro-analyze",
                 "informationUri": "docs/analysis.md",
-                "version": _analyzer_version(),
+                "version": ANALYZER_VERSION,
                 "rules": _rule_descriptors(report),
             }
         },
@@ -112,12 +122,6 @@ def sarif_payload(report: Report) -> dict:
             }
         ]
     return {"$schema": _SCHEMA_URI, "version": SARIF_VERSION, "runs": [run]}
-
-
-def _analyzer_version() -> str:
-    from repro.analysis.cache import ANALYZER_VERSION
-
-    return ANALYZER_VERSION
 
 
 def render_sarif(report: Report) -> str:

@@ -19,8 +19,7 @@ Two lightweight analyses feed the interprocedural rules:
   call site.
 
 Summaries work on :class:`~repro.analysis.model.ProjectModel` facts
-only — no re-parsing — so they are cheap enough to run on every scan,
-warm or cold.
+only — no re-parsing — so they are cheap enough to run on every scan.
 """
 
 from __future__ import annotations

@@ -507,39 +507,23 @@ def _storage_section(repeats: int) -> dict:
 def _analysis_section() -> dict:
     """Static-analyzer self-scan cost over the installed ``repro`` tree.
 
-    Runs the scan twice against a throwaway content-hash cache: once
-    cold (empty cache) and once warm (every file served from cache, the
-    whole-program pass rebuilt from cached facts).  Both ``cold_scan_ms``
-    and ``warm_scan_ms`` ride into ``BENCH_parallel.json`` and the
-    flattened ``BENCH_history.jsonl`` so analyzer slowdowns show up in
-    the same trend file as the counting kernels; ``findings`` must stay
-    0 and ``cache_parity`` must stay 1 (the lint gates in CI enforce
-    both — here they are informational).
+    One cold in-process scan.  ``scan_ms`` rides into
+    ``BENCH_parallel.json`` and the flattened ``BENCH_history.jsonl`` so
+    analyzer slowdowns show up in the same trend file as the counting
+    kernels; ``findings`` must stay 0 (the lint gate in CI enforces it —
+    here it is informational).
     """
-    import tempfile
-
     import repro
     from repro import analysis
 
     tree = os.path.dirname(os.path.abspath(repro.__file__))
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = os.path.join(tmp, "analysis_cache.json")
-        cold = analysis.analyze_paths([tree], cache_path=cache)
-        warm = analysis.analyze_paths([tree], cache_path=cache)
-    parity = [
-        (f.rule, f.path, f.line, f.col, f.message) for f in cold.findings
-    ] == [(f.rule, f.path, f.line, f.col, f.message) for f in warm.findings]
+    report = analysis.analyze_paths([tree])
     return {
         "tree": tree,
-        "files": cold.files,
-        "findings": len(cold.findings),
-        "suppressed": cold.suppressed,
-        "scan_ms": round(cold.elapsed_ms, 3),
-        "cold_scan_ms": round(cold.elapsed_ms, 3),
-        "warm_scan_ms": round(warm.elapsed_ms, 3),
-        "warm_speedup": round(cold.elapsed_ms / max(warm.elapsed_ms, 1e-9), 2),
-        "warm_cached_files": warm.cached,
-        "cache_parity": int(parity),
+        "files": report.files,
+        "findings": len(report.findings),
+        "suppressed": report.suppressed,
+        "scan_ms": round(report.elapsed_ms, 3),
     }
 
 

@@ -46,12 +46,16 @@ perf-regression gate: the current payload (``--current``, default
 baseline and the process exits non-zero on any ≥ ``--tolerance``
 regression (``--warn-only`` downgrades that to a warning for shared CI
 runners).
+
+Bad input (a missing file, an unknown rule id, a malformed JSON file)
+prints ``repro-butterfly: error: <msg>`` to stderr and exits 2, the same
+code as an argparse usage error; exit 1 stays reserved for "the command
+ran and failed its check" (analyzer findings, a bench regression).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.bench import Sweep, time_callable
@@ -458,27 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_an.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
-        help="output format (json follows schema repro.analysis.report/v1; "
+        help="output format (json follows schema repro.analysis.report/v2; "
         "sarif is SARIF 2.1.0)",
-    )
-    p_an.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="parse/scan N files in parallel (default: 1)",
-    )
-    p_an.add_argument(
-        "--cache", default=None, metavar="PATH", dest="cache_path",
-        help="content-hash result cache for warm runs "
-        "(e.g. results/analysis_cache.json)",
-    )
-    p_an.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore --cache and rescan everything",
-    )
-    p_an.add_argument(
-        "--diff", default=None, metavar="REV",
-        help="report findings only for files changed since git REV "
-        "(plus untracked); the whole-program model still covers "
-        "every scanned file",
     )
     p_an.add_argument(
         "--rules", default=None, metavar="IDS",
@@ -971,30 +956,6 @@ def _cmd_stream(args) -> int:
     return 0
 
 
-def _changed_files_since(rev: str) -> set[str]:
-    """Absolute paths changed since git ``rev``, plus untracked files.
-
-    The set feeds ``analyze --diff``: only these files get *reported*
-    per-file findings, while the whole-program model still covers every
-    scanned file (interprocedural rules stay sound on partial scans).
-    """
-    import subprocess
-
-    out: set[str] = set()
-    for cmd in (
-        ["git", "diff", "--name-only", rev],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        proc = subprocess.run(
-            cmd, capture_output=True, text=True, check=True
-        )
-        for line in proc.stdout.splitlines():
-            line = line.strip()
-            if line:
-                out.add(os.path.abspath(line))
-    return out
-
-
 def _cmd_analyze(args) -> int:
     """``repro-butterfly analyze`` — the domain lint gate (docs/analysis.md)."""
     import json as _json
@@ -1007,18 +968,7 @@ def _cmd_analyze(args) -> int:
     baseline = None
     if args.baseline:
         baseline = analysis.load_baseline(args.baseline)
-    changed_only = None
-    if args.diff:
-        changed_only = _changed_files_since(args.diff)
-    cache_path = None if args.no_cache else args.cache_path
-    report = analysis.analyze_paths(
-        list(args.paths),
-        rules=rules,
-        baseline=baseline,
-        jobs=max(1, args.jobs),
-        cache_path=cache_path,
-        changed_only=changed_only,
-    )
+    report = analysis.analyze_paths(list(args.paths), rules=rules, baseline=baseline)
     if args.write_baseline:
         with open(args.write_baseline, "w", encoding="utf-8") as fh:
             _json.dump(analysis.baseline_payload(report), fh, indent=2)
@@ -1060,6 +1010,18 @@ def main(argv=None) -> int:
         "stream": _cmd_stream,
         "analyze": _cmd_analyze,
     }[args.command]
+    try:
+        return _dispatch(handler, args)
+    except (OSError, ValueError) as exc:
+        # bad input (missing file, unknown rule id, malformed JSON) is a
+        # usage error, exit 2 like argparse's — never 1, which means
+        # "the analyzer gate ran and found something"
+        print(f"repro-butterfly: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(handler, args) -> int:
+    """Run one command handler, wrapped in obs capture when asked for."""
     metrics_out = getattr(args, "metrics_out", None)
     trace_out = getattr(args, "trace_out", None)
     profile_out = getattr(args, "profile_out", None)

@@ -493,29 +493,21 @@ def suffix_wedge_butterflies(
 
 def count_butterflies(
     graph: BipartiteGraph,
-    invariant=None,
-    strategy: str | None = None,
-    ordering: str | None = None,
     *,
+    ordering: str | None = None,
     plan=None,
 ) -> int:
-    """Count butterflies, auto-planning the family member when unspecified.
+    """Count butterflies, auto-planning the family member.
 
-    The selection is routed through :mod:`repro.engine`: with no
-    arguments the cost-based planner chooses the (invariant, strategy)
-    pair among the sequential unblocked family members — the paper's
-    Section V smaller-side rule emerges from the planner's exact work
-    model rather than being hard-coded here.  ``plan`` accepts a
-    pre-built :class:`repro.engine.Plan` (the engine's own dispatch path
-    and power users).
-
-    .. deprecated::
-        Hand-picking ``invariant=`` / ``strategy=`` here is deprecated —
-        either let the planner choose, build a pinned plan via
-        ``repro.engine.plan(graph, invariant=..., strategy=...)``, or
-        call :func:`count_butterflies_unblocked` (the expert per-member
-        entry point, which stays).  Passing them still works and emits a
-        single :class:`DeprecationWarning`.
+    The selection is routed through :mod:`repro.engine`: the cost-based
+    planner chooses the (invariant, strategy) pair among the sequential
+    unblocked family members — the paper's Section V smaller-side rule
+    emerges from the planner's exact work model rather than being
+    hard-coded here.  ``plan`` accepts a pre-built
+    :class:`repro.engine.Plan` (the engine's own dispatch path and power
+    users); a hand-picked member is either a pinned plan,
+    ``repro.engine.plan(graph, invariant=..., strategy=...)``, or
+    :func:`count_butterflies_unblocked`.
 
     ``ordering`` applies the paper's named future-work optimisation
     (Section VI, refs [3]/[12]) before counting:
@@ -530,30 +522,10 @@ def count_butterflies(
     value; only the traversal cost changes (measured in the ordering
     ablation benchmark).
     """
-    if plan is not None and (invariant is not None or strategy is not None):
-        raise ValueError("pass either a plan or invariant/strategy, not both")
-    if invariant is not None or strategy is not None:
-        import warnings
-
-        warnings.warn(
-            "count_butterflies(graph, invariant=..., strategy=...) is "
-            "deprecated; use repro.engine.plan(graph, invariant=..., "
-            "strategy=...).execute(graph) or "
-            "count_butterflies_unblocked for hand-picked members",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     from repro import engine
 
     if plan is None:
-        plan = engine.plan(
-            graph,
-            "count",
-            invariant=invariant,
-            strategy=strategy if strategy != "blocked" else None,
-            family_only=True,
-            executor="serial",
-        )
+        plan = engine.plan(graph, "count", family_only=True, executor="serial")
     if plan.invariant is not None:
         inv = _resolve_invariant(plan.invariant)
     else:

@@ -314,61 +314,6 @@ class TestEnginePurity:
 
 
 # ----------------------------------------------------------------------
-# RPR005 — deprecation policy
-# ----------------------------------------------------------------------
-
-
-class TestDeprecationPolicy:
-    GOOD = """
-        import warnings
-
-        def f():
-            warnings.warn(
-                "f() is deprecated; use g() instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-    """
-
-    def test_conforming_shim_ok(self):
-        assert run(self.GOOD, "repro.core.family", rules=["RPR005"]) == []
-
-    def test_missing_stacklevel(self):
-        src = """
-            import warnings
-
-            def f():
-                warnings.warn("f() is deprecated; use g()", DeprecationWarning)
-        """
-        (f,) = run(src, "repro.core.family", rules=["RPR005"])
-        assert "stacklevel" in f.message
-
-    def test_undocumented_shim_module(self):
-        findings = run(self.GOOD, "repro.sparsela.kernels", rules=["RPR005"])
-        assert len(findings) == 1
-        assert "shim list" in findings[0].message
-
-    def test_message_must_say_deprecated(self):
-        src = """
-            import warnings
-
-            def f():
-                warnings.warn("use g() instead", DeprecationWarning, stacklevel=2)
-        """
-        (f,) = run(src, "repro.core.family", rules=["RPR005"])
-        assert "deprecated" in f.message
-
-    def test_other_warnings_ignored(self):
-        src = """
-            import warnings
-
-            def f():
-                warnings.warn("slow path", RuntimeWarning)
-        """
-        assert run(src, "repro.sparsela.kernels", rules=["RPR005"]) == []
-
-
-# ----------------------------------------------------------------------
 # RPR006 — exception discipline
 # ----------------------------------------------------------------------
 
@@ -464,7 +409,6 @@ def test_all_rule_ids_catalogued():
         "RPR002",
         "RPR003",
         "RPR004",
-        "RPR005",
         "RPR006",
         "RPR007",
         "RPR008",
@@ -514,7 +458,6 @@ def test_json_schema(dirty_tree: Path):
         "schema",
         "generated",
         "files",
-        "cached",
         "rules",
         "elapsed_ms",
         "exit_code",
@@ -562,7 +505,7 @@ def test_parse_error_outranks_findings(dirty_tree: Path, tmp_path: Path):
 def test_render_text_ok_and_fail(dirty_tree: Path):
     dirty = analysis.analyze_paths([str(dirty_tree)])
     assert "FAIL" in analysis.render_text(dirty)
-    clean = analysis.analyze_paths([str(dirty_tree)], rules=["RPR005"])
+    clean = analysis.analyze_paths([str(dirty_tree)], rules=["RPR007"])
     assert "OK" in analysis.render_text(clean)
 
 

@@ -1,11 +1,9 @@
 """Whole-program analyzer tests: model, call graph, RPR009–RPR012,
-cache, SARIF.
+relaxed profile, SARIF.
 
 Per-rule positive/negative/noqa fixtures run through
-:func:`analysis.analyze_sources` (in-memory multi-module projects), the
-call-graph resolver is unit-tested on its own, and the content-hash
-cache is exercised for hits, every invalidation axis, and cold/warm
-parity.
+:func:`analysis.analyze_sources` (in-memory multi-module projects), and
+the call-graph resolver is unit-tested on its own.
 """
 
 from __future__ import annotations
@@ -17,10 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro import analysis
-from repro.analysis import cache as analysis_cache
 from repro.analysis.model import ProjectModel, extract_module_facts
-
-SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def project(sources: dict[str, str], rules=None, api_doc=None):
@@ -707,106 +702,6 @@ class TestApiSurfaceDrift:
 
 
 # ----------------------------------------------------------------------
-# the content-hash cache
-# ----------------------------------------------------------------------
-
-
-@pytest.fixture()
-def small_tree(tmp_path: Path):
-    pkg = tmp_path / "repro" / "core"
-    pkg.mkdir(parents=True)
-    (tmp_path / "repro" / "__init__.py").write_text("")
-    (pkg / "__init__.py").write_text("")
-    (pkg / "mod.py").write_text(
-        "from repro.sparsela._compressed import CompressedPattern\n"
-    )
-    cache_path = tmp_path / "cache.json"
-    return tmp_path, pkg / "mod.py", cache_path
-
-
-def _scan(tree, cache_path, rules=None):
-    return analysis.analyze_paths(
-        [str(tree)], rules=rules, cache_path=str(cache_path)
-    )
-
-
-class TestCache:
-    def test_warm_run_hits_and_preserves_findings(self, small_tree):
-        tree, _, cache_path = small_tree
-        cold = _scan(tree, cache_path)
-        warm = _scan(tree, cache_path)
-        assert cold.cached == 0
-        assert warm.cached == warm.files == 3
-        assert [f.to_dict() for f in warm.findings] == [
-            f.to_dict() for f in cold.findings
-        ]
-        assert warm.suppressed == cold.suppressed
-
-    def test_content_change_busts_entry(self, small_tree):
-        tree, mod, cache_path = small_tree
-        _scan(tree, cache_path)
-        mod.write_text("x = 1\n")  # finding disappears with the import
-        warm = _scan(tree, cache_path)
-        assert warm.cached == 2  # the two untouched __init__ files
-        assert warm.findings == []
-
-    def test_ruleset_change_busts_cache(self, small_tree):
-        tree, _, cache_path = small_tree
-        _scan(tree, cache_path)
-        other = _scan(tree, cache_path, rules=["RPR002"])
-        assert other.cached == 0
-
-    def test_analyzer_version_change_busts_cache(self, small_tree, monkeypatch):
-        tree, _, cache_path = small_tree
-        _scan(tree, cache_path)
-        monkeypatch.setattr(analysis_cache, "ANALYZER_VERSION", "999.test")
-        warm = _scan(tree, cache_path)
-        assert warm.cached == 0
-        assert len(warm.findings) == 1  # same verdict, freshly computed
-
-    def test_corrupt_cache_file_is_ignored(self, small_tree):
-        tree, _, cache_path = small_tree
-        cache_path.write_text("{not json")
-        report = _scan(tree, cache_path)
-        assert report.cached == 0
-        assert len(report.findings) == 1
-
-    def test_parallel_jobs_match_serial(self, small_tree):
-        tree, _, cache_path = small_tree
-        serial = analysis.analyze_paths([str(tree)])
-        fanned = analysis.analyze_paths([str(tree)], jobs=2)
-        assert [f.to_dict() for f in fanned.findings] == [
-            f.to_dict() for f in serial.findings
-        ]
-
-    def test_changed_only_restricts_reported_findings(self, small_tree):
-        tree, mod, _ = small_tree
-        full = analysis.analyze_paths([str(tree)])
-        assert len(full.findings) == 1
-        other = tree / "repro" / "__init__.py"
-        restricted = analysis.analyze_paths(
-            [str(tree)], changed_only={str(other.resolve())}
-        )
-        assert restricted.findings == []  # mod.py not in the changed set
-        again = analysis.analyze_paths(
-            [str(tree)], changed_only={str(mod.resolve())}
-        )
-        assert len(again.findings) == 1
-
-
-def test_self_scan_warm_at_least_3x_faster(tmp_path: Path):
-    """The acceptance floor: warm rescans of src/repro are >=3x cold."""
-    cache_path = tmp_path / "cache.json"
-    cold = analysis.analyze_paths([str(SRC_REPRO)], cache_path=str(cache_path))
-    warm = analysis.analyze_paths([str(SRC_REPRO)], cache_path=str(cache_path))
-    assert warm.cached == warm.files
-    assert [f.to_dict() for f in warm.findings] == [
-        f.to_dict() for f in cold.findings
-    ]
-    assert cold.elapsed_ms / warm.elapsed_ms >= 3.0
-
-
-# ----------------------------------------------------------------------
 # the relaxed profile for tests/ and scripts/
 # ----------------------------------------------------------------------
 
@@ -842,10 +737,21 @@ class TestRelaxedProfile:
 # ----------------------------------------------------------------------
 
 
+@pytest.fixture()
+def small_tree(tmp_path: Path):
+    pkg = tmp_path / "repro" / "core"
+    pkg.mkdir(parents=True)
+    (tmp_path / "repro" / "__init__.py").write_text("")
+    (pkg / "__init__.py").write_text("")
+    (pkg / "mod.py").write_text(
+        "from repro.sparsela._compressed import CompressedPattern\n"
+    )
+    return tmp_path
+
+
 class TestSarif:
     def test_round_trip(self, small_tree):
-        tree, _, _ = small_tree
-        report = analysis.analyze_paths([str(tree)])
+        report = analysis.analyze_paths([str(small_tree)])
         assert report.findings  # fixture must exercise a real finding
         payload = json.loads(analysis.render_sarif(report))
         assert payload["version"] == analysis.SARIF_VERSION
@@ -870,8 +776,7 @@ class TestSarif:
         assert notes[0]["level"] == "error"
 
     def test_columns_are_one_based(self, small_tree):
-        tree, _, _ = small_tree
-        report = analysis.analyze_paths([str(tree)])
+        report = analysis.analyze_paths([str(small_tree)])
         payload = analysis.sarif_payload(report)
         for result in payload["runs"][0]["results"]:
             region = result["locations"][0]["physicalLocation"]["region"]

@@ -16,8 +16,8 @@ The acceptance properties of the Plan→Execute pipeline:
    name the same decision.
 5. **Calibration** — measure → persist → load round-trips, and a missing
    or corrupt table degrades to the shipped defaults.
-6. **Back-compat** — ``count_butterflies(g, invariant=..., strategy=...)``
-   still answers correctly and emits exactly one DeprecationWarning.
+6. **Entry points** — the auto and expert counting entry points stay
+   warning-free, and the peeling entry points accept plans.
 """
 
 from __future__ import annotations
@@ -388,19 +388,9 @@ class TestCalibration:
 
 
 # ----------------------------------------------------------------------
-# 6. backward compatibility
+# 6. entry points
 # ----------------------------------------------------------------------
 class TestBackCompatShims:
-    def test_hand_picked_args_emit_single_deprecation_warning(self):
-        g = power_law_bipartite(30, 40, 200, seed=8)
-        expected = butterflies_spec_bform(g)
-        with pytest.warns(DeprecationWarning) as record:
-            assert count_butterflies(g, invariant=5) == expected
-        assert len(record) == 1
-        with pytest.warns(DeprecationWarning) as record:
-            assert count_butterflies(g, strategy="scratch") == expected
-        assert len(record) == 1
-
     def test_auto_path_is_warning_free(self):
         g = power_law_bipartite(30, 40, 200, seed=8)
         with warnings.catch_warnings():
@@ -409,12 +399,6 @@ class TestBackCompatShims:
             count_butterflies(g, ordering="degree")
             p = engine.plan(g, "count", calibration=DEFAULTS)
             count_butterflies(g, plan=p)
-
-    def test_plan_and_handpicked_args_conflict(self):
-        g = gnm_bipartite(10, 10, 30, seed=1)
-        p = engine.plan(g, "count", calibration=DEFAULTS)
-        with pytest.raises(ValueError, match="not both"):
-            count_butterflies(g, invariant=2, plan=p)
 
     def test_expert_entry_point_stays_warning_free(self):
         g = gnm_bipartite(20, 20, 80, seed=2)

@@ -4,6 +4,7 @@ peeling, and the degree-ordering execution option."""
 import numpy as np
 import pytest
 
+from repro import engine
 from repro.baselines import (
     estimate_butterflies_cspar,
     estimate_butterflies_espar,
@@ -179,10 +180,11 @@ def test_count_with_degree_ordering(corpus):
 def test_count_ordering_with_explicit_invariant():
     g = power_law_bipartite(30, 40, 180, seed=9)
     expected = count_butterflies(g)
-    for inv in (1, 4, 5, 8):
-        with pytest.warns(DeprecationWarning):  # legacy hand-picked form
-            got = count_butterflies(g, invariant=inv, ordering="degree")
-        assert got == expected
+    for inv in (1, 4, 5, 8):  # both traversed sides, both references
+        pinned = engine.plan(
+            g, "count", invariant=inv, family_only=True, executor="serial"
+        )
+        assert count_butterflies(g, plan=pinned, ordering="degree") == expected
 
 
 def test_count_ordering_validation():
