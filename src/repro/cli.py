@@ -356,8 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="peel with bucketed parallel rounds over N workers "
-        "(default: sequential)",
+        help="recount peel rounds on a warm pool of N workers; 0/1 (the "
+        "default) stay in-process.  Tips always peel by bucket rounds; "
+        "wings use the incremental bucket peel in-process and the round "
+        "recount for N > 1",
     )
 
     p_gen = sub.add_parser(
@@ -783,16 +785,11 @@ def _cmd_bench_gate(args) -> int:
 def _cmd_decompose(args) -> int:
     g = _load(args.graph)
     if args.mode == "tip":
-        if args.workers is not None and args.workers > 1:
-            from repro.core import tip_numbers_bucket_parallel
+        from repro.core import tip_numbers_bucket_parallel
 
-            numbers = tip_numbers_bucket_parallel(
-                g, side=args.side, n_workers=args.workers
-            )
-        else:
-            from repro.core import tip_numbers_bucket
-
-            numbers = tip_numbers_bucket(g, side=args.side)
+        numbers = tip_numbers_bucket_parallel(
+            g, side=args.side, n_workers=args.workers or 1
+        )
         order = numbers.argsort()[::-1][: args.top]
         print(f"tip numbers ({args.side} side), top {args.top}:")
         for v in order:
@@ -804,10 +801,11 @@ def _cmd_decompose(args) -> int:
 
             wn = wing_numbers_bucket_parallel(g, n_workers=args.workers)
         else:
-            from repro.core import wing_numbers
+            from repro.core import wing_numbers_bucket
 
-            wn = wing_numbers(g)
-        ranked = sorted(wn.items(), key=lambda kv: -kv[1])[: args.top]
+            wn = wing_numbers_bucket(g)
+        # ties rank by edge, not by the path's dict order
+        ranked = sorted(wn.items(), key=lambda kv: (-kv[1], kv[0]))[: args.top]
         print(f"wing numbers, top {args.top}:")
         for (u, v), w in ranked:
             print(f"  edge ({u}, {v}): {w}")

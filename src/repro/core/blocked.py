@@ -21,18 +21,16 @@ per-pair contribution C(wedges(u,v), 2) is computed from the full wedge
 multiset exactly as in the unblocked algorithm.  The prefix (look-behind)
 blocked member is symmetric.
 
-Two execution knobs, both ablatable:
-
-- ``method`` selects the panel reduction (see
-  :data:`repro.sparsela.PANEL_REDUCTIONS`): the seed's sort-based
-  ``np.unique`` (``"sort"``), the fused sort-free ``"bincount"`` /
-  ``"scratch"`` kernels, or ``"auto"``.
-- ``work_budget`` switches from fixed vertex-count panels to
-  *work-adaptive* panels sized by the exact per-pivot wedge-expansion
-  estimate (:func:`~repro.core.parallel.pivot_work_estimate`).  On
-  hub-heavy power-law graphs a fixed ``block_size`` makes the transient
-  wedge working set swing by orders of magnitude between panels; a wedge
-  budget bounds it.
+Each panel's (pivot, endpoint) wedge list is reduced by
+:func:`repro.sparsela.panel_choose2_sum`, which picks its ``sort``,
+``bincount`` or ``scratch`` branch from the panel's shape.  The one
+execution knob is the panel tiling: ``work_budget`` switches from fixed
+vertex-count panels to *work-adaptive* panels sized by the exact
+per-pivot wedge-expansion estimate
+(:func:`~repro.core.parallel.pivot_work_estimate`).  On hub-heavy
+power-law graphs a fixed ``block_size`` makes the transient wedge working
+set swing by orders of magnitude between panels; a wedge budget bounds
+it.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from repro._types import COUNT_DTYPE
 from repro.core.family import (
     Invariant,
     Reference,
-    Side,
     Traversal,
     _matrices_for_side,
     _resolve_invariant,
@@ -100,7 +97,6 @@ def panel_butterflies(
     lo: int,
     hi: int,
     reference: Reference,
-    method: str = "auto",
     scratch: np.ndarray | None = None,
 ) -> int:
     """Butterfly contribution of the pivot panel ``[lo, hi)``.
@@ -112,12 +108,10 @@ def panel_butterflies(
 
     Implementation: one :func:`gather_slices` fetches the wedge endpoints
     of *all* pivots in the panel; the (pivot, endpoint) multiset is then
-    reduced by :func:`repro.sparsela.panel_choose2_sum` — sort-free by
-    default (``method="auto"`` picks a dense key-space ``bincount`` when
-    it is small, the Chiba–Nishizeki scratch accumulator otherwise), with
-    ``method="sort"`` keeping the seed's ``np.unique`` reduction as the
-    ablation baseline.  ``scratch`` optionally passes a reusable zeroed
-    length-``n`` accumulator through to the scratch path.
+    reduced by :func:`repro.sparsela.panel_choose2_sum`, which picks its
+    branch from the panel's shape.  ``scratch`` optionally passes a
+    reusable zeroed length-``n`` accumulator through to the scratch
+    branch.
     """
     if hi <= lo:
         return 0
@@ -144,8 +138,7 @@ def panel_butterflies(
         return 0
     n = pivot_major.major_dim
     return panel_choose2_sum(
-        owners[sel] - lo, endpoints[sel], hi - lo, n,
-        method=method, scratch=scratch,
+        owners[sel] - lo, endpoints[sel], hi - lo, n, scratch=scratch
     )
 
 
@@ -153,7 +146,6 @@ def count_butterflies_blocked(
     graph: BipartiteGraph,
     invariant=2,
     block_size: int = 64,
-    method: str = "auto",
     work_budget: int | None = None,
 ) -> int:
     """Count butterflies with the blocked member of the chosen invariant.
@@ -171,9 +163,6 @@ def count_butterflies_blocked(
         algorithm (used by the equivalence tests); larger panels trade a
         transient ``O(panel wedges)`` working set for fewer iterations.
         Ignored when ``work_budget`` is given.
-    method:
-        Panel reduction (see :data:`repro.sparsela.PANEL_REDUCTIONS`);
-        ``"auto"`` is sort-free, ``"sort"`` is the seed behaviour.
     work_budget:
         When given, panels are sized *adaptively* so each panel expands at
         most ≈ ``work_budget`` wedges (exact per-pivot estimate from
@@ -215,7 +204,6 @@ def count_butterflies_blocked(
     with obs.span(
         "blocked.count",
         invariant=inv.number,
-        method=method,
         layout="adaptive" if work_budget is not None else "fixed",
         panels=len(panels),
     ):
@@ -227,12 +215,12 @@ def count_butterflies_blocked(
                 with obs.span("blocked.panel", lo=lo, hi=hi):
                     total += panel_butterflies(
                         pivot_major, complementary, lo, hi, inv.reference,
-                        method=method, scratch=scratch,
+                        scratch=scratch,
                     )
         else:
             for lo, hi in panels:
                 total += panel_butterflies(
                     pivot_major, complementary, lo, hi, inv.reference,
-                    method=method, scratch=scratch,
+                    scratch=scratch,
                 )
     return total

@@ -89,7 +89,6 @@ __all__ = [
     "has_at_least",
     "pivot_order",
     "wedge_endpoint_multiset",
-    "suffix_wedge_butterflies",
     "STRATEGIES",
 ]
 
@@ -313,6 +312,55 @@ def _butterflies_at_pivot_spmv(
     return int(np.sum(y * (y - 1)) // 2)
 
 
+def _pivot_step(
+    pivot_major: CompressedPattern,
+    complementary: CompressedPattern,
+    reference: Reference,
+    strategy: str,
+    *,
+    scratch: np.ndarray | None = None,
+    entry_major_ids: np.ndarray | None = None,
+    marker: np.ndarray | None = None,
+) -> Callable[[int], int]:
+    """``pivot -> Σ_u C(y_u, 2)`` under ``strategy``, its buffers bound.
+
+    The one strategy dispatch behind every per-pivot sweep (the counting
+    loop, :func:`has_at_least` and the parallel ranges).  ``scratch``
+    (scratch strategy) and ``entry_major_ids``/``marker`` (spmv) let a
+    caller reuse buffers across calls; fresh ones are allocated when
+    omitted.
+    """
+    if strategy == "adjacency":
+
+        def step(pivot: int) -> int:
+            return _butterflies_at_pivot_adjacency(
+                pivot_major, complementary, pivot, reference
+            )
+    elif strategy == "scratch":
+        if scratch is None:
+            scratch = np.zeros(pivot_major.major_dim, dtype=np.int64)
+
+        def step(pivot: int) -> int:
+            return _butterflies_at_pivot_scratch(
+                pivot_major, complementary, pivot, reference, scratch
+            )
+    elif strategy == "spmv":
+        if entry_major_ids is None:
+            entry_major_ids = pivot_major.expand_major()
+        if marker is None:
+            marker = np.zeros(pivot_major.minor_dim, dtype=bool)
+
+        def step(pivot: int) -> int:
+            return _butterflies_at_pivot_spmv(
+                pivot_major, entry_major_ids, marker, pivot, reference
+            )
+    else:
+        raise ValueError(
+            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
+        )
+    return step
+
+
 def count_butterflies_unblocked(
     graph: BipartiteGraph,
     invariant,
@@ -365,35 +413,12 @@ def count_butterflies_unblocked(
 def _count_unblocked_body(
     pivot_major, complementary, inv, strategy, n, on_step
 ) -> int:
+    step = _pivot_step(pivot_major, complementary, inv.reference, strategy)
     total = 0
-    if strategy == "adjacency":
-        for step, pivot in enumerate(pivot_order(n, inv.traversal)):
-            total += _butterflies_at_pivot_adjacency(
-                pivot_major, complementary, pivot, inv.reference
-            )
-            if on_step is not None:
-                on_step(step, pivot, total)
-    elif strategy == "scratch":
-        scratch = np.zeros(n, dtype=np.int64)
-        for step, pivot in enumerate(pivot_order(n, inv.traversal)):
-            total += _butterflies_at_pivot_scratch(
-                pivot_major, complementary, pivot, inv.reference, scratch
-            )
-            if on_step is not None:
-                on_step(step, pivot, total)
-    elif strategy == "spmv":
-        entry_major_ids = pivot_major.expand_major()
-        marker = np.zeros(pivot_major.minor_dim, dtype=bool)
-        for step, pivot in enumerate(pivot_order(n, inv.traversal)):
-            total += _butterflies_at_pivot_spmv(
-                pivot_major, entry_major_ids, marker, pivot, inv.reference
-            )
-            if on_step is not None:
-                on_step(step, pivot, total)
-    else:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-        )
+    for step_index, pivot in enumerate(pivot_order(n, inv.traversal)):
+        total += step(pivot)
+        if on_step is not None:
+            on_step(step_index, pivot, total)
     return total
 
 
@@ -425,10 +450,6 @@ def has_at_least(
     """
     if threshold <= 0:
         return True
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-        )
     if invariant is None:
         # Section V smaller-side rule lives in the engine's cost model;
         # lazy import keeps core importable without the engine package.
@@ -438,28 +459,7 @@ def has_at_least(
     inv = _resolve_invariant(invariant)
     pivot_major, complementary = _matrices_for_side(graph, inv.side)
     n = pivot_major.major_dim
-    if strategy == "scratch":
-        scratch = np.zeros(n, dtype=np.int64)
-
-        def step(pivot: int) -> int:
-            return _butterflies_at_pivot_scratch(
-                pivot_major, complementary, pivot, inv.reference, scratch
-            )
-    elif strategy == "spmv":
-        entry_major_ids = pivot_major.expand_major()
-        marker = np.zeros(pivot_major.minor_dim, dtype=bool)
-
-        def step(pivot: int) -> int:
-            return _butterflies_at_pivot_spmv(
-                pivot_major, entry_major_ids, marker, pivot, inv.reference
-            )
-    else:  # adjacency
-
-        def step(pivot: int) -> int:
-            return _butterflies_at_pivot_adjacency(
-                pivot_major, complementary, pivot, inv.reference
-            )
-
+    step = _pivot_step(pivot_major, complementary, inv.reference, strategy)
     total = 0
     for step_index, pivot in enumerate(pivot_order(n, inv.traversal)):
         total += step(pivot)
@@ -470,33 +470,7 @@ def has_at_least(
     return False
 
 
-def suffix_wedge_butterflies(
-    pivot_major: CompressedPattern,
-    complementary: CompressedPattern,
-    lo: int,
-    hi: int,
-) -> int:
-    """Butterflies whose *lower-positioned* wedge point lies in ``[lo, hi)``.
-
-    The look-ahead (suffix) update assigns each wedge-point pair {u, v},
-    u < v, to pivot u; summing this over disjoint pivot ranges therefore
-    tiles Ξ_G exactly.  This is the unit of work of the parallel and
-    blocked executors.
-    """
-    total = 0
-    for pivot in range(lo, hi):
-        total += _butterflies_at_pivot_adjacency(
-            pivot_major, complementary, pivot, Reference.SUFFIX
-        )
-    return total
-
-
-def count_butterflies(
-    graph: BipartiteGraph,
-    *,
-    ordering: str | None = None,
-    plan=None,
-) -> int:
+def count_butterflies(graph: BipartiteGraph, *, plan=None) -> int:
     """Count butterflies, auto-planning the family member.
 
     The selection is routed through :mod:`repro.engine`: the cost-based
@@ -509,41 +483,15 @@ def count_butterflies(
     ``repro.engine.plan(graph, invariant=..., strategy=...)``, or
     :func:`count_butterflies_unblocked`.
 
-    ``ordering`` applies the paper's named future-work optimisation
-    (Section VI, refs [3]/[12]) before counting:
-
-    - ``None`` — traverse vertices in their natural label order;
-    - ``"degree"`` — relabel the traversed side in increasing degree order
-      (the Chiba–Nishizeki discipline: the suffix update then charges each
-      wedge pair to its lower-degree member);
-    - ``"degree-desc"`` — decreasing degree order.
-
-    The count is label-invariant, so every ordering returns the same
-    value; only the traversal cost changes (measured in the ordering
-    ablation benchmark).
+    Degree-ordered traversal (the paper's Section VI future work) is a
+    relabel of the input: count a :func:`repro.graphs.order_by_degree` /
+    :func:`repro.graphs.order_side_by_degree` graph, or let a plan pick
+    the ``reorder`` storage layout.
     """
     from repro import engine
 
     if plan is None:
         plan = engine.plan(graph, "count", family_only=True, executor="serial")
-    if plan.invariant is not None:
-        inv = _resolve_invariant(plan.invariant)
-    else:
-        from repro.engine import select_count_invariant
-
-        inv = _resolve_invariant(select_count_invariant(graph))
-    if ordering is not None:
-        if ordering not in ("degree", "degree-desc"):
-            raise ValueError(
-                f"unknown ordering {ordering!r}; expected None, 'degree' or "
-                "'degree-desc'"
-            )
-        from repro.graphs.ordering import order_side_by_degree
-
-        side_name = "right" if inv.side is Side.COLUMNS else "left"
-        graph = order_side_by_degree(
-            graph, side_name, descending=(ordering == "degree-desc")
-        )
-        # the relabel changes nothing the plan depends on (degrees are
-        # permuted, not changed), so the chosen member stays valid
-    return engine.execute(plan.with_(invariant=inv.number), graph)
+    if plan.invariant is None:
+        plan = plan.with_(invariant=engine.select_count_invariant(graph))
+    return engine.execute(plan, graph)

@@ -123,17 +123,14 @@ def vertex_butterfly_counts_blocked(
     return out
 
 
-def vertex_counts_panel(
-    pivot_major, complementary, lo: int, hi: int, method: str = "auto"
-) -> np.ndarray:
+def vertex_counts_panel(pivot_major, complementary, lo: int, hi: int) -> np.ndarray:
     """Per-vertex butterfly counts for pivots ``[lo, hi)`` — one panel.
 
     The unit of work behind both the blocked and the parallel per-vertex
     kernels: each pivot's count depends only on its own wedge expansion,
     so disjoint panels are independent.  The (pivot, endpoint) multiset is
-    reduced by :func:`repro.sparsela.panel_choose2_per_owner` — sort-free
-    under ``method="auto"``, with ``method="sort"`` keeping the seed's
-    ``np.unique`` reduction for ablation.
+    reduced by :func:`repro.sparsela.panel_choose2_per_owner`, which picks
+    its branch from the panel's shape.
     """
     from repro.sparsela import panel_choose2_per_owner
 
@@ -155,9 +152,7 @@ def vertex_counts_panel(
     sel = endpoints != owners
     if not sel.any():
         return out
-    return panel_choose2_per_owner(
-        owners[sel] - lo, endpoints[sel], hi - lo, n, method=method
-    )
+    return panel_choose2_per_owner(owners[sel] - lo, endpoints[sel], hi - lo, n)
 
 
 def paper_tip_vector(graph: BipartiteGraph) -> np.ndarray:

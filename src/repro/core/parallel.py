@@ -40,9 +40,7 @@ from repro.core.family import (
     Invariant,
     Reference,
     Side,
-    _butterflies_at_pivot_adjacency,
-    _butterflies_at_pivot_scratch,
-    _butterflies_at_pivot_spmv,
+    _pivot_step,
 )
 from repro.core.workinfo import pivot_work_estimate, spmv_scan_lengths
 from repro.graphs.bipartite import BipartiteGraph
@@ -176,20 +174,7 @@ def count_range(
     strategy) are optional reusable buffers so warm-pool workers amortise
     them across chunks; fresh ones are allocated when omitted.
     """
-    total = 0
-    if strategy == "adjacency":
-        for pivot in range(lo, hi):
-            total += _butterflies_at_pivot_adjacency(
-                pivot_major, complementary, pivot, reference
-            )
-    elif strategy == "scratch":
-        if scratch is None:
-            scratch = np.zeros(pivot_major.major_dim, dtype=np.int64)
-        for pivot in range(lo, hi):
-            total += _butterflies_at_pivot_scratch(
-                pivot_major, complementary, pivot, reference, scratch
-            )
-    elif strategy == "wedge":
+    if strategy == "wedge":
         # one fused sort-free panel reduction over the whole shard's wedge
         # set — no per-pivot Python loop at all
         from repro.core.blocked import panel_butterflies
@@ -199,15 +184,13 @@ def count_range(
                 pivot_major, complementary, lo, hi, reference, scratch=scratch
             )
         )
-    else:  # spmv
-        if entry_major_ids is None:
-            entry_major_ids = pivot_major.expand_major()
-        if marker is None:
-            marker = np.zeros(pivot_major.minor_dim, dtype=bool)
-        for pivot in range(lo, hi):
-            total += _butterflies_at_pivot_spmv(
-                pivot_major, entry_major_ids, marker, pivot, reference
-            )
+    step = _pivot_step(
+        pivot_major, complementary, reference, strategy, scratch=scratch,
+        entry_major_ids=entry_major_ids, marker=marker,
+    )
+    total = 0
+    for pivot in range(lo, hi):
+        total += step(pivot)
     return total
 
 

@@ -2,7 +2,6 @@
 
 from repro.core.peeling.buckets import (
     tip_decrement_batch,
-    tip_numbers_bucket,
     tip_numbers_bucket_parallel,
     wing_numbers_bucket,
     wing_numbers_bucket_parallel,
@@ -25,7 +24,6 @@ __all__ = [
     "k_wing_linear_algebra",
     "tip_decrement_batch",
     "tip_numbers",
-    "tip_numbers_bucket",
     "tip_numbers_bucket_parallel",
     "wing_numbers",
     "wing_numbers_bucket",

@@ -1,20 +1,26 @@
-"""Bucket-based tip decomposition (ParButterfly-style peeling).
+"""Bucket-based tip and wing decompositions (ParButterfly-style peeling).
 
-The heap-based :func:`~repro.core.peeling.decompose.tip_numbers` pays a
-log factor per update; the peeling literature (the paper's ref [12])
-instead keeps vertices in an array of *buckets* indexed by current
-butterfly count and sweeps the buckets in increasing order, moving
-vertices between buckets as their counts drop.  Counts only ever decrease
-during a peel, so each vertex moves at most (initial − final) times and
-the sweep is linear in the total decrement volume.
+The heap-based :func:`~repro.core.peeling.decompose.tip_numbers` /
+:func:`~repro.core.peeling.decompose.wing_numbers` peel one item at a time
+and pay a log factor per update; they stay as the references.  The
+peeling literature (the paper's ref [12]) instead groups items into
+*buckets* by current butterfly count and sweeps them in increasing order.
+Counts only ever decrease during a peel, so the sweep is linear in the
+total decrement volume.
 
-Bucket indices are compressed through a dict (butterfly counts can be
-large and sparse), keeping memory proportional to the number of *distinct*
-current counts rather than their magnitude.
+- **Tips.**  :func:`tip_numbers_bucket_parallel` is the production tip
+  decomposition: each synchronous round extracts the whole minimum
+  bucket and applies one vectorised batch decrement
+  (:func:`tip_decrement_batch`), in-process or on the warm pool.  With
+  ``n_workers=1`` it is also the fastest serial peel on every measured
+  shape.
+- **Wings.**  Two paths, each winning somewhere:
+  :func:`wing_numbers_bucket` (dict buckets, incremental per-edge
+  support) on sparse power-law graphs, and
+  :func:`wing_numbers_bucket_parallel` (round recount of the survivor
+  graph) on dense bicliques.
 
-Produces bit-identical tip numbers to the heap implementation (asserted in
-tests); exposed separately so the ablation benchmark can time the two
-scheduling disciplines against each other.
+Every path is bit-identical to its heap reference (asserted in tests).
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela import gather_slices
 
 __all__ = [
-    "tip_numbers_bucket",
     "wing_numbers_bucket",
     "tip_decrement_batch",
     "tip_numbers_bucket_parallel",
@@ -42,76 +47,6 @@ __all__ = [
 #: Count held by already-peeled vertices in the parallel bucket loop —
 #: above every real count, so the minimum-bucket scan skips them.
 _PEELED = np.iinfo(COUNT_DTYPE).max
-
-
-def tip_numbers_bucket(graph: BipartiteGraph, side: str = "left") -> np.ndarray:
-    """Tip number of every vertex on ``side`` via bucket peeling.
-
-    Semantics identical to
-    :func:`~repro.core.peeling.decompose.tip_numbers`; see there for the
-    definition and the same-side-decrement argument that makes static
-    wedge counts sufficient.
-    """
-    if side == "left":
-        pivot_major, complementary = graph.csr, graph.csc
-    elif side == "right":
-        pivot_major, complementary = graph.csc, graph.csr
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    n = pivot_major.major_dim
-    counts = vertex_butterfly_counts(graph, side).astype(COUNT_DTYPE)
-    tip = np.zeros(n, dtype=COUNT_DTYPE)
-    removed = np.zeros(n, dtype=bool)
-
-    # buckets: current count -> set of vertices holding it
-    buckets: dict[int, set[int]] = {}
-    for v in range(n):
-        buckets.setdefault(int(counts[v]), set()).add(v)
-
-    level = 0
-    processed = 0
-    while processed < n:
-        # the smallest occupied bucket is the next peel level
-        current = min(buckets)
-        bucket = buckets[current]
-        if not bucket:
-            del buckets[current]
-            continue
-        u = bucket.pop()
-        if not bucket:
-            del buckets[current]
-        level = max(level, current)
-        tip[u] = level
-        removed[u] = True
-        processed += 1
-        # decrement still-present partners of u
-        endpoints = gather_slices(
-            complementary.indptr, complementary.indices, pivot_major.slice(u)
-        )
-        if endpoints.size == 0:
-            continue
-        endpoints = endpoints[endpoints != u]
-        if endpoints.size == 0:
-            continue
-        uniq, mult = np.unique(endpoints, return_counts=True)
-        alive = ~removed[uniq]
-        uniq = uniq[alive]
-        mult = mult[alive].astype(COUNT_DTYPE)
-        lost = (mult * (mult - 1)) // 2
-        for w, dc in zip(uniq, lost):
-            if dc == 0:
-                continue
-            w = int(w)
-            old = int(counts[w])
-            new = old - int(dc)
-            counts[w] = new
-            old_bucket = buckets.get(old)
-            if old_bucket is not None:
-                old_bucket.discard(w)
-                if not old_bucket:
-                    del buckets[old]
-            buckets.setdefault(new, set()).add(w)
-    return tip
 
 
 def tip_decrement_batch(
@@ -127,8 +62,8 @@ def tip_decrement_batch(
     scratch, so a round costs its wedges, not the side's size.
     Multiplicities come from the *static original graph* — the
     same-side-decrement argument behind
-    :func:`tip_numbers_bucket` makes per-removed-vertex contributions
-    additive, so batching is exact.  Callers mask out already-removed
+    :func:`~repro.core.peeling.decompose.tip_numbers` makes
+    per-removed-vertex contributions additive, so batching is exact.  Callers mask out already-removed
     endpoints themselves (the batch never has to know the peel state).
 
     Returns ``(affected, lost)``: the sorted unique same-side vertices
@@ -204,8 +139,9 @@ def tip_numbers_bucket_parallel(
 ) -> np.ndarray:
     """Tip numbers via synchronous bucket rounds with parallel recounts.
 
-    Identical output to :func:`tip_numbers_bucket` (asserted in tests):
-    each round extracts the *entire* minimum bucket at once and assigns it
+    Identical output to the heap reference
+    :func:`~repro.core.peeling.decompose.tip_numbers` (asserted in
+    tests): each round extracts the *entire* minimum bucket at once and assigns it
     the running-max level — counts only ever decrease, so intra-bucket
     cascades cannot lift any member above the level it is extracted at —
     then computes the batch's butterfly losses.

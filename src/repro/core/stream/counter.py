@@ -24,7 +24,9 @@ the whole graph:
    ``min·n + max``.
 2. **Baseline wedge counts, no Python set intersections** — two
    vectorised ways to get ``B_uw = |N_S(u) ∩ N_S(w)|`` per affected
-   pair, selected by ``method`` (``auto`` picks by gather footprint):
+   pair; each side's batch picks one by its gather footprint
+   (``panel`` up to :data:`PANEL_FOOTPRINT_CAP` entries, ``probe``
+   beyond):
 
    - ``panel``: gather ``N_S(u)`` and ``N_S(w)`` (int64 CSR slices)
      under the pair's owner id; every mid occurs at most twice per
@@ -77,18 +79,15 @@ from repro.sparsela.kernels import (
 __all__ = [
     "StreamingButterflyCounter",
     "STREAM_APPLY_STRATEGIES",
-    "STREAM_BASELINE_METHODS",
 ]
 
 #: Execution strategies :meth:`StreamingButterflyCounter.apply` accepts —
 #: the same vocabulary the engine's ``stream_apply`` workload plans over.
 STREAM_APPLY_STRATEGIES: tuple[str, ...] = ("incremental", "recount")
 
-#: Baseline-wedge-count methods for the incremental path (docstring §2).
-STREAM_BASELINE_METHODS: tuple[str, ...] = ("auto", "panel", "probe")
-
-#: ``auto`` switches from the panel reduction to membership probing once
-#: the panel's both-adjacency gather footprint passes this many entries.
+#: The baseline wedge counts (docstring §2) switch from the panel
+#: reduction to membership probing once the panel's both-adjacency gather
+#: footprint passes this many entries.  Read at call time.
 PANEL_FOOTPRINT_CAP = 1 << 17
 
 
@@ -191,9 +190,7 @@ def _baseline_panel(
         ]
     )
     order = np.argsort(owners, kind="stable")
-    return panel_choose2_per_owner(
-        owners[order], mids[order], n_pairs, n_mid, method="auto"
-    )
+    return panel_choose2_per_owner(owners[order], mids[order], n_pairs, n_mid)
 
 
 def _baseline_probe(
@@ -250,7 +247,6 @@ def _side_delta(
     n_side: int,
     n_mid: int,
     pairs_on_left: bool,
-    method: str,
 ) -> tuple[np.ndarray, int, int]:
     """Per-vertex butterfly deltas for one side, small graph → big graph.
 
@@ -292,13 +288,10 @@ def _side_delta(
     w_arr = uniq % n64
     cnt_u = small_pm.indptr[u_arr + 1] - small_pm.indptr[u_arr]
     cnt_w = small_pm.indptr[w_arr + 1] - small_pm.indptr[w_arr]
-    chosen = method
-    if chosen == "auto":
-        footprint = int(cnt_u.sum(dtype=COUNT_DTYPE)) + int(
-            cnt_w.sum(dtype=COUNT_DTYPE)
-        )
-        chosen = "panel" if footprint <= PANEL_FOOTPRINT_CAP else "probe"
-    if chosen == "panel":
+    footprint = int(cnt_u.sum(dtype=COUNT_DTYPE)) + int(
+        cnt_w.sum(dtype=COUNT_DTYPE)
+    )
+    if footprint <= PANEL_FOOTPRINT_CAP:
         baseline = _baseline_panel(
             small_pm, u_arr, w_arr, cnt_u, cnt_w, uniq.size, n_mid
         )
@@ -477,7 +470,6 @@ class StreamingButterflyCounter:
         big_csr,
         big_csc,
         changed_keys: np.ndarray,
-        method: str,
     ) -> tuple[int, np.ndarray, np.ndarray, int]:
         """Delta between the graph without and with ``changed_keys``.
 
@@ -491,11 +483,11 @@ class StreamingButterflyCounter:
         cols = changed_keys - rows * n
         d_left, g_left, closures = _side_delta(
             small_csr, big_csc, small_keys, rows, cols,
-            self.n_left, self.n_right, True, method,
+            self.n_left, self.n_right, True,
         )
         d_right, g_right, _ = _side_delta(
             small_csc, big_csr, small_keys, cols, rows,
-            self.n_right, self.n_left, False, method,
+            self.n_right, self.n_left, False,
         )
         assert g_left == g_right, "left/right batch deltas disagree"
         return g_left, d_left, d_right, closures
@@ -506,7 +498,6 @@ class StreamingButterflyCounter:
         delete=(),
         *,
         strict: bool = False,
-        method: str = "auto",
         strategy: str = "incremental",
     ) -> dict:
         """Apply one batch of edge deletions and insertions.
@@ -518,9 +509,6 @@ class StreamingButterflyCounter:
         ``strict=True`` raises ``ValueError`` instead.  Duplicates inside
         either list are collapsed.
 
-        ``method`` selects the baseline-wedge-count path
-        (:data:`STREAM_BASELINE_METHODS`: ``auto``, ``panel``,
-        ``probe`` — see the module docstring);
         ``strategy="recount"`` rebuilds the edge set and recomputes all
         counts from scratch (the planner's fallback candidate — same
         result, different cost profile).
@@ -535,11 +523,6 @@ class StreamingButterflyCounter:
             raise ValueError(
                 f"unknown strategy {strategy!r}; expected one of "
                 f"{STREAM_APPLY_STRATEGIES}"
-            )
-        if method not in STREAM_BASELINE_METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; expected one of "
-                f"{STREAM_BASELINE_METHODS}"
             )
         ins_keys = self._batch_keys(_as_edge_array(insert))
         del_keys = self._batch_keys(_as_edge_array(delete))
@@ -567,8 +550,8 @@ class StreamingButterflyCounter:
             }
 
             if del_keys.size:
-                self._apply_phase(del_keys, remove=True, method=method,
-                                  strategy=strategy, stats=stats)
+                self._apply_phase(del_keys, remove=True, strategy=strategy,
+                                  stats=stats)
 
             ins_present = _in_sorted(ins_keys, self._keys)
             if strict and ins_present.any():
@@ -580,8 +563,8 @@ class StreamingButterflyCounter:
             stats["skipped_insert"] = int(ins_present.sum(dtype=COUNT_DTYPE))
 
             if ins_keys.size:
-                self._apply_phase(ins_keys, remove=False, method=method,
-                                  strategy=strategy, stats=stats)
+                self._apply_phase(ins_keys, remove=False, strategy=strategy,
+                                  stats=stats)
 
             if obs._enabled:
                 obs.inc("stream.apply.batches")
@@ -600,7 +583,6 @@ class StreamingButterflyCounter:
         changed_keys: np.ndarray,
         *,
         remove: bool,
-        method: str,
         strategy: str,
         stats: dict,
     ) -> None:
@@ -631,7 +613,7 @@ class StreamingButterflyCounter:
                 big_csr, big_csc = self._structures_for(big_keys, big_ckeys)
             g_delta, d_left, d_right, closures = self._phase_delta(
                 small_keys, small_csr, small_csc, big_csr, big_csc,
-                changed_keys, method,
+                changed_keys,
             )
             stats["intra_batch_closures"] += closures
             if remove:

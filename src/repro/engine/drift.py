@@ -63,11 +63,11 @@ _FINGERPRINT_FIELDS = (
     "workload",
     "invariant",
     "storage",
+    "layout",
     "strategy",
     "executor",
     "workers",
     "block_size",
-    "method",
     "side",
     "k",
 )
@@ -86,8 +86,8 @@ def drift_ledger_path(path=None) -> str | None:
 def plan_fingerprint(the_plan) -> str:
     """Stable 12-hex-digit identity of a plan's execution shape.
 
-    Two plans with the same (workload, invariant, storage, strategy,
-    executor, workers, block size, method, side, k) share a fingerprint
+    Two plans with the same (workload, invariant, storage, layout,
+    strategy, executor, workers, block size, side, k) share a fingerprint
     regardless of what the cost model estimated for them — the key the
     ledger groups by.
     """

@@ -142,7 +142,6 @@ def _dispatch_count(the_plan: Plan, graph: BipartiteGraph) -> int:
             graph,
             the_plan.invariant if the_plan.invariant is not None else 2,
             block_size=the_plan.block_size or 64,
-            method=the_plan.method,
         )
     if (
         the_plan.strategy == "wedge"

@@ -41,7 +41,7 @@ STREAM_STRATEGIES: tuple[str, ...] = ("incremental", "recount")
 
 #: Counting strategies a plan may select.  The first three are the
 #: unblocked family strategies; ``"blocked"`` is the panel derivation
-#: (its reduction method rides in :attr:`Plan.method`); ``"wedge"`` is the
+#: (its kernel picks each panel's reduction itself); ``"wedge"`` is the
 #: wedge-partitioned path — contiguous pivot shards of equal wedge work
 #: reduced with the fused panel kernel, usually paired with a pool.
 COUNT_STRATEGIES: tuple[str, ...] = (
@@ -93,8 +93,6 @@ class Plan:
     workers: int = 1
     #: panel width for blocked kernels (None → the kernel's default)
     block_size: int | None = None
-    #: panel reduction method for blocked kernels ("auto"/"sort"/...)
-    method: str = "auto"
     #: vertex side for per-vertex / tip workloads ("left"/"right")
     side: str = "left"
     #: peeling threshold (tip/wing workloads; None for counts)
@@ -175,7 +173,6 @@ class Plan:
             "executor": self.executor,
             "workers": self.workers,
             "block_size": self.block_size,
-            "method": self.method,
             "side": self.side,
             "k": self.k,
             "modeled_ops": self.modeled_ops,

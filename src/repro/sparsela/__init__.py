@@ -23,7 +23,6 @@ from repro.sparsela.csr import PatternCSR
 from repro.sparsela._compressed import CompressedPattern, compress_pairs, expand_indptr
 from repro.sparsela.kernels import (
     DEFAULT_KEYSPACE_CAP,
-    PANEL_REDUCTIONS,
     choose2,
     choose2_sum,
     gather_slices,
@@ -78,7 +77,6 @@ __all__ = [
     "segment_sums",
     "panel_choose2_sum",
     "panel_choose2_per_owner",
-    "PANEL_REDUCTIONS",
     "DEFAULT_KEYSPACE_CAP",
     "spmv_pattern",
     "spmv_pattern_transposed",

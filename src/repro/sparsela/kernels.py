@@ -12,6 +12,11 @@ operations per the HPC guidance (no per-element Python loops):
   wedge counts into butterfly counts (``C(n,2)`` distinct wedge pairs form
   ``C(n,2)`` butterflies, Section II of the paper).
 - :func:`spmv_pattern` — y = A·x for a pattern matrix and dense vector.
+- :func:`panel_choose2_sum` / :func:`panel_choose2_per_owner` — the fused
+  Σ C(·, 2) reduction over a whole pivot panel's (owner, endpoint) wedge
+  list.  Each call picks its evaluation (``sort``, ``bincount`` or
+  ``scratch``) from the panel's shape; every branch wins on some input,
+  so there is no caller-side switch.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ __all__ = [
     "segment_sums",
     "panel_choose2_sum",
     "panel_choose2_per_owner",
-    "PANEL_REDUCTIONS",
     "DEFAULT_KEYSPACE_CAP",
 ]
 
@@ -143,48 +147,36 @@ def spmv_pattern_transposed(a: CompressedPattern, x: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# fused panel reductions (sort-free Σ C(·, 2) over (owner, endpoint) keys)
+# fused panel reductions (Σ C(·, 2) over (owner, endpoint) keys)
 # ----------------------------------------------------------------------
 
-#: Reduction methods accepted by the panel kernels.
-#:
-#: ``"sort"``      — ``np.unique`` over composite keys (the seed behaviour;
-#:                   O(W log W) comparison sort, excellent locality).
-#: ``"bincount"``  — scatter the composite keys into a dense histogram of
-#:                   the whole ``n_pivots × n`` key space; sort-free, one
-#:                   pass over the wedges plus one pass over the key space.
-#:                   Only sensible when the key space is small relative to
-#:                   the wedge count (gated by :data:`DEFAULT_KEYSPACE_CAP`).
-#: ``"scratch"``   — Chiba–Nishizeki discipline: per owner segment, scatter
-#:                   wedge endpoints into a persistent length-``n`` dense
-#:                   accumulator, reduce with Σ C(y,2) = (Σy² − Σy)/2, and
-#:                   zero exactly the touched entries.  Sort-free with O(n)
-#:                   transient memory regardless of panel width.
-#: ``"auto"``      — pick ``bincount`` when the key space is cheap enough,
-#:                   ``sort`` for sparse panels whose per-owner segments
-#:                   are too small to amortise the scratch loop, and
-#:                   ``scratch`` otherwise.
-PANEL_REDUCTIONS: tuple[str, ...] = ("auto", "sort", "bincount", "scratch")
-
-#: Largest ``n_pivots × n`` key space (entry count) the ``bincount`` path
+#: Largest ``n_pivots × n`` key space (entry count) the ``bincount`` branch
 #: will materialise: 2²² int64 entries = 32 MiB of transient histogram.
+#: Read at call time, so a test can lower it to force the other branches.
 DEFAULT_KEYSPACE_CAP: int = 1 << 22
 
 
-def _resolve_panel_method(
-    method: str, n_pivots: int, n: int, n_items: int, keyspace_cap: int
-) -> str:
-    if method not in PANEL_REDUCTIONS:
-        raise ValueError(
-            f"unknown panel reduction method {method!r}; expected one of "
-            f"{PANEL_REDUCTIONS}"
-        )
-    if method != "auto":
-        return method
+def _panel_reduction(n_pivots: int, n: int, n_items: int) -> str:
+    """The panel reduction for a wedge list of this shape.
+
+    ``"bincount"`` — scatter the composite keys into a dense histogram of
+    the whole ``n_pivots × n`` key space; sort-free, one pass over the
+    wedges plus one over the key space.  Chosen when the key space is
+    within :data:`DEFAULT_KEYSPACE_CAP` and commensurate with the wedges.
+
+    ``"sort"`` — ``np.unique`` over composite keys; O(W log W), excellent
+    locality.  Chosen for sparse panels whose per-owner segments are too
+    small to amortise the scratch loop.
+
+    ``"scratch"`` — Chiba–Nishizeki discipline: per owner segment, scatter
+    the endpoints into a length-``n`` dense accumulator, reduce with
+    Σ C(y,2) = (Σy² − Σy)/2 and zero the touched entries.  Sort-free with
+    O(n) transient memory; chosen otherwise.
+    """
     keyspace = n_pivots * n
     # bincount pays O(keyspace) zeroing + scanning: profitable only when the
     # wedge list is at least commensurate with the key space it spreads over.
-    if keyspace <= keyspace_cap and keyspace <= max(4 * n_items, 1 << 16):
+    if keyspace <= DEFAULT_KEYSPACE_CAP and keyspace <= max(4 * n_items, 1 << 16):
         return "bincount"
     # scratch loops once per owner segment in the interpreter (~µs each);
     # on sparse panels — many owners, a handful of wedges apiece — the
@@ -199,7 +191,7 @@ def _resolve_panel_method(
 def _record_panel_reduction(
     chosen: str, owners_local: np.ndarray, endpoints: np.ndarray
 ) -> None:
-    """Per-kernel op/byte counters keyed by the resolved ablation choice."""
+    """Per-kernel op/byte counters keyed by the chosen reduction branch."""
     if obs._enabled:
         obs.inc("kernels.panel.calls")
         obs.inc(f"kernels.panel.method.{chosen}")
@@ -226,30 +218,26 @@ def panel_choose2_sum(
     endpoints: np.ndarray,
     n_pivots: int,
     n: int,
-    method: str = "auto",
     scratch: np.ndarray | None = None,
-    keyspace_cap: int = DEFAULT_KEYSPACE_CAP,
 ) -> int:
-    """``Σ_{(p,u)} C(mult(p, u), 2)`` over a panel's wedge list, sort-free.
+    """``Σ_{(p,u)} C(mult(p, u), 2)`` over a panel's wedge list.
 
     ``owners_local`` (panel-local pivot ids, non-decreasing) and
     ``endpoints`` (same-side endpoint ids in ``[0, n)``) together form the
     multiset of wedges of a pivot panel; the reduction counts, for every
     distinct (pivot, endpoint) pair, ``C(multiplicity, 2)`` butterflies.
 
-    This is the fused replacement for the seed's
-    ``np.unique(owner·n + endpoint)`` reduction; ``method`` selects the
-    evaluation (see :data:`PANEL_REDUCTIONS`) and is the ablation switch.
-    ``scratch`` optionally provides a reusable zeroed length-``n`` int64
-    accumulator for the ``scratch`` path (returned zeroed again).
+    The evaluation branch comes from the panel's shape (see
+    :func:`_panel_reduction`; the ``kernels.panel.method.<branch>``
+    counter records it).  ``scratch`` optionally provides a reusable
+    zeroed length-``n`` int64 accumulator for the ``scratch`` branch
+    (returned zeroed again).
     """
     owners_local = np.asarray(owners_local)
     endpoints = np.asarray(endpoints)
     if endpoints.size == 0:
         return 0
-    chosen = _resolve_panel_method(
-        method, n_pivots, n, endpoints.size, keyspace_cap
-    )
+    chosen = _panel_reduction(n_pivots, n, endpoints.size)
     if obs._enabled:
         _record_panel_reduction(chosen, owners_local, endpoints)
     if chosen == "sort":
@@ -283,9 +271,7 @@ def panel_choose2_per_owner(
     endpoints: np.ndarray,
     n_pivots: int,
     n: int,
-    method: str = "auto",
     scratch: np.ndarray | None = None,
-    keyspace_cap: int = DEFAULT_KEYSPACE_CAP,
 ) -> np.ndarray:
     """Per-owner ``Σ_u C(mult(p, u), 2)`` for a panel's wedge list.
 
@@ -298,9 +284,7 @@ def panel_choose2_per_owner(
     out = np.zeros(n_pivots, dtype=COUNT_DTYPE)
     if endpoints.size == 0:
         return out
-    chosen = _resolve_panel_method(
-        method, n_pivots, n, endpoints.size, keyspace_cap
-    )
+    chosen = _panel_reduction(n_pivots, n, endpoints.size)
     if obs._enabled:
         _record_panel_reduction(chosen, owners_local, endpoints)
     if chosen == "sort":

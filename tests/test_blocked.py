@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core import (
     butterflies_spec,
     count_butterflies_blocked,
@@ -9,6 +10,8 @@ from repro.core import (
 )
 from repro.core.blocked import panel_butterflies
 from repro.core.family import Reference
+from repro.graphs import erdos_renyi_bipartite, power_law_bipartite
+from repro.sparsela import kernels
 from tests.conftest import TINY_EXPECTED, tiny_named_graphs
 
 
@@ -140,36 +143,46 @@ def test_blocked_work_budget_every_invariant(number):
     assert count_butterflies_blocked(g, number, work_budget=8) == 36
 
 
-# --------------------------------------------------- panel reduction methods
-@pytest.mark.parametrize("method", ["auto", "sort", "bincount", "scratch"])
-def test_panel_methods_agree(medium_graph, method):
-    """Ablation switch: every reduction method is a drop-in (tentpole 3)."""
-    pm, co = medium_graph.csc, medium_graph.csr
+# ------------------------------------------------ panel reduction branches
+def _branch_graph(branch, medium_graph, monkeypatch):
+    """A graph whose panels drive the reduction kernel into ``branch``.
+
+    ``medium_graph``'s panels fit the key-space cap (``bincount``); with
+    the cap at 0, a sparse graph stays under 64 wedges per pivot
+    (``sort``) and a dense one goes over (``scratch``).  ``auto`` is the
+    unpatched kernel on ``medium_graph``.
+    """
+    if branch in ("auto", "bincount"):
+        return medium_graph
+    monkeypatch.setattr(kernels, "DEFAULT_KEYSPACE_CAP", 0)
+    if branch == "sort":
+        return power_law_bipartite(300, 300, 900, seed=11)
+    return erdos_renyi_bipartite(40, 50, 0.5, seed=7)
+
+
+@pytest.mark.parametrize("branch", ["auto", "sort", "bincount", "scratch"])
+def test_panel_methods_agree(medium_graph, branch, monkeypatch):
+    """Every reduction branch the kernel picks is a drop-in: panels tile
+    the exact count whichever branch reduces them."""
+    g = _branch_graph(branch, medium_graph, monkeypatch)
+    pm, co = g.csc, g.csr
     n = pm.major_dim
     step = 89
-    total = sum(
-        panel_butterflies(
-            pm, co, lo, min(lo + step, n), Reference.SUFFIX, method=method
+    with obs.capture() as metrics:
+        total = sum(
+            panel_butterflies(pm, co, lo, min(lo + step, n), Reference.SUFFIX)
+            for lo in range(0, n, step)
         )
-        for lo in range(0, n, step)
-    )
-    assert total == butterflies_spec_or_count(medium_graph)
+    assert total == butterflies_spec_or_count(g)
+    if branch != "auto":
+        assert metrics.value(f"kernels.panel.method.{branch}") > 0
 
 
-@pytest.mark.parametrize("method", ["sort", "bincount", "scratch"])
-def test_blocked_count_method_ablation(medium_graph, method):
-    from repro.core import count_butterflies
-
-    expected = count_butterflies(medium_graph)
-    assert count_butterflies_blocked(medium_graph, 2, method=method) == expected
-    assert count_butterflies_blocked(
-        medium_graph, 6, method=method, work_budget=2048
-    ) == expected
-
-
-def test_panel_invalid_method(medium_graph):
-    with pytest.raises(ValueError, match="method"):
-        panel_butterflies(
-            medium_graph.csc, medium_graph.csr, 0, 4, Reference.SUFFIX,
-            method="quantum",
-        )
+@pytest.mark.parametrize("branch", ["sort", "bincount", "scratch"])
+def test_blocked_count_method_ablation(medium_graph, branch, monkeypatch):
+    g = _branch_graph(branch, medium_graph, monkeypatch)
+    expected = butterflies_spec_or_count(g)
+    with obs.capture() as metrics:
+        assert count_butterflies_blocked(g, 2) == expected
+        assert count_butterflies_blocked(g, 6, work_budget=2048) == expected
+    assert metrics.value(f"kernels.panel.method.{branch}") > 0

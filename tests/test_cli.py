@@ -107,6 +107,25 @@ def test_decompose_right_side(konect_file, capsys):
     assert "right side" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", ["tip", "wing"])
+def test_decompose_output_independent_of_workers(konect_file, capsys, mode):
+    """``--workers`` only moves the recount onto a pool; it never changes
+    what ``decompose`` prints (ties included)."""
+    from repro.parallel import shutdown_default_executors
+
+    outputs = []
+    try:
+        for workers in ("1", "2"):
+            argv = ["decompose", konect_file, "--mode", mode, "--top", "50",
+                    "--workers", workers]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+    finally:
+        shutdown_default_executors()
+    assert outputs[0] == outputs[1]
+    assert "max" in outputs[0]
+
+
 def test_generate_roundtrip(tmp_path, capsys):
     out_file = str(tmp_path / "generated.konect")
     assert main([

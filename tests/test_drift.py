@@ -87,6 +87,19 @@ class TestFingerprint:
         p2 = engine.plan(graph, "tip", side="left", k=2)
         assert drift.plan_fingerprint(p1) != drift.plan_fingerprint(p2)
 
+    def test_differs_by_layout_alone(self):
+        # same blocked member on three layouts: the ledger must keep
+        # their drift apart, or a reorder/compact misprediction hides in
+        # the raw plan's history
+        base = engine.Plan(
+            invariant=2, strategy="blocked", block_size=64, layout="raw"
+        )
+        prints = {
+            drift.plan_fingerprint(base.with_(layout=layout))
+            for layout in ("raw", "reorder", "compact")
+        }
+        assert len(prints) == 3
+
 
 # ----------------------------------------------------------------------
 # recording

@@ -396,7 +396,6 @@ class TestBackCompatShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             count_butterflies(g)
-            count_butterflies(g, ordering="degree")
             p = engine.plan(g, "count", calibration=DEFAULTS)
             count_butterflies(g, plan=p)
 

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.sparsela import (
     PatternCSC,
     PatternCSR,
     choose2,
     choose2_sum,
     gather_slices,
+    kernels,
     multiplicity_counts,
     segment_sums,
     spmv_pattern,
@@ -144,31 +146,57 @@ def _brute_choose2_per_owner(owners, endpoints, n_pivots):
     return out
 
 
-@pytest.mark.parametrize("method", ["auto", "sort", "bincount", "scratch"])
-def test_panel_choose2_sum_matches_brute(method, rng):
+BRANCHES = ("sort", "bincount", "scratch")
+
+
+def _force_branch(branch, monkeypatch, n_pivots):
+    """Wedge count that drives the panel kernel into ``branch``.
+
+    A key space within ``DEFAULT_KEYSPACE_CAP`` picks ``bincount``; with
+    the cap at 0, fewer than 64 wedges per owner pick ``sort`` and more
+    pick ``scratch``.  ``auto`` leaves the kernel its own choice.
+    """
+    if branch in ("sort", "scratch"):
+        monkeypatch.setattr(kernels, "DEFAULT_KEYSPACE_CAP", 0)
+    return {"sort": 8, "scratch": 100}.get(branch, 40) * n_pivots
+
+
+def _fired(metrics):
+    """The reduction branches the captured kernel calls took."""
+    return {b for b in BRANCHES if metrics.value(f"kernels.panel.method.{b}")}
+
+
+@pytest.mark.parametrize("branch", ["auto", *BRANCHES])
+def test_panel_choose2_sum_matches_brute(branch, rng, monkeypatch):
     from repro.sparsela import panel_choose2_sum
 
     n_pivots, n = 7, 23
-    owners = np.sort(rng.integers(0, n_pivots, size=300))
-    endpoints = rng.integers(0, n, size=300)
-    got = panel_choose2_sum(owners, endpoints, n_pivots, n, method=method)
+    size = _force_branch(branch, monkeypatch, n_pivots)
+    owners = np.sort(rng.integers(0, n_pivots, size=size))
+    endpoints = rng.integers(0, n, size=size)
+    with obs.capture() as metrics:
+        got = panel_choose2_sum(owners, endpoints, n_pivots, n)
     assert got == _brute_choose2(owners, endpoints)
     assert isinstance(got, int)
+    fired = _fired(metrics)
+    assert len(fired) == 1 and (branch == "auto" or fired == {branch})
 
 
-@pytest.mark.parametrize("method", ["auto", "sort", "bincount", "scratch"])
-def test_panel_choose2_per_owner_matches_brute(method, rng):
+@pytest.mark.parametrize("branch", ["auto", *BRANCHES])
+def test_panel_choose2_per_owner_matches_brute(branch, rng, monkeypatch):
     from repro.sparsela import panel_choose2_per_owner
 
     n_pivots, n = 5, 17
-    owners = np.sort(rng.integers(0, n_pivots, size=200))
-    endpoints = rng.integers(0, n, size=200)
-    got = panel_choose2_per_owner(
-        owners, endpoints, n_pivots, n, method=method
-    )
+    size = _force_branch(branch, monkeypatch, n_pivots)
+    owners = np.sort(rng.integers(0, n_pivots, size=size))
+    endpoints = rng.integers(0, n, size=size)
+    with obs.capture() as metrics:
+        got = panel_choose2_per_owner(owners, endpoints, n_pivots, n)
     want = _brute_choose2_per_owner(owners, endpoints, n_pivots)
     assert np.array_equal(got, want)
     assert got.dtype == np.int64
+    fired = _fired(metrics)
+    assert len(fired) == 1 and (branch == "auto" or fired == {branch})
 
 
 def test_panel_choose2_empty_inputs():
@@ -179,53 +207,58 @@ def test_panel_choose2_empty_inputs():
     assert panel_choose2_per_owner(empty, empty, 4, 10).tolist() == [0] * 4
 
 
-def test_panel_choose2_owner_with_no_wedges():
+def test_panel_choose2_owner_with_no_wedges(monkeypatch):
     from repro.sparsela import panel_choose2_per_owner
 
-    # owners 0 and 3 have wedges, 1 and 2 do not
-    owners = np.array([0, 0, 3, 3, 3])
-    endpoints = np.array([5, 5, 2, 2, 2])
-    for method in ("sort", "bincount", "scratch"):
-        out = panel_choose2_per_owner(owners, endpoints, 4, 8, method=method)
-        assert out.tolist() == [1, 0, 0, 3]
+    # owners 0 and 3 have wedges, 1 and 2 do not; each wedge repeated
+    # ``reps`` times so the scratch branch sees >= 64 wedges per owner
+    for branch, reps in (("bincount", 1), ("sort", 1), ("scratch", 100)):
+        if branch != "bincount":
+            monkeypatch.setattr(kernels, "DEFAULT_KEYSPACE_CAP", 0)
+        owners = np.repeat([0, 0, 3, 3, 3], reps)
+        endpoints = np.repeat([5, 5, 2, 2, 2], reps)
+        with obs.capture() as metrics:
+            out = panel_choose2_per_owner(owners, endpoints, 4, 8)
+        assert _fired(metrics) == {branch}
+        m0, m3 = 2 * reps, 3 * reps
+        assert out.tolist() == [m0 * (m0 - 1) // 2, 0, 0, m3 * (m3 - 1) // 2]
 
 
-def test_panel_choose2_scratch_buffer_reuse_and_rezero():
+def test_panel_choose2_scratch_buffer_reuse_and_rezero(monkeypatch):
     from repro.sparsela import panel_choose2_sum
 
+    monkeypatch.setattr(kernels, "DEFAULT_KEYSPACE_CAP", 0)
     n = 12
     scratch = np.zeros(n, dtype=np.int64)
-    owners = np.array([0, 0, 1, 1, 1])
-    endpoints = np.array([3, 3, 7, 7, 7])
-    got = panel_choose2_sum(
-        owners, endpoints, 2, n, method="scratch", scratch=scratch
-    )
-    assert got == 1 + 3
+    # owner 0 meets endpoint 3 200 times, owner 1 meets endpoint 7 300 times
+    owners = np.repeat([0, 1], [200, 300])
+    endpoints = np.repeat([3, 7], [200, 300])
+    expected = 200 * 199 // 2 + 300 * 299 // 2
+    with obs.capture() as metrics:
+        got = panel_choose2_sum(owners, endpoints, 2, n, scratch=scratch)
+    assert _fired(metrics) == {"scratch"}
+    assert got == expected
     assert not scratch.any()  # returned zeroed, ready for the next panel
     # second call on the same buffer stays correct
-    assert panel_choose2_sum(
-        owners, endpoints, 2, n, method="scratch", scratch=scratch
-    ) == 4
+    assert panel_choose2_sum(owners, endpoints, 2, n, scratch=scratch) == expected
 
 
-def test_panel_auto_dispatch_respects_keyspace_cap():
-    from repro.sparsela.kernels import _resolve_panel_method  # repro: noqa[RPR001] white-box test of the private dispatch heuristic
+def test_panel_auto_dispatch_respects_keyspace_cap(monkeypatch):
+    from repro.sparsela.kernels import _panel_reduction  # repro: noqa[RPR001] white-box test of the private dispatch heuristic
 
     # tiny key space, plenty of items -> dense histogram
-    assert _resolve_panel_method("auto", 4, 100, 5000, 1 << 22) == "bincount"
+    assert _panel_reduction(4, 100, 5000) == "bincount"
     # key space beyond the cap, wedges too sparse to amortise the
     # per-owner scratch loop -> vectorised sort reduction
-    assert _resolve_panel_method("auto", 10**4, 10**4, 5000, 1 << 22) == "sort"
+    assert _panel_reduction(10**4, 10**4, 5000) == "sort"
     # key space beyond the cap, dense owner segments -> scratch discipline
-    assert _resolve_panel_method("auto", 10**4, 10**4, 10**7, 1 << 22) == "scratch"
-    # explicit choices pass through untouched
-    for m in ("sort", "bincount", "scratch"):
-        assert _resolve_panel_method(m, 4, 100, 50, 1 << 22) == m
-    with pytest.raises(ValueError, match="method"):
-        _resolve_panel_method("fft", 4, 100, 50, 1 << 22)
+    assert _panel_reduction(10**4, 10**4, 10**7) == "scratch"
+    # the cap is read at call time, not bound at definition
+    monkeypatch.setattr(kernels, "DEFAULT_KEYSPACE_CAP", 0)
+    assert _panel_reduction(4, 100, 5000) == "scratch"
 
 
-def test_panel_choose2_large_multiplicity_exact():
+def test_panel_choose2_large_multiplicity_exact(monkeypatch):
     from repro.sparsela import panel_choose2_sum
 
     # C(200000, 2) overflows int32 comfortably; must stay exact in int64
@@ -233,5 +266,12 @@ def test_panel_choose2_large_multiplicity_exact():
     owners = np.zeros(m, dtype=np.int64)
     endpoints = np.zeros(m, dtype=np.int64)
     expected = m * (m - 1) // 2
-    for method in ("sort", "bincount", "scratch"):
-        assert panel_choose2_sum(owners, endpoints, 1, 3, method=method) == expected
+    # one owner -> bincount (tiny key space), then scratch once the cap is
+    # 0; enough empty owners to fall under 64 wedges each -> sort
+    for branch, n_pivots in (("bincount", 1), ("scratch", 1), ("sort", m)):
+        if branch != "bincount":
+            monkeypatch.setattr(kernels, "DEFAULT_KEYSPACE_CAP", 0)
+        with obs.capture() as metrics:
+            got = panel_choose2_sum(owners, endpoints, n_pivots, 3)
+        assert _fired(metrics) == {branch}
+        assert got == expected

@@ -1,11 +1,11 @@
-"""Parallel bucketed peeling must match the serial bucket fixpoints bitwise.
+"""Round-based bucket peeling must match the reference fixpoints bitwise.
 
-The parallel decompositions extract the whole minimum bucket per round and
-recount in parallel shards through the shared executor; the contract is
-*bitwise identity* with ``tip_numbers_bucket`` / ``wing_numbers_bucket``
-(which are themselves pinned against the one-at-a-time peel) — on every
-corpus shape, both sides, and for both the serial short-circuit
-(``n_workers=1``) and a real pool (``n_workers=2``).
+The round loops extract the whole minimum bucket per round and recount in
+parallel shards through the shared executor; the contract is *bitwise
+identity* with the heap ``tip_numbers`` and with ``wing_numbers_bucket``
+(itself pinned against the heap ``wing_numbers``) — on every corpus
+shape, both sides, and for both the in-process loop (``n_workers=1``)
+and a real pool (``n_workers=2``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 from repro import obs
 from repro.core import (
     tip_decrement_batch,
-    tip_numbers_bucket,
+    tip_numbers,
     tip_numbers_bucket_parallel,
     wing_numbers_bucket,
     wing_numbers_bucket_parallel,
@@ -56,7 +56,7 @@ def _graphs() -> dict[str, BipartiteGraph]:
 GRAPHS = _graphs()
 
 TIP_REFERENCE = {
-    (name, side): tip_numbers_bucket(g, side=side)
+    (name, side): tip_numbers(g, side=side)
     for name, g in GRAPHS.items()
     for side in ("left", "right")
 }

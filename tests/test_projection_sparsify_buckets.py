@@ -1,5 +1,5 @@
 """Tests for one-mode projection, sparsification estimators, bucket
-peeling, and the degree-ordering execution option."""
+peeling, and counting on degree-ordered relabels."""
 
 import numpy as np
 import pytest
@@ -11,12 +11,14 @@ from repro.baselines import (
     sparsify_bernoulli,
     sparsify_colorful,
 )
-from repro.core import count_butterflies, tip_numbers, tip_numbers_bucket
+from repro.core import count_butterflies, tip_numbers, tip_numbers_bucket_parallel
 from repro.graphs import (
     BipartiteGraph,
     count_from_projection,
     gnm_bipartite,
     is_butterfly_free,
+    order_by_degree,
+    order_side_by_degree,
     planted_bicliques,
     power_law_bipartite,
     project,
@@ -147,34 +149,39 @@ def test_sparsifier_validation():
 # ---------------------------------------------------------- bucket peeling
 def test_bucket_tip_numbers_match_heap(corpus):
     for name, g in corpus:
-        assert np.array_equal(
-            tip_numbers_bucket(g, "left"), tip_numbers(g, "left")
-        ), name
+        for side in ("left", "right"):
+            assert np.array_equal(
+                tip_numbers_bucket_parallel(g, side, n_workers=1),
+                tip_numbers(g, side),
+            ), (name, side)
 
 
 def test_bucket_tip_numbers_right_side():
     g = planted_bicliques(12, 12, 2, 3, 4, background_edges=10, seed=2)
     assert np.array_equal(
-        tip_numbers_bucket(g, "right"), tip_numbers(g, "right")
+        tip_numbers_bucket_parallel(g, "right", n_workers=1),
+        tip_numbers(g, "right"),
     )
 
 
 def test_bucket_tip_numbers_bad_side():
     g = tiny_named_graphs()["k33"]
     with pytest.raises(ValueError, match="side"):
-        tip_numbers_bucket(g, "diagonal")
+        tip_numbers_bucket_parallel(g, "diagonal", n_workers=1)
 
 
 def test_bucket_tip_numbers_empty_graph():
-    assert tip_numbers_bucket(BipartiteGraph.empty(4, 4)).tolist() == [0] * 4
+    got = tip_numbers_bucket_parallel(BipartiteGraph.empty(4, 4), n_workers=1)
+    assert got.tolist() == [0] * 4
 
 
-# ------------------------------------------------------- ordering option
+# ------------------------------------------------ degree-ordered relabels
 def test_count_with_degree_ordering(corpus):
     for name, g in corpus[:6]:
         expected = count_butterflies(g)
-        assert count_butterflies(g, ordering="degree") == expected, name
-        assert count_butterflies(g, ordering="degree-desc") == expected, name
+        for descending in (False, True):
+            relabeled = order_by_degree(g, descending=descending)
+            assert count_butterflies(relabeled) == expected, (name, descending)
 
 
 def test_count_ordering_with_explicit_invariant():
@@ -184,10 +191,7 @@ def test_count_ordering_with_explicit_invariant():
         pinned = engine.plan(
             g, "count", invariant=inv, family_only=True, executor="serial"
         )
-        assert count_butterflies(g, plan=pinned, ordering="degree") == expected
-
-
-def test_count_ordering_validation():
-    g = tiny_named_graphs()["k33"]
-    with pytest.raises(ValueError, match="ordering"):
-        count_butterflies(g, ordering="random")
+        # relabel the side this member traverses (columns for 1-4)
+        side = "right" if inv <= 4 else "left"
+        relabeled = order_side_by_degree(g, side)
+        assert count_butterflies(relabeled, plan=pinned) == expected, inv

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.core import count_butterflies, vertex_butterfly_counts
 from repro.core.stream import StreamingButterflyCounter
+from repro.core.stream import counter as stream_counter
 from repro.core.stream.script import (
     format_script,
     iter_batches,
@@ -79,15 +80,13 @@ def _reference_counts(shape, edges):
     )
 
 
-def _assert_script_conforms(graph, ops, *, method="auto", strategy="incremental"):
+def _assert_script_conforms(graph, ops, *, strategy="incremental"):
     """Replay ``ops`` batch by batch, cross-checking every count bitwise."""
     shape = (graph.n_left, graph.n_right)
     counter = StreamingButterflyCounter(graph)
     edges = {tuple(map(int, e)) for e in graph.edges()}
     for batch_no, (insert, delete) in enumerate(iter_batches(ops)):
-        counter.apply(
-            insert=insert, delete=delete, method=method, strategy=strategy
-        )
+        counter.apply(insert=insert, delete=delete, strategy=strategy)
         edges = (edges - set(delete)) | set(insert)
         want_count, want_left, want_right = _reference_counts(shape, edges)
         context = f"batch {batch_no} of:\n{format_script(ops)}"
@@ -123,18 +122,25 @@ def test_randomized_scripts_conform(case):
     _assert_script_conforms(CORPUS[name], ops)
 
 
+# The baseline wedge counts pick panel or probe by gather footprint;
+# moving ``PANEL_FOOTPRINT_CAP`` forces one regime for every batch (a
+# context manager rather than the fixture: hypothesis reruns the body).
 @settings(max_examples=40, deadline=None)
 @given(_scripts())
 def test_randomized_scripts_conform_panel(case):
     name, ops = case
-    _assert_script_conforms(CORPUS[name], ops, method="panel")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stream_counter, "PANEL_FOOTPRINT_CAP", 1 << 62)
+        _assert_script_conforms(CORPUS[name], ops)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_scripts())
 def test_randomized_scripts_conform_probe(case):
     name, ops = case
-    _assert_script_conforms(CORPUS[name], ops, method="probe")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stream_counter, "PANEL_FOOTPRINT_CAP", 0)
+        _assert_script_conforms(CORPUS[name], ops)
 
 
 @settings(max_examples=25, deadline=None)
