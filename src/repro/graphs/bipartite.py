@@ -53,19 +53,12 @@ class BipartiteGraph:
             if n_left is not None or n_right is not None:
                 raise ValueError("shape is fixed by the PatternCOO input")
         else:
-            if isinstance(edges, np.ndarray):
-                arr = np.asarray(edges, dtype=INDEX_DTYPE)
-                if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
-                    raise ValueError("edge array must have shape (e, 2)")
-                pairs = arr.reshape(-1, 2)
-            else:
-                pairs = list(edges)
             shape = None
             if n_left is not None or n_right is not None:
                 if n_left is None or n_right is None:
                     raise ValueError("give both n_left and n_right or neither")
                 shape = (int(n_left), int(n_right))
-            coo = PatternCOO.from_pairs(pairs, shape)
+            coo = PatternCOO.from_pairs(edges, shape)
         self._coo = coo
         self._csr: PatternCSR | None = None
         self._csc: PatternCSC | None = None
@@ -206,15 +199,9 @@ class BipartiteGraph:
         """
         rows, cols = self._coo.rows, self._coo.cols
         if left_perm is not None:
-            left_perm = np.asarray(left_perm, dtype=INDEX_DTYPE)
-            if sorted(left_perm.tolist()) != list(range(self.n_left)):
-                raise ValueError("left_perm must be a permutation of 0..n_left-1")
-            rows = left_perm[rows]
+            rows = _permutation(left_perm, self.n_left, "left_perm")[rows]
         if right_perm is not None:
-            right_perm = np.asarray(right_perm, dtype=INDEX_DTYPE)
-            if sorted(right_perm.tolist()) != list(range(self.n_right)):
-                raise ValueError("right_perm must be a permutation of 0..n_right-1")
-            cols = right_perm[cols]
+            cols = _permutation(right_perm, self.n_right, "right_perm")[cols]
         return BipartiteGraph(PatternCOO(rows, cols, self.shape))
 
     def subgraph_from_mask(
@@ -256,3 +243,13 @@ class BipartiteGraph:
             f"BipartiteGraph(|V1|={self.n_left}, |V2|={self.n_right}, "
             f"|E|={self.n_edges})"
         )
+
+
+def _permutation(perm, n: int, name: str) -> np.ndarray:
+    """``perm`` as an int64 array; ``ValueError`` unless it permutes ``0..n-1``."""
+    perm = np.asarray(perm, dtype=INDEX_DTYPE)
+    if perm.shape != (n,) or not np.array_equal(
+        np.sort(perm), np.arange(n, dtype=INDEX_DTYPE)
+    ):
+        raise ValueError(f"{name} must be a permutation of 0..{n - 1}")
+    return perm

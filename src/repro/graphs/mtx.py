@@ -4,17 +4,16 @@ KONECT is the paper's source, but bipartite graphs in the wild very often
 ship as MatrixMarket ``coordinate`` files (SuiteSparse, SNAP mirrors).
 This reads/writes the ``matrix coordinate pattern general`` dialect —
 pattern because the graphs are unweighted; numeric value columns are
-tolerated on read and ignored.
+tolerated on read and ignored.  Entries are parsed by numpy's C text
+reader, like the KONECT loader in :mod:`repro.graphs.io`.
 """
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
-
-from repro._types import INDEX_DTYPE
 from repro.graphs.bipartite import BipartiteGraph
+from repro.graphs.io import _read_id_pairs
 from repro.sparsela import PatternCOO
 
 __all__ = ["load_matrix_market", "save_matrix_market"]
@@ -25,7 +24,12 @@ def load_matrix_market(path: str | os.PathLike) -> BipartiteGraph:
 
     Rows become V1, columns V2.  Requires the ``matrix coordinate``
     header; ``pattern``/``integer``/``real`` value fields are accepted
-    (nonzero structure only is used).  Duplicate entries merge.
+    (nonzero structure only is used).  Duplicate entries merge; lines after
+    the declared ``nnz`` entries are not read.
+
+    Raises ``ValueError`` for a missing or unsupported header, a malformed
+    size line or entry ("malformed"), fewer entries than declared
+    ("truncated"), or an entry outside the declared shape.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -42,14 +46,15 @@ def load_matrix_market(path: str | os.PathLike) -> BipartiteGraph:
         if len(dims) != 3:
             raise ValueError(f"malformed size line: {line.strip()!r}")
         m, n, nnz = int(dims[0]), int(dims[1]), int(dims[2])
-        rows = np.empty(nnz, dtype=INDEX_DTYPE)
-        cols = np.empty(nnz, dtype=INDEX_DTYPE)
-        for k in range(nnz):
-            parts = fh.readline().split()
-            if len(parts) < 2:
-                raise ValueError(f"truncated entry line {k + 1}")
-            rows[k] = int(parts[0]) - 1
-            cols[k] = int(parts[1]) - 1
+        if nnz < 0:
+            raise ValueError(f"malformed size line: {line.strip()!r}")
+        pairs = _read_id_pairs(fh, comments="%", max_rows=nnz)
+    if len(pairs) < nnz:
+        raise ValueError(
+            f"truncated entry line {len(pairs) + 1}: expected {nnz} entries, "
+            f"found {len(pairs)}"
+        )
+    rows, cols = pairs[:, 0] - 1, pairs[:, 1] - 1
     return BipartiteGraph(PatternCOO(rows, cols, (m, n)).canonicalize())
 
 

@@ -25,6 +25,44 @@ from repro._types import INDEX_DTYPE, as_index_array
 __all__ = ["CompressedPattern", "compress_pairs", "expand_indptr"]
 
 
+_INDEX_MAX = int(np.iinfo(INDEX_DTYPE).max)
+
+
+def sorted_unique_pairs(
+    major: np.ndarray,
+    minor: np.ndarray,
+    major_dim: int,
+    minor_dim: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(major, minor)`` in ``(major, minor)`` order with repeated pairs dropped.
+
+    Both axes are folded into one composite int64 key.  Input that is
+    already strictly increasing comes back as the very same arrays after a
+    single O(nnz) comparison; non-decreasing input (sorted, with repeats)
+    only pays the de-duplication mask.  Anything else sorts the keys by
+    value — equal keys are equal pairs, so no stable argsort is needed —
+    and splits them back into the two axes.
+    """
+    if int(major_dim) * int(minor_dim) > _INDEX_MAX:
+        raise ValueError(
+            f"a {major_dim} x {minor_dim} pattern has more cells than int64 "
+            f"can index"
+        )
+    if major.size <= 1:
+        return major, minor
+    width = max(minor_dim, 1)
+    key = major * width
+    key += minor
+    if np.all(key[1:] > key[:-1]):
+        return major, minor
+    if not np.all(key[1:] >= key[:-1]):
+        key = np.sort(key)
+    keep = np.empty(key.shape, dtype=bool)
+    keep[0] = True
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    return np.divmod(key[keep], width)
+
+
 def compress_pairs(
     major: np.ndarray,
     minor: np.ndarray,
@@ -34,8 +72,10 @@ def compress_pairs(
     """Compress parallel (major, minor) id arrays into ``(indptr, indices)``.
 
     The input need not be sorted or duplicate-free; output slices are sorted
-    and de-duplicated.  This is a counting sort: O(nnz + major_dim), no
-    comparison sort on the major axis.
+    and de-duplicated.  Input already sorted by ``(major, minor)`` — the CSR
+    of a canonical COO matrix — is not re-sorted: it costs O(nnz +
+    major_dim) passes, repeats still merged.  Other input takes one
+    composite-key sort first (see :func:`sorted_unique_pairs`).
     """
     major = as_index_array(major)
     minor = as_index_array(minor)
@@ -44,20 +84,7 @@ def compress_pairs(
             raise ValueError("major index out of range")
         if minor.min() < 0 or minor.max() >= minor_dim:
             raise ValueError("minor index out of range")
-    # Sort by (major, minor) with a single composite key; stable and exact
-    # because both ids fit comfortably in int64.
-    key = major * max(minor_dim, 1) + minor
-    order = np.argsort(key, kind="stable")
-    major = major[order]
-    minor = minor[order]
-    if major.size:
-        keep = np.empty(major.shape, dtype=bool)
-        keep[0] = True
-        np.logical_or(
-            major[1:] != major[:-1], minor[1:] != minor[:-1], out=keep[1:]
-        )
-        major = major[keep]
-        minor = minor[keep]
+    major, minor = sorted_unique_pairs(major, minor, major_dim, minor_dim)
     counts = np.bincount(major, minlength=major_dim).astype(INDEX_DTYPE)
     indptr = np.zeros(major_dim + 1, dtype=INDEX_DTYPE)
     np.cumsum(counts, out=indptr[1:])

@@ -3,9 +3,14 @@
 A :class:`PatternCOO` is the simplest representation of a 0/1 sparse matrix:
 two parallel index arrays ``rows`` and ``cols`` plus a ``shape``.  It is the
 interchange format of the package — edge lists read from disk or produced by
-the graph generators become COO first, get canonicalised (sorted,
+the graph generators become COO first, get canonicalised (row-major sorted,
 de-duplicated, validated), and are then compressed into CSR/CSC for the
 counting kernels.
+
+Every step is a handful of vectorised O(nnz) passes.  Canonicalising input
+that is already row-major sorted — what the loaders and generators mostly
+produce — is one comparison and no sort; only out-of-order input pays a
+sort of composite row-major keys.
 
 Everything here is pure NumPy; no scipy is used so that the substrate is
 fully self-contained (scipy appears only in the *baseline* reference
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._types import INDEX_DTYPE, as_index_array
+from repro.sparsela._compressed import sorted_unique_pairs
 
 __all__ = ["PatternCOO"]
 
@@ -71,17 +77,21 @@ class PatternCOO:
         pairs,
         shape: tuple[int, int] | None = None,
     ) -> "PatternCOO":
-        """Build a canonical COO matrix from an iterable of ``(row, col)`` pairs.
+        """Build a canonical COO matrix from ``(row, col)`` pairs.
 
-        Duplicate pairs are merged (the matrix is a pattern, so multiplicity
-        is discarded).  When ``shape`` is omitted it is inferred as
+        ``pairs`` is an ``(e, 2)`` array, taken as is, or any iterable of
+        pairs.  Ids must be integers; integral-valued floats are accepted,
+        anything else (fractional, non-finite, bool, text) raises
+        ``ValueError`` naming the first offending row.  Duplicate pairs are
+        merged (the matrix is a pattern, so multiplicity is discarded).
+        When ``shape`` is omitted it is inferred as
         ``(max(row)+1, max(col)+1)``.
         """
-        pairs = list(pairs)
-        if pairs:
-            arr = np.asarray(pairs, dtype=INDEX_DTYPE)
+        arr = pairs if isinstance(pairs, np.ndarray) else np.asarray(list(pairs))
+        if arr.size:
             if arr.ndim != 2 or arr.shape[1] != 2:
-                raise ValueError("pairs must be an iterable of (row, col) tuples")
+                raise ValueError(f"pairs must have shape (e, 2), got {arr.shape}")
+            arr = _integral_ids(arr)
             rows, cols = arr[:, 0], arr[:, 1]
         else:
             rows = np.empty(0, dtype=INDEX_DTYPE)
@@ -114,28 +124,21 @@ class PatternCOO:
     # canonical form
     # ------------------------------------------------------------------
     def canonicalize(self) -> "PatternCOO":
-        """Return an equivalent matrix sorted row-major with duplicates merged."""
-        if self.rows.size == 0:
+        """Return an equivalent matrix sorted row-major with duplicates merged.
+
+        A matrix that is already canonical is returned as is (one O(nnz)
+        comparison, no sort).
+        """
+        m, n = self.shape
+        rows, cols = sorted_unique_pairs(self.rows, self.cols, m, n)
+        if rows is self.rows:
             return self
-        _, n = self.shape
-        # Row-major total order via a single composite key.  n >= 1 whenever
-        # there are entries (validated in __post_init__).
-        key = self.rows * max(n, 1) + self.cols
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        keep = np.empty(key.shape, dtype=bool)
-        keep[0] = True
-        np.not_equal(key[1:], key[:-1], out=keep[1:])
-        sel = order[keep]
-        return PatternCOO(self.rows[sel], self.cols[sel], self.shape)
+        return PatternCOO(rows, cols, self.shape)
 
     def is_canonical(self) -> bool:
         """True when entries are row-major sorted and duplicate-free."""
-        if self.rows.size <= 1:
-            return True
-        _, n = self.shape
-        key = self.rows * max(n, 1) + self.cols
-        return bool(np.all(key[1:] > key[:-1]))
+        m, n = self.shape
+        return sorted_unique_pairs(self.rows, self.cols, m, n)[0] is self.rows
 
     # ------------------------------------------------------------------
     # basic algebra
@@ -183,3 +186,24 @@ class PatternCOO:
 
     def __repr__(self) -> str:
         return f"PatternCOO(shape={self.shape}, nnz={self.nnz})"
+
+
+#: Largest float64 below 2**63, i.e. the largest that converts to int64.
+_ID_LIMIT = float(2**63 - 1024)
+
+
+def _integral_ids(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as integer ids; ``ValueError`` naming the first non-integral row."""
+    if arr.dtype.kind in "iu":
+        return arr
+    if arr.dtype.kind == "f":
+        ok = np.isfinite(arr) & (arr == np.trunc(arr)) & (np.abs(arr) <= _ID_LIMIT)
+        if ok.all():
+            return arr.astype(INDEX_DTYPE)
+        bad = int(np.flatnonzero(~ok.all(axis=1))[0])
+    else:
+        bad = 0
+    raise ValueError(
+        f"vertex ids must be integers, got {arr[bad].tolist()!r} "
+        f"(dtype {arr.dtype}) in row {bad}"
+    )

@@ -64,7 +64,7 @@ class PatternCSR(CompressedPattern):
         return PatternCOO(self.expand_major(), self.indices, self.shape)
 
     def to_csc(self):
-        """Convert to CSC (counting sort on the column ids)."""
+        """Convert to CSC (one composite-key sort, see :func:`compress_pairs`)."""
         from repro.sparsela.csc import PatternCSC
 
         m, n = self.shape
