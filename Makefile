@@ -2,12 +2,7 @@
 
 PYTHON ?= python
 
-# Baseline payload for the bench-check regression gate (override with
-# e.g. `make bench-check BASELINE=artifacts/BENCH_parallel.json`).
-BASELINE ?= BENCH_baseline.json
-TOLERANCE ?= 0.15
-
-.PHONY: install test test-fast lint bench bench-quick bench-check bench-tables calibrate stats profile-report report examples clean all
+.PHONY: install test test-fast lint bench bench-tables calibrate stats profile-report report examples clean all
 
 # Scan roots for the project analyzer (rules RPR001-RPR012, see
 # docs/analysis.md).  tests/ and scripts/ run under the relaxed profile
@@ -36,33 +31,33 @@ lint:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Machine-readable warm shared-pool dispatch overhead (BENCH_parallel.json)
-# plus the observability stream (metrics.jsonl + trace.json), the
-# profiler's collapsed stacks (profile.collapsed — render with
-# `repro-butterfly profile profile.collapsed`), and one appended
-# BENCH_history.jsonl record.  Run with REPRO_OBS=0 to pin the obs
-# no-op path for overhead comparisons.
-bench-quick:
-	PYTHONPATH=src $(PYTHON) -m repro.bench.parallel_bench --out BENCH_parallel.json --metrics-out metrics.jsonl --trace-out trace.json --history BENCH_history.jsonl --profile-out profile.collapsed
+# One observed run: a seeded 60k-edge power-law graph counted on a
+# 2-worker shared pool, writing the run's metrics (metrics.jsonl), span
+# tree (trace.json, loads in Perfetto) and profiler samples
+# (profile.collapsed) in one go.  `stats` and `profile-report` render
+# them; the timing benchmark is `python3 benchmarks/e2e/run.py`.
+OBS_GRAPH = obs_graph.tsv
 
-# Render the bench-quick profiler artifact as a self/total frame table.
-profile-report:
+$(OBS_GRAPH):
+	PYTHONPATH=src $(PYTHON) -m repro.cli generate --n-left 2000 --n-right 3000 --edges 60000 --model powerlaw --seed 7 $(OBS_GRAPH)
+
+metrics.jsonl: $(OBS_GRAPH)
+	rm -f metrics.jsonl  # --metrics-out appends
+	PYTHONPATH=src $(PYTHON) -m repro.cli --metrics-out metrics.jsonl --trace-out trace.json --profile-out profile.collapsed count $(OBS_GRAPH) --workers 2
+
+trace.json profile.collapsed: metrics.jsonl
+
+stats: metrics.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro.cli stats --from-metrics metrics.jsonl
+
+# Self/total frame table of the observed run's profiler samples.
+profile-report: profile.collapsed
 	PYTHONPATH=src $(PYTHON) -m repro.cli profile profile.collapsed
-
-# Perf-regression gate: compare the current BENCH_parallel.json against
-# $(BASELINE); exits non-zero on a >= $(TOLERANCE) regression.  CI runs
-# it with --warn-only (advisory on the noisy 1-CPU shared runner); the
-# exit-code path itself is unit-tested in tests/test_bench_history.py.
-bench-check:
-	PYTHONPATH=src $(PYTHON) -m repro.cli bench --compare $(BASELINE) --current BENCH_parallel.json --tolerance $(TOLERANCE)
 
 # Measure this machine's ns/op coefficients for the engine planner and
 # persist them (results/engine_calibration.json, or $$REPRO_CALIBRATION).
 calibrate:
 	PYTHONPATH=src $(PYTHON) -c "from repro.engine import calibrate; t = calibrate(); print('calibrated ->', t.source)"
-
-stats:
-	PYTHONPATH=src $(PYTHON) -m repro.cli stats --from-metrics metrics.jsonl
 
 bench-tables:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s -q

@@ -5,7 +5,7 @@ Two artifacts:
 1. **Work model vs wall clock**: print each invariant's exact element-op
    count next to its measured time on one dataset; assert the model picks
    the same column-vs-row winner as the clock (Fig. 10's shape derived
-   analytically, see `repro.bench.workmodel`).
+   analytically, see `repro.core.workinfo`).
 2. **(2,2)-core prefilter**: measure counting with and without the
    butterfly-preserving degree-2 core reduction — the standard preprocessing
    the butterfly literature applies before any of these algorithms.
@@ -16,8 +16,9 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_cell
-from repro.bench import Sweep, TimedResult, work_profile
+from repro.bench import Sweep, TimedResult
 from repro.core import count_butterflies, count_butterflies_unblocked
+from repro.core.workinfo import work_profile
 from repro.graphs import load_dataset, two_two_core
 
 SWEEP = Sweep(title="ablF: measured seconds vs analytic ops (occupations)")

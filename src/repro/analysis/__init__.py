@@ -4,8 +4,8 @@ An AST-walking analyzer enforcing *this repo's* correctness conventions,
 not generic style: the int64 overflow discipline that keeps eq. (4) /
 eq. (18) butterfly counts exact, the layer boundaries between sparsela /
 core / parallel / engine, the observability hygiene contract, and the
-exception policy.  Stdlib-only, so it runs in the leanest CI job and
-inside ``bench-quick``.
+exception policy.  Stdlib-only, so it runs in the leanest CI job
+(``make lint``).
 
 The analyzer runs in **two passes**, in one process: pass 1 reads and
 parses each file once, runs the per-file rules and extracts its slice of
@@ -37,7 +37,7 @@ RPR004    engine-plan purity (no plan mutation / inline member selection)
 RPR006    exception discipline (no bare/broad/swallowed handlers)
 RPR007    engine sink discipline (no ad-hoc ``open()`` writes in engine)
 RPR008    storage accessor discipline (no raw ``.indptr``/``.indices``)
-RPR009    resource lifecycle (shm/mmap/ObsServer release on every path)
+RPR009    resource lifecycle (shm/mmap/file release on every path)
 RPR010    worker-boundary purity (no shared-state writes from dispatch)
 RPR011    interprocedural dtype propagation (narrow returns summed)
 RPR012    public-API surface drift (``__all__`` vs ``docs/api.md``)

@@ -1,8 +1,8 @@
 """File discovery, parsing, two-pass rule dispatch, baselines.
 
 The engine is deliberately stdlib-only (``ast`` + ``os``): the analyzer
-must run in the leanest CI container and inside ``bench-quick`` without
-dragging optional dependencies in.
+must run in the leanest CI container (``make lint``) without dragging
+optional dependencies in.
 
 A scan is two passes, both in-process.  **Pass 1** is one loop over the
 files: read and parse each file exactly once, build its

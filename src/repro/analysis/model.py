@@ -47,18 +47,15 @@ ACQUIRE_SUFFIXES: dict[str, str] = {
     "SharedGraphBuffers.publish": "shm-publication",
     "attach_graph": "shm-attachment",
     "open_memmap": "mmap-handle",
-    "ObsServer": "obs-server",
-    "obs.serve": "obs-server",
     "open": "file-handle",
 }
 
 #: Fully-resolved ``module:qualname`` targets that acquire a resource
-#: (covers ``from repro.obs import serve``-style aliased imports).
+#: (covers ``from repro.parallel.shm import attach_graph``-style aliased
+#: imports).
 ACQUIRE_RESOLVED: dict[str, str] = {
     "repro.parallel.shm:SharedGraphBuffers.publish": "shm-publication",
     "repro.parallel.shm:attach_graph": "shm-attachment",
-    "repro.obs.export:serve": "obs-server",
-    "repro.obs.export:ObsServer": "obs-server",
 }
 
 #: Method names that count as releasing a tracked resource.

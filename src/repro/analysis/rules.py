@@ -17,7 +17,7 @@ RPR008  storage accessor discipline (no direct ``.indptr``/``.indices``
 Interprocedural rules (pass 2, over the whole-program model built by
 ``analysis/model.py`` — see docs/analysis.md §"whole-program pass"):
 
-RPR009  resource-lifecycle discipline (shm / mmap / ObsServer releases)
+RPR009  resource-lifecycle discipline (shm / mmap / file releases)
 RPR010  worker-boundary purity (no shared-state writes reachable from
         executor dispatch)
 RPR011  interprocedural dtype propagation (reductions over provably
@@ -456,11 +456,11 @@ class ObsHygieneRule(Rule):
     layers (sparsela/core/parallel/engine) a metric call whose value is
     *computed* (call, arithmetic, f-string) must sit under an
     ``if obs._enabled:`` guard, because argument evaluation happens even
-    when recording is off and the disabled path is benchmarked to cost
-    nothing (<2% on bench-quick); (d) the ``profile.`` name layer is
+    when recording is off and the disabled path must cost nothing
+    (``REPRO_OBS=0`` is a true no-op); (d) the ``profile.`` name layer is
     reserved for the sampling profiler (:mod:`repro.obs.profile`) —
     hand-rolled metrics there would collide with sampler-derived series
-    in ``stats`` / Prometheus exposition.
+    in ``stats``.
     """
 
     id = "RPR003"
@@ -926,7 +926,7 @@ class ResourceLifecycleRule(ProjectRule):
     """RPR009 — tracked resources must be released on every path.
 
     Acquisitions of ``SharedMemory`` / ``SharedGraphBuffers.publish`` /
-    mmap handles / ``ObsServer`` must be one of: a ``with`` item,
+    mmap handles / ``open`` file handles must be one of: a ``with`` item,
     released inside ``try/finally`` (or an ``except`` that re-raises),
     registered with ``weakref.finalize``/``atexit.register``, or
     transferred out of the function (returned, stored into a container,

@@ -16,18 +16,7 @@ from repro.bench.results import (
     sweep_from_dict,
     sweep_to_dict,
 )
-from repro.bench.workmodel import WorkProfile, work_profile, work_table
-from repro.bench.history import (
-    DEFAULT_TOLERANCE,
-    Verdict,
-    append_history,
-    compare as compare_bench,
-    compare_files,
-    flatten_metrics,
-    has_regression,
-    read_history,
-    render_verdicts,
-)
+from repro.core.workinfo import WorkProfile, work_profile, work_table
 
 __all__ = [
     "Sweep",
@@ -51,13 +40,4 @@ __all__ = [
     "load_run",
     "RunComparison",
     "compare_runs",
-    "DEFAULT_TOLERANCE",
-    "Verdict",
-    "append_history",
-    "compare_bench",
-    "compare_files",
-    "flatten_metrics",
-    "has_regression",
-    "read_history",
-    "render_verdicts",
 ]

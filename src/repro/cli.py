@@ -40,22 +40,18 @@ file as a self/total frame table, and the same data loads directly in
 speedscope / ``flamegraph.pl``.  ``--profile-hz`` tunes the sampling
 rate.
 
-``bench --compare BASELINE.json`` switches the bench subcommand into the
-perf-regression gate: the current payload (``--current``, default
-``BENCH_parallel.json``) is compared metric-by-metric against the
-baseline and the process exits non-zero on any ≥ ``--tolerance``
-regression (``--warn-only`` downgrades that to a warning for shared CI
-runners).
-
 Bad input (a missing file, an unknown rule id, a malformed JSON file)
 prints ``repro-butterfly: error: <msg>`` to stderr and exits 2, the same
 code as an argparse usage error; exit 1 stays reserved for "the command
-ran and failed its check" (analyzer findings, a bench regression).
+ran and failed its check" (analyzer findings, disagreeing family members).
+A closed stdout pipe (``... | head -1``) exits 141 (128 + SIGPIPE)
+without an error line.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.bench import Sweep, time_callable
@@ -307,39 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="time all 8 invariants on a dataset, or compare two bench "
-        "payloads (--compare) as a perf-regression gate",
+        help="time all 8 invariants on a dataset (Fig. 10-style sweep)",
     )
     p_bench.add_argument(
         "--dataset", choices=dataset_names(), default="arxiv"
     )
     p_bench.add_argument(
         "--strategy", choices=("adjacency", "scratch", "spmv"), default="adjacency"
-    )
-    p_bench.add_argument(
-        "--compare", default=None, metavar="BASELINE.json",
-        help="regression-gate mode: compare --current against this "
-        "baseline payload and exit non-zero on any regression",
-    )
-    p_bench.add_argument(
-        "--current", default="BENCH_parallel.json", metavar="CURRENT.json",
-        help="current bench payload for --compare "
-        "(default: BENCH_parallel.json)",
-    )
-    p_bench.add_argument(
-        "--tolerance", type=float, default=None, metavar="FRAC",
-        help="relative regression tolerance for --compare "
-        "(default: 0.15 = 15%%)",
-    )
-    p_bench.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions but exit 0 (advisory mode for noisy "
-        "shared CI runners)",
-    )
-    p_bench.add_argument(
-        "--history", default=None, metavar="HISTORY.jsonl",
-        help="append the --current payload to this bench-history JSONL "
-        "(one flattened record per run)",
     )
 
     p_dec = sub.add_parser(
@@ -714,8 +684,6 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.compare is not None or args.history is not None:
-        return _cmd_bench_gate(args)
     g = load_dataset(args.dataset)
     sweep = Sweep(title=f"dataset {args.dataset}, strategy {args.strategy}")
     for inv in ALL_INVARIANTS:
@@ -733,52 +701,6 @@ def _cmd_bench(args) -> int:
         return 1
     first = sweep.get(args.dataset, "Inv. 1")
     print(f"butterflies: {first.value}")
-    return 0
-
-
-def _cmd_bench_gate(args) -> int:
-    """``bench --compare`` / ``--history``: the perf-regression gate."""
-    import json
-
-    from repro.bench.history import (
-        DEFAULT_TOLERANCE,
-        append_history,
-        compare,
-        has_regression,
-        render_verdicts,
-    )
-
-    try:
-        with open(args.current) as fh:
-            current = json.load(fh)
-    except OSError as exc:
-        print(f"error: cannot read current payload {args.current}: {exc}",
-              file=sys.stderr)
-        return 2
-    if args.history is not None:
-        record = append_history(args.history, current)
-        print(f"appended run {record['run']} "
-              f"({len(record['metrics'])} metrics) to {args.history}")
-    if args.compare is None:
-        return 0
-    try:
-        with open(args.compare) as fh:
-            baseline = json.load(fh)
-    except OSError as exc:
-        print(f"error: cannot read baseline {args.compare}: {exc}",
-              file=sys.stderr)
-        return 2
-    tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-    rows = compare(baseline, current, tolerance=tolerance)
-    print(render_verdicts(rows, tolerance=tolerance))
-    if has_regression(rows):
-        if args.warn_only:
-            print("WARNING: regression detected (exit 0: --warn-only)",
-                  file=sys.stderr)
-            return 0
-        print("FAIL: performance regression beyond tolerance",
-              file=sys.stderr)
-        return 1
     return 0
 
 
@@ -1009,7 +931,16 @@ def main(argv=None) -> int:
         "analyze": _cmd_analyze,
     }[args.command]
     try:
-        return _dispatch(handler, args)
+        code = _dispatch(handler, args)
+        sys.stdout.flush()  # surface a closed pipe here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``stats ... | head -1``): not bad
+        # input.  Point stdout at devnull so the interpreter's exit flush
+        # cannot raise again, and exit as a SIGPIPE kill would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except (OSError, ValueError) as exc:
         # bad input (missing file, unknown rule id, malformed JSON) is a
         # usage error, exit 2 like argparse's — never 1, which means

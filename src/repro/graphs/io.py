@@ -45,15 +45,17 @@ def _open_text(path: str | os.PathLike, mode: str):
     return open(path, mode, encoding="utf-8")
 
 
-def _read_id_pairs(fh, comments: str, max_rows: int | None = None) -> np.ndarray:
-    """First two integer columns of a whitespace-separated text stream.
+def _read_id_pairs(text: str, comments: str, max_rows: int | None = None) -> np.ndarray:
+    """First two integer columns of whitespace-separated ``text``.
 
     Blank lines, text after a ``comments`` character and extra columns are
     skipped; at most ``max_rows`` data rows are read.  Anything that does
     not parse as int64 — a line with one column, a fractional or
-    oversized id, stray text — raises ``ValueError``, so callers surface
-    one typed error whatever numpy's reader tripped on.
+    oversized id, stray or non-ASCII text — raises ``ValueError``, so
+    callers surface one typed error whatever numpy's reader tripped on.
     """
+    if not text.isascii():
+        _reject_non_ascii_rows(text, comments, max_rows)
     try:
         with warnings.catch_warnings():
             # numpy warns (rather than failing) on an empty input and, in
@@ -62,7 +64,7 @@ def _read_id_pairs(fh, comments: str, max_rows: int | None = None) -> np.ndarray
             warnings.simplefilter("ignore", UserWarning)
             warnings.simplefilter("error", DeprecationWarning)
             pairs = np.loadtxt(
-                fh,
+                io.StringIO(text),
                 dtype=INDEX_DTYPE,
                 comments=comments,
                 usecols=(0, 1),
@@ -72,6 +74,27 @@ def _read_id_pairs(fh, comments: str, max_rows: int | None = None) -> np.ndarray
     except (ValueError, OverflowError, DeprecationWarning) as exc:
         raise ValueError(f"malformed edge line: {exc}") from exc
     return pairs.reshape(-1, 2)  # an empty input parses as (0,) on some numpy
+
+
+def _reject_non_ascii_rows(text: str, comments: str, max_rows: int | None) -> None:
+    """``ValueError`` for the first data row holding non-ASCII text.
+
+    Ids are ASCII digits, so such a row is malformed anyway; it must not
+    reach numpy, whose integer parser can crash the interpreter on some
+    characters outside the Basic Multilingual Plane (numpy 2.4,
+    ``"1\\U000e0000"``).  Comments and rows past ``max_rows`` may hold
+    any text.
+    """
+    rows = 0
+    for line in text.split("\n"):
+        data = line.split(comments, 1)[0]
+        if not data.strip():
+            continue
+        if max_rows is not None and rows >= max_rows:
+            return
+        if not data.isascii():
+            raise ValueError(f"malformed edge line {rows + 1}: non-ASCII text")
+        rows += 1
 
 
 def _konect_size_header(text: str) -> tuple[int | None, int | None]:
@@ -109,7 +132,7 @@ def load_konect(path: str | os.PathLike) -> BipartiteGraph:
     with _open_text(path, "r") as fh:
         text = fh.read()
     n_left, n_right = _konect_size_header(text)
-    pairs = _read_id_pairs(io.StringIO(text), comments="%")
+    pairs = _read_id_pairs(text, comments="%")
     if pairs.size and pairs.min() < 1:
         raise ValueError("KONECT files are 1-based; found a 0 id")
     rows, cols = pairs[:, 0] - 1, pairs[:, 1] - 1
@@ -143,7 +166,7 @@ def load_edge_list(
     are ignored.
     """
     with _open_text(path, "r") as fh:
-        pairs = _read_id_pairs(fh, comments="#")
+        pairs = _read_id_pairs(fh.read(), comments="#")
     if n_left is None:
         return BipartiteGraph(pairs)
     return BipartiteGraph(pairs, n_left=n_left, n_right=n_right)

@@ -48,7 +48,7 @@ def load_matrix_market(path: str | os.PathLike) -> BipartiteGraph:
         m, n, nnz = int(dims[0]), int(dims[1]), int(dims[2])
         if nnz < 0:
             raise ValueError(f"malformed size line: {line.strip()!r}")
-        pairs = _read_id_pairs(fh, comments="%", max_rows=nnz)
+        pairs = _read_id_pairs(fh.read(), comments="%", max_rows=nnz)
     if len(pairs) < nnz:
         raise ValueError(
             f"truncated entry line {len(pairs) + 1}: expected {nnz} entries, "

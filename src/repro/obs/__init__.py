@@ -4,8 +4,9 @@ One process-wide :class:`Metrics` registry plus one process-wide
 :class:`~repro.obs.trace.Tracer` ring buffer, mutated through
 module-level helpers that compile down to *one attribute load and one
 branch* when observability is off — the hot kernels call these directly,
-so the disabled path must cost nothing measurable (the acceptance bar is
-<2% on ``make bench-quick``).
+so the disabled path must cost nothing measurable (the end-to-end
+benchmark's ``trace.overhead_ratio.*`` layers measure what enabling
+costs).
 
 Usage::
 
@@ -21,7 +22,6 @@ Usage::
     print(obs.render())                 # human table
     obs.dump_jsonl("metrics.jsonl")     # one JSON line per metric
     obs.dump_trace("trace.json")        # Chrome trace-event / Perfetto
-    server = obs.serve(port=9109)       # live GET /metrics + /trace
 
 State model
 -----------
@@ -84,13 +84,7 @@ from repro.obs.profile import (
     collapsed_stacks,
     parse_collapsed,
 )
-from repro.obs.export import (
-    ObsServer,
-    chrome_trace,
-    parse_prometheus,
-    render_prometheus,
-    write_chrome_trace,
-)
+from repro.obs.export import chrome_trace, write_chrome_trace
 
 __all__ = [
     "Metrics",
@@ -100,14 +94,11 @@ __all__ = [
     "GAUGE_POLICIES",
     "Span",
     "Tracer",
-    "ObsServer",
     "MemorySink",
     "JsonlSink",
     "read_jsonl",
     "jsonl_runs",
     "render_table",
-    "render_prometheus",
-    "parse_prometheus",
     "chrome_trace",
     "write_chrome_trace",
     "snapshot_records",
@@ -134,7 +125,6 @@ __all__ = [
     "render",
     "dump_jsonl",
     "dump_trace",
-    "serve",
     "Profiler",
     "SampleBuffer",
     "DEFAULT_PROFILE_HZ",
@@ -412,16 +402,6 @@ def dump_trace(path, **meta) -> dict:
     if _TRACER.dropped:
         meta.setdefault("dropped_spans", _TRACER.dropped)
     return write_chrome_trace(path, _TRACER.records(), **meta)
-
-
-def serve(port: int = 0, host: str = "127.0.0.1") -> ObsServer:
-    """Start the live scrape endpoint (``/metrics``, ``/trace``,
-    ``/profile``, ``/healthz``) on a daemon thread; see
-    :func:`repro.obs.export.serve`.
-    """
-    from repro.obs.export import serve as _serve
-
-    return _serve(port=port, host=host)
 
 
 # ----------------------------------------------------------------------

@@ -1,50 +1,22 @@
-"""Live exporters for :mod:`repro.obs`: Chrome trace JSON, Prometheus
-text exposition, and a zero-dependency stdlib HTTP scrape endpoint.
+"""Chrome trace-event export for :mod:`repro.obs`.
 
-Three consumers, three formats:
-
-- :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
-  trace-event (Perfetto-loadable) rendering of a span-record list; what
-  ``repro-butterfly count --trace-out trace.json`` and ``obs.dump_trace``
-  emit.  Every span becomes one complete (``"ph": "X"``) event with
-  microsecond timestamps; span events become instant (``"ph": "i"``)
-  events.  Load the file at https://ui.perfetto.dev or
-  ``chrome://tracing``.
-- :func:`render_prometheus` — the text-exposition rendering of a
-  :class:`~repro.obs.metrics.Metrics` registry: counters → ``counter``,
-  gauges → ``gauge``, histograms → native Prometheus ``histogram``
-  exposition (cumulative ``_bucket{le="..."}`` lines from the log-scale
-  buckets, so PromQL ``histogram_quantile`` works) plus the exact
-  ``_count``/``_sum`` and ``_min``/``_max`` gauges.  Records predating
-  the bucketed histogram render as ``summary`` exactly as before.
-  :func:`parse_prometheus` is the strict line parser the round-trip
-  test (and any scraper smoke check) uses.
-- :func:`serve` — a ``ThreadingHTTPServer`` on a daemon thread exposing
-  ``GET /metrics`` (Prometheus text), ``GET /trace`` (Chrome trace JSON
-  of the live ring buffer), ``GET /profile`` (collapsed-stack text of
-  the live sampling profiler; ``/profile.json`` for Chrome sample
-  events) and ``GET /healthz``; scrape a long peel or bench run while
-  it is running.  Stdlib only, no new dependencies.
+:func:`chrome_trace` / :func:`write_chrome_trace` render a span-record
+list as Chrome trace-event (Perfetto-loadable) JSON; this is what
+``repro-butterfly count --trace-out trace.json`` and ``obs.dump_trace``
+emit.  Every span becomes one complete (``"ph": "X"``) event with
+microsecond timestamps; span events become instant (``"ph": "i"``)
+events.  Load the file at https://ui.perfetto.dev or
+``chrome://tracing``.
 """
 
 from __future__ import annotations
 
 import json
-import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-from repro.obs.metrics import Counter, Gauge, Histogram, Metrics
 
 __all__ = [
     "chrome_trace",
     "chrome_trace_events",
     "write_chrome_trace",
-    "render_prometheus",
-    "parse_prometheus",
-    "sanitize_metric_name",
-    "ObsServer",
-    "serve",
 ]
 
 
@@ -122,223 +94,3 @@ def _json_default(obj):  # numpy scalars etc.
     if hasattr(obj, "item"):
         return obj.item()
     return str(obj)
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
-#: Valid Prometheus metric-name characters; everything else maps to "_".
-_NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
-
-#: One sample line: ``name[{labels}] value [timestamp]`` — no labels are
-#: emitted by the renderer, but the parser tolerates (and ignores) them.
-_SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
-    r" (?P<value>[-+]?(?:[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?|Inf|NaN))"
-    r"(?: (?P<ts>[0-9]+))?$"
-)
-
-
-def sanitize_metric_name(name: str, prefix: str = "repro") -> str:
-    """``blocked.panel.wedges`` → ``repro_blocked_panel_wedges``."""
-    flat = _NAME_BAD.sub("_", name)
-    if prefix:
-        flat = f"{prefix}_{flat}"
-    if not re.match(r"[a-zA-Z_:]", flat[0]):  # pragma: no cover - defensive
-        flat = "_" + flat
-    return flat
-
-
-def render_prometheus(metrics: Metrics, prefix: str = "repro") -> str:
-    """Text-exposition (version 0.0.4) rendering of ``metrics``.
-
-    Counters render as ``counter``, gauges as ``gauge``.  Histograms
-    carrying log-scale buckets render as native Prometheus
-    ``histogram``: cumulative ``{flat}_bucket{le="<bound>"}`` lines
-    (underflow folds into every finite bound, ``+Inf`` equals the exact
-    count) followed by the ``_count``/``_sum`` pair, with ``_min`` /
-    ``_max`` gauges alongside.  A record without buckets (re-aggregated
-    from pre-bucket JSONL) renders as the original ``summary``.
-    """
-    snapshot = metrics.snapshot()
-    lines: list[str] = []
-    for name in sorted(snapshot):
-        record = snapshot[name]
-        flat = sanitize_metric_name(name, prefix)
-        kind = record["type"]
-        if kind == "counter":
-            lines.append(f"# HELP {flat} repro.obs counter {name}")
-            lines.append(f"# TYPE {flat} counter")
-            lines.append(f"{flat} {_num(record['value'])}")
-        elif kind == "gauge":
-            lines.append(f"# HELP {flat} repro.obs gauge {name}")
-            lines.append(f"# TYPE {flat} gauge")
-            lines.append(f"{flat} {_num(record['value'])}")
-        else:  # histogram
-            lines.append(f"# HELP {flat} repro.obs histogram {name}")
-            buckets = record.get("buckets")
-            if buckets:
-                from repro.obs.metrics import Histogram
-
-                lines.append(f"# TYPE {flat} histogram")
-                occupied = {int(k): v for k, v in buckets.items()}
-                cumulative = record.get("underflow", 0)
-                for idx in sorted(occupied):
-                    cumulative += occupied[idx]
-                    le = _num(float(Histogram.bucket_bound(idx)))
-                    lines.append(
-                        f'{flat}_bucket{{le="{le}"}} {_num(cumulative)}'
-                    )
-                lines.append(
-                    f'{flat}_bucket{{le="+Inf"}} {_num(record["count"])}'
-                )
-            else:
-                lines.append(f"# TYPE {flat} summary")
-            lines.append(f"{flat}_count {_num(record['count'])}")
-            lines.append(f"{flat}_sum {_num(record['total'])}")
-            for bound in ("min", "max"):
-                value = record[bound]
-                if value is None:
-                    continue
-                lines.append(f"# TYPE {flat}_{bound} gauge")
-                lines.append(f"{flat}_{bound} {_num(value)}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _num(value) -> str:
-    if hasattr(value, "item"):  # numpy scalar
-        value = value.item()
-    if isinstance(value, bool):  # pragma: no cover - defensive
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def parse_prometheus(text: str) -> dict[str, float]:
-    """Strict parser of the text exposition format → ``{name: value}``.
-
-    Raises ``ValueError`` on any line that is neither a ``#`` comment,
-    blank, nor a well-formed sample — the round-trip test feeds the
-    renderer's output through this to pin the format.
-    """
-    samples: dict[str, float] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        m = _SAMPLE_RE.match(line)
-        if m is None:
-            raise ValueError(f"malformed exposition line {lineno}: {line!r}")
-        samples[m.group("name")] = float(m.group("value"))
-    return samples
-
-
-# ----------------------------------------------------------------------
-# live scrape endpoint (stdlib http.server, daemon thread)
-# ----------------------------------------------------------------------
-class _ScrapeHandler(BaseHTTPRequestHandler):
-    server_version = "repro-obs/1"
-
-    def do_GET(self):  # noqa: N802 (http.server API)
-        # resolved per request: capture()/reset() may swap the registry
-        from repro import obs
-
-        path = self.path.split("?", 1)[0]
-        if path == "/metrics":
-            body = render_prometheus(obs.registry()).encode()
-            ctype = "text/plain; version=0.0.4; charset=utf-8"
-        elif path in ("/trace", "/trace.json"):
-            body = json.dumps(
-                chrome_trace(obs.trace_records()), default=_json_default
-            ).encode()
-            ctype = "application/json"
-        elif path == "/profile":
-            from repro.obs import profile as _profile
-
-            body = _profile.collapsed_stacks(_profile.samples()).encode()
-            ctype = "text/plain; charset=utf-8"
-        elif path == "/profile.json":
-            from repro.obs import profile as _profile
-
-            body = json.dumps(
-                _profile.chrome_profile(_profile.samples()),
-                default=_json_default,
-            ).encode()
-            ctype = "application/json"
-        elif path == "/healthz":
-            body, ctype = b"ok\n", "text/plain; charset=utf-8"
-        else:
-            self.send_error(
-                404, "unknown path (try /metrics, /trace, /profile, /healthz)"
-            )
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", ctype)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):  # silence per-request stderr noise
-        pass
-
-
-class ObsServer:
-    """A running scrape endpoint; use :func:`serve` to construct one.
-
-    Context-manager friendly::
-
-        with obs.serve(port=0) as srv:     # port 0 = pick a free port
-            print(srv.url)                 # e.g. http://127.0.0.1:49321
-            ... long peel ...
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._httpd = ThreadingHTTPServer((host, port), _ScrapeHandler)
-        self._httpd.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-obs-serve",
-            daemon=True,
-        )
-
-    def start(self) -> "ObsServer":
-        self._thread.start()
-        return self
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def shutdown(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._thread.join(timeout=5)
-
-    def __enter__(self) -> "ObsServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ObsServer({self.url})"
-
-
-def serve(port: int = 0, host: str = "127.0.0.1") -> ObsServer:
-    """Start the scrape endpoint on a daemon thread and return its handle.
-
-    ``port=0`` binds a free ephemeral port (read it back from
-    ``server.port``).  The handler reads the *live* registry and tracer
-    on every request, so a scraper watches a run in real time; call
-    ``shutdown()`` (or use as a context manager) to stop.
-    """
-    return ObsServer(host=host, port=port).start()

@@ -27,9 +27,9 @@ Two export formats, both dependency-free:
   "P"``) events that overlay on the span trace in Perfetto.
 
 Overhead budget: at the default :data:`DEFAULT_PROFILE_HZ` one pass
-costs a few hundred microseconds even with deep stacks, so the profiled
-process pays well under the 5% acceptance bar (``make bench-quick``
-records the measured ratio).  Like every obs feature the profiler is
+costs on the order of 100 µs even with deep stacks, so the profiled
+process pays well under the 5% acceptance bar; pass cost × rate is
+checked by ``tests/test_profile.py::TestOverheadBudget``.  Like every obs feature the profiler is
 **off unless observability is on**: :func:`start_profiler` is a no-op
 (returns None, starts no thread) while ``obs`` is disabled or
 force-disabled via ``REPRO_OBS=0``.

@@ -263,7 +263,7 @@ class TestObsHygiene:
                 if obs._enabled:
                     obs.inc(f"{chosen}.calls")
         """
-        (f,) = run(src, "repro.bench.parallel_bench", rules=["RPR003"])
+        (f,) = run(src, "repro.bench.report", rules=["RPR003"])
         assert "static" in f.message
 
 
@@ -574,7 +574,7 @@ class TestObsProfileLayerReserved:
                 with obs.span("profile.collect"):
                     pass
         """
-        (f,) = run(src, "repro.bench.parallel_bench", rules=["RPR003"])
+        (f,) = run(src, "repro.bench.report", rules=["RPR003"])
         assert "reserved" in f.message
 
     def test_profile_fstring_prefix_flagged(self):
@@ -604,7 +604,7 @@ class TestObsProfileLayerReserved:
             def f():
                 obs.inc("bench.profiler.samples")
         """
-        assert run(src, "repro.bench.parallel_bench", rules=["RPR003"]) == []
+        assert run(src, "repro.bench.report", rules=["RPR003"]) == []
 
 
 # ----------------------------------------------------------------------

@@ -203,6 +203,29 @@ class TestResourceLifecycle:
         assert rule_ids(findings) == ["RPR009"]
         assert "release" in findings[0].message
 
+    @pytest.mark.parametrize(
+        "acquire, kind",
+        [
+            ("np.load(path, mmap_mode='r')", "mmap-handle"),
+            ("open(path)", "file-handle"),
+        ],
+    )
+    def test_mmap_and_file_leaks_flagged(self, acquire, kind):
+        findings = project(
+            {
+                "repro.m": f"""
+                import numpy as np
+
+                def leaky(path):
+                    handle = {acquire}
+                    return handle.size
+                """
+            },
+            rules=["RPR009"],
+        )
+        assert rule_ids(findings) == ["RPR009"]
+        assert findings[0].message.startswith(kind)
+
     def test_straight_line_close_still_flagged(self):
         # path-insensitive: a close() not in a finally leaks on error paths
         findings = project(

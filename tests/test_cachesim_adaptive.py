@@ -90,7 +90,7 @@ def test_simulator_access_volume_matches_work_model():
     """The simulated access stream's length is the work model's op count
     (plus the pivot slices), line-compressed — a consistency check between
     the two instruments."""
-    from repro.bench import work_profile
+    from repro.core.workinfo import work_profile
 
     g = power_law_bipartite(25, 30, 120, seed=2)
     stats = simulate_invariant_cache(g, 2, cache_lines=8, line_elements=1)

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -196,3 +200,50 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("repro-butterfly: error: ")
     assert "Traceback" not in err
+
+
+def _cli_subprocess_env() -> dict:
+    """Environment that runs this checkout's ``repro`` in a fresh interpreter."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def test_closed_stdout_pipe_exits_141_without_error(tmp_path):
+    """``stats ... | head -1``: the reader leaving early is not bad input."""
+    from repro.obs import JsonlSink, Metrics, flush
+
+    metrics = Metrics()
+    for i in range(5_000):  # a table far larger than one pipe buffer
+        metrics.inc(f"test.pipe.metric_{i:05d}", i)
+    path = tmp_path / "m.jsonl"
+    flush(metrics, JsonlSink(path))
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "stats", "--from-metrics", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_cli_subprocess_env(),
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert (code, err) == (141, "")
+
+
+def test_cli_import_pulls_in_no_http_server():
+    """``import repro.cli`` stays free of ``http.server``/``socketserver``:
+    every CLI call pays for what the import graph drags in."""
+    code = (
+        "import sys, repro.cli; "
+        "print(sorted({'http.server', 'socketserver'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=_cli_subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -419,13 +419,10 @@ class TestBackCompatShims:
         assert k_wing(g, 2, plan=wing_plan).n_edges == k_wing(g, 2).n_edges
 
     def test_workmodel_import_untangled(self):
-        """Satellite: the work model lives in core.workinfo; the bench
-        module and the parallel balancer consume the same public API."""
-        from repro.bench import workmodel
+        """The work model lives in core.workinfo; the parallel balancer
+        consumes the same public API."""
         from repro.core import parallel, workinfo
 
-        assert workmodel.work_profile is workinfo.work_profile
-        assert workmodel.WorkProfile is workinfo.WorkProfile
         assert parallel.pivot_work_estimate is workinfo.pivot_work_estimate
         assert parallel.spmv_scan_lengths is workinfo.spmv_scan_lengths
 
@@ -443,16 +440,3 @@ class TestCandidateTable:
         labels = {c.label for c in cands}
         assert any("inv2" in label for label in labels)
         assert any("inv6" in label for label in labels)
-
-    def test_bench_gate_treats_regret_as_lower_better(self):
-        from repro.bench.history import compare, metric_direction
-
-        assert metric_direction("planner_regret.regret") == "lower"
-        assert metric_direction("planner.regret_ratio") == "lower"
-        rows = compare(
-            {"planner_regret": {"regret": 1.0}},
-            {"planner_regret": {"regret": 2.0}},
-            tolerance=0.15,
-        )
-        (row,) = [r for r in rows if r.name.endswith("regret")]
-        assert row.status == "regression"

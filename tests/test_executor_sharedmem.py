@@ -129,6 +129,21 @@ class TestSharedGraphBuffers:
             assert (n_left, n_right) == (medium_graph.n_left, medium_graph.n_right)
             assert nnz == medium_graph.n_edges
 
+    def test_publish_bytes_exact(self):
+        """The segment footprint is an exact function of the graph: the
+        raw layout ships four int64 arrays, the compact layout its two
+        varint payloads plus int64 indptr/byte-offset arrays."""
+        from repro.storage import make_storage
+
+        g = power_law_bipartite(300, 400, 8_000, seed=13)
+        assert g.n_edges == 8_000
+        with SharedGraphBuffers.publish(g) as raw:
+            # (301 + 401) offsets + 2 * 8000 entries, 8 bytes each
+            assert raw.nbytes == 133_616
+        with SharedGraphBuffers.publish(make_storage(g, "compact")) as compact:
+            assert compact.layout == "compact"
+            assert compact.nbytes == 27_297
+
 
 # ----------------------------------------------------------------------
 # executor lifecycle

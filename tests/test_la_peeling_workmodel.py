@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bench import WorkProfile, work_profile, work_table
+from repro.core.workinfo import WorkProfile, work_profile, work_table
 from repro.core import (
     k_tip,
     k_tip_linear_algebra,

@@ -171,10 +171,17 @@ def test_loaders_reject_with_the_documented_messages(tmp_path):
          "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n2\n", "malformed"),
         (load_matrix_market, "g.mtx",
          "%%MatrixMarket matrix coordinate pattern general\n2 2 -1\n", "malformed"),
+        # non-ASCII ids never reach numpy's integer parser, which can crash
+        # the interpreter on some characters outside the BMP
+        (load_konect, "g.konect", "1 2\n1\U000e0000\n", "malformed"),
+        (load_edge_list, "g.edges", "\U000d5ac9 1\n", "malformed"),
+        (load_matrix_market, "g.mtx",
+         "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 \U0010ffff\n",
+         "malformed"),
     ]
     for loader, name, text, match in cases:
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=match):
             loader(path)
 
@@ -183,6 +190,12 @@ def test_mtx_reads_only_the_declared_entries(tmp_path):
     path = tmp_path / "g.mtx"
     path.write_text(
         "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2\nnot an entry\n"
+    )
+    assert load_matrix_market(path).edges().tolist() == [[0, 1]]
+    path.write_text(
+        "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n"
+        "% \U000e0000 in a comment\n1 2\n\U000e0000 past the entries\n",
+        encoding="utf-8",
     )
     assert load_matrix_market(path).edges().tolist() == [[0, 1]]
 

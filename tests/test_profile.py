@@ -3,8 +3,9 @@
 Covers the lifecycle (disabled no-op, start/stop idempotence, capture
 hermeticity), span attribution through ``trace._ACTIVE_SPANS``, the
 collapsed-stack and Chrome-trace exporters (schema + round-trip), the
-worker-delta transport (``PROFILE_DELTA_KEY`` re-parenting), and the CI
-smoke: at least one sample lands inside a kernel span on a real count.
+worker-delta transport (``PROFILE_DELTA_KEY`` re-parenting), the
+overhead budget of one sampling pass, and the CI smoke: at least one
+sample lands inside a kernel span on a real count.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.obs import profile as obs_profile
 from repro.obs.profile import (
     DEFAULT_PROFILE_HZ,
     PROFILE_THREAD_NAME,
+    Profiler,
     SampleBuffer,
     aggregate_frames,
     chrome_profile,
@@ -295,11 +297,61 @@ class TestWorkerDelta:
 
 
 # ----------------------------------------------------------------------
+# overhead budget: one sampling pass at the default rate
+# ----------------------------------------------------------------------
+class TestOverheadBudget:
+    #: The module docstring's acceptance bar: sampler seconds per second.
+    BUDGET = 0.05
+
+    def test_sample_pass_cost_times_rate_within_budget(self):
+        """min-of-N cost of one ``_sample`` pass over a thread parked 64
+        frames deep, times :data:`DEFAULT_PROFILE_HZ`, stays under 5%.
+
+        A per-pass cost, not a wall-clock on/off ratio: the ratio of two
+        whole runs swings by more than the budget on a shared host.
+        """
+        ready, release = threading.Event(), threading.Event()
+
+        def deep(n: int) -> None:
+            if n:
+                deep(n - 1)
+            else:
+                ready.set()
+                release.wait(10)
+
+        worker = threading.Thread(target=deep, args=(64,), daemon=True)
+        worker.start()
+        assert ready.wait(5)
+        profiler = Profiler()
+        own = threading.get_ident()
+        costs = []
+        try:
+            with obs.capture():
+                for _ in range(30):
+                    t0 = time.perf_counter()
+                    profiler._sample(own)
+                    costs.append(time.perf_counter() - t0)
+                samples = obs.profile_samples()
+        finally:
+            release.set()
+            worker.join(5)
+        assert not worker.is_alive()
+        stacks = [s["stack"] for s in samples if s["tid"] == worker.ident]
+        assert len(stacks) == 30
+        assert min(len(stack) for stack in stacks) >= 60
+        assert min(costs) * DEFAULT_PROFILE_HZ <= self.BUDGET, (
+            f"one pass {min(costs) * 1e6:.0f} us x {DEFAULT_PROFILE_HZ} Hz"
+        )
+
+
+# ----------------------------------------------------------------------
 # CI smoke: kernel-span attribution on a real workload
 # ----------------------------------------------------------------------
 class TestSmoke:
+    #: Span prefixes the counting and peeling kernels record under.
+    KERNEL_SPAN_PREFIXES = ("family.", "blocked.", "worker.", "peel.")
+
     def test_smoke_kernel_span_attribution(self):
-        from repro.bench.parallel_bench import KERNEL_SPAN_PREFIXES
         from repro.core import count_butterflies_unblocked
         from repro.graphs import power_law_bipartite
 
@@ -314,7 +366,9 @@ class TestSmoke:
                 count_butterflies_unblocked(g, 6, strategy="adjacency")
                 kernel = [
                     s for s in obs.profile_samples()
-                    if str(s.get("span") or "").startswith(KERNEL_SPAN_PREFIXES)
+                    if str(s.get("span") or "").startswith(
+                        self.KERNEL_SPAN_PREFIXES
+                    )
                 ]
             obs.stop_profiler()
         assert kernel, "no profiler sample attributed to a kernel span"

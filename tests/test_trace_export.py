@@ -1,34 +1,23 @@
-"""Schema tests for the PR-3 exporters (ISSUE satellite).
+"""Schema tests for the Chrome trace-event exporter.
 
 - ``trace.json`` validates as Chrome trace-event JSON: every event has
   the required ``name``/``ph``/``ts``/``pid``/``tid`` fields, complete
   events carry ``dur``, and timestamps are monotonically non-decreasing
   in file order (Perfetto's loader requirement).
-- The Prometheus text exposition round-trips through the strict line
-  parser, pinning the format.
-- ``obs.serve`` exposes both over HTTP from a live registry.
 - The CLI ``--trace-out`` path emits a schema-valid file with the
-  family→invariant→panel nesting (the ISSUE acceptance criterion).
+  family→invariant→panel nesting.
 """
 
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.request
-
-import pytest
 
 from repro import obs
 from repro.obs.export import (
     chrome_trace,
     chrome_trace_events,
-    parse_prometheus,
-    render_prometheus,
-    sanitize_metric_name,
     write_chrome_trace,
 )
-from repro.obs.metrics import Metrics
 from repro.obs.trace import span_tree
 
 REQUIRED_EVENT_FIELDS = ("name", "ph", "ts", "pid", "tid")
@@ -124,69 +113,6 @@ class TestChromeTrace:
 
 
 # ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
-class TestPrometheus:
-    def test_round_trip_through_strict_parser(self):
-        m = Metrics()
-        m.inc("blocked.panels", 7)
-        m.set("peel.tip.kept", 42, policy="sum")
-        m.observe("blocked.count.seconds", 0.25)
-        m.observe("blocked.count.seconds", 0.75)
-        text = render_prometheus(m)
-        samples = parse_prometheus(text)
-        assert samples["repro_blocked_panels"] == 7.0
-        assert samples["repro_peel_tip_kept"] == 42.0
-        assert samples["repro_blocked_count_seconds_count"] == 2.0
-        assert samples["repro_blocked_count_seconds_sum"] == 1.0
-        assert samples["repro_blocked_count_seconds_min"] == 0.25
-        assert samples["repro_blocked_count_seconds_max"] == 0.75
-
-    def test_parser_rejects_malformed_lines(self):
-        with pytest.raises(ValueError, match="line 1"):
-            parse_prometheus("this is not exposition format")
-
-    def test_sanitize_metric_name(self):
-        assert (
-            sanitize_metric_name("blocked.panel.wedges")
-            == "repro_blocked_panel_wedges"
-        )
-        assert sanitize_metric_name("a-b c", prefix="") == "a_b_c"
-
-    def test_empty_registry_renders_empty(self):
-        assert render_prometheus(Metrics()) == ""
-        assert parse_prometheus("") == {}
-
-
-# ----------------------------------------------------------------------
-# live scrape endpoint
-# ----------------------------------------------------------------------
-class TestServe:
-    def test_metrics_and_trace_endpoints(self):
-        with obs.capture():
-            obs.inc("serve.hits", 3)
-            with obs.span("serve.work"):
-                pass
-            with obs.serve(port=0) as srv:
-                with urllib.request.urlopen(f"{srv.url}/metrics") as resp:
-                    assert resp.status == 200
-                    samples = parse_prometheus(resp.read().decode())
-                with urllib.request.urlopen(f"{srv.url}/trace") as resp:
-                    trace = json.loads(resp.read().decode())
-                with urllib.request.urlopen(f"{srv.url}/healthz") as resp:
-                    assert resp.read() == b"ok\n"
-        assert samples["repro_serve_hits"] == 3.0
-        events = _assert_chrome_schema(trace)
-        assert any(e["name"] == "serve.work" for e in events)
-
-    def test_unknown_path_404(self):
-        with obs.serve(port=0) as srv:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(f"{srv.url}/nope")
-            assert err.value.code == 404
-
-
-# ----------------------------------------------------------------------
 # CLI --trace-out acceptance (family -> invariant -> panel)
 # ----------------------------------------------------------------------
 class TestCliTraceOut:
@@ -258,86 +184,3 @@ class TestCliTraceOut:
             "stats", "--from-metrics", str(path), "--run", "missing",
         ]) == 2
         assert "available runs" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
-# native histogram exposition (log-scale buckets, Obs v3)
-# ----------------------------------------------------------------------
-class TestPrometheusHistogram:
-    def _text(self, values):
-        m = Metrics()
-        for v in values:
-            m.observe("test.latency", v)
-        return render_prometheus(m)
-
-    def test_native_histogram_type_and_buckets(self):
-        text = self._text([0.1, 0.2, 0.4, 0.8])
-        assert "# TYPE repro_test_latency histogram" in text
-        bucket_lines = [
-            line for line in text.splitlines()
-            if line.startswith("repro_test_latency_bucket")
-        ]
-        assert bucket_lines, text
-        assert bucket_lines[-1] == 'repro_test_latency_bucket{le="+Inf"} 4'
-        # cumulative counts are monotone non-decreasing
-        counts = [float(line.rsplit(" ", 1)[1]) for line in bucket_lines]
-        assert counts == sorted(counts)
-        # le bounds are increasing (the +Inf line excluded)
-        bounds = [
-            float(line.split('le="', 1)[1].split('"', 1)[0])
-            for line in bucket_lines[:-1]
-        ]
-        assert bounds == sorted(bounds)
-
-    def test_round_trips_through_strict_parser(self):
-        text = self._text([0.25, 0.75])
-        samples = parse_prometheus(text)  # must not raise
-        assert samples["repro_test_latency_count"] == 2.0
-        assert samples["repro_test_latency_sum"] == 1.0
-        assert samples["repro_test_latency_min"] == 0.25
-        assert samples["repro_test_latency_max"] == 0.75
-        # the parser keys by bare name: the last bucket line (+Inf) wins
-        assert samples["repro_test_latency_bucket"] == 2.0
-
-    def test_underflow_only_histogram_falls_back_to_summary(self):
-        text = self._text([0.0, -1.0])
-        assert "# TYPE repro_test_latency summary" in text
-        assert "repro_test_latency_count 2" in text
-        parse_prometheus(text)  # still strict-parseable
-
-    def test_underflow_folds_into_cumulative_buckets(self):
-        text = self._text([-1.0, 0.5])
-        bucket_lines = [
-            line for line in text.splitlines()
-            if line.startswith("repro_test_latency_bucket")
-        ]
-        # the one finite bucket already includes the underflow sample
-        assert bucket_lines[0].endswith(" 2")
-
-
-# ----------------------------------------------------------------------
-# /profile scrape endpoints
-# ----------------------------------------------------------------------
-class TestServeProfile:
-    def _sample(self):
-        return {
-            "ts": 1.0, "pid": 1, "tid": 2, "span": "family.count",
-            "span_id": "s1", "trace_id": "t1",
-            "stack": ["cli.py:main", "family.py:_count"],
-        }
-
-    def test_profile_endpoints(self):
-        from repro.obs import profile as obs_profile
-
-        with obs.capture():
-            obs_profile.ingest_samples([self._sample()], None)
-            with obs.serve(port=0) as srv:
-                with urllib.request.urlopen(f"{srv.url}/profile") as resp:
-                    assert resp.status == 200
-                    collapsed = resp.read().decode()
-                with urllib.request.urlopen(f"{srv.url}/profile.json") as resp:
-                    chrome = json.loads(resp.read().decode())
-            obs_profile.clear_samples()
-        counts = obs_profile.parse_collapsed(collapsed)
-        assert counts == {"span:family.count;cli.py:main;family.py:_count": 1}
-        assert chrome["traceEvents"][0]["ph"] == "P"
