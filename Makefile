@@ -4,9 +4,9 @@ PYTHON ?= python
 
 .PHONY: install test test-fast lint bench bench-tables calibrate stats profile-report report examples clean all
 
-# Scan roots for the project analyzer (rules RPR001-RPR012, see
-# docs/analysis.md).  tests/ and scripts/ run under the relaxed profile
-# (RPR003/RPR006 off) automatically.
+# Scan roots for the project analyzer (rule catalog in docs/analysis.md).
+# tests/ and scripts/ run under the relaxed profile (RPR003/RPR006 off)
+# automatically.
 ANALYZE_ROOTS ?= src/repro tests scripts
 
 install:
@@ -18,8 +18,8 @@ test:
 test-fast:
 	$(PYTHON) -m pytest tests/ -x -q -p no:randomly -m "not slow"
 
-# Static gates: the stdlib-only project analyzer (rules RPR001-RPR012,
-# see docs/analysis.md) always runs — one cold in-process scan, ~2 s;
+# Static gates: the stdlib-only project analyzer (docs/analysis.md)
+# always runs — one cold in-process scan, ~2 s;
 # ruff and mypy run when installed (`pip install -e .[lint]`) and are
 # skipped with a notice otherwise so `make lint` works in the leanest
 # container.

@@ -9,15 +9,14 @@ exception policy.  Stdlib-only, so it runs in the leanest CI job
 
 The analyzer runs in **two passes**, in one process: pass 1 reads and
 parses each file once, runs the per-file rules and extracts its slice of
-the project model; pass 2 assembles the model — symbol tables, import
-graph, conservative call graph — and runs the interprocedural rules over
+the project model; pass 2 assembles the model — symbol tables, imports,
+conservative call resolution — and runs the interprocedural rules over
 it.  Every scan is cold (about 1.5 s for ``src/repro tests scripts``).
 
 Entry points::
 
     repro-butterfly analyze src/repro            # human output, exit 1 on findings
-    repro-butterfly analyze --format json --out analysis.json
-    repro-butterfly analyze --format sarif       # GitHub code-scanning upload
+    repro-butterfly analyze --format json        # repro.analysis.report/v3
     repro-butterfly analyze --rules RPR001,RPR002
     make lint                                    # analyzer + ruff + mypy (if present)
 
@@ -35,15 +34,13 @@ RPR002    sum/cumsum without explicit ``COUNT_DTYPE`` in sparsela/core
 RPR003    observability hygiene (span usage, names, disabled-path cost)
 RPR004    engine-plan purity (no plan mutation / inline member selection)
 RPR006    exception discipline (no bare/broad/swallowed handlers)
-RPR007    engine sink discipline (no ad-hoc ``open()`` writes in engine)
 RPR008    storage accessor discipline (no raw ``.indptr``/``.indices``)
-RPR009    resource lifecycle (shm/mmap/file release on every path)
-RPR010    worker-boundary purity (no shared-state writes from dispatch)
-RPR011    interprocedural dtype propagation (narrow returns summed)
+RPR009    resource lifecycle (shm/file release on every path)
 RPR012    public-API surface drift (``__all__`` vs ``docs/api.md``)
 ========  ==============================================================
 
-Per-line suppression: ``# repro: noqa[RPR006] <justification>``.
+Per-line suppression: ``# repro: noqa[RPR006] <justification>``; a
+pragma naming an unknown rule id is itself a finding (``RPR000``).
 Exit codes: 0 clean, 1 findings, 2 parse errors or bad CLI input.
 """
 
@@ -54,9 +51,7 @@ from repro.analysis.engine import (
     analyze_paths,
     analyze_source,
     analyze_sources,
-    baseline_payload,
     iter_python_files,
-    load_baseline,
     module_name_for,
 )
 from repro.analysis.findings import SEVERITIES, Finding, Suppressions, parse_suppressions
@@ -74,13 +69,6 @@ from repro.analysis.rules import (
     Rule,
     resolve_rules,
 )
-from repro.analysis.sarif import (
-    ANALYZER_VERSION,
-    SARIF_VERSION,
-    findings_from_sarif,
-    render_sarif,
-    sarif_payload,
-)
 
 __all__ = [
     "Finding",
@@ -94,8 +82,6 @@ __all__ = [
     "analyze_sources",
     "iter_python_files",
     "module_name_for",
-    "load_baseline",
-    "baseline_payload",
     "Rule",
     "ProjectRule",
     "RULES",
@@ -108,10 +94,5 @@ __all__ = [
     "ModuleFacts",
     "ProjectModel",
     "extract_module_facts",
-    "ANALYZER_VERSION",
     "RELAXED_PROFILE_EXCLUDES",
-    "SARIF_VERSION",
-    "sarif_payload",
-    "render_sarif",
-    "findings_from_sarif",
 ]

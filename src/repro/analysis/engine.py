@@ -1,4 +1,4 @@
-"""File discovery, parsing, two-pass rule dispatch, baselines.
+"""File discovery, parsing, two-pass rule dispatch.
 
 The engine is deliberately stdlib-only (``ast`` + ``os``): the analyzer
 must run in the leanest CI container (``make lint``) without dragging
@@ -11,7 +11,7 @@ suppression table), run the per-file rules over it, and keep its
 :class:`~repro.analysis.model.ModuleFacts` slice of the project model.
 **Pass 2** assembles the facts into a
 :class:`~repro.analysis.model.ProjectModel` and runs the interprocedural
-rules (RPR009–RPR012) over the whole program.  A cold scan of
+rules (RPR009, RPR012) over the whole program.  A cold scan of
 ``src/repro tests scripts`` takes about 1.5 s on a 2-vCPU host, so there
 is no result cache and no worker pool.
 
@@ -27,7 +27,6 @@ analyzer could not read is a broken gate, not a finding).
 from __future__ import annotations
 
 import ast
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -43,13 +42,14 @@ __all__ = [
     "analyze_sources",
     "iter_python_files",
     "module_name_for",
-    "load_baseline",
-    "baseline_payload",
     "RELAXED_PROFILE_EXCLUDES",
 ]
 
 #: Rules switched off for files under ``tests/`` or ``scripts/``.
 RELAXED_PROFILE_EXCLUDES: frozenset[str] = frozenset({"RPR003", "RPR006"})
+
+#: Rule id of the engine's own finding: a pragma naming no known rule.
+STALE_PRAGMA_RULE = "RPR000"
 
 
 @dataclass
@@ -83,7 +83,6 @@ class Report:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: int = 0  #: findings absorbed by ``# repro: noqa`` pragmas
-    baselined: int = 0  #: findings absorbed by the ``--baseline`` file
     files: int = 0
     rules: tuple[str, ...] = ()
     elapsed_ms: float = 0.0
@@ -232,7 +231,14 @@ def _project_findings(
 def _apply_suppressions(
     raw: list[Finding], suppressions: dict[str, Suppressions]
 ) -> tuple[list[Finding], int]:
-    """(sorted findings no pragma absorbs, how many pragmas absorbed)."""
+    """(sorted findings no pragma absorbs, how many pragmas absorbed).
+
+    A pragma naming an unknown rule id (a typo, or a rule since deleted)
+    would silently suppress nothing, so it is itself a finding — one no
+    pragma can absorb.
+    """
+    from repro.analysis.rules import ALL_RULE_IDS
+
     kept: list[Finding] = []
     suppressed = 0
     for f in raw:
@@ -241,6 +247,14 @@ def _apply_suppressions(
             suppressed += 1
         else:
             kept.append(f)
+    for path, supp in suppressions.items():
+        for line, ids in supp.by_line.items():
+            for rule_id in sorted(ids.difference(ALL_RULE_IDS)):
+                kept.append(Finding(
+                    STALE_PRAGMA_RULE, path, line, 0,
+                    f"'# repro: noqa[{rule_id}]' names no known rule; fix "
+                    "the id or delete the stale pragma",
+                ))
     kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return kept, suppressed
 
@@ -354,17 +368,10 @@ def _read_text_or_none(path: str) -> str | None:
         return None
 
 
-def analyze_paths(
-    paths: list[str],
-    rules: list[str] | None = None,
-    baseline: set[tuple[str, str, str]] | None = None,
-) -> Report:
+def analyze_paths(paths: list[str], rules: list[str] | None = None) -> Report:
     """Analyze files/directories and return a :class:`Report`.
 
     Every file is read and parsed exactly once, in this process.
-    ``baseline`` is a set of :meth:`Finding.baseline_key` tuples to
-    filter out (see :func:`load_baseline`); matches are counted in
-    ``report.baselined`` rather than silently dropped.
     """
     from repro.analysis.rules import resolve_rules
 
@@ -399,12 +406,7 @@ def analyze_paths(
     if project_rules:
         api_doc, api_doc_path = _locate_api_doc(paths)
         raw.extend(_project_findings(project_rules, facts, api_doc, api_doc_path))
-    kept, report.suppressed = _apply_suppressions(raw, suppressions)
-    for f in kept:
-        if baseline and f.baseline_key() in baseline:
-            report.baselined += 1
-        else:
-            report.findings.append(f)
+    report.findings, report.suppressed = _apply_suppressions(raw, suppressions)
     report.elapsed_ms = (time.perf_counter() - t0) * 1e3
     _record_obs(report)
     return report
@@ -421,28 +423,3 @@ def _record_obs(report: Report) -> None:
         obs.inc("analysis.files", report.files)
         obs.inc("analysis.findings", len(report.findings))
         obs.observe("analysis.scan_ms", report.elapsed_ms)
-
-
-def load_baseline(path: str) -> set[tuple[str, str, str]]:
-    """Load a baseline JSON written by ``analyze --write-baseline``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed baseline JSON: {exc}") from exc
-    entries = payload.get("entries", payload if isinstance(payload, list) else [])
-    out: set[tuple[str, str, str]] = set()
-    for entry in entries:
-        out.add((str(entry["rule"]), str(entry["path"]), str(entry["message"])))
-    return out
-
-
-def baseline_payload(report: Report) -> dict[str, object]:
-    """Serialisable baseline for the report's current findings."""
-    return {
-        "schema": "repro.analysis.baseline/v1",
-        "entries": [
-            {"rule": f.rule, "path": f.path, "message": f.message}
-            for f in report.findings
-        ],
-    }

@@ -1,9 +1,7 @@
 """Finding records and per-line suppression parsing.
 
-A :class:`Finding` is one rule violation at one source location.  The
-identity used by baselines deliberately omits the line number — moving
-code around must not churn a recorded baseline — while the rendered
-output always carries exact ``file:line:col`` coordinates.
+A :class:`Finding` is one rule violation at one source location; the
+rendered output always carries exact ``file:line:col`` coordinates.
 
 Suppressions are per-line pragma comments::
 
@@ -55,10 +53,6 @@ class Finding:
         """``path:line:col`` — the clickable coordinate string."""
         return f"{self.path}:{self.line}:{self.col}"
 
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Line-insensitive identity used by ``--baseline`` filtering."""
-        return (self.rule, self.path, self.message)
-
     def to_dict(self) -> dict[str, object]:
         """JSON-renderer payload (stable schema, see docs/analysis.md)."""
         return {
@@ -91,9 +85,10 @@ def parse_suppressions(source: str) -> Suppressions:
     """Scan source text for ``# repro: noqa[...]`` pragmas.
 
     A plain regex over physical lines: a pragma inside a string literal
-    would also match, which is harmless (it only ever *widens* what is
-    suppressed, and the self-scan test keeps the repo's pragma count
-    explicit).
+    would also match.  That only ever *widens* what is suppressed (and
+    the self-scan test keeps the repo's pragma count explicit), but a
+    literal spelling an unknown rule id is reported as a stale pragma
+    like a real one.
     """
     by_line: dict[int, frozenset[str]] = {}
     for lineno, text in enumerate(source.splitlines(), start=1):

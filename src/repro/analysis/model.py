@@ -4,15 +4,15 @@ The two-pass engine (docs/analysis.md §"whole-program pass") first
 extracts one :class:`ModuleFacts` record per file — symbol table,
 import aliases, ``__all__`` exports, and one :class:`FunctionFacts` per
 function (calls made, resource acquisitions with their syntactic
-protection, module-global writes, reduction sites, return-dtype atoms).
-Facts are plain in-memory records built once per file per scan.
+protection, the callees whose results it returns).  Facts are plain
+in-memory records built once per file per scan.
 
-The model then resolves a **conservative call graph**: direct calls,
+The model then resolves calls **conservatively**: direct calls,
 aliased-import calls, ``self.method`` / ``ClassName.method`` calls and
 locally-constructed known-class calls resolve to project functions;
-anything dynamic resolves to *no edge* (never a wrong edge), which keeps
-the reachability-based rules (RPR010) free of false positives at the
-cost of under-approximating reach — the right trade for a blocking gate.
+anything dynamic resolves to *no target* (never a wrong one), which
+keeps RPR009's transitive acquirer check free of false positives at the
+cost of missing some wrappers — the right trade for a blocking gate.
 """
 
 from __future__ import annotations
@@ -24,14 +24,11 @@ from typing import Iterable, Iterator
 __all__ = [
     "AcquisitionFact",
     "CallFact",
-    "StoreFact",
-    "ReductionFact",
     "FunctionFacts",
     "ModuleFacts",
     "ProjectModel",
     "extract_module_facts",
     "ACQUIRE_SUFFIXES",
-    "ACQUIRE_RESOLVED",
     "RELEASE_METHODS",
 ]
 
@@ -46,16 +43,7 @@ ACQUIRE_SUFFIXES: dict[str, str] = {
     "shared_memory.SharedMemory": "shm-segment",
     "SharedGraphBuffers.publish": "shm-publication",
     "attach_graph": "shm-attachment",
-    "open_memmap": "mmap-handle",
     "open": "file-handle",
-}
-
-#: Fully-resolved ``module:qualname`` targets that acquire a resource
-#: (covers ``from repro.parallel.shm import attach_graph``-style aliased
-#: imports).
-ACQUIRE_RESOLVED: dict[str, str] = {
-    "repro.parallel.shm:SharedGraphBuffers.publish": "shm-publication",
-    "repro.parallel.shm:attach_graph": "shm-attachment",
 }
 
 #: Method names that count as releasing a tracked resource.
@@ -64,19 +52,6 @@ RELEASE_METHODS = frozenset({"close", "unlink", "shutdown", "stop", "terminate"}
 #: Callables that register a deferred release (protection "finalizer").
 _FINALIZER_CALLS = frozenset(
     {"weakref.finalize", "finalize", "atexit.register", "register_finalizer"}
-)
-
-#: numpy dtype attributes considered narrow / wide (mirrors rules.py —
-#: duplicated here so facts extraction has no import cycle with rules).
-_NARROW_DTYPE_ATTRS = frozenset(
-    {"int8", "int16", "int32", "intc", "uint8", "uint16", "uint32"}
-)
-_WIDE_DTYPE_ATTRS = frozenset(
-    {"int64", "uint64", "float64", "bool_", "intp", "longlong"}
-)
-_WIDE_DTYPE_NAMES = frozenset({"COUNT_DTYPE", "INDEX_DTYPE"})
-_PRESERVING_METHODS = frozenset(
-    {"copy", "reshape", "ravel", "flatten", "transpose", "view"}
 )
 
 
@@ -89,13 +64,6 @@ def _dotted(node: ast.AST) -> str | None:
     if isinstance(node, ast.Name):
         parts.append(node.id)
         return ".".join(reversed(parts))
-    return None
-
-
-def _keyword(call: ast.Call, name: str) -> ast.expr | None:
-    for kw in call.keywords:
-        if kw.arg == name:
-            return kw.value
     return None
 
 
@@ -117,9 +85,6 @@ class CallFact:
     line: int
     col: int
     protection: str = "transfer"
-    #: first positional argument when it is a bare Name (dispatcher
-    #: indirection: ``self._map(_task_fn, items)`` roots ``_task_fn``)
-    first_arg: str | None = None
 
 
 @dataclass
@@ -146,34 +111,6 @@ class AcquisitionFact:
 
 
 @dataclass
-class StoreFact:
-    """A store whose target may be module-level state (RPR010 input).
-
-    ``kind`` is ``"global"`` (name assigned under a ``global``
-    declaration), ``"subscript"`` (``X[...] = v``), ``"attribute"``
-    (``X.attr = v``) or ``"imported"`` (attribute store on a name bound
-    by a function-level import — a module monkeypatch); ``target`` is
-    the base name being mutated.
-    """
-
-    target: str
-    line: int
-    col: int
-    kind: str
-
-
-@dataclass
-class ReductionFact:
-    """A ``sum``/``cumsum`` without ``dtype=``/``out=`` whose operand is
-    a call to a project function (directly, or through one local name)."""
-
-    callee: str  #: dotted spelling of the operand-producing call
-    spelled: str  #: how the reduction was written, for the message
-    line: int
-    col: int
-
-
-@dataclass
 class FunctionFacts:
     """Everything the interprocedural rules need about one function."""
 
@@ -181,25 +118,12 @@ class FunctionFacts:
     name: str
     cls: str | None
     line: int
-    params: list[str] = field(default_factory=list)
     calls: list[CallFact] = field(default_factory=list)
     acquisitions: list[AcquisitionFact] = field(default_factory=list)
-    stores: list[StoreFact] = field(default_factory=list)
-    obs_state_calls: list[CallFact] = field(default_factory=list)
-    reductions: list[ReductionFact] = field(default_factory=list)
-    #: return atoms: "wide" | "narrow" | "unknown" | "call:<dotted>" |
-    #: "param:<name>"
-    returns: list[str] = field(default_factory=list)
-    #: names of functions this one hands to a pool (``.map``/``.submit``)
-    dispatches: list[str] = field(default_factory=list)
+    #: dotted callees of ``return f(...)`` statements (acquirer propagation)
+    returned_calls: list[str] = field(default_factory=list)
     #: True when any acquisition's value is returned (acquirer candidate)
     returns_resource: bool = False
-    #: names bound locally (params, assignments, loop/with targets) —
-    #: lets RPR010 tell a module-global mutation from a local one
-    local_names: list[str] = field(default_factory=list)
-    #: local name -> dotted callee it was assigned from (shm-attachment
-    #: aliasing for RPR010's attached-array-mutation check)
-    assigned_from: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -256,7 +180,7 @@ class _FunctionScanner:
     """One statement-ordered walk over a function body.
 
     Computes, path-insensitively, the protection class of every
-    acquisition and the store / call / reduction / return facts.  The
+    acquisition and the call / returned-callee facts.  The
     walk is two-phase: phase 1 collects *protected names* (names that
     are with-items, released in a finally, registered with a finalizer,
     returned, or transferred into containers/arguments); phase 2
@@ -266,33 +190,15 @@ class _FunctionScanner:
     def __init__(self, fn: ast.FunctionDef | ast.AsyncFunctionDef,
                  cls_name: str | None, module_facts: ModuleFacts) -> None:
         self.fn = fn
-        self.cls_name = cls_name
         self.mod = module_facts
         qual = fn.name if cls_name is None else f"{cls_name}.{fn.name}"
-        params = [a.arg for a in (
-            fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
-        )]
-        if fn.args.vararg:
-            params.append(fn.args.vararg.arg)
-        if fn.args.kwarg:
-            params.append(fn.args.kwarg.arg)
         self.facts = FunctionFacts(
             qualname=qual, name=fn.name, cls=cls_name, line=fn.lineno,
-            params=params,
         )
-        self._global_names: set[str] = set()
         self._protected: set[str] = set()
         self._released_safely: set[str] = set()
         self._finalized: set[str] = set()
         self._returned_names: set[str] = set()
-        #: local name -> dotted callee it was last assigned from
-        self._assigned_from_call: dict[str, str] = {}
-        #: like the above but never cleared on reassignment (RPR010 uses
-        #: "was this name *ever* bound from an attachment call")
-        self._ever_assigned_from: dict[str, str] = {}
-        #: names bound by function-level import statements — attribute
-        #: stores on these are module monkeypatches (RPR010)
-        self._fn_imports: set[str] = set()
         #: local name -> class name it was constructed from
         self._local_types: dict[str, str] = {}
 
@@ -306,9 +212,6 @@ class _FunctionScanner:
                 for node in ast.walk(stmt):
                     if isinstance(node, ast.Name):
                         self._protected.add(node.id)
-                continue
-            if isinstance(stmt, (ast.Global, ast.Nonlocal)):
-                self._global_names.update(stmt.names)
                 continue
             if isinstance(stmt, (ast.With, ast.AsyncWith)):
                 for item in stmt.items:
@@ -416,24 +319,8 @@ class _FunctionScanner:
             if isinstance(node, (ast.With, ast.AsyncWith)):
                 for item in node.items:
                     with_items.add(id(item.context_expr))
-        locals_: set[str] = set(self.facts.params)
         for stmt in self._iter_own_statements(self.fn.body):
             self._scan_statement(stmt, with_items)
-            for node in self._walk_no_nested(stmt):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                    if node.id not in self._global_names:
-                        locals_.add(node.id)
-            # with ... as x / for x in ... bind locals too
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                for item in stmt.items:
-                    if isinstance(item.optional_vars, ast.Name):
-                        locals_.add(item.optional_vars.id)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                for node in ast.walk(stmt.target):
-                    if isinstance(node, ast.Name):
-                        locals_.add(node.id)
-        self.facts.local_names = sorted(locals_)
-        self.facts.assigned_from = dict(self._ever_assigned_from)
         return self.facts
 
     def _iter_own_statements(self, body: list[ast.stmt]) -> Iterator[ast.stmt]:
@@ -451,16 +338,12 @@ class _FunctionScanner:
                 yield from self._iter_own_statements(handler.body)
 
     def _scan_statement(self, stmt: ast.stmt, with_items: set[int]) -> None:
-        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            for alias in stmt.names:
-                if alias.name != "*":
-                    self._fn_imports.add(
-                        alias.asname or alias.name.split(".")[0]
-                    )
-            return
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            self._record_stores(stmt)
-        # track name -> callee / constructed class for this statement
+        # ``return f(...)``: f's resource, if any, passes to our caller
+        if isinstance(stmt, ast.Return) and isinstance(stmt.value, ast.Call):
+            dotted = _dotted(stmt.value.func)
+            if dotted is not None:
+                self.facts.returned_calls.append(dotted)
+        # track name -> constructed class for this statement
         assigned_names: list[str] = []
         if isinstance(stmt, ast.Assign):
             for target in stmt.targets:
@@ -479,13 +362,10 @@ class _FunctionScanner:
             dotted = _dotted(value.func)
             if dotted is not None:
                 for name in assigned_names:
-                    self._assigned_from_call[name] = dotted
-                    self._ever_assigned_from[name] = dotted
                     if dotted in self.mod.classes:
                         self._local_types[name] = dotted
         elif assigned_names:
             for name in assigned_names:
-                self._assigned_from_call.pop(name, None)
                 self._local_types.pop(name, None)
         for node in self._walk_no_nested(stmt):
             if isinstance(node, ast.Call):
@@ -513,44 +393,8 @@ class _FunctionScanner:
                     continue
                 yield node
 
-    def _record_stores(self, stmt: ast.stmt) -> None:
-        targets = (
-            stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        )
-        for target in targets:
-            nodes = target.elts if isinstance(target, (ast.Tuple, ast.List)) else [target]
-            for node in nodes:
-                if isinstance(node, ast.Name):
-                    if node.id in self._global_names:
-                        self.facts.stores.append(
-                            StoreFact(node.id, stmt.lineno, stmt.col_offset,
-                                      "global")
-                        )
-                elif isinstance(node, ast.Subscript):
-                    base = node.value
-                    if isinstance(base, ast.Name):
-                        self.facts.stores.append(
-                            StoreFact(base.id, stmt.lineno, stmt.col_offset,
-                                      "subscript")
-                        )
-                elif isinstance(node, ast.Attribute):
-                    base = node.value
-                    if isinstance(base, ast.Name):
-                        kind = (
-                            "imported"
-                            if base.id in self._fn_imports
-                            else "attribute"
-                        )
-                        self.facts.stores.append(
-                            StoreFact(base.id, stmt.lineno, stmt.col_offset,
-                                      kind)
-                        )
-
     def _record_call(self, node: ast.Call, stmt: ast.stmt,
                      with_items: set[int]) -> None:
-        # reductions over call results (``helper(x).sum()``) have no
-        # dotted spelling for the outer call — record them first
-        self._maybe_record_reduction(node)
         dotted = _dotted(node.func)
         if dotted is None:
             return
@@ -560,37 +404,11 @@ class _FunctionScanner:
         if rest and head in self._local_types:
             dotted = f"{self._local_types[head]}.{rest}"
         protection = self._protection_for(node, stmt, with_items)
-        first_arg = (
-            node.args[0].id
-            if node.args and isinstance(node.args[0], ast.Name)
-            else None
-        )
         self.facts.calls.append(
-            CallFact(dotted, node.lineno, node.col_offset, protection, first_arg)
+            CallFact(dotted, node.lineno, node.col_offset, protection)
         )
-        # pool dispatch: first-arg Name of ``<obj>.map(fn, ...)`` /
-        # ``<obj>.submit(fn, ...)`` names a worker-side task function.
-        # When that Name is a *parameter* of this function, this function
-        # is a dispatcher wrapper (``self._map(fn, tasks)``): record it
-        # as ``param:<name>`` so call sites one level up become roots.
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("map", "submit")
-            and node.args
-            and isinstance(node.args[0], ast.Name)
-        ):
-            arg = node.args[0].id
-            if arg in self.facts.params:
-                self.facts.dispatches.append(f"param:{arg}")
-            else:
-                self.facts.dispatches.append(arg)
-        # obs global-state mutation (RPR010 input)
-        if dotted in ("obs.reset", "obs.enable", "obs.disable"):
-            self.facts.obs_state_calls.append(
-                CallFact(dotted, node.lineno, node.col_offset)
-            )
         # resource acquisitions (RPR009 input)
-        kind = self._acquisition_kind(node, dotted)
+        kind = self._acquisition_kind(dotted)
         if kind is not None:
             bound = self._bound_names(stmt, node) or set()
             if protection == "transfer" and (
@@ -602,38 +420,10 @@ class _FunctionScanner:
                                 protection)
             )
 
-    def _maybe_record_reduction(self, node: ast.Call) -> None:
-        func = node.func
-        if not isinstance(func, ast.Attribute) or func.attr not in ("sum", "cumsum"):
-            return
-        if _keyword(node, "dtype") is not None or _keyword(node, "out") is not None:
-            return
-        if isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy"):
-            operand = node.args[0] if node.args else None
-            spelled = f"np.{func.attr}(...)"
-        else:
-            operand = func.value
-            spelled = f".{func.attr}()"
-        callee: str | None = None
-        if isinstance(operand, ast.Call):
-            callee = _dotted(operand.func)
-        elif isinstance(operand, ast.Name):
-            callee = self._assigned_from_call.get(operand.id)
-        if callee is not None:
-            self.facts.reductions.append(
-                ReductionFact(callee, spelled, node.lineno, node.col_offset)
-            )
-
-    def _acquisition_kind(self, node: ast.Call, dotted: str) -> str | None:
-        if dotted in ACQUIRE_SUFFIXES:
-            return ACQUIRE_SUFFIXES[dotted]
-        tail2 = ".".join(dotted.split(".")[-2:])
-        if tail2 in ACQUIRE_SUFFIXES:
-            return ACQUIRE_SUFFIXES[tail2]
-        # np.load(..., mmap_mode=...) maps a file
-        if dotted.split(".")[-1] == "load" and _keyword(node, "mmap_mode") is not None:
-            return "mmap-handle"
-        return None
+    @staticmethod
+    def _acquisition_kind(dotted: str) -> str | None:
+        # every table key has at most two components
+        return ACQUIRE_SUFFIXES.get(".".join(dotted.split(".")[-2:]))
 
     def _protection_for(self, node: ast.Call, stmt: ast.stmt,
                         with_items: set[int]) -> str:
@@ -750,10 +540,9 @@ def _scan_function_tree(fn: ast.FunctionDef | ast.AsyncFunctionDef,
                         cls_name: str | None, facts: ModuleFacts) -> None:
     scanner = _FunctionScanner(fn, cls_name, facts)
     fn_facts = scanner.scan()
-    fn_facts.returns.extend(_return_atoms(fn, fn_facts.params))
     facts.functions.append(fn_facts)
     # nested defs are scanned as their own (qualified) functions so their
-    # calls still contribute conservative call-graph edges
+    # acquisitions and calls are still checked
     for stmt in ast.walk(fn):
         if stmt is fn:
             continue
@@ -764,91 +553,18 @@ def _scan_function_tree(fn: ast.FunctionDef | ast.AsyncFunctionDef,
             facts.functions.append(nested_facts)
 
 
-# -- return-dtype atoms (RPR011 input) ---------------------------------
-
-
-def _return_atoms(fn: ast.FunctionDef | ast.AsyncFunctionDef,
-                  params: list[str]) -> list[str]:
-    atoms: list[str] = []
-    for node in ast.walk(fn):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not fn:
-            continue
-        if isinstance(node, ast.Return) and node.value is not None:
-            atoms.append(_classify_return(node.value, set(params)))
-    return atoms
-
-
-def _classify_return(expr: ast.expr, params: set[str]) -> str:
-    if isinstance(expr, ast.Constant):
-        return "wide"
-    if isinstance(expr, ast.Name):
-        return f"param:{expr.id}" if expr.id in params else "unknown"
-    if isinstance(expr, ast.Call):
-        func = expr.func
-        dotted = _dotted(func)
-        if isinstance(func, ast.Attribute):
-            if func.attr == "astype" and expr.args:
-                return "wide" if _dtype_is_wide(expr.args[0]) else (
-                    "narrow" if _dtype_is_narrow(expr.args[0]) else "unknown"
-                )
-            dtype_kw = _keyword(expr, "dtype")
-            if func.attr in ("zeros", "ones", "empty", "full", "arange",
-                             "asarray", "array", "sum", "cumsum"):
-                if dtype_kw is not None:
-                    return "wide" if _dtype_is_wide(dtype_kw) else (
-                        "narrow" if _dtype_is_narrow(dtype_kw) else "unknown"
-                    )
-                return "unknown"
-            if func.attr in _PRESERVING_METHODS and isinstance(func.value, ast.Name):
-                base = func.value.id
-                return f"param:{base}" if base in params else "unknown"
-        if isinstance(func, ast.Name) and func.id in ("int", "float", "len",
-                                                      "bool", "abs"):
-            return "wide"
-        if dotted is not None:
-            return f"call:{dotted}"
-        return "unknown"
-    if isinstance(expr, ast.BinOp):
-        left = _classify_return(expr.left, params)
-        right = _classify_return(expr.right, params)
-        if "narrow" in (left, right):
-            return "narrow"
-        if left == "wide" and right == "wide":
-            return "wide"
-        return "unknown"
-    return "unknown"
-
-
-def _dtype_is_wide(expr: ast.expr) -> bool:
-    if isinstance(expr, ast.Name):
-        return expr.id in _WIDE_DTYPE_NAMES or expr.id in ("int", "float", "bool")
-    if isinstance(expr, ast.Attribute):
-        return expr.attr in _WIDE_DTYPE_ATTRS
-    if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-        return expr.value in ("int64", "uint64", "float64", "bool")
-    return False
-
-
-def _dtype_is_narrow(expr: ast.expr) -> bool:
-    if isinstance(expr, ast.Attribute):
-        return expr.attr in _NARROW_DTYPE_ATTRS
-    if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-        return expr.value in _NARROW_DTYPE_ATTRS
-    return False
-
-
 # ----------------------------------------------------------------------
-# the project model + call graph
+# the project model
 # ----------------------------------------------------------------------
 
 
 class ProjectModel:
-    """Whole-program view: modules, symbol tables, conservative call graph.
+    """Whole-program view: modules, symbol tables, conservative call resolution.
 
     Functions are keyed by ``"module:qualname"`` ids.  ``resolve_call``
     maps one textual callee (as recorded in a :class:`CallFact`) to a
     function id, or ``None`` when the call cannot be resolved with
-    certainty — dynamic calls degrade to *no edge*.
+    certainty — dynamic calls degrade to *no target*.
     """
 
     def __init__(self, modules: Iterable[ModuleFacts],
@@ -864,7 +580,6 @@ class ProjectModel:
         for mod in self.modules.values():
             for fn in mod.functions:
                 self.functions[f"{mod.module}:{fn.qualname}"] = (mod, fn)
-        self._edges: dict[str, list[str]] | None = None
 
     # -- resolution ----------------------------------------------------
     def resolve_call(self, mod: ModuleFacts, fn: FunctionFacts | None,
@@ -923,62 +638,3 @@ class ProjectModel:
                     )
                 return None
         return None
-
-    # -- graph ---------------------------------------------------------
-    @property
-    def edges(self) -> dict[str, list[str]]:
-        if self._edges is None:
-            edges: dict[str, list[str]] = {}
-            for fid, (mod, fn) in self.functions.items():
-                out: list[str] = []
-                for call in fn.calls:
-                    target = self.resolve_call(mod, fn, call.callee)
-                    if target is not None and target != fid:
-                        out.append(target)
-                edges[fid] = out
-            self._edges = edges
-        return self._edges
-
-    def reachable(self, roots: Iterable[str]) -> set[str]:
-        """Transitive closure over the call graph from ``roots``."""
-        seen: set[str] = set()
-        stack = [r for r in roots if r in self.functions]
-        while stack:
-            fid = stack.pop()
-            if fid in seen:
-                continue
-            seen.add(fid)
-            stack.extend(t for t in self.edges.get(fid, ()) if t not in seen)
-        return seen
-
-    def dispatch_roots(self) -> set[str]:
-        """Function ids handed to a pool ``.map``/``.submit`` anywhere.
-
-        Direct dispatch (``pool.map(_task, items)``) roots ``_task``.
-        One level of dispatcher indirection is also resolved: a function
-        that forwards a *parameter* into ``.map``/``.submit`` (``def
-        _map(self, fn, tasks): return pool.map(fn, tasks)``) makes every
-        bare-Name first argument at its call sites a root
-        (``self._map(_task, tasks)`` roots ``_task``).
-        """
-        roots: set[str] = set()
-        dispatchers: set[str] = set()
-        for fid, (mod, fn) in self.functions.items():
-            for name in fn.dispatches:
-                if name.startswith("param:"):
-                    dispatchers.add(fid)
-                    continue
-                target = self.resolve_call(mod, fn, name)
-                if target is not None:
-                    roots.add(target)
-        if dispatchers:
-            for fid, (mod, fn) in self.functions.items():
-                for call in fn.calls:
-                    if call.first_arg is None:
-                        continue
-                    target = self.resolve_call(mod, fn, call.callee)
-                    if target in dispatchers:
-                        root = self.resolve_call(mod, fn, call.first_arg)
-                        if root is not None:
-                            roots.add(root)
-        return roots

@@ -11,7 +11,7 @@ from repro.analysis.engine import Report
 __all__ = ["render_text", "render_json", "report_payload", "JSON_SCHEMA_ID"]
 
 #: Schema identifier stamped into every JSON report (bump on shape change).
-JSON_SCHEMA_ID = "repro.analysis.report/v2"
+JSON_SCHEMA_ID = "repro.analysis.report/v3"
 
 
 def render_text(report: Report, *, verbose: bool = False) -> str:
@@ -42,16 +42,13 @@ def render_text(report: Report, *, verbose: bool = False) -> str:
             f"OK: {report.files} file(s) clean under rules "
             f"{', '.join(report.rules)} in {report.elapsed_ms:.1f} ms"
         )
-    if report.suppressed or report.baselined or verbose:
-        lines.append(
-            f"   ({report.suppressed} suppressed by noqa, "
-            f"{report.baselined} filtered by baseline)"
-        )
+    if report.suppressed or verbose:
+        lines.append(f"   ({report.suppressed} suppressed by noqa)")
     return "\n".join(lines)
 
 
 def report_payload(report: Report) -> dict[str, Any]:
-    """The JSON report as a plain dict (schema ``repro.analysis.report/v2``)."""
+    """The JSON report as a plain dict (schema ``repro.analysis.report/v3``)."""
     return {
         "schema": JSON_SCHEMA_ID,
         "generated": _dt.datetime.now(_dt.timezone.utc).isoformat(),
@@ -62,7 +59,6 @@ def report_payload(report: Report) -> dict[str, Any]:
         "counts": {
             "total": len(report.findings),
             "suppressed": report.suppressed,
-            "baselined": report.baselined,
             "by_rule": report.counts_by_rule(),
         },
         "findings": [f.to_dict() for f in report.findings],

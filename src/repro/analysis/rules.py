@@ -1,4 +1,4 @@
-"""The project-native rule catalog (RPR001–RPR012).
+"""The project-native rule catalog.
 
 Each rule is a small AST walker over a shared :class:`ModuleContext`.
 The rules encode *this repo's* correctness conventions — the invariants
@@ -10,18 +10,13 @@ RPR002  integer reductions without an explicit ``COUNT_DTYPE`` dtype
 RPR003  observability hygiene (span usage, metric names, disabled-path cost)
 RPR004  engine-plan purity (no plan mutation / inline member selection)
 RPR006  exception discipline (no bare/broad/swallowed handlers)
-RPR007  engine sink discipline (no ad-hoc ``open()`` writes in repro.engine)
 RPR008  storage accessor discipline (no direct ``.indptr``/``.indices``
         outside repro.storage / repro.sparsela and the sanctioned plumbing)
 
 Interprocedural rules (pass 2, over the whole-program model built by
 ``analysis/model.py`` — see docs/analysis.md §"whole-program pass"):
 
-RPR009  resource-lifecycle discipline (shm / mmap / file releases)
-RPR010  worker-boundary purity (no shared-state writes reachable from
-        executor dispatch)
-RPR011  interprocedural dtype propagation (reductions over provably
-        narrow helper returns)
+RPR009  resource-lifecycle discipline (shm / file releases)
 RPR012  public-API surface drift (``__all__`` vs ``docs/api.md``)
 
 See ``docs/analysis.md`` for the full rationale, the paper references,
@@ -34,7 +29,6 @@ import ast
 import re
 from typing import Iterable, Iterator
 
-from repro.analysis import summaries
 from repro.analysis.engine import ModuleContext
 from repro.analysis.findings import Finding
 from repro.analysis.model import ProjectModel
@@ -46,7 +40,6 @@ __all__ = [
     "ALL_RULE_IDS",
     "resolve_rules",
     "DEFAULT_KNOWN_PACKAGES",
-    "WORKER_OBS_SANCTIONED",
 ]
 
 #: Fallback package set for in-memory fixture scans (tests); directory
@@ -757,71 +750,6 @@ class ExceptionDisciplineRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# RPR007 — engine sink discipline
-# ----------------------------------------------------------------------
-
-class EngineSinkDisciplineRule(Rule):
-    """Engine persistence goes through the obs sink API, not ad-hoc I/O.
-
-    The drift ledger (``repro.engine.drift``) writes through
-    :class:`repro.obs.sinks.JsonlSink` so every engine artifact shares
-    one append/flush/format discipline and shows up in the same tooling.
-    A write- or append-mode ``open()`` (or ``.write_text`` /
-    ``.write_bytes``) inside ``repro.engine`` bypasses that contract.
-    ``repro.engine.calibration`` is allow-listed: the calibration table
-    predates the sink API and persists a single JSON document, not an
-    append-only stream.
-    """
-
-    id = "RPR007"
-    title = "ad-hoc persistence in repro.engine"
-
-    SCOPES = ("repro.engine",)
-    ALLOWED_MODULES = frozenset({"repro.engine.calibration"})
-    _WRITE_MODE_CHARS = frozenset("wax+")
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not ctx.in_package(*self.SCOPES):
-            return
-        if ctx.module in self.ALLOWED_MODULES:
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id == "open":
-                if self._is_write_mode(node):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "write-mode open() in repro.engine; persist through "
-                        "the obs sink API (repro.obs.sinks, e.g. JsonlSink) "
-                        "like the drift ledger does",
-                    )
-            elif isinstance(func, ast.Attribute) and func.attr in (
-                "write_text",
-                "write_bytes",
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f".{func.attr}(...) in repro.engine; persist through "
-                    "the obs sink API (repro.obs.sinks, e.g. JsonlSink) "
-                    "like the drift ledger does",
-                )
-
-    def _is_write_mode(self, call: ast.Call) -> bool:
-        mode = (
-            call.args[1] if len(call.args) > 1 else _keyword(call, "mode")
-        )
-        if mode is None:
-            return False  # default "r"
-        if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
-            return bool(self._WRITE_MODE_CHARS & set(mode.value))
-        return True  # dynamic mode: assume the worst
-
-
-# ----------------------------------------------------------------------
 # RPR008 — storage accessor discipline
 # ----------------------------------------------------------------------
 
@@ -891,7 +819,7 @@ class StorageAccessorDisciplineRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# interprocedural rules (RPR009–RPR012) — pass 2 over the project model
+# interprocedural rules (RPR009, RPR012) — pass 2 over the project model
 # ----------------------------------------------------------------------
 
 class ProjectRule(Rule):
@@ -926,22 +854,47 @@ class ResourceLifecycleRule(ProjectRule):
     """RPR009 — tracked resources must be released on every path.
 
     Acquisitions of ``SharedMemory`` / ``SharedGraphBuffers.publish`` /
-    mmap handles / ``open`` file handles must be one of: a ``with`` item,
-    released inside ``try/finally`` (or an ``except`` that re-raises),
-    registered with ``weakref.finalize``/``atexit.register``, or
-    transferred out of the function (returned, stored into a container,
-    passed on).  Functions that *return* an unreleased resource pass the
-    obligation to their callers: every call site of such an acquirer is
-    itself an acquisition site, transitively (summaries.py).  The check
-    is path-insensitive: a straight-line ``x.close()`` with no
+    ``attach_graph`` / ``open`` file handles must be one of: a ``with``
+    item, released inside ``try/finally`` (or an ``except`` that
+    re-raises), registered with ``weakref.finalize``/``atexit.register``,
+    or transferred out of the function (returned, stored into a
+    container, passed on).  Functions that *return* an unreleased
+    resource pass the obligation to their callers: every call site of
+    such an acquirer is itself an acquisition site, transitively.  The
+    check is path-insensitive: a straight-line ``x.close()`` with no
     ``finally`` still leaks on the exception path and is flagged.
     """
 
     id = "RPR009"
     title = "resource acquired without release discipline"
 
+    @staticmethod
+    def acquirers(model: "ProjectModel") -> dict[str, str]:
+        """``function id -> resource kind`` for functions that hand an
+        unreleased tracked resource to their caller."""
+        acquirers: dict[str, str] = {}
+        for fid, (_mod, fn) in model.functions.items():
+            if fn.returns_resource:
+                kinds = [a.kind for a in fn.acquisitions]
+                acquirers[fid] = kinds[0] if kinds else "resource"
+        # transitive: ``f() { return make_shm() }`` is itself an acquirer;
+        # repeat until a round adds none (the set only grows)
+        changed = True
+        while changed:
+            changed = False
+            for fid, (mod, fn) in model.functions.items():
+                if fid in acquirers:
+                    continue
+                for callee in fn.returned_calls:
+                    target = model.resolve_call(mod, fn, callee)
+                    if target is not None and target in acquirers:
+                        acquirers[fid] = acquirers[target]
+                        changed = True
+                        break
+        return acquirers
+
     def check_project(self, model: "ProjectModel") -> Iterator[Finding]:
-        acquirers = summaries.acquirer_functions(model)
+        acquirers = self.acquirers(model)
         for fid, (mod, fn) in model.functions.items():
             seen: set[tuple[int, int]] = set()
             for acq in fn.acquisitions:
@@ -967,153 +920,6 @@ class ResourceLifecycleRule(ProjectRule):
                         f"{acquirers[target]}; the caller owns the release "
                         "— use `with`, `try/finally`, or a registered "
                         "finalizer",
-                    )
-
-
-#: Function ids allowed to touch obs/registry global state from worker
-#: context: the delta-window machinery itself.  ``_collect_begin``'s
-#: reset+enable at task start is what *creates* the sanctioned
-#: metric/trace/profile delta keys, and the obs primitives it calls
-#: (``enable``/``reset``/``disable``, plus the worker-side profiler
-#: resume) necessarily rebind the obs registry globals — that is their
-#: entire job.  Anything else reachable from dispatch that touches
-#: module state gets flagged and needs an explicit, documented
-#: ``# repro: noqa[RPR010]`` pragma (docs/analysis.md keeps the list).
-WORKER_OBS_SANCTIONED: frozenset[str] = frozenset(
-    {
-        "repro.parallel.executor:_collect_begin",
-        "repro.parallel.executor:_collect_end",
-        "repro.obs:enable",
-        "repro.obs:disable",
-        "repro.obs:reset",
-        "repro.obs.profile:maybe_resume_worker",
-    }
-)
-
-#: Callees whose results are shm-attached array bundles; mutating
-#: through names bound from these is a worker-side write into shared
-#: graph structure.
-_ATTACHMENT_PROVIDERS = frozenset({"attach_graph", "_attached", "_strategy_state"})
-
-
-class WorkerPurityRule(ProjectRule):
-    """RPR010 — functions reachable from pool dispatch stay pure.
-
-    Roots are detected structurally: any function whose *name* is the
-    first argument of an ``<executor>.map(fn, ...)`` / ``.submit(fn,
-    ...)`` call.  Everything reachable from a root over the conservative
-    call graph runs in a worker process, where module-global writes are
-    silently per-worker (lost on the owner side), mutation of
-    shm-attached arrays corrupts the shared graph for sibling tasks, and
-    obs state resets outside the delta-window machinery destroy the
-    owner's metrics merge.  Unresolvable dynamic calls contribute no
-    edges, so this rule under-approximates reach rather than inventing
-    false positives.
-    """
-
-    id = "RPR010"
-    title = "worker-reachable function mutates shared state"
-
-    def check_project(self, model: "ProjectModel") -> Iterator[Finding]:
-        roots = model.dispatch_roots()
-        if not roots:
-            return
-        reachable = model.reachable(roots)
-        for fid in sorted(reachable):
-            if fid in WORKER_OBS_SANCTIONED:
-                continue  # the delta-window machinery itself
-            mod, fn = model.functions[fid]
-            local = set(fn.local_names)
-            for store in fn.stores:
-                if store.kind == "imported":
-                    yield self.project_finding(
-                        mod.path, store.line, store.col,
-                        f"'{fn.qualname}' is reachable from executor "
-                        f"dispatch and monkeypatches imported module "
-                        f"'{store.target}'; worker-side patches leak "
-                        "across tasks in a pooled process",
-                    )
-                    continue
-                if store.kind == "global":
-                    yield self.project_finding(
-                        mod.path, store.line, store.col,
-                        f"'{fn.qualname}' is reachable from executor "
-                        f"dispatch and rebinds module global "
-                        f"'{store.target}'; worker-side globals are "
-                        "per-process and silently diverge from the owner",
-                    )
-                    continue
-                attached_via = fn.assigned_from.get(store.target)
-                if (
-                    attached_via is not None
-                    and attached_via.split(".")[-1] in _ATTACHMENT_PROVIDERS
-                ):
-                    yield self.project_finding(
-                        mod.path, store.line, store.col,
-                        f"'{fn.qualname}' is reachable from executor "
-                        f"dispatch and writes into '{store.target}', an "
-                        f"shm-attached bundle from {attached_via}(...); "
-                        "attached graph arrays are shared read-only "
-                        "across sibling tasks",
-                    )
-                    continue
-                if store.target in local:
-                    continue
-                if store.target in mod.symbols or store.target in mod.imports:
-                    what = (
-                        "module-level object"
-                        if store.target in mod.symbols
-                        else "imported module/object"
-                    )
-                    yield self.project_finding(
-                        mod.path, store.line, store.col,
-                        f"'{fn.qualname}' is reachable from executor "
-                        f"dispatch and mutates {what} '{store.target}' "
-                        f"({store.kind} store); worker-side state must "
-                        "flow back through task results",
-                    )
-            for call in fn.obs_state_calls:
-                yield self.project_finding(
-                    mod.path, call.line, call.col,
-                    f"'{fn.qualname}' is reachable from executor dispatch "
-                    f"and calls {call.callee}(); obs state in workers is "
-                    "owned by the _collect_begin/_collect_end delta "
-                    "window — route metrics through the worker delta",
-                )
-
-
-class InterprocDtypeRule(ProjectRule):
-    """RPR011 — reductions over provably-narrow helper returns.
-
-    RPR002 demands an in-scope *proof of wide* at each reduction inside
-    the counting layers; it goes blind the moment the operand crosses a
-    function boundary.  This rule closes that gap repo-wide in the other
-    direction: per-function return-dtype summaries (wide / narrow /
-    preserves / unknown, propagated to fixpoint over call edges) flag a
-    ``sum``/``cumsum`` without ``dtype=``/``out=`` whose operand comes
-    from a function *proved* to return a narrow array.  Unknown stays
-    silent — only proved-narrow fires — so the rule adds no noise
-    outside genuine int32 escapes (Wang et al. 1812.00283 is why those
-    overflow on real graphs).
-    """
-
-    id = "RPR011"
-    title = "reduction over a provably narrow interprocedural result"
-
-    def check_project(self, model: "ProjectModel") -> Iterator[Finding]:
-        dtypes = summaries.dtype_summaries(model)
-        for fid, (mod, fn) in model.functions.items():
-            for red in fn.reductions:
-                target = model.resolve_call(mod, fn, red.callee)
-                if target is None:
-                    continue
-                if dtypes.get(target) == summaries.NARROW:
-                    yield self.project_finding(
-                        mod.path, red.line, red.col,
-                        f"{red.spelled} without dtype= over the result of "
-                        f"{red.callee}(...), which provably returns a "
-                        "narrow integer array; accumulate in COUNT_DTYPE "
-                        "(int64) or widen the helper's return",
                     )
 
 
@@ -1174,11 +980,8 @@ RULES: tuple[Rule, ...] = (
     ObsHygieneRule(),
     EnginePurityRule(),
     ExceptionDisciplineRule(),
-    EngineSinkDisciplineRule(),
     StorageAccessorDisciplineRule(),
     ResourceLifecycleRule(),
-    WorkerPurityRule(),
-    InterprocDtypeRule(),
     ApiSurfaceDriftRule(),
 )
 

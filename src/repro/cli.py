@@ -426,35 +426,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser(
         "analyze",
-        help="run the project-native static analyzer (rules RPR001-RPR012)",
+        help="run the project-native static analyzer (docs/analysis.md)",
     )
     p_an.add_argument(
         "paths", nargs="*", default=["src/repro"], metavar="PATH",
         help="files or directories to scan (default: src/repro)",
     )
     p_an.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="output format (json follows schema repro.analysis.report/v2; "
-        "sarif is SARIF 2.1.0)",
+        "--format", choices=("text", "json"), default="text",
+        help="output format (json follows schema repro.analysis.report/v3)",
     )
     p_an.add_argument(
         "--rules", default=None, metavar="IDS",
         help="comma-separated rule ids to run, e.g. RPR001,RPR006 "
         "(default: all)",
-    )
-    p_an.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="JSON baseline of accepted findings to filter out "
-        "(written by --write-baseline)",
-    )
-    p_an.add_argument(
-        "--write-baseline", default=None, metavar="PATH",
-        help="record the current findings as the accepted baseline and "
-        "exit 0",
-    )
-    p_an.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="also write the report (in the chosen --format) to PATH",
     )
     return p
 
@@ -878,37 +863,16 @@ def _cmd_stream(args) -> int:
 
 def _cmd_analyze(args) -> int:
     """``repro-butterfly analyze`` — the domain lint gate (docs/analysis.md)."""
-    import json as _json
-
     from repro import analysis
 
     rules = None
     if args.rules:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-    baseline = None
-    if args.baseline:
-        baseline = analysis.load_baseline(args.baseline)
-    report = analysis.analyze_paths(list(args.paths), rules=rules, baseline=baseline)
-    if args.write_baseline:
-        with open(args.write_baseline, "w", encoding="utf-8") as fh:
-            _json.dump(analysis.baseline_payload(report), fh, indent=2)
-            fh.write("\n")
-        print(
-            f"baseline: recorded {len(report.findings)} finding(s) "
-            f"to {args.write_baseline}"
-        )
-        return 0
+    report = analysis.analyze_paths(list(args.paths), rules=rules)
     if args.format == "json":
-        rendered = analysis.render_json(report)
-    elif args.format == "sarif":
-        rendered = analysis.render_sarif(report)
+        print(analysis.render_json(report))
     else:
-        rendered = analysis.render_text(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-            fh.write("\n")
-    print(rendered)
+        print(analysis.render_text(report))
     return report.exit_code
 
 

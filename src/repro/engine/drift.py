@@ -16,9 +16,8 @@ to a JSONL ledger (default ``results/plan_drift.jsonl``), and
   the cheap "refresh the model iff it is actually wrong" loop
   (``repro-butterfly calibrate --if-drifted 0.5``).
 
-Ledger writes go through the :class:`repro.obs.sinks.JsonlSink` API —
-the analyzer's RPR007 rule pins that engine modules do not hand-roll
-file writes — and are gated on ``obs._enabled``: with observability off
+Ledger writes go through the :class:`repro.obs.sinks.JsonlSink` API
+and are gated on ``obs._enabled``: with observability off
 (or force-disabled via ``REPRO_OBS=0``) no file is opened, no directory
 created.  ``REPRO_DRIFT_LEDGER`` overrides the ledger path; setting it
 to ``0``/``off`` disables the ledger even while obs is on.

@@ -77,7 +77,7 @@ def _attached(meta):
     if entry is None:
         shm, csr, csc = attach_graph(meta)
         entry = (shm, csr, csc, {})
-        _ATTACHED[name] = entry  # repro: noqa[RPR010] worker-local attach LRU: each pooled process owns its private segment cache by design
+        _ATTACHED[name] = entry  # worker-local attach LRU: each pooled process owns its private segment cache by design
         while len(_ATTACHED) > _ATTACH_CACHE_SIZE:
             _, (old_shm, *_rest) = _ATTACHED.popitem(last=False)
             try:

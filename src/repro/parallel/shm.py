@@ -331,11 +331,11 @@ def attach_graph(
     from multiprocessing import resource_tracker
 
     _orig_register = resource_tracker.register
-    resource_tracker.register = lambda *a, **kw: None  # repro: noqa[RPR010] bpo-39959 tracker suppression, scoped to this attach and restored in the finally below
+    resource_tracker.register = lambda *a, **kw: None  # bpo-39959 tracker suppression, scoped to this attach and restored in the finally below
     try:
         shm = shared_memory.SharedMemory(name=name)
     finally:
-        resource_tracker.register = _orig_register  # repro: noqa[RPR010] restores the original tracker hook patched above
+        resource_tracker.register = _orig_register  # restores the original tracker hook patched above
     if len(meta) > 4 and meta[4] == "compact":
         p1, p2 = int(meta[5]), int(meta[6])
         views = _compact_views(shm.buf, n_left, n_right, p1, p2)
