@@ -12,39 +12,21 @@ two wedges of one of the two orientations (same-side pairs of z), and both
 the centres and the opposite endpoint of those wedges rank below z, so the
 butterfly is expanded from z and from nowhere else.
 
-This is the baseline the ablation benchmark compares the family against:
-on skewed graphs the priority filter does asymptotically less wedge work
-than any fixed-side member of the family.
+This is the slow reference the ablation benchmark compares the family
+against: a Python loop over start vertices.  The production kernel,
+:func:`repro.core.priority.count_butterflies_priority`, runs the same
+filter over whole-graph arrays and owns the priority order both use.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.priority import priority_ranks
 from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela import gather_slices
 
 __all__ = ["count_butterflies_vertex_priority", "priority_ranks"]
-
-
-def priority_ranks(graph: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Priority ranks for (left, right) vertices: higher rank = higher priority.
-
-    Degree-descending over the union of both sides, ties broken by side
-    then id — any strict total order works for correctness; degree order
-    is what makes the filter effective (hubs expand no wedges).
-    """
-    dl = graph.degrees_left().astype(np.int64)
-    dr = graph.degrees_right().astype(np.int64)
-    m = graph.n_left
-    deg = np.concatenate([dl, dr])
-    ids = np.arange(m + graph.n_right)
-    # sort ascending by (degree, id): position in this order = rank;
-    # the LAST element has the highest priority
-    order = np.lexsort((ids, deg))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[:m], rank[m:]
 
 
 def count_butterflies_vertex_priority(graph: BipartiteGraph) -> int:

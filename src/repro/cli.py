@@ -145,10 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument(
         "--strategy",
-        choices=("adjacency", "scratch", "spmv", "wedge"),
+        choices=("adjacency", "scratch", "spmv", "wedge", "priority"),
         default=None,
         help="update strategy (default: the engine's cost model chooses; "
-        "'wedge' runs the wedge-partitioned shard backend)",
+        "'wedge' runs the wedge-partitioned shard backend, 'priority' the "
+        "serial vertex-priority kernel, which takes no --invariant)",
     )
     p_count.add_argument(
         "--auto",
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_explain.add_argument(
         "--strategy",
-        choices=("adjacency", "scratch", "spmv", "blocked", "wedge"),
+        choices=("adjacency", "scratch", "spmv", "blocked", "wedge", "priority"),
         default=None, help="pin the update strategy",
     )
     p_explain.add_argument("--workers", type=int, default=None, metavar="N",
@@ -485,11 +486,11 @@ def _count_plan_from_args(args, g):
             g, "count", invariant=args.invariant, strategy=args.strategy,
             executor=executor, workers=args.workers, layout=layout,
         )
-    if args.strategy == "wedge":
-        # not a member of the sequential family: plan it over the open
+    if args.strategy in ("wedge", "priority"):
+        # not members of the sequential family: plan them over the open
         # plan space so the executor/worker choice stays cost-based
         return engine.plan(
-            g, "count", invariant=args.invariant, strategy="wedge",
+            g, "count", invariant=args.invariant, strategy=args.strategy,
             block_size=args.block_size, layout=layout,
         )
     if args.auto:  # full plan space: blocked/parallel candidates included

@@ -18,8 +18,12 @@ coefficients on small synthetic graphs, and JSON persistence under
 
 Coefficients
 ------------
-``ns_per_op.{adjacency,scratch,spmv,blocked,wedge}``
-    Nanoseconds per modeled element operation of each strategy's kernel.
+``ns_per_op.{adjacency,scratch,spmv,blocked,wedge,priority}``
+    Nanoseconds per modeled element operation of each strategy's kernel
+    (for ``priority``: per expanded wedge).
+``ns_per_edge.priority``
+    Per-edge cost of the vertex-priority kernel's rank relabel and
+    sorted symmetric adjacency build.
 ``ns_per_pivot.{adjacency,scratch,spmv}``
     Per-iteration interpreter overhead of the unblocked loop.
 ``ns_per_panel``
@@ -68,7 +72,16 @@ DEFAULT_COEFFICIENTS: dict = {
         "spmv": 2.5,
         "blocked": 3.5,
         "wedge": 4.0,
+        # the priority pair comes from calibrate()'s heavy/light solve on
+        # a 2-vCPU x86-64 host (median of 41 solves: 19.8 ns/wedge and
+        # 183 ns/edge, with ns_per_op.blocked at 27.6 there), scaled by
+        # 3.5/27.6 onto this table's blocked coefficient so the ratio
+        # that decides plans is the measured one
+        "priority": 2.5,
         "stream": 12.0,
+    },
+    "ns_per_edge": {
+        "priority": 23.0,
     },
     "ns_per_pivot": {
         "adjacency": 9000.0,
@@ -114,6 +127,9 @@ class CalibrationTable:
     # -- accessors ------------------------------------------------------
     def ns_per_op(self, strategy: str) -> float:
         return float(self.coefficients["ns_per_op"][strategy])
+
+    def ns_per_edge(self, strategy: str) -> float:
+        return float(self.coefficients["ns_per_edge"][strategy])
 
     def ns_per_pivot(self, strategy: str) -> float:
         return float(self.coefficients["ns_per_pivot"][strategy])
@@ -327,6 +343,29 @@ def calibrate(
         b = 0.0
     coeffs["ns_per_op"]["wedge"] = max(a * 1e9, 0.05)
     coeffs["ns_per_shard"] = max(b * 1e9, 500.0)
+
+    # priority: a relabel pass per edge plus the expanded wedges; the
+    # heavy graph (many wedges per edge) pins ns_per_op.priority and the
+    # light one (a few) ns_per_edge.priority
+    from repro.core.priority import (
+        count_butterflies_priority,
+        priority_wedge_work,
+    )
+
+    timings = []
+    for g in (heavy, light):
+        t = _best_of(lambda g=g: count_butterflies_priority(g), repeats)
+        timings.append((g.n_edges, priority_wedge_work(g), t))
+    (edges_h, wedges_h, t_h), (edges_l, wedges_l, t_l) = timings
+    det = edges_h * wedges_l - edges_l * wedges_h
+    if det:
+        a = (t_h * wedges_l - t_l * wedges_h) / det
+        b = (edges_h * t_l - edges_l * t_h) / det
+    else:
+        a = 0.0
+        b = t_h / max(wedges_h, 1)
+    coeffs["ns_per_edge"]["priority"] = max(a * 1e9, 1.0)
+    coeffs["ns_per_op"]["priority"] = max(b * 1e9, 0.05)
 
     # stream: two batch sizes on the wedge-heavy graph separate the
     # per-touched-wedge cost from the flat per-batch overhead

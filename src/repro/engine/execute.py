@@ -135,6 +135,10 @@ def _storage_view(the_plan: Plan, graph):
 
 def _dispatch_count(the_plan: Plan, graph: BipartiteGraph) -> int:
     graph = _storage_view(the_plan, graph)
+    if the_plan.strategy == "priority":
+        from repro.core.priority import count_butterflies_priority
+
+        return count_butterflies_priority(graph)
     if the_plan.strategy == "blocked":
         from repro.core.blocked import count_butterflies_blocked
 

@@ -43,13 +43,17 @@ STREAM_STRATEGIES: tuple[str, ...] = ("incremental", "recount")
 #: unblocked family strategies; ``"blocked"`` is the panel derivation
 #: (its kernel picks each panel's reduction itself); ``"wedge"`` is the
 #: wedge-partitioned path — contiguous pivot shards of equal wedge work
-#: reduced with the fused panel kernel, usually paired with a pool.
+#: reduced with the fused panel kernel, usually paired with a pool;
+#: ``"priority"`` is the vertex-priority kernel
+#: (:mod:`repro.core.priority`), which ranks both sides together and so
+#: has no invariant — serial and raw-layout only.
 COUNT_STRATEGIES: tuple[str, ...] = (
     "adjacency",
     "scratch",
     "spmv",
     "blocked",
     "wedge",
+    "priority",
 )
 
 #: Executors a plan may select (same vocabulary as
@@ -77,7 +81,8 @@ class Plan:
     #: one of :data:`WORKLOADS`
     workload: str = "count"
     #: paper family member 1–8 (None for per-vertex/peeling workloads,
-    #: where the kernel is side-addressed rather than invariant-addressed)
+    #: where the kernel is side-addressed rather than invariant-addressed,
+    #: and for the side-free ``priority`` count)
     invariant: int | None = None
     #: compressed layout the traversal is pivot-major in: "csc" or "csr"
     storage: str = "csc"
@@ -134,7 +139,7 @@ class Plan:
         bits = []
         if self.invariant is not None:
             bits.append(f"inv{self.invariant}")
-        else:
+        elif self.workload != "count":
             bits.append(self.side)
         bits.append(self.strategy)
         if self.strategy == "blocked" and self.block_size:

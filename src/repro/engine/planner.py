@@ -264,10 +264,47 @@ def _layout_rows(
     return rows
 
 
+def _priority_row(graph, cal: CalibrationTable) -> Plan:
+    """The vertex-priority candidate: one relabel pass plus its wedges."""
+    from repro.core.priority import priority_wedge_work
+
+    wedges = priority_wedge_work(graph)
+    est = (
+        graph.n_edges * cal.ns_per_edge("priority")
+        + wedges * cal.ns_per_op("priority")
+    ) * 1e-9
+    return Plan(
+        workload="count", invariant=None, storage="csr",
+        strategy="priority", executor="serial", workers=1,
+        modeled_ops=wedges, est_seconds=est,
+        reason=f"vertex-priority filter: {wedges:,} wedges expanded, each "
+               "butterfly counted once from its highest-degree vertex",
+    )
+
+
 def _count_candidates(
     graph, cal, budget, invariant, strategy, executor, workers,
     block_size, family_only, layout=None,
 ) -> list[Plan]:
+    pin_pool = executor == "shared" or (workers is not None and workers > 1)
+    if strategy == "priority":
+        # the kernel ranks both sides together: no family member, no pool
+        # sharding, and it builds its own rank-space adjacency
+        if invariant is not None:
+            raise ValueError(
+                "strategy 'priority' ranks both sides together and takes "
+                f"no invariant (got invariant={invariant!r})"
+            )
+        if pin_pool:
+            raise ValueError(
+                "strategy 'priority' is serial-only; drop executor='shared' "
+                "and workers > 1"
+            )
+        if layout not in (None, "raw"):
+            raise ValueError(
+                f"strategy 'priority' reads the raw layout (got layout={layout!r})"
+            )
+        return [_priority_row(graph, cal)]
     invariants = (
         [resolve_invariant(invariant).number]
         if invariant is not None
@@ -282,7 +319,6 @@ def _count_candidates(
     else:
         strategies = (strategy,)
     pool_workers = _pool_workers(workers)
-    pin_pool = executor == "shared" or (workers is not None and workers > 1)
     pin_serial = (executor == "serial") or (workers == 1)
     emit_serial = not pin_pool
     emit_parallel = (
@@ -296,6 +332,8 @@ def _count_candidates(
         inv = work.invariant
         side = "right" if inv.storage == "csc" else "left"
         for strat in strategies:
+            if strat == "priority":
+                continue  # side-free: scored once, below
             if strat == "wedge":
                 from repro.core.parallel import DEFAULT_WEDGE_SHARD_BUDGET
 
@@ -375,6 +413,11 @@ def _count_candidates(
         expanded.extend(
             _layout_rows(cand, works[cand.invariant], cal, layout)
         )
+    if (
+        strategy is None and invariant is None and not family_only
+        and emit_serial and layout in (None, "raw")
+    ):
+        expanded.append(_priority_row(graph, cal))
     return expanded
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import engine
 from repro.core import (
     count_butterflies,
     count_butterflies_parallel,
@@ -148,6 +149,20 @@ def test_wedge_strategy_process_executor(graph_name, invariant):
         GRAPHS[graph_name], "process", invariant=invariant, strategy="wedge"
     )
     assert got == REFERENCE[graph_name]
+
+
+# ----------------------------------------------------------------------
+# vertex-priority kernel: side-free and serial, so one cell per layout
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_priority_strategy_conformance(graph_name, layout):
+    g = GRAPHS[graph_name]
+    if layout == "csc":
+        g = g.swap_sides()
+    the_plan = engine.plan(g, "count", strategy="priority")
+    assert the_plan.label == "priority-serial"
+    assert engine.execute(the_plan, g) == REFERENCE[graph_name]
 
 
 # ----------------------------------------------------------------------

@@ -374,8 +374,11 @@ class TestCalibration:
         path = str(tmp_path / "measured.json")
         table = calibrate(path=path, repeats=1, persist=True)
         assert table.calibrated and table.source == path
-        for strategy in ("adjacency", "scratch", "spmv", "blocked", "wedge"):
+        for strategy in (
+            "adjacency", "scratch", "spmv", "blocked", "wedge", "priority",
+        ):
             assert table.ns_per_op(strategy) > 0
+        assert table.ns_per_edge("priority") > 0
         assert table.ns_per_panel > 0
         assert table.ns_per_shard > 0
         # persisted file loads back as the same coefficients

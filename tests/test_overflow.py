@@ -21,6 +21,7 @@ import pytest
 from repro.core import (
     count_butterflies_blocked,
     count_butterflies_parallel,
+    count_butterflies_priority,
     count_butterflies_unblocked,
 )
 from repro.graphs import BipartiteGraph
@@ -62,3 +63,8 @@ def test_shared_executor_past_2_31(big_biclique: BipartiteGraph) -> None:
         big_biclique, n_workers=2, invariant=6, executor="shared"
     )
     assert got == EXPECTED
+
+
+def test_priority_past_2_31(big_biclique: BipartiteGraph) -> None:
+    # the two hubs rank on top: one pair (hub, hub) of multiplicity 70 000
+    assert count_butterflies_priority(big_biclique) == EXPECTED
