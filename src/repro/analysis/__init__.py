@@ -34,7 +34,6 @@ RPR002    sum/cumsum without explicit ``COUNT_DTYPE`` in sparsela/core
 RPR003    observability hygiene (span usage, names, disabled-path cost)
 RPR004    engine-plan purity (no plan mutation / inline member selection)
 RPR006    exception discipline (no bare/broad/swallowed handlers)
-RPR008    storage accessor discipline (no raw ``.indptr``/``.indices``)
 RPR009    resource lifecycle (shm/file release on every path)
 RPR012    public-API surface drift (``__all__`` vs ``docs/api.md``)
 ========  ==============================================================

@@ -10,8 +10,6 @@ RPR002  integer reductions without an explicit ``COUNT_DTYPE`` dtype
 RPR003  observability hygiene (span usage, metric names, disabled-path cost)
 RPR004  engine-plan purity (no plan mutation / inline member selection)
 RPR006  exception discipline (no bare/broad/swallowed handlers)
-RPR008  storage accessor discipline (no direct ``.indptr``/``.indices``
-        outside repro.storage / repro.sparsela and the sanctioned plumbing)
 
 Interprocedural rules (pass 2, over the whole-program model built by
 ``analysis/model.py`` — see docs/analysis.md §"whole-program pass"):
@@ -750,75 +748,6 @@ class ExceptionDisciplineRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# RPR008 — storage accessor discipline
-# ----------------------------------------------------------------------
-
-class StorageAccessorDisciplineRule(Rule):
-    """Kernels read compressed structure through the accessor protocol.
-
-    The storage layer (:mod:`repro.storage`) substitutes compressed /
-    reordered / mmap-backed pattern views for the raw int64 arrays, which
-    only works because kernels ask for structure through the accessor
-    protocol (``slice`` / ``gather`` / ``panel_indices`` / ``degrees_of``
-    / ``entries`` / ``entry_offsets`` / ...) rather than touching
-    ``.indptr`` / ``.indices`` directly — a :class:`CompactPattern` has no
-    ``indices`` at all.  A direct access outside the storage and sparsela
-    packages silently pins that code path to the raw layout.
-
-    Sanctioned exceptions (array plumbing, not traversal):
-
-    - ``repro.baselines`` — independent reference implementations,
-      deliberately outside the storage abstraction;
-    - ``repro.parallel.shm`` — the byte-level shared-memory transport;
-    - ``repro.bench.cachesim`` — the locality simulator addresses raw
-      array offsets by design;
-    - the peeling fixpoints and the streaming counter, which rebuild raw
-      subgraph views in place each round (raw-only by design, matching
-      the planner's layout axis).
-    """
-
-    id = "RPR008"
-    title = "direct .indptr/.indices access outside repro.storage"
-
-    SCOPES = ("repro",)
-    ALLOWED_SCOPES = ("repro.storage", "repro.sparsela", "repro.baselines")
-    ALLOWED_MODULES = frozenset(
-        {
-            "repro.parallel.shm",
-            "repro.bench.cachesim",
-            "repro.core.stream.counter",
-            "repro.core.peeling.buckets",
-            "repro.core.peeling.decompose",
-            "repro.core.peeling.linear_algebra",
-            "repro.core.peeling.tip",
-        }
-    )
-    _BANNED_ATTRS = frozenset({"indptr", "indices"})
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not ctx.in_package(*self.SCOPES):
-            return
-        if ctx.in_package(*self.ALLOWED_SCOPES):
-            return
-        if ctx.module in self.ALLOWED_MODULES:
-            return
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr in self._BANNED_ATTRS
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"direct .{node.attr} access outside repro.storage/"
-                    "repro.sparsela; read structure through the accessor "
-                    "protocol (slice/gather/panel_indices/degrees_of/"
-                    "entries/entry_offsets) so every storage layout can "
-                    "substitute for the raw arrays",
-                )
-
-
-# ----------------------------------------------------------------------
 # interprocedural rules (RPR009, RPR012) — pass 2 over the project model
 # ----------------------------------------------------------------------
 
@@ -980,7 +909,6 @@ RULES: tuple[Rule, ...] = (
     ObsHygieneRule(),
     EnginePurityRule(),
     ExceptionDisciplineRule(),
-    StorageAccessorDisciplineRule(),
     ResourceLifecycleRule(),
     ApiSurfaceDriftRule(),
 )

@@ -194,9 +194,7 @@ def simulate_storage_locality(
     section runs this for ``layout="raw"`` vs ``layout="reorder"`` and
     records the hit-rate ratio next to the measured wall-clock ratio.
 
-    Only the raw-array layouts replay (``raw`` / ``reorder``); the
-    compact layout's decode loop has a different (streaming) access
-    pattern that the line model does not represent.
+    Only the in-memory layouts replay (``raw`` / ``reorder``).
     """
     if layout not in ("raw", "reorder"):
         raise ValueError(

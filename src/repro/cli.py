@@ -169,11 +169,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument(
         "--storage",
-        choices=("auto", "raw", "reorder", "compact", "mmap"),
+        choices=("auto", "raw", "reorder", "mmap"),
         default="auto",
         help="graph storage layout (auto: the cost model decides; "
-        "reorder = degree-ordered relabeling, compact = varint-compressed "
-        "indices, mmap = out-of-core column files)",
+        "reorder = degree-ordered relabeling, mmap = out-of-core column "
+        "files)",
     )
     p_count.add_argument(
         "--blocked",
@@ -206,12 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_peel.add_argument(
         "--storage",
-        choices=("auto", "raw", "reorder", "compact", "mmap"),
+        choices=("auto", "raw", "reorder"),
         default="auto",
         help="graph storage layout; peeling mutates per-round subgraphs, "
-        "so only 'auto'/'raw' and 'reorder' (peel the degree-ordered "
-        "relabeling — the kept-vertex/edge summary is label-invariant) "
-        "are supported",
+        "so there is no mmap choice ('reorder' peels the degree-ordered "
+        "relabeling — the kept-vertex/edge summary is label-invariant)",
     )
 
     p_explain = sub.add_parser(
@@ -245,10 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="pin the panel width")
     p_explain.add_argument(
         "--storage",
-        choices=("auto", "raw", "reorder", "compact", "mmap"),
+        choices=("auto", "raw", "reorder", "mmap"),
         default="auto",
         help="pin the storage layout (auto: raw and reorder compete on "
-        "the calibrated cost model; compact/mmap appear when pinned)",
+        "the calibrated cost model; mmap appears when pinned)",
     )
     p_explain.add_argument(
         "--calibrate", action="store_true",
@@ -557,16 +556,7 @@ def _cmd_peel(args) -> int:
     from repro import engine
 
     g = _load(args.graph)
-    layout = _layout_arg(args)
-    if layout in ("compact", "mmap"):
-        print(
-            "error: peeling mutates per-round subgraphs and needs an "
-            "in-memory raw (or reordered) graph; use --storage auto, raw "
-            "or reorder",
-            file=sys.stderr,
-        )
-        return 2
-    if layout == "reorder":
+    if args.storage == "reorder":
         # peel the degree-ordered relabeling: the kept-vertex/edge summary
         # printed below is invariant under vertex relabeling
         from repro.storage import ReorderedCSR

@@ -95,12 +95,10 @@ DEFAULT_COEFFICIENTS: dict = {
     "parallel_efficiency": 0.7,
     # storage axis: one-off cost of building the degree-reordered layout
     # (per edge: two degree sorts + relabel + recompression of both
-    # views), the multiplicative discount the reordered layout earns on
-    # the panel kernels' per-op cost (cache locality), and the varint
-    # decode cost per fetched endpoint of the compact layout
+    # views) and the multiplicative discount the reordered layout earns
+    # on the panel kernels' per-op cost (cache locality)
     "reorder_ns_per_edge": 40.0,
     "reorder_gain": 0.85,
-    "decode_ns_per_edge": 6.0,
 }
 
 
@@ -164,11 +162,6 @@ class CalibrationTable:
     def reorder_gain(self) -> float:
         """Per-op cost multiplier (< 1 is a win) under the reordered layout."""
         return float(self.coefficients["reorder_gain"])
-
-    @property
-    def decode_ns_per_edge(self) -> float:
-        """Varint decode cost per fetched endpoint of the compact layout."""
-        return float(self.coefficients["decode_ns_per_edge"])
 
     @property
     def origin(self) -> str:
@@ -406,7 +399,7 @@ def calibrate(
     # whose index working set exceeds the last-level cache for the
     # locality effect to show — the small calibration graphs can't, so a
     # dedicated (one-shot, still sub-second) skewed graph measures them
-    from repro.storage import CompactCSR, ReorderedCSR
+    from repro.storage import ReorderedCSR
 
     skewed = power_law_bipartite(20_000, 30_000, 150_000, seed=16)
     t_build = _best_of(lambda: ReorderedCSR(skewed), repeats)
@@ -425,18 +418,6 @@ def calibrate(
         # ratio must not convince the planner reorder halves (or doubles)
         # kernel time
         coeffs["reorder_gain"] = min(max(t_re / t_raw, 0.6), 1.25)
-
-    # compact decode: the per-endpoint surcharge over the raw layout
-    compact = CompactCSR(heavy)
-    t_raw_h = _best_of(
-        lambda: count_butterflies_blocked(heavy, 2, block_size=block), repeats
-    )
-    t_compact = _best_of(
-        lambda: count_butterflies_blocked(compact, 2, block_size=block), repeats
-    )
-    coeffs["decode_ns_per_edge"] = max(
-        (t_compact - t_raw_h) / max(wp_h.total_ops, 1) * 1e9, 0.05
-    )
 
     table = CalibrationTable(coefficients=coeffs, calibrated=True)
     if persist:

@@ -63,7 +63,7 @@ EXECUTORS: tuple[str, ...] = ("serial", "shared")
 #: Storage layouts a plan may select — mirrors
 #: :data:`repro.storage.LAYOUTS` (kept literal here so the plan record
 #: has no import edge into the storage package).
-LAYOUTS: tuple[str, ...] = ("raw", "reorder", "compact", "mmap")
+LAYOUTS: tuple[str, ...] = ("raw", "reorder", "mmap")
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class Plan:
     #: compressed layout the traversal is pivot-major in: "csc" or "csr"
     storage: str = "csc"
     #: graph storage layout the kernels read (:data:`LAYOUTS`): raw int64
-    #: arrays, degree-reordered, varint-compressed, or mmap-backed
+    #: arrays, degree-reordered, or mmap-backed
     layout: str = "raw"
     #: one of :data:`COUNT_STRATEGIES` for counts; "blocked" for the
     #: panel kernels behind per-vertex / peeling workloads

@@ -232,10 +232,9 @@ def _layout_rows(
     ``layout=None`` keeps the auto axis: raw competes against reorder
     (one-off relabel cost plus the calibrated per-op locality gain), so
     reordering wins exactly when the modeled kernel time dwarfs the
-    ``reorder_ns_per_edge·nnz`` build.  Compact (per-endpoint decode
-    surcharge — a footprint play, never a wall-clock win) and mmap
-    (out-of-core) are pin-only; mmap is additionally serial-only, since
-    an out-of-core graph has no business being copied into a shm segment.
+    ``reorder_ns_per_edge·nnz`` build.  mmap (out-of-core) is pin-only
+    and serial-only, since an out-of-core graph has no business being
+    copied into a shm segment.
     """
     rows: list[Plan] = []
     build = work.nnz * cal.reorder_ns_per_edge * 1e-9
@@ -247,13 +246,6 @@ def _layout_rows(
             layout="reorder", est_seconds=est,
             reason=f"degree-reordered layout: ~{cal.reorder_gain:.2f}x "
                    f"kernel cost after a {build * 1e3:.2f} ms relabel",
-        ))
-    if layout == "compact":
-        est = base.est_seconds + base.modeled_ops * cal.decode_ns_per_edge * 1e-9
-        rows.append(base.with_(
-            layout="compact", est_seconds=est,
-            reason="varint/delta-compressed indices decoded per panel: "
-                   "smaller footprint, per-endpoint decode surcharge",
         ))
     if layout == "mmap" and base.executor == "serial":
         rows.append(base.with_(
@@ -505,8 +497,9 @@ def _stream_candidates(graph, cal, budget, strategy, batch) -> list[Plan]:
     The incremental path's dominant term is the *touched* wedge work —
     Σ deg(u) + deg(v) over the batch edges (the delta-wedge enumeration)
     — plus an O(nnz) sorted-merge/rebuild of both compressed views.  The
-    recount rebuilds every count: one global sweep plus both per-vertex
-    sweeps, ≈ 3 panel passes over the full wedge set.
+    recount rebuilds every count with two per-vertex panel passes, one per
+    side (Ξ falls out of the per-left sums), so it pays each side's
+    wedge work and panels once.
     """
     from repro.core.workinfo import touched_wedge_work
 
@@ -520,13 +513,14 @@ def _stream_candidates(graph, cal, budget, strategy, batch) -> list[Plan]:
         inc_ops * cal.ns_per_op("stream") + cal.stream_batch_ns
     ) * 1e-9
 
-    work = _SideWork(graph, 2 if graph.n_right <= graph.n_left else 6)
-    b = _auto_block_size(work, budget)
-    panels = -(-work.pivots // max(b, 1)) if work.pivots else 0
-    rec_ops = 3 * work.adjacency_ops
+    rec_ops = panels = 0
+    for work in (_SideWork(graph, 6), _SideWork(graph, 2)):
+        b = _auto_block_size(work, budget)
+        rec_ops += work.adjacency_ops
+        panels += -(-work.pivots // max(b, 1)) if work.pivots else 0
     rec_est = (
         rec_ops * cal.ns_per_op("blocked")
-        + 3 * panels * cal.ns_per_panel
+        + panels * cal.ns_per_panel
         + cal.stream_batch_ns
     ) * 1e-9
 
@@ -544,7 +538,7 @@ def _stream_candidates(graph, cal, budget, strategy, batch) -> list[Plan]:
             workload="stream_apply", invariant=None, storage="csr",
             strategy="recount", executor="serial", workers=1,
             modeled_ops=rec_ops, est_seconds=rec_est,
-            reason="from-scratch recount: global + both per-vertex sweeps "
+            reason="from-scratch recount: one per-vertex sweep per side "
                    "over the full wedge set",
         ))
     return out

@@ -12,21 +12,7 @@ Layout of a raw segment (all :data:`~repro._types.INDEX_DTYPE` = int64)::
       csc_indptr (n_right+1) | csc_indices (nnz) ]
 
 so a tiny metadata tuple ``(name, n_left, n_right, nnz)`` is all a task
-message needs to carry — offsets are implied by the dims.  Publishing a
-:class:`~repro.storage.CompactCSR` view instead writes the varint/delta
-payloads (int64 bookkeeping first, byte payloads last, so every int64
-block stays 8-aligned)::
-
-    [ csr_indptr (n_left+1) | csr_byte_offsets (n_left+1) |
-      csc_indptr (n_right+1) | csc_byte_offsets (n_right+1) |
-      csr_payload (p1 bytes)  | csc_payload (p2 bytes) ]
-
-with meta ``(name, n_left, n_right, nnz, "compact", p1, p2)`` — a legacy
-4-tuple always means a raw segment, so old task messages keep working.
-Compressed publication shrinks the segment by the codec's ratio (tracked
-as ``storage.publish_bytes`` in bench), and workers attach the same
-zero-copy way: the accessor-protocol kernels run directly on the
-compact views.
+message needs to carry — offsets are implied by the dims.
 
 Lifecycle discipline (the part that actually matters in production):
 
@@ -79,12 +65,11 @@ atexit.register(_cleanup_all)
 
 
 #: (segment name, n_left, n_right, nnz) — everything a worker needs.
-#: Compact segments append ("compact", csr_payload_bytes, csc_payload_bytes).
 ShmGraphMeta = tuple
 
 
 def _offsets(n_left: int, n_right: int, nnz: int) -> tuple[int, int, int, int, int]:
-    """Byte offsets of the four arrays and the total size (raw layout)."""
+    """Byte offsets of the four arrays and the total size."""
     o0 = 0
     o1 = o0 + (n_left + 1) * _ITEMSIZE
     o2 = o1 + nnz * _ITEMSIZE
@@ -104,48 +89,6 @@ def _views(buf, n_left: int, n_right: int, nnz: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _compact_offsets(
-    n_left: int, n_right: int, p1: int, p2: int
-) -> tuple[int, ...]:
-    """Byte offsets of the six blocks and the total size (compact layout)."""
-    o0 = 0
-    o1 = o0 + (n_left + 1) * _ITEMSIZE
-    o2 = o1 + (n_left + 1) * _ITEMSIZE
-    o3 = o2 + (n_right + 1) * _ITEMSIZE
-    o4 = o3 + (n_right + 1) * _ITEMSIZE
-    o5 = o4 + p1
-    total = o5 + p2
-    return o0, o1, o2, o3, o4, o5, total
-
-
-def _compact_views(
-    buf, n_left: int, n_right: int, p1: int, p2: int
-) -> tuple[np.ndarray, ...]:
-    o0, o1, o2, o3, o4, o5, _ = _compact_offsets(n_left, n_right, p1, p2)
-    i64 = lambda off, n: np.ndarray((n,), dtype=INDEX_DTYPE, buffer=buf, offset=off)
-    u8 = lambda off, n: np.ndarray((n,), dtype=np.uint8, buffer=buf, offset=off)
-    return (
-        i64(o0, n_left + 1),
-        i64(o1, n_left + 1),
-        i64(o2, n_right + 1),
-        i64(o3, n_right + 1),
-        u8(o4, p1),
-        u8(o5, p2),
-    )
-
-
-def _compact_patterns(views, n_left: int, n_right: int):
-    """(CompactPattern CSR-major, CompactPatternMinor CSC-major) over views."""
-    from repro.storage.compact import CompactPattern, CompactPatternMinor
-
-    csr_ip, csr_bo, csc_ip, csc_bo, csr_pl, csc_pl = views
-    shape = (n_left, n_right)
-    return (
-        CompactPattern(csr_ip, csr_pl, csr_bo, shape),
-        CompactPatternMinor(csc_ip, csc_pl, csc_bo, shape),
-    )
-
-
 class SharedGraphBuffers:
     """Owner-side handle of one graph's shared CSR+CSC buffers.
 
@@ -155,19 +98,15 @@ class SharedGraphBuffers:
     from ``finally`` blocks, ``atexit``, or ``weakref.finalize`` callbacks.
     """
 
-    __slots__ = ("_shm", "name", "n_left", "n_right", "nnz", "layout",
-                 "_payload_bytes", "__weakref__")
+    __slots__ = ("_shm", "name", "n_left", "n_right", "nnz", "__weakref__")
 
     def __init__(self, shm: shared_memory.SharedMemory, n_left: int,
-                 n_right: int, nnz: int, layout: str = "raw",
-                 payload_bytes: tuple[int, int] = (0, 0)) -> None:
+                 n_right: int, nnz: int) -> None:
         self._shm = shm
         self.name = shm.name
         self.n_left = n_left
         self.n_right = n_right
         self.nnz = nnz
-        self.layout = layout
-        self._payload_bytes = payload_bytes
 
     # ------------------------------------------------------------------
     @classmethod
@@ -177,13 +116,9 @@ class SharedGraphBuffers:
         One ``O(nnz)`` memcpy, independent of the worker count — the whole
         point of the transport.  ``graph`` may be a plain
         :class:`~repro.graphs.bipartite.BipartiteGraph` or any
-        :class:`~repro.storage.GraphStorage` view: a compact view is
-        published in its compressed form (the varint payloads are what
-        crosses into ``/dev/shm``), everything else ships its raw arrays.
+        :class:`~repro.storage.GraphStorage` view.
         """
         csr, csc = graph.csr, graph.csc
-        if hasattr(csr, "payload"):  # a CompactPattern pair
-            return cls._publish_compact(graph, csr, csc)
         n_left, n_right = graph.n_left, graph.n_right
         nnz = csr.nnz
         *_, total = _offsets(n_left, n_right, nnz)
@@ -205,65 +140,20 @@ class SharedGraphBuffers:
         _LIVE[buffers.name] = buffers
         return buffers
 
-    @classmethod
-    def _publish_compact(cls, graph, csr, csc) -> "SharedGraphBuffers":
-        """Publish a compact storage view without decompressing it."""
-        n_left, n_right = graph.n_left, graph.n_right
-        nnz = csr.nnz
-        p1 = int(csr.payload.nbytes)
-        p2 = int(csc.payload.nbytes)
-        *_, total = _compact_offsets(n_left, n_right, p1, p2)
-        name = f"{SEGMENT_PREFIX}_{secrets.token_hex(8)}"
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(total, 1), name=name
-        )
-        try:
-            views = _compact_views(shm.buf, n_left, n_right, p1, p2)
-            csr_ip, csr_bo, csc_ip, csc_bo, csr_pl, csc_pl = views
-            csr_ip[:] = csr.indptr
-            csr_bo[:] = csr.byte_offsets
-            csc_ip[:] = csc.indptr
-            csc_bo[:] = csc.byte_offsets
-            csr_pl[:] = csr.payload
-            csc_pl[:] = csc.payload
-        except BaseException:  # pragma: no cover - defensive
-            shm.close()
-            shm.unlink()
-            raise
-        buffers = cls(shm, n_left, n_right, nnz, "compact", (p1, p2))
-        _LIVE[buffers.name] = buffers
-        return buffers
-
     # ------------------------------------------------------------------
     @property
     def meta(self) -> ShmGraphMeta:
-        """The task-message handle: ``(name, n_left, n_right, nnz)`` for a
-        raw segment, plus ``("compact", p1, p2)`` for a compact one."""
-        if self.layout == "compact":
-            return (self.name, self.n_left, self.n_right, self.nnz,
-                    "compact", *self._payload_bytes)
+        """The task-message handle: ``(name, n_left, n_right, nnz)``."""
         return (self.name, self.n_left, self.n_right, self.nnz)
 
     @property
     def nbytes(self) -> int:
         """Total payload bytes of the segment (the published memcpy size)."""
-        if self.layout == "compact":
-            *_, total = _compact_offsets(
-                self.n_left, self.n_right, *self._payload_bytes
-            )
-        else:
-            *_, total = _offsets(self.n_left, self.n_right, self.nnz)
+        *_, total = _offsets(self.n_left, self.n_right, self.nnz)
         return total
 
     def matrices(self):
         """Owner-side zero-copy (read-only) CSR/CSC views of the segment."""
-        if self.layout == "compact":
-            views = _compact_views(
-                self._shm.buf, self.n_left, self.n_right, *self._payload_bytes
-            )
-            for arr in views:
-                arr.flags.writeable = False
-            return _compact_patterns(views, self.n_left, self.n_right)
         a, b, c, d = _views(self._shm.buf, self.n_left, self.n_right, self.nnz)
         for arr in (a, b, c, d):
             arr.flags.writeable = False
@@ -322,7 +212,7 @@ def attach_graph(
     attachment is hidden from the resource tracker so worker exit never
     unlinks (or double-unlinks) the parent's segment.
     """
-    name, n_left, n_right, nnz = meta[:4]
+    name, n_left, n_right, nnz = meta
     # Python < 3.13 registers *attachments* with the resource tracker too
     # (bpo-39959), and under fork the tracker state is shared with the
     # parent — so a later worker-side unregister would delete the owner's
@@ -336,13 +226,6 @@ def attach_graph(
         shm = shared_memory.SharedMemory(name=name)
     finally:
         resource_tracker.register = _orig_register  # restores the original tracker hook patched above
-    if len(meta) > 4 and meta[4] == "compact":
-        p1, p2 = int(meta[5]), int(meta[6])
-        views = _compact_views(shm.buf, n_left, n_right, p1, p2)
-        for arr in views:
-            arr.flags.writeable = False
-        csr, csc = _compact_patterns(views, n_left, n_right)
-        return shm, csr, csc
     a, b, c, d = _views(shm.buf, n_left, n_right, nnz)
     for arr in (a, b, c, d):
         arr.flags.writeable = False

@@ -208,13 +208,11 @@ class CompressedPattern:
     # ------------------------------------------------------------------
     # storage protocol (the accessor surface the kernels are written to)
     # ------------------------------------------------------------------
-    # Everything in :mod:`repro.core` reads compressed structure through
-    # these methods rather than touching ``.indptr`` / ``.indices``
-    # directly (analyzer rule RPR008), so alternative layouts — the
-    # delta/varint-compressed :class:`repro.storage.compact.CompactPattern`
-    # in particular — can stand in for a raw pattern without the kernels
-    # knowing.  For the raw layout they are thin views; none of them copy
-    # beyond what the expression requires.
+    # The kernels in :mod:`repro.core` read compressed structure mostly
+    # through these methods.  Every storage layout's pattern is a plain
+    # ``indptr`` / ``indices`` pair (in-memory or memory-mapped), so they
+    # are thin views; none of them copy beyond what the expression
+    # requires.
 
     def degrees_of(self, major_ids: np.ndarray) -> np.ndarray:
         """Slice lengths of the given major ids (vectorised degree lookup)."""

@@ -6,18 +6,10 @@ See :mod:`repro.storage.base` for the design rationale.  Public surface:
   the protocol and its factory.
 - :class:`RawCSR` — the seed layout behind the interface.
 - :class:`ReorderedCSR` — degree-ordered relabeling, user ids preserved.
-- :class:`CompactCSR` / :class:`CompactPattern` — delta/varint-compressed
-  indices, decoded panel-at-a-time.
 - :class:`MmapCSR` — memory-mapped column files for out-of-core graphs.
 """
 
 from repro.storage.base import GraphStorage, LAYOUTS, make_storage, resolve_storage
-from repro.storage.compact import (
-    CompactCSR,
-    CompactPattern,
-    decode_varint_deltas,
-    encode_varint_deltas,
-)
 from repro.storage.mmapcsr import MmapCSR
 from repro.storage.raw import RawCSR
 from repro.storage.reorder import ReorderedCSR
@@ -29,9 +21,5 @@ __all__ = [
     "resolve_storage",
     "RawCSR",
     "ReorderedCSR",
-    "CompactCSR",
-    "CompactPattern",
     "MmapCSR",
-    "encode_varint_deltas",
-    "decode_varint_deltas",
 ]

@@ -11,20 +11,17 @@ object:
 - :class:`~repro.storage.raw.RawCSR` — today's arrays behind the interface.
 - :class:`~repro.storage.reorder.ReorderedCSR` — degree-ordered relabeling
   with the inverse permutation retained, so user-facing vertex ids survive.
-- :class:`~repro.storage.compact.CompactCSR` — delta/varint-compressed
-  index arrays, decoded panel-at-a-time into the kernels' scratch space.
 - :class:`~repro.storage.mmapcsr.MmapCSR` — column files memory-mapped with
   ``np.memmap`` so graphs larger than RAM run through the blocked path.
 
 A storage object **duck-types** :class:`~repro.graphs.bipartite.BipartiteGraph`
 for everything the counting kernels need (``n_left`` / ``n_right`` /
 ``n_edges`` / ``shape`` / ``csr`` / ``csc``), so
-:func:`repro.engine.execute` and every kernel accept one unchanged.  The
-kernels themselves read compressed structure only through the accessor
-protocol on :class:`~repro.sparsela.CompressedPattern` (``slice`` /
-``gather`` / ``degrees_of`` / ``panel_indices`` / ...), which is what lets
-:class:`~repro.storage.compact.CompactPattern` substitute for a raw
-pattern (analyzer rule RPR008 enforces the discipline).
+:func:`repro.engine.execute` and every kernel accept one unchanged.  Every
+layout's ``csr`` / ``csc`` is a plain index-array pattern: the
+:class:`~repro.graphs.bipartite.BipartiteGraph`'s own for ``raw``, the
+relabelled graph's for ``reorder``, and a
+:class:`~repro.sparsela.PatternCSR` over memmaps for ``mmap``.
 """
 
 from __future__ import annotations
@@ -36,14 +33,14 @@ from repro.graphs.bipartite import BipartiteGraph
 __all__ = ["GraphStorage", "LAYOUTS", "make_storage", "resolve_storage"]
 
 #: Storage layouts the planner and CLI know about, in preference order.
-LAYOUTS: tuple[str, ...] = ("raw", "reorder", "compact", "mmap")
+LAYOUTS: tuple[str, ...] = ("raw", "reorder", "mmap")
 
 
 class GraphStorage:
     """Base class for concrete graph layouts.
 
     Subclasses fix :attr:`layout` and provide ``csr`` / ``csc`` pattern
-    views (raw or compact).  The id-mapping hooks are identity here;
+    views.  The id-mapping hooks are identity here;
     :class:`~repro.storage.reorder.ReorderedCSR` overrides them so
     per-vertex results can be returned in the caller's labelling.
     """
@@ -103,10 +100,8 @@ class GraphStorage:
         """Bytes held by the layout's index structures (both views)."""
         total = 0
         for pattern in (self.csr, self.csc):
-            for name in ("indptr", "indices", "byte_offsets", "payload"):
-                arr = getattr(pattern, name, None)
-                if arr is not None:
-                    total += int(np.asarray(arr).nbytes)
+            total += int(np.asarray(pattern.indptr).nbytes)
+            total += int(np.asarray(pattern.indices).nbytes)
         return total
 
     def __repr__(self) -> str:
@@ -137,10 +132,6 @@ def make_storage(graph: BipartiteGraph, layout: str, **kwargs) -> GraphStorage:
         from repro.storage.reorder import ReorderedCSR
 
         return ReorderedCSR(graph, **kwargs)
-    if layout == "compact":
-        from repro.storage.compact import CompactCSR
-
-        return CompactCSR(graph, **kwargs)
     if layout == "mmap":
         from repro.storage.mmapcsr import MmapCSR
 

@@ -410,7 +410,6 @@ def test_all_rule_ids_catalogued():
         "RPR003",
         "RPR004",
         "RPR006",
-        "RPR008",
         "RPR009",
         "RPR012",
     )
@@ -514,7 +513,7 @@ def test_parse_error_outranks_findings(dirty_tree: Path, tmp_path: Path):
 def test_render_text_ok_and_fail(dirty_tree: Path):
     dirty = analysis.analyze_paths([str(dirty_tree)])
     assert "FAIL" in analysis.render_text(dirty)
-    clean = analysis.analyze_paths([str(dirty_tree)], rules=["RPR008"])
+    clean = analysis.analyze_paths([str(dirty_tree)], rules=["RPR006"])
     assert "OK" in analysis.render_text(clean)
 
 
@@ -619,74 +618,3 @@ class TestObsProfileLayerReserved:
                 obs.inc("bench.profiler.samples")
         """
         assert run(src, "repro.bench.report", rules=["RPR003"]) == []
-
-
-# ----------------------------------------------------------------------
-# RPR008 — storage accessor discipline
-# ----------------------------------------------------------------------
-
-
-class TestStorageAccessorDiscipline:
-    def test_indptr_access_in_core_flagged(self):
-        src = """
-            def f(pattern):
-                return pattern.indptr[1:] - pattern.indptr[:-1]
-        """
-        findings = run(src, "repro.core.family", rules=["RPR008"])
-        assert findings and all(f.rule == "RPR008" for f in findings)
-        assert "accessor protocol" in findings[0].message
-
-    def test_indices_access_in_engine_flagged(self):
-        src = """
-            def f(csr, i, j):
-                return csr.indices[csr.indptr[i] : csr.indptr[j]]
-        """
-        findings = run(src, "repro.engine.execute", rules=["RPR008"])
-        assert findings
-
-    def test_storage_layer_allow_listed(self):
-        src = """
-            def f(pattern):
-                return pattern.indices[pattern.indptr[0] :]
-        """
-        assert run(src, "repro.storage.reorder", rules=["RPR008"]) == []
-
-    def test_sparsela_allow_listed(self):
-        src = """
-            def f(pattern):
-                return pattern.indptr.copy()
-        """
-        assert run(src, "repro.sparsela._compressed", rules=["RPR008"]) == []
-
-    def test_baselines_allow_listed(self):
-        src = """
-            def f(mat):
-                return mat.indices
-        """
-        assert run(src, "repro.baselines.scipy_like", rules=["RPR008"]) == []
-
-    def test_sanctioned_plumbing_module_ok(self):
-        src = """
-            def f(csr):
-                return csr.indptr.nbytes + csr.indices.nbytes
-        """
-        assert run(src, "repro.parallel.shm", rules=["RPR008"]) == []
-
-    def test_outside_repro_not_in_scope(self):
-        src = """
-            def f(mat):
-                return mat.indptr
-        """
-        assert run(src, "tools.scratch", rules=["RPR008"]) == []
-
-    def test_noqa_suppresses(self):
-        src = (
-            "def f(csr):\n"
-            "    return csr.indptr  # repro: noqa[RPR008] reviewed\n"
-        )
-        findings, supp = analysis.analyze_source(
-            src, path="fixture.py", module="repro.core.family",
-            rules=["RPR008"],
-        )
-        assert findings == []
-        assert supp.used == 1

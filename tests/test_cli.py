@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -189,14 +190,21 @@ def test_bench_smallest_dataset(capsys):
         ["analyze", "{tmp}", "--rules", "RPR099"],
         ["analyze", "{tmp}/nonexistent"],
         ["count", "{tmp}/nonexistent.tsv"],
+        ["peel", "{tmp}/g.tsv", "--k", "1", "--storage", "mmap"],
     ],
-    ids=["unknown-rule", "missing-scan-path", "missing-graph"],
+    ids=["unknown-rule", "missing-scan-path", "missing-graph",
+         "peel-mmap-storage"],
 )
 def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
     """Bad input is a usage error (exit 2), distinct from findings (exit 1)."""
-    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    try:
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+    except SystemExit as exc:  # argparse rejected the argv: usage + error line
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("repro-butterfly: error: ")
+    assert err.startswith(("repro-butterfly: error: ", "usage: repro-butterfly"))
+    assert re.match(r"repro-butterfly( \w+)?: error: ", err.splitlines()[-1])
     assert "Traceback" not in err
 
 

@@ -89,14 +89,14 @@ class TestFingerprint:
 
     def test_differs_by_layout_alone(self):
         # same blocked member on three layouts: the ledger must keep
-        # their drift apart, or a reorder/compact misprediction hides in
+        # their drift apart, or a reorder/mmap misprediction hides in
         # the raw plan's history
         base = engine.Plan(
             invariant=2, strategy="blocked", block_size=64, layout="raw"
         )
         prints = {
             drift.plan_fingerprint(base.with_(layout=layout))
-            for layout in ("raw", "reorder", "compact")
+            for layout in ("raw", "reorder", "mmap")
         }
         assert len(prints) == 3
 

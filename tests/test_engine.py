@@ -361,14 +361,20 @@ class TestCalibration:
 
     def test_partial_file_merges_over_defaults(self, tmp_path):
         path = tmp_path / "partial.json"
+        # a file written before the compact layout was deleted still
+        # carries its decode term: it loads, with the key ignored
         path.write_text(json.dumps({
-            "coefficients": {"ns_per_op": {"adjacency": 1.25}},
+            "coefficients": {
+                "ns_per_op": {"adjacency": 1.25},
+                "decode_ns_per_edge": 6.0,
+            },
         }))
         table = load_calibration(str(path))
         assert table.ns_per_op("adjacency") == 1.25
         assert table.ns_per_op("scratch") == (
             DEFAULT_COEFFICIENTS["ns_per_op"]["scratch"]
         )
+        assert "decode_ns_per_edge" not in table.coefficients
 
     def test_calibrate_measures_positive_coefficients(self, tmp_path):
         path = str(tmp_path / "measured.json")

@@ -130,9 +130,8 @@ class TestSharedGraphBuffers:
             assert nnz == medium_graph.n_edges
 
     def test_publish_bytes_exact(self):
-        """The segment footprint is an exact function of the graph: the
-        raw layout ships four int64 arrays, the compact layout its two
-        varint payloads plus int64 indptr/byte-offset arrays."""
+        """The segment footprint is an exact function of the graph: four
+        int64 arrays, whatever storage view is published."""
         from repro.storage import make_storage
 
         g = power_law_bipartite(300, 400, 8_000, seed=13)
@@ -140,9 +139,9 @@ class TestSharedGraphBuffers:
         with SharedGraphBuffers.publish(g) as raw:
             # (301 + 401) offsets + 2 * 8000 entries, 8 bytes each
             assert raw.nbytes == 133_616
-        with SharedGraphBuffers.publish(make_storage(g, "compact")) as compact:
-            assert compact.layout == "compact"
-            assert compact.nbytes == 27_297
+        with SharedGraphBuffers.publish(make_storage(g, "reorder")) as view:
+            assert view.nbytes == 133_616
+            assert len(view.meta) == 4
 
 
 # ----------------------------------------------------------------------

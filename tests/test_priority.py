@@ -182,7 +182,7 @@ def test_priority_rows_are_raw_serial_and_unpinned_only():
 
 @pytest.mark.parametrize(
     "pins", [{"invariant": 6}, {"executor": "shared"}, {"workers": 2},
-             {"layout": "compact"}],
+             {"layout": "mmap"}],
 )
 def test_pinning_priority_with_a_member_pool_or_layout_is_an_error(pins):
     g = power_law_bipartite(60, 80, 600, seed=4)

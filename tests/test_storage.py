@@ -1,11 +1,7 @@
 """repro.storage — the GraphStorage layouts behind the planner's storage axis.
 
-Four concerns, each pinned separately:
+Two concerns, each pinned separately:
 
-- the varint/delta codec round-trips exactly (including the adversarial
-  shapes: empty graphs, empty slices, single rows, 2⁴⁰-scale gaps);
-- :class:`CompactPattern` answers the full accessor protocol with the
-  same values as the raw pattern it compressed;
 - :class:`ReorderedCSR` keeps user ids recoverable (permutations are
   inverses, per-vertex results map back) while the relabeled graph counts
   identically — butterflies are label-invariant;
@@ -35,6 +31,7 @@ from repro.core.blocked import count_butterflies_blocked
 from repro.core.local_counts import vertex_butterfly_counts
 from repro.core.workinfo import wedge_work_prefix
 from repro.engine.calibration import CalibrationTable
+from repro.engine.plan import LAYOUTS as PLAN_LAYOUTS
 from repro.graphs import (
     BipartiteGraph,
     erdos_renyi_bipartite,
@@ -43,14 +40,10 @@ from repro.graphs import (
 from repro.sparsela import PatternCSR
 from repro.storage import (
     LAYOUTS,
-    CompactCSR,
-    CompactPattern,
     GraphStorage,
     MmapCSR,
     RawCSR,
     ReorderedCSR,
-    decode_varint_deltas,
-    encode_varint_deltas,
     make_storage,
     resolve_storage,
 )
@@ -63,131 +56,6 @@ def _graph() -> BipartiteGraph:
 
 
 # ----------------------------------------------------------------------
-# varint/delta codec
-# ----------------------------------------------------------------------
-
-
-class TestVarintCodec:
-    def _roundtrip(self, indptr, indices):
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        payload, byte_offsets = encode_varint_deltas(indptr, indices)
-        assert byte_offsets.shape == indptr.shape
-        decoded = decode_varint_deltas(payload, np.diff(indptr))
-        np.testing.assert_array_equal(decoded, indices)
-        return payload
-
-    def test_roundtrip_random_graph(self):
-        g = _graph()
-        self._roundtrip(g.csr.indptr, g.csr.indices)
-        self._roundtrip(g.csc.indptr, g.csc.indices)
-
-    def test_empty(self):
-        payload = self._roundtrip([0, 0, 0], [])
-        assert payload.size == 0
-
-    def test_single_row(self):
-        self._roundtrip([0, 4], [0, 3, 7, 200])
-
-    def test_empty_slices_interleaved(self):
-        self._roundtrip([0, 0, 2, 2, 2, 5, 5], [1, 9, 0, 4, 6])
-
-    def test_large_gaps_multibyte_varints(self):
-        # gaps spanning every varint byte class up to 2**40
-        indices = np.cumsum([1, 127, 128, 2**14, 2**21, 2**28, 2**40])
-        payload = self._roundtrip([0, len(indices)], indices)
-        assert payload.size > indices.size  # multi-byte encodings happened
-
-    def test_first_index_absolute_per_slice(self):
-        # two slices starting at large absolute values
-        self._roundtrip([0, 2, 4], [2**30, 2**30 + 1, 2**35, 2**35 + 2])
-
-    def test_decode_rejects_wrong_entry_count(self):
-        payload, _ = encode_varint_deltas(
-            np.array([0, 3]), np.array([1, 2, 3])
-        )
-        with pytest.raises(ValueError, match="decodes to"):
-            decode_varint_deltas(payload, np.array([5]))
-
-    def test_compression_shrinks_local_indices(self):
-        g = _graph()
-        compact = CompactPattern.from_pattern(g.csr)
-        assert compact.compression_ratio > 2.0
-
-
-# ----------------------------------------------------------------------
-# CompactPattern accessor-protocol equivalence
-# ----------------------------------------------------------------------
-
-
-class TestCompactPatternAccessors:
-    @pytest.fixture()
-    def pair(self):
-        g = _graph()
-        return g.csr, CompactPattern.from_pattern(g.csr)
-
-    def test_dimensions(self, pair):
-        raw, compact = pair
-        assert compact.shape == raw.shape
-        assert compact.nnz == raw.nnz
-        assert compact.major_dim == raw.major_dim
-        assert compact.minor_dim == raw.minor_dim
-
-    def test_slices_and_panels(self, pair):
-        raw, compact = pair
-        for i in range(raw.major_dim):
-            np.testing.assert_array_equal(compact.slice(i), raw.slice(i))
-        np.testing.assert_array_equal(
-            compact.panel_indices(0, raw.major_dim),
-            raw.panel_indices(0, raw.major_dim),
-        )
-        np.testing.assert_array_equal(
-            compact.panel_indices(5, 17), raw.panel_indices(5, 17)
-        )
-
-    def test_degrees_and_gather(self, pair):
-        raw, compact = pair
-        np.testing.assert_array_equal(compact.degrees(), raw.degrees())
-        ids = np.array([7, 3, 3, 0, 41])
-        np.testing.assert_array_equal(
-            compact.degrees_of(ids), raw.degrees_of(ids)
-        )
-        np.testing.assert_array_equal(compact.gather(ids), raw.gather(ids))
-        np.testing.assert_array_equal(
-            compact.minor_degrees(), raw.minor_degrees()
-        )
-
-    def test_entries_and_offsets(self, pair):
-        raw, compact = pair
-        np.testing.assert_array_equal(
-            compact.entry_offsets(), raw.entry_offsets()
-        )
-        assert compact.entry_range(4, 19) == raw.entry_range(4, 19)
-        np.testing.assert_array_equal(
-            compact.entries(0, raw.nnz), raw.entries(0, raw.nnz)
-        )
-        np.testing.assert_array_equal(
-            compact.entries(13, 101), raw.entries(13, 101)
-        )
-        assert compact.entries(9, 9).size == 0
-        np.testing.assert_array_equal(
-            compact.expand_major(), raw.expand_major()
-        )
-
-    def test_to_pattern_roundtrip_validates(self, pair):
-        raw, compact = pair
-        back = compact.to_pattern()
-        assert back == raw
-        compact.validate()
-
-    def test_csc_view_major_axis(self):
-        g = _graph()
-        compact = CompactPattern.from_pattern(g.csc)
-        assert compact.MAJOR_AXIS == 1
-        assert compact.to_pattern() == g.csc
-
-
-# ----------------------------------------------------------------------
 # layouts behind the protocol
 # ----------------------------------------------------------------------
 
@@ -195,10 +63,9 @@ class TestCompactPatternAccessors:
 class TestGraphStorage:
     def test_factory_builds_each_layout(self):
         g = _graph()
-        classes = {
-            "raw": RawCSR, "reorder": ReorderedCSR,
-            "compact": CompactCSR, "mmap": MmapCSR,
-        }
+        classes = {"raw": RawCSR, "reorder": ReorderedCSR, "mmap": MmapCSR}
+        # the plan record keeps its own literal copy of the axis
+        assert LAYOUTS == PLAN_LAYOUTS == tuple(classes)
         for layout in LAYOUTS:
             store = make_storage(g, layout)
             assert isinstance(store, classes[layout])
@@ -208,18 +75,19 @@ class TestGraphStorage:
 
     def test_factory_rejects_unknown_and_rewrap(self):
         g = _graph()
-        with pytest.raises(ValueError, match="unknown storage layout"):
-            make_storage(g, "csr")
+        for retired in ("csr", "compact"):
+            with pytest.raises(ValueError, match="unknown storage layout"):
+                make_storage(g, retired)
         store = make_storage(g, "reorder")
         with pytest.raises(TypeError, match="already"):
-            make_storage(store, "compact")
+            make_storage(store, "mmap")
         assert make_storage(store, "reorder") is store
 
     def test_resolve_passthrough_and_default(self):
         g = _graph()
         store = resolve_storage(g, None)
         assert isinstance(store, RawCSR)
-        again = resolve_storage(store, "compact")  # existing object wins
+        again = resolve_storage(store, "mmap")  # existing object wins
         assert again is store
 
     def test_counts_agree_across_layouts(self):
@@ -228,10 +96,6 @@ class TestGraphStorage:
         for layout in LAYOUTS:
             store = make_storage(g, layout)
             assert count_butterflies_blocked(store, 2, block_size=16) == truth
-
-    def test_compact_nbytes_smaller_than_raw(self):
-        g = _graph()
-        assert make_storage(g, "compact").nbytes < make_storage(g, "raw").nbytes
 
     def test_repr_mentions_layout(self):
         assert "reorder" in repr(make_storage(_graph(), "reorder"))
@@ -498,14 +362,6 @@ class TestPlannerStorageAxis:
         assert p.est_seconds < raw_best
         assert engine.execute(p, g) == count_butterflies(g)
 
-    def test_compact_pin_carries_decode_surcharge(self):
-        g = _graph()
-        raw = engine.plan(g, "count", layout="raw", calibration=DEFAULTS)
-        compact = engine.plan(
-            g, "count", layout="compact", calibration=DEFAULTS
-        )
-        assert compact.est_seconds > raw.est_seconds
-
     def test_mmap_pin_is_serial_only(self):
         g = _graph()
         p = engine.plan(g, "count", layout="mmap", calibration=DEFAULTS)
@@ -520,6 +376,11 @@ class TestPlannerStorageAxis:
         g = _graph()
         with pytest.raises(ValueError, match="storage-layout"):
             engine.plan(g, "tip", side="left", layout="reorder",
+                        calibration=DEFAULTS)
+
+    def test_unknown_layout_rejected(self):
+        with pytest.raises(ValueError, match="unknown layout 'compact'"):
+            engine.plan(_graph(), "count", layout="compact",
                         calibration=DEFAULTS)
 
     def test_vertex_counts_map_back_through_reorder(self):

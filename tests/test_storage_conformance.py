@@ -1,12 +1,10 @@
 """Differential conformance matrix over the storage layouts.
 
-Every in-memory layout (``raw`` / ``reorder`` / ``compact``) must be
-observationally equivalent: identical global counts for every invariant,
-identical per-vertex counts *after* mapping back to user ids, and — for
-the compact codec — bit-identical structure when decompressed.  The
-matrix crosses
+Every in-memory layout (``raw`` / ``reorder``) must be observationally
+equivalent: identical global counts for every invariant and identical
+per-vertex counts *after* mapping back to user ids.  The matrix crosses
 
-- the three in-memory layouts (``mmap`` is covered by the out-of-core
+- the two in-memory layouts (``mmap`` is covered by the out-of-core
   tests in ``test_storage.py``; its patterns are raw arrays on disk),
 - all 8 loop invariants through the blocked kernel,
 - structurally distinct graph shapes including the degenerate ones.
@@ -34,7 +32,7 @@ from repro.graphs import (
 from repro.storage import make_storage
 
 DEFAULTS = CalibrationTable()
-STORAGE_LAYOUTS = ("raw", "reorder", "compact")
+STORAGE_LAYOUTS = ("raw", "reorder")
 INVARIANTS = list(range(1, 9))
 
 
@@ -84,15 +82,6 @@ def test_vertex_counts_cell(graph_name, layout, side):
         g, "vertex-counts", side=side, layout=layout, calibration=DEFAULTS
     )
     np.testing.assert_array_equal(engine.execute(p, g), truth)
-
-
-@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-def test_compact_structure_roundtrip(graph_name):
-    """Decompressing the compact views reproduces the raw patterns bitwise."""
-    g = GRAPHS[graph_name]
-    store = make_storage(g, "compact")
-    assert store.csr.to_pattern() == g.csr
-    assert store.csc.to_pattern() == g.csc
 
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))

@@ -47,6 +47,17 @@ def test_candidate_table_scores_both_strategies(graph):
     assert cands[0].est_ms <= cands[-1].est_ms
 
 
+def test_recount_models_one_pass_per_side(graph):
+    """A recount runs one per-vertex pass per side, so it pays each side's
+    wedge work Σ_{x} deg(x)² once — not three passes of one side."""
+    (rec,) = engine.candidate_plans(
+        graph, "stream_apply", strategy="recount", batch=(_batch(graph, 4), [])
+    )
+    deg_l = graph.degrees_left().astype(np.int64)
+    deg_r = graph.degrees_right().astype(np.int64)
+    assert rec.modeled_ops == int(deg_l @ deg_l + deg_r @ deg_r) == 63_370
+
+
 def test_strategy_pin_filters_candidates(graph):
     batch = (_batch(graph, 32), [])
     for strategy in STREAM_STRATEGIES:

@@ -222,9 +222,7 @@ def _graph_in_storage_labelling(store):
     from repro.sparsela import PatternCSR
 
     csr = store.csr
-    if hasattr(csr, "payload"):  # compact: decode
-        csr = csr.to_pattern()
-    elif not csr.indices.flags.writeable:
+    if not csr.indices.flags.writeable:
         # mmap: copy the read-only memmaps into process memory
         csr = PatternCSR(
             np.array(csr.indptr), np.array(csr.indices), csr.shape
@@ -232,7 +230,7 @@ def _graph_in_storage_labelling(store):
     return BipartiteGraph.from_csr(csr)
 
 
-@pytest.mark.parametrize("layout", ("raw", "reorder", "compact", "mmap"))
+@pytest.mark.parametrize("layout", ("raw", "reorder", "mmap"))
 def test_snapshot_round_trip_through_each_layout(layout):
     """A counter seeded from any storage layout snapshots and restores.
 
