@@ -31,8 +31,8 @@ import numpy as np
 
 from repro import obs
 from repro._types import COUNT_DTYPE
-from repro.core.local_counts import vertex_butterfly_counts
 from repro.core.parallel import DEFAULT_WEDGE_SHARD_BUDGET
+from repro.core.priority import vertex_butterfly_counts_priority
 from repro.core.workinfo import pivot_work_estimate
 from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela import gather_slices
@@ -153,7 +153,9 @@ def tip_numbers_bucket_parallel(
     the round runs :func:`tip_decrement_batch` in-process.  Either way
     only the sparse ``(affected, lost)`` losses of surviving vertices are
     applied; nothing per round is O(side) beyond the minimum-bucket scan.
-    The initial counts use the pool when there is one.  ``executor``
+    The initial counts come from one serial vertex-priority pass
+    (:func:`~repro.core.priority.vertex_butterfly_counts_priority`), which
+    expands fewer wedges than a pooled fixed-side pass.  ``executor``
     accepts a caller-owned :class:`~repro.parallel.ButterflyExecutor`;
     ``n_workers=1`` (or an unavailable pool) runs every round in-process.
     """
@@ -165,15 +167,8 @@ def tip_numbers_bucket_parallel(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     n = pivot_major.major_dim
     dispatch = _peel_dispatch(n_workers, executor)
-    counts = None
-    if dispatch is not None:
-        try:
-            counts = dispatch.vertex_counts(graph, side).astype(COUNT_DTYPE)
-        except (OSError, PermissionError):
-            obs.inc("parallel.shared_fallback")
-            dispatch = None
-    if counts is None:
-        counts = vertex_butterfly_counts(graph, side).astype(COUNT_DTYPE)
+    left, right = vertex_butterfly_counts_priority(graph)
+    counts = left if side == "left" else right
     tip = np.zeros(n, dtype=COUNT_DTYPE)
     # static per-pivot wedge work, computed once for every round's gate
     # and sharding

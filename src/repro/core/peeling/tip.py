@@ -9,9 +9,11 @@ survivors below k, hence the fixpoint loop.
 
 Two implementations are provided:
 
-- :func:`k_tip` — the batch fixpoint exactly as formulated, built on the
-  blocked :func:`~repro.core.local_counts.vertex_butterfly_counts_blocked`
-  kernel (each round's cost is one panelised per-vertex count).
+- :func:`k_tip` — the batch fixpoint exactly as formulated; each round
+  is one per-vertex count from the planned kernel (the one-pass
+  :func:`~repro.core.priority.vertex_butterfly_counts_priority` on the
+  auto plan, or the blocked
+  :func:`~repro.core.local_counts.vertex_butterfly_counts_blocked`).
 - :func:`k_tip_lookahead` — the fused single-sweep variant of Fig. 8
   (KTIP_UNB_VAR1): the s vector is produced by a FLAME sweep over the rows
   in which each σ₁ is computed from the rows *below* the pivot (the A₂
@@ -79,8 +81,14 @@ def _peel_side_sizes(graph: BipartiteGraph, side: str) -> int:
 
 def _counts_kernel_from_plan(plan, side: str):
     """Build the per-round counts callable a :class:`repro.engine.Plan`
-    describes: the warm parallel path when the plan asks for a pool, the
-    serial blocked kernel (at the plan's block size) otherwise."""
+    describes: the one-pass priority kernel, the warm parallel path when
+    the plan asks for a pool, or the serial blocked kernel (at the plan's
+    block size)."""
+    if plan.strategy == "priority":
+        from repro.core.priority import vertex_butterfly_counts_priority
+
+        index = 0 if side == "left" else 1
+        return lambda g: vertex_butterfly_counts_priority(g)[index]
     if plan.workers > 1 or plan.executor != "serial":
         from repro.core.parallel import vertex_butterfly_counts_parallel
 

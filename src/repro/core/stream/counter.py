@@ -650,18 +650,14 @@ class StreamingButterflyCounter:
     def _count_from(self, graph: BipartiteGraph) -> None:
         """Set Ξ and both per-vertex arrays from scratch for ``graph``.
 
-        Ξ comes from the per-left vector — every butterfly holds exactly
-        two left vertices, so ``Σ per_left = 2Ξ`` — with no extra wedge
-        pass of its own.
+        One vertex-priority pass yields both sides.  Ξ comes from the
+        per-left vector — every butterfly holds exactly two left
+        vertices, so ``Σ per_left = 2Ξ`` — with no extra wedge pass of
+        its own.
         """
-        if graph.n_edges:
-            from repro.core.local_counts import vertex_butterfly_counts
+        from repro.core.priority import vertex_butterfly_counts_priority
 
-            self._per_left = vertex_butterfly_counts(graph, "left")
-            self._per_right = vertex_butterfly_counts(graph, "right")
-        else:
-            self._per_left = np.zeros(self.n_left, dtype=COUNT_DTYPE)
-            self._per_right = np.zeros(self.n_right, dtype=COUNT_DTYPE)
+        self._per_left, self._per_right = vertex_butterfly_counts_priority(graph)
         self.count: int = int(self._per_left.sum(dtype=COUNT_DTYPE)) // 2
 
     # convenience wrappers matching the per-edge counter's vocabulary ---

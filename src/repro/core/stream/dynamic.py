@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro._types import COUNT_DTYPE
 from repro.graphs.bipartite import BipartiteGraph
 
 __all__ = ["DynamicButterflyCounter"]
@@ -60,17 +61,13 @@ class DynamicButterflyCounter:
         self._adj_right: list[set[int]] = [
             set(map(int, graph.neighbors_right(v))) for v in range(graph.n_right)
         ]
-        from repro.core.family import count_butterflies
+        from repro.core.priority import vertex_butterfly_counts_priority
 
-        self.count: int = count_butterflies(graph) if graph.n_edges else 0
-        from repro.core.local_counts import vertex_butterfly_counts
-
-        if graph.n_edges:
-            self._per_left = vertex_butterfly_counts(graph, "left").tolist()
-            self._per_right = vertex_butterfly_counts(graph, "right").tolist()
-        else:
-            self._per_left = [0] * graph.n_left
-            self._per_right = [0] * graph.n_right
+        # one ranked pass for both sides; Σ per_left = 2Ξ
+        per_left, per_right = vertex_butterfly_counts_priority(graph)
+        self.count: int = int(per_left.sum(dtype=COUNT_DTYPE)) // 2
+        self._per_left = per_left.tolist()
+        self._per_right = per_right.tolist()
         self._n_edges: int = graph.n_edges
 
     # ------------------------------------------------------------------

@@ -175,7 +175,12 @@ def _dispatch_count(the_plan: Plan, graph: BipartiteGraph) -> int:
 
 def _dispatch_vertex_counts(the_plan: Plan, graph: BipartiteGraph):
     view = _storage_view(the_plan, graph)
-    if the_plan.workers > 1 or the_plan.executor != "serial":
+    if the_plan.strategy == "priority":
+        from repro.core.priority import vertex_butterfly_counts_priority
+
+        left, right = vertex_butterfly_counts_priority(view)
+        counts = left if the_plan.side == "left" else right
+    elif the_plan.workers > 1 or the_plan.executor != "serial":
         from repro.core.parallel import vertex_butterfly_counts_parallel
 
         counts = vertex_butterfly_counts_parallel(

@@ -89,8 +89,8 @@ class Plan:
     #: graph storage layout the kernels read (:data:`LAYOUTS`): raw int64
     #: arrays, degree-reordered, or mmap-backed
     layout: str = "raw"
-    #: one of :data:`COUNT_STRATEGIES` for counts; "blocked" for the
-    #: panel kernels behind per-vertex / peeling workloads
+    #: one of :data:`COUNT_STRATEGIES` for counts; "blocked" or
+    #: "priority" for the kernels behind per-vertex / peeling workloads
     strategy: str = "adjacency"
     #: one of :data:`EXECUTORS`
     executor: str = "serial"

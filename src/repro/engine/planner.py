@@ -194,7 +194,7 @@ def candidate_plans(
                 f"unknown stream strategy {strategy!r}; expected one of "
                 f"{STREAM_STRATEGIES}"
             )
-        return _stream_candidates(graph, cal, budget, strategy, batch)
+        return _stream_candidates(graph, cal, strategy, batch)
     if strategy is not None and strategy not in COUNT_STRATEGIES:
         raise ValueError(
             f"unknown strategy {strategy!r}; expected one of {COUNT_STRATEGIES}"
@@ -208,11 +208,12 @@ def candidate_plans(
         return _vertex_candidates(
             graph, cal, budget, executor, workers, block_size,
             side or "left", rounds=1, k=None, layout=layout,
+            strategy=strategy,
         )
     if workload == "tip":
         return _vertex_candidates(
             graph, cal, budget, executor, workers, block_size,
-            side or "left", rounds=3, k=k, workload="tip",
+            side or "left", rounds=3, k=k, workload="tip", strategy=strategy,
         )
     # wing
     return _wing_candidates(graph, cal, budget, block_size, k)
@@ -256,22 +257,63 @@ def _layout_rows(
     return rows
 
 
-def _priority_row(graph, cal: CalibrationTable) -> Plan:
-    """The vertex-priority candidate: one relabel pass plus its wedges."""
-    from repro.core.priority import priority_wedge_work
+#: A per-vertex pass costs this many passes of its count kernel: the
+#: reduction scatters into per-vertex totals instead of summing.  Measured
+#: on the seven e2e shapes at seed 0 (2-vCPU x86-64 host): 1.4–1.8× for
+#: the priority kernel, which also credits wedge centres, and 0.9–2.0×
+#: for the blocked panel kernel.
+_VERTEX_PASS_COST = 1.7
 
-    wedges = priority_wedge_work(graph)
-    est = (
+
+def _priority_seconds(graph, cal: CalibrationTable, wedges: int) -> float:
+    """Modeled count-kernel time: one relabel pass plus its wedges."""
+    return (
         graph.n_edges * cal.ns_per_edge("priority")
         + wedges * cal.ns_per_op("priority")
     ) * 1e-9
+
+
+def _priority_row(graph, cal: CalibrationTable) -> Plan:
+    """The vertex-priority count candidate."""
+    from repro.core.priority import priority_wedge_work
+
+    wedges = priority_wedge_work(graph)
     return Plan(
         workload="count", invariant=None, storage="csr",
         strategy="priority", executor="serial", workers=1,
-        modeled_ops=wedges, est_seconds=est,
+        modeled_ops=wedges, est_seconds=_priority_seconds(graph, cal, wedges),
         reason=f"vertex-priority filter: {wedges:,} wedges expanded, each "
                "butterfly counted once from its highest-degree vertex",
     )
+
+
+def _priority_vertex_row(graph, cal, workload, side, k, rounds) -> Plan:
+    """The one-pass per-vertex priority candidate (both sides per round)."""
+    from repro.core.priority import priority_wedge_work
+
+    wedges = priority_wedge_work(graph)
+    est = _priority_seconds(graph, cal, wedges) * _VERTEX_PASS_COST
+    return Plan(
+        workload=workload, invariant=None, storage="csr",
+        strategy="priority", executor="serial", workers=1, side=side, k=k,
+        modeled_ops=wedges * rounds, est_seconds=est * rounds,
+        reason=f"vertex-priority pass: {wedges:,} wedges credit both sides "
+               f"at once, ~{rounds} round(s) modeled",
+    )
+
+
+def _check_priority_pins(pin_pool: bool, layout: str | None) -> None:
+    """The priority kernels build their own rank-space adjacency from the
+    raw graph, serially: a pool or a storage layout cannot apply."""
+    if pin_pool:
+        raise ValueError(
+            "strategy 'priority' is serial-only; drop executor='shared' "
+            "and workers > 1"
+        )
+    if layout not in (None, "raw"):
+        raise ValueError(
+            f"strategy 'priority' reads the raw layout (got layout={layout!r})"
+        )
 
 
 def _count_candidates(
@@ -280,22 +322,13 @@ def _count_candidates(
 ) -> list[Plan]:
     pin_pool = executor == "shared" or (workers is not None and workers > 1)
     if strategy == "priority":
-        # the kernel ranks both sides together: no family member, no pool
-        # sharding, and it builds its own rank-space adjacency
+        # the kernel ranks both sides together: no family member
         if invariant is not None:
             raise ValueError(
                 "strategy 'priority' ranks both sides together and takes "
                 f"no invariant (got invariant={invariant!r})"
             )
-        if pin_pool:
-            raise ValueError(
-                "strategy 'priority' is serial-only; drop executor='shared' "
-                "and workers > 1"
-            )
-        if layout not in (None, "raw"):
-            raise ValueError(
-                f"strategy 'priority' reads the raw layout (got layout={layout!r})"
-            )
+        _check_priority_pins(pin_pool, layout)
         return [_priority_row(graph, cal)]
     invariants = (
         [resolve_invariant(invariant).number]
@@ -415,16 +448,19 @@ def _count_candidates(
 
 def _vertex_candidates(
     graph, cal, budget, executor, workers, block_size, side,
-    rounds=1, k=None, workload="vertex-counts", layout=None,
+    rounds=1, k=None, workload="vertex-counts", layout=None, strategy=None,
 ) -> list[Plan]:
+    pin_pool = executor == "shared" or (workers is not None and workers > 1)
+    if strategy == "priority":
+        _check_priority_pins(pin_pool, layout)
+        return [_priority_vertex_row(graph, cal, workload, side, k, rounds)]
     # pivot side of the per-vertex kernel == the counted side
     number = 6 if side == "left" else 2  # rows ↔ CSR, columns ↔ CSC
     work = _SideWork(graph, number)
     storage = "csr" if side == "left" else "csc"
     b = block_size or max(_auto_block_size(work, budget), 128)
-    serial_est = _cost_blocked(work, b, cal) * rounds
+    serial_est = _cost_blocked(work, b, cal) * _VERTEX_PASS_COST * rounds
     pool_workers = _pool_workers(workers)
-    pin_pool = executor == "shared" or (workers is not None and workers > 1)
     pin_serial = (executor == "serial") or (workers == 1)
     out = []
     if not pin_pool:
@@ -444,12 +480,11 @@ def _vertex_candidates(
             modeled_ops=work.adjacency_ops * rounds, est_seconds=est,
             reason="warm shared pool amortised across fixpoint rounds",
         ))
-    if workload != "vertex-counts":
-        return out  # peeling rounds mutate views in place: raw-only
-    expanded: list[Plan] = []
-    for cand in out:
-        expanded.extend(_layout_rows(cand, work, cal, layout))
-    return expanded
+    if workload == "vertex-counts":  # peeling rounds mutate views: raw-only
+        out = [row for c in out for row in _layout_rows(c, work, cal, layout)]
+    if strategy is None and not pin_pool and layout in (None, "raw"):
+        out.append(_priority_vertex_row(graph, cal, workload, side, k, rounds))
+    return out
 
 
 def _wing_candidates(graph, cal, budget, block_size, k) -> list[Plan]:
@@ -491,16 +526,17 @@ def _batch_endpoints(batch):
     return np.concatenate(rows_parts), np.concatenate(cols_parts)
 
 
-def _stream_candidates(graph, cal, budget, strategy, batch) -> list[Plan]:
+def _stream_candidates(graph, cal, strategy, batch) -> list[Plan]:
     """Score batched incremental maintenance vs a from-scratch recount.
 
     The incremental path's dominant term is the *touched* wedge work —
     Σ deg(u) + deg(v) over the batch edges (the delta-wedge enumeration)
     — plus an O(nnz) sorted-merge/rebuild of both compressed views.  The
-    recount rebuilds every count with two per-vertex panel passes, one per
-    side (Ξ falls out of the per-left sums), so it pays each side's
-    wedge work and panels once.
+    recount rebuilds every count with one per-vertex priority pass over
+    both sides (Ξ falls out of the per-left sums), so it pays the
+    priority wedge work and its per-vertex reduction once.
     """
+    from repro.core.priority import priority_wedge_work
     from repro.core.workinfo import touched_wedge_work
 
     rows, cols = _batch_endpoints(batch)
@@ -513,17 +549,6 @@ def _stream_candidates(graph, cal, budget, strategy, batch) -> list[Plan]:
         inc_ops * cal.ns_per_op("stream") + cal.stream_batch_ns
     ) * 1e-9
 
-    rec_ops = panels = 0
-    for work in (_SideWork(graph, 6), _SideWork(graph, 2)):
-        b = _auto_block_size(work, budget)
-        rec_ops += work.adjacency_ops
-        panels += -(-work.pivots // max(b, 1)) if work.pivots else 0
-    rec_est = (
-        rec_ops * cal.ns_per_op("blocked")
-        + panels * cal.ns_per_panel
-        + cal.stream_batch_ns
-    ) * 1e-9
-
     out = []
     if strategy in (None, "incremental"):
         out.append(Plan(
@@ -534,12 +559,17 @@ def _stream_candidates(graph, cal, budget, strategy, batch) -> list[Plan]:
                    f"for {batch_edges} edit(s) (+O(nnz) view rebuild)",
         ))
     if strategy in (None, "recount"):
+        rec_ops = priority_wedge_work(graph)
+        rec_est = (
+            _priority_seconds(graph, cal, rec_ops) * _VERTEX_PASS_COST
+            + cal.stream_batch_ns * 1e-9
+        )
         out.append(Plan(
             workload="stream_apply", invariant=None, storage="csr",
             strategy="recount", executor="serial", workers=1,
             modeled_ops=rec_ops, est_seconds=rec_est,
-            reason="from-scratch recount: one per-vertex sweep per side "
-                   "over the full wedge set",
+            reason="from-scratch recount: one per-vertex priority pass "
+                   "over both sides",
         ))
     return out
 

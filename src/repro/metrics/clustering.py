@@ -64,9 +64,9 @@ def local_clustering_left(graph: BipartiteGraph) -> np.ndarray:
     at most one butterfly — so ``local`` lies in [0, 1] and its
     edge-weighted aggregate recovers the global C₄.
     """
-    from repro.core.local_counts import vertex_butterfly_counts
+    from repro.core.priority import vertex_butterfly_counts_priority
 
-    b = vertex_butterfly_counts(graph, "left").astype(np.float64)
+    b = vertex_butterfly_counts_priority(graph)[0].astype(np.float64)
     dl = graph.degrees_left().astype(np.int64)
     dr = graph.degrees_right().astype(np.int64)
     rows, cols = graph.coo.rows, graph.coo.cols

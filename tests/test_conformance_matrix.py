@@ -186,6 +186,25 @@ def test_vertex_counts_conformance(graph_name, side, executor):
     np.testing.assert_array_equal(got, expected)
 
 
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize("side", ("left", "right"))
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_priority_vertex_counts_conformance(graph_name, side, layout):
+    """The serial one-pass priority kernel, through its planner row; the
+    ``csc`` layout runs the side-swapped graph and reads the other side."""
+    g = GRAPHS[graph_name]
+    expected_side = side
+    if layout == "csc":
+        g = g.swap_sides()
+        expected_side = "right" if side == "left" else "left"
+    the_plan = engine.plan(g, "vertex-counts", side=side, strategy="priority")
+    assert the_plan.label == f"{side}-priority-serial"
+    np.testing.assert_array_equal(
+        engine.execute(the_plan, g),
+        VERTEX_REFERENCE[(graph_name, expected_side)],
+    )
+
+
 @pytest.mark.parametrize("graph_name", ("powerlaw", "planted"))
 @pytest.mark.parametrize("side", ("left", "right"))
 def test_vertex_counts_process_executor(graph_name, side):

@@ -22,6 +22,7 @@ from repro.core import (
     count_butterflies_blocked,
     count_butterflies_parallel,
     count_butterflies_priority,
+    vertex_butterfly_counts_priority,
     count_butterflies_unblocked,
 )
 from repro.graphs import BipartiteGraph
@@ -68,3 +69,13 @@ def test_shared_executor_past_2_31(big_biclique: BipartiteGraph) -> None:
 def test_priority_past_2_31(big_biclique: BipartiteGraph) -> None:
     # the two hubs rank on top: one pair (hub, hub) of multiplicity 70 000
     assert count_butterflies_priority(big_biclique) == EXPECTED
+
+
+def test_priority_vertex_counts_past_2_31(big_biclique: BipartiteGraph) -> None:
+    # each hub sits in every butterfly; each right vertex pairs with the
+    # other 69 999 — the reduction accumulates in int64, not float64
+    left, right = vertex_butterfly_counts_priority(big_biclique)
+    assert left.dtype == right.dtype == np.int64
+    assert left.tolist() == [EXPECTED, EXPECTED]
+    assert right.shape == (N_RIGHT,)
+    assert (right == N_RIGHT - 1).all()

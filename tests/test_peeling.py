@@ -3,16 +3,31 @@
 import numpy as np
 import pytest
 
+from repro import engine
 from repro.core import (
     count_butterflies,
     edge_butterfly_support,
     k_tip,
     k_tip_lookahead,
     k_wing,
+    tip_numbers,
+    tip_numbers_bucket_parallel,
     vertex_butterfly_counts,
 )
+from repro.engine import CalibrationTable
 from repro.graphs import BipartiteGraph, planted_bicliques, power_law_bipartite
+from repro.reference import k_tip_reference
 from tests.conftest import tiny_named_graphs
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _retire_shared_executors():
+    """Leave no warm default executor (and no published /dev/shm segment)
+    behind — the sharedmem suite asserts segment-leak-freedom globally."""
+    yield
+    from repro.parallel import shutdown_default_executors
+
+    shutdown_default_executors()
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +130,41 @@ def test_tip_result_metadata(community_graph):
     res = k_tip(community_graph, 2, side="left")
     assert res.k == 2 and res.side == "left"
     assert res.n_kept == int(res.kept.sum())
+
+
+@pytest.fixture(scope="module")
+def skewed_graph():
+    return power_law_bipartite(200, 250, 3000, seed=23)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_auto_tip_plan_is_priority_and_matches_reference(skewed_graph, side):
+    """Every fixpoint round of the auto plan is one priority pass; the
+    peel still lands on the pure-Python reference fixpoint."""
+    g = skewed_graph
+    for k in (1, 20, 300):
+        the_plan = engine.plan(
+            g, "tip", side=side, k=k, calibration=CalibrationTable()
+        )
+        assert the_plan.strategy == "priority"
+        expected = k_tip_reference(g, k, side=side)
+        assert k_tip(g, k, side=side, plan=the_plan).kept.tolist() == expected
+        assert k_tip(g, k, side=side).kept.tolist() == expected
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_bucket_tip_numbers_match_heap_reference(
+    skewed_graph, community_graph, corpus, side, n_workers
+):
+    """Initial counts from the priority pass, rounds in-process or pooled:
+    identical to the heap-based peel."""
+    graphs = [skewed_graph, community_graph] + [g for _, g in corpus]
+    for g in graphs:
+        np.testing.assert_array_equal(
+            tip_numbers_bucket_parallel(g, side=side, n_workers=n_workers),
+            tip_numbers(g, side=side),
+        )
 
 
 # --------------------------------------------------------------- k-wing

@@ -1,10 +1,13 @@
-"""The vertex-priority count kernel and its place in the planner.
+"""The vertex-priority kernels and their place in the planner.
 
-The kernel (:mod:`repro.core.priority`) charges each butterfly to its
-highest-ranked vertex.  Its oracle here is pairwise overlap counting on
-the dense biadjacency matrix, which shares no code with it.  The planner
-scores it as one more ``count`` row, with :func:`priority_wedge_work` as
-the exact work model.
+The count kernel (:mod:`repro.core.priority`) charges each butterfly to
+its highest-ranked vertex; the per-vertex kernel walks the same ranked
+wedges and credits both sides at once.  Their oracle here is pairwise
+overlap counting on the dense biadjacency matrix, which shares no code
+with them, plus brute-force enumeration and the fixed-side per-vertex
+kernel.  The planner scores them as one more ``count`` row and one more
+``vertex-counts``/``tip`` row, with :func:`priority_wedge_work` as the
+exact work model.
 """
 
 from __future__ import annotations
@@ -17,11 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import engine, obs
+from repro.baselines import vertex_counts_bruteforce
 from repro.core import priority
+from repro.core.local_counts import vertex_butterfly_counts
 from repro.core.priority import (
     count_butterflies_priority,
     priority_ranks,
     priority_wedge_work,
+    vertex_butterfly_counts_priority,
 )
 from repro.engine import CalibrationTable
 from repro.graphs import (
@@ -31,6 +37,8 @@ from repro.graphs import (
     planted_bicliques,
     power_law_bipartite,
 )
+from repro.reference import k_tip_reference
+from tests.conftest import random_graph_corpus, tiny_named_graphs
 
 DEFAULTS = CalibrationTable()
 
@@ -198,3 +206,149 @@ def test_pinned_priority_plans_serially_on_any_machine():
         )
         assert chosen.label == "priority-serial", pins
         assert chosen.execute(g) == _pairwise(g.biadjacency_dense())
+
+
+# ----------------------------------------------------------------------
+# per-vertex kernel
+# ----------------------------------------------------------------------
+#: the shapes above, the hand-built tiny graphs and the random corpus
+CORPUS = {
+    **SHAPES,
+    **{f"tiny-{k}": g for k, g in tiny_named_graphs().items()},
+    **{f"corpus-{k}": g for k, g in random_graph_corpus()},
+}
+
+
+def _pairwise_per_vertex(dense: np.ndarray) -> list[int]:
+    """Per row: Σ over the other rows of C(common neighbours, 2)."""
+    rows = [set(np.flatnonzero(row)) for row in dense]
+    out = [0] * len(rows)
+    for u, v in combinations(range(len(rows)), 2):
+        common = len(rows[u] & rows[v])
+        out[u] += common * (common - 1) // 2
+        out[v] += common * (common - 1) // 2
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_vertex_counts_match_fixed_side_kernel_and_brute_force(name):
+    g = CORPUS[name]
+    left, right = vertex_butterfly_counts_priority(g)
+    assert left.dtype == right.dtype == np.int64
+    np.testing.assert_array_equal(left, vertex_butterfly_counts(g, "left"))
+    np.testing.assert_array_equal(right, vertex_butterfly_counts(g, "right"))
+    assert left.tolist() == vertex_counts_bruteforce(g, "left")
+    assert right.tolist() == vertex_counts_bruteforce(g, "right")
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_vertex_counts_sum_to_twice_the_count(name):
+    g = CORPUS[name]
+    left, right = vertex_butterfly_counts_priority(g)
+    total = 2 * count_butterflies_priority(g)
+    assert int(left.sum()) == int(right.sum()) == total
+
+
+@given(dense=tie_heavy_graphs())
+@settings(max_examples=150, deadline=None)
+def test_vertex_counts_on_ties_isolated_vertices_and_empty_sides(dense):
+    g = _graph(dense)
+    left, right = vertex_butterfly_counts_priority(g)
+    assert (left.size, right.size) == dense.shape
+    assert left.tolist() == _pairwise_per_vertex(dense)
+    assert right.tolist() == _pairwise_per_vertex(dense.T)
+    swapped_left, swapped_right = vertex_butterfly_counts_priority(g.swap_sides())
+    np.testing.assert_array_equal(swapped_left, right)
+    np.testing.assert_array_equal(swapped_right, left)
+
+
+#: big enough that one whole-graph panel takes the sorted reduction
+#: (key space beyond both the dense cap and half the wedges), while
+#: singleton panels take the dense histogram
+MEDIUM = power_law_bipartite(300, 400, 3000, seed=21)
+
+
+@pytest.mark.parametrize("packed_limit", ["default", 0], ids=["packed", "argsort"])
+@pytest.mark.parametrize("budget", [1, priority.PRIORITY_PANEL_BUDGET, 1 << 40])
+def test_panel_budget_and_sort_path_do_not_change_vertex_counts(
+    monkeypatch, budget, packed_limit
+):
+    monkeypatch.setattr(priority, "PRIORITY_PANEL_BUDGET", budget)
+    if packed_limit != "default":
+        monkeypatch.setattr(priority, "_PACKED_KEY_LIMIT", packed_limit)
+    left, right = vertex_butterfly_counts_priority(MEDIUM)
+    np.testing.assert_array_equal(left, vertex_butterfly_counts(MEDIUM, "left"))
+    np.testing.assert_array_equal(right, vertex_butterfly_counts(MEDIUM, "right"))
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_vertex_kernel_expands_the_modeled_wedges(name):
+    g = SHAPES[name]
+    with obs.capture() as metrics:
+        vertex_butterfly_counts_priority(g)
+    assert metrics.value("priority.wedges") == priority_wedge_work(g)
+
+
+# ----------------------------------------------------------------------
+# per-vertex planner rows
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("workload", ["vertex-counts", "tip"])
+def test_auto_per_vertex_plans_pick_priority_on_a_skewed_graph(workload, side):
+    g = power_law_bipartite(300, 400, 8000, seed=13)
+    chosen = engine.plan(g, workload, side=side, k=2, calibration=DEFAULTS)
+    assert chosen.strategy == "priority"
+    assert chosen.label == f"{side}-priority-serial"
+    text = engine.explain(chosen, g, calibration=DEFAULTS)
+    (starred,) = [ln for ln in text.splitlines() if ln.startswith("*")]
+    assert f"{side}-priority-serial" in starred
+    result = chosen.execute(g)
+    if workload == "tip":
+        assert result.kept.tolist() == k_tip_reference(g, 2, side=side)
+    else:
+        np.testing.assert_array_equal(result, vertex_butterfly_counts(g, side))
+
+
+def test_per_vertex_priority_row_is_raw_serial_and_unpinned_only():
+    g = power_law_bipartite(60, 80, 600, seed=4)
+
+    def rows(workload, **pins):
+        cands = engine.candidate_plans(
+            g, workload, side="left", calibration=DEFAULTS, **pins
+        )
+        return [c for c in cands if c.strategy == "priority"]
+
+    for workload in ("vertex-counts", "tip"):
+        (row,) = rows(workload)
+        assert (row.executor, row.workers, row.layout, row.side) == (
+            "serial", 1, "raw", "left",
+        )
+        for pins in ({"workers": 2}, {"executor": "shared"},
+                     {"strategy": "blocked"}):
+            assert rows(workload, **pins) == [], (workload, pins)
+    assert rows("vertex-counts", layout="reorder") == []
+
+
+@pytest.mark.parametrize(
+    "pins", [{"executor": "shared"}, {"workers": 2}, {"layout": "reorder"}],
+)
+def test_pinning_per_vertex_priority_with_a_pool_or_layout_is_an_error(pins):
+    g = power_law_bipartite(60, 80, 600, seed=4)
+    with pytest.raises(ValueError, match="priority"):
+        engine.plan(
+            g, "vertex-counts", strategy="priority", calibration=DEFAULTS,
+            **pins,
+        )
+
+
+def test_tip_row_models_one_priority_pass_per_round():
+    g = power_law_bipartite(60, 80, 600, seed=4)
+    (vc,) = engine.candidate_plans(
+        g, "vertex-counts", strategy="priority", calibration=DEFAULTS
+    )
+    (tip,) = engine.candidate_plans(
+        g, "tip", strategy="priority", k=1, calibration=DEFAULTS
+    )
+    assert vc.modeled_ops == priority_wedge_work(g)
+    assert tip.modeled_ops == 3 * vc.modeled_ops
+    assert tip.est_seconds == pytest.approx(3 * vc.est_seconds)

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from repro import engine
+from repro.core.priority import priority_wedge_work
 from repro.core.stream import StreamingButterflyCounter
 from repro.core.workinfo import touched_wedge_work
+from repro.engine import CalibrationTable
 from repro.engine.plan import STREAM_STRATEGIES, WORKLOADS
 from repro.graphs import BipartiteGraph, power_law_bipartite
 
@@ -47,15 +49,48 @@ def test_candidate_table_scores_both_strategies(graph):
     assert cands[0].est_ms <= cands[-1].est_ms
 
 
-def test_recount_models_one_pass_per_side(graph):
-    """A recount runs one per-vertex pass per side, so it pays each side's
-    wedge work Σ_{x} deg(x)² once — not three passes of one side."""
+def test_recount_models_one_priority_pass(graph):
+    """A recount runs one per-vertex priority pass over both sides, so it
+    pays the priority wedge work once — not a fixed-side pass per side."""
     (rec,) = engine.candidate_plans(
         graph, "stream_apply", strategy="recount", batch=(_batch(graph, 4), [])
     )
     deg_l = graph.degrees_left().astype(np.int64)
     deg_r = graph.degrees_right().astype(np.int64)
-    assert rec.modeled_ops == int(deg_l @ deg_l + deg_r @ deg_r) == 63_370
+    assert rec.modeled_ops == priority_wedge_work(graph) == 8_226
+    assert rec.modeled_ops < int(deg_l @ deg_l + deg_r @ deg_r)
+
+
+def _skewed_script(graph, n_batches, seed=3):
+    """Batches shaped like the e2e stream script: 500 uniform inserts, or
+    a dense 20x25 community block every fourth batch, plus 200 deletes of
+    present edges."""
+    rng = np.random.default_rng(seed)
+    edges = graph.edges()
+    for i in range(n_batches):
+        if i % 4 == 3:
+            us = rng.choice(graph.n_left, size=20, replace=False)
+            vs = rng.choice(graph.n_right, size=25, replace=False)
+            insert = np.stack(np.meshgrid(us, vs, indexing="ij"), -1).reshape(-1, 2)
+        else:
+            insert = np.stack([
+                rng.integers(0, graph.n_left, 500),
+                rng.integers(0, graph.n_right, 500),
+            ], axis=1)
+        delete = edges[rng.choice(len(edges), size=200, replace=False)]
+        yield insert, delete
+
+
+def test_auto_plan_stays_incremental_on_a_skewed_script():
+    """A recount costs ~2x an incremental batch on this shape; the priority
+    recount term must not undercut the incremental estimate."""
+    graph = power_law_bipartite(30_000, 40_000, 120_000, seed=5)
+    for insert, delete in _skewed_script(graph, 8):
+        chosen = engine.plan(
+            graph, "stream_apply", batch=(insert, delete),
+            calibration=CalibrationTable(),
+        )
+        assert chosen.strategy == "incremental"
 
 
 def test_strategy_pin_filters_candidates(graph):
