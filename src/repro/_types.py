@@ -14,6 +14,13 @@ compressed index arrays, so the only dtypes that matter are:
     like the square of wedge counts, so accumulation is always performed in
     ``int64`` and surfaced to callers as built-in Python ``int`` (which is
     arbitrary precision) at API boundaries.
+
+``PAIR_DTYPE``
+    ``int32`` storage for the tip peel's same-side pair table (partner ids
+    and common-neighbour multiplicities).  Storage only, never an
+    accumulator: the table exists only under a byte cap that keeps every
+    stored value below 2³¹, and each multiplicity is widened to
+    ``COUNT_DTYPE`` before its C(c, 2) product.
 """
 
 from __future__ import annotations
@@ -25,6 +32,9 @@ INDEX_DTYPE = np.int64
 
 #: dtype of all wedge / butterfly accumulators.
 COUNT_DTYPE = np.int64
+
+#: dtype of the pair table's partner ids and multiplicities (storage only).
+PAIR_DTYPE = np.int32
 
 #: numpy array aliases used in annotations throughout the package.
 IndexArray = np.ndarray

@@ -327,8 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="recount peel rounds on a warm pool of N workers; 0/1 (the "
-        "default) stay in-process.  Tips always peel by bucket rounds; "
-        "wings use the incremental bucket peel in-process and the round "
+        "default) stay in-process.  Tips always peel by bucket rounds over "
+        "a same-side pair table; the pool only serves graphs whose table "
+        "would pass its 8 MiB cap, which re-expand each round's wedges.  "
+        "Wings use the incremental bucket peel in-process and the round "
         "recount for N > 1",
     )
 

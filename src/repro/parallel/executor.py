@@ -570,9 +570,10 @@ class ButterflyExecutor:
     ) -> np.ndarray:
         """Dense per-vertex butterfly losses from removing the bucket ``ids``.
 
-        The pooled round of the parallel tip decomposition
-        (:func:`~repro.core.peeling.tip_numbers_bucket_parallel`), which
-        calls it only for rounds of at least
+        The pooled round of the tip decomposition's wedge fallback
+        (:func:`~repro.core.peeling.tip_numbers_bucket_parallel` on a
+        graph whose pair table would pass its byte cap), which calls it
+        only for rounds of at least
         :data:`~repro.core.parallel.DEFAULT_WEDGE_SHARD_BUDGET` wedges —
         lighter rounds run in-process.  Batches of removed vertices are
         sharded by wedge work and each worker runs

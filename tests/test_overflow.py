@@ -18,10 +18,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import (
     count_butterflies_blocked,
     count_butterflies_parallel,
     count_butterflies_priority,
+    tip_numbers_bucket_parallel,
     vertex_butterfly_counts_priority,
     count_butterflies_unblocked,
 )
@@ -79,3 +81,29 @@ def test_priority_vertex_counts_past_2_31(big_biclique: BipartiteGraph) -> None:
     assert left.tolist() == [EXPECTED, EXPECTED]
     assert right.shape == (N_RIGHT,)
     assert (right == N_RIGHT - 1).all()
+
+
+def test_tip_numbers_past_2_31(big_biclique: BipartiteGraph) -> None:
+    # the pair table holds (hub, hub) once per half with the int32
+    # multiplicity 70 000; C(c, 2) is taken after widening to int64
+    with obs.capture() as metrics:
+        tips = tip_numbers_bucket_parallel(big_biclique, side="left", n_workers=1)
+    assert "peel.tip.pair_table_fallback" not in metrics
+    assert metrics.value("peel.tip.pair_table_bytes") > 0
+    assert tips.dtype == np.int64
+    assert tips.tolist() == [EXPECTED, EXPECTED]
+
+
+def test_tip_round_losses_past_2_31(big_biclique: BipartiteGraph) -> None:
+    # a third left vertex on the first 48 000 right vertices shares
+    # c = 48 000 with each hub, so c·(c − 1) > 2^31: it peels first
+    # (2·C(48 000, 2) = 2 303 952 000 butterflies) and its round takes
+    # C(48 000, 2) from each hub's stored int32 multiplicity, leaving the
+    # hubs at exactly C(70 000, 2) — only if the loss is widened first
+    third = np.column_stack(
+        [np.full(48_000, 2, dtype=np.int64), np.arange(48_000, dtype=np.int64)]
+    )
+    g = BipartiteGraph(np.concatenate([big_biclique.edges(), third]))
+    assert 48_000 * 47_999 > 2**31
+    tips = tip_numbers_bucket_parallel(g, side="left", n_workers=1)
+    assert tips.tolist() == [EXPECTED, EXPECTED, 48_000 * 47_999]

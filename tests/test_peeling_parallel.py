@@ -1,17 +1,24 @@
 """Round-based bucket peeling must match the reference fixpoints bitwise.
 
-The round loops extract the whole minimum bucket per round and recount in
-parallel shards through the shared executor; the contract is *bitwise
-identity* with the heap ``tip_numbers`` and with ``wing_numbers_bucket``
-(itself pinned against the heap ``wing_numbers``) — on every corpus
-shape, both sides, and for both the in-process loop (``n_workers=1``)
-and a real pool (``n_workers=2``).
+The round loops extract the whole minimum bucket per round.  Tips take
+their losses from a one-time same-side pair table, or — past the table's
+byte cap — re-expand each round's wedges, in-process or through the
+shared executor; wings recount in parallel shards.  The contract is
+*bitwise identity* with the heap ``tip_numbers`` and with
+``wing_numbers_bucket`` (itself pinned against the heap
+``wing_numbers``) — on every corpus shape, both sides, for the pair
+table, the wedge fallback and its pooled rounds.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import (
@@ -28,6 +35,7 @@ from repro.graphs import (
     planted_bicliques,
     power_law_bipartite,
 )
+from repro.sparsela import choose2
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -85,10 +93,12 @@ def test_wing_parallel_matches_serial_bucket(graph_name, n_workers):
 def test_tip_parallel_pooled_rounds_match_serial_bucket(
     graph_name, side, monkeypatch
 ):
-    """With the round gate's wedge budget at 0 every round goes to
+    """With the pair-table cap at 0 every graph takes the wedge fallback,
+    and with the round gate's wedge budget at 0 every round goes to
     ``tip_decrements``, so multi-member rounds really use the pool."""
     from repro.parallel import get_default_executor
 
+    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
     monkeypatch.setattr(buckets, "DEFAULT_WEDGE_SHARD_BUDGET", 0)
     executor = get_default_executor(2)
     before = executor.dispatch_count
@@ -100,18 +110,148 @@ def test_tip_parallel_pooled_rounds_match_serial_bucket(
         assert executor.dispatch_count - before > 1
 
 
-def test_tip_parallel_light_rounds_skip_the_pool():
-    """Under the real gate corpus rounds are far below the wedge budget,
-    and the initial counts are one serial priority pass: a call makes no
-    dispatch at all."""
+def _dispatches_per_call(g) -> list[int]:
     from repro.parallel import get_default_executor
 
     executor = get_default_executor(2)
-    g = GRAPHS["powerlaw"]
+    per_call = []
     for _ in range(2):
         before = executor.dispatch_count
         tip_numbers_bucket_parallel(g, side="left", n_workers=2)
-        assert executor.dispatch_count - before == 0
+        per_call.append(executor.dispatch_count - before)
+    return per_call
+
+
+def test_tip_parallel_light_rounds_skip_the_pool():
+    """Corpus graphs take the pair table, which never dispatches: a call
+    makes no dispatch at all."""
+    assert _dispatches_per_call(GRAPHS["powerlaw"]) == [0, 0]
+
+
+def test_tip_fallback_light_rounds_skip_the_pool(monkeypatch):
+    """Forced onto the wedge fallback, corpus rounds are far below the
+    wedge budget and the initial counts are one serial priority pass: a
+    call still makes no dispatch at all."""
+    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
+    assert _dispatches_per_call(GRAPHS["powerlaw"]) == [0, 0]
+
+
+def test_tip_pair_table_never_resolves_a_pool(monkeypatch):
+    import repro.parallel
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the pair-table path resolved a pool")
+
+    monkeypatch.setattr(repro.parallel, "get_default_executor", no_pool)
+    got = tip_numbers_bucket_parallel(GRAPHS["planted"], n_workers=2)
+    np.testing.assert_array_equal(got, TIP_REFERENCE[("planted", "left")])
+
+
+@st.composite
+def tip_graphs(draw) -> BipartiteGraph:
+    """Small graphs of the shapes the peel must get right: random (with
+    isolated vertices), an empty side, butterfly-free and complete."""
+    kind = draw(
+        st.sampled_from(["random", "empty-side", "butterfly-free", "complete"])
+    )
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    if kind == "empty-side":
+        return BipartiteGraph.empty(*((0, n) if draw(st.booleans()) else (m, 0)))
+    if kind == "complete":
+        return BipartiteGraph.complete(m, n)
+    if kind == "butterfly-free":
+        # a forest of stars on the left: no two left vertices share a
+        # neighbour, so every c(u, w) is 0 on the left and <= 1 on the right
+        owner = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        return BipartiteGraph(
+            [(u, v) for v, u in enumerate(owner)], n_left=m, n_right=n
+        )
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    dense = rng.random((m, n)) < draw(st.floats(0.0, 1.0))
+    rows, cols = np.nonzero(dense)
+    return BipartiteGraph(np.column_stack([rows, cols]), n_left=m, n_right=n)
+
+
+def _tip_paths(g: BipartiteGraph, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """(pair-table tips, wedge-fallback tips), the fallback's count checked."""
+    with obs.capture() as metrics:
+        table = tip_numbers_bucket_parallel(g, side=side, n_workers=1)
+        with mock.patch.object(buckets, "PAIR_TABLE_MAX_BYTES", 0):
+            fallback = tip_numbers_bucket_parallel(g, side=side, n_workers=1)
+    assert metrics.value("peel.tip.pair_table_fallback") == 1
+    return table, fallback
+
+
+@given(g=tip_graphs())
+@settings(max_examples=150, deadline=None)
+@example(g=BipartiteGraph.empty(0, 5))
+@example(g=BipartiteGraph.empty(4, 0))
+@example(g=BipartiteGraph([(0, 0), (0, 1), (2, 1)], n_left=4, n_right=3))
+@example(g=BipartiteGraph.complete(5, 4))
+def test_tip_table_and_fallback_match_the_heap_reference(g):
+    """Pair table = wedge fallback = heap ``tip_numbers``, bit for bit,
+    on both sides."""
+    for side in ("left", "right"):
+        reference = tip_numbers(g, side=side)
+        table, fallback = _tip_paths(g, side)
+        np.testing.assert_array_equal(table, reference)
+        np.testing.assert_array_equal(fallback, reference)
+
+
+def test_pair_table_peak_stays_under_the_cap(monkeypatch):
+    """Whatever the cap, building the table (or giving up on it) never
+    allocates past it, build transients included."""
+    g = planted_bicliques(60, 60, 3, 12, 12, background_edges=300, seed=7)
+    pm, comp = g.csr, g.csc
+    built = []
+    for cap in (1 << 14, 1 << 17, 1 << 18, 1 << 19, 1 << 20, 1 << 22):
+        monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", cap)
+        tracemalloc.start()
+        try:
+            table = buckets._pair_table(pm, comp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap, cap
+        built.append(table is not None)
+    # the sweep covers both outcomes
+    assert not built[0] and built[-1]
+
+
+def test_tip_dense_biclique_over_the_cap_falls_back(monkeypatch):
+    """A dense biclique whose table passes a lowered cap gives up part-way
+    through the build and takes the fallback; the aborted build adds at
+    most the cap to the fallback's own peak."""
+    g = BipartiteGraph.complete(400, 20)
+    chunks = []
+
+    def counting_choose2(x):
+        chunks.append(len(x))
+        return choose2(x)
+
+    def traced_peel(cap):
+        monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", cap)
+        chunks.clear()
+        with obs.capture() as metrics:
+            tracemalloc.start()
+            try:
+                tips = tip_numbers_bucket_parallel(g, n_workers=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert metrics.value("peel.tip.pair_table_fallback") == 1
+        assert "peel.tip.pair_table_bytes" not in metrics
+        return tips, peak
+
+    monkeypatch.setattr(buckets, "choose2", counting_choose2)
+    # cap 0: straight to the fallback, before any table array exists
+    _, fallback_peak = traced_peel(0)
+    assert not chunks
+    cap = 2 << 20
+    tips, peak = traced_peel(cap)
+    assert chunks  # the build reduced some chunks before giving up
+    assert peak <= cap + fallback_peak
+    np.testing.assert_array_equal(tips, tip_numbers(g, side="left"))
 
 
 def test_tip_parallel_rejects_bad_args():
@@ -189,3 +329,33 @@ def test_bucket_occupancy_gauge_from_wing_rounds():
     with obs.capture() as metrics:
         wing_numbers_bucket_parallel(GRAPHS["er"], n_workers=2)
     assert metrics.value("peel.rounds.bucket_occupancy") >= 1
+
+
+@pytest.mark.parametrize("table", (True, False), ids=("pair-table", "fallback"))
+def test_tip_trace_names_the_path(table, monkeypatch):
+    """One trace says which tip path ran and what the table cost; the
+    round-size gauge is there on both paths."""
+    g = GRAPHS["planted"]
+    if not table:
+        monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
+    with obs.capture() as metrics:
+        tip_numbers_bucket_parallel(g, n_workers=1)
+    assert metrics.value("peel.rounds.bucket_occupancy") >= 1
+    if table:
+        assert "peel.tip.pair_table_fallback" not in metrics
+        # two indptrs of n + 1 int64 entries, then int32 pairs
+        assert metrics.value("peel.tip.pair_table_bytes") > 16 * (g.n_left + 1)
+    else:
+        assert metrics.value("peel.tip.pair_table_fallback") == 1
+        assert "peel.tip.pair_table_bytes" not in metrics
+
+
+@pytest.mark.parametrize(
+    "cap", (buckets.PAIR_TABLE_MAX_BYTES, 0), ids=("pair-table", "fallback")
+)
+def test_tip_metrics_are_a_no_op_when_disabled(cap, monkeypatch):
+    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", cap)
+    with obs.capture() as metrics:
+        with obs.disabled():
+            tip_numbers_bucket_parallel(GRAPHS["planted"], n_workers=1)
+    assert len(metrics) == 0
