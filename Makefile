@@ -54,8 +54,9 @@ stats: metrics.jsonl
 profile-report: profile.collapsed
 	PYTHONPATH=src $(PYTHON) -m repro.cli profile profile.collapsed
 
-# Measure this machine's ns/op coefficients for the engine planner and
-# persist them (results/engine_calibration.json, or $$REPRO_CALIBRATION).
+# Measure this machine's four engine coefficients (the priority kernel's
+# per-edge/per-wedge pair and the stream apply's per-op/per-batch pair)
+# and persist them (results/engine_calibration.json, or $$REPRO_CALIBRATION).
 calibrate:
 	PYTHONPATH=src $(PYTHON) -c "from repro.engine import calibrate; t = calibrate(); print('calibrated ->', t.source)"
 

@@ -10,9 +10,9 @@ Quick start::
     from repro import count_butterflies, engine, power_law_bipartite
 
     g = power_law_bipartite(2000, 3000, 10_000, seed=1)
-    print(count_butterflies(g))           # cost-based auto pick
-    p = engine.plan(g, "count")           # the full planner …
-    print(engine.explain(p, g))           # … with its candidate table
+    print(count_butterflies(g))           # smaller-side scratch sweep
+    p = engine.plan(g, "count")           # the planner's rule …
+    print(engine.explain(p, g))           # … and the line that fired
     print(p.execute(g))
 
 (the expert door to a specific family member is
@@ -22,7 +22,7 @@ Package map:
 
 - :mod:`repro.core`      — specification, the 8-member family, blocked /
   parallel executors, per-vertex & per-edge counts, peeling.
-- :mod:`repro.engine`    — the unified Plan→Execute pipeline: cost-based
+- :mod:`repro.engine`    — the unified Plan→Execute pipeline: rule
   planner, per-machine calibration, ``explain``, single dispatch point.
 - :mod:`repro.sparsela`  — self-contained CSR/CSC/COO pattern-matrix
   substrate and the vectorised wedge kernels.

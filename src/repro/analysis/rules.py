@@ -605,8 +605,9 @@ class EnginePurityRule(Rule):
     Outside ``repro/engine/`` nothing may (a) assign to a plan's fields
     (including via ``object.__setattr__``) or (b) re-implement the
     smaller-side selection inline (comparing ``n_left``/``n_right`` to
-    pick a member).  PR 4 made Section V's rule a cost-model consequence
-    — one decision point — and this rule keeps it that way.  Baselines
+    pick a member).  Section V's rule lives in one place,
+    ``repro.engine.select_count_invariant``, and this rule keeps it that
+    way.  Baselines
     and graph utilities are exempt: their side choices are algorithm
     semantics, not plan selection.
     """
@@ -656,8 +657,8 @@ class EnginePurityRule(Rule):
                         node,
                         "inline smaller-side selection (n_left vs n_right) "
                         "outside repro/engine; call "
-                        "repro.engine.select_count_invariant / plan() so the "
-                        "Section V rule stays a cost-model consequence",
+                        "repro.engine.select_count_invariant / plan(): the "
+                        "Section V rule lives in repro.engine",
                     )
 
     def _is_plan_attribute(self, target: ast.expr) -> bool:

@@ -6,7 +6,7 @@
     repro-butterfly count      GRAPH [options]  # exact butterfly count
     repro-butterfly explain    GRAPH [options]  # engine plan table (no run)
     repro-butterfly explain    --drift          # cost-model drift ledger report
-    repro-butterfly calibrate  [--if-drifted T] # re-pin cost-model constants
+    repro-butterfly calibrate  [--if-drifted T] # re-measure the cost coefficients
     repro-butterfly profile    PROFILE          # render collapsed-stack samples
     repro-butterfly peel       GRAPH --k K [--mode tip|wing] [--side left|right]
     repro-butterfly decompose  GRAPH [--mode tip|wing] [--top N]
@@ -141,23 +141,25 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         choices=range(1, 9),
         default=None,
-        help="family member 1-8 (default: the engine's cost model chooses)",
+        help="family member 1-8 (default: the smaller side's suffix "
+        "member, 2 or 6)",
     )
     p_count.add_argument(
         "--strategy",
         choices=("adjacency", "scratch", "spmv", "wedge", "priority"),
         default=None,
-        help="update strategy (default: the engine's cost model chooses; "
-        "'wedge' runs the wedge-partitioned shard backend, 'priority' the "
-        "serial vertex-priority kernel, which takes no --invariant)",
+        help="update strategy (default: scratch; with --auto, the "
+        "vertex-priority kernel; 'wedge' runs the wedge-partitioned shard "
+        "backend, 'priority' the serial vertex-priority kernel, which "
+        "takes no --invariant)",
     )
     p_count.add_argument(
         "--auto",
         action="store_true",
-        help="open the full plan space (blocked panels and parallel pools "
-        "included) instead of the sequential family; prints the chosen "
-        "plan and threads it into --trace-out as engine.plan/execute "
-        "spans",
+        help="let the engine's rule plan the count (the vertex-priority "
+        "kernel unless a flag pins a fixed-side plan) instead of the "
+        "sequential family; prints the chosen plan and threads it into "
+        "--trace-out as engine.plan/execute spans",
     )
     p_count.add_argument(
         "--workers",
@@ -171,9 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--storage",
         choices=("auto", "raw", "reorder", "mmap"),
         default="auto",
-        help="graph storage layout (auto: the cost model decides; "
-        "reorder = degree-ordered relabeling, mmap = out-of-core column "
-        "files)",
+        help="graph storage layout (auto: raw; reorder = degree-ordered "
+        "relabeling, mmap = out-of-core column files)",
     )
     p_count.add_argument(
         "--blocked",
@@ -183,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument(
         "--block-size", type=int, default=None, metavar="B",
-        help="panel width for --blocked (default: cost-model choice)",
+        help="panel width for --blocked (default: sized to a "
+        "cache-resident wedge budget)",
     )
     # SUPPRESS: a subparser default would overwrite the value the global
     # --trace-out already parsed onto the namespace
@@ -208,15 +210,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--storage",
         choices=("auto", "raw", "reorder"),
         default="auto",
-        help="graph storage layout; peeling mutates per-round subgraphs, "
-        "so there is no mmap choice ('reorder' peels the degree-ordered "
-        "relabeling — the kept-vertex/edge summary is label-invariant)",
+        help="graph storage layout (auto: raw); peeling mutates "
+        "per-round subgraphs, so there is no mmap choice ('reorder' peels "
+        "the degree-ordered relabeling — the kept-vertex/edge summary is "
+        "label-invariant)",
     )
 
     p_explain = sub.add_parser(
         "explain",
-        help="print the engine's scored plan table for a graph without "
-        "executing it",
+        help="print the engine's plan for a graph (the rule that fired "
+        "and the chosen row) without executing it",
     )
     p_explain.add_argument(
         "graph", nargs="?", default=None,
@@ -231,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--side", choices=("left", "right"), default=None)
     p_explain.add_argument(
         "--invariant", type=int, choices=range(1, 9), default=None,
-        help="pin the family member (the planner decides the rest)",
+        help="pin the family member (default: the smaller side's suffix "
+        "member once any pin is given; the rule fills the rest)",
     )
     p_explain.add_argument(
         "--strategy",
@@ -246,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--storage",
         choices=("auto", "raw", "reorder", "mmap"),
         default="auto",
-        help="pin the storage layout (auto: raw and reorder compete on "
-        "the calibrated cost model; mmap appears when pinned)",
+        help="pin the storage layout (auto: raw)",
     )
     p_explain.add_argument(
         "--calibrate", action="store_true",
@@ -471,7 +474,7 @@ def _count_plan_from_args(args, g):
     """Translate the ``count`` flag set into one pinned engine plan.
 
     Every hand-picked knob becomes a *pinned plan field* — there is no
-    separate code path per flag, just a smaller candidate table.
+    separate code path per flag; the engine's rule fills the rest.
     """
     from repro import engine
 
@@ -487,22 +490,17 @@ def _count_plan_from_args(args, g):
             g, "count", invariant=args.invariant, strategy=args.strategy,
             executor=executor, workers=args.workers, layout=layout,
         )
-    if args.strategy in ("wedge", "priority"):
-        # not members of the sequential family: plan them over the open
-        # plan space so the executor/worker choice stays cost-based
+    if args.auto or args.strategy in ("wedge", "priority"):
+        # not members of the sequential family: the rule plans them
         return engine.plan(
             g, "count", invariant=args.invariant, strategy=args.strategy,
             block_size=args.block_size, layout=layout,
         )
-    if args.auto:  # full plan space: blocked/parallel candidates included
-        return engine.plan(
-            g, "count", invariant=args.invariant, strategy=args.strategy,
-            block_size=args.block_size, layout=layout,
-        )
-    # default: the sequential unblocked family, planner picks the member
+    # default: the sequential unblocked family (scratch, the fastest
+    # unblocked strategy), the smaller-side member unless pinned
     return engine.plan(
-        g, "count", invariant=args.invariant, strategy=args.strategy,
-        family_only=True, executor="serial", layout=layout,
+        g, "count", invariant=args.invariant,
+        strategy=args.strategy or "scratch", executor="serial", layout=layout,
     )
 
 
@@ -637,7 +635,7 @@ def _cmd_calibrate(args) -> int:
         print(f"calibration  : re-measured -> {table.source}")
         return 0
     table = engine.calibrate(repeats=args.repeats, persist=persist)
-    print(f"calibrated this machine -> {table.source}")
+    print(f"calibrated this machine -> {table.source or '(not persisted)'}")
     return 0
 
 

@@ -451,8 +451,8 @@ def has_at_least(
     if threshold <= 0:
         return True
     if invariant is None:
-        # Section V smaller-side rule lives in the engine's cost model;
-        # lazy import keeps core importable without the engine package.
+        # Section V smaller-side rule lives in the engine; lazy import
+        # keeps core importable without the engine package.
         from repro.engine import select_count_invariant
 
         invariant = select_count_invariant(graph)
@@ -471,27 +471,27 @@ def has_at_least(
 
 
 def count_butterflies(graph: BipartiteGraph, *, plan=None) -> int:
-    """Count butterflies, auto-planning the family member.
+    """Count butterflies with the sequential family's fastest member.
 
-    The selection is routed through :mod:`repro.engine`: the cost-based
-    planner chooses the (invariant, strategy) pair among the sequential
-    unblocked family members — the paper's Section V smaller-side rule
-    emerges from the planner's exact work model rather than being
-    hard-coded here.  ``plan`` accepts a pre-built
-    :class:`repro.engine.Plan` (the engine's own dispatch path and power
-    users); a hand-picked member is either a pinned plan,
+    The selection is routed through :mod:`repro.engine`: the plan pins
+    the ``scratch`` strategy (the fastest unblocked one) on the serial
+    executor, and the engine's rule adds the paper's Section V
+    smaller-side member — 2 when ``n_right <= n_left``, else 6
+    (:func:`repro.engine.select_count_invariant`).  ``plan`` accepts a
+    pre-built :class:`repro.engine.Plan` (the engine's own dispatch path
+    and power users); a hand-picked member is either a pinned plan,
     ``repro.engine.plan(graph, invariant=..., strategy=...)``, or
     :func:`count_butterflies_unblocked`.
 
     Degree-ordered traversal (the paper's Section VI future work) is a
     relabel of the input: count a :func:`repro.graphs.order_by_degree` /
-    :func:`repro.graphs.order_side_by_degree` graph, or let a plan pick
-    the ``reorder`` storage layout.
+    :func:`repro.graphs.order_side_by_degree` graph, or pin a plan's
+    ``reorder`` storage layout.
     """
     from repro import engine
 
     if plan is None:
-        plan = engine.plan(graph, "count", family_only=True, executor="serial")
+        plan = engine.plan(graph, "count", strategy="scratch", executor="serial")
     if plan.invariant is None:
         plan = plan.with_(invariant=engine.select_count_invariant(graph))
     return engine.execute(plan, graph)

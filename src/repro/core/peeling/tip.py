@@ -128,9 +128,9 @@ def k_tip(
     plan:
         Optional :class:`repro.engine.Plan` pinning the per-round counts
         kernel (block size / pool shape).  When *both* ``executor`` and
-        ``plan`` are ``None`` the engine plans the rounds itself
-        (cost-based choice of block size, and of pool vs serial), which is
-        the behaviour every auto entry point gets.
+        ``plan`` are ``None`` the engine plans the rounds itself (one
+        vertex-priority pass per round), which is the behaviour every
+        auto entry point gets.
 
     Returns
     -------

@@ -64,7 +64,7 @@ def k_wing(
         (within the surviving subgraph).
     block_size:
         Panel width of the per-round support kernel.  Overrides ``plan``.
-        When both are ``None`` the engine's cost model picks it.
+        When both are ``None`` the engine's planner sizes it.
     plan:
         Optional :class:`repro.engine.Plan` pinning the round shape (as
         produced by ``engine.plan(graph, "wing", k=...)``).

@@ -3,7 +3,7 @@
 One home for every *exact, deterministic* model of how much element work a
 family member performs on a given graph — the quantities behind the
 paper's Fig. 10 analysis, the parallel executor's load balancing, the
-blocked executor's adaptive panels, and the execution engine's cost-based
+blocked executor's adaptive panels, and the execution engine's
 planner.  Before this module existed the same helpers were scattered:
 ``bench/workmodel.py`` reached into ``repro.core.family``'s ``_``-prefixed
 internals and ``repro.core.parallel.pivot_work_estimate``; now every

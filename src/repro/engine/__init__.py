@@ -2,13 +2,14 @@
 
 Section V of the paper shows that no single family member wins: the best
 (invariant, storage, strategy, executor) combination depends on the graph
-shape.  This package makes that choice for the caller, with one front
-door and an explainable decision::
+shape.  The vertex-priority kernel has no traversed side and ties or
+beats every member on the measured shapes, so this package plans by a
+fixed rule, with one front door and an explainable decision::
 
     from repro import engine
 
-    p = engine.plan(graph)            # cost-based: stats × work model ×
-    print(engine.explain(p, graph))   #   per-machine calibration table
+    p = engine.plan(graph)            # the rule: priority, serial, raw
+    print(engine.explain(p, graph))   # the rule line that fired
     count = engine.execute(p, graph)  # or p.execute(graph)
 
     engine.plan(graph, "tip", side="left", k=4).execute(graph)
@@ -25,11 +26,12 @@ shaped the way it was.
 Layers:
 
 - :mod:`repro.engine.plan` — the :class:`Plan` record.
-- :mod:`repro.engine.planner` — candidate generation, cost model,
+- :mod:`repro.engine.planner` — the rule (unpinned → ``priority``,
+  pins filled by the smaller-side rule, ``stream_apply`` scored),
   :func:`plan` / :func:`explain` / :func:`select_count_invariant`.
-- :mod:`repro.engine.calibration` — per-machine ns/op coefficients
-  (measured by :func:`calibrate`, persisted under ``results/``, sane
-  defaults when uncalibrated).
+- :mod:`repro.engine.calibration` — the four per-machine coefficients
+  of the priority and stream estimates (measured by :func:`calibrate`,
+  persisted under ``results/``, sane defaults when uncalibrated).
 - :mod:`repro.engine.execute` — :func:`execute` dispatch onto the
   family / blocked / shared-executor / peeling code paths.
 - :mod:`repro.engine.drift` — the persistent predicted-vs-actual

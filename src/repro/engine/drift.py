@@ -5,7 +5,8 @@ calibration rots — a thermal-throttled laptop, a noisy CI runner, a
 numpy upgrade all shift the real coefficients while
 ``results/engine_calibration.json`` stays frozen.  :func:`execute`
 already measures predicted vs actual milliseconds on every run; this
-module makes that comparison *persistent*: each execution appends one
+module makes that comparison *persistent*: each execution of a plan
+with a cost estimate (``est_seconds`` not None) appends one
 ``(plan fingerprint, modeled_ops, est_seconds, actual_seconds)`` record
 to a JSONL ledger (default ``results/plan_drift.jsonl``), and
 
@@ -101,10 +102,11 @@ def record_drift(the_plan, actual_seconds: float, path=None) -> dict | None:
 
     Called by :func:`repro.engine.execute` after every plan execution.
     Returns the appended record, or None when nothing was written
-    (observability off, ledger disabled, or the filesystem refused —
-    a drift ledger is telemetry and must never fail the workload).
+    (observability off, ledger disabled, a plan without a cost estimate,
+    or the filesystem refused — a drift ledger is telemetry and must
+    never fail the workload).
     """
-    if not obs._enabled:
+    if not obs._enabled or the_plan.est_seconds is None:
         return None
     target = drift_ledger_path(path)
     if target is None:

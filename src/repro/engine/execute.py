@@ -21,6 +21,7 @@ import time
 from repro import obs
 from repro.engine.drift import record_drift
 from repro.engine.plan import Plan
+from repro.engine.planner import select_count_invariant
 from repro.graphs.bipartite import BipartiteGraph
 
 __all__ = ["execute"]
@@ -60,7 +61,9 @@ def execute(
         executor=the_plan.executor,
         workers=the_plan.workers,
         modeled_ops=the_plan.modeled_ops,
-        predicted_ms=round(the_plan.est_ms, 4),
+        predicted_ms=(
+            None if the_plan.est_ms is None else round(the_plan.est_ms, 4)
+        ),
     ) as sp:
         if obs._enabled:
             # (the span itself records engine.execute.calls/.seconds)
@@ -73,10 +76,12 @@ def execute(
         actual = time.perf_counter() - t0
         if obs._enabled:
             sp.set_attributes(actual_ms=round(actual * 1e3, 4))
-            obs.observe("engine.predicted_ms", the_plan.est_ms)
             obs.observe("engine.actual_ms", actual * 1e3)
+            if the_plan.est_seconds is not None:
+                obs.observe("engine.predicted_ms", the_plan.est_ms)
             # persist predicted-vs-actual to the plan-drift ledger (a
-            # no-op when the ledger is disabled; see engine/drift.py)
+            # no-op when the ledger is disabled or the plan unmodeled;
+            # see engine/drift.py)
             record_drift(the_plan, actual)
     return result
 
@@ -121,8 +126,7 @@ def _storage_view(the_plan: Plan, graph):
     ``layout="raw"`` (and a caller who already hands us a
     :class:`~repro.storage.GraphStorage` — e.g. an out-of-core
     :class:`~repro.storage.MmapCSR`) passes through untouched; otherwise
-    the layout is built here, which is exactly the build cost the
-    planner's estimate already charged (``reorder_ns_per_edge·nnz``).
+    the layout is built here, inside the timed execution.
     """
     if the_plan.layout == "raw":
         return graph
@@ -143,8 +147,7 @@ def _dispatch_count(the_plan: Plan, graph: BipartiteGraph) -> int:
         from repro.core.blocked import count_butterflies_blocked
 
         return count_butterflies_blocked(
-            graph,
-            the_plan.invariant if the_plan.invariant is not None else 2,
+            graph, _member(the_plan, graph),
             block_size=the_plan.block_size or 64,
         )
     if (
@@ -165,12 +168,17 @@ def _dispatch_count(the_plan: Plan, graph: BipartiteGraph) -> int:
         )
     from repro.core.family import count_butterflies_unblocked
 
-    invariant = the_plan.invariant
-    if invariant is None:  # hand-built plan without a member: smaller side
-        invariant = 2 if graph.n_right <= graph.n_left else 6
     return count_butterflies_unblocked(
-        graph, invariant, strategy=the_plan.strategy
+        graph, _member(the_plan, graph), strategy=the_plan.strategy
     )
+
+
+def _member(the_plan: Plan, graph) -> int:
+    """The plan's invariant; a hand-built plan without one gets the
+    smaller-side rule."""
+    if the_plan.invariant is not None:
+        return the_plan.invariant
+    return select_count_invariant(graph)
 
 
 def _dispatch_vertex_counts(the_plan: Plan, graph: BipartiteGraph):

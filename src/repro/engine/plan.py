@@ -5,13 +5,12 @@ separately: which family member (``invariant``), which compressed storage
 the traversal reads (``storage``), which per-pivot update strategy
 (``strategy``), which executor runs it (``executor`` + ``workers``), what
 panel width the blocked kernels use (``block_size``), and which vertex
-side per-vertex workloads address (``side``).  The cost-based planner
+side per-vertex workloads address (``side``).  The rule planner
 (:func:`repro.engine.plan`) produces plans; :func:`repro.engine.execute`
-dispatches them; :func:`repro.engine.explain` renders how the choice was
-made.
+dispatches them; :func:`repro.engine.explain` renders which rule fired.
 
 Plans are deterministic, hashable values: the same (graph, workload,
-constraints, calibration) always yields the same plan, which is what lets
+pins, calibration) always yields the same plan, which is what lets
 ``explain`` output and trace attributes agree by construction.
 """
 
@@ -73,9 +72,9 @@ class Plan:
     Produced by :func:`repro.engine.plan`; executed by
     :func:`repro.engine.execute` (or the :meth:`execute` convenience).
     The ``modeled_ops`` / ``est_seconds`` fields record the exact work
-    model and the calibrated cost estimate that made this candidate win;
-    ``candidates`` carries the losing candidates so :func:`explain` can
-    render the whole decision table from the plan alone.
+    model and the calibrated cost estimate (None where no model exists);
+    ``candidates`` carries the rows the plan was chosen from so
+    :func:`explain` can render them from the plan alone.
     """
 
     #: one of :data:`WORKLOADS`
@@ -104,12 +103,13 @@ class Plan:
     k: int | None = None
     #: exact element-operation count from the work model
     modeled_ops: int = 0
-    #: calibrated wall-clock estimate (seconds)
-    est_seconds: float = 0.0
-    #: human-readable one-liner: why this candidate won
+    #: calibrated wall-clock estimate (seconds); None when no cost model
+    #: covers the plan (pinned fixed-side plans, wing, hand-built plans)
+    est_seconds: float | None = None
+    #: human-readable one-liner: what the plan runs
     reason: str = ""
-    #: the full candidate table the planner scored (chosen plan included,
-    #: with empty ``candidates`` of their own); () for hand-built plans
+    #: the rows the planner chose from (chosen plan included, with empty
+    #: ``candidates`` of their own); () for hand-built plans
     candidates: tuple["Plan", ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -153,9 +153,9 @@ class Plan:
         return "-".join(bits)
 
     @property
-    def est_ms(self) -> float:
-        """Calibrated estimate in milliseconds (for tables)."""
-        return self.est_seconds * 1e3
+    def est_ms(self) -> float | None:
+        """Calibrated estimate in milliseconds (None when unmodeled)."""
+        return None if self.est_seconds is None else self.est_seconds * 1e3
 
     def with_(self, **changes) -> "Plan":
         """A copy with the given fields replaced (frozen-dataclass sugar)."""

@@ -83,7 +83,7 @@ class TestFingerprint:
         assert len(drift.plan_fingerprint(p1)) == 12
 
     def test_differs_for_different_shapes(self, graph):
-        p1 = engine.plan(graph, "count", family_only=True, executor="serial")
+        p1 = engine.plan(graph, "count", strategy="scratch", executor="serial")
         p2 = engine.plan(graph, "tip", side="left", k=2)
         assert drift.plan_fingerprint(p1) != drift.plan_fingerprint(p2)
 
@@ -152,6 +152,24 @@ class TestRecordDrift:
         assert len(records) == 2
         assert all(r["actual_seconds"] > 0 for r in records)
         assert all(r["fingerprint"] == records[0]["fingerprint"] for r in records)
+
+    def test_unmodeled_plans_stay_out_of_the_ledger(self, ledger, graph):
+        """A pinned blocked plan has no cost model (est_seconds None):
+        executing it records nothing, while the priority plan does."""
+        blocked = engine.plan(graph, "count", strategy="blocked")
+        assert blocked.est_seconds is None
+        priority = engine.plan(graph, "count")
+        assert priority.strategy == "priority" and priority.est_seconds > 0
+        with obs.capture() as metrics:
+            assert drift.record_drift(blocked, 0.5) is None
+            engine.execute(blocked, graph)
+            assert not ledger.exists()
+            assert metrics.histogram("engine.predicted_ms").count == 0
+            engine.execute(priority, graph)
+            assert metrics.histogram("engine.predicted_ms").count == 1
+        (record,) = drift.load_drift(str(ledger))
+        assert record["fingerprint"] == drift.plan_fingerprint(priority)
+        assert engine.drift_report()["count"] == 1
 
     def test_execute_disabled_touches_nothing(self, ledger, graph):
         the_plan = engine.plan(graph, "count")

@@ -5,12 +5,13 @@ The acceptance properties of the Plan→Execute pipeline:
 1. **Correctness under planning** — for every conformance-corpus graph,
    ``plan(g, workload).execute(g)`` agrees with the eq. (4) spec count
    (counts), the naive per-vertex oracle (vertex-counts), and the
-   pure-Python peeling references (tip/wing) — for *every* scored
-   candidate, not just the winner.
-2. **Cost-model sanity** — modeled ops and estimated cost are monotone
-   in nnz along nested edge-prefix graphs of a generator family.
-3. **Pinning** — every caller-pinned field survives into the chosen
-   plan; over-constrained pin sets degrade gracefully.
+   pure-Python peeling references (tip/wing) — for the unpinned plan
+   and for every pinned (member, strategy, executor, layout) cell.
+2. **Work-model sanity** — modeled ops (and, where a cost model
+   exists, estimated cost) are monotone in nnz along nested edge-prefix
+   graphs of a generator family.
+3. **Pinning** — the rule table: every caller-pinned field survives
+   into the plan, the rule fills the rest, contradictory pins raise.
 4. **Explain/trace agreement** — the ``engine.plan`` span attributes,
    the ``engine.execute`` span attributes, and the ``explain`` table all
    name the same decision.
@@ -78,15 +79,33 @@ class TestPlanExecuteCorrectness:
             got = engine.plan(g, "count", calibration=DEFAULTS).execute(g)
             assert got == expected, name
 
-    def test_every_scored_candidate_agrees(self, corpus):
-        """Not just the winner: every candidate the planner scored is a
-        runnable plan computing the same count."""
-        for name, g in corpus[:5]:
+    def test_every_pinned_member_agrees(self, corpus):
+        """Every fixed-side cell pins can reach — suffix member of either
+        side × strategy × executor × layout — computes the spec count."""
+        cells = 0
+        for name, g in corpus:
             expected = butterflies_spec_bform(g)
-            chosen = engine.plan(g, "count", calibration=DEFAULTS)
-            assert len(chosen.candidates) >= 2 or g.n_edges == 0
-            for cand in chosen.candidates:
-                assert cand.execute(g) == expected, (name, cand.label)
+            for invariant in (2, 6):
+                for strategy in ("adjacency", "scratch", "spmv", "blocked", "wedge"):
+                    for executor in ("serial", "shared"):
+                        if strategy == "blocked" and executor == "shared":
+                            continue  # serial-only: a ValueError, see TestRuleTable
+                        for layout in ("raw", "reorder"):
+                            p = engine.plan(
+                                g, "count", invariant=invariant,
+                                strategy=strategy, executor=executor,
+                                workers=2 if executor == "shared" else None,
+                                layout=layout, calibration=DEFAULTS,
+                            )
+                            assert (p.invariant, p.strategy, p.executor,
+                                    p.layout) == (invariant, strategy,
+                                                  executor, layout)
+                            assert p.execute(g) == expected, (name, p.label)
+                            cells += 1
+        assert cells == len(corpus) * 2 * 9 * 2
+        from repro.parallel import shutdown_default_executors
+
+        shutdown_default_executors()
 
     def test_vertex_counts_matches_oracle(self, corpus):
         for name, g in corpus[:6]:
@@ -125,14 +144,19 @@ class TestPlanExecuteCorrectness:
             engine.execute(p, g)
 
     def test_family_only_plans_stay_in_the_unblocked_family(self, corpus):
+        """The sequential-family path (``count_butterflies``, the CLI's
+        default ``count``) pins scratch + serial; the rule adds the
+        smaller side's suffix member and the raw layout."""
         for name, g in corpus[:6]:
             p = engine.plan(
-                g, "count", family_only=True, executor="serial",
+                g, "count", strategy="scratch", executor="serial",
                 calibration=DEFAULTS,
             )
-            assert p.strategy in ("adjacency", "scratch", "spmv"), name
+            assert p.strategy == "scratch", name
             assert p.executor == "serial" and p.workers == 1
-            assert p.invariant in (2, 6)
+            assert p.invariant == select_count_invariant(g) in (2, 6)
+            assert p.layout == "raw" and p.est_seconds is None
+            assert count_butterflies(g) == butterflies_spec_bform(g), name
 
     def test_pinned_wedge_plans_and_executes(self, corpus):
         """A pinned wedge strategy plans on any machine (the serial shard
@@ -146,24 +170,10 @@ class TestPlanExecuteCorrectness:
             assert p.strategy == "wedge" and p.executor == "serial", name
             assert p.execute(g) == expected, name
 
-    def test_wedge_candidates_scored_against_the_pool_grid(self):
-        """With a pool pinned, wedge rows join the candidate table for
-        both auto invariants and execute to the same count."""
-        g = power_law_bipartite(60, 80, 400, seed=12)
-        expected = butterflies_spec_bform(g)
-        p = engine.plan(g, "count", workers=2, calibration=DEFAULTS)
-        wedge_rows = [c for c in p.candidates if c.strategy == "wedge"]
-        assert {c.invariant for c in wedge_rows} == {2, 6}
-        for cand in wedge_rows:
-            assert cand.workers == 2 and cand.executor == "shared"
-            assert cand.execute(g) == expected, cand.label
-        from repro.parallel import shutdown_default_executors
-
-        shutdown_default_executors()
 
 
 # ----------------------------------------------------------------------
-# 2. cost-model monotonicity on nested edge-prefix graphs
+# 2. work-model monotonicity on nested edge-prefix graphs
 # ----------------------------------------------------------------------
 class TestCostModelMonotonicity:
     def _edge_prefixes(self):
@@ -174,33 +184,32 @@ class TestCostModelMonotonicity:
 
     @pytest.mark.parametrize("strategy", ["adjacency", "scratch", "spmv", "wedge"])
     def test_modeled_ops_and_cost_monotone_in_nnz(self, strategy):
-        """Adding edges never lowers modeled work or estimated cost for a
-        fixed decision (the planner's cost model is monotone in nnz)."""
-        ops, est = [], []
+        """Adding edges never lowers a pinned member's modeled work; the
+        rule models no cost for it (``est_seconds`` is None)."""
+        ops = []
         for g in self._edge_prefixes():
             p = engine.plan(
                 g, "count", invariant=2, strategy=strategy,
                 executor="serial", calibration=DEFAULTS,
             )
             ops.append(p.modeled_ops)
+            assert p.est_seconds is None
+        assert ops == sorted(ops), ops
+
+    def test_priority_cost_monotone_in_nnz(self):
+        """The one modeled count plan: wedges and estimate grow with nnz."""
+        ops, est = [], []
+        for g in self._edge_prefixes():
+            p = engine.plan(g, "count", calibration=DEFAULTS)
+            assert p.strategy == "priority"
+            ops.append(p.modeled_ops)
             est.append(p.est_seconds)
         assert ops == sorted(ops), ops
         assert est == sorted(est), est
 
-    def test_blocked_cost_monotone_in_nnz(self):
-        est = []
-        for g in self._edge_prefixes():
-            p = engine.plan(
-                g, "count", invariant=2, strategy="blocked",
-                block_size=64, calibration=DEFAULTS,
-            )
-            est.append(p.est_seconds)
-        assert est == sorted(est), est
-
     def test_smaller_side_has_cheaper_pivot_overhead(self):
-        """On a sharply skewed graph the defaults table prefers pivoting
-        the small side — the paper's Section V rule as a cost-model
-        consequence."""
+        """A pinned plan without a member pivots the small side — the
+        paper's Section V rule, stated once in select_count_invariant."""
         wide = gnm_bipartite(4, 300, 500, seed=5)  # left side tiny
         assert select_count_invariant(wide) == 6  # rows = left = smaller
         tall = wide.swap_sides()
@@ -238,13 +247,21 @@ class TestPinning:
         assert p.workers == 2 and p.executor == "shared"
         assert p.execute(g) == butterflies_spec_bform(g)
 
-    def test_overconstrained_pins_fall_back(self, g):
-        # executor="serial" + workers=4 is contradictory; the planner
-        # falls back to an unconstrained table instead of erroring
-        p = engine.plan(
-            g, "count", executor="serial", workers=4, calibration=DEFAULTS,
-        )
-        assert p.execute(g) == butterflies_spec_bform(g)
+    @pytest.mark.parametrize("pins, names", [
+        ({"strategy": "blocked", "executor": "shared"},
+         ("strategy 'blocked'", "executor='shared'")),
+        ({"strategy": "blocked", "workers": 2},
+         ("strategy 'blocked'", "workers=2")),
+        ({"executor": "serial", "workers": 4},
+         ("executor='serial'", "workers=4")),
+    ], ids=["blocked-shared", "blocked-workers", "serial-workers"])
+    def test_overconstrained_pins_raise(self, g, pins, names):
+        """Contradictory pins are an error naming both pins, never a
+        silent re-plan."""
+        with pytest.raises(ValueError, match="conflicting pins") as err:
+            engine.plan(g, "count", calibration=DEFAULTS, **pins)
+        for name in names:
+            assert name in str(err.value)
 
     def test_unknown_workload_strategy_executor_rejected(self, g):
         with pytest.raises(ValueError, match="workload"):
@@ -282,11 +299,19 @@ class TestExplainTraceAgreement:
         text = engine.explain(p, g, calibration=DEFAULTS)
         assert p.label in text
         assert "chosen: " + p.label in text
+        assert "rule: no fixed-side pin" in text
         marked = [ln for ln in text.splitlines() if ln.startswith("*")]
         assert len(marked) == 1 and p.label in marked[0]
-        # every losing candidate is listed too
         for cand in p.candidates:
             assert cand.label in text
+
+    def test_explain_prints_the_pinned_rule_and_an_unmodeled_row(self):
+        g = power_law_bipartite(60, 80, 600, seed=4)
+        p = engine.plan(g, "count", invariant=3, calibration=DEFAULTS)
+        text = engine.explain(p, g, calibration=DEFAULTS)
+        assert "rule: pins given" in text
+        (marked,) = [ln for ln in text.splitlines() if ln.startswith("*")]
+        assert p.label in marked and marked.rstrip().endswith("-")
 
     def test_explain_renders_graph_and_calibration_provenance(self):
         g = gnm_bipartite(10, 12, 40, seed=1)
@@ -349,44 +374,61 @@ class TestCalibration:
 
     def test_save_load_round_trip(self, tmp_path):
         coeffs = json.loads(json.dumps(DEFAULT_COEFFICIENTS))
-        coeffs["ns_per_op"]["spmv"] = 123.5
+        coeffs["ns_per_op"]["stream"] = 123.5
         path = str(tmp_path / "cal.json")
         save_calibration(CalibrationTable(coeffs, calibrated=True), path)
         loaded = load_calibration(path)
         assert loaded.calibrated and loaded.source == path
-        assert loaded.ns_per_op("spmv") == 123.5
+        assert loaded.ns_per_op("stream") == 123.5
         # untouched keys merged over defaults
-        assert loaded.ns_per_panel == DEFAULT_COEFFICIENTS["ns_per_panel"]
+        assert loaded.stream_batch_ns == DEFAULT_COEFFICIENTS["stream_batch_ns"]
         assert "calibrated" in loaded.origin
 
     def test_partial_file_merges_over_defaults(self, tmp_path):
         path = tmp_path / "partial.json"
-        # a file written before the compact layout was deleted still
-        # carries its decode term: it loads, with the key ignored
+        # a file from an older release still carries the deleted terms
+        # (compact decode, the scored grid's per-strategy ops, panels,
+        # pool and reorder terms): it loads, with those keys ignored
         path.write_text(json.dumps({
             "coefficients": {
-                "ns_per_op": {"adjacency": 1.25},
+                "ns_per_op": {"priority": 1.25, "blocked": 3.5},
+                "ns_per_pivot": {"scratch": 8000.0},
+                "ns_per_panel": 60000.0,
                 "decode_ns_per_edge": 6.0,
             },
         }))
         table = load_calibration(str(path))
-        assert table.ns_per_op("adjacency") == 1.25
-        assert table.ns_per_op("scratch") == (
-            DEFAULT_COEFFICIENTS["ns_per_op"]["scratch"]
+        assert table.ns_per_op("priority") == 1.25
+        assert table.ns_per_op("stream") == (
+            DEFAULT_COEFFICIENTS["ns_per_op"]["stream"]
         )
-        assert "decode_ns_per_edge" not in table.coefficients
+        assert table.coefficients == {
+            "ns_per_op": {
+                "priority": 1.25,
+                "stream": DEFAULT_COEFFICIENTS["ns_per_op"]["stream"],
+            },
+            "ns_per_edge": DEFAULT_COEFFICIENTS["ns_per_edge"],
+            "stream_batch_ns": DEFAULT_COEFFICIENTS["stream_batch_ns"],
+        }
+
+    def test_the_table_holds_four_coefficients(self):
+        leaves = [
+            (k, sub) for k, v in DEFAULT_COEFFICIENTS.items()
+            for sub in (v if isinstance(v, dict) else [None])
+        ]
+        assert sorted(leaves, key=str) == sorted([
+            ("ns_per_edge", "priority"), ("ns_per_op", "priority"),
+            ("ns_per_op", "stream"), ("stream_batch_ns", None),
+        ], key=str)
 
     def test_calibrate_measures_positive_coefficients(self, tmp_path):
         path = str(tmp_path / "measured.json")
         table = calibrate(path=path, repeats=1, persist=True)
         assert table.calibrated and table.source == path
-        for strategy in (
-            "adjacency", "scratch", "spmv", "blocked", "wedge", "priority",
-        ):
+        for strategy in ("priority", "stream"):
             assert table.ns_per_op(strategy) > 0
         assert table.ns_per_edge("priority") > 0
-        assert table.ns_per_panel > 0
-        assert table.ns_per_shard > 0
+        assert table.stream_batch_ns > 0
         # persisted file loads back as the same coefficients
         again = load_calibration(path)
         assert again.coefficients == table.coefficients
@@ -441,11 +483,116 @@ class TestBackCompatShims:
 # ----------------------------------------------------------------------
 class TestCandidateTable:
     def test_candidates_are_sorted_into_the_explain_table(self):
+        """Only stream_apply scores rows: cheapest first, head chosen,
+        both rows in the explain table."""
         g = power_law_bipartite(60, 80, 600, seed=4)
-        cands = candidate_plans(g, "count", calibration=DEFAULTS)
-        chosen = engine.plan(g, "count", calibration=DEFAULTS)
-        assert chosen.est_seconds == min(c.est_seconds for c in cands)
-        # serial-family candidates cover both sides × all strategies
-        labels = {c.label for c in cands}
-        assert any("inv2" in label for label in labels)
-        assert any("inv6" in label for label in labels)
+        batch = ([(0, 1), (2, 3)], [])
+        cands = candidate_plans(
+            g, "stream_apply", batch=batch, calibration=DEFAULTS
+        )
+        chosen = engine.plan(
+            g, "stream_apply", batch=batch, calibration=DEFAULTS
+        )
+        assert len(cands) == 2
+        assert [c.est_seconds for c in cands] == sorted(
+            c.est_seconds for c in cands
+        )
+        assert chosen == cands[0]
+        text = engine.explain(chosen, g, calibration=DEFAULTS)
+        assert "rule: stream_apply" in text
+        for cand in cands:
+            assert cand.label in text
+
+
+# ----------------------------------------------------------------------
+# the rule table
+# ----------------------------------------------------------------------
+class TestRuleTable:
+    """One row per rule line (docs/engine.md): what each pin set plans."""
+
+    @pytest.fixture(scope="class")
+    def g(self):
+        # n_left < n_right: the smaller side is left, member 6
+        return power_law_bipartite(60, 80, 600, seed=4)
+
+    @pytest.mark.parametrize("workload", ["count", "vertex-counts", "tip"])
+    @pytest.mark.parametrize("pins", [{}, {"executor": "serial"},
+                                      {"workers": 1}, {"layout": "raw"}])
+    def test_unpinned_plans_are_priority(self, g, workload, pins):
+        p = engine.plan(g, workload, k=1, calibration=DEFAULTS, **pins)
+        assert (p.strategy, p.executor, p.workers, p.layout) == (
+            "priority", "serial", 1, "raw",
+        )
+        assert p.invariant is None and p.est_seconds > 0
+        assert len(p.candidates) == 1
+
+    @pytest.mark.parametrize("pins, expected", [
+        # (invariant, strategy, executor, workers, layout, block_size?)
+        ({"invariant": 3}, (3, "blocked", "serial", 1, "raw", True)),
+        ({"strategy": "scratch"}, (6, "scratch", "serial", 1, "raw", False)),
+        ({"strategy": "wedge"}, (6, "wedge", "serial", 1, "raw", False)),
+        ({"workers": 2}, (6, "wedge", "shared", 2, "raw", False)),
+        ({"executor": "shared", "workers": 3},
+         (6, "wedge", "shared", 3, "raw", False)),
+        ({"strategy": "spmv", "workers": 2},
+         (6, "spmv", "shared", 2, "raw", False)),
+        ({"layout": "reorder"}, (6, "blocked", "serial", 1, "reorder", True)),
+        ({"layout": "mmap"}, (6, "blocked", "serial", 1, "mmap", True)),
+        ({"block_size": 32}, (6, "blocked", "serial", 1, "raw", True)),
+        ({"invariant": 1, "strategy": "adjacency"},
+         (1, "adjacency", "serial", 1, "raw", False)),
+    ])
+    def test_count_pins_are_filled_by_the_rule(self, g, pins, expected):
+        p = engine.plan(g, "count", calibration=DEFAULTS, **pins)
+        got = (p.invariant, p.strategy, p.executor, p.workers, p.layout,
+               p.block_size is not None)
+        assert got == expected
+        assert p.est_seconds is None and len(p.candidates) == 1
+        if "block_size" in pins:
+            assert p.block_size == 32
+        assert p.execute(g) == butterflies_spec_bform(g)
+
+    def test_shared_without_workers_takes_the_pool_default(self, g, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        p = engine.plan(g, "count", executor="shared", calibration=DEFAULTS)
+        assert p.workers == engine.DEFAULT_MAX_WORKERS
+
+    def test_smaller_side_rule_follows_the_shape(self, g):
+        tall = g.swap_sides()  # now n_right < n_left: member 2
+        assert engine.plan(tall, "count", strategy="scratch").invariant == 2
+        square = BipartiteGraph.empty(5, 5)  # ties pick 2
+        assert select_count_invariant(square) == 2
+
+    @pytest.mark.parametrize("workload", ["vertex-counts", "tip"])
+    @pytest.mark.parametrize("pins, executor, workers", [
+        ({"strategy": "blocked"}, "serial", 1),
+        ({"block_size": 64}, "serial", 1),
+        ({"workers": 2}, "shared", 2),
+    ])
+    def test_per_vertex_pins_always_run_blocked(
+        self, g, workload, pins, executor, workers
+    ):
+        p = engine.plan(
+            g, workload, side="right", k=1, calibration=DEFAULTS, **pins
+        )
+        assert (p.strategy, p.executor, p.workers, p.side) == (
+            "blocked", executor, workers, "right",
+        )
+        assert p.storage == "csc" and p.est_seconds is None
+
+    @pytest.mark.parametrize("workload", ["vertex-counts", "tip"])
+    def test_per_vertex_workloads_reject_family_strategies(self, g, workload):
+        with pytest.raises(ValueError, match="'blocked' or 'priority'"):
+            engine.plan(g, workload, strategy="scratch", calibration=DEFAULTS)
+
+    def test_wing_is_its_one_blocked_row(self, g):
+        p = engine.plan(g, "wing", k=1, calibration=DEFAULTS)
+        assert (p.strategy, p.executor, p.est_seconds) == ("blocked", "serial", None)
+        assert len(p.candidates) == 1
+
+    def test_mmap_with_a_pool_is_an_error(self, g):
+        with pytest.raises(ValueError, match="layout 'mmap' is serial-only"):
+            engine.plan(g, "count", layout="mmap", workers=2,
+                        calibration=DEFAULTS)

@@ -1,8 +1,8 @@
 """Property test: every pin combination ``engine.plan`` accepts executes.
 
 For small random graphs — including an empty side and stars — and random
-pins over workload, strategy, executor, layout, block size, workers and
-side, :func:`repro.engine.plan` either rejects the pins with
+pins over workload, invariant, strategy, executor, layout, block size,
+workers and side, :func:`repro.engine.plan` either rejects the pins with
 ``ValueError`` or returns a plan that :func:`repro.engine.execute` runs
 to the brute-force answer.  The oracles work from the dense biadjacency
 matrix alone, so they share no code with the planner or the kernels.
@@ -53,6 +53,7 @@ def _vertex_counts(dense: np.ndarray, side: str) -> list[int]:
 
 
 pins = st.fixed_dictionaries({
+    "invariant": st.sampled_from([None, *range(1, 9)]),
     "strategy": st.sampled_from([None, *COUNT_STRATEGIES]),
     "executor": st.sampled_from([None, "serial", "shared"]),
     "layout": st.sampled_from([None, *LAYOUTS]),

@@ -33,7 +33,6 @@ from repro.engine import CalibrationTable
 from repro.graphs import (
     BipartiteGraph,
     erdos_renyi_bipartite,
-    gnm_bipartite,
     planted_bicliques,
     power_law_bipartite,
 )
@@ -153,13 +152,6 @@ def test_auto_count_picks_priority_on_a_dense_power_law_graph():
     assert chosen.execute(g) == _pairwise(g.biadjacency_dense())
 
 
-def test_auto_count_keeps_blocked_on_a_small_sparse_graph():
-    g = gnm_bipartite(4000, 4000, 8000, seed=14)
-    chosen = engine.plan(g, "count", calibration=DEFAULTS)
-    assert chosen.strategy == "blocked"
-    assert any(c.strategy == "priority" for c in chosen.candidates)
-
-
 def test_explain_shows_the_priority_row_with_its_wedges():
     g = power_law_bipartite(60, 80, 600, seed=4)
     text = engine.explain(
@@ -183,7 +175,7 @@ def test_priority_rows_are_raw_serial_and_unpinned_only():
     assert rows(layout="raw")
     for pins in (
         {"invariant": 2}, {"workers": 2}, {"executor": "shared"},
-        {"layout": "reorder"}, {"family_only": True}, {"strategy": "blocked"},
+        {"layout": "reorder"}, {"strategy": "scratch"}, {"strategy": "blocked"},
     ):
         assert rows(**pins) == [], pins
 

@@ -189,7 +189,7 @@ def test_count_ordering_with_explicit_invariant():
     expected = count_butterflies(g)
     for inv in (1, 4, 5, 8):  # both traversed sides, both references
         pinned = engine.plan(
-            g, "count", invariant=inv, family_only=True, executor="serial"
+            g, "count", invariant=inv, strategy="scratch", executor="serial"
         )
         # relabel the side this member traverses (columns for 1-4)
         side = "right" if inv <= 4 else "left"

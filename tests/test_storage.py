@@ -343,34 +343,19 @@ class TestPlannerStorageAxis:
             assert p.layout == layout
             assert engine.execute(p, g) == truth
 
-    def test_auto_tables_score_reorder_against_raw(self):
-        g = _graph()
-        p = engine.plan(g, "count", calibration=DEFAULTS)
-        layouts = {c.layout for c in p.candidates}
-        assert layouts == {"raw", "reorder"}
-
-    def test_auto_selects_reorder_on_merit_on_power_law(self):
-        g = power_law_bipartite(2000, 3000, 40000, seed=7)
-        # the storage axis spans the invariant-addressed kernels; the
-        # side-free priority row is raw-only, so a pinned member keeps
-        # it out of this raw-vs-reorder contest
-        p = engine.plan(g, "count", invariant=6, calibration=DEFAULTS)
-        assert p.layout == "reorder"
-        raw_best = min(
-            c.est_seconds for c in p.candidates if c.layout == "raw"
-        )
-        assert p.est_seconds < raw_best
-        assert engine.execute(p, g) == count_butterflies(g)
-
     def test_mmap_pin_is_serial_only(self):
         g = _graph()
         p = engine.plan(g, "count", layout="mmap", calibration=DEFAULTS)
         assert p.executor == "serial"
 
     def test_family_only_auto_stays_raw(self):
+        """The sequential-family pins (count_butterflies, the CLI's
+        default count) and any pin without a layout plan raw."""
         g = _graph()
-        p = engine.plan(g, "count", family_only=True, calibration=DEFAULTS)
-        assert {c.layout for c in p.candidates} == {"raw"}
+        for pins in ({"strategy": "scratch", "executor": "serial"},
+                     {"invariant": 6}, {"workers": 2}):
+            p = engine.plan(g, "count", calibration=DEFAULTS, **pins)
+            assert p.layout == "raw", pins
 
     def test_layout_rejected_for_peeling_workloads(self):
         g = _graph()

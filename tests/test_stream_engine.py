@@ -93,6 +93,18 @@ def test_auto_plan_stays_incremental_on_a_skewed_script():
         assert chosen.strategy == "incremental"
 
 
+def test_a_fresh_calibration_keeps_the_skewed_script_incremental(tmp_path):
+    """The calibrated stream pair must rank like the measurement: on this
+    shape incremental batches run ~2-3x faster than a recount."""
+    table = engine.calibrate(persist=False, repeats=1)
+    graph = power_law_bipartite(30_000, 40_000, 120_000, seed=5)
+    for insert, delete in _skewed_script(graph, 8):
+        chosen = engine.plan(
+            graph, "stream_apply", batch=(insert, delete), calibration=table
+        )
+        assert chosen.strategy == "incremental"
+
+
 def test_strategy_pin_filters_candidates(graph):
     batch = (_batch(graph, 32), [])
     for strategy in STREAM_STRATEGIES:
