@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.family import Reference, Traversal, pivot_order
+from repro.core.family import Reference, pivot_order
 from repro.core.workinfo import matrices_for_side, resolve_invariant
 from repro.graphs.bipartite import BipartiteGraph
 
@@ -31,7 +31,6 @@ __all__ = [
     "LRUCache",
     "CacheStats",
     "simulate_invariant_cache",
-    "simulate_storage_locality",
 ]
 
 
@@ -169,58 +168,4 @@ def simulate_invariant_cache(
             rlo, rhi = int(indptr[pivot + 1]), nnz
         if rhi > rlo:
             cache.access_run(np.arange(rlo, rhi) // line_elements)
-    return cache.stats
-
-
-def simulate_storage_locality(
-    graph: BipartiteGraph,
-    layout: str = "raw",
-    invariant=2,
-    cache_lines: int = 512,
-    line_elements: int = 8,
-    ways: int = 8,
-    max_pivots: int | None = None,
-) -> CacheStats:
-    """Replay the wedge-expansion gather stream through the cache model.
-
-    The adjacency/scratch/blocked strategies spend their memory traffic
-    gathering, per pivot, the ``indices`` slices of the pivot's
-    neighbours out of the complementary matrix.  On a skewed graph those
-    neighbours are overwhelmingly the hubs — so the hit rate of this
-    stream is exactly what the degree-ordered relabeling of
-    :class:`repro.storage.reorder.ReorderedCSR` is supposed to move:
-    after the relabel every hub slice lives at a small offset and the
-    gather keeps landing on resident lines.  The ``storage`` bench
-    section runs this for ``layout="raw"`` vs ``layout="reorder"`` and
-    records the hit-rate ratio next to the measured wall-clock ratio.
-
-    Only the in-memory layouts replay (``raw`` / ``reorder``).
-    """
-    if layout not in ("raw", "reorder"):
-        raise ValueError(
-            f"layout must be 'raw' or 'reorder', got {layout!r}"
-        )
-    from repro.storage import make_storage
-
-    store = make_storage(graph, layout)
-    inv = resolve_invariant(invariant)
-    pivot_major, complementary = matrices_for_side(store, inv.side)
-    comp_indptr = complementary.indptr
-    n = pivot_major.major_dim
-    n_sets = max(1, cache_lines // ways)
-    cache = LRUCache(n_sets=n_sets, ways=ways)
-    order = list(pivot_order(n, inv.traversal))
-    if max_pivots is not None:
-        order = order[:max_pivots]
-    for pivot in order:
-        # the pivot's own neighbour slice (sequential)
-        lo, hi = int(pivot_major.indptr[pivot]), int(pivot_major.indptr[pivot + 1])
-        if hi > lo:
-            cache.access_run(np.arange(lo, hi) // line_elements)
-        # the wedge continuation: each neighbour's slice in the
-        # complementary indices array, in neighbour order
-        for x in pivot_major.indices[lo:hi]:
-            xlo, xhi = int(comp_indptr[x]), int(comp_indptr[x + 1])
-            if xhi > xlo:
-                cache.access_run(np.arange(xlo, xhi) // line_elements)
     return cache.stats

@@ -171,10 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument(
         "--storage",
-        choices=("auto", "raw", "reorder", "mmap"),
+        choices=("auto", "raw", "mmap"),
         default="auto",
-        help="graph storage layout (auto: raw; reorder = degree-ordered "
-        "relabeling, mmap = out-of-core column files)",
+        help="graph storage layout (auto: raw; mmap = out-of-core column "
+        "files)",
     )
     p_count.add_argument(
         "--blocked",
@@ -205,15 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the engine's round plan (kernel/block size/pool) "
         "before peeling",
-    )
-    p_peel.add_argument(
-        "--storage",
-        choices=("auto", "raw", "reorder"),
-        default="auto",
-        help="graph storage layout (auto: raw); peeling mutates "
-        "per-round subgraphs, so there is no mmap choice ('reorder' peels "
-        "the degree-ordered relabeling — the kept-vertex/edge summary is "
-        "label-invariant)",
     )
 
     p_explain = sub.add_parser(
@@ -248,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="pin the panel width")
     p_explain.add_argument(
         "--storage",
-        choices=("auto", "raw", "reorder", "mmap"),
+        choices=("auto", "raw", "mmap"),
         default="auto",
         help="pin the storage layout (auto: raw)",
     )
@@ -506,8 +497,7 @@ def _count_plan_from_args(args, g):
 
 def _layout_arg(args):
     """``--storage`` flag value → planner ``layout`` pin (auto → None)."""
-    value = getattr(args, "storage", "auto")
-    return None if value == "auto" else value
+    return None if args.storage == "auto" else args.storage
 
 
 def _describe_mode(plan) -> str:
@@ -556,12 +546,6 @@ def _cmd_peel(args) -> int:
     from repro import engine
 
     g = _load(args.graph)
-    if args.storage == "reorder":
-        # peel the degree-ordered relabeling: the kept-vertex/edge summary
-        # printed below is invariant under vertex relabeling
-        from repro.storage import ReorderedCSR
-
-        g = ReorderedCSR(g).graph
     plan = engine.plan(g, args.mode, side=args.side, k=args.k)
     if args.auto:
         print(f"plan       : {plan.label} — {plan.reason}")
@@ -590,16 +574,6 @@ def _cmd_explain(args) -> int:
     if args.calibrate:
         calibration = engine.calibrate()
         print(f"calibrated this machine -> {calibration.source}")
-    layout = _layout_arg(args)
-    if layout not in (None, "raw") and args.workload not in (
-        "count", "vertex-counts"
-    ):
-        print(
-            f"error: --storage {layout} applies to the count/vertex-counts "
-            "workloads (peeling plans run on raw views)",
-            file=sys.stderr,
-        )
-        return 2
     plan = engine.plan(
         g,
         args.workload,
@@ -609,7 +583,7 @@ def _cmd_explain(args) -> int:
         block_size=args.block_size,
         side=args.side,
         k=args.k,
-        layout=layout,
+        layout=_layout_arg(args),
         calibration=calibration,
     )
     print(engine.explain(plan, g, calibration=calibration))

@@ -485,8 +485,8 @@ def count_butterflies(graph: BipartiteGraph, *, plan=None) -> int:
 
     Degree-ordered traversal (the paper's Section VI future work) is a
     relabel of the input: count a :func:`repro.graphs.order_by_degree` /
-    :func:`repro.graphs.order_side_by_degree` graph, or pin a plan's
-    ``reorder`` storage layout.
+    :func:`repro.graphs.order_side_by_degree` graph (the ``priority``
+    kernel relabels by degree internally).
     """
     from repro import engine
 

@@ -47,7 +47,6 @@ from repro.graphs.bipartite import BipartiteGraph
 
 __all__ = [
     "count_butterflies_parallel",
-    "vertex_butterfly_counts_parallel",
     "count_range",
     "parallel_work_model",
     "pivot_work_estimate",
@@ -207,27 +206,6 @@ def _resolve_workers(executor: str, n_workers: int | None) -> int:
     return n_workers
 
 
-def _run(executor: str, n_workers: int, chunks_per_worker: int, call):
-    """Run ``call(butterfly_executor, chunks_per_worker)`` on the right
-    :class:`~repro.parallel.ButterflyExecutor`.
-
-    ``"shared"`` with more than one worker goes to the process-wide warm
-    pool.  Everything else — ``"serial"``, ``n_workers == 1`` and the
-    shared-memory fallback — runs a one-worker executor's in-process
-    branch over the same ``n_workers × chunks_per_worker`` ranges.
-    """
-    from repro.parallel import ButterflyExecutor, get_default_executor
-
-    if executor == "shared" and n_workers > 1:
-        try:
-            return call(get_default_executor(n_workers), chunks_per_worker)
-        except (OSError, PermissionError):
-            # documented heal path: no usable shared memory (or a
-            # publish/attach failure) reruns the call in-process
-            obs.inc("parallel.shared_fallback")
-    return call(ButterflyExecutor(n_workers=1), n_workers * chunks_per_worker)
-
-
 def count_butterflies_parallel(
     graph: BipartiteGraph,
     n_workers: int | None = None,
@@ -278,9 +256,18 @@ def count_butterflies_parallel(
     int
         Ξ_G, identical to every sequential member of the family.
     """
+    from repro.parallel import ButterflyExecutor, get_default_executor
+
     n_workers = _resolve_workers(executor, n_workers)
     if obs._enabled:
         obs.inc(f"parallel.executor.{executor}")
+
+    def call(ex, cpw):
+        return ex.count(
+            graph, invariant=invariant, side=side, strategy=strategy,
+            chunks_per_worker=cpw,
+        )
+
     # the span is the ancestor every ``executor.map`` dispatch span
     # nests under
     with obs.span(
@@ -289,36 +276,14 @@ def count_butterflies_parallel(
         workers=n_workers,
         strategy=strategy,
     ):
-        return _run(
-            executor, n_workers, chunks_per_worker,
-            lambda ex, cpw: ex.count(
-                graph, invariant=invariant, side=side, strategy=strategy,
-                chunks_per_worker=cpw,
-            ),
-        )
-
-
-def vertex_butterfly_counts_parallel(
-    graph: BipartiteGraph,
-    side: str = "left",
-    n_workers: int | None = None,
-    executor: str = "shared",
-    chunks_per_worker: int = 4,
-) -> np.ndarray:
-    """Per-vertex butterfly counts computed over a worker pool.
-
-    The parallel analogue of
-    :func:`~repro.core.local_counts.vertex_butterfly_counts_blocked`: each
-    pivot's count is independent (its own wedge expansion), so panels are
-    distributed over the same pool machinery as the counting sweep.  Used
-    to accelerate the peeling fixpoint rounds on multi-core machines.
-
-    Parameters mirror :func:`count_butterflies_parallel` (including the
-    ``"shared"`` warm-pool default); ``side`` selects the counted vertex
-    set rather than an invariant.
-    """
-    n_workers = _resolve_workers(executor, n_workers)
-    return _run(
-        executor, n_workers, chunks_per_worker,
-        lambda ex, cpw: ex.vertex_counts(graph, side, chunks_per_worker=cpw),
-    )
+        if executor == "shared" and n_workers > 1:
+            try:
+                return call(get_default_executor(n_workers), chunks_per_worker)
+            except OSError:
+                # documented heal path: no usable shared memory (or a
+                # publish/attach failure) reruns the call in-process
+                obs.inc("parallel.shared_fallback")
+        # "serial", n_workers == 1 and the fallback: a one-worker
+        # executor's in-process branch over the same
+        # n_workers × chunks_per_worker ranges
+        return call(ButterflyExecutor(n_workers=1), n_workers * chunks_per_worker)

@@ -81,20 +81,13 @@ def _peel_side_sizes(graph: BipartiteGraph, side: str) -> int:
 
 def _counts_kernel_from_plan(plan, side: str):
     """Build the per-round counts callable a :class:`repro.engine.Plan`
-    describes: the one-pass priority kernel, the warm parallel path when
-    the plan asks for a pool, or the serial blocked kernel (at the plan's
-    block size)."""
+    describes: the one-pass priority kernel or the blocked kernel (at the
+    plan's block size); tip plans are serial."""
     if plan.strategy == "priority":
         from repro.core.priority import vertex_butterfly_counts_priority
 
         index = 0 if side == "left" else 1
         return lambda g: vertex_butterfly_counts_priority(g)[index]
-    if plan.workers > 1 or plan.executor != "serial":
-        from repro.core.parallel import vertex_butterfly_counts_parallel
-
-        return lambda g: vertex_butterfly_counts_parallel(
-            g, side, n_workers=plan.workers, executor=plan.executor
-        )
     block = plan.block_size or 128
     return lambda g: vertex_butterfly_counts_blocked(g, side, block_size=block)
 
@@ -103,7 +96,6 @@ def k_tip(
     graph: BipartiteGraph,
     k: int,
     side: str = "left",
-    executor=None,
     *,
     plan=None,
 ) -> TipResult:
@@ -119,18 +111,11 @@ def k_tip(
     side:
         Which vertex set is peeled (``"left"`` = V1, the formulation's
         default, or ``"right"``).
-    executor:
-        Optional :class:`repro.parallel.ButterflyExecutor`.  When given,
-        every fixpoint round computes the per-vertex count vector on the
-        executor's *warm* pool via shared-memory graph buffers — the
-        multi-round loop pays pool startup zero times instead of once per
-        round.  Overrides ``plan``.
     plan:
         Optional :class:`repro.engine.Plan` pinning the per-round counts
-        kernel (block size / pool shape).  When *both* ``executor`` and
-        ``plan`` are ``None`` the engine plans the rounds itself (one
-        vertex-priority pass per round), which is the behaviour every
-        auto entry point gets.
+        kernel (priority, or blocked at a block size).  When ``None`` the
+        engine plans the rounds itself (one vertex-priority pass per
+        round), which is the behaviour every auto entry point gets.
 
     Returns
     -------
@@ -140,14 +125,11 @@ def k_tip(
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    if executor is not None:
-        counts_of = lambda g: executor.vertex_counts(g, side)
-    else:
-        if plan is None:
-            from repro import engine
+    if plan is None:
+        from repro import engine
 
-            plan = engine.plan(graph, "tip", side=side, k=k)
-        counts_of = _counts_kernel_from_plan(plan, side)
+        plan = engine.plan(graph, "tip", side=side, k=k)
+    counts_of = _counts_kernel_from_plan(plan, side)
     n_side = _peel_side_sizes(graph, side)
     kept = np.ones(n_side, dtype=bool)
     current = graph

@@ -84,9 +84,8 @@ def pivot_work_estimate(pivot_major, complementary) -> np.ndarray:
     panels use.
 
     Reads both patterns only through the storage accessor protocol, so it
-    runs directly on any :mod:`repro.storage` view — in particular a
-    :class:`~repro.storage.reorder.ReorderedCSR`'s relabeled patterns,
-    with no inverse-permuted index copy materialised on the way.
+    runs directly on any :mod:`repro.storage` view (an
+    :class:`~repro.storage.MmapCSR`'s memmapped patterns included).
     """
     per_entry = complementary.degrees_of(
         pivot_major.entries(0, pivot_major.nnz)

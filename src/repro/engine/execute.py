@@ -2,7 +2,7 @@
 
 :func:`execute` takes a :class:`~repro.engine.plan.Plan` and a graph and
 routes to the family sweep, the blocked panel kernel, the parallel
-executors, or the peeling fixpoints — the single place in the repo that
+count sweep, or the peeling fixpoints — the single place in the repo that
 knows how to turn a planner decision into a kernel invocation.  Every
 execution runs under an ``engine.execute`` span whose attributes record
 both the decision (invariant / strategy / executor / workers) and the
@@ -182,30 +182,15 @@ def _member(the_plan: Plan, graph) -> int:
 
 
 def _dispatch_vertex_counts(the_plan: Plan, graph: BipartiteGraph):
+    # every layout keeps the caller's vertex ids
     view = _storage_view(the_plan, graph)
     if the_plan.strategy == "priority":
         from repro.core.priority import vertex_butterfly_counts_priority
 
         left, right = vertex_butterfly_counts_priority(view)
-        counts = left if the_plan.side == "left" else right
-    elif the_plan.workers > 1 or the_plan.executor != "serial":
-        from repro.core.parallel import vertex_butterfly_counts_parallel
+        return left if the_plan.side == "left" else right
+    from repro.core.local_counts import vertex_butterfly_counts_blocked
 
-        counts = vertex_butterfly_counts_parallel(
-            view,
-            side=the_plan.side,
-            n_workers=the_plan.workers,
-            executor=the_plan.executor,
-        )
-    else:
-        from repro.core.local_counts import vertex_butterfly_counts_blocked
-
-        counts = vertex_butterfly_counts_blocked(
-            view, side=the_plan.side, block_size=the_plan.block_size or 128
-        )
-    if view is not graph:
-        # a layout the engine built here: map the per-vertex vector back
-        # to the caller's vertex ids (identity for every layout but
-        # reorder, whose inverse permutation lives on the view)
-        counts = view.vertex_values_to_user(counts, the_plan.side)
-    return counts
+    return vertex_butterfly_counts_blocked(
+        view, side=the_plan.side, block_size=the_plan.block_size or 128
+    )

@@ -62,7 +62,7 @@ EXECUTORS: tuple[str, ...] = ("serial", "shared")
 #: Storage layouts a plan may select — mirrors
 #: :data:`repro.storage.LAYOUTS` (kept literal here so the plan record
 #: has no import edge into the storage package).
-LAYOUTS: tuple[str, ...] = ("raw", "reorder", "mmap")
+LAYOUTS: tuple[str, ...] = ("raw", "mmap")
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,12 @@ class Plan:
     #: compressed layout the traversal is pivot-major in: "csc" or "csr"
     storage: str = "csc"
     #: graph storage layout the kernels read (:data:`LAYOUTS`): raw int64
-    #: arrays, degree-reordered, or mmap-backed
+    #: arrays or mmap-backed
     layout: str = "raw"
     #: one of :data:`COUNT_STRATEGIES` for counts; "blocked" or
     #: "priority" for the kernels behind per-vertex / peeling workloads
     strategy: str = "adjacency"
-    #: one of :data:`EXECUTORS`
+    #: one of :data:`EXECUTORS` ("serial" for the per-vertex workloads)
     executor: str = "serial"
     #: pool size (1 for serial execution)
     workers: int = 1
@@ -123,6 +123,13 @@ class Plan:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.workload in ("vertex-counts", "tip") and (
+            self.executor != "serial" or self.workers > 1
+        ):
+            raise ValueError(
+                f"workload {self.workload!r} runs serially (got "
+                f"executor={self.executor!r}, workers={self.workers})"
+            )
         if self.invariant is not None and self.invariant not in range(1, 9):
             raise ValueError(f"invariant must be 1..8, got {self.invariant}")
         if self.side not in ("left", "right"):

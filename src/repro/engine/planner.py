@@ -16,8 +16,9 @@ So the planner is a fixed rule, not a cost model:
   smaller-side rule (:func:`select_count_invariant`), the executor is
   ``shared`` iff ``executor="shared"`` or ``workers > 1``, the strategy
   is ``blocked`` when serial and ``wedge`` when shared (per-vertex
-  workloads: ``blocked`` either way), the layout is ``raw`` and the
-  panel width :func:`_auto_block_size`.  Contradictory pins raise.
+  workloads: serial ``blocked``), the layout is ``raw`` and the panel
+  width :func:`_auto_block_size`.  Contradictory pins raise; so does a
+  pool pin on ``vertex-counts``/``tip``, which run serially.
 - **wing** — its one blocked edge-support row.
 - **stream_apply** — the one scored decision left: batched incremental
   maintenance against a from-scratch recount, because which is cheaper
@@ -181,6 +182,8 @@ def _check_pins(workload, invariant, strategy, executor, workers, layout) -> boo
          f"invariant (got invariant={invariant!r})"),
         (strategy == "priority" and pool,
          f"conflicting pins: strategy 'priority' is serial-only ({got})"),
+        (pool and workload in ("vertex-counts", "tip"),
+         f"conflicting pins: workload {workload!r} is serial-only ({got})"),
         (strategy == "priority" and layout not in (None, "raw"),
          f"strategy 'priority' reads the raw layout (got layout={layout!r})"),
         (pool and workload == "count" and strategy == "blocked",
@@ -246,7 +249,7 @@ def candidate_plans(
         storage="csr" if side == "left" else "csc", strategy="blocked",
         block_size=block_size or max(_auto_block_size(ops, pivots, budget), 128),
         modeled_ops=ops * rounds, est_seconds=None,
-        reason=f"{row.executor} panel kernel on the {side} side, "
+        reason=f"serial panel kernel on the {side} side, "
                f"~{rounds} round(s)",
     )]
 

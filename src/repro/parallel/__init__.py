@@ -7,7 +7,7 @@ Two layers:
   segment (a single ``O(nnz)`` memcpy) so workers attach zero-copy.
 - :mod:`repro.parallel.executor` — :class:`ButterflyExecutor`, the
   persistent warm-pool dispatcher every parallel entry point funnels
-  through (counting sweeps, per-vertex counts, peeling fixpoint rounds),
+  through (counting sweeps, tip-decrement rounds, wing recounts),
   plus the process-wide defaults behind ``executor="shared"``.
 
 See ``docs/api.md`` ("Parallel execution") for the usage guide and

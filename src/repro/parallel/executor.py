@@ -4,8 +4,8 @@
 both across *every* parallel entry point in the package:
 
 1. **A warm process pool.**  The pool is created once, lazily, and
-   reused until :meth:`close`, so multi-round workloads — the peeling
-   fixpoints foremost — pay pool startup once, not per round.
+   reused until :meth:`close`, so multi-round workloads — the tip and
+   wing decompositions' rounds — pay pool startup once, not per round.
 2. **Published graphs.**  Graph buffers travel to workers through
    :class:`~repro.parallel.shm.SharedGraphBuffers` (one ``O(nnz)`` memcpy
    into ``/dev/shm``, zero copies per worker).  Publications are cached
@@ -21,8 +21,8 @@ Task messages are tiny: ``(meta, side, reference, strategy, lo, hi,
 collect)`` tuples.  Workers attach each named segment once, cache the
 attachment and
 the per-strategy scratch buffers, and evict least-recently-used segments
-beyond a small cap, so a long-lived pool serving a peeling fixpoint (one
-fresh subgraph per round) does not accumulate mappings.
+beyond a small cap, so a long-lived pool serving a wing decomposition
+(one fresh subgraph per round) does not accumulate mappings.
 
 Failure containment: a broken pool (worker killed, fork failure) is
 rebuilt once per dispatch — each heal bumps the ``executor.pool_healed``
@@ -234,22 +234,6 @@ def _shm_edge_support_range(args) -> tuple:
         _, csr, csc, _ = _attached(meta)
         vals = edge_support_panel(csr, csc, lo, hi)
     return lo, vals, _collect_end(collect)
-
-
-def _shm_vertex_range(args) -> tuple:
-    """Pool task: per-vertex butterfly counts of pivots ``[lo, hi)``."""
-    from repro.core.local_counts import vertex_counts_panel
-
-    meta, side_value, lo, hi, collect = args
-    _collect_begin(collect)
-    with obs.span("worker.vertex_range", lo=lo, hi=hi):
-        _, csr, csc, _ = _attached(meta)
-        if side_value == Side.COLUMNS.value:
-            pivot_major, complementary = csc, csr
-        else:
-            pivot_major, complementary = csr, csc
-        counts = vertex_counts_panel(pivot_major, complementary, lo, hi)
-    return lo, counts, _collect_end(collect)
 
 
 # ----------------------------------------------------------------------
@@ -522,43 +506,6 @@ class ButterflyExecutor:
             if delta:
                 obs.merge_snapshot(delta, parent=self._last_dispatch)
         return total
-
-    def vertex_counts(
-        self,
-        graph: BipartiteGraph,
-        side: str = "left",
-        chunks_per_worker: int | None = None,
-    ) -> np.ndarray:
-        """Per-vertex butterfly counts over the warm pool; same contract as
-        :func:`~repro.core.local_counts.vertex_butterfly_counts`."""
-        from repro.core.local_counts import vertex_counts_panel
-        from repro.core.parallel import balanced_ranges, pivot_work_estimate
-
-        if side == "left":
-            pivot_major, complementary = graph.csr, graph.csc
-            side_value = Side.ROWS.value
-        elif side == "right":
-            pivot_major, complementary = graph.csc, graph.csr
-            side_value = Side.COLUMNS.value
-        else:
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        out = np.zeros(pivot_major.major_dim, dtype=COUNT_DTYPE)
-        work = pivot_work_estimate(pivot_major, complementary)
-        ranges = balanced_ranges(work, self._n_chunks(chunks_per_worker))
-        if not ranges:
-            return out
-        if self.n_workers == 1:
-            for lo, hi in ranges:
-                out[lo:hi] = vertex_counts_panel(pivot_major, complementary, lo, hi)
-            return out
-        meta = self._publish(graph).meta
-        collect = obs.is_enabled()
-        tasks = [(meta, side_value, lo, hi, collect) for lo, hi in ranges]
-        for lo, counts, delta in self._map(_shm_vertex_range, tasks):
-            out[lo : lo + len(counts)] = counts
-            if delta:
-                obs.merge_snapshot(delta, parent=self._last_dispatch)
-        return out
 
     def tip_decrements(
         self,

@@ -5,14 +5,12 @@ See :mod:`repro.storage.base` for the design rationale.  Public surface:
 - :class:`GraphStorage` / :func:`make_storage` / :func:`resolve_storage` —
   the protocol and its factory.
 - :class:`RawCSR` — the seed layout behind the interface.
-- :class:`ReorderedCSR` — degree-ordered relabeling, user ids preserved.
 - :class:`MmapCSR` — memory-mapped column files for out-of-core graphs.
 """
 
 from repro.storage.base import GraphStorage, LAYOUTS, make_storage, resolve_storage
 from repro.storage.mmapcsr import MmapCSR
 from repro.storage.raw import RawCSR
-from repro.storage.reorder import ReorderedCSR
 
 __all__ = [
     "GraphStorage",
@@ -20,6 +18,5 @@ __all__ = [
     "make_storage",
     "resolve_storage",
     "RawCSR",
-    "ReorderedCSR",
     "MmapCSR",
 ]

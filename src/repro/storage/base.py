@@ -1,16 +1,13 @@
 """The :class:`GraphStorage` protocol — storage as a first-class plan axis.
 
-Wang et al. (arXiv:1812.00283) make vertex-priority reordering the central
-constant-factor lever for butterfly kernels, and Shi & Shun
-(arXiv:1907.08607) show the same locality effects dominate the parallel
-setting.  Historically this repo baked one layout — raw int64 CSR/CSC
-built at graph construction — into every kernel, the shm publication path
-and the planner.  This package promotes the layout decision to an explicit
-object:
+Historically this repo baked one layout — raw int64 CSR/CSC built at
+graph construction — into every kernel, the shm publication path and the
+planner.  This package promotes the layout decision to an explicit
+object.  (Degree ordering, the cache lever of Wang et al.,
+arXiv:1812.00283, is not a layout: the vertex-priority kernel relabels
+by degree internally, see :mod:`repro.core.priority`.)
 
 - :class:`~repro.storage.raw.RawCSR` — today's arrays behind the interface.
-- :class:`~repro.storage.reorder.ReorderedCSR` — degree-ordered relabeling
-  with the inverse permutation retained, so user-facing vertex ids survive.
 - :class:`~repro.storage.mmapcsr.MmapCSR` — column files memory-mapped with
   ``np.memmap`` so graphs larger than RAM run through the blocked path.
 
@@ -19,9 +16,9 @@ for everything the counting kernels need (``n_left`` / ``n_right`` /
 ``n_edges`` / ``shape`` / ``csr`` / ``csc``), so
 :func:`repro.engine.execute` and every kernel accept one unchanged.  Every
 layout's ``csr`` / ``csc`` is a plain index-array pattern: the
-:class:`~repro.graphs.bipartite.BipartiteGraph`'s own for ``raw``, the
-relabelled graph's for ``reorder``, and a
-:class:`~repro.sparsela.PatternCSR` over memmaps for ``mmap``.
+:class:`~repro.graphs.bipartite.BipartiteGraph`'s own for ``raw`` and a
+:class:`~repro.sparsela.PatternCSR` over memmaps for ``mmap``.  Both keep
+the caller's vertex ids, so per-vertex results need no translation.
 """
 
 from __future__ import annotations
@@ -33,16 +30,14 @@ from repro.graphs.bipartite import BipartiteGraph
 __all__ = ["GraphStorage", "LAYOUTS", "make_storage", "resolve_storage"]
 
 #: Storage layouts the planner and CLI know about, in preference order.
-LAYOUTS: tuple[str, ...] = ("raw", "reorder", "mmap")
+LAYOUTS: tuple[str, ...] = ("raw", "mmap")
 
 
 class GraphStorage:
     """Base class for concrete graph layouts.
 
     Subclasses fix :attr:`layout` and provide ``csr`` / ``csc`` pattern
-    views.  The id-mapping hooks are identity here;
-    :class:`~repro.storage.reorder.ReorderedCSR` overrides them so
-    per-vertex results can be returned in the caller's labelling.
+    views in the caller's vertex labelling.
     """
 
     #: layout tag, one of :data:`LAYOUTS`.
@@ -54,7 +49,7 @@ class GraphStorage:
     # -- BipartiteGraph duck-type surface ------------------------------
     @property
     def graph(self) -> BipartiteGraph:
-        """The graph in *storage* labelling (relabeled for ``reorder``)."""
+        """The wrapped graph."""
         return self._graph
 
     @property
@@ -80,19 +75,6 @@ class GraphStorage:
     @property
     def csc(self):
         return self._graph.csc
-
-    # -- id mapping hooks ----------------------------------------------
-    def to_storage_ids(self, ids: np.ndarray, side: str) -> np.ndarray:
-        """Map user-facing vertex ids of ``side`` to storage ids."""
-        return np.asarray(ids)
-
-    def to_user_ids(self, ids: np.ndarray, side: str) -> np.ndarray:
-        """Map storage vertex ids of ``side`` back to user-facing ids."""
-        return np.asarray(ids)
-
-    def vertex_values_to_user(self, values: np.ndarray, side: str) -> np.ndarray:
-        """Reorder a per-vertex result vector into user-facing id order."""
-        return values
 
     # -- bookkeeping ---------------------------------------------------
     @property
@@ -128,10 +110,6 @@ def make_storage(graph: BipartiteGraph, layout: str, **kwargs) -> GraphStorage:
         from repro.storage.raw import RawCSR
 
         return RawCSR(graph, **kwargs)
-    if layout == "reorder":
-        from repro.storage.reorder import ReorderedCSR
-
-        return ReorderedCSR(graph, **kwargs)
     if layout == "mmap":
         from repro.storage.mmapcsr import MmapCSR
 

@@ -185,18 +185,27 @@ def test_bench_smallest_dataset(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, reason",
     [
-        ["analyze", "{tmp}", "--rules", "RPR099"],
-        ["analyze", "{tmp}/nonexistent"],
-        ["count", "{tmp}/nonexistent.tsv"],
-        ["peel", "{tmp}/g.tsv", "--k", "1", "--storage", "mmap"],
+        (["analyze", "{tmp}", "--rules", "RPR099"], "RPR099"),
+        (["analyze", "{tmp}/nonexistent"], "nonexistent"),
+        (["count", "{tmp}/nonexistent.tsv"], "nonexistent"),
+        (["peel", "{tmp}/g.tsv", "--k", "1", "--storage", "mmap"],
+         "unrecognized arguments"),
+        (["count", "{tmp}/g.tsv", "--storage", "reorder"], "invalid choice"),
+        (["explain", "{tmp}/g.tsv", "--workload", "tip", "--storage", "mmap"],
+         "storage-layout axis"),
+        (["explain", "{tmp}/g.tsv", "--workload", "vertex-counts",
+          "--workers", "2"], "'vertex-counts' is serial-only"),
     ],
     ids=["unknown-rule", "missing-scan-path", "missing-graph",
-         "peel-mmap-storage"],
+         "peel-mmap-storage", "count-reorder-storage", "explain-tip-mmap",
+         "explain-vertex-counts-pool"],
 )
-def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
-    """Bad input is a usage error (exit 2), distinct from findings (exit 1)."""
+def test_bad_input_exits_2_without_traceback(argv, reason, tmp_path, capsys):
+    """Bad input is a usage error (exit 2), distinct from findings (exit 1).
+    ``{tmp}/g.tsv`` exists, so its rows fail on the flags, not the file."""
+    save_konect(gnm_bipartite(10, 12, 40, seed=1), tmp_path / "g.tsv")
     try:
         code = main([arg.format(tmp=tmp_path) for arg in argv])
     except SystemExit as exc:  # argparse rejected the argv: usage + error line
@@ -205,6 +214,7 @@ def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(("repro-butterfly: error: ", "usage: repro-butterfly"))
     assert re.match(r"repro-butterfly( \w+)?: error: ", err.splitlines()[-1])
+    assert reason in err.splitlines()[-1]
     assert "Traceback" not in err
 
 

@@ -13,9 +13,10 @@ The matrix crosses
 - six structurally distinct graph shapes, including the degenerate ones
   (empty, star) that historically break boundary arithmetic.
 
-Every cell must produce the *identical* global count, and the per-vertex
-sweep must match across executors element-wise.  8 x 2 x 3 x 6 = 288
-global cells plus the per-vertex block: > 250 parametrized cases.
+Every cell must produce the *identical* global count, and the per-edge
+support sweep (the pool kernel of the wing recount rounds) must match
+across executors element-wise.  8 x 2 x 3 x 6 = 288 global cells plus the
+per-vertex and per-edge blocks: > 250 parametrized cases.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from repro import engine
 from repro.core import (
     count_butterflies,
     count_butterflies_parallel,
+    edge_butterfly_support,
     vertex_butterfly_counts,
-    vertex_butterfly_counts_parallel,
 )
 from repro.graphs import (
     BipartiteGraph,
@@ -166,7 +167,8 @@ def test_priority_strategy_conformance(graph_name, layout):
 
 
 # ----------------------------------------------------------------------
-# per-vertex conformance across executors
+# per-vertex conformance (serial-only) and per-edge support across
+# executors
 # ----------------------------------------------------------------------
 VERTEX_REFERENCE = {
     (name, side): vertex_butterfly_counts(g, side=side)
@@ -175,15 +177,36 @@ VERTEX_REFERENCE = {
 }
 
 
+def _oriented(graph_name: str, side: str) -> BipartiteGraph:
+    """The corpus graph, side-swapped for ``side="right"`` so the support
+    sweep pivots on the other vertex set."""
+    g = GRAPHS[graph_name]
+    return g if side == "left" else g.swap_sides()
+
+
+EDGE_REFERENCE = {
+    (name, side): edge_butterfly_support(_oriented(name, side))
+    for name in GRAPHS
+    for side in ("left", "right")
+}
+
+
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 @pytest.mark.parametrize("side", ("left", "right"))
 @pytest.mark.parametrize("executor", ("serial", "shared"))
-def test_vertex_counts_conformance(graph_name, side, executor):
-    got = vertex_butterfly_counts_parallel(
-        GRAPHS[graph_name], side=side, n_workers=N_WORKERS, executor=executor
-    )
-    expected = VERTEX_REFERENCE[(graph_name, side)]
-    np.testing.assert_array_equal(got, expected)
+def test_edge_support_conformance(graph_name, side, executor):
+    """Serial: a one-worker executor over the same ``N_WORKERS × 4``
+    ranges, in-process; shared: the warm process-wide pool."""
+    from repro.parallel import get_default_executor
+
+    g = _oriented(graph_name, side)
+    if executor == "serial":
+        got = ButterflyExecutor(n_workers=1).edge_support(
+            g, chunks_per_worker=N_WORKERS * 4
+        )
+    else:
+        got = get_default_executor(N_WORKERS).edge_support(g)
+    np.testing.assert_array_equal(got, EDGE_REFERENCE[(graph_name, side)])
 
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
@@ -207,13 +230,13 @@ def test_priority_vertex_counts_conformance(graph_name, side, layout):
 
 @pytest.mark.parametrize("graph_name", ("powerlaw", "planted"))
 @pytest.mark.parametrize("side", ("left", "right"))
-def test_vertex_counts_process_executor(graph_name, side):
+def test_edge_support_process_executor(graph_name, side):
     """The cold process pool on the two non-trivial graphs (it is the
     slowest executor cell, so the matrix samples it rather than crossing
     it)."""
     with ButterflyExecutor(n_workers=N_WORKERS) as ex:
-        got = ex.vertex_counts(GRAPHS[graph_name], side)
-    np.testing.assert_array_equal(got, VERTEX_REFERENCE[(graph_name, side)])
+        got = ex.edge_support(_oriented(graph_name, side))
+    np.testing.assert_array_equal(got, EDGE_REFERENCE[(graph_name, side)])
 
 
 # ----------------------------------------------------------------------

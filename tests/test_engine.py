@@ -90,7 +90,9 @@ class TestPlanExecuteCorrectness:
                     for executor in ("serial", "shared"):
                         if strategy == "blocked" and executor == "shared":
                             continue  # serial-only: a ValueError, see TestRuleTable
-                        for layout in ("raw", "reorder"):
+                        for layout in ("raw", "mmap"):
+                            if layout == "mmap" and executor == "shared":
+                                continue  # serial-only, likewise
                             p = engine.plan(
                                 g, "count", invariant=invariant,
                                 strategy=strategy, executor=executor,
@@ -102,7 +104,8 @@ class TestPlanExecuteCorrectness:
                                                   executor, layout)
                             assert p.execute(g) == expected, (name, p.label)
                             cells += 1
-        assert cells == len(corpus) * 2 * 9 * 2
+        # per member: 5 serial strategies x 2 layouts + 4 pooled on raw
+        assert cells == len(corpus) * 2 * 14
         from repro.parallel import shutdown_default_executors
 
         shutdown_default_executors()
@@ -536,7 +539,8 @@ class TestRuleTable:
          (6, "wedge", "shared", 3, "raw", False)),
         ({"strategy": "spmv", "workers": 2},
          (6, "spmv", "shared", 2, "raw", False)),
-        ({"layout": "reorder"}, (6, "blocked", "serial", 1, "reorder", True)),
+        ({"layout": "mmap", "invariant": 2},
+         (2, "blocked", "serial", 1, "mmap", True)),
         ({"layout": "mmap"}, (6, "blocked", "serial", 1, "mmap", True)),
         ({"block_size": 32}, (6, "blocked", "serial", 1, "raw", True)),
         ({"invariant": 1, "strategy": "adjacency"},
@@ -569,7 +573,6 @@ class TestRuleTable:
     @pytest.mark.parametrize("pins, executor, workers", [
         ({"strategy": "blocked"}, "serial", 1),
         ({"block_size": 64}, "serial", 1),
-        ({"workers": 2}, "shared", 2),
     ])
     def test_per_vertex_pins_always_run_blocked(
         self, g, workload, pins, executor, workers
@@ -581,6 +584,26 @@ class TestRuleTable:
             "blocked", executor, workers, "right",
         )
         assert p.storage == "csc" and p.est_seconds is None
+
+    @pytest.mark.parametrize("workload", ["vertex-counts", "tip"])
+    @pytest.mark.parametrize("pins", [{"executor": "shared"}, {"workers": 2}])
+    def test_per_vertex_pool_pins_are_an_error(self, g, workload, pins):
+        with pytest.raises(ValueError, match=f"'{workload}' is serial-only"):
+            engine.plan(g, workload, k=1, calibration=DEFAULTS, **pins)
+
+    @pytest.mark.parametrize("workload", ["vertex-counts", "tip"])
+    def test_hand_built_pooled_per_vertex_plan_does_not_run(self, g, workload):
+        """A pooled per-vertex plan built by hand (not by the planner) is
+        refused before any kernel runs."""
+        with pytest.raises(ValueError, match="runs serially"):
+            engine.execute(
+                engine.Plan(workload=workload, strategy="blocked", k=1,
+                            executor="shared", workers=2),
+                g,
+            )
+        serial = engine.plan(g, workload, k=1, calibration=DEFAULTS)
+        with pytest.raises(ValueError, match="runs serially"):
+            serial.with_(executor="shared", workers=2)
 
     @pytest.mark.parametrize("workload", ["vertex-counts", "tip"])
     def test_per_vertex_workloads_reject_family_strategies(self, g, workload):

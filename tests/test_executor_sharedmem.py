@@ -10,8 +10,8 @@ The contract under test (ISSUE acceptance criteria):
   eviction;
 - the pool is started once and reused across calls (warm pool), and a
   graph is published once and reused across sweeps (zero-copy cache);
-- :func:`repro.core.k_tip` with an executor reaches the identical
-  fixpoint as the serial blocked kernel.
+- the tip decomposition's pooled wedge rounds (a caller-owned executor)
+  give the same k-tips as the serial :func:`repro.core.k_tip`.
 """
 
 from __future__ import annotations
@@ -27,9 +27,11 @@ from repro.core import (
     count_butterflies,
     count_butterflies_parallel,
     count_butterflies_unblocked,
+    edge_butterfly_support_blocked,
     k_tip,
-    vertex_butterfly_counts,
+    tip_numbers_bucket_parallel,
 )
+from repro.core.peeling import buckets
 from repro.graphs import power_law_bipartite
 from repro.parallel import (
     ButterflyExecutor,
@@ -139,7 +141,7 @@ class TestSharedGraphBuffers:
         with SharedGraphBuffers.publish(g) as raw:
             # (301 + 401) offsets + 2 * 8000 entries, 8 bytes each
             assert raw.nbytes == 133_616
-        with SharedGraphBuffers.publish(make_storage(g, "reorder")) as view:
+        with SharedGraphBuffers.publish(make_storage(g, "mmap")) as view:
             assert view.nbytes == 133_616
             assert len(view.meta) == 4
 
@@ -199,7 +201,7 @@ class TestExecutorLifecycle:
         with ButterflyExecutor(n_workers=2) as ex:
             for inv in (1, 2, 5, 6):
                 ex.count(medium_graph, invariant=inv)
-            ex.vertex_counts(medium_graph, "left")
+            ex.edge_support(medium_graph)
             assert ex.pool_starts == 1
             assert ex.publish_count == 1  # same graph -> one segment
             assert ex.dispatch_count == 5
@@ -226,9 +228,9 @@ class TestExecutorLifecycle:
     def test_serial_shortcut_uses_no_pool(self, medium_graph):
         with ButterflyExecutor(n_workers=1) as ex:
             total = ex.count(medium_graph)
-            counts = ex.vertex_counts(medium_graph, "left")
+            support = ex.edge_support(medium_graph)
         assert total == count_butterflies(medium_graph)
-        assert np.array_equal(counts, vertex_butterfly_counts(medium_graph, "left"))
+        assert np.array_equal(support, edge_butterfly_support_blocked(medium_graph))
         assert ex.pool_starts == 0
         assert live_segment_names() == []
 
@@ -270,19 +272,12 @@ class TestEquivalence:
             for name, g in tiny_named_graphs().items():
                 assert ex.count(g) == TINY_EXPECTED[name], name
 
-    def test_vertex_counts_both_sides(self, medium_graph):
-        with ButterflyExecutor(n_workers=2) as ex:
-            for side in ("left", "right"):
-                got = ex.vertex_counts(medium_graph, side)
-                want = vertex_butterfly_counts(medium_graph, side)
-                assert np.array_equal(got, want)
-
     def test_invalid_strategy_and_side(self, medium_graph):
         with ButterflyExecutor(n_workers=2) as ex:
             with pytest.raises(ValueError):
                 ex.count(medium_graph, strategy="nope")
             with pytest.raises(ValueError):
-                ex.vertex_counts(medium_graph, "middle")
+                ex.tip_decrements(medium_graph, np.arange(2), side="middle")
 
 
 # ----------------------------------------------------------------------
@@ -292,24 +287,33 @@ class TestEquivalence:
 
 @needs_multicore
 class TestPeelingWithExecutor:
+    """The tip decomposition's wedge rounds on a caller-owned pool: the
+    pair-table cap at 0 forces the wedge fallback and the round gate's
+    budget at 0 sends every round to ``tip_decrements``."""
+
+    @pytest.fixture(autouse=True)
+    def _pooled_rounds(self, monkeypatch):
+        monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
+        monkeypatch.setattr(buckets, "DEFAULT_WEDGE_SHARD_BUDGET", 0)
+
     @pytest.mark.parametrize("k", [1, 3, 10])
     def test_k_tip_matches_serial(self, medium_graph, k):
         serial = k_tip(medium_graph, k)
         with ButterflyExecutor(n_workers=2) as ex:
-            parallel = k_tip(medium_graph, k, executor=ex)
-        assert np.array_equal(parallel.kept, serial.kept)
-        assert parallel.n_kept == serial.n_kept
-        assert parallel.subgraph.n_edges == serial.subgraph.n_edges
+            tips = tip_numbers_bucket_parallel(medium_graph, executor=ex)
+        assert np.array_equal(tips >= k, serial.kept)
 
     def test_k_tip_right_side(self, medium_graph):
         serial = k_tip(medium_graph, 2, side="right")
         with ButterflyExecutor(n_workers=2) as ex:
-            parallel = k_tip(medium_graph, 2, side="right", executor=ex)
-        assert np.array_equal(parallel.kept, serial.kept)
+            tips = tip_numbers_bucket_parallel(
+                medium_graph, side="right", executor=ex
+            )
+        assert np.array_equal(tips >= 2, serial.kept)
 
     def test_multi_round_peel_starts_pool_once(self, medium_graph):
         with ButterflyExecutor(n_workers=2) as ex:
-            res = k_tip(medium_graph, 5, executor=ex)
-            assert res.rounds >= 1
-            assert ex.pool_starts <= 1
+            tip_numbers_bucket_parallel(medium_graph, executor=ex)
+            assert ex.dispatch_count > 1
+            assert ex.pool_starts == 1
         assert live_segment_names() == []

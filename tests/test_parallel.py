@@ -155,43 +155,6 @@ def test_parallel_invalid_strategy():
         count_butterflies_parallel(g, strategy="magic")
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("executor", ["serial", "shared"])
-def test_vertex_counts_parallel(side, executor, medium_graph):
-    from repro.core import (
-        vertex_butterfly_counts,
-        vertex_butterfly_counts_parallel,
-    )
-
-    ref = vertex_butterfly_counts(medium_graph, side)
-    got = vertex_butterfly_counts_parallel(
-        medium_graph, side, n_workers=2, executor=executor
-    )
-    assert np.array_equal(got, ref)
-
-
-def test_vertex_counts_parallel_validation(medium_graph):
-    from repro.core import vertex_butterfly_counts_parallel
-
-    with pytest.raises(ValueError, match="executor"):
-        vertex_butterfly_counts_parallel(medium_graph, executor="gpu")
-    with pytest.raises(ValueError, match="side"):
-        vertex_butterfly_counts_parallel(medium_graph, side="up")
-    with pytest.raises(ValueError, match="n_workers"):
-        vertex_butterfly_counts_parallel(medium_graph, n_workers=0,
-                                         executor="serial")
-
-
-def test_vertex_counts_parallel_empty_graph():
-    from repro.core import vertex_butterfly_counts_parallel
-    from repro.graphs import BipartiteGraph
-
-    out = vertex_butterfly_counts_parallel(
-        BipartiteGraph.empty(4, 4), executor="serial"
-    )
-    assert out.tolist() == [0, 0, 0, 0]
-
-
 def test_chunks_per_worker_does_not_change_result(medium_graph):
     expected = count_butterflies(medium_graph)
     for cpw in (1, 2, 8):
@@ -204,7 +167,6 @@ def test_chunks_per_worker_does_not_change_result(medium_graph):
 def test_bad_chunks_per_worker_rejected_everywhere(cpw, medium_graph):
     """Every entry point rejects a non-positive over-decomposition factor
     with a ValueError instead of silently running a clamped tiling."""
-    from repro.core import vertex_butterfly_counts_parallel
     from repro.parallel import ButterflyExecutor
 
     for executor in ("serial", "shared"):
@@ -214,17 +176,11 @@ def test_bad_chunks_per_worker_rejected_everywhere(cpw, medium_graph):
                     medium_graph, n_workers=n_workers, executor=executor,
                     chunks_per_worker=cpw,
                 )
-            with pytest.raises(ValueError, match="chunks_per_worker"):
-                vertex_butterfly_counts_parallel(
-                    medium_graph, n_workers=n_workers, executor=executor,
-                    chunks_per_worker=cpw,
-                )
     with pytest.raises(ValueError, match="chunks_per_worker"):
         ButterflyExecutor(n_workers=2, chunks_per_worker=cpw)
     with ButterflyExecutor(n_workers=2) as ex:
         calls = (
             lambda: ex.count(medium_graph, chunks_per_worker=cpw),
-            lambda: ex.vertex_counts(medium_graph, chunks_per_worker=cpw),
             lambda: ex.tip_decrements(
                 medium_graph, np.arange(3), chunks_per_worker=cpw
             ),
@@ -241,13 +197,10 @@ def test_removed_executors_rejected(removed, medium_graph):
     """Only ``serial`` and ``shared`` exist: the old pool names are typed
     errors at every entry point that takes an executor."""
     from repro import engine
-    from repro.core import vertex_butterfly_counts_parallel
     from repro.engine import Plan
 
     with pytest.raises(ValueError, match="executor"):
         count_butterflies_parallel(medium_graph, executor=removed)
-    with pytest.raises(ValueError, match="executor"):
-        vertex_butterfly_counts_parallel(medium_graph, executor=removed)
     with pytest.raises(ValueError, match="executor"):
         engine.plan(medium_graph, "count", executor=removed)
     with pytest.raises(ValueError, match="executor"):
@@ -405,24 +358,5 @@ def test_shared_executor_default_matches(medium_graph):
             medium_graph, n_workers=2, executor="shared", invariant=7,
             strategy="scratch",
         ) == expected
-    finally:
-        shutdown_default_executors()
-
-
-def test_vertex_counts_shared_executor(medium_graph):
-    from repro.core import (
-        vertex_butterfly_counts,
-        vertex_butterfly_counts_parallel,
-    )
-    from repro.parallel import shutdown_default_executors
-
-    try:
-        for side in ("left", "right"):
-            got = vertex_butterfly_counts_parallel(
-                medium_graph, side, n_workers=2, executor="shared"
-            )
-            assert np.array_equal(
-                got, vertex_butterfly_counts(medium_graph, side)
-            )
     finally:
         shutdown_default_executors()

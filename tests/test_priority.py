@@ -175,7 +175,7 @@ def test_priority_rows_are_raw_serial_and_unpinned_only():
     assert rows(layout="raw")
     for pins in (
         {"invariant": 2}, {"workers": 2}, {"executor": "shared"},
-        {"layout": "reorder"}, {"strategy": "scratch"}, {"strategy": "blocked"},
+        {"layout": "mmap"}, {"strategy": "scratch"}, {"strategy": "blocked"},
     ):
         assert rows(**pins) == [], pins
 
@@ -315,14 +315,13 @@ def test_per_vertex_priority_row_is_raw_serial_and_unpinned_only():
         assert (row.executor, row.workers, row.layout, row.side) == (
             "serial", 1, "raw", "left",
         )
-        for pins in ({"workers": 2}, {"executor": "shared"},
-                     {"strategy": "blocked"}):
+        for pins in ({"strategy": "blocked"}, {"block_size": 64}):
             assert rows(workload, **pins) == [], (workload, pins)
-    assert rows("vertex-counts", layout="reorder") == []
+    assert rows("vertex-counts", layout="mmap") == []
 
 
 @pytest.mark.parametrize(
-    "pins", [{"executor": "shared"}, {"workers": 2}, {"layout": "reorder"}],
+    "pins", [{"executor": "shared"}, {"workers": 2}, {"layout": "mmap"}],
 )
 def test_pinning_per_vertex_priority_with_a_pool_or_layout_is_an_error(pins):
     g = power_law_bipartite(60, 80, 600, seed=4)

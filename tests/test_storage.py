@@ -2,16 +2,15 @@
 
 Two concerns, each pinned separately:
 
-- :class:`ReorderedCSR` keeps user ids recoverable (permutations are
-  inverses, per-vertex results map back) while the relabeled graph counts
-  identically — butterflies are label-invariant;
+- every layout keeps the caller's vertex ids: per-vertex results from a
+  prebuilt view come back in user order;
 - :class:`MmapCSR` runs the counting kernels out-of-core: the rlimit
   subprocess test counts a graph whose index arrays exceed the process'
   ``RLIMIT_DATA`` budget, which only works because the column files are
   paged in by the OS instead of living on the heap.
 
 The work-model regression (2⁴⁰ wedges on a hub graph, computed directly
-on a ReorderedCSR view) guards the int64 prefix-sum discipline of
+on a storage view) guards the int64 prefix-sum discipline of
 :func:`repro.core.workinfo.wedge_work_prefix`.
 """
 
@@ -34,16 +33,13 @@ from repro.engine.calibration import CalibrationTable
 from repro.engine.plan import LAYOUTS as PLAN_LAYOUTS
 from repro.graphs import (
     BipartiteGraph,
-    erdos_renyi_bipartite,
     power_law_bipartite,
 )
 from repro.sparsela import PatternCSR
 from repro.storage import (
     LAYOUTS,
-    GraphStorage,
     MmapCSR,
     RawCSR,
-    ReorderedCSR,
     make_storage,
     resolve_storage,
 )
@@ -63,7 +59,7 @@ def _graph() -> BipartiteGraph:
 class TestGraphStorage:
     def test_factory_builds_each_layout(self):
         g = _graph()
-        classes = {"raw": RawCSR, "reorder": ReorderedCSR, "mmap": MmapCSR}
+        classes = {"raw": RawCSR, "mmap": MmapCSR}
         # the plan record keeps its own literal copy of the axis
         assert LAYOUTS == PLAN_LAYOUTS == tuple(classes)
         for layout in LAYOUTS:
@@ -75,13 +71,13 @@ class TestGraphStorage:
 
     def test_factory_rejects_unknown_and_rewrap(self):
         g = _graph()
-        for retired in ("csr", "compact"):
+        for retired in ("csr", "compact", "reorder"):
             with pytest.raises(ValueError, match="unknown storage layout"):
                 make_storage(g, retired)
-        store = make_storage(g, "reorder")
+        store = make_storage(g, "mmap")
         with pytest.raises(TypeError, match="already"):
-            make_storage(store, "mmap")
-        assert make_storage(store, "reorder") is store
+            make_storage(store, "raw")
+        assert make_storage(store, "mmap") is store
 
     def test_resolve_passthrough_and_default(self):
         g = _graph()
@@ -98,43 +94,7 @@ class TestGraphStorage:
             assert count_butterflies_blocked(store, 2, block_size=16) == truth
 
     def test_repr_mentions_layout(self):
-        assert "reorder" in repr(make_storage(_graph(), "reorder"))
-
-
-class TestReorderedCSR:
-    def test_permutations_are_inverses(self):
-        store = ReorderedCSR(_graph())
-        for perm, inv in (
-            (store.left_perm, store.left_inverse),
-            (store.right_perm, store.right_inverse),
-        ):
-            np.testing.assert_array_equal(
-                inv[perm], np.arange(len(perm))
-            )
-
-    def test_hubs_get_small_ids(self):
-        store = ReorderedCSR(_graph())
-        deg = store.graph.csr.degrees()
-        assert (np.diff(deg) <= 0).all()  # descending degree order
-
-    def test_id_mapping_roundtrip(self):
-        store = ReorderedCSR(_graph())
-        ids = np.array([0, 5, 17, 5])
-        for side in ("left", "right"):
-            np.testing.assert_array_equal(
-                store.to_user_ids(store.to_storage_ids(ids, side), side), ids
-            )
-        with pytest.raises(ValueError, match="side"):
-            store.to_storage_ids(ids, "top")
-
-    def test_vertex_values_map_back_to_user_order(self):
-        g = _graph()
-        store = ReorderedCSR(g)
-        truth = vertex_butterfly_counts(g, "left")
-        relabeled = vertex_butterfly_counts(store.graph, "left")
-        np.testing.assert_array_equal(
-            store.vertex_values_to_user(relabeled, "left"), truth
-        )
+        assert "mmap" in repr(make_storage(_graph(), "mmap"))
 
 
 class TestMmapCSR:
@@ -298,19 +258,17 @@ def test_mmap_counts_beyond_rlimit_budget(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# work model on a reordered view: int64 discipline at 2^40 wedges
+# work model on a storage view: int64 discipline at 2^40 wedges
 # ----------------------------------------------------------------------
 
 
-def test_wedge_work_prefix_2_pow_40_on_reordered_view():
+def test_wedge_work_prefix_2_pow_40_on_raw_view():
     """Hub graph: 2²⁰ left vertices each adjacent to one hub of degree 2²⁰.
 
     Every left pivot expands deg(hub) = 2²⁰ wedge endpoints, so the total
     is exactly 2⁴⁰ — far past float64-safe integer territory for sums of
     this scale and a regression trap for any float intermediate.  Computed
-    directly on the ReorderedCSR view's patterns: no inverse-permuted
-    index copy is materialised on the way (the accessors read the
-    relabeled arrays in place).
+    directly on the RawCSR view's patterns through the accessor protocol.
     """
     n = 1 << 20
     csr = PatternCSR(
@@ -319,7 +277,7 @@ def test_wedge_work_prefix_2_pow_40_on_reordered_view():
         (n, 1),
         check=False,
     )
-    store = ReorderedCSR(BipartiteGraph.from_csr(csr))
+    store = RawCSR(BipartiteGraph.from_csr(csr))
     prefix = wedge_work_prefix(store.csr, store.csc)
     assert prefix.dtype == np.int64
     assert prefix[0] == 0
@@ -360,7 +318,7 @@ class TestPlannerStorageAxis:
     def test_layout_rejected_for_peeling_workloads(self):
         g = _graph()
         with pytest.raises(ValueError, match="storage-layout"):
-            engine.plan(g, "tip", side="left", layout="reorder",
+            engine.plan(g, "tip", side="left", layout="mmap",
                         calibration=DEFAULTS)
 
     def test_unknown_layout_rejected(self):
@@ -368,25 +326,29 @@ class TestPlannerStorageAxis:
             engine.plan(_graph(), "count", layout="compact",
                         calibration=DEFAULTS)
 
-    def test_vertex_counts_map_back_through_reorder(self):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_vertex_counts_in_user_order_on_prebuilt_views(self, layout):
+        """A view built before ``execute`` gets no map-back step, so every
+        layout must hand per-vertex counts back in the caller's ids."""
         g = _graph()
-        truth = vertex_butterfly_counts(g, "left")
-        p = engine.plan(
-            g, "vertex-counts", side="left", layout="reorder",
-            calibration=DEFAULTS,
-        )
-        np.testing.assert_array_equal(engine.execute(p, g), truth)
+        for side in ("left", "right"):
+            truth = vertex_butterfly_counts(g, side)
+            for pins in ({}, {"strategy": "blocked"}):
+                p = engine.plan(g, "vertex-counts", side=side,
+                                calibration=DEFAULTS, **pins)
+                view = make_storage(g, layout)
+                np.testing.assert_array_equal(engine.execute(p, view), truth)
 
     def test_label_and_explain_show_the_layout(self):
         g = _graph()
-        p = engine.plan(g, "count", layout="reorder", calibration=DEFAULTS)
-        assert "reorder" in p.label
+        p = engine.plan(g, "count", layout="mmap", calibration=DEFAULTS)
+        assert "mmap" in p.label
         text = engine.explain(p, g, calibration=DEFAULTS)
         assert "layout" in text
-        assert "reorder" in text
+        assert "mmap" in text
 
     def test_execute_accepts_prebuilt_storage(self):
         g = _graph()
-        store = ReorderedCSR(g)
-        p = engine.plan(g, "count", layout="reorder", calibration=DEFAULTS)
+        store = make_storage(g, "mmap")
+        p = engine.plan(g, "count", layout="mmap", calibration=DEFAULTS)
         assert engine.execute(p, store) == count_butterflies(g)

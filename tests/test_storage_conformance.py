@@ -1,11 +1,11 @@
 """Differential conformance matrix over the storage layouts.
 
-Every in-memory layout (``raw`` / ``reorder``) must be observationally
-equivalent: identical global counts for every invariant and identical
-per-vertex counts *after* mapping back to user ids.  The matrix crosses
+Every layout (``raw`` / ``mmap``) must be observationally equivalent:
+identical global counts for every invariant and identical per-vertex
+counts in user id order.  The matrix crosses
 
-- the two in-memory layouts (``mmap`` is covered by the out-of-core
-  tests in ``test_storage.py``; its patterns are raw arrays on disk),
+- both layouts (``mmap`` spills its column files under the test's
+  ``tmp_path``),
 - all 8 loop invariants through the blocked kernel,
 - structurally distinct graph shapes including the degenerate ones.
 
@@ -32,7 +32,7 @@ from repro.graphs import (
 from repro.storage import make_storage
 
 DEFAULTS = CalibrationTable()
-STORAGE_LAYOUTS = ("raw", "reorder")
+STORAGE_LAYOUTS = ("raw", "mmap")
 INVARIANTS = list(range(1, 9))
 
 
@@ -53,51 +53,40 @@ def _graphs() -> dict[str, BipartiteGraph]:
 GRAPHS = _graphs()
 
 
+def _store(g, layout, tmp_path):
+    """``make_storage`` with mmap's column files under ``tmp_path``."""
+    if layout == "mmap":
+        return make_storage(g, layout, directory=str(tmp_path / "mmap"))
+    return make_storage(g, layout)
+
+
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 @pytest.mark.parametrize("layout", STORAGE_LAYOUTS)
 @pytest.mark.parametrize("invariant", INVARIANTS)
-def test_blocked_count_cell(graph_name, layout, invariant):
+def test_blocked_count_cell(graph_name, layout, invariant, tmp_path):
     g = GRAPHS[graph_name]
     truth = count_butterflies(g)
-    store = make_storage(g, layout)
+    store = _store(g, layout, tmp_path)
     assert count_butterflies_blocked(store, invariant, block_size=7) == truth
 
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 @pytest.mark.parametrize("layout", STORAGE_LAYOUTS)
-def test_plan_execute_cell(graph_name, layout):
+def test_plan_execute_cell(graph_name, layout, tmp_path):
     g = GRAPHS[graph_name]
     p = engine.plan(g, "count", layout=layout, calibration=DEFAULTS)
-    assert engine.execute(p, g) == count_butterflies(g)
+    assert engine.execute(p, _store(g, layout, tmp_path)) == count_butterflies(g)
 
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 @pytest.mark.parametrize("layout", STORAGE_LAYOUTS)
 @pytest.mark.parametrize("side", ("left", "right"))
-def test_vertex_counts_cell(graph_name, layout, side):
+def test_vertex_counts_cell(graph_name, layout, side, tmp_path):
     """Per-vertex results come back in *user* id order for every layout."""
     g = GRAPHS[graph_name]
     truth = vertex_butterfly_counts(g, side)
     p = engine.plan(
         g, "vertex-counts", side=side, layout=layout, calibration=DEFAULTS
     )
-    np.testing.assert_array_equal(engine.execute(p, g), truth)
-
-
-@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-def test_reorder_edge_set_is_a_relabeling(graph_name):
-    """The reordered graph is the same edge set under the stored perms."""
-    g = GRAPHS[graph_name]
-    store = make_storage(g, "reorder")
-    edges = g.edges()
-    relabeled = np.column_stack(
-        [
-            store.to_storage_ids(edges[:, 0], "left"),
-            store.to_storage_ids(edges[:, 1], "right"),
-        ]
-    ) if edges.size else edges
-    got = store.graph.edges()
-    order = np.lexsort((relabeled[:, 1], relabeled[:, 0])) if edges.size else []
-    np.testing.assert_array_equal(
-        got, relabeled[order] if edges.size else relabeled
-    )
+    view = _store(g, layout, tmp_path)
+    np.testing.assert_array_equal(engine.execute(p, view), truth)

@@ -230,14 +230,13 @@ def _graph_in_storage_labelling(store):
     return BipartiteGraph.from_csr(csr)
 
 
-@pytest.mark.parametrize("layout", ("raw", "reorder", "mmap"))
+@pytest.mark.parametrize("layout", ("raw", "mmap"))
 def test_snapshot_round_trip_through_each_layout(layout):
     """A counter seeded from any storage layout snapshots and restores.
 
     The graph travels user graph → storage layout → BipartiteGraph →
     counter → snapshot bytes → fresh counter; the global count must match
-    the original graph throughout (butterflies are label-invariant, so
-    even the reordered labelling agrees globally).
+    the original graph throughout.
     """
     from repro.core import count_butterflies
     from repro.storage import make_storage
@@ -274,19 +273,3 @@ def test_snapshot_restore_from_mmap_backed_bytes(tmp_path, counter):
             )
             other.restore(memoryview(mapped))
     _assert_same_state(_state(counter), _state(other))
-
-
-def test_reordered_counter_vertex_counts_map_back(tmp_path):
-    """Per-vertex counts from a reorder-seeded counter translate to user ids."""
-    from repro.core.local_counts import vertex_butterfly_counts
-    from repro.storage import ReorderedCSR
-
-    g = erdos_renyi_bipartite(14, 17, 0.3, seed=29)
-    store = ReorderedCSR(g)
-    counter = StreamingButterflyCounter(store.graph)
-    restored = StreamingButterflyCounter.from_snapshot(counter.snapshot())
-    for side in ("left", "right"):
-        np.testing.assert_array_equal(
-            store.vertex_values_to_user(restored.vertex_counts(side), side),
-            vertex_butterfly_counts(g, side),
-        )
