@@ -18,6 +18,10 @@ total decrement volume.
   peel, arXiv:1907.08607).  A graph whose table would pass
   :data:`PAIR_TABLE_MAX_BYTES` peels by re-expanding each round's wedges
   instead (:func:`tip_decrement_batch`, in-process or on the warm pool).
+  Each build is left on the graph, so an auto
+  :func:`~repro.core.peeling.tip.k_tip` on the same graph afterwards
+  peels from it too (:func:`_cached_pair_table`) — its fixpoint rounds
+  become subtractions rather than recounts.
 - **Wings.**  Two paths, each winning somewhere:
   :func:`wing_numbers_bucket` (dict buckets, incremental per-edge
   support) on sparse power-law graphs, and
@@ -61,7 +65,8 @@ __all__ = [
 #: build adds to the fallback's peak — that is what keeps it this low.
 #: It also keeps every stored partner id and multiplicity below 2^31.
 #: A fixed constant, not a knob; read at call time, so tests can force
-#: either path.
+#: either path; a table left on a graph serves only calls under the cap
+#: it was built under.
 PAIR_TABLE_MAX_BYTES: int = 8 << 20
 
 #: Build bytes held per wedge of a chunk (the int64 gather index and its
@@ -273,6 +278,38 @@ def _pair_table(pivot_major, complementary):
     return halves, counts
 
 
+def _cached_pair_table(graph: BipartiteGraph, side: str):
+    """The pair table :func:`tip_numbers_bucket_parallel` left on
+    ``graph`` for ``side``, as read-only ``(halves, counts)``, or ``None``.
+
+    Never builds one.  A table is returned (counting
+    ``peel.tip.pair_table_reused``) only if it was built under the
+    :data:`PAIR_TABLE_MAX_BYTES` read now, so lowering the cap forces the
+    same path on a graph with a table as on a fresh one.
+    """
+    entry = graph._pair_tables.get(side)
+    if entry is None or entry[0] != PAIR_TABLE_MAX_BYTES:
+        return None
+    obs.inc("peel.tip.pair_table_reused")
+    return entry[1]
+
+
+def _subtract_pair_losses(counts, halves, members: np.ndarray) -> None:
+    """Subtract the butterflies the same-side vertices ``members`` close
+    with each partner from ``counts`` (a pair table's ``halves``); a
+    one-member batch reads two contiguous slices, no gather."""
+    if members.size == 1:
+        u = members[0]
+        for indptr, partner, mult in halves:
+            # a row holds each partner once
+            lo, hi = indptr[u], indptr[u + 1]
+            counts[partner[lo:hi]] -= choose2(mult[lo:hi])
+    else:
+        for indptr, partner, mult in halves:
+            at = _entry_positions(indptr, members)
+            np.subtract.at(counts, partner[at], choose2(mult[at]))
+
+
 def _bucket_rounds(counts: np.ndarray, tip: np.ndarray):
     """Yield each round's members: the whole minimum bucket of the survivors.
 
@@ -333,8 +370,10 @@ def tip_numbers_bucket_parallel(
     sums of C(c, 2) are the initial counts, and a round slices its
     members' rows and subtracts C(c, 2) from each partner (a peeled
     partner's count is never read again) — a one-member round reads two
-    contiguous slices, no gather.  The build records the
-    ``peel.tip.pair_table_bytes`` gauge.
+    contiguous slices, no gather.  The table path records the
+    ``peel.tip.pair_table_bytes`` gauge.  Every call builds its own
+    table and leaves it, read-only, on ``graph`` (replacing one left
+    before) for a later :func:`~repro.core.peeling.tip.k_tip`.
 
     A graph whose table would pass :data:`PAIR_TABLE_MAX_BYTES` (build
     transients included) counts ``peel.tip.pair_table_fallback`` and
@@ -355,28 +394,24 @@ def tip_numbers_bucket_parallel(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     _check_workers(n_workers)
     tip = np.zeros(pivot_major.major_dim, dtype=COUNT_DTYPE)
+    cap = PAIR_TABLE_MAX_BYTES
     table = _pair_table(pivot_major, complementary)
     if table is None:
         obs.inc("peel.tip.pair_table_fallback")
         dispatch = _peel_dispatch(n_workers, executor)
         return _tip_wedge_rounds(graph, side, tip, dispatch)
     halves, counts = table
+    stored = counts.copy()
+    for array in (stored, *(a for half in halves for a in half)):
+        array.flags.writeable = False
+    graph._pair_tables[side] = (cap, (halves, stored))
     if obs._enabled:
         obs.gauge(
             "peel.tip.pair_table_bytes",
             sum(a.nbytes for half in halves for a in half),
         )
     for members in _bucket_rounds(counts, tip):
-        if members.size == 1:
-            u = members[0]
-            for indptr, partner, mult in halves:
-                # a row holds each partner once
-                lo, hi = indptr[u], indptr[u + 1]
-                counts[partner[lo:hi]] -= choose2(mult[lo:hi])
-        else:
-            for indptr, partner, mult in halves:
-                at = _entry_positions(indptr, members)
-                np.subtract.at(counts, partner[at], choose2(mult[at]))
+        _subtract_pair_losses(counts, halves, members)
     return tip
 
 

@@ -9,10 +9,18 @@ survivors below k, hence the fixpoint loop.
 
 Two implementations are provided:
 
-- :func:`k_tip` — the batch fixpoint exactly as formulated; each round
-  is one per-vertex count from the planned kernel (the one-pass
-  :func:`~repro.core.priority.vertex_butterfly_counts_priority` on the
-  auto plan, or the blocked
+- :func:`k_tip` — the batch fixpoint.  On the auto (``priority``) plan,
+  after :func:`~repro.core.peeling.buckets.tip_numbers_bucket_parallel`
+  on the same graph, it peels from the same-side pair table that call
+  left on the graph: removing a same-side vertex never changes c(u, w)
+  for two survivors, so s starts as the table's row sums and each round
+  subtracts its offenders' C(c, 2) losses from their partners instead
+  of recounting.  It never builds a table itself.  Without one, and on
+  a ``blocked`` pin, the rounds run exactly as formulated: each is one
+  per-vertex count of the survivor graph from the planned kernel (the
+  one-pass
+  :func:`~repro.core.priority.vertex_butterfly_counts_priority`, or the
+  blocked
   :func:`~repro.core.local_counts.vertex_butterfly_counts_blocked`).
 - :func:`k_tip_lookahead` — the fused single-sweep variant of Fig. 8
   (KTIP_UNB_VAR1): the s vector is produced by a FLAME sweep over the rows
@@ -36,6 +44,7 @@ import numpy as np
 from repro import obs
 from repro._types import COUNT_DTYPE
 from repro.core.local_counts import vertex_butterfly_counts_blocked
+from repro.core.peeling.buckets import _cached_pair_table, _subtract_pair_losses
 from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela import gather_slices
 
@@ -79,6 +88,13 @@ def _peel_side_sizes(graph: BipartiteGraph, side: str) -> int:
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+def _survivors(graph: BipartiteGraph, kept: np.ndarray, side: str):
+    """``graph`` with the peeled-side vertices outside ``kept`` emptied."""
+    if side == "left":
+        return graph.subgraph_from_mask(kept, np.ones(graph.n_right, dtype=bool))
+    return graph.subgraph_from_mask(np.ones(graph.n_left, dtype=bool), kept)
+
+
 def _counts_kernel_from_plan(plan, side: str):
     """Build the per-round counts callable a :class:`repro.engine.Plan`
     describes: the one-pass priority kernel or the blocked kernel (at the
@@ -114,8 +130,12 @@ def k_tip(
     plan:
         Optional :class:`repro.engine.Plan` pinning the per-round counts
         kernel (priority, or blocked at a block size).  When ``None`` the
-        engine plans the rounds itself (one vertex-priority pass per
-        round), which is the behaviour every auto entry point gets.
+        engine plans it, which is the behaviour every auto entry point
+        gets.  A ``priority`` plan peels from the pair table a
+        :func:`~repro.core.peeling.buckets.tip_numbers_bucket_parallel`
+        call left on ``graph``, the rounds then subtracting losses
+        rather than recounting; otherwise each round recounts the
+        survivor graph.
 
     Returns
     -------
@@ -129,40 +149,44 @@ def k_tip(
         from repro import engine
 
         plan = engine.plan(graph, "tip", side=side, k=k)
-    counts_of = _counts_kernel_from_plan(plan, side)
     n_side = _peel_side_sizes(graph, side)
+    table = _cached_pair_table(graph, side) if plan.strategy == "priority" else None
+    if table is None:
+        counts_of = _counts_kernel_from_plan(plan, side)
+    else:
+        halves, counts = table
+        counts = counts.copy()
     kept = np.ones(n_side, dtype=bool)
     current = graph
     rounds = 0
     with obs.span("peel.tip", k=k, side=side) as tip_span:
+        # the loop ends when no kept vertex is below k, or none is kept,
+        # so recounting the final survivor graph could not change ``kept``
         while True:
             rounds += 1
             with obs.span("peel.tip.round", round=rounds):
-                counts = counts_of(current)
-            # vertices already peeled have zero rows, hence zero counts;
-            # only demand >= k of the still-present vertices
-            offenders = kept & (counts < k)
-            if obs._enabled:
-                obs.inc("peel.tip.rounds")
-                obs.inc("peel.tip.peeled", int(offenders.sum()))
-            if not offenders.any():
-                break
-            kept &= ~offenders
-            if side == "left":
-                current = current.subgraph_from_mask(
-                    kept, np.ones(graph.n_right, dtype=bool)
-                )
-            else:
-                current = current.subgraph_from_mask(
-                    np.ones(graph.n_left, dtype=bool), kept
-                )
+                if table is None:
+                    counts = counts_of(current)
+                # vertices already peeled lost their rows (or, on the
+                # table, may hold stale counts); only demand >= k of the
+                # still-present vertices
+                offenders = kept & (counts < k)
+                if obs._enabled:
+                    obs.inc("peel.tip.rounds")
+                    obs.inc("peel.tip.peeled", int(offenders.sum()))
+                if not offenders.any():
+                    break
+                kept &= ~offenders
+                if table is None:
+                    current = _survivors(graph, kept, side)
+                else:
+                    _subtract_pair_losses(
+                        counts, halves, np.flatnonzero(offenders)
+                    )
             if not kept.any():
                 break
-        # normalise: a vertex with zero degree after peeling is "kept" only
-        # if k == 0 (it participates in 0 butterflies)
-        if k > 0:
-            counts = counts_of(current)
-            kept = kept & (counts >= k)
+        if table is not None:
+            current = _survivors(graph, kept, side)
         if obs._enabled:
             # policy="sum": kept counts over disjoint vertex shards are
             # additive, so worker-delta merges are order-independent
@@ -225,17 +249,7 @@ def k_tip_lookahead(graph: BipartiteGraph, k: int, side: str = "left") -> TipRes
         if not offenders.any():
             break
         kept &= ~offenders
-        if side == "left":
-            current = current.subgraph_from_mask(
-                kept, np.ones(graph.n_right, dtype=bool)
-            )
-        else:
-            current = current.subgraph_from_mask(
-                np.ones(graph.n_left, dtype=bool), kept
-            )
+        current = _survivors(graph, kept, side)
         if not kept.any():
             break
-    if k > 0:
-        s = _tip_sweep_lookahead(current, side)
-        kept = kept & (s >= k)
     return TipResult(subgraph=current, kept=kept, rounds=rounds, k=k, side=side)

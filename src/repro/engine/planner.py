@@ -129,7 +129,8 @@ def _priority_seconds(graph, cal: CalibrationTable, wedges: int) -> float:
 
 def _priority_row(graph, cal, workload="count", side="left", k=None) -> Plan:
     """The vertex-priority plan; per-vertex workloads pay a scatter
-    surcharge per pass and a tip peel ~3 passes."""
+    surcharge per pass and a tip peel ~3 passes (the model prices the
+    recount rounds even where the peel runs on the pair table)."""
     from repro.core.priority import priority_wedge_work
 
     wedges = priority_wedge_work(graph)
@@ -137,12 +138,20 @@ def _priority_row(graph, cal, workload="count", side="left", k=None) -> Plan:
     rounds = {"count": 1, "vertex-counts": 1, "tip": 3}[workload]
     if workload != "count":
         est *= _VERTEX_PASS_COST * rounds
+    reason = (
+        f"vertex-priority filter: {wedges:,} wedges expanded, each "
+        "butterfly counted once from its highest-degree vertex"
+    )
+    if workload == "tip":
+        reason = (
+            f"pair-table peel on the {side} side when a tip decomposition "
+            f"left its table on this graph, else ~{rounds} priority rounds "
+            f"({wedges:,} wedges each)"
+        )
     return Plan(
         workload=workload, invariant=None, storage="csr",
         strategy="priority", executor="serial", workers=1, side=side, k=k,
-        modeled_ops=wedges * rounds, est_seconds=est,
-        reason=f"vertex-priority filter: {wedges:,} wedges expanded, each "
-               "butterfly counted once from its highest-degree vertex",
+        modeled_ops=wedges * rounds, est_seconds=est, reason=reason,
     )
 
 

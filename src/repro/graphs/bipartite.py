@@ -8,7 +8,11 @@ matrix A (|V1| × |V2|), per Section II of the paper:
 The container keeps both compressed views of A — CSR (row/V1-major, used by
 invariants 5–8) and CSC (column/V2-major, used by invariants 1–4) — built
 lazily and cached, so every algorithm in the family gets its preferred
-storage without repeated conversions.
+storage without repeated conversions.  One more slot holds each side's
+same-side pair table once a tip decomposition has built it
+(:mod:`repro.core.peeling.buckets` fills it, the auto ``k_tip`` reads
+it): under ``PAIR_TABLE_MAX_BYTES`` (8 MiB) per side, kept for as long
+as the graph lives.  A derived graph starts with it empty.
 """
 
 from __future__ import annotations
@@ -38,9 +42,12 @@ class BipartiteGraph:
     n_left, n_right:
         Side sizes.  Inferred from the edges when omitted (isolated
         trailing vertices then do not exist).
+
+    A graph a tip decomposition ran on holds that side's pair table (up
+    to 8 MiB per side) until it is freed; build a fresh graph to drop it.
     """
 
-    __slots__ = ("_coo", "_csr", "_csc")
+    __slots__ = ("_coo", "_csr", "_csc", "_pair_tables")
 
     def __init__(
         self,
@@ -62,6 +69,8 @@ class BipartiteGraph:
         self._coo = coo
         self._csr: PatternCSR | None = None
         self._csc: PatternCSC | None = None
+        # side -> (cap, pair table) left by repro.core.peeling.buckets
+        self._pair_tables: dict = {}
 
     # ------------------------------------------------------------------
     # alternative constructors

@@ -23,6 +23,7 @@ from repro.core import (
     count_butterflies_blocked,
     count_butterflies_parallel,
     count_butterflies_priority,
+    k_tip,
     tip_numbers_bucket_parallel,
     vertex_butterfly_counts_priority,
     count_butterflies_unblocked,
@@ -94,16 +95,52 @@ def test_tip_numbers_past_2_31(big_biclique: BipartiteGraph) -> None:
     assert tips.tolist() == [EXPECTED, EXPECTED]
 
 
-def test_tip_round_losses_past_2_31(big_biclique: BipartiteGraph) -> None:
-    # a third left vertex on the first 48 000 right vertices shares
-    # c = 48 000 with each hub, so c·(c − 1) > 2^31: it peels first
-    # (2·C(48 000, 2) = 2 303 952 000 butterflies) and its round takes
-    # C(48 000, 2) from each hub's stored int32 multiplicity, leaving the
-    # hubs at exactly C(70 000, 2) — only if the loss is widened first
+def _with_third_row(big_biclique: BipartiteGraph) -> BipartiteGraph:
+    """K_{2,70000} plus a third left vertex on the first 48 000 right
+    vertices: it shares c = 48 000 with each hub, so c·(c − 1) > 2^31."""
     third = np.column_stack(
         [np.full(48_000, 2, dtype=np.int64), np.arange(48_000, dtype=np.int64)]
     )
-    g = BipartiteGraph(np.concatenate([big_biclique.edges(), third]))
+    return BipartiteGraph(np.concatenate([big_biclique.edges(), third]))
+
+
+def test_tip_round_losses_past_2_31(big_biclique: BipartiteGraph) -> None:
+    # the third vertex peels first (2·C(48 000, 2) = 2 303 952 000
+    # butterflies) and its round takes C(48 000, 2) from each hub's stored
+    # int32 multiplicity, leaving the hubs at exactly C(70 000, 2) — only
+    # if the loss is widened first
+    g = _with_third_row(big_biclique)
     assert 48_000 * 47_999 > 2**31
     tips = tip_numbers_bucket_parallel(g, side="left", n_workers=1)
     assert tips.tolist() == [EXPECTED, EXPECTED, 48_000 * 47_999]
+
+
+def test_k_tip_past_2_31(big_biclique: BipartiteGraph) -> None:
+    # the auto k-tip peels from the pair table the tip decomposition left:
+    # the hubs' initial count is the row sum C(70 000, 2), taken after
+    # widening the int32 multiplicity
+    g = BipartiteGraph(big_biclique.edges())
+    tip_numbers_bucket_parallel(g, side="left", n_workers=1)
+    with obs.capture() as metrics:
+        kept = k_tip(g, EXPECTED, side="left")
+        gone = k_tip(g, EXPECTED + 1, side="left")
+    assert metrics.value("peel.tip.pair_table_reused") == 2
+    assert kept.kept.tolist() == [True, True] and kept.rounds == 1
+    assert kept.subgraph == big_biclique
+    assert gone.kept.tolist() == [False, False] and gone.rounds == 1
+    assert gone.subgraph.n_edges == 0
+
+
+def test_k_tip_round_losses_past_2_31(big_biclique: BipartiteGraph) -> None:
+    # the hubs start at C(70 000, 2) + C(48 000, 2) > 2^31; k just above
+    # the third vertex's count peels it in round 1, whose subtraction of
+    # C(48 000, 2) from each hub must be widened to leave C(70 000, 2) >= k
+    g = _with_third_row(big_biclique)
+    tip_numbers_bucket_parallel(g, side="left", n_workers=1)
+    k = 48_000 * 47_999 + 1
+    with obs.capture() as metrics:
+        result = k_tip(g, k, side="left")
+    assert metrics.value("peel.tip.pair_table_reused") == 1
+    assert result.kept.tolist() == [True, True, False]
+    assert result.rounds == 2
+    assert result.subgraph == BipartiteGraph(big_biclique.edges(), 3, N_RIGHT)

@@ -7,7 +7,10 @@ shared executor; wings recount in parallel shards.  The contract is
 *bitwise identity* with the heap ``tip_numbers`` and with
 ``wing_numbers_bucket`` (itself pinned against the heap
 ``wing_numbers``) — on every corpus shape, both sides, for the pair
-table, the wedge fallback and its pooled rounds.
+table, the wedge fallback and its pooled rounds.  The auto ``k_tip``
+peels from the table a tip decomposition left on the graph; it must
+agree with the recount rounds, the look-ahead sweep and
+``tip_numbers >= k``, and a lowered cap must force its recount rounds.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import obs
+from repro import engine, obs
 from repro.core import (
+    k_tip,
+    k_tip_lookahead,
     tip_decrement_batch,
     tip_numbers,
     tip_numbers_bucket_parallel,
@@ -198,6 +203,149 @@ def test_tip_table_and_fallback_match_the_heap_reference(g):
         np.testing.assert_array_equal(fallback, reference)
 
 
+@given(g=tip_graphs(), drawn_k=st.integers(2, 40))
+@settings(max_examples=100, deadline=None)
+@example(g=BipartiteGraph.empty(0, 5), drawn_k=2)
+@example(g=BipartiteGraph.complete(5, 4), drawn_k=18)
+@example(
+    g=BipartiteGraph([(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)], n_left=3, n_right=2),
+    drawn_k=1,
+)
+def test_table_k_tip_matches_recount_lookahead_and_tip_numbers(g, drawn_k):
+    """The pair-table ``k_tip`` (auto plan after a tip decomposition of
+    the same graph), the auto ``k_tip`` on a graph without a table, the
+    ``blocked``-pinned recount rounds, the look-ahead sweep and
+    ``tip_numbers >= k`` give the same fixpoint: equal ``kept``,
+    ``rounds`` and subgraph."""
+    bare = BipartiteGraph(g.edges(), g.n_left, g.n_right)
+    for side in ("left", "right"):
+        tips = tip_numbers(g, side=side)
+        tip_numbers_bucket_parallel(g, side=side, n_workers=1)
+        for k in (0, 1, drawn_k):
+            with obs.capture() as metrics:
+                table = k_tip(g, k, side=side)
+            assert metrics.value("peel.tip.pair_table_reused") == 1
+            pinned = engine.plan(g, "tip", side=side, k=k, strategy="blocked")
+            with obs.capture() as metrics:
+                recount = k_tip(g, k, side=side, plan=pinned)
+                unbuilt = k_tip(bare, k, side=side)
+            assert "peel.tip.pair_table_reused" not in metrics
+            lookahead = k_tip_lookahead(g, k, side=side)
+            for other in (recount, unbuilt, lookahead):
+                np.testing.assert_array_equal(table.kept, other.kept)
+                assert table.rounds == other.rounds
+                assert table.subgraph == other.subgraph
+            np.testing.assert_array_equal(table.kept, tips >= k)
+
+
+def _counting_pair_table(monkeypatch) -> list:
+    """Patch ``_pair_table`` to record each build's outcome (True when
+    it returns a table)."""
+    builds = []
+    real = buckets._pair_table
+
+    def counting(pivot_major, complementary):
+        built = real(pivot_major, complementary)
+        builds.append(built is not None)
+        return built
+
+    monkeypatch.setattr(buckets, "_pair_table", counting)
+    return builds
+
+
+def _fresh_planted() -> BipartiteGraph:
+    return planted_bicliques(24, 24, 2, 4, 4, background_edges=30, seed=103)
+
+
+def test_k_tip_after_tip_numbers_builds_one_table(monkeypatch):
+    """``tip_numbers_bucket_parallel`` then the auto ``k_tip`` on one graph
+    pay for one build; the k-tip counts the reuse.  Neither consumer
+    subtracts from the table's counts: repeating the k-tip gives the
+    same, and a k-tip never builds a table itself."""
+    builds = _counting_pair_table(monkeypatch)
+    g = _fresh_planted()
+    tips = tip_numbers_bucket_parallel(g, n_workers=1)
+    k = int(np.median(tips[tips > 0]))
+    with obs.capture() as metrics:
+        result = k_tip(g, k)
+    assert builds == [True]
+    assert metrics.value("peel.tip.pair_table_reused") == 1
+    assert metrics.value("peel.tip.rounds") == result.rounds >= 2
+    assert metrics.value("peel.tip.kept") == result.n_kept
+    np.testing.assert_array_equal(result.kept, tips >= k)
+    again = k_tip(g, k)
+    np.testing.assert_array_equal(again.kept, result.kept)
+    assert again.rounds == result.rounds
+    with obs.capture() as metrics:
+        fresh = k_tip(_fresh_planted(), k)
+    assert builds == [True]
+    assert "peel.tip.pair_table_reused" not in metrics
+    np.testing.assert_array_equal(fresh.kept, result.kept)
+
+
+def test_cached_pair_table_never_overrides_the_cap(monkeypatch):
+    """On one graph object a ``k_tip`` peels from the table a tip
+    decomposition left only under the cap that table was built under, so
+    lowering the cap forces the recount rounds; the decomposition itself
+    builds on every call, so a raised cap after a failure rebuilds."""
+    builds = _counting_pair_table(monkeypatch)
+    g = _fresh_planted()
+    tips = tip_numbers_bucket_parallel(g, n_workers=1)
+    k = int(np.median(tips[tips > 0]))
+    default = buckets.PAIR_TABLE_MAX_BYTES
+
+    def reused(cap):
+        monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", cap)
+        with obs.capture() as metrics:
+            result = k_tip(g, k)
+        np.testing.assert_array_equal(result.kept, tips >= k)
+        return "peel.tip.pair_table_reused" in metrics
+
+    assert reused(default)
+    assert not reused(0)
+    assert builds == [True]
+    with obs.capture() as metrics:
+        np.testing.assert_array_equal(tip_numbers_bucket_parallel(g, n_workers=1), tips)
+    assert metrics.value("peel.tip.pair_table_fallback") == 1
+    assert not reused(0)
+    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", default)
+    np.testing.assert_array_equal(tip_numbers_bucket_parallel(g, n_workers=1), tips)
+    assert builds == [True, False, True]
+    assert reused(default)
+    # the right side keeps its own table beside the left one
+    with obs.capture() as metrics:
+        k_tip(g, k, side="right")
+    assert "peel.tip.pair_table_reused" not in metrics
+    tip_numbers_bucket_parallel(g, side="right", n_workers=1)
+    assert builds == [True, False, True, True]
+    with obs.capture() as metrics:
+        k_tip(g, k, side="left")
+        k_tip(g, k, side="right")
+    assert metrics.value("peel.tip.pair_table_reused") == 2
+
+
+def test_derived_graphs_start_with_an_empty_pair_table_cache():
+    """Masked, relabelled and side-swapped graphs hold no table (a copied
+    one would peel the wrong graph): their k-tip recounts."""
+    g = _fresh_planted()
+    tip_numbers_bucket_parallel(g, n_workers=1)
+    rng = np.random.default_rng(5)
+    derived = {
+        "masked": g.subgraph_from_mask(
+            rng.random(g.n_left) < 0.7, np.ones(g.n_right, dtype=bool)
+        ),
+        "relabelled": g.relabel(rng.permutation(g.n_left)),
+        "swapped": g.swap_sides(),
+    }
+    for name, d in derived.items():
+        tips = tip_numbers(d, side="left")
+        k = int(np.median(tips[tips > 0]))
+        with obs.capture() as metrics:
+            got = k_tip(d, k)
+        assert "peel.tip.pair_table_reused" not in metrics, name
+        np.testing.assert_array_equal(got.kept, tips >= k)
+
+
 def test_pair_table_peak_stays_under_the_cap(monkeypatch):
     """Whatever the cap, building the table (or giving up on it) never
     allocates past it, build transients included."""
@@ -358,4 +506,5 @@ def test_tip_metrics_are_a_no_op_when_disabled(cap, monkeypatch):
     with obs.capture() as metrics:
         with obs.disabled():
             tip_numbers_bucket_parallel(GRAPHS["planted"], n_workers=1)
+            k_tip(GRAPHS["planted"], 5)
     assert len(metrics) == 0
