@@ -315,18 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument(
         "--top", type=int, default=10, help="show the N highest-numbered items"
     )
-    p_dec.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="recount peel rounds on a warm pool of N workers; 0/1 (the "
-        "default) stay in-process.  Tips always peel by bucket rounds over "
-        "a same-side pair table; the pool only serves graphs whose table "
-        "would pass its 8 MiB cap, which re-expand each round's wedges.  "
-        "Wings use the incremental bucket peel in-process and the round "
-        "recount for N > 1",
-    )
 
     p_gen = sub.add_parser(
         "generate", help="write a synthetic bipartite graph in KONECT format"
@@ -659,23 +647,16 @@ def _cmd_decompose(args) -> int:
     if args.mode == "tip":
         from repro.core import tip_numbers_bucket_parallel
 
-        numbers = tip_numbers_bucket_parallel(
-            g, side=args.side, n_workers=args.workers or 1
-        )
+        numbers = tip_numbers_bucket_parallel(g, side=args.side)
         order = numbers.argsort()[::-1][: args.top]
         print(f"tip numbers ({args.side} side), top {args.top}:")
         for v in order:
             print(f"  vertex {int(v):6d}: {int(numbers[v])}")
         print(f"max tip number: {int(numbers.max()) if numbers.size else 0}")
     else:
-        if args.workers is not None and args.workers > 1:
-            from repro.core import wing_numbers_bucket_parallel
+        from repro.core import wing_numbers_bucket
 
-            wn = wing_numbers_bucket_parallel(g, n_workers=args.workers)
-        else:
-            from repro.core import wing_numbers_bucket
-
-            wn = wing_numbers_bucket(g)
+        wn = wing_numbers_bucket(g)
         # ties rank by edge, not by the path's dict order
         ranked = sorted(wn.items(), key=lambda kv: (-kv[1], kv[0]))[: args.top]
         print(f"wing numbers, top {args.top}:")

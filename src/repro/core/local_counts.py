@@ -265,9 +265,9 @@ def edge_butterfly_support_blocked(
 def edge_support_panel(csr, csc, lo: int, hi: int) -> np.ndarray:
     """Butterfly support of every stored edge of CSR rows ``[lo, hi)``.
 
-    The unit of work behind both the blocked and the parallel per-edge
-    kernels (edges of disjoint row panels are independent), in three
-    whole-panel operations:
+    The unit of work behind the blocked per-edge kernel (edges of
+    disjoint row panels are independent), in three whole-panel
+    operations:
 
     1. one gather expands every wedge of the panel, and a single
        ``np.unique`` over ``u_local·m + w`` keys yields all pairwise

@@ -14,9 +14,10 @@ executors, both thin wrappers over :class:`repro.parallel.ButterflyExecutor`:
   segment; the pool persists across calls and stands in for the paper's
   OpenMP threads.  Where shared memory is unavailable the call falls
   back to ``"serial"`` (observable as ``parallel.shared_fallback``), or
-- ``"serial"`` — the same ``n_workers × chunks_per_worker`` range
-  decomposition run in-process, used by tests to validate the tiling
-  independently of pool plumbing.
+- ``"serial"`` — the same ``n_workers ×``
+  :data:`~repro.parallel.executor.CHUNKS_PER_WORKER` range decomposition
+  run in-process, used by tests to validate the tiling independently of
+  pool plumbing.
 
 All three sequential strategies are supported so the parallel numbers are
 directly comparable to the sequential ones: ``"spmv"`` (the paper-literal
@@ -211,7 +212,6 @@ def count_butterflies_parallel(
     n_workers: int | None = None,
     side: str | Side | None = None,
     executor: str = "shared",
-    chunks_per_worker: int = 4,
     invariant: int | Invariant | None = None,
     strategy: str = "adjacency",
 ) -> int:
@@ -234,9 +234,6 @@ def count_butterflies_parallel(
         :class:`repro.parallel.ButterflyExecutor`; falls back to
         ``"serial"`` where POSIX shared memory is unavailable) or
         ``"serial"`` (same decomposition, in-process — used by tests).
-    chunks_per_worker:
-        Over-decomposition factor for load balancing on skewed graphs;
-        must be >= 1.
     invariant:
         Optional family member (1–8 or :class:`Invariant`): fixes the side
         *and* the reference partition, making each cell of the paper's
@@ -257,17 +254,11 @@ def count_butterflies_parallel(
         Ξ_G, identical to every sequential member of the family.
     """
     from repro.parallel import ButterflyExecutor, get_default_executor
+    from repro.parallel.executor import CHUNKS_PER_WORKER
 
     n_workers = _resolve_workers(executor, n_workers)
     if obs._enabled:
         obs.inc(f"parallel.executor.{executor}")
-
-    def call(ex, cpw):
-        return ex.count(
-            graph, invariant=invariant, side=side, strategy=strategy,
-            chunks_per_worker=cpw,
-        )
-
     # the span is the ancestor every ``executor.map`` dispatch span
     # nests under
     with obs.span(
@@ -278,12 +269,16 @@ def count_butterflies_parallel(
     ):
         if executor == "shared" and n_workers > 1:
             try:
-                return call(get_default_executor(n_workers), chunks_per_worker)
+                return get_default_executor(n_workers).count(
+                    graph, invariant=invariant, side=side, strategy=strategy
+                )
             except OSError:
                 # documented heal path: no usable shared memory (or a
                 # publish/attach failure) reruns the call in-process
                 obs.inc("parallel.shared_fallback")
         # "serial", n_workers == 1 and the fallback: a one-worker
-        # executor's in-process branch over the same
-        # n_workers × chunks_per_worker ranges
-        return call(ButterflyExecutor(n_workers=1), n_workers * chunks_per_worker)
+        # executor's in-process branch over the ranges an
+        # n_workers-wide pool gets
+        return ButterflyExecutor(n_workers=1)._count(
+            graph, invariant, side, strategy, n_workers * CHUNKS_PER_WORKER
+        )

@@ -17,35 +17,32 @@ total decrement volume.
   subtracts its members' precomputed losses (Shi & Shun's aggregated
   peel, arXiv:1907.08607).  A graph whose table would pass
   :data:`PAIR_TABLE_MAX_BYTES` peels by re-expanding each round's wedges
-  instead (:func:`tip_decrement_batch`, in-process or on the warm pool).
-  Each build is left on the graph, so an auto
-  :func:`~repro.core.peeling.tip.k_tip` on the same graph afterwards
-  peels from it too (:func:`_cached_pair_table`) — its fixpoint rounds
-  become subtractions rather than recounts.
-- **Wings.**  Two paths, each winning somewhere:
-  :func:`wing_numbers_bucket` (dict buckets, incremental per-edge
-  support) on sparse power-law graphs, and
-  :func:`wing_numbers_bucket_parallel` (round recount of the survivor
-  graph) on dense bicliques.
+  instead (:func:`tip_decrement_batch`).  Each build is left on the
+  graph, so an auto :func:`~repro.core.peeling.tip.k_tip` on the same
+  graph afterwards peels from it too (:func:`_cached_pair_table`) — its
+  fixpoint rounds become subtractions rather than recounts.
+- **Wings.**  :func:`wing_numbers_bucket` (dict buckets, incremental
+  per-edge support) is the production wing decomposition;
+  :func:`wing_numbers_bucket_parallel` recounts the survivor graph's
+  support every round instead.
 
-Every path is bit-identical to its heap reference (asserted in tests).
+Every path is bit-identical to its heap reference (asserted in tests),
+and every path runs in-process: the paper's k-tip and k-wing peels are
+serial fixpoints, and a process pool never beat the serial rounds here
+(EXPERIMENTS.md, "Peel scheduling").
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from repro import obs
 from repro._types import COUNT_DTYPE, INDEX_DTYPE, PAIR_DTYPE
 from repro.core.blocked import work_bounded_panels
-from repro.core.parallel import DEFAULT_WEDGE_SHARD_BUDGET
 from repro.core.priority import (
     PRIORITY_PANEL_BUDGET,
     vertex_butterfly_counts_priority,
 )
-from repro.core.workinfo import pivot_work_estimate
 from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela import choose2, gather_slices, segment_sums
 
@@ -140,30 +137,6 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     flags[:1] = True
     np.not_equal(values[1:], values[:-1], out=flags[1:])
     return np.flatnonzero(flags)
-
-
-def _check_workers(n_workers) -> None:
-    if n_workers is not None and n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-
-
-def _peel_dispatch(n_workers, executor):
-    """Resolve the per-round dispatcher for the parallel peeling loops.
-
-    An explicit :class:`~repro.parallel.ButterflyExecutor` wins; otherwise
-    the process-wide warm pool for ``n_workers > 1``; ``None`` means run
-    the rounds serially in-process.
-    """
-    if executor is not None:
-        return executor if executor.n_workers > 1 else None
-    _check_workers(n_workers)
-    if n_workers is None:
-        n_workers = min(os.cpu_count() or 1, 6)
-    if n_workers == 1:
-        return None
-    from repro.parallel import get_default_executor
-
-    return get_default_executor(n_workers)
 
 
 def _pair_table(pivot_major, complementary):
@@ -352,7 +325,6 @@ def tip_numbers_bucket_parallel(
     graph: BipartiteGraph,
     side: str = "left",
     n_workers: int | None = None,
-    executor=None,
 ) -> np.ndarray:
     """Tip numbers via synchronous bucket rounds over a same-side pair table.
 
@@ -379,12 +351,10 @@ def tip_numbers_bucket_parallel(
     transients included) counts ``peel.tip.pair_table_fallback`` and
     peels by wedge rounds: initial counts from one serial vertex-priority
     pass (:func:`~repro.core.priority.vertex_butterfly_counts_priority`),
-    then each round's losses from :func:`tip_decrement_batch`, sent to
-    the warm shared-memory pool (:meth:`ButterflyExecutor.tip_decrements`)
-    when its static wedge work reaches :data:`DEFAULT_WEDGE_SHARD_BUDGET`.
-    Only that fallback resolves a pool: ``executor`` accepts a
-    caller-owned :class:`~repro.parallel.ButterflyExecutor`, and
-    ``n_workers=1`` (or an unavailable pool) runs its rounds in-process.
+    then each round's losses from :func:`tip_decrement_batch`.
+
+    Both paths run in-process and never resolve a pool.  ``n_workers``
+    is validated (``>= 1``) and otherwise ignored.
     """
     if side == "left":
         pivot_major, complementary = graph.csr, graph.csc
@@ -392,14 +362,14 @@ def tip_numbers_bucket_parallel(
         pivot_major, complementary = graph.csc, graph.csr
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    _check_workers(n_workers)
+    if n_workers is not None and n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     tip = np.zeros(pivot_major.major_dim, dtype=COUNT_DTYPE)
     cap = PAIR_TABLE_MAX_BYTES
     table = _pair_table(pivot_major, complementary)
     if table is None:
         obs.inc("peel.tip.pair_table_fallback")
-        dispatch = _peel_dispatch(n_workers, executor)
-        return _tip_wedge_rounds(graph, side, tip, dispatch)
+        return _tip_wedge_rounds(graph, side, tip)
     halves, counts = table
     stored = counts.copy()
     for array in (stored, *(a for half in halves for a in half)):
@@ -415,7 +385,7 @@ def tip_numbers_bucket_parallel(
     return tip
 
 
-def _tip_wedge_rounds(graph, side, tip, dispatch) -> np.ndarray:
+def _tip_wedge_rounds(graph, side, tip) -> np.ndarray:
     """The wedge fallback of :func:`tip_numbers_bucket_parallel`."""
     left, right = vertex_butterfly_counts_priority(graph)
     if side == "left":
@@ -423,48 +393,25 @@ def _tip_wedge_rounds(graph, side, tip, dispatch) -> np.ndarray:
     else:
         pivot_major, complementary, counts = graph.csc, graph.csr, right
     del left, right
-    # static per-pivot wedge work, computed once for every round's gate
-    # and sharding
-    work = pivot_work_estimate(pivot_major, complementary)
     for members in _bucket_rounds(counts, tip):
-        affected = None
-        if (
-            dispatch is not None
-            and int(work[members].sum(dtype=COUNT_DTYPE))
-            >= DEFAULT_WEDGE_SHARD_BUDGET
-        ):
-            try:
-                dec = dispatch.tip_decrements(
-                    graph, members, side=side, work=work
-                )
-                affected = np.flatnonzero(dec)
-                lost = dec[affected]
-            except (OSError, PermissionError):
-                obs.inc("parallel.shared_fallback")
-                dispatch = None
-        if affected is None:
-            affected, lost = tip_decrement_batch(
-                pivot_major, complementary, members
-            )
+        affected, lost = tip_decrement_batch(pivot_major, complementary, members)
         counts[affected] -= lost
     return tip
 
 
 def wing_numbers_bucket_parallel(
     graph: BipartiteGraph,
-    n_workers: int | None = None,
-    executor=None,
 ) -> dict[tuple[int, int], int]:
-    """Wing numbers via synchronous bucket rounds with parallel recounts.
+    """Wing numbers via synchronous bucket rounds with full recounts.
 
     Identical output to :func:`wing_numbers_bucket` (asserted in tests).
     Each round extracts every edge of the minimum support bucket at the
     running-max level, rebuilds the survivor graph, and *recounts* its
-    exact per-edge support — :meth:`ButterflyExecutor.edge_support` panels
-    over the warm pool when available, the blocked serial kernel
-    otherwise.  A full recount on the survivor graph equals the serial
-    version's incremental support bookkeeping (both are the exact support
-    of the remaining graph), so the levels coincide round for round.
+    exact per-edge support with
+    :func:`~repro.core.local_counts.edge_butterfly_support_blocked`.  A
+    full recount on the survivor graph equals the serial version's
+    incremental support bookkeeping (both are the exact support of the
+    remaining graph), so the levels coincide round for round.
     """
     edges = graph.edges()
     nnz = len(edges)
@@ -472,19 +419,7 @@ def wing_numbers_bucket_parallel(
         return {}
     from repro.core.local_counts import edge_butterfly_support_blocked
 
-    dispatch = _peel_dispatch(n_workers, executor)
-
-    def _support_of(g):
-        nonlocal dispatch
-        if dispatch is not None:
-            try:
-                return dispatch.edge_support(g)
-            except (OSError, PermissionError):
-                obs.inc("parallel.shared_fallback")
-                dispatch = None
-        return edge_butterfly_support_blocked(g)
-
-    support = _support_of(graph).astype(COUNT_DTYPE)
+    support = edge_butterfly_support_blocked(graph)
     alive = np.ones(nnz, dtype=bool)
     wing = np.zeros(nnz, dtype=COUNT_DTYPE)
     level = 0
@@ -507,7 +442,7 @@ def wing_numbers_bucket_parallel(
         )
         # the survivor's CSR entry order is the original row-major edge
         # order filtered by ``alive``, so the recount scatters straight back
-        support[alive] = _support_of(survivor)
+        support[alive] = edge_butterfly_support_blocked(survivor)
     return {
         (int(u), int(v)): int(w) for (u, v), w in zip(edges, wing)
     }

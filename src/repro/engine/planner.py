@@ -168,6 +168,8 @@ def _check_pins(workload, invariant, strategy, executor, workers, layout) -> boo
     for bad, message in (
         (workload not in WORKLOADS,
          f"unknown workload {workload!r}; expected one of {WORKLOADS}"),
+        (workers is not None and workers < 1,
+         f"n_workers must be >= 1, got {workers}"),
         (executor not in (None, *EXECUTORS),
          f"unknown executor {executor!r}; expected one of {EXECUTORS}"),
         (layout not in (None, *LAYOUTS),

@@ -6,9 +6,9 @@ Two layers:
   that places a graph's four CSR/CSC arrays in one POSIX shared-memory
   segment (a single ``O(nnz)`` memcpy) so workers attach zero-copy.
 - :mod:`repro.parallel.executor` — :class:`ButterflyExecutor`, the
-  persistent warm-pool dispatcher every parallel entry point funnels
-  through (counting sweeps, tip-decrement rounds, wing recounts),
-  plus the process-wide defaults behind ``executor="shared"``.
+  persistent warm-pool counter behind Fig. 11's parallel sweep, plus
+  the process-wide defaults behind ``executor="shared"``.  It counts and
+  does nothing else: the tip and wing decompositions run in-process.
 
 See ``docs/api.md`` ("Parallel execution") for the usage guide and
 ``DESIGN.md`` for the lifecycle discipline.

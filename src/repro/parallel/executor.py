@@ -1,17 +1,18 @@
 """Persistent warm-pool butterfly executor over shared-memory graphs.
 
-:class:`ButterflyExecutor` owns two long-lived resources and amortises
-both across *every* parallel entry point in the package:
+:class:`ButterflyExecutor` is the counting pool behind Fig. 11's
+parallel sweep.  It owns two long-lived resources and amortises both
+across calls:
 
 1. **A warm process pool.**  The pool is created once, lazily, and
-   reused until :meth:`close`, so multi-round workloads — the tip and
-   wing decompositions' rounds — pay pool startup once, not per round.
+   reused until :meth:`close`, so a sweep of counts (the eight-invariant
+   grid) pays pool startup once, not per call.
 2. **Published graphs.**  Graph buffers travel to workers through
    :class:`~repro.parallel.shm.SharedGraphBuffers` (one ``O(nnz)`` memcpy
    into ``/dev/shm``, zero copies per worker).  Publications are cached
    per matrix object (weakly — a segment is unlinked the moment its
-   matrix is garbage collected) so repeated sweeps over the same graph,
-   e.g. the eight-invariant benchmark grid, publish once.
+   matrix is garbage collected) so repeated sweeps over the same graph
+   publish once.
 
 A one-worker executor runs every call in-process over the same ranges
 (no pool, no segments); the ``"serial"`` executor of
@@ -19,16 +20,15 @@ A one-worker executor runs every call in-process over the same ranges
 
 Task messages are tiny: ``(meta, side, reference, strategy, lo, hi,
 collect)`` tuples.  Workers attach each named segment once, cache the
-attachment and
-the per-strategy scratch buffers, and evict least-recently-used segments
-beyond a small cap, so a long-lived pool serving a wing decomposition
-(one fresh subgraph per round) does not accumulate mappings.
+attachment and the per-strategy scratch buffers, and evict
+least-recently-used segments beyond a small cap, so a long-lived pool
+counting many graphs does not accumulate mappings.
 
 Failure containment: a broken pool (worker killed, fork failure) is
 rebuilt once per dispatch — each heal bumps the ``executor.pool_healed``
 counter; if shared memory itself is unavailable the caller
-(:func:`repro.core.parallel.count_butterflies_parallel`, the peeling
-loops) reruns the call in-process (``parallel.shared_fallback``).
+(:func:`repro.core.parallel.count_butterflies_parallel`) reruns the call
+in-process (``parallel.shared_fallback``).
 
 Observability: every pool start / publish / dispatch / heal is recorded
 on the :mod:`repro.obs` registry, and when observability is enabled at
@@ -202,51 +202,14 @@ def _shm_wedge_shard(args) -> tuple:
     return value, _collect_end(collect)
 
 
-def _shm_tip_decrements(args) -> tuple:
-    """Pool task: batched butterfly-support decrements for removing the
-    tip-bucket vertices ``ids`` (static original-graph multiplicities).
-
-    Returns ``(affected_vertices, lost_counts, delta)`` compressed to the
-    nonzero rows — the owner scatters the partials into its dense counts.
-    """
-    from repro.core.peeling.buckets import tip_decrement_batch
-
-    meta, side_value, ids, collect = args
-    _collect_begin(collect)
-    with obs.span("worker.tip_decrements", batch=len(ids)):
-        _, csr, csc, _ = _attached(meta)
-        if side_value == Side.COLUMNS.value:
-            pivot_major, complementary = csc, csr
-        else:
-            pivot_major, complementary = csr, csc
-        affected, lost = tip_decrement_batch(pivot_major, complementary, ids)
-    return affected, lost, _collect_end(collect)
-
-
-def _shm_edge_support_range(args) -> tuple:
-    """Pool task: per-edge butterfly support of the CSR rows ``[lo, hi)``
-    (entry order), for the parallel wing-peeling recount rounds."""
-    from repro.core.local_counts import edge_support_panel
-
-    meta, lo, hi, collect = args
-    _collect_begin(collect)
-    with obs.span("worker.edge_support_range", lo=lo, hi=hi):
-        _, csr, csc, _ = _attached(meta)
-        vals = edge_support_panel(csr, csc, lo, hi)
-    return lo, vals, _collect_end(collect)
-
-
 # ----------------------------------------------------------------------
 # owner side
 # ----------------------------------------------------------------------
 
 
-def _check_chunks(chunks_per_worker: int) -> int:
-    if chunks_per_worker < 1:
-        raise ValueError(
-            f"chunks_per_worker must be >= 1, got {chunks_per_worker}"
-        )
-    return int(chunks_per_worker)
+#: Ranges per worker in one count: the over-decomposition that balances
+#: skewed graphs.
+CHUNKS_PER_WORKER = 4
 
 
 class ButterflyExecutor:
@@ -258,8 +221,6 @@ class ButterflyExecutor:
         Pool width; defaults to ``os.cpu_count()`` capped at 6 (the
         paper's thread count).  ``1`` short-circuits every dispatch to an
         in-process serial run (no pool, no segments).
-    chunks_per_worker:
-        Default over-decomposition factor for load balancing.
 
     Use as a context manager, or call :meth:`close` — both shut the pool
     down and unlink every published segment.  An ``atexit`` hook covers
@@ -277,15 +238,12 @@ class ButterflyExecutor:
     True
     """
 
-    def __init__(
-        self, n_workers: int | None = None, chunks_per_worker: int = 4
-    ) -> None:
+    def __init__(self, n_workers: int | None = None) -> None:
         if n_workers is None:
             n_workers = min(os.cpu_count() or 1, 6)
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = int(n_workers)
-        self.chunks_per_worker = _check_chunks(chunks_per_worker)
         self._pool: cf.ProcessPoolExecutor | None = None
         self._closed = False
         #: id(csr matrix) -> (SharedGraphBuffers, weakref to the matrix)
@@ -385,13 +343,6 @@ class ButterflyExecutor:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def _n_chunks(self, chunks_per_worker: int | None) -> int:
-        """Range count for one call: ``n_workers`` × the per-call (or
-        default) over-decomposition factor."""
-        if chunks_per_worker is None:
-            chunks_per_worker = self.chunks_per_worker
-        return self.n_workers * _check_chunks(chunks_per_worker)
-
     def _map(self, fn, tasks):
         """Run ``fn`` over ``tasks`` on the warm pool, healing it once.
 
@@ -444,10 +395,17 @@ class ButterflyExecutor:
         invariant: int | Invariant | None = None,
         side: str | Side | None = None,
         strategy: str = "adjacency",
-        chunks_per_worker: int | None = None,
     ) -> int:
         """Ξ_G over the warm pool; same contract as
         :func:`~repro.core.parallel.count_butterflies_parallel`."""
+        return self._count(
+            graph, invariant, side, strategy,
+            self.n_workers * CHUNKS_PER_WORKER,
+        )
+
+    def _count(self, graph, invariant, side, strategy, n_chunks: int) -> int:
+        """:meth:`count` over ``n_chunks`` ranges (the in-process tiling of
+        ``executor="serial"`` passes a wider pool's range count)."""
         from repro.core.parallel import (
             balanced_ranges,
             count_range,
@@ -460,7 +418,6 @@ class ButterflyExecutor:
                 f"unknown strategy {strategy!r}; expected 'adjacency', "
                 "'scratch', 'spmv' or 'wedge'"
             )
-        n_chunks = self._n_chunks(chunks_per_worker)
         reference = Reference.SUFFIX
         if invariant is not None:
             inv = resolve_invariant(invariant)
@@ -507,112 +464,6 @@ class ButterflyExecutor:
                 obs.merge_snapshot(delta, parent=self._last_dispatch)
         return total
 
-    def tip_decrements(
-        self,
-        graph: BipartiteGraph,
-        ids: np.ndarray,
-        side: str = "left",
-        work: np.ndarray | None = None,
-        chunks_per_worker: int | None = None,
-    ) -> np.ndarray:
-        """Dense per-vertex butterfly losses from removing the bucket ``ids``.
-
-        The pooled round of the tip decomposition's wedge fallback
-        (:func:`~repro.core.peeling.tip_numbers_bucket_parallel` on a
-        graph whose pair table would pass its byte cap), which calls it
-        only for rounds of at least
-        :data:`~repro.core.parallel.DEFAULT_WEDGE_SHARD_BUDGET` wedges —
-        lighter rounds run in-process.  Batches of removed vertices are
-        sharded by wedge work and each worker runs
-        :func:`~repro.core.peeling.tip_decrement_batch` on its slice of
-        the *original* graph (multiplicities are static), the owner sums
-        the compressed partials; a batch that yields a single shard runs
-        in-process without a dispatch.  ``work`` is the precomputed
-        per-pivot wedge work, so the peel loop does not recompute it per
-        round.
-        """
-        from repro.core.parallel import balanced_ranges, pivot_work_estimate
-        from repro.core.peeling.buckets import tip_decrement_batch
-
-        if side == "left":
-            pivot_major, complementary = graph.csr, graph.csc
-            side_value = Side.ROWS.value
-        elif side == "right":
-            pivot_major, complementary = graph.csc, graph.csr
-            side_value = Side.COLUMNS.value
-        else:
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        n_chunks = self._n_chunks(chunks_per_worker)
-        out = np.zeros(pivot_major.major_dim, dtype=COUNT_DTYPE)
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size == 0:
-            return out
-        if work is None:
-            work = pivot_work_estimate(pivot_major, complementary)
-        ranges = balanced_ranges(work[ids], n_chunks)
-        if self.n_workers == 1 or len(ranges) <= 1:
-            affected, lost = tip_decrement_batch(pivot_major, complementary, ids)
-            out[affected] += lost
-            return out
-        meta = self._publish(graph).meta
-        collect = obs.is_enabled()
-        tasks = [(meta, side_value, ids[lo:hi], collect) for lo, hi in ranges]
-        for affected, lost, delta in self._map(_shm_tip_decrements, tasks):
-            # `affected` is unique within a shard, so fancy += is exact here
-            out[affected] += lost
-            if delta:
-                obs.merge_snapshot(delta, parent=self._last_dispatch)
-        return out
-
-    def edge_support(
-        self,
-        graph: BipartiteGraph,
-        chunks_per_worker: int | None = None,
-    ) -> np.ndarray:
-        """Per-edge butterfly support in CSR entry order, over the warm pool.
-
-        The per-round kernel of the parallel wing decomposition: CSR row
-        panels balanced by wedge work, each worker reducing its panel with
-        :func:`~repro.core.local_counts.edge_support_panel`; panels map to
-        disjoint entry ranges, so the owner writes each result straight
-        into its slice.  Matches
-        :func:`~repro.core.local_counts.edge_butterfly_support_blocked`
-        element-wise.
-        """
-        from repro.core.local_counts import edge_support_panel
-        from repro.core.parallel import balanced_ranges, pivot_work_estimate
-
-        csr, csc = graph.csr, graph.csc
-        support = np.zeros(csr.nnz, dtype=COUNT_DTYPE)
-        work = pivot_work_estimate(csr, csc)
-        ranges = balanced_ranges(work, self._n_chunks(chunks_per_worker))
-        if not ranges:
-            return support
-        if self.n_workers == 1:
-            for lo, hi in ranges:
-                vals = edge_support_panel(csr, csc, lo, hi)
-                e_lo, _ = csr.entry_range(lo, hi)
-                support[e_lo : e_lo + len(vals)] = vals
-            return support
-        meta = self._publish(graph).meta
-        collect = obs.is_enabled()
-        tasks = [(meta, lo, hi, collect) for lo, hi in ranges]
-        for lo, vals, delta in self._map(_shm_edge_support_range, tasks):
-            e_lo, _ = csr.entry_range(lo, lo + 1)
-            support[e_lo : e_lo + len(vals)] = vals
-            if delta:
-                obs.merge_snapshot(delta, parent=self._last_dispatch)
-        return support
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else (
-            "warm" if self._pool is not None else "cold"
-        )
-        return (
-            f"ButterflyExecutor(n_workers={self.n_workers}, {state}, "
-            f"published={len(self._published)})"
-        )
-
 
 # ----------------------------------------------------------------------
 # module-level default executors (what executor="shared" dispatches to)
@@ -622,23 +473,19 @@ _EXECUTORS: "weakref.WeakSet[ButterflyExecutor]" = weakref.WeakSet()
 _DEFAULTS: dict[int, ButterflyExecutor] = {}
 
 
-def get_default_executor(
-    n_workers: int | None = None, chunks_per_worker: int = 4
-) -> ButterflyExecutor:
+def get_default_executor(n_workers: int | None = None) -> ButterflyExecutor:
     """The process-wide warm executor for a given pool width.
 
     ``count_butterflies_parallel(executor="shared")`` funnels through
-    here, so back-to-back calls (and multi-round peeling) share one warm
-    pool per distinct ``n_workers``.  All default executors are torn down
-    at interpreter exit (or explicitly via
-    :func:`shutdown_default_executors`).
+    here, so back-to-back calls share one warm pool per distinct
+    ``n_workers``.  All default executors are torn down at interpreter
+    exit (or explicitly via :func:`shutdown_default_executors`).
     """
     if n_workers is None:
         n_workers = min(os.cpu_count() or 1, 6)
     ex = _DEFAULTS.get(n_workers)
     if ex is None or ex.closed:
-        ex = ButterflyExecutor(n_workers=n_workers,
-                               chunks_per_worker=chunks_per_worker)
+        ex = ButterflyExecutor(n_workers=n_workers)
         _DEFAULTS[n_workers] = ex
     return ex
 

@@ -114,17 +114,20 @@ def test_decompose_right_side(konect_file, capsys):
 
 @pytest.mark.parametrize("mode", ["tip", "wing"])
 def test_decompose_output_independent_of_workers(konect_file, capsys, mode):
-    """``--workers`` only moves the recount onto a pool; it never changes
-    what ``decompose`` prints (ties included)."""
-    from repro.parallel import shutdown_default_executors
+    """``decompose`` peels in-process: a warm two-worker pool neither
+    changes what it prints (ties included) nor receives a dispatch."""
+    from repro.parallel import get_default_executor, shutdown_default_executors
 
+    argv = ["decompose", konect_file, "--mode", mode, "--top", "50"]
     outputs = []
     try:
-        for workers in ("1", "2"):
-            argv = ["decompose", konect_file, "--mode", mode, "--top", "50",
-                    "--workers", workers]
-            assert main(argv) == 0
-            outputs.append(capsys.readouterr().out)
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        pool = get_default_executor(2)
+        before = pool.dispatch_count
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        assert pool.dispatch_count == before
     finally:
         shutdown_default_executors()
     assert outputs[0] == outputs[1]
@@ -197,10 +200,17 @@ def test_bench_smallest_dataset(capsys):
          "storage-layout axis"),
         (["explain", "{tmp}/g.tsv", "--workload", "vertex-counts",
           "--workers", "2"], "'vertex-counts' is serial-only"),
+        (["count", "{tmp}/g.tsv", "--workers", "0"], "n_workers must be >= 1"),
+        (["count", "{tmp}/g.tsv", "--workers", "-3"], "n_workers must be >= 1"),
+        (["explain", "{tmp}/g.tsv", "--workers", "0"], "n_workers must be >= 1"),
+        (["decompose", "{tmp}/g.tsv", "--workers", "2"],
+         "unrecognized arguments"),
     ],
     ids=["unknown-rule", "missing-scan-path", "missing-graph",
          "peel-mmap-storage", "count-reorder-storage", "explain-tip-mmap",
-         "explain-vertex-counts-pool"],
+         "explain-vertex-counts-pool", "count-zero-workers",
+         "count-negative-workers", "explain-zero-workers",
+         "decompose-workers"],
 )
 def test_bad_input_exits_2_without_traceback(argv, reason, tmp_path, capsys):
     """Bad input is a usage error (exit 2), distinct from findings (exit 1).

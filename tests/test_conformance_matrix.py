@@ -14,8 +14,8 @@ The matrix crosses
   (empty, star) that historically break boundary arithmetic.
 
 Every cell must produce the *identical* global count, and the per-edge
-support sweep (the pool kernel of the wing recount rounds) must match
-across executors element-wise.  8 x 2 x 3 x 6 = 288 global cells plus the
+support sweep (the kernel of the wing recount rounds, in-process) must
+match the reference element-wise at two panel widths.  8 x 2 x 3 x 6 = 288 global cells plus the
 per-vertex and per-edge blocks: > 250 parametrized cases.
 """
 
@@ -29,6 +29,7 @@ from repro.core import (
     count_butterflies,
     count_butterflies_parallel,
     edge_butterfly_support,
+    edge_butterfly_support_blocked,
     vertex_butterfly_counts,
 )
 from repro.graphs import (
@@ -195,18 +196,16 @@ EDGE_REFERENCE = {
 @pytest.mark.parametrize("side", ("left", "right"))
 @pytest.mark.parametrize("executor", ("serial", "shared"))
 def test_edge_support_conformance(graph_name, side, executor):
-    """Serial: a one-worker executor over the same ``N_WORKERS × 4``
-    ranges, in-process; shared: the warm process-wide pool."""
-    from repro.parallel import get_default_executor
-
+    """The per-edge support wing peeling recounts with: the blocked
+    kernel, always in-process, at a one-row panel and at its default
+    panel width.  Each butterfly has four edges, so the support sums to
+    four times the global count of the executor cell (the serial tiling,
+    or the warm pool of Fig. 11's sweep)."""
     g = _oriented(graph_name, side)
-    if executor == "serial":
-        got = ButterflyExecutor(n_workers=1).edge_support(
-            g, chunks_per_worker=N_WORKERS * 4
-        )
-    else:
-        got = get_default_executor(N_WORKERS).edge_support(g)
-    np.testing.assert_array_equal(got, EDGE_REFERENCE[(graph_name, side)])
+    for block_size in (1, 64):
+        got = edge_butterfly_support_blocked(g, block_size=block_size)
+        np.testing.assert_array_equal(got, EDGE_REFERENCE[(graph_name, side)])
+    assert int(got.sum()) == 4 * _count(g, executor)
 
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
@@ -226,17 +225,6 @@ def test_priority_vertex_counts_conformance(graph_name, side, layout):
         engine.execute(the_plan, g),
         VERTEX_REFERENCE[(graph_name, expected_side)],
     )
-
-
-@pytest.mark.parametrize("graph_name", ("powerlaw", "planted"))
-@pytest.mark.parametrize("side", ("left", "right"))
-def test_edge_support_process_executor(graph_name, side):
-    """The cold process pool on the two non-trivial graphs (it is the
-    slowest executor cell, so the matrix samples it rather than crossing
-    it)."""
-    with ButterflyExecutor(n_workers=N_WORKERS) as ex:
-        got = ex.edge_support(_oriented(graph_name, side))
-    np.testing.assert_array_equal(got, EDGE_REFERENCE[(graph_name, side)])
 
 
 # ----------------------------------------------------------------------

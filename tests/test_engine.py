@@ -273,6 +273,9 @@ class TestPinning:
             engine.plan(g, "count", strategy="magic", calibration=DEFAULTS)
         with pytest.raises(ValueError, match="executor"):
             engine.plan(g, "count", executor="gpu", calibration=DEFAULTS)
+        # a non-positive pool size is an error, not a silent serial plan
+        with pytest.raises(ValueError, match="n_workers must be >= 1"):
+            engine.plan(g, "count", workers=0, calibration=DEFAULTS)
 
     def test_plan_record_validation(self):
         with pytest.raises(ValueError, match="workload"):

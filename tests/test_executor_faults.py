@@ -29,7 +29,6 @@ from repro import obs
 from repro.core import (
     count_butterflies,
     count_butterflies_parallel,
-    tip_numbers_bucket_parallel,
 )
 from repro.graphs import power_law_bipartite
 from repro.parallel import (
@@ -146,32 +145,6 @@ def test_publish_failure_falls_back_in_process(monkeypatch, graph, expected):
         assert metrics.value("parallel.executor.shared") == 1
         # the fallback ran in-process: no pool was ever started
         assert metrics.value("executor.pool_starts") == 0
-    finally:
-        shutdown_default_executors()
-
-
-def test_publish_failure_tip_decrements_falls_back(monkeypatch, graph):
-    """The tip peel's pooled wedge rounds (pair-table cap and round gate
-    at 0) heal the same way: the first failed publish reruns every later
-    round in-process."""
-    from repro.core.peeling import buckets
-
-    want = tip_numbers_bucket_parallel(graph, side="left", n_workers=1)
-    shutdown_default_executors()
-    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
-    monkeypatch.setattr(buckets, "DEFAULT_WEDGE_SHARD_BUDGET", 0)
-    monkeypatch.setattr(
-        SharedGraphBuffers,
-        "publish",
-        staticmethod(lambda g: (_ for _ in ()).throw(OSError("no shm"))),
-    )
-    try:
-        with obs.capture() as metrics:
-            got = tip_numbers_bucket_parallel(graph, side="left", n_workers=2)
-        import numpy as np
-
-        np.testing.assert_array_equal(got, want)
-        assert metrics.value("parallel.shared_fallback") == 1
     finally:
         shutdown_default_executors()
 

@@ -9,9 +9,7 @@ The contract under test (ISSUE acceptance criteria):
   close, context-manager exit, mid-sweep exceptions, or publication-cache
   eviction;
 - the pool is started once and reused across calls (warm pool), and a
-  graph is published once and reused across sweeps (zero-copy cache);
-- the tip decomposition's pooled wedge rounds (a caller-owned executor)
-  give the same k-tips as the serial :func:`repro.core.k_tip`.
+  graph is published once and reused across sweeps (zero-copy cache).
 """
 
 from __future__ import annotations
@@ -27,11 +25,7 @@ from repro.core import (
     count_butterflies,
     count_butterflies_parallel,
     count_butterflies_unblocked,
-    edge_butterfly_support_blocked,
-    k_tip,
-    tip_numbers_bucket_parallel,
 )
-from repro.core.peeling import buckets
 from repro.graphs import power_law_bipartite
 from repro.parallel import (
     ButterflyExecutor,
@@ -198,13 +192,13 @@ class TestExecutorLifecycle:
         assert live_segment_names() == []
 
     def test_warm_pool_reused_across_calls(self, medium_graph):
+        invariants = (1, 2, 5, 6, 3)
         with ButterflyExecutor(n_workers=2) as ex:
-            for inv in (1, 2, 5, 6):
+            for inv in invariants:
                 ex.count(medium_graph, invariant=inv)
-            ex.edge_support(medium_graph)
             assert ex.pool_starts == 1
             assert ex.publish_count == 1  # same graph -> one segment
-            assert ex.dispatch_count == 5
+            assert ex.dispatch_count == len(invariants)
 
     def test_default_executor_is_shared_and_shut_down(self, medium_graph):
         ex1 = get_default_executor(n_workers=2)
@@ -222,16 +216,13 @@ class TestExecutorLifecycle:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             ButterflyExecutor(n_workers=0)
-        with pytest.raises(ValueError):
-            ButterflyExecutor(n_workers=2, chunks_per_worker=0)
 
     def test_serial_shortcut_uses_no_pool(self, medium_graph):
         with ButterflyExecutor(n_workers=1) as ex:
-            total = ex.count(medium_graph)
-            support = ex.edge_support(medium_graph)
-        assert total == count_butterflies(medium_graph)
-        assert np.array_equal(support, edge_butterfly_support_blocked(medium_graph))
+            totals = [ex.count(medium_graph, invariant=inv) for inv in (1, 6)]
+        assert totals == [count_butterflies(medium_graph)] * 2
         assert ex.pool_starts == 0
+        assert ex.publish_count == 0
         assert live_segment_names() == []
 
 
@@ -277,43 +268,5 @@ class TestEquivalence:
             with pytest.raises(ValueError):
                 ex.count(medium_graph, strategy="nope")
             with pytest.raises(ValueError):
-                ex.tip_decrements(medium_graph, np.arange(2), side="middle")
-
-
-# ----------------------------------------------------------------------
-# peeling through the executor
-# ----------------------------------------------------------------------
-
-
-@needs_multicore
-class TestPeelingWithExecutor:
-    """The tip decomposition's wedge rounds on a caller-owned pool: the
-    pair-table cap at 0 forces the wedge fallback and the round gate's
-    budget at 0 sends every round to ``tip_decrements``."""
-
-    @pytest.fixture(autouse=True)
-    def _pooled_rounds(self, monkeypatch):
-        monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
-        monkeypatch.setattr(buckets, "DEFAULT_WEDGE_SHARD_BUDGET", 0)
-
-    @pytest.mark.parametrize("k", [1, 3, 10])
-    def test_k_tip_matches_serial(self, medium_graph, k):
-        serial = k_tip(medium_graph, k)
-        with ButterflyExecutor(n_workers=2) as ex:
-            tips = tip_numbers_bucket_parallel(medium_graph, executor=ex)
-        assert np.array_equal(tips >= k, serial.kept)
-
-    def test_k_tip_right_side(self, medium_graph):
-        serial = k_tip(medium_graph, 2, side="right")
-        with ButterflyExecutor(n_workers=2) as ex:
-            tips = tip_numbers_bucket_parallel(
-                medium_graph, side="right", executor=ex
-            )
-        assert np.array_equal(tips >= 2, serial.kept)
-
-    def test_multi_round_peel_starts_pool_once(self, medium_graph):
-        with ButterflyExecutor(n_workers=2) as ex:
-            tip_numbers_bucket_parallel(medium_graph, executor=ex)
-            assert ex.dispatch_count > 1
-            assert ex.pool_starts == 1
-        assert live_segment_names() == []
+                ex.count(medium_graph, side="middle")
+            assert ex.pool_starts == 0  # rejected before any dispatch

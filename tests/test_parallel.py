@@ -155,43 +155,6 @@ def test_parallel_invalid_strategy():
         count_butterflies_parallel(g, strategy="magic")
 
 
-def test_chunks_per_worker_does_not_change_result(medium_graph):
-    expected = count_butterflies(medium_graph)
-    for cpw in (1, 2, 8):
-        assert count_butterflies_parallel(
-            medium_graph, n_workers=2, executor="shared", chunks_per_worker=cpw
-        ) == expected
-
-
-@pytest.mark.parametrize("cpw", [0, -5])
-def test_bad_chunks_per_worker_rejected_everywhere(cpw, medium_graph):
-    """Every entry point rejects a non-positive over-decomposition factor
-    with a ValueError instead of silently running a clamped tiling."""
-    from repro.parallel import ButterflyExecutor
-
-    for executor in ("serial", "shared"):
-        for n_workers in (1, 2):
-            with pytest.raises(ValueError, match="chunks_per_worker"):
-                count_butterflies_parallel(
-                    medium_graph, n_workers=n_workers, executor=executor,
-                    chunks_per_worker=cpw,
-                )
-    with pytest.raises(ValueError, match="chunks_per_worker"):
-        ButterflyExecutor(n_workers=2, chunks_per_worker=cpw)
-    with ButterflyExecutor(n_workers=2) as ex:
-        calls = (
-            lambda: ex.count(medium_graph, chunks_per_worker=cpw),
-            lambda: ex.tip_decrements(
-                medium_graph, np.arange(3), chunks_per_worker=cpw
-            ),
-            lambda: ex.edge_support(medium_graph, chunks_per_worker=cpw),
-        )
-        for call in calls:
-            with pytest.raises(ValueError, match="chunks_per_worker"):
-                call()
-        assert ex.pool_starts == 0  # rejected before any dispatch
-
-
 @pytest.mark.parametrize("removed", ["process", "thread"])
 def test_removed_executors_rejected(removed, medium_graph):
     """Only ``serial`` and ``shared`` exist: the old pool names are typed

@@ -2,12 +2,12 @@
 
 The round loops extract the whole minimum bucket per round.  Tips take
 their losses from a one-time same-side pair table, or — past the table's
-byte cap — re-expand each round's wedges, in-process or through the
-shared executor; wings recount in parallel shards.  The contract is
-*bitwise identity* with the heap ``tip_numbers`` and with
-``wing_numbers_bucket`` (itself pinned against the heap
-``wing_numbers``) — on every corpus shape, both sides, for the pair
-table, the wedge fallback and its pooled rounds.  The auto ``k_tip``
+byte cap — re-expand each round's wedges; wings recount the survivor
+graph's support.  Every round runs in-process: no decomposition resolves
+a pool.  The contract is *bitwise identity* with the heap
+``tip_numbers`` and with ``wing_numbers_bucket`` (itself pinned against
+the heap ``wing_numbers``) — on every corpus shape, both sides, for the
+pair table and the wedge fallback.  The auto ``k_tip``
 peels from the table a tip decomposition left on the graph; it must
 agree with the recount rounds, the look-ahead sweep and
 ``tip_numbers >= k``, and a lowered cap must force its recount rounds.
@@ -30,6 +30,7 @@ from repro.core import (
     tip_decrement_batch,
     tip_numbers,
     tip_numbers_bucket_parallel,
+    wing_numbers,
     wing_numbers_bucket,
     wing_numbers_bucket_parallel,
 )
@@ -89,8 +90,15 @@ def test_tip_parallel_matches_serial_bucket(graph_name, side, n_workers):
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 @pytest.mark.parametrize("n_workers", (1, 2))
 def test_wing_parallel_matches_serial_bucket(graph_name, n_workers):
-    got = wing_numbers_bucket_parallel(GRAPHS[graph_name], n_workers=n_workers)
+    """The recount runs in-process: a warm default executor of
+    ``n_workers`` changes neither its numbers nor its dispatch count."""
+    from repro.parallel import get_default_executor
+
+    executor = get_default_executor(n_workers)
+    before = executor.dispatch_count
+    got = wing_numbers_bucket_parallel(GRAPHS[graph_name])
     assert got == WING_REFERENCE[graph_name]
+    assert executor.dispatch_count == before
 
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
@@ -98,21 +106,13 @@ def test_wing_parallel_matches_serial_bucket(graph_name, n_workers):
 def test_tip_parallel_pooled_rounds_match_serial_bucket(
     graph_name, side, monkeypatch
 ):
-    """With the pair-table cap at 0 every graph takes the wedge fallback,
-    and with the round gate's wedge budget at 0 every round goes to
-    ``tip_decrements``, so multi-member rounds really use the pool."""
-    from repro.parallel import get_default_executor
-
+    """With the pair-table cap at 0 every graph takes the wedge fallback;
+    ``n_workers=2`` still runs its rounds in-process."""
     monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
-    monkeypatch.setattr(buckets, "DEFAULT_WEDGE_SHARD_BUDGET", 0)
-    executor = get_default_executor(2)
-    before = executor.dispatch_count
     got = tip_numbers_bucket_parallel(
         GRAPHS[graph_name], side=side, n_workers=2
     )
     np.testing.assert_array_equal(got, TIP_REFERENCE[(graph_name, side)])
-    if graph_name in ("er", "powerlaw", "planted"):
-        assert executor.dispatch_count - before > 1
 
 
 def _dispatches_per_call(g) -> list[int]:
@@ -128,28 +128,46 @@ def _dispatches_per_call(g) -> list[int]:
 
 
 def test_tip_parallel_light_rounds_skip_the_pool():
-    """Corpus graphs take the pair table, which never dispatches: a call
-    makes no dispatch at all."""
+    """Corpus graphs take the pair table: a call makes no dispatch."""
     assert _dispatches_per_call(GRAPHS["powerlaw"]) == [0, 0]
 
 
 def test_tip_fallback_light_rounds_skip_the_pool(monkeypatch):
-    """Forced onto the wedge fallback, corpus rounds are far below the
-    wedge budget and the initial counts are one serial priority pass: a
-    call still makes no dispatch at all."""
+    """Forced onto the wedge fallback, a call still makes no dispatch."""
     monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
     assert _dispatches_per_call(GRAPHS["powerlaw"]) == [0, 0]
 
 
-def test_tip_pair_table_never_resolves_a_pool(monkeypatch):
+def _forbid_pools(monkeypatch) -> None:
+    """Make resolving or building any executor fail the test."""
     import repro.parallel
+    import repro.parallel.executor
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("the pair-table path resolved a pool")
+        raise AssertionError("a decomposition resolved a pool")
 
-    monkeypatch.setattr(repro.parallel, "get_default_executor", no_pool)
-    got = tip_numbers_bucket_parallel(GRAPHS["planted"], n_workers=2)
-    np.testing.assert_array_equal(got, TIP_REFERENCE[("planted", "left")])
+    for module in (repro.parallel, repro.parallel.executor):
+        monkeypatch.setattr(module, "get_default_executor", no_pool)
+    monkeypatch.setattr(repro.parallel.ButterflyExecutor, "__init__", no_pool)
+
+
+def test_tip_pair_table_never_resolves_a_pool(monkeypatch):
+    """Neither tip path touches a pool, even asked for two workers: the
+    pair table, and the wedge fallback forced by a zero cap."""
+    _forbid_pools(monkeypatch)
+    for cap in (buckets.PAIR_TABLE_MAX_BYTES, 0):
+        monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", cap)
+        with obs.capture() as metrics:
+            got = tip_numbers_bucket_parallel(GRAPHS["planted"], n_workers=2)
+        np.testing.assert_array_equal(got, TIP_REFERENCE[("planted", "left")])
+        assert ("peel.tip.pair_table_fallback" in metrics) == (cap == 0)
+
+
+def test_wing_recount_never_resolves_a_pool(monkeypatch):
+    _forbid_pools(monkeypatch)
+    got = wing_numbers_bucket_parallel(GRAPHS["planted"])
+    assert got == WING_REFERENCE["planted"]
+    assert got == wing_numbers(GRAPHS["planted"])
 
 
 @st.composite
@@ -475,7 +493,7 @@ def test_bucket_occupancy_gauge_records_largest_round():
 
 def test_bucket_occupancy_gauge_from_wing_rounds():
     with obs.capture() as metrics:
-        wing_numbers_bucket_parallel(GRAPHS["er"], n_workers=2)
+        wing_numbers_bucket_parallel(GRAPHS["er"])
     assert metrics.value("peel.rounds.bucket_occupancy") >= 1
 
 
