@@ -5,51 +5,49 @@ the paper's eq. 23 delta one Python-set intersection at a time; this
 module applies the *same* closed form to a whole batch at once with the
 repo's vectorised wedge machinery.
 
-Algorithm (one batch, one side; both sides run symmetrically)
--------------------------------------------------------------
-Let ``A`` be the batch's edge set, ``S`` the graph without ``A`` and
-``B = S ∪ A`` the graph with it.  For a left pair ``{u, w}`` with wedge
-count ``B_uw`` the pair's butterfly contribution is ``C(B_uw, 2)``
-(eq. 18), so the batch changes exactly the pairs that gain or lose a
-wedge — and every such *delta wedge* runs through a batch edge.  Three
-vectorised steps, all sized by the batch's wedge footprint rather than
-the whole graph:
+Algorithm (one batch phase; one side's probe credits both sides)
+----------------------------------------------------------------
+Let ``A`` be the phase's edge set, ``S`` the graph without ``A`` and
+``B = S ∪ A`` the graph with it.  One side holds the *pivots*, the
+other the *mids*.  For a pivot pair ``{u, w}`` let ``X`` be its common
+mids in ``S`` (``|X| = b``) and ``Y`` the common mids the batch adds
+(``|Y| = d``).  The pair's butterfly contribution moves from
+``C(b, 2)`` to ``C(b + d, 2)`` (eq. 18), and every butterfly has
+exactly one pivot pair, so per pair:
 
-1. **Delta-wedge enumeration** — for each ``(u, v) ∈ A`` emit the pairs
-   ``{u, w}`` for ``w ∈ N_B(v) \\ {u}`` (one ``gather_slices`` over the
-   big graph's CSC).  A wedge whose legs are *both* batch edges is
-   emitted twice, once per leg; subtracting the within-batch pair count
-   per shared mid (``Σ_v C(|A_v|, 2)`` pairs) leaves the exact wedge
-   delta ``δ_uw`` for every affected canonical pair key
-   ``min·n + max``.
-2. **Baseline wedge counts, no Python set intersections** — two
-   vectorised ways to get ``B_uw = |N_S(u) ∩ N_S(w)|`` per affected
-   pair; each side's batch picks one by its gather footprint
-   (``panel`` up to :data:`PANEL_FOOTPRINT_CAP` entries, ``probe``
-   beyond):
+- ``u`` and ``w`` each gain ``ΔC2 = b·d + C(d, 2)``;
+- each ``x ∈ X`` gains ``d`` and each ``y ∈ Y`` gains ``b + d − 1``.
 
-   - ``panel``: gather ``N_S(u)`` and ``N_S(w)`` (int64 CSR slices)
-     under the pair's owner id; every mid occurs at most twice per
-     owner, so :func:`repro.sparsela.kernels.panel_choose2_per_owner` —
-     with ``C(2,2)=1, C(1,2)=0`` — returns exactly the intersection
-     sizes, sort-free.  Best when pair neighbourhoods are small (the
-     conformance-scale regime).
-   - ``probe``: gather only the *smaller* adjacency of each pair and
-     binary-search the implied edge keys against the small graph's
-     sorted edge-key array; ``B_uw`` is the per-pair hit count.  Work is
-     ``Σ min(deg u, deg w) · log |E|`` — the hub-resistant choice for
-     large batches on skewed graphs.
-3. **Closed-form update** — per pair
-   ``ΔC2 = C(B_uw + δ_uw, 2) − C(B_uw, 2)``; scatter to both endpoints'
-   per-vertex counts, sum for ``ΔΞ``, done symmetrically for right-side
-   pairs (the two global deltas must agree and are asserted equal).
+Both sides' deltas therefore come from one pass of three vectorised
+steps, all sized by the batch's wedge footprint rather than the graph:
+
+1. **Delta-wedge enumeration (Y)** — for each ``(p, q) ∈ A`` emit the
+   rows ``({p, w}, q)`` for ``w ∈ N_B(q) \\ {p}`` (one ``gather_slices``
+   over the big graph's mid-major view).  A wedge whose two legs are
+   both batch edges is met from both pivots; only the copy emitted from
+   the lower pivot is kept, found by one membership test against the
+   sorted batch keys.  The kept rows are exactly the ``(pair, y)``
+   rows; grouped by canonical pair key ``min·n + max`` they give ``d``.
+2. **Baseline probe (X)** — gather the *smaller* ``S``-adjacency of
+   each touched pair and binary-search the implied edge keys against
+   ``S``'s sorted edge-key array.  Each hit is one ``(pair, x)`` row
+   (the packed key holds the mid), so ``b`` is the per-pair hit count.
+   Work is ``Σ min(deg u, deg w) · log |E|``.
+3. **Closed-form update** — scatter ``ΔC2`` to both pair endpoints,
+   ``d`` to every hit mid and ``b + d − 1`` to every emitted mid; ``ΔΞ``
+   is ``Σ ΔC2``.
+
+The pivots are the side with fewer delta wedges — ``Σ deg_B(v)`` over
+the batch edges ``(u, v)`` for left pivots, ``Σ deg_B(u)`` for right
+ones (the paper's "iterate over the cheaper side").  Both choices give
+bit-identical results; the conformance tests force each.
 
 Intra-batch interactions — edges of the same batch closing butterflies
 with each other — are exact by construction (enumeration runs against
-``B``, so a wedge between two batch edges is one more unit of
-``δ_uw``); the number of butterflies whose *both* wedges were created
-(or destroyed) by this batch is ``Σ C(δ_uw, 2)`` over left pairs,
-reported as ``intra_batch_closures``.
+``B``).  ``intra_batch_closures`` counts the butterflies a phase created
+(or destroyed) that hold at least two batch edges; per pair that is
+``C(d, 2) + b · #{y ∈ Y with both legs in A}``, the same from either
+side because it is a property of the butterflies' edges.
 
 Deletions reuse the same small-graph→big-graph delta with the roles
 reversed (``S`` is the post-delete graph, ``B`` the current one) and the
@@ -70,11 +68,7 @@ from repro import obs
 from repro._types import COUNT_DTYPE, INDEX_DTYPE
 from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela import PatternCSC, PatternCSR
-from repro.sparsela.kernels import (
-    choose2,
-    gather_slices,
-    panel_choose2_per_owner,
-)
+from repro.sparsela.kernels import choose2, gather_slices
 
 __all__ = [
     "StreamingButterflyCounter",
@@ -84,12 +78,6 @@ __all__ = [
 #: Execution strategies :meth:`StreamingButterflyCounter.apply` accepts —
 #: the same vocabulary the engine's ``stream_apply`` workload plans over.
 STREAM_APPLY_STRATEGIES: tuple[str, ...] = ("incremental", "recount")
-
-#: The baseline wedge counts (docstring §2) switch from the panel
-#: reduction to membership probing once the panel's both-adjacency gather
-#: footprint passes this many entries.  Read at call time.
-PANEL_FOOTPRINT_CAP = 1 << 17
-
 
 def _as_edge_array(edges) -> np.ndarray:
     """Normalise an edge iterable / (e, 2) array to an int64 (e, 2) array."""
@@ -131,183 +119,134 @@ def _remove_sorted(keys: np.ndarray, rem: np.ndarray) -> np.ndarray:
     return np.delete(keys, np.searchsorted(keys, rem))
 
 
-def _sorted_unique_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(unique, multiplicities)`` of ``values`` — sorts ``values`` in place."""
-    values.sort()
-    flags = np.empty(values.size, dtype=bool)
-    flags[0] = True
-    np.not_equal(values[1:], values[:-1], out=flags[1:])
-    starts = np.flatnonzero(flags)
-    counts = np.diff(np.append(starts, values.size)).astype(COUNT_DTYPE)
-    return values[starts], counts
+def _leg_keys(pivots, mids, n_side: int, n_mid: int, pairs_on_left: bool):
+    """Left-major edge keys (``left · n_right + right``) of (pivot, mid) legs."""
+    if pairs_on_left:
+        return pivots * np.int64(n_mid) + mids
+    return mids * np.int64(n_side) + pivots
 
 
-def _within_batch_pair_keys(
-    pivot_ids: np.ndarray, mid_ids: np.ndarray, n_side: int
-) -> np.ndarray:
-    """Canonical pair keys of wedges whose *both* legs are batch edges.
-
-    ``(pivot_ids[k], mid_ids[k])`` are the batch edges viewed from one
-    side; two batch edges sharing a mid form one within-batch wedge
-    between their pivots.  Returns one ``min·n + max`` key per such
-    wedge (with multiplicity).
-    """
-    if pivot_ids.size < 2:
-        return np.empty(0, dtype=np.int64)
-    order = np.argsort(mid_ids, kind="stable")
-    mids = mid_ids[order]
-    pivs = pivot_ids[order]
-    starts = np.flatnonzero(np.r_[True, mids[1:] != mids[:-1]])
-    ends = np.r_[starts[1:], mids.size]
-    chunks = []
-    for s, e in zip(starts, ends):
-        if e - s >= 2:
-            group = pivs[s:e]  # ascending (stable sort of sorted input)
-            i, j = np.triu_indices(e - s, k=1)
-            chunks.append(group[i] * np.int64(n_side) + group[j])
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
-
-
-def _baseline_panel(
-    small_pm, u_arr, w_arr, cnt_u, cnt_w, n_pairs: int, n_mid: int
-) -> np.ndarray:
-    """``B_uw`` per pair via the sort-free panel reduction.
-
-    Gathers both pairs' slices under one owner id — each mid appears at
-    most twice per owner, so the panel ``Σ C(mult, 2)`` *is*
-    ``|N(u) ∩ N(w)|``.
-    """
-    pair_ids = np.arange(n_pairs, dtype=INDEX_DTYPE)
-    owners = np.concatenate(
-        [np.repeat(pair_ids, cnt_u), np.repeat(pair_ids, cnt_w)]
-    )
-    mids = np.concatenate(
-        [
-            gather_slices(small_pm.indptr, small_pm.indices, u_arr),
-            gather_slices(small_pm.indptr, small_pm.indices, w_arr),
-        ]
-    )
-    order = np.argsort(owners, kind="stable")
-    return panel_choose2_per_owner(owners[order], mids[order], n_pairs, n_mid)
-
-
-def _baseline_probe(
+def _probe_common_mids(
     small_pm,
     small_edge_keys: np.ndarray,
-    u_arr,
-    w_arr,
-    cnt_u,
-    cnt_w,
-    n_pairs: int,
+    u_arr: np.ndarray,
+    w_arr: np.ndarray,
     n_side: int,
     n_mid: int,
     pairs_on_left: bool,
-) -> np.ndarray:
-    """``B_uw`` per pair via membership probing of the sorted key array.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Common mids of every pair in the small graph, as hit rows.
 
     Gathers only the smaller adjacency of each pair and binary-searches
-    the implied edge keys; work ``Σ min(deg u, deg w) · log |E|`` — each
-    hit is one common mid.
+    the implied edge keys; work ``Σ min(deg u, deg w) · log |E|``.
+    Returns ``(pair index, mid)`` of every hit — one row per common mid.
     """
+    n_pairs = u_arr.size
+    cnt_u = small_pm.indptr[u_arr + 1] - small_pm.indptr[u_arr]
+    cnt_w = small_pm.indptr[w_arr + 1] - small_pm.indptr[w_arr]
     take_u = cnt_u <= cnt_w
     probe = np.where(take_u, u_arr, w_arr)
     other = np.where(take_u, w_arr, u_arr)
     cnt = np.where(take_u, cnt_u, cnt_w)
     mids = gather_slices(small_pm.indptr, small_pm.indices, probe)
     owner = np.repeat(np.arange(n_pairs, dtype=INDEX_DTYPE), cnt)
-    other_rep = np.repeat(other, cnt)
-    if pairs_on_left:  # edge keys are left-major: left · n_right + right
-        edge_keys = other_rep * np.int64(n_mid) + mids
-    else:
-        edge_keys = mids * np.int64(n_side) + other_rep
+    edge_keys = _leg_keys(
+        np.repeat(other, cnt), mids, n_side, n_mid, pairs_on_left
+    )
     # searchsorted over random probe order is branch-miss bound; for big
     # probe sets, packing (key, owner) and sorting first is ~5x faster
     key_space = np.int64(n_side) * np.int64(n_mid)
     if edge_keys.size > (1 << 16) and key_space < (1 << 62) // max(n_pairs, 1):
         packed = edge_keys * np.int64(n_pairs) + owner
         packed.sort()
-        hits = _in_sorted(packed // np.int64(n_pairs), small_edge_keys)
-        hit_owners = packed[hits] % np.int64(n_pairs)
-    else:
+        edge_keys = packed // np.int64(n_pairs)
+        owner = packed - edge_keys * np.int64(n_pairs)
         hits = _in_sorted(edge_keys, small_edge_keys)
-        hit_owners = owner[hits]
-    return np.bincount(hit_owners, minlength=n_pairs).astype(
-        COUNT_DTYPE, copy=False
-    )
+        hit_keys = edge_keys[hits]
+        if pairs_on_left:
+            return owner[hits], hit_keys % np.int64(n_mid)
+        return owner[hits], hit_keys // np.int64(n_side)
+    hits = _in_sorted(edge_keys, small_edge_keys)
+    return owner[hits], mids[hits]
 
 
 def _side_delta(
     small_pm,
     big_comp,
     small_edge_keys: np.ndarray,
+    batch_keys: np.ndarray,
     batch_pivots: np.ndarray,
     batch_mids: np.ndarray,
     n_side: int,
     n_mid: int,
     pairs_on_left: bool,
-) -> tuple[np.ndarray, int, int]:
-    """Per-vertex butterfly deltas for one side, small graph → big graph.
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Per-vertex butterfly deltas of both sides, small graph → big graph.
 
-    ``batch_pivots`` / ``batch_mids`` are the batch edges as (this-side
-    vertex, other-side vertex); ``small_pm`` is the small graph's
-    pivot-major view (CSR for the left side), ``big_comp`` the big
-    graph's complementary view (CSC for the left side), and
-    ``small_edge_keys`` the small graph's sorted left-major edge keys.
-    Returns ``(delta[n_side], global_delta, intra_batch_closures)`` with
-    ``global_delta ≥ 0`` — the change in Ξ from adding the batch to the
-    small graph (identical from either side; the caller asserts this).
+    ``batch_pivots`` / ``batch_mids`` are the batch edges as (pivot-side
+    vertex, mid-side vertex) and ``batch_keys`` their sorted left-major
+    keys; ``small_pm`` is the small graph's pivot-major view (CSR for
+    left pivots), ``big_comp`` the big graph's mid-major view (CSC for
+    left pivots), and ``small_edge_keys`` the small graph's sorted
+    left-major edge keys.  Returns ``(delta_pivot[n_side],
+    delta_mid[n_mid], global_delta, intra_batch_closures)``, all ≥ 0 —
+    the change from adding the batch to the small graph.
     """
-    delta = np.zeros(n_side, dtype=COUNT_DTYPE)
-    if batch_pivots.size == 0:
-        return delta, 0, 0
+    delta_pivot = np.zeros(n_side, dtype=COUNT_DTYPE)
+    delta_mid = np.zeros(n_mid, dtype=COUNT_DTYPE)
     n64 = np.int64(n_side)
 
-    # 1. delta-wedge enumeration: every wedge gained by the batch runs
-    #    through a batch edge — emit its vertex pair from that leg
+    # 1. delta-wedge enumeration: every wedge the batch adds has a batch
+    #    leg (p, q) — emit ({p, w}, q) for every other end w of q in B
+    counts = big_comp.indptr[batch_mids + 1] - big_comp.indptr[batch_mids]
     ends = gather_slices(big_comp.indptr, big_comp.indices, batch_mids)
-    end_counts = big_comp.indptr[batch_mids + 1] - big_comp.indptr[batch_mids]
-    owners = np.repeat(batch_pivots, end_counts)
-    keep = ends != owners
-    ends, owners = ends[keep], owners[keep]
-    emitted = np.minimum(owners, ends) * n64 + np.maximum(owners, ends)
-
-    if emitted.size == 0:
-        return delta, 0, 0
-    uniq, wedge_delta = _sorted_unique_counts(emitted)
-    # wedges with both legs in the batch were emitted once per leg
-    both_keys = _within_batch_pair_keys(batch_pivots, batch_mids, n_side)
-    if both_keys.size:
-        wedge_delta -= np.bincount(
-            np.searchsorted(uniq, both_keys), minlength=uniq.size
-        ).astype(COUNT_DTYPE, copy=False)
-
-    # 2. baseline wedge counts B_uw in the small graph (docstring §2)
-    u_arr = uniq // n64
-    w_arr = uniq % n64
-    cnt_u = small_pm.indptr[u_arr + 1] - small_pm.indptr[u_arr]
-    cnt_w = small_pm.indptr[w_arr + 1] - small_pm.indptr[w_arr]
-    footprint = int(cnt_u.sum(dtype=COUNT_DTYPE)) + int(
-        cnt_w.sum(dtype=COUNT_DTYPE)
+    owners = np.repeat(batch_pivots, counts)
+    mids = np.repeat(batch_mids, counts)
+    #    a wedge with both legs in the batch is met from both pivots: keep
+    #    the lower pivot's copy (the batch edge itself, end == owner, is
+    #    always dropped)
+    in_batch = _in_sorted(
+        _leg_keys(ends, mids, n_side, n_mid, pairs_on_left), batch_keys
     )
-    if footprint <= PANEL_FOOTPRINT_CAP:
-        baseline = _baseline_panel(
-            small_pm, u_arr, w_arr, cnt_u, cnt_w, uniq.size, n_mid
-        )
-    else:
-        baseline = _baseline_probe(
-            small_pm, small_edge_keys, u_arr, w_arr, cnt_u, cnt_w,
-            uniq.size, n_side, n_mid, pairs_on_left,
-        )
+    lower = owners < ends
+    both = in_batch & lower
+    both_keys = owners[both] * n64 + ends[both]
+    keep = lower | ~in_batch
+    owners, ends, mids = owners[keep], ends[keep], mids[keep]
+    if mids.size == 0:
+        return delta_pivot, delta_mid, 0, 0
+    pair_keys = np.minimum(owners, ends) * n64 + np.maximum(owners, ends)
+    order = np.argsort(pair_keys)
+    pair_keys, mids = pair_keys[order], mids[order]
+    first = np.empty(pair_keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(pair_keys[1:], pair_keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    uniq = pair_keys[starts]
+    d = np.diff(np.append(starts, pair_keys.size)).astype(COUNT_DTYPE)
+    row_pair = np.repeat(np.arange(uniq.size, dtype=INDEX_DTYPE), d)
 
-    # 3. closed-form per-pair update, scattered to both endpoints
-    pair_delta = choose2(baseline + wedge_delta) - choose2(baseline)
-    np.add.at(delta, u_arr.astype(np.int64), pair_delta)
-    np.add.at(delta, w_arr.astype(np.int64), pair_delta)
+    # 2. baseline probe: the old common mids X of every pair
+    u_arr = uniq // n64
+    w_arr = uniq - u_arr * n64
+    hit_pair, hit_mids = _probe_common_mids(
+        small_pm, small_edge_keys, u_arr, w_arr, n_side, n_mid, pairs_on_left
+    )
+    b = np.bincount(hit_pair, minlength=uniq.size).astype(
+        COUNT_DTYPE, copy=False
+    )
+
+    # 3. closed-form update, credited to both sides (docstring §3)
+    pair_delta = b * d + choose2(d)
+    np.add.at(delta_pivot, u_arr, pair_delta)
+    np.add.at(delta_pivot, w_arr, pair_delta)
+    np.add.at(delta_mid, hit_mids, d[hit_pair])
+    np.add.at(delta_mid, mids, (b + d - 1)[row_pair])
     global_delta = int(pair_delta.sum(dtype=COUNT_DTYPE))
-    closures = int(choose2(wedge_delta).sum(dtype=COUNT_DTYPE))
-    return delta, global_delta, closures
+    closures = int(choose2(d).sum(dtype=COUNT_DTYPE)) + int(
+        b[np.searchsorted(uniq, both_keys)].sum(dtype=COUNT_DTYPE)
+    )
+    return delta_pivot, delta_mid, global_delta, closures
 
 
 class StreamingButterflyCounter:
@@ -329,6 +268,11 @@ class StreamingButterflyCounter:
         stream).  Vertex sets are fixed at construction; edges are
         dynamic.
     """
+
+    #: Pins the probed side of every incremental phase (``"left"`` /
+    #: ``"right"``); ``None`` picks the side with fewer delta wedges.  A
+    #: test hook: both sides give bit-identical results.
+    _probe_side: str | None = None
 
     def __init__(self, graph: BipartiteGraph) -> None:
         n_left, n_right = graph.n_left, graph.n_right
@@ -474,23 +418,35 @@ class StreamingButterflyCounter:
         """Delta between the graph without and with ``changed_keys``.
 
         ``small_*`` is the graph missing the changed edges, ``big_*`` the
-        one containing them; returns the (positive-direction) global
-        delta, per-left and per-right delta arrays, and the intra-batch
-        closure count.
+        one containing them.  One probe, pivoting on the side with fewer
+        delta wedges (or on :attr:`_probe_side` when set), returns the
+        (positive-direction) global delta, per-left and per-right delta
+        arrays, and the intra-batch closure count.
         """
         n = np.int64(max(self.n_right, 1))
         rows = changed_keys // n
         cols = changed_keys - rows * n
-        d_left, g_left, closures = _side_delta(
-            small_csr, big_csc, small_keys, rows, cols,
-            self.n_left, self.n_right, True,
-        )
-        d_right, g_right, _ = _side_delta(
-            small_csc, big_csr, small_keys, cols, rows,
-            self.n_right, self.n_left, False,
-        )
-        assert g_left == g_right, "left/right batch deltas disagree"
-        return g_left, d_left, d_right, closures
+        side = self._probe_side
+        if side is None:
+            left_work = big_csc.indptr[cols + 1] - big_csc.indptr[cols]
+            right_work = big_csr.indptr[rows + 1] - big_csr.indptr[rows]
+            cheaper_left = left_work.sum(dtype=COUNT_DTYPE) <= right_work.sum(
+                dtype=COUNT_DTYPE
+            )
+            side = "left" if cheaper_left else "right"
+        if obs._enabled:
+            obs.inc(f"stream.apply.probe.{side}")
+        if side == "left":
+            d_left, d_right, g_delta, closures = _side_delta(
+                small_csr, big_csc, small_keys, changed_keys, rows, cols,
+                self.n_left, self.n_right, True,
+            )
+        else:
+            d_right, d_left, g_delta, closures = _side_delta(
+                small_csc, big_csr, small_keys, changed_keys, cols, rows,
+                self.n_right, self.n_left, False,
+            )
+        return g_delta, d_left, d_right, closures
 
     def apply(
         self,
@@ -511,13 +467,18 @@ class StreamingButterflyCounter:
 
         ``strategy="recount"`` rebuilds the edge set and recomputes all
         counts from scratch (the planner's fallback candidate — same
-        result, different cost profile).
+        result, different cost profile).  ``"auto"`` is not accepted
+        here: the planner is reached through ``engine.plan`` /
+        ``engine.execute`` (or ``repro-butterfly stream --strategy
+        auto``), which then pin one of the two.
 
         Returns a stats dict: ``created`` / ``destroyed`` butterflies,
         ``inserted`` / ``deleted`` edges actually applied,
         ``skipped_insert`` / ``skipped_delete``, ``batch_size`` (distinct
-        requested edits) and ``intra_batch_closures`` (butterflies whose
-        *both* wedges were completed — or removed — by this batch).
+        requested edits) and ``intra_batch_closures``: the created plus
+        destroyed butterflies that hold at least two edges of their
+        phase's batch (the deletes or the inserts).  ``recount`` does not
+        enumerate butterflies and reports 0 for it.
         """
         if strategy not in STREAM_APPLY_STRATEGIES:
             raise ValueError(

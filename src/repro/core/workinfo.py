@@ -117,10 +117,12 @@ def touched_wedge_work(
 
     For a batch of edge updates ``(rows[i], cols[i])`` the incremental
     maintenance path (:class:`repro.core.stream.StreamingButterflyCounter`)
-    enumerates, per changed edge, every wedge through its two endpoints:
-    ``deg(u) + deg(v)`` continuations.  The sum over the batch is the
-    dominant term of the batched-apply cost, which is what the planner's
-    ``stream_apply`` workload weighs against a from-scratch recount.
+    enumerates, per changed edge, the wedges through one of its endpoints
+    — ``deg(v)`` continuations for left pivots, ``deg(u)`` for right ones,
+    on whichever side sums smaller — and probes the touched pairs.
+    ``deg(u) + deg(v)`` summed over the batch covers both sides and is
+    the term the planner's ``stream_apply`` workload weighs against a
+    from-scratch recount.
     Duplicate endpoints count once per appearance — that is exactly how
     often the kernel gathers them.
     """

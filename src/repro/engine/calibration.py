@@ -48,17 +48,21 @@ __all__ = [
 DEFAULT_CALIBRATION_PATH = os.path.join("results", "engine_calibration.json")
 
 #: Shipped defaults.  The priority pair is the median of 15 ``calibrate()``
-#: solves on a 2-vCPU x86-64 CPython 3.11 + NumPy host; the stream pair
-#: is hand-set so the incremental estimate tracks the e2e stream script.
+#: solves on a 2-vCPU x86-64 CPython 3.11 + NumPy host.  The stream pair
+#: is measured on the same host: ``stream_batch_ns`` is the median apply
+#: of a 3-edit batch on a 25x30 graph (~0.4 ms), and ``ns_per_op.stream``
+#: spreads the rest of the median apply of the seed-0 ``benchmarks/e2e``
+#: stream script (~27 ms for ~196k modeled ops, 500 inserts + 200 hub-
+#: weighted deletes per batch) over its modeled ops.
 DEFAULT_COEFFICIENTS: dict = {
     "ns_per_op": {
         "priority": 10.3,
-        "stream": 12.0,
+        "stream": 135.0,
     },
     "ns_per_edge": {
         "priority": 158.0,
     },
-    "stream_batch_ns": 1.5e6,
+    "stream_batch_ns": 4.0e5,
 }
 
 

@@ -9,10 +9,15 @@ inserts, duplicates collapsed, absent deletes / present inserts skipped).
 
 Sources of scripts:
 
-- a hypothesis strategy over a 6-graph corpus of starting shapes
+- a hypothesis strategy over a 6-graph corpus of starting shapes, whose
+  scripts mix single edits with small biclique inserts (batches that
+  close butterflies among their own edges) and hub deletes
   (shrink-friendly: scripts are flat op-tuple lists, so failures shrink
   to tiny readable reproducers — commit those to
   ``tests/data/stream_scripts/``);
+- the two probe sides forced against each other: each incremental phase
+  pivots on one side and credits both, so pinning left and pinning right
+  must give identical stats and arrays after every batch;
 - hand-written adversarial cases (re-insert after delete,
   delete-then-insert inside one batch, hub-heavy batches, empty batches,
   intra-batch duplicates);
@@ -24,12 +29,14 @@ Sources of scripts:
 from __future__ import annotations
 
 import os
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core import count_butterflies, vertex_butterfly_counts
 from repro.core.stream import StreamingButterflyCounter
 from repro.core.stream import counter as stream_counter
@@ -80,10 +87,17 @@ def _reference_counts(shape, edges):
     )
 
 
-def _assert_script_conforms(graph, ops, *, strategy="incremental"):
-    """Replay ``ops`` batch by batch, cross-checking every count bitwise."""
+def _assert_script_conforms(
+    graph, ops, *, strategy="incremental", probe_side=None
+):
+    """Replay ``ops`` batch by batch, cross-checking every count bitwise.
+
+    ``probe_side`` pins the side every incremental phase probes (the
+    counter's private test hook); ``None`` lets the counter pick.
+    """
     shape = (graph.n_left, graph.n_right)
     counter = StreamingButterflyCounter(graph)
+    counter._probe_side = probe_side
     edges = {tuple(map(int, e)) for e in graph.edges()}
     for batch_no, (insert, delete) in enumerate(iter_batches(ops)):
         counter.apply(insert=insert, delete=delete, strategy=strategy)
@@ -100,19 +114,39 @@ def _assert_script_conforms(graph, ops, *, strategy="incremental"):
 # ----------------------------------------------------------------------
 # randomized scripts (hypothesis)
 # ----------------------------------------------------------------------
+def _hub_deletes(g):
+    """Op lists deleting every possible edge of a top-degree vertex.
+
+    Two per side, chosen by degree in the start graph; on the edge-free
+    graph they delete whatever the script inserted at that vertex.
+    """
+    rows = np.argsort(-g.degrees_left(), kind="stable")[:2]
+    cols = np.argsort(-g.degrees_right(), kind="stable")[:2]
+    return [[("-", int(u), v) for v in range(g.n_right)] for u in rows] + [
+        [("-", u, int(v)) for u in range(g.n_left)] for v in cols
+    ]
+
+
 @st.composite
 def _scripts(draw):
     name = draw(st.sampled_from(sorted(CORPUS)))
     g = CORPUS[name]
-    op = st.one_of(
-        st.just(("flush",)),
-        st.tuples(
-            st.sampled_from(("+", "-")),
-            st.integers(0, g.n_left - 1),
-            st.integers(0, g.n_right - 1),
-        ),
+    left = st.integers(0, g.n_left - 1)
+    right = st.integers(0, g.n_right - 1)
+    edit = st.tuples(st.sampled_from(("+", "-")), left, right)
+    # a biclique insert closes butterflies among the batch's own edges
+    block = st.tuples(
+        st.lists(left, min_size=1, max_size=3, unique=True),
+        st.lists(right, min_size=2, max_size=3, unique=True),
+    ).map(lambda uv: [("+", u, v) for u in uv[0] for v in uv[1]])
+    chunk = st.one_of(
+        st.just([("flush",)]),
+        edit.map(lambda op: [op]),
+        block,
+        st.sampled_from(_hub_deletes(g)),
     )
-    return name, draw(st.lists(op, max_size=60))
+    chunks = draw(st.lists(chunk, max_size=24))
+    return name, [op for ops in chunks for op in ops]
 
 
 @settings(max_examples=200, deadline=None)
@@ -122,25 +156,76 @@ def test_randomized_scripts_conform(case):
     _assert_script_conforms(CORPUS[name], ops)
 
 
-# The baseline wedge counts pick panel or probe by gather footprint;
-# moving ``PANEL_FOOTPRINT_CAP`` forces one regime for every batch (a
-# context manager rather than the fixture: hypothesis reruns the body).
+# Each phase probes the side with fewer delta wedges; the counter's
+# ``_probe_side`` hook pins one side for every batch.
 @settings(max_examples=40, deadline=None)
 @given(_scripts())
-def test_randomized_scripts_conform_panel(case):
+def test_randomized_scripts_conform_left_probe(case):
     name, ops = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stream_counter, "PANEL_FOOTPRINT_CAP", 1 << 62)
-        _assert_script_conforms(CORPUS[name], ops)
+    _assert_script_conforms(CORPUS[name], ops, probe_side="left")
 
 
 @settings(max_examples=40, deadline=None)
 @given(_scripts())
-def test_randomized_scripts_conform_probe(case):
+def test_randomized_scripts_conform_right_probe(case):
     name, ops = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stream_counter, "PANEL_FOOTPRINT_CAP", 0)
-        _assert_script_conforms(CORPUS[name], ops)
+    _assert_script_conforms(CORPUS[name], ops, probe_side="right")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scripts())
+def test_left_and_right_probes_agree(case):
+    """One side's probe credits both sides: pinning left and pinning right
+    must give the same stats (global delta, intra-batch closures) and
+    bit-identical per-vertex arrays after every batch, equal to a
+    recount."""
+    name, ops = case
+    g = CORPUS[name]
+    shape = (g.n_left, g.n_right)
+    by_left = StreamingButterflyCounter(g)
+    by_left._probe_side = "left"
+    by_right = StreamingButterflyCounter(g)
+    by_right._probe_side = "right"
+    edges = {tuple(map(int, e)) for e in g.edges()}
+    for batch_no, (insert, delete) in enumerate(iter_batches(ops)):
+        stats_left = by_left.apply(insert=insert, delete=delete)
+        stats_right = by_right.apply(insert=insert, delete=delete)
+        edges = (edges - set(delete)) | set(insert)
+        want_count, want_left, want_right = _reference_counts(shape, edges)
+        context = f"batch {batch_no} of:\n{format_script(ops)}"
+        assert stats_left == stats_right, context
+        assert by_left.count == by_right.count == want_count, context
+        for counter in (by_left, by_right):
+            assert np.array_equal(counter.vertex_counts("left"), want_left)
+            assert np.array_equal(counter.vertex_counts("right"), want_right)
+
+
+def test_one_probe_per_phase(monkeypatch):
+    """A batch with deletes and inserts runs two phases, each one
+    ``_side_delta`` pass; the other side is credited from it."""
+    calls = []
+    original = stream_counter._side_delta
+
+    def counting(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(stream_counter, "_side_delta", counting)
+    g = CORPUS["planted"]
+    ops = _long_script(5, 120, g.n_left, g.n_right)
+    _assert_script_conforms(g, [op for op in ops if op[0] != "flush"])
+    assert len(calls) == 2
+
+
+def test_auto_probe_picks_both_sides():
+    """Left to itself, the counter probes each side on some batches of a
+    seeded random run (recorded as ``stream.apply.probe.<side>``)."""
+    with obs.capture() as metrics:
+        for name, g in sorted(CORPUS.items()):
+            ops = _long_script(7, 300, g.n_left, g.n_right)
+            _assert_script_conforms(g, ops)
+    assert metrics.value("stream.apply.probe.left") > 0
+    assert metrics.value("stream.apply.probe.right") > 0
 
 
 @settings(max_examples=25, deadline=None)
@@ -235,6 +320,59 @@ def test_mixed_batch_insert_wins_over_delete():
         [("+", 2, 2), ("-", 2, 2)],
     )
     assert counter.has_edge(2, 2)
+
+
+def _butterflies(edges):
+    """Every butterfly of an edge set, as the frozenset of its four edges."""
+    by_left: dict[int, set[int]] = {}
+    for u, v in edges:
+        by_left.setdefault(u, set()).add(v)
+    out = set()
+    for u, w in combinations(sorted(by_left), 2):
+        for x, y in combinations(sorted(by_left[u] & by_left[w]), 2):
+            out.add(frozenset({(u, x), (u, y), (w, x), (w, y)}))
+    return out
+
+
+@pytest.mark.parametrize("probe_side", [None, "left", "right"])
+@pytest.mark.parametrize("name", ["complete", "er", "planted", "powerlaw"])
+def test_intra_batch_closures_match_brute_force(name, probe_side):
+    """``intra_batch_closures`` is the created plus destroyed butterflies
+    holding at least two edges of their phase's batch — checked against
+    enumerating every butterfly before and after each phase."""
+    g = CORPUS[name]
+    rng = np.random.default_rng(11)
+    counter = StreamingButterflyCounter(g)
+    counter._probe_side = probe_side
+    edges = {tuple(map(int, e)) for e in g.edges()}
+    closures = 0
+    for _ in range(6):
+        present = sorted(edges)
+        picks = rng.choice(len(present), size=min(6, len(present)), replace=False)
+        delete = [present[i] for i in picks]
+        us = rng.choice(g.n_left, size=min(3, g.n_left), replace=False)
+        vs = rng.choice(g.n_right, size=3, replace=False)
+        insert = [(int(u), int(v)) for u in us for v in vs]
+        stats = counter.apply(insert=insert, delete=delete)
+
+        gone = edges & set(delete)
+        kept = edges - gone
+        added = set(insert) - kept
+        before, between = _butterflies(edges), _butterflies(kept)
+        edges = kept | added
+        after = _butterflies(edges)
+        destroyed, created = before - between, after - between
+        want = sum(len(b & gone) >= 2 for b in destroyed)
+        want += sum(len(b & added) >= 2 for b in created)
+        assert stats["destroyed"] == len(destroyed)
+        assert stats["created"] == len(created)
+        assert stats["intra_batch_closures"] == want
+        closures += want
+    assert closures > 0
+    recount = StreamingButterflyCounter(g).apply(
+        insert=insert, delete=delete, strategy="recount"
+    )
+    assert recount["intra_batch_closures"] == 0
 
 
 # ----------------------------------------------------------------------
