@@ -35,45 +35,47 @@ Package map:
 - :mod:`repro.bench`     — the harness behind the ``benchmarks/`` suite.
 """
 
-from repro import engine
-from repro.core import (
-    ALL_INVARIANTS,
-    INVARIANTS,
-    DynamicButterflyCounter,
-    HybridStreamCounter,
-    Invariant,
-    StreamingButterflyCounter,
-    StreamingEstimator,
-    iter_butterflies,
-    Reference,
-    Side,
-    Traversal,
-    butterflies_spec,
-    count_butterflies,
-    count_butterflies_blocked,
-    count_butterflies_parallel,
-    count_butterflies_unblocked,
-    edge_butterfly_support,
-    k_tip,
-    k_tip_lookahead,
-    k_wing,
-    tip_numbers,
-    vertex_butterfly_counts,
-    wing_numbers,
-)
-from repro.graphs import (
-    BipartiteGraph,
-    dataset_names,
-    erdos_renyi_bipartite,
-    gnm_bipartite,
-    load_dataset,
-    load_konect,
-    planted_bicliques,
-    power_law_bipartite,
-    save_konect,
-)
-from repro.metrics import bipartite_clustering_coefficient, caterpillar_count
-from repro.parallel import ButterflyExecutor
+from repro._lazy import lazy_exports
+
+_LAZY = {
+    "engine": "repro.engine",
+    "ALL_INVARIANTS": "repro.core",
+    "INVARIANTS": "repro.core",
+    "DynamicButterflyCounter": "repro.core",
+    "HybridStreamCounter": "repro.core",
+    "Invariant": "repro.core",
+    "StreamingButterflyCounter": "repro.core",
+    "StreamingEstimator": "repro.core",
+    "iter_butterflies": "repro.core",
+    "Reference": "repro.core",
+    "Side": "repro.core",
+    "Traversal": "repro.core",
+    "butterflies_spec": "repro.core",
+    "count_butterflies": "repro.core",
+    "count_butterflies_blocked": "repro.core",
+    "count_butterflies_parallel": "repro.core",
+    "count_butterflies_unblocked": "repro.core",
+    "edge_butterfly_support": "repro.core",
+    "k_tip": "repro.core",
+    "k_tip_lookahead": "repro.core",
+    "k_wing": "repro.core",
+    "tip_numbers": "repro.core",
+    "vertex_butterfly_counts": "repro.core",
+    "wing_numbers": "repro.core",
+    "BipartiteGraph": "repro.graphs",
+    "dataset_names": "repro.graphs",
+    "erdos_renyi_bipartite": "repro.graphs",
+    "gnm_bipartite": "repro.graphs",
+    "load_dataset": "repro.graphs",
+    "load_konect": "repro.graphs",
+    "planted_bicliques": "repro.graphs",
+    "power_law_bipartite": "repro.graphs",
+    "save_konect": "repro.graphs",
+    "bipartite_clustering_coefficient": "repro.metrics",
+    "caterpillar_count": "repro.metrics",
+    "ButterflyExecutor": "repro.parallel",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
 __version__ = "1.0.0"
 

@@ -43,31 +43,35 @@ pragma naming an unknown rule id is itself a finding (``RPR000``).
 Exit codes: 0 clean, 1 findings, 2 parse errors or bad CLI input.
 """
 
-from repro.analysis.engine import (
-    ModuleContext,
-    RELAXED_PROFILE_EXCLUDES,
-    Report,
-    analyze_paths,
-    analyze_source,
-    analyze_sources,
-    iter_python_files,
-    module_name_for,
-)
-from repro.analysis.findings import SEVERITIES, Finding, Suppressions, parse_suppressions
-from repro.analysis.model import ModuleFacts, ProjectModel, extract_module_facts
-from repro.analysis.render import (
-    JSON_SCHEMA_ID,
-    render_json,
-    render_text,
-    report_payload,
-)
-from repro.analysis.rules import (
-    ALL_RULE_IDS,
-    RULES,
-    ProjectRule,
-    Rule,
-    resolve_rules,
-)
+from repro._lazy import lazy_exports
+
+_LAZY = {
+    "ModuleContext": "repro.analysis.engine",
+    "RELAXED_PROFILE_EXCLUDES": "repro.analysis.engine",
+    "Report": "repro.analysis.engine",
+    "analyze_paths": "repro.analysis.engine",
+    "analyze_source": "repro.analysis.engine",
+    "analyze_sources": "repro.analysis.engine",
+    "iter_python_files": "repro.analysis.engine",
+    "module_name_for": "repro.analysis.engine",
+    "SEVERITIES": "repro.analysis.findings",
+    "Finding": "repro.analysis.findings",
+    "Suppressions": "repro.analysis.findings",
+    "parse_suppressions": "repro.analysis.findings",
+    "ModuleFacts": "repro.analysis.model",
+    "ProjectModel": "repro.analysis.model",
+    "extract_module_facts": "repro.analysis.model",
+    "JSON_SCHEMA_ID": "repro.analysis.render",
+    "render_json": "repro.analysis.render",
+    "render_text": "repro.analysis.render",
+    "report_payload": "repro.analysis.render",
+    "ALL_RULE_IDS": "repro.analysis.rules",
+    "RULES": "repro.analysis.rules",
+    "ProjectRule": "repro.analysis.rules",
+    "Rule": "repro.analysis.rules",
+    "resolve_rules": "repro.analysis.rules",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
 __all__ = [
     "Finding",

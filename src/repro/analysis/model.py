@@ -2,7 +2,8 @@
 
 The two-pass engine (docs/analysis.md §"whole-program pass") first
 extracts one :class:`ModuleFacts` record per file — symbol table,
-import aliases, ``__all__`` exports, and one :class:`FunctionFacts` per
+import aliases (a package's lazy ``_LAZY`` re-export table counts as
+imports), ``__all__`` exports, and one :class:`FunctionFacts` per
 function (calls made, resource acquisitions with their syntactic
 protection, the callees whose results it returns).  Facts are plain
 in-memory records built once per file per scan.
@@ -138,7 +139,8 @@ class ModuleFacts:
     #: top-level name -> "func" | "class" | "var"
     symbols: dict[str, str] = field(default_factory=dict)
     #: local alias -> dotted import target (``import a.b as c`` →
-    #: ``c: a.b``; ``from m import f`` → ``f: m.f``)
+    #: ``c: a.b``; ``from m import f`` and ``_LAZY = {"f": "m"}`` →
+    #: ``f: m.f``)
     imports: dict[str, str] = field(default_factory=dict)
     #: class name -> method names (for self./ClassName. resolution)
     classes: dict[str, list[str]] = field(default_factory=dict)
@@ -161,6 +163,32 @@ def _resolve_relative(module: str, is_package: bool, node: ast.ImportFrom) -> st
         base = base[:-drop] if drop <= len(base) else []
     suffix = node.module.split(".") if node.module else []
     return ".".join(base + suffix) if (base or suffix) else None
+
+
+#: Name of a package's PEP 562 re-export table (``repro._lazy``).
+_LAZY_TABLE = "_LAZY"
+
+
+def _lazy_reexports(module: str, node: ast.expr) -> dict[str, str]:
+    """``local name -> dotted target`` for a literal ``_LAZY`` table.
+
+    ``{"f": "pkg.mod"}`` re-exports ``pkg.mod.f`` just as ``from pkg.mod
+    import f`` would; an entry naming ``<module>.<name>`` is that
+    submodule itself.  A table that is not a literal ``str -> str`` dict
+    yields nothing (never a wrong target).
+    """
+    if not isinstance(node, ast.Dict):
+        return {}
+    out: dict[str, str] = {}
+    for key, value in zip(node.keys, node.values):
+        if not (
+            isinstance(key, ast.Constant) and isinstance(key.value, str)
+            and isinstance(value, ast.Constant) and isinstance(value.value, str)
+        ):
+            return {}
+        name, target = key.value, value.value
+        out[name] = target if target == f"{module}.{name}" else f"{target}.{name}"
+    return out
 
 
 def _literal_all(node: ast.Assign | ast.AugAssign) -> list[str] | None:
@@ -516,6 +544,9 @@ def extract_module_facts(
                 if isinstance(target, ast.Name):
                     if target.id == "__all__" and isinstance(stmt, ast.Assign):
                         facts.exports = _literal_all(stmt)
+                    if target.id == _LAZY_TABLE and stmt.value is not None:
+                        for local, dotted in _lazy_reexports(module, stmt.value).items():
+                            facts.imports.setdefault(local, dotted)
                     facts.symbols.setdefault(target.id, "var")
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             facts.symbols[stmt.name] = "func"

@@ -53,45 +53,58 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from repro.bench import Sweep, time_callable
-from repro.core import (
-    ALL_INVARIANTS,
-    count_butterflies,
-    count_butterflies_unblocked,
-    k_tip,
-    k_wing,
-)
-from repro.graphs import (
-    BipartiteGraph,
-    dataset_names,
-    graph_stats,
-    load_dataset,
-    load_konect,
-)
-from repro.metrics import bipartite_clustering_coefficient
+if TYPE_CHECKING:
+    from repro.graphs import BipartiteGraph
+
+# Every handler imports what it runs, so a command pays only for its own
+# modules: ``count`` never loads the pool, the peels, the stream tier,
+# the analyzer or the bench harness (pinned by tests/test_import_set.py).
 
 __all__ = ["main", "build_parser"]
 
 
 def _load(spec: str) -> BipartiteGraph:
+    """The graph named by a GRAPH argument (path, dataset:NAME, empty:MxN)."""
     if spec.startswith("dataset:"):
-        return load_dataset(spec.split(":", 1)[1])
+        from repro.graphs import load_dataset
+
+        try:
+            return load_dataset(spec.split(":", 1)[1])
+        except KeyError as exc:  # an unknown name is bad input
+            raise ValueError(exc.args[0]) from None
     if spec.startswith("empty:"):
+        from repro.graphs import BipartiteGraph
+
         # empty:MxN — a fresh edge-free graph for stream replays
         dims = spec.split(":", 1)[1]
         try:
             m, n = (int(part) for part in dims.lower().split("x"))
         except ValueError:
-            raise SystemExit(
+            raise ValueError(
                 f"bad empty-graph spec {spec!r}; expected empty:MxN"
             ) from None
         return BipartiteGraph.empty(m, n)
+    from repro.graphs import load_konect
+
     return load_konect(spec)
+
+
+def _non_negative(text: str) -> int:
+    """argparse type: an int >= 0 (a negative ``--top`` would slice from
+    the end)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree (exposed for the CLI tests)."""
+    # the dataset table only: no generator loads until a dataset is built
+    from repro.graphs import dataset_names
+
     p = argparse.ArgumentParser(
         prog="repro-butterfly",
         description="Butterfly counting and peeling for bipartite graphs "
@@ -313,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--mode", choices=("tip", "wing"), default="tip")
     p_dec.add_argument("--side", choices=("left", "right"), default="left")
     p_dec.add_argument(
-        "--top", type=int, default=10, help="show the N highest-numbered items"
+        "--top", type=_non_negative, default=10,
+        help="show the N highest-numbered items",
     )
 
     p_gen = sub.add_parser(
@@ -429,6 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_info(args) -> int:
+    from repro.core import count_butterflies
+    from repro.graphs import graph_stats
+    from repro.metrics import bipartite_clustering_coefficient
+
     g = _load(args.graph)
     stats = graph_stats(g)
     count = count_butterflies(g)
@@ -532,6 +550,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_peel(args) -> int:
     from repro import engine
+    from repro.core import k_tip, k_wing
 
     g = _load(args.graph)
     plan = engine.plan(g, args.mode, side=args.side, k=args.k)
@@ -622,6 +641,10 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from repro.bench import Sweep, time_callable
+    from repro.core import ALL_INVARIANTS, count_butterflies_unblocked
+    from repro.graphs import load_dataset
+
     g = load_dataset(args.dataset)
     sweep = Sweep(title=f"dataset {args.dataset}, strategy {args.strategy}")
     for inv in ALL_INVARIANTS:

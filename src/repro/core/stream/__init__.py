@@ -16,24 +16,23 @@ This package holds the dynamic/streaming subsystem:
   serialisation with typed error hierarchy.
 """
 
-from repro.core.stream.counter import (
-    STREAM_APPLY_STRATEGIES,
-    StreamingButterflyCounter,
-)
-from repro.core.stream.dynamic import DynamicButterflyCounter
-from repro.core.stream.estimator import (
-    DEFAULT_VARIANCE_SCALE,
-    StreamingEstimator,
-    calibrate_variance,
-)
-from repro.core.stream.hybrid import HybridStreamCounter
-from repro.core.stream.snapshot import (
-    SnapshotChecksumError,
-    SnapshotError,
-    SnapshotFormatError,
-    SnapshotTruncatedError,
-    SnapshotVersionError,
-)
+from repro._lazy import lazy_exports
+
+_LAZY = {
+    "STREAM_APPLY_STRATEGIES": "repro.core.stream.counter",
+    "StreamingButterflyCounter": "repro.core.stream.counter",
+    "DynamicButterflyCounter": "repro.core.stream.dynamic",
+    "DEFAULT_VARIANCE_SCALE": "repro.core.stream.estimator",
+    "StreamingEstimator": "repro.core.stream.estimator",
+    "calibrate_variance": "repro.core.stream.estimator",
+    "HybridStreamCounter": "repro.core.stream.hybrid",
+    "SnapshotChecksumError": "repro.core.stream.snapshot",
+    "SnapshotError": "repro.core.stream.snapshot",
+    "SnapshotFormatError": "repro.core.stream.snapshot",
+    "SnapshotTruncatedError": "repro.core.stream.snapshot",
+    "SnapshotVersionError": "repro.core.stream.snapshot",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
 __all__ = [
     "StreamingButterflyCounter",

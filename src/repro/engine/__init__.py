@@ -38,39 +38,36 @@ Layers:
   ledger behind :func:`drift_report` and :func:`calibrate_if_drifted`.
 """
 
-from repro.engine.calibration import (
-    DEFAULT_CALIBRATION_PATH,
-    DEFAULT_COEFFICIENTS,
-    CalibrationTable,
-    calibrate,
-    load_calibration,
-    save_calibration,
-)
-from repro.engine.drift import (
-    DEFAULT_DRIFT_LEDGER_PATH,
-    calibrate_if_drifted,
-    drift_report,
-    load_drift,
-    plan_fingerprint,
-    record_drift,
-    render_drift_report,
-)
+from repro._lazy import lazy_exports
 from repro.engine.execute import execute
-from repro.engine.plan import (
-    COUNT_STRATEGIES,
-    EXECUTORS,
-    STREAM_STRATEGIES,
-    WORKLOADS,
-    Plan,
-)
-from repro.engine.planner import (
-    DEFAULT_MAX_WORKERS,
-    DEFAULT_PLAN_BLOCK_BUDGET,
-    candidate_plans,
-    explain,
-    plan,
-    select_count_invariant,
-)
+from repro.engine.planner import plan
+
+_LAZY = {
+    "DEFAULT_CALIBRATION_PATH": "repro.engine.calibration",
+    "DEFAULT_COEFFICIENTS": "repro.engine.calibration",
+    "CalibrationTable": "repro.engine.calibration",
+    "calibrate": "repro.engine.calibration",
+    "load_calibration": "repro.engine.calibration",
+    "save_calibration": "repro.engine.calibration",
+    "DEFAULT_DRIFT_LEDGER_PATH": "repro.engine.drift",
+    "calibrate_if_drifted": "repro.engine.drift",
+    "drift_report": "repro.engine.drift",
+    "load_drift": "repro.engine.drift",
+    "plan_fingerprint": "repro.engine.drift",
+    "record_drift": "repro.engine.drift",
+    "render_drift_report": "repro.engine.drift",
+    "COUNT_STRATEGIES": "repro.engine.plan",
+    "EXECUTORS": "repro.engine.plan",
+    "STREAM_STRATEGIES": "repro.engine.plan",
+    "WORKLOADS": "repro.engine.plan",
+    "Plan": "repro.engine.plan",
+    "DEFAULT_MAX_WORKERS": "repro.engine.planner",
+    "DEFAULT_PLAN_BLOCK_BUDGET": "repro.engine.planner",
+    "candidate_plans": "repro.engine.planner",
+    "explain": "repro.engine.planner",
+    "select_count_invariant": "repro.engine.planner",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
 __all__ = [
     "Plan",

@@ -19,7 +19,6 @@ from __future__ import annotations
 import time
 
 from repro import obs
-from repro.engine.drift import record_drift
 from repro.engine.plan import Plan
 from repro.engine.planner import select_count_invariant
 from repro.graphs.bipartite import BipartiteGraph
@@ -81,7 +80,10 @@ def execute(
                 obs.observe("engine.predicted_ms", the_plan.est_ms)
             # persist predicted-vs-actual to the plan-drift ledger (a
             # no-op when the ledger is disabled or the plan unmodeled;
-            # see engine/drift.py)
+            # see engine/drift.py); imported here so a run with obs off
+            # never loads the ledger's statistics/hashlib stack
+            from repro.engine.drift import record_drift
+
             record_drift(the_plan, actual)
     return result
 

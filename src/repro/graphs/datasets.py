@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from repro.graphs.bipartite import BipartiteGraph
-from repro.graphs.generators import power_law_bipartite
+if TYPE_CHECKING:
+    from repro.graphs.bipartite import BipartiteGraph
 
 __all__ = ["DatasetSpec", "DATASETS", "dataset_names", "load_dataset", "paper_stats"]
 
@@ -56,6 +57,10 @@ class DatasetSpec:
 
     def generate(self) -> BipartiteGraph:
         """Materialise the graph (deterministic)."""
+        # imported here so the table (and ``dataset_names``, which the CLI
+        # parser calls on every command) costs no numpy import
+        from repro.graphs.generators import power_law_bipartite
+
         return power_law_bipartite(
             self.n_left,
             self.n_right,

@@ -45,6 +45,13 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _check_sizes(**sizes: int) -> None:
+    """Reject a negative vertex or edge count (it would build an empty graph)."""
+    for name, value in sizes.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def erdos_renyi_bipartite(
     n_left: int, n_right: int, p: float, seed=0
 ) -> BipartiteGraph:
@@ -83,6 +90,7 @@ def erdos_renyi_bipartite(
 
 def gnm_bipartite(n_left: int, n_right: int, n_edges: int, seed=0) -> BipartiteGraph:
     """Uniformly random bipartite graph with exactly ``n_edges`` edges."""
+    _check_sizes(n_left=n_left, n_right=n_right)
     total = n_left * n_right
     if n_edges < 0 or n_edges > total:
         raise ValueError(f"n_edges must be in [0, {total}], got {n_edges}")
@@ -168,6 +176,7 @@ def power_law_bipartite(
     """
     if gamma_left <= 1 or gamma_right <= 1:
         raise ValueError("power-law exponents must exceed 1")
+    _check_sizes(n_left=n_left, n_right=n_right, n_edges=n_edges)
     ranks_l = np.arange(1, n_left + 1, dtype=np.float64)
     ranks_r = np.arange(1, n_right + 1, dtype=np.float64)
     lw = ranks_l ** (-1.0 / (gamma_left - 1.0))

@@ -58,17 +58,10 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
+from repro._lazy import lazy_exports
 from repro.obs.metrics import GAUGE_POLICIES, Counter, Gauge, Histogram, Metrics
-from repro.obs.sinks import (
-    JsonlSink,
-    MemorySink,
-    flush,
-    jsonl_runs,
-    read_jsonl,
-    render_table,
-    snapshot_records,
-)
 from repro.obs.trace import (
     Span,
     Tracer,
@@ -76,15 +69,30 @@ from repro.obs.trace import (
     current_span,
     span_tree,
 )
-from repro.obs import profile as _profile
-from repro.obs.profile import (
-    DEFAULT_PROFILE_HZ,
-    Profiler,
-    SampleBuffer,
-    collapsed_stacks,
-    parse_collapsed,
-)
-from repro.obs.export import chrome_trace, write_chrome_trace
+
+if TYPE_CHECKING:
+    from repro.obs.profile import Profiler
+
+# sinks (its run ids import ``secrets``, hence hmac and hashlib), the
+# sampling profiler and the Chrome exporter load on first use: a run
+# that records nothing never imports them
+_LAZY = {
+    "JsonlSink": "repro.obs.sinks",
+    "MemorySink": "repro.obs.sinks",
+    "flush": "repro.obs.sinks",
+    "jsonl_runs": "repro.obs.sinks",
+    "read_jsonl": "repro.obs.sinks",
+    "render_table": "repro.obs.sinks",
+    "snapshot_records": "repro.obs.sinks",
+    "DEFAULT_PROFILE_HZ": "repro.obs.profile",
+    "Profiler": "repro.obs.profile",
+    "SampleBuffer": "repro.obs.profile",
+    "collapsed_stacks": "repro.obs.profile",
+    "parse_collapsed": "repro.obs.profile",
+    "chrome_trace": "repro.obs.export",
+    "write_chrome_trace": "repro.obs.export",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
 __all__ = [
     "Metrics",
@@ -204,13 +212,15 @@ def capture():
             spans = obs.trace_records()     # read the trace inside
         assert metrics.value("blocked.panels") > 0
     """
+    from repro.obs import profile
+
     global _enabled, _REGISTRY, _TRACER
     previous_registry, previous_enabled = _REGISTRY, _enabled
     previous_tracer = _TRACER
     fresh = Metrics()
     _REGISTRY = fresh
     _TRACER = Tracer()
-    previous_samples = _profile.swap_buffer(SampleBuffer())
+    previous_samples = profile.swap_buffer(profile.SampleBuffer())
     if not _FORCED_OFF:
         _enabled = True
     try:
@@ -218,7 +228,7 @@ def capture():
     finally:
         _REGISTRY = previous_registry
         _TRACER = previous_tracer
-        _profile.swap_buffer(previous_samples)
+        profile.swap_buffer(previous_samples)
         _enabled = previous_enabled
 
 
@@ -336,11 +346,13 @@ def worker_delta() -> dict[str, dict]:
     drained, so consecutive tasks in one worker ship disjoint windows);
     :func:`merge_snapshot` pops them back out on the owner side.
     """
+    from repro.obs import profile
+
     delta = _REGISTRY.snapshot()
     spans = _TRACER.drain()
     if spans:
         delta[TRACE_DELTA_KEY] = {"type": "spans", "spans": spans}
-    sampled = _profile.drain_samples()
+    sampled = profile.drain_samples()
     if sampled:
         delta[PROFILE_DELTA_KEY] = {"type": "profile", "samples": sampled}
     return delta
@@ -372,24 +384,32 @@ def merge_snapshot(
     if trace_part is not None:
         _TRACER.extend(adopt_spans(trace_part.get("spans", []), parent))
     if profile_part is not None:
-        _profile.ingest_samples(profile_part.get("samples", []), parent)
+        from repro.obs import profile
+
+        profile.ingest_samples(profile_part.get("samples", []), parent)
     _REGISTRY.merge(delta)
 
 
 def reset() -> None:
     """Clear the registry, the span ring buffer and the profile samples."""
+    from repro.obs import profile
+
     _REGISTRY.reset()
     _TRACER.clear()
-    _profile.clear_samples()
+    profile.clear_samples()
 
 
 def render(title: str | None = None) -> str:
     """Human table of the current registry."""
+    from repro.obs.sinks import render_table
+
     return render_table(_REGISTRY, title=title)
 
 
 def dump_jsonl(path, run: str | None = None, **meta) -> list[dict]:
     """Append the current registry to ``path`` as JSON lines."""
+    from repro.obs.sinks import JsonlSink, flush
+
     return flush(_REGISTRY, JsonlSink(path), run=run, **meta)
 
 
@@ -399,6 +419,8 @@ def dump_trace(path, **meta) -> dict:
     Load the file at https://ui.perfetto.dev or ``chrome://tracing``.
     Returns the written payload (``{"traceEvents": [...], ...}``).
     """
+    from repro.obs.export import write_chrome_trace
+
     if _TRACER.dropped:
         meta.setdefault("dropped_spans", _TRACER.dropped)
     return write_chrome_trace(path, _TRACER.records(), **meta)
@@ -415,17 +437,25 @@ def start_profiler(hz: float | None = None) -> Profiler | None:
     :func:`span` of each thread; read them back with
     :func:`profile_samples` or export via :func:`dump_profile`.
     """
-    return _profile.start_profiler(hz=hz)
+    if not _enabled:  # not even the profiler module loads
+        return None
+    from repro.obs import profile
+
+    return profile.start_profiler(hz=hz)
 
 
 def stop_profiler() -> Profiler | None:
     """Stop the background sampling profiler, returning its handle."""
-    return _profile.stop_profiler()
+    from repro.obs import profile
+
+    return profile.stop_profiler()
 
 
 def profile_samples() -> list[dict]:
     """Snapshot list (oldest first) of the buffered profile samples."""
-    return _profile.samples()
+    from repro.obs import profile
+
+    return profile.samples()
 
 
 def dump_profile(path) -> str:
@@ -434,4 +464,6 @@ def dump_profile(path) -> str:
     The format ``flamegraph.pl`` and https://speedscope.app ingest
     directly; returns the written text.
     """
-    return _profile.write_collapsed(path)
+    from repro.obs import profile
+
+    return profile.write_collapsed(path)

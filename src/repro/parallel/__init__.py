@@ -14,12 +14,17 @@ See ``docs/api.md`` ("Parallel execution") for the usage guide and
 ``DESIGN.md`` for the lifecycle discipline.
 """
 
-from repro.parallel.executor import (
-    ButterflyExecutor,
-    get_default_executor,
-    shutdown_default_executors,
-)
-from repro.parallel.shm import SharedGraphBuffers, attach_graph, live_segment_names
+from repro._lazy import lazy_exports
+
+_LAZY = {
+    "ButterflyExecutor": "repro.parallel.executor",
+    "get_default_executor": "repro.parallel.executor",
+    "shutdown_default_executors": "repro.parallel.executor",
+    "SharedGraphBuffers": "repro.parallel.shm",
+    "attach_graph": "repro.parallel.shm",
+    "live_segment_names": "repro.parallel.shm",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
 __all__ = [
     "ButterflyExecutor",

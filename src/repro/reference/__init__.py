@@ -8,14 +8,15 @@ most auditable implementations in the repository; their role is
 2. the version of the code a reader holds next to the paper's figures.
 """
 
-from repro.reference.family_reference import (
-    butterflies_reference,
-    butterflies_reference_all_invariants,
-)
-from repro.reference.peeling_reference import (
-    k_tip_reference,
-    k_wing_reference,
-)
+from repro._lazy import lazy_exports
+
+_LAZY = {
+    "butterflies_reference": "repro.reference.family_reference",
+    "butterflies_reference_all_invariants": "repro.reference.family_reference",
+    "k_tip_reference": "repro.reference.peeling_reference",
+    "k_wing_reference": "repro.reference.peeling_reference",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
 __all__ = [
     "butterflies_reference",

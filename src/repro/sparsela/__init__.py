@@ -17,37 +17,42 @@ scipy.sparse is deliberately *not* used here; it appears only in
 :mod:`repro.baselines` as an independent cross-check.
 """
 
-from repro.sparsela.coo import PatternCOO
-from repro.sparsela.csc import PatternCSC
-from repro.sparsela.csr import PatternCSR
-from repro.sparsela._compressed import CompressedPattern, compress_pairs, expand_indptr
-from repro.sparsela.kernels import (
-    DEFAULT_KEYSPACE_CAP,
-    choose2,
-    choose2_sum,
-    gather_slices,
-    multiplicity_counts,
-    panel_choose2_per_owner,
-    panel_choose2_sum,
-    segment_sums,
-    spmv_pattern,
-    spmv_pattern_transposed,
-)
-from repro.sparsela import linalg, semiring
-from repro.sparsela.stack import hstack_patterns, vstack_patterns
-from repro.sparsela.semiring import (
-    ANY_PAIR,
-    PLUS_PAIR,
-    PLUS_TIMES,
-    Semiring,
-    ValuedCSR,
-    ewise_mult,
-    gram,
-    mxm,
-    reduce_scalar,
-    tril,
-    triu,
-)
+from repro._lazy import lazy_exports
+
+_LAZY = {
+    "PatternCOO": "repro.sparsela.coo",
+    "PatternCSC": "repro.sparsela.csc",
+    "PatternCSR": "repro.sparsela.csr",
+    "CompressedPattern": "repro.sparsela._compressed",
+    "compress_pairs": "repro.sparsela._compressed",
+    "expand_indptr": "repro.sparsela._compressed",
+    "DEFAULT_KEYSPACE_CAP": "repro.sparsela.kernels",
+    "choose2": "repro.sparsela.kernels",
+    "choose2_sum": "repro.sparsela.kernels",
+    "gather_slices": "repro.sparsela.kernels",
+    "multiplicity_counts": "repro.sparsela.kernels",
+    "panel_choose2_per_owner": "repro.sparsela.kernels",
+    "panel_choose2_sum": "repro.sparsela.kernels",
+    "segment_sums": "repro.sparsela.kernels",
+    "spmv_pattern": "repro.sparsela.kernels",
+    "spmv_pattern_transposed": "repro.sparsela.kernels",
+    "linalg": "repro.sparsela.linalg",
+    "semiring": "repro.sparsela.semiring",
+    "hstack_patterns": "repro.sparsela.stack",
+    "vstack_patterns": "repro.sparsela.stack",
+    "ANY_PAIR": "repro.sparsela.semiring",
+    "PLUS_PAIR": "repro.sparsela.semiring",
+    "PLUS_TIMES": "repro.sparsela.semiring",
+    "Semiring": "repro.sparsela.semiring",
+    "ValuedCSR": "repro.sparsela.semiring",
+    "ewise_mult": "repro.sparsela.semiring",
+    "gram": "repro.sparsela.semiring",
+    "mxm": "repro.sparsela.semiring",
+    "reduce_scalar": "repro.sparsela.semiring",
+    "tril": "repro.sparsela.semiring",
+    "triu": "repro.sparsela.semiring",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
 __all__ = [
     "Semiring",

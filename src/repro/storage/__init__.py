@@ -8,9 +8,17 @@ See :mod:`repro.storage.base` for the design rationale.  Public surface:
 - :class:`MmapCSR` — memory-mapped column files for out-of-core graphs.
 """
 
-from repro.storage.base import GraphStorage, LAYOUTS, make_storage, resolve_storage
-from repro.storage.mmapcsr import MmapCSR
-from repro.storage.raw import RawCSR
+from repro._lazy import lazy_exports
+
+_LAZY = {
+    "GraphStorage": "repro.storage.base",
+    "LAYOUTS": "repro.storage.base",
+    "make_storage": "repro.storage.base",
+    "resolve_storage": "repro.storage.base",
+    "MmapCSR": "repro.storage.mmapcsr",
+    "RawCSR": "repro.storage.raw",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
 __all__ = [
     "GraphStorage",

@@ -126,6 +126,59 @@ class TestCallGraph:
         )
         assert "repro.a:Thing.two" in callees(m, "repro.a:Thing.one")
 
+    def test_lazy_reexport_table_call(self):
+        # a package re-exporting through a PEP 562 ``_LAZY`` table
+        # (repro._lazy) resolves like ``from ... import`` re-exports
+        m = model_of(
+            {
+                "repro.pkg": """
+                from repro._lazy import lazy_exports
+
+                _LAZY = {"helper": "repro.pkg.impl", "impl": "repro.pkg.impl"}
+                __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
+                """,
+                "repro.pkg.impl": """
+                def helper():
+                    return 1
+                """,
+                "repro.b": """
+                from repro import pkg
+                from repro.pkg import helper, impl
+
+                def direct():
+                    return helper()
+
+                def through_package():
+                    return pkg.helper()
+
+                def through_submodule():
+                    return impl.helper()
+                """,
+            }
+        )
+        for caller in ("direct", "through_package", "through_submodule"):
+            assert callees(m, f"repro.b:{caller}") == ["repro.pkg.impl:helper"]
+
+    def test_non_literal_lazy_table_makes_no_edge(self):
+        m = model_of(
+            {
+                "repro.pkg": """
+                _LAZY = dict(helper="repro.pkg.impl")
+                """,
+                "repro.pkg.impl": """
+                def helper():
+                    return 1
+                """,
+                "repro.b": """
+                from repro.pkg import helper
+
+                def caller():
+                    return helper()
+                """,
+            }
+        )
+        assert callees(m, "repro.b:caller") == []
+
     def test_unresolvable_dynamic_call_makes_no_edge(self):
         m = model_of(
             {
@@ -277,6 +330,34 @@ class TestResourceLifecycle:
         )
         assert len(findings) == 1
         assert findings[0].rule == "RPR009"
+
+    def test_acquirer_behind_lazy_reexport_flagged(self):
+        # the caller imports the acquirer through a package's lazy table
+        findings = project(
+            {
+                "repro.pool": """
+                _LAZY = {"acquire": "repro.pool.shm"}
+                """,
+                "repro.pool.shm": """
+                from multiprocessing.shared_memory import SharedMemory
+
+                def acquire(name):
+                    shm = SharedMemory(name=name)
+                    return shm
+                """,
+                "repro.user": """
+                from repro.pool import acquire
+
+                def drops(name):
+                    shm = acquire(name)
+                    return bytes(shm.buf[:4])
+                """,
+            },
+            rules=["RPR009"],
+        )
+        assert [(f.rule, f.path) for f in findings] == [
+            ("RPR009", "<memory:repro.user>")
+        ]
 
     def test_noqa_suppresses(self):
         findings, suppressed = analysis.analyze_sources(

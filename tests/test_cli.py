@@ -205,12 +205,25 @@ def test_bench_smallest_dataset(capsys):
         (["explain", "{tmp}/g.tsv", "--workers", "0"], "n_workers must be >= 1"),
         (["decompose", "{tmp}/g.tsv", "--workers", "2"],
          "unrecognized arguments"),
+        (["count", "dataset:nope"], "unknown dataset 'nope'"),
+        (["info", "dataset:nope"], "unknown dataset 'nope'"),
+        (["peel", "dataset:nope", "--k", "1"], "unknown dataset 'nope'"),
+        (["explain", "dataset:nope"], "unknown dataset 'nope'"),
+        (["decompose", "{tmp}/g.tsv", "--top", "-1"], "must be >= 0"),
+        (["generate", "{tmp}/out.tsv", "--n-left", "-1", "--n-right", "5",
+          "--edges", "10"], "n_left must be >= 0"),
+        (["generate", "{tmp}/out.tsv", "--n-left", "5", "--n-right", "5",
+          "--edges", "-3"], "n_edges must be >= 0"),
+        (["stream", "empty:axb", "{tmp}/g.tsv"], "bad empty-graph spec"),
     ],
     ids=["unknown-rule", "missing-scan-path", "missing-graph",
          "peel-mmap-storage", "count-reorder-storage", "explain-tip-mmap",
          "explain-vertex-counts-pool", "count-zero-workers",
          "count-negative-workers", "explain-zero-workers",
-         "decompose-workers"],
+         "decompose-workers", "count-unknown-dataset", "info-unknown-dataset",
+         "peel-unknown-dataset", "explain-unknown-dataset",
+         "decompose-negative-top", "generate-negative-n-left",
+         "generate-negative-edges", "stream-bad-empty-spec"],
 )
 def test_bad_input_exits_2_without_traceback(argv, reason, tmp_path, capsys):
     """Bad input is a usage error (exit 2), distinct from findings (exit 1).
@@ -259,17 +272,3 @@ def test_closed_stdout_pipe_exits_141_without_error(tmp_path):
         err = proc.stderr.read().decode()
     assert (code, err) == (141, "")
 
-
-def test_cli_import_pulls_in_no_http_server():
-    """``import repro.cli`` stays free of ``http.server``/``socketserver``:
-    every CLI call pays for what the import graph drags in."""
-    code = (
-        "import sys, repro.cli; "
-        "print(sorted({'http.server', 'socketserver'} & set(sys.modules)))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env=_cli_subprocess_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
