@@ -21,6 +21,11 @@ compressed index arrays, so the only dtypes that matter are:
     accumulator: the table exists only under a byte cap that keeps every
     stored value below 2³¹, and each multiplicity is widened to
     ``COUNT_DTYPE`` before its C(c, 2) product.
+
+``BITMAP_DTYPE``
+    ``uint8`` bytes of the stream probe's per-phase row bitmap, 8
+    adjacency bits each.  Storage only: a byte is only shifted and
+    masked down to one bit, never summed or counted.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ COUNT_DTYPE = np.int64
 
 #: dtype of the pair table's partner ids and multiplicities (storage only).
 PAIR_DTYPE = np.int32
+
+#: dtype of bit-packed adjacency rows: 8 bits per byte (storage only).
+BITMAP_DTYPE = np.uint8
 
 #: numpy array aliases used in annotations throughout the package.
 IndexArray = np.ndarray

@@ -29,10 +29,25 @@ steps, all sized by the batch's wedge footprint rather than the graph:
    sorted batch keys.  The kept rows are exactly the ``(pair, y)``
    rows; grouped by canonical pair key ``min·n + max`` they give ``d``.
 2. **Baseline probe (X)** — gather the *smaller* ``S``-adjacency of
-   each touched pair and binary-search the implied edge keys against
-   ``S``'s sorted edge-key array.  Each hit is one ``(pair, x)`` row
-   (the packed key holds the mid), so ``b`` is the per-pair hit count.
-   Work is ``Σ min(deg u, deg w) · log |E|``.
+   each touched pair (its *probe* end) and test every mid against the
+   *other* end's row in ``S``.  Each hit is one ``(pair, x)`` row, so
+   ``b`` is the per-pair hit count.  Two paths, built per phase and
+   kept by nothing across batches:
+
+   - *bitmap rows* — an ``other`` row queried at least as often as its
+     degree (Σ of its pairs' probe lengths ≥ ``deg_S``) gets one
+     bit-packed row of ``⌈n_mid / 8⌉`` bytes in a ``uint8`` bitmap set
+     from its ``S`` row; each of its entries is then one byte gather and
+     one shift.  The bitmap is capped at 8 bytes per probe entry (the
+     int64 key the search would build), the most-queried rows first;
+   - *sorted search* — the remaining entries' edge keys, packed with
+     their pair index and sorted (argsorted past the int64 key space),
+     are binary-searched against ``S``'s sorted edge-key array.
+
+   Work is ``Σ deg_S(r)`` to set the bitmap rows ``r`` — no more than
+   their queries — plus one gather per bitmap entry and ``O(k log |E|)``
+   for the ``k`` searched entries; ``Σ min(deg u, deg w)`` entries in
+   all.
 3. **Closed-form update** — scatter ``ΔC2`` to both pair endpoints,
    ``d`` to every hit mid and ``b + d − 1`` to every emitted mid; ``ΔΞ``
    is ``Σ ΔC2``.
@@ -65,9 +80,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro._types import COUNT_DTYPE, INDEX_DTYPE
+from repro._types import BITMAP_DTYPE, COUNT_DTYPE, INDEX_DTYPE
 from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela import PatternCSC, PatternCSR
+from repro.sparsela.coo import integral_ids
 from repro.sparsela.kernels import choose2, gather_slices
 
 __all__ = [
@@ -79,17 +95,20 @@ __all__ = [
 #: the same vocabulary the engine's ``stream_apply`` workload plans over.
 STREAM_APPLY_STRATEGIES: tuple[str, ...] = ("incremental", "recount")
 
+
 def _as_edge_array(edges) -> np.ndarray:
-    """Normalise an edge iterable / (e, 2) array to an int64 (e, 2) array."""
-    if isinstance(edges, np.ndarray):
-        arr = edges.astype(np.int64, copy=False)
-    else:
-        arr = np.asarray(list(edges), dtype=np.int64)
+    """Normalise an edge iterable / (e, 2) array to an int64 (e, 2) array.
+
+    Ids pass the graph constructor's check (:func:`integral_ids`), so a
+    fractional, non-finite, bool or text id raises ``ValueError`` naming
+    its row instead of being truncated.
+    """
+    arr = edges if isinstance(edges, np.ndarray) else np.asarray(list(edges))
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("edge batch must have shape (e, 2)")
-    return arr
+    return integral_ids(arr).astype(np.int64, copy=False)
 
 
 def _in_sorted(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
@@ -126,6 +145,74 @@ def _leg_keys(pivots, mids, n_side: int, n_mid: int, pairs_on_left: bool):
     return mids * np.int64(n_side) + pivots
 
 
+#: A row the probe tests (a pair's ``other`` endpoint) gets a bitmap row
+#: when its queries — Σ ``cnt`` over the pairs testing it — reach this
+#: multiple of its degree, the bits its bitmap row costs to set.  Read at
+#: call time, so a test can force a bitmap row for every tested row (0,
+#: with the byte cap below lifted) or for none (the cap at 0).
+_BITMAP_QUERY_RATIO: float = 1.0
+
+#: Bitmap bytes a phase may spend per probe entry: 8, the int64 edge key
+#: the sorted search would build for that entry, so the bitmap never
+#: raises the probe's peak memory.  Past the cap the most-queried rows
+#: keep their bitmap rows.  Read at call time (see above).
+_BITMAP_BYTES_PER_ENTRY: int = 8
+
+#: Largest packed (edge key, pair) value the sorted search sorts
+#: directly; a wider key space argsorts the edge keys instead.  Read at
+#: call time, so a test can force that path.
+_PACKED_KEY_LIMIT: int = int(np.iinfo(np.int64).max)
+
+
+def _row_bitmap(small_pm, rows: np.ndarray, row_bytes: int) -> np.ndarray:
+    """Bit-packed adjacency of the sorted ``rows``, ``row_bytes`` per row.
+
+    Row ``i`` spans bytes ``[i·row_bytes, (i+1)·row_bytes)``; bit
+    ``mid & 7`` of byte ``mid >> 3`` is set when ``(rows[i], mid)`` is an
+    edge.  Rows are ascending and each row's mids sorted, so the byte
+    offsets arrive sorted and one ``bitwise_or.reduceat`` sets them.
+    """
+    bitmap = np.zeros(rows.size * row_bytes, dtype=BITMAP_DTYPE)
+    lengths = small_pm.indptr[rows + 1] - small_pm.indptr[rows]
+    mids = gather_slices(small_pm.indptr, small_pm.indices, rows)
+    if mids.size == 0:
+        return bitmap
+    offsets = np.arange(rows.size, dtype=INDEX_DTYPE) * row_bytes
+    byte = np.repeat(offsets, lengths) + (mids >> 3)
+    bits = np.left_shift(BITMAP_DTYPE(1), (mids & 7).astype(BITMAP_DTYPE))
+    first = np.empty(byte.size, dtype=bool)
+    first[0] = True
+    np.not_equal(byte[1:], byte[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    bitmap[byte[starts]] = np.bitwise_or.reduceat(bits, starts)
+    return bitmap
+
+
+def _bitmap_rows(small_pm, other, cnt, row_bytes: int):
+    """The phase's bitmap rows (ascending) and each pair's slot among them.
+
+    A row earns a bitmap row when its queries reach
+    :data:`_BITMAP_QUERY_RATIO` × its degree; past the byte cap the
+    most-queried rows win.  A pair whose ``other`` row has none gets
+    slot −1.
+    """
+    budget = _BITMAP_BYTES_PER_ENTRY * int(cnt.sum(dtype=COUNT_DTYPE))
+    max_rows = budget // row_bytes
+    if max_rows == 0 or other.size == 0:
+        return other[:0], np.full(other.size, -1, dtype=INDEX_DTYPE)
+    queries = np.bincount(other, weights=cnt)
+    degree = np.diff(small_pm.indptr[: queries.size + 1])
+    rows = np.flatnonzero(
+        (queries > 0) & (queries >= _BITMAP_QUERY_RATIO * degree)
+    )
+    if rows.size > max_rows:
+        top = np.argsort(-queries[rows], kind="stable")[:max_rows]
+        rows = np.sort(rows[top])
+    slot = np.full(queries.size, -1, dtype=INDEX_DTYPE)
+    slot[rows] = np.arange(rows.size, dtype=INDEX_DTYPE)
+    return rows, slot[other]
+
+
 def _probe_common_mids(
     small_pm,
     small_edge_keys: np.ndarray,
@@ -137,9 +224,11 @@ def _probe_common_mids(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Common mids of every pair in the small graph, as hit rows.
 
-    Gathers only the smaller adjacency of each pair and binary-searches
-    the implied edge keys; work ``Σ min(deg u, deg w) · log |E|``.
-    Returns ``(pair index, mid)`` of every hit — one row per common mid.
+    Gathers only the smaller adjacency of each pair (the *probe* end) and
+    tests each of its mids against the other end's row: by one bit of
+    the phase bitmap when that row has a bitmap row, else by one sorted
+    binary search of the implied edge keys.  Returns ``(pair index,
+    mid)`` of every hit — one row per common mid, in no fixed order.
     """
     n_pairs = u_arr.size
     cnt_u = small_pm.indptr[u_arr + 1] - small_pm.indptr[u_arr]
@@ -148,26 +237,53 @@ def _probe_common_mids(
     probe = np.where(take_u, u_arr, w_arr)
     other = np.where(take_u, w_arr, u_arr)
     cnt = np.where(take_u, cnt_u, cnt_w)
-    mids = gather_slices(small_pm.indptr, small_pm.indices, probe)
-    owner = np.repeat(np.arange(n_pairs, dtype=INDEX_DTYPE), cnt)
+    row_bytes = (n_mid + 7) >> 3
+    rows, pair_slot = _bitmap_rows(small_pm, other, cnt, row_bytes)
+    on_map = pair_slot >= 0
+
+    # bitmap rows: one gather and one shift per entry
+    mapped = np.flatnonzero(on_map)
+    bitmap = _row_bitmap(small_pm, rows, row_bytes)
+    map_cnt = cnt[mapped]
+    map_mids = gather_slices(small_pm.indptr, small_pm.indices, probe[mapped])
+    map_owner = np.repeat(mapped, map_cnt)
+    byte = np.repeat(pair_slot[mapped] * row_bytes, map_cnt)
+    byte += map_mids >> 3
+    bit = np.right_shift(bitmap[byte], (map_mids & 7).astype(BITMAP_DTYPE))
+    # (hits are ~1 in 8 entries: index them, a boolean mask is slower)
+    map_hits = np.flatnonzero(bit & BITMAP_DTYPE(1))
+
+    # the rest: pack (edge key, pair), sort, one sorted binary search
+    rest = np.flatnonzero(~on_map)
+    rest_cnt = cnt[rest]
+    mids = gather_slices(small_pm.indptr, small_pm.indices, probe[rest])
+    owner = np.repeat(rest, rest_cnt)
     edge_keys = _leg_keys(
-        np.repeat(other, cnt), mids, n_side, n_mid, pairs_on_left
+        np.repeat(other[rest], rest_cnt), mids, n_side, n_mid, pairs_on_left
     )
-    # searchsorted over random probe order is branch-miss bound; for big
-    # probe sets, packing (key, owner) and sorting first is ~5x faster
-    key_space = np.int64(n_side) * np.int64(n_mid)
-    if edge_keys.size > (1 << 16) and key_space < (1 << 62) // max(n_pairs, 1):
-        packed = edge_keys * np.int64(n_pairs) + owner
+    if int(n_side) * int(n_mid) * max(n_pairs, 1) <= _PACKED_KEY_LIMIT:
+        packed = edge_keys * np.int64(n_pairs)
+        packed += owner
         packed.sort()
-        edge_keys = packed // np.int64(n_pairs)
-        owner = packed - edge_keys * np.int64(n_pairs)
-        hits = _in_sorted(edge_keys, small_edge_keys)
-        hit_keys = edge_keys[hits]
-        if pairs_on_left:
-            return owner[hits], hit_keys % np.int64(n_mid)
-        return owner[hits], hit_keys // np.int64(n_side)
-    hits = _in_sorted(edge_keys, small_edge_keys)
-    return owner[hits], mids[hits]
+        edge_keys, owner = np.divmod(packed, np.int64(n_pairs))
+    else:
+        order = np.argsort(edge_keys)
+        edge_keys, owner = edge_keys[order], owner[order]
+    hits = np.flatnonzero(_in_sorted(edge_keys, small_edge_keys))
+    hit_keys = edge_keys[hits]
+    if pairs_on_left:
+        hit_mids = hit_keys % np.int64(n_mid)
+    else:
+        hit_mids = hit_keys // np.int64(n_side)
+    if obs._enabled:
+        obs.inc("stream.apply.probe.bitmap_rows", int(rows.size))
+        obs.inc("stream.apply.probe.bitmap_entries", int(map_owner.size))
+        obs.inc("stream.apply.probe.search_entries", int(owner.size))
+        obs.observe("stream.apply.probe.bitmap_bytes", int(bitmap.nbytes))
+    return (
+        np.concatenate((map_owner[map_hits], owner[hits])),
+        np.concatenate((map_mids[map_hits], hit_mids)),
+    )
 
 
 def _side_delta(
@@ -312,8 +428,17 @@ class StreamingButterflyCounter:
         return bool(_in_sorted(np.asarray([key]), self._keys)[0])
 
     def vertex_count(self, vertex: int, side: str = "left") -> int:
-        """Current number of butterflies containing ``vertex``."""
-        return int(self._per_side(side)[vertex])
+        """Current number of butterflies containing ``vertex``.
+
+        ``IndexError`` when ``vertex`` is outside ``[0, n)`` of ``side``
+        (no negative indexing from the end).
+        """
+        counts = self._per_side(side)
+        if not 0 <= vertex < counts.size:
+            raise IndexError(
+                f"{side} vertex {vertex} out of range [0, {counts.size})"
+            )
+        return int(counts[vertex])
 
     def vertex_counts(self, side: str = "left") -> np.ndarray:
         """Copy of the maintained per-vertex count array for ``side``."""

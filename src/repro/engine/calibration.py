@@ -52,12 +52,12 @@ DEFAULT_CALIBRATION_PATH = os.path.join("results", "engine_calibration.json")
 #: is measured on the same host: ``stream_batch_ns`` is the median apply
 #: of a 3-edit batch on a 25x30 graph (~0.4 ms), and ``ns_per_op.stream``
 #: spreads the rest of the median apply of the seed-0 ``benchmarks/e2e``
-#: stream script (~27 ms for ~196k modeled ops, 500 inserts + 200 hub-
-#: weighted deletes per batch) over its modeled ops.
+#: stream script (~21 ms for ~196k modeled ops, 500 inserts + 200 hub-
+#: weighted deletes per batch, first 60 batches) over its modeled ops.
 DEFAULT_COEFFICIENTS: dict = {
     "ns_per_op": {
         "priority": 10.3,
-        "stream": 135.0,
+        "stream": 105.0,
     },
     "ns_per_edge": {
         "priority": 158.0,

@@ -322,6 +322,11 @@ def _stream_candidates(graph, cal, strategy, batch) -> list[Plan]:
     recount rebuilds every count with one per-vertex priority pass over
     both sides (Ξ falls out of the per-left sums), so it pays the
     priority wedge work and its per-vertex reduction once.
+
+    Pricing that work is itself an O(E) pass, so an unpinned recount row
+    is priced exactly only when it could win: its relabel floor (the
+    same estimate with zero wedges) already above the incremental
+    estimate leaves the row at that floor, marked pruned.
     """
     from repro.core.priority import priority_wedge_work
     from repro.core.workinfo import touched_wedge_work
@@ -338,7 +343,19 @@ def _stream_candidates(graph, cal, strategy, batch) -> list[Plan]:
             reason=f"delta-wedge maintenance touches ~{touched:,} wedges "
                    f"for {rows.size} edit(s) (+O(nnz) view rebuild)",
         ))
-    if strategy in (None, "recount"):
+    floor = (
+        _priority_seconds(graph, cal, 0) * _VERTEX_PASS_COST
+        + cal.stream_batch_ns * 1e-9
+    )
+    if strategy is None and floor > out[0].est_seconds:
+        out.append(row.with_(
+            strategy="recount", modeled_ops=int(graph.n_edges),
+            est_seconds=floor,
+            reason=f"from-scratch recount, pruned: its O(E) relabel floor "
+                   f"alone ({floor * 1e3:.3f} ms) exceeds the incremental "
+                   "estimate, so its wedge work is not priced",
+        ))
+    elif strategy in (None, "recount"):
         ops = priority_wedge_work(graph)
         out.append(row.with_(
             strategy="recount", modeled_ops=ops,
@@ -455,4 +472,8 @@ def explain(
             r[i].ljust(widths[i]) for i in range(len(header))
         ).rstrip())
     lines.append(f"chosen: {the_plan.label} — {the_plan.reason}")
+    lines.extend(
+        f"  vs {cand.label} — {cand.reason}"
+        for cand in the_plan.candidates or () if cand != the_plan
+    )
     return "\n".join(lines)

@@ -26,6 +26,7 @@ _LAZY = {
     "CompressedPattern": "repro.sparsela._compressed",
     "compress_pairs": "repro.sparsela._compressed",
     "expand_indptr": "repro.sparsela._compressed",
+    "integral_ids": "repro.sparsela.coo",
     "DEFAULT_KEYSPACE_CAP": "repro.sparsela.kernels",
     "choose2": "repro.sparsela.kernels",
     "choose2_sum": "repro.sparsela.kernels",
@@ -75,6 +76,7 @@ __all__ = [
     "CompressedPattern",
     "compress_pairs",
     "expand_indptr",
+    "integral_ids",
     "gather_slices",
     "multiplicity_counts",
     "choose2",

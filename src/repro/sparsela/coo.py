@@ -26,7 +26,7 @@ import numpy as np
 from repro._types import INDEX_DTYPE, as_index_array
 from repro.sparsela._compressed import sorted_unique_pairs
 
-__all__ = ["PatternCOO"]
+__all__ = ["PatternCOO", "integral_ids"]
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class PatternCOO:
         if arr.size:
             if arr.ndim != 2 or arr.shape[1] != 2:
                 raise ValueError(f"pairs must have shape (e, 2), got {arr.shape}")
-            arr = _integral_ids(arr)
+            arr = integral_ids(arr)
             rows, cols = arr[:, 0], arr[:, 1]
         else:
             rows = np.empty(0, dtype=INDEX_DTYPE)
@@ -192,8 +192,14 @@ class PatternCOO:
 _ID_LIMIT = float(2**63 - 1024)
 
 
-def _integral_ids(arr: np.ndarray) -> np.ndarray:
-    """``arr`` as integer ids; ``ValueError`` naming the first non-integral row."""
+def integral_ids(arr: np.ndarray) -> np.ndarray:
+    """``arr`` (an ``(e, 2)`` array) as integer ids.
+
+    Integer dtypes pass through unchanged and integral-valued floats are
+    cast to ``INDEX_DTYPE``; fractional, non-finite or out-of-range
+    floats, bools and anything else raise ``ValueError`` naming the first
+    offending row.  The one id check every edge-list entry point shares.
+    """
     if arr.dtype.kind in "iu":
         return arr
     if arr.dtype.kind == "f":

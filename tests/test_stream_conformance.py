@@ -18,6 +18,9 @@ Sources of scripts:
 - the two probe sides forced against each other: each incremental phase
   pivots on one side and credits both, so pinning left and pinning right
   must give identical stats and arrays after every batch;
+- the probe's two paths forced against each other on both sides: a
+  bitmap row for every tested row, for none (sorted search only, also
+  with its argsort fallback) and the rule's own mix;
 - hand-written adversarial cases (re-insert after delete,
   delete-then-insert inside one batch, hub-heavy batches, empty batches,
   intra-batch duplicates);
@@ -29,6 +32,7 @@ Sources of scripts:
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from itertools import combinations
 
 import numpy as np
@@ -320,6 +324,152 @@ def test_mixed_batch_insert_wins_over_delete():
         [("+", 2, 2), ("-", 2, 2)],
     )
     assert counter.has_edge(2, 2)
+
+
+@pytest.mark.parametrize(
+    ("vertex", "side", "error"),
+    [
+        (-1, "left", IndexError),
+        (3, "left", IndexError),
+        (-3, "right", IndexError),
+        (4, "right", IndexError),
+        (0, "top", ValueError),
+    ],
+    ids=["minus-one", "n-left", "minus-n", "n-right", "bad-side"],
+)
+def test_vertex_count_is_bounds_checked(vertex, side, error):
+    """No numpy wrap-around: -1 is not the last vertex."""
+    counter = StreamingButterflyCounter(BipartiteGraph.complete(3, 4))
+    with pytest.raises(error):
+        counter.vertex_count(vertex, side)
+    assert counter.vertex_count(2) == counter.vertex_counts("left")[2]
+
+
+@pytest.mark.parametrize("kind", ["insert", "delete"])
+@pytest.mark.parametrize(
+    ("edges", "bad_row"),
+    [
+        (np.array([[2.7, 0.9]]), 0),
+        (np.array([[0.0, 1.0], [1.0, 0.5]]), 1),
+        (np.array([[True, False]]), 0),
+        ([(0, 1), (1.5, 2)], 1),
+        ([(np.nan, 0)], 0),
+        ([("a", "b")], 0),
+    ],
+    ids=["fraction", "second-row", "bool-array", "float-tuple", "nan", "text"],
+)
+def test_non_integral_batch_ids_rejected_naming_the_row(kind, edges, bad_row):
+    """A batch passes the same id check as the graph constructor: nothing
+    is truncated into a different edge, and nothing is applied."""
+    g = BipartiteGraph.complete(3, 3)
+    counter = StreamingButterflyCounter(g)
+    with pytest.raises(ValueError, match=f"must be integers.*row {bad_row}"):
+        counter.apply(**{kind: edges})
+    assert counter.n_edges == g.n_edges and counter.last_stats is None
+
+
+def test_integral_float_batch_ids_accepted():
+    counter = StreamingButterflyCounter(BipartiteGraph.empty(3, 3))
+    counter.apply(insert=np.array([[2.0, 0.0], [1.0, 1.0]]))
+    assert counter.has_edge(2, 0) and counter.has_edge(1, 1)
+    counter.apply(delete=[(2.0, 0.0)])
+    assert not counter.has_edge(2, 0) and counter.n_edges == 1
+
+
+# ----------------------------------------------------------------------
+# the common-mid probe: bitmap rows against the sorted search
+# ----------------------------------------------------------------------
+#: Probe bounds (module names in ``counter``) forcing each probe path:
+#: the rule's own mix, a bitmap row for every tested row, none (all
+#: sorted search), and none with the argsort fallback of the search.
+PROBE_MODES = {
+    "rule": {},
+    "all-bitmap": {
+        "_BITMAP_QUERY_RATIO": 0.0, "_BITMAP_BYTES_PER_ENTRY": 1 << 40,
+    },
+    "no-bitmap": {"_BITMAP_BYTES_PER_ENTRY": 0},
+    "no-bitmap-argsort": {"_BITMAP_BYTES_PER_ENTRY": 0, "_PACKED_KEY_LIMIT": 0},
+}
+
+
+@contextmanager
+def _probe_bounds(mode):
+    """Set the counter module's probe bounds for one ``apply`` call."""
+    saved = {name: getattr(stream_counter, name) for name in PROBE_MODES[mode]}
+    for name, value in PROBE_MODES[mode].items():
+        setattr(stream_counter, name, value)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(stream_counter, name, value)
+
+
+def _assert_probe_modes_agree(g, ops):
+    """Every probe mode on both probe sides: identical stats and arrays
+    after every batch, equal to a recount."""
+    shape = (g.n_left, g.n_right)
+    runs = {}
+    for mode in PROBE_MODES:
+        for side in ("left", "right"):
+            counter = StreamingButterflyCounter(g)
+            counter._probe_side = side
+            runs[mode, side] = counter
+    edges = {tuple(map(int, e)) for e in g.edges()}
+    for batch_no, (insert, delete) in enumerate(iter_batches(ops)):
+        stats = set()
+        for (mode, _), counter in runs.items():
+            with _probe_bounds(mode):
+                got = counter.apply(insert=insert, delete=delete)
+            stats.add(tuple(sorted(got.items())))
+        edges = (edges - set(delete)) | set(insert)
+        want_count, want_left, want_right = _reference_counts(shape, edges)
+        context = f"batch {batch_no} of:\n{format_script(ops)}"
+        assert len(stats) == 1, context
+        for counter in runs.values():
+            assert counter.count == want_count, context
+            assert np.array_equal(counter.vertex_counts("left"), want_left), context
+            assert np.array_equal(counter.vertex_counts("right"), want_right), context
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scripts())
+def test_probe_modes_agree(case):
+    name, ops = case
+    _assert_probe_modes_agree(CORPUS[name], ops)
+
+
+@pytest.mark.parametrize("name", ["star", "powerlaw", "planted"])
+def test_probe_modes_agree_on_hub_and_empty_batches(name):
+    """Hub deletes and re-inserts (one row answers every probe) between
+    empty batches, in every probe mode."""
+    g = CORPUS[name]
+    ops = [("flush",)]
+    for hub_ops in _hub_deletes(g):
+        ops += hub_ops + [("flush",), ("flush",)]
+        ops += [("+", u, v) for _, u, v in hub_ops] + [("flush",)]
+    _assert_probe_modes_agree(g, ops)
+
+
+def test_probe_modes_take_their_paths():
+    """The forced bounds really pick the path: every entry on the bitmap,
+    every entry searched, and the rule's mix using both."""
+    g = CORPUS["powerlaw"]
+    ops = _long_script(9, 400, g.n_left, g.n_right)
+    seen = {}
+    for mode in ("rule", "all-bitmap", "no-bitmap"):
+        with _probe_bounds(mode), obs.capture() as metrics:
+            _assert_script_conforms(g, ops)
+        seen[mode] = {
+            key: metrics.value(f"stream.apply.probe.{key}")
+            for key in ("bitmap_rows", "bitmap_entries", "search_entries")
+        }
+    assert seen["all-bitmap"]["search_entries"] == 0
+    assert seen["all-bitmap"]["bitmap_entries"] > 0
+    assert seen["no-bitmap"]["bitmap_rows"] == 0
+    assert seen["no-bitmap"]["bitmap_entries"] == 0
+    assert seen["rule"]["bitmap_entries"] > 0
+    assert seen["rule"]["search_entries"] > 0
 
 
 def _butterflies(edges):

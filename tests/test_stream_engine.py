@@ -93,6 +93,46 @@ def test_auto_plan_stays_incremental_on_a_skewed_script():
         assert chosen.strategy == "incremental"
 
 
+def test_pruned_recount_row_never_changes_the_choice(graph):
+    """Unpinned, the recount row is priced exactly only when its O(E)
+    floor could win; otherwise it stays at that floor, marked pruned.  On
+    every batch the choice must equal the exact one (the cheaper of the
+    two pinned rows), and a pinned recount still prices every wedge."""
+    cal = CalibrationTable()
+    pruned = exact = 0
+    for g, batches in (
+        (power_law_bipartite(30_000, 40_000, 120_000, seed=5), 8),
+        (graph, 4),
+    ):
+        wedges = priority_wedge_work(g)
+        for insert, delete in _skewed_script(g, batches):
+            batch = (insert, delete)
+            cands = engine.candidate_plans(
+                g, "stream_apply", batch=batch, calibration=cal
+            )
+            (inc,) = engine.candidate_plans(
+                g, "stream_apply", strategy="incremental", batch=batch,
+                calibration=cal,
+            )
+            (rec,) = engine.candidate_plans(
+                g, "stream_apply", strategy="recount", batch=batch,
+                calibration=cal,
+            )
+            assert rec.modeled_ops == wedges
+            (row,) = [c for c in cands if c.strategy == "recount"]
+            if "pruned" in row.reason:
+                pruned += 1
+                assert inc.est_seconds < row.est_seconds <= rec.est_seconds
+                assert row.modeled_ops == g.n_edges
+            else:
+                exact += 1
+                assert row == rec
+            want = min((inc, rec), key=lambda c: c.est_seconds).strategy
+            chosen = engine.plan(g, "stream_apply", batch=batch, calibration=cal)
+            assert chosen.strategy == cands[0].strategy == want
+    assert pruned and exact
+
+
 def test_a_fresh_calibration_keeps_the_skewed_script_incremental(tmp_path):
     """The calibrated stream pair must rank like the measurement: on this
     shape incremental batches run ~2-3x faster than a recount."""
