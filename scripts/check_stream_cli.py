@@ -1,11 +1,13 @@
-"""Replay every committed stream script through the ``stream`` CLI twice.
+"""Replay every committed stream script under three ``stream`` strategies.
 
 Each ``tests/data/stream_scripts/<m>x<n>__<name>.txt`` is replayed with
 
     python -m repro.cli stream empty:MxN SCRIPT --json --strategy incremental
     python -m repro.cli stream empty:MxN SCRIPT --json --strategy recount
+    python -m repro.cli stream empty:MxN SCRIPT --json --strategy auto
 
-and the two reports must agree on ``butterflies``, ``n_edges`` and every
+(``auto``, the CLI default, plans every batch through ``engine.plan``)
+and the three reports must agree on ``butterflies``, ``n_edges`` and every
 batch's ``created`` / ``destroyed``.  Exits 1 on any disagreement or CLI
 failure, 0 otherwise:
 
@@ -20,7 +22,7 @@ import sys
 from pathlib import Path
 
 SCRIPT_DIR = Path(__file__).resolve().parent.parent / "tests" / "data" / "stream_scripts"
-STRATEGIES = ("incremental", "recount")
+STRATEGIES = ("incremental", "recount", "auto")
 
 
 def replay(script: Path, strategy: str) -> dict:
@@ -35,7 +37,7 @@ def replay(script: Path, strategy: str) -> dict:
 
 
 def summary(report: dict) -> dict:
-    """The fields both strategies must agree on."""
+    """The fields every strategy must agree on."""
     return {
         "butterflies": report["butterflies"],
         "n_edges": report["n_edges"],
@@ -52,13 +54,17 @@ def main(argv: list[str]) -> int:
     failed = 0
     for script in scripts:
         try:
-            inc, rec = (summary(replay(script, s)) for s in STRATEGIES)
+            reports = {s: summary(replay(script, s)) for s in STRATEGIES}
         except subprocess.CalledProcessError as exc:
             print(f"FAIL {script.name}: exit {exc.returncode}\n{exc.stderr}")
             failed += 1
             continue
-        if inc != rec:
-            print(f"FAIL {script.name}: incremental {inc} != recount {rec}")
+        inc = reports[STRATEGIES[0]]
+        differ = [s for s in STRATEGIES[1:] if reports[s] != inc]
+        if differ:
+            print(f"FAIL {script.name}: " + " != ".join(
+                f"{s} {reports[s]}" for s in (STRATEGIES[0], *differ)
+            ))
             failed += 1
             continue
         print(

@@ -30,7 +30,7 @@ Package map:
 - :mod:`repro.graphs`    — graph container, generators, KONECT I/O, the
   synthetic Fig. 9 dataset stand-ins.
 - :mod:`repro.baselines` — independent oracles (brute force, scipy,
-  vertex-priority, degree-ordered, sampling estimators).
+  vertex-priority, degree-ordered).
 - :mod:`repro.metrics`   — butterfly-derived clustering metrics.
 - :mod:`repro.bench`     — the harness behind the ``benchmarks/`` suite.
 """
@@ -42,10 +42,8 @@ _LAZY = {
     "ALL_INVARIANTS": "repro.core",
     "INVARIANTS": "repro.core",
     "DynamicButterflyCounter": "repro.core",
-    "HybridStreamCounter": "repro.core",
     "Invariant": "repro.core",
     "StreamingButterflyCounter": "repro.core",
-    "StreamingEstimator": "repro.core",
     "iter_butterflies": "repro.core",
     "Reference": "repro.core",
     "Side": "repro.core",
@@ -106,8 +104,6 @@ __all__ = [
     "wing_numbers",
     "DynamicButterflyCounter",
     "StreamingButterflyCounter",
-    "StreamingEstimator",
-    "HybridStreamCounter",
     "iter_butterflies",
     # graphs
     "BipartiteGraph",

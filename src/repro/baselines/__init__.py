@@ -11,18 +11,9 @@ _LAZY = {
     "count_butterflies_degree_ordered": "repro.baselines.chiba_nishizeki",
     "count_butterflies_graphblas": "repro.baselines.graphblas_style",
     "wedge_matrix_graphblas": "repro.baselines.graphblas_style",
-    "AdaptiveEstimate": "repro.baselines.sampling",
-    "SampleEstimate": "repro.baselines.sampling",
-    "estimate_butterflies_adaptive": "repro.baselines.sampling",
-    "estimate_butterflies_edge_sampling": "repro.baselines.sampling",
-    "estimate_butterflies_wedge_sampling": "repro.baselines.sampling",
     "count_butterflies_scipy": "repro.baselines.scipy_reference",
     "vertex_counts_scipy": "repro.baselines.scipy_reference",
     "wedge_matrix_scipy": "repro.baselines.scipy_reference",
-    "estimate_butterflies_cspar": "repro.baselines.sparsify",
-    "estimate_butterflies_espar": "repro.baselines.sparsify",
-    "sparsify_bernoulli": "repro.baselines.sparsify",
-    "sparsify_colorful": "repro.baselines.sparsify",
     "count_butterflies_vertex_priority": "repro.baselines.vertex_priority",
     "priority_ranks": "repro.baselines.vertex_priority",
     "PartitionedCountResult": "repro.baselines.wang2014",
@@ -44,17 +35,8 @@ __all__ = [
     "count_butterflies_vertex_priority",
     "priority_ranks",
     "count_butterflies_degree_ordered",
-    "SampleEstimate",
-    "estimate_butterflies_edge_sampling",
-    "estimate_butterflies_wedge_sampling",
     "count_butterflies_graphblas",
     "wedge_matrix_graphblas",
-    "sparsify_bernoulli",
-    "sparsify_colorful",
-    "estimate_butterflies_espar",
-    "estimate_butterflies_cspar",
-    "AdaptiveEstimate",
-    "estimate_butterflies_adaptive",
     "count_butterflies_wang_baseline",
     "count_butterflies_wang_space_efficient",
     "count_butterflies_wang_partitioned",

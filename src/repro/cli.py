@@ -14,7 +14,7 @@
     repro-butterfly algorithms [--executor E] [--run GRAPH]  # the registry
     repro-butterfly generate   OUT --n-left M --n-right N --edges E
     repro-butterfly stats      --from-metrics metrics.jsonl  # render metrics
-    repro-butterfly stream     GRAPH SCRIPT [--estimate] [--snapshot-out P]
+    repro-butterfly stream     GRAPH SCRIPT [--strategy S] [--snapshot-out P]
 
 GRAPH is either a path to a KONECT-format edge list (optionally ``.gz``;
 see :mod:`repro.graphs.io`) or ``dataset:<name>`` for one of the synthetic
@@ -395,22 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         "model chooses between incremental and recount per batch)",
     )
     p_stream.add_argument(
-        "--estimate", action="store_true",
-        help="also run the FLEET-style reservoir sketch over the inserts "
-        "and print its estimate with a confidence interval",
-    )
-    p_stream.add_argument(
-        "--reservoir", type=int, default=2048,
-        help="sketch reservoir size across all groups (default 2048)",
-    )
-    p_stream.add_argument(
-        "--groups", type=int, default=8,
-        help="independent sketch groups (default 8)",
-    )
-    p_stream.add_argument(
-        "--seed", type=int, default=0, help="sketch RNG seed (default 0)"
-    )
-    p_stream.add_argument(
         "--snapshot-in", default=None, metavar="PATH",
         help="restore counter state from a snapshot file before replaying",
     )
@@ -752,29 +736,16 @@ def _cmd_stats(args) -> int:
 def _cmd_stream(args) -> int:
     """``repro-butterfly stream`` — replay an edge script (docs/streaming.md)."""
     from repro import engine
-    from repro.core.stream import (
-        SnapshotError,
-        StreamingButterflyCounter,
-        StreamingEstimator,
-    )
+    from repro.core.stream import StreamingButterflyCounter
     from repro.core.stream.script import iter_batches, load_script
 
     g = _load(args.graph)
     counter = StreamingButterflyCounter(g)
     if args.snapshot_in:
-        try:
-            with open(args.snapshot_in, "rb") as fh:
-                counter.restore(fh.read())
-        except (OSError, SnapshotError) as exc:
-            print(f"error: cannot restore snapshot: {exc}", file=sys.stderr)
-            return 1
-    estimator = (
-        StreamingEstimator(
-            reservoir_size=args.reservoir, groups=args.groups, seed=args.seed
-        )
-        if args.estimate
-        else None
-    )
+        # a corrupt or mismatched snapshot raises SnapshotError, a
+        # ValueError: bad input, exit 2 through main's handler
+        with open(args.snapshot_in, "rb") as fh:
+            counter.restore(fh.read())
     ops = load_script(args.script)
     batches = []
     for index, (insert, delete) in enumerate(iter_batches(ops)):
@@ -785,8 +756,6 @@ def _cmd_stream(args) -> int:
             )
             strategy = chosen.strategy
         stats = counter.apply(insert=insert, delete=delete, strategy=strategy)
-        if estimator is not None and insert:
-            estimator.add_edges(insert)
         row = dict(stats, batch=index, strategy=strategy)
         batches.append(row)
         if not args.json:
@@ -798,10 +767,6 @@ def _cmd_stream(args) -> int:
     if args.snapshot_out:
         with open(args.snapshot_out, "wb") as fh:
             fh.write(counter.snapshot())
-    estimate = None
-    if estimator is not None:
-        value, ci_low, ci_high = estimator.estimate()
-        estimate = {"value": value, "ci_low": ci_low, "ci_high": ci_high}
     if args.json:
         import json
 
@@ -812,19 +777,12 @@ def _cmd_stream(args) -> int:
             "n_edges": counter.n_edges,
             "butterflies": counter.count,
         }
-        if estimate is not None:
-            payload["estimate"] = estimate
         if args.snapshot_out:
             payload["snapshot_out"] = args.snapshot_out
         print(json.dumps(payload, indent=2))
         return 0
     print(f"edges       : {counter.n_edges}")
     print(f"butterflies : {counter.count}")
-    if estimate is not None:
-        print(
-            f"sketch      : {estimate['value']:.1f} "
-            f"[{estimate['ci_low']:.1f}, {estimate['ci_high']:.1f}]"
-        )
     if args.snapshot_out:
         print(f"snapshot    : {args.snapshot_out}")
     return 0

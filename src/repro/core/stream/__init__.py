@@ -1,4 +1,4 @@
-"""Streaming tier: batched maintenance, sketch estimation, snapshots.
+"""Streaming tier: exact batched maintenance and snapshots.
 
 This package holds the dynamic/streaming subsystem:
 
@@ -7,9 +7,6 @@ This package holds the dynamic/streaming subsystem:
   wedge kernels; snapshot/restore included.
 - :class:`DynamicButterflyCounter` — the original per-edge counter,
   kept as the simple reference implementation and bench baseline.
-- :class:`StreamingEstimator` — FLEET-style reservoir sketch with
-  ``estimate() -> (value, ci_low, ci_high)``.
-- :class:`HybridStreamCounter` — exact hot window + sketch tail.
 - :mod:`~repro.core.stream.script` — the edge-script format shared by
   the CLI ``stream`` subcommand and the conformance harness.
 - :mod:`~repro.core.stream.snapshot` — versioned, checksummed counter
@@ -22,10 +19,6 @@ _LAZY = {
     "STREAM_APPLY_STRATEGIES": "repro.core.stream.counter",
     "StreamingButterflyCounter": "repro.core.stream.counter",
     "DynamicButterflyCounter": "repro.core.stream.dynamic",
-    "DEFAULT_VARIANCE_SCALE": "repro.core.stream.estimator",
-    "StreamingEstimator": "repro.core.stream.estimator",
-    "calibrate_variance": "repro.core.stream.estimator",
-    "HybridStreamCounter": "repro.core.stream.hybrid",
     "SnapshotChecksumError": "repro.core.stream.snapshot",
     "SnapshotError": "repro.core.stream.snapshot",
     "SnapshotFormatError": "repro.core.stream.snapshot",
@@ -38,10 +31,6 @@ __all__ = [
     "StreamingButterflyCounter",
     "STREAM_APPLY_STRATEGIES",
     "DynamicButterflyCounter",
-    "StreamingEstimator",
-    "DEFAULT_VARIANCE_SCALE",
-    "calibrate_variance",
-    "HybridStreamCounter",
     "SnapshotError",
     "SnapshotFormatError",
     "SnapshotVersionError",

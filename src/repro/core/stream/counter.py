@@ -89,6 +89,7 @@ from repro.sparsela.kernels import choose2, gather_slices
 __all__ = [
     "StreamingButterflyCounter",
     "STREAM_APPLY_STRATEGIES",
+    "batch_edges",
 ]
 
 #: Execution strategies :meth:`StreamingButterflyCounter.apply` accepts —
@@ -96,19 +97,50 @@ __all__ = [
 STREAM_APPLY_STRATEGIES: tuple[str, ...] = ("incremental", "recount")
 
 
-def _as_edge_array(edges) -> np.ndarray:
-    """Normalise an edge iterable / (e, 2) array to an int64 (e, 2) array.
+def batch_edges(edges, n_left: int, n_right: int) -> np.ndarray:
+    """One side of a stream batch as a checked int64 ``(e, 2)`` array.
 
-    Ids pass the graph constructor's check (:func:`integral_ids`), so a
-    fractional, non-finite, bool or text id raises ``ValueError`` naming
-    its row instead of being truncated.
+    The one id check :meth:`StreamingButterflyCounter.apply` and the
+    engine's ``stream_apply`` planner share.  Ids pass the graph
+    constructor's check (:func:`integral_ids`), so a fractional,
+    non-finite, bool or text id raises ``ValueError`` naming its row
+    instead of being truncated; an id outside ``[0, n)`` of its side (a
+    negative one would otherwise wrap) raises ``ValueError`` naming the
+    side, the range and the row.  O(batch).
     """
     arr = edges if isinstance(edges, np.ndarray) else np.asarray(list(edges))
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("edge batch must have shape (e, 2)")
-    return integral_ids(arr).astype(np.int64, copy=False)
+    arr = integral_ids(arr).astype(np.int64, copy=False)
+    for column, side, n in ((0, "left", n_left), (1, "right", n_right)):
+        ids = arr[:, column]
+        if ids.min() < 0 or ids.max() >= n:
+            row = int(np.flatnonzero((ids < 0) | (ids >= n))[0])
+            raise ValueError(
+                f"{side} vertex {ids[row]} out of range [0, {n}) in row {row}"
+            )
+    return arr
+
+
+def _vertex_id(vertex, n: int, side: str) -> int:
+    """``vertex`` as an int id in ``[0, n)`` of ``side``.
+
+    The scalar twin of :func:`batch_edges`: integers and integral-valued
+    floats pass; a fractional or non-finite float, a bool or anything
+    else raises ``ValueError``, and an id outside ``[0, n)`` raises
+    ``IndexError`` (no negative indexing from the end).
+    """
+    if isinstance(vertex, (float, np.floating)) and float(vertex).is_integer():
+        vertex = int(vertex)
+    if isinstance(vertex, (bool, np.bool_)) or not isinstance(
+        vertex, (int, np.integer)
+    ):
+        raise ValueError(f"{side} vertex id must be an integer, got {vertex!r}")
+    if not 0 <= vertex < n:
+        raise IndexError(f"{side} vertex {vertex} out of range [0, {n})")
+    return int(vertex)
 
 
 def _in_sorted(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
@@ -423,7 +455,7 @@ class StreamingButterflyCounter:
 
     def has_edge(self, u: int, v: int) -> bool:
         """True when edge (u, v) is present (O(log E))."""
-        self._check_ids(u, v)
+        u, v = self._check_ids(u, v)
         key = np.int64(u) * np.int64(max(self.n_right, 1)) + np.int64(v)
         return bool(_in_sorted(np.asarray([key]), self._keys)[0])
 
@@ -431,14 +463,11 @@ class StreamingButterflyCounter:
         """Current number of butterflies containing ``vertex``.
 
         ``IndexError`` when ``vertex`` is outside ``[0, n)`` of ``side``
-        (no negative indexing from the end).
+        (no negative indexing from the end), ``ValueError`` when it is not
+        an integer.
         """
         counts = self._per_side(side)
-        if not 0 <= vertex < counts.size:
-            raise IndexError(
-                f"{side} vertex {vertex} out of range [0, {counts.size})"
-            )
-        return int(counts[vertex])
+        return int(counts[_vertex_id(vertex, counts.size, side)])
 
     def vertex_counts(self, side: str = "left") -> np.ndarray:
         """Copy of the maintained per-vertex count array for ``side``."""
@@ -460,29 +489,18 @@ class StreamingButterflyCounter:
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    def _check_ids(self, u: int, v: int) -> None:
-        if not 0 <= u < self.n_left:
-            raise IndexError(f"left vertex {u} out of range [0, {self.n_left})")
-        if not 0 <= v < self.n_right:
-            raise IndexError(
-                f"right vertex {v} out of range [0, {self.n_right})"
-            )
+    def _check_ids(self, u, v) -> tuple[int, int]:
+        return (
+            _vertex_id(u, self.n_left, "left"),
+            _vertex_id(v, self.n_right, "right"),
+        )
 
-    def _batch_keys(self, edges: np.ndarray) -> np.ndarray:
-        """Validated, de-duplicated sorted int64 keys of one batch side."""
+    def _batch_keys(self, edges) -> np.ndarray:
+        """Checked, de-duplicated sorted int64 keys of one batch side."""
+        edges = batch_edges(edges, self.n_left, self.n_right)
         if edges.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
-        rows, cols = edges[:, 0], edges[:, 1]
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= self.n_left:
-                raise IndexError(
-                    f"left vertex out of range [0, {self.n_left})"
-                )
-            if cols.min() < 0 or cols.max() >= self.n_right:
-                raise IndexError(
-                    f"right vertex out of range [0, {self.n_right})"
-                )
-        keys = rows * np.int64(max(self.n_right, 1)) + cols
+        keys = edges[:, 0] * np.int64(max(self.n_right, 1)) + edges[:, 1]
         keys.sort()
         if keys.size > 1:
             keep = np.empty(keys.size, dtype=bool)
@@ -610,8 +628,8 @@ class StreamingButterflyCounter:
                 f"unknown strategy {strategy!r}; expected one of "
                 f"{STREAM_APPLY_STRATEGIES}"
             )
-        ins_keys = self._batch_keys(_as_edge_array(insert))
-        del_keys = self._batch_keys(_as_edge_array(delete))
+        ins_keys = self._batch_keys(insert)
+        del_keys = self._batch_keys(delete)
         with obs.span(
             "stream.apply",
             strategy=strategy,

@@ -29,9 +29,8 @@ streaming bench section measures against).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro._types import COUNT_DTYPE
+from repro.core.stream.counter import _vertex_id
 from repro.graphs.bipartite import BipartiteGraph
 
 __all__ = ["DynamicButterflyCounter"]
@@ -80,15 +79,19 @@ class DynamicButterflyCounter:
 
     def has_edge(self, u: int, v: int) -> bool:
         """True when edge (u, v) is present."""
-        self._check_ids(u, v)
+        u, v = self._check_ids(u, v)
         return v in self._adj_left[u]
 
     def vertex_count(self, vertex: int, side: str = "left") -> int:
-        """Current number of butterflies containing ``vertex``."""
+        """Current number of butterflies containing ``vertex``.
+
+        ``IndexError`` when ``vertex`` is outside ``[0, n)`` of ``side``
+        (no negative indexing from the end).
+        """
         if side == "left":
-            return self._per_left[vertex]
+            return self._per_left[_vertex_id(vertex, self.n_left, side)]
         if side == "right":
-            return self._per_right[vertex]
+            return self._per_right[_vertex_id(vertex, self.n_right, side)]
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
     def to_graph(self) -> BipartiteGraph:
@@ -101,11 +104,11 @@ class DynamicButterflyCounter:
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    def _check_ids(self, u: int, v: int) -> None:
-        if not 0 <= u < self.n_left:
-            raise IndexError(f"left vertex {u} out of range [0, {self.n_left})")
-        if not 0 <= v < self.n_right:
-            raise IndexError(f"right vertex {v} out of range [0, {self.n_right})")
+    def _check_ids(self, u, v) -> tuple[int, int]:
+        return (
+            _vertex_id(u, self.n_left, "left"),
+            _vertex_id(v, self.n_right, "right"),
+        )
 
     def _delta_butterflies(self, u: int, v: int):
         """Butterflies containing edge (u, v) in the *current* adjacency.
@@ -128,7 +131,7 @@ class DynamicButterflyCounter:
         Raises ``ValueError`` if the edge already exists (the graph is
         simple).
         """
-        self._check_ids(u, v)
+        u, v = self._check_ids(u, v)
         if v in self._adj_left[u]:
             raise ValueError(f"edge ({u}, {v}) already present")
         created = 0
@@ -149,7 +152,7 @@ class DynamicButterflyCounter:
 
         Raises ``ValueError`` if the edge is absent.
         """
-        self._check_ids(u, v)
+        u, v = self._check_ids(u, v)
         if v not in self._adj_left[u]:
             raise ValueError(f"edge ({u}, {v}) not present")
         self._adj_left[u].discard(v)
@@ -170,7 +173,6 @@ class DynamicButterflyCounter:
         returns total butterflies created."""
         total = 0
         for u, v in edges:
-            u, v = int(u), int(v)
             if not self.has_edge(u, v):
                 total += self.add_edge(u, v)
         return total
@@ -180,7 +182,6 @@ class DynamicButterflyCounter:
         butterflies destroyed."""
         total = 0
         for u, v in edges:
-            u, v = int(u), int(v)
             if self.has_edge(u, v):
                 total += self.remove_edge(u, v)
         return total

@@ -17,7 +17,7 @@ payload is self-describing and forward-extensible (a newer version can
 append arrays without invalidating the frame).
 
 Every decode failure raises a typed :class:`SnapshotError` subclass —
-callers can catch the base class, and
+callers can catch the base class (itself a ``ValueError``), and
 :meth:`~repro.core.stream.counter.StreamingButterflyCounter.restore`
 guarantees the counter is untouched when any of them fires.
 """
@@ -51,8 +51,12 @@ SNAPSHOT_VERSION = 1
 _PREFIX = struct.Struct("<4sHLL")  # magic, version, header_len, crc32
 
 
-class SnapshotError(Exception):
-    """Base class for all snapshot encode/decode failures."""
+class SnapshotError(ValueError):
+    """Base class for all snapshot encode/decode failures.
+
+    A ``ValueError``: a corrupt, truncated or mismatched snapshot is bad
+    input, reported like any other malformed value.
+    """
 
 
 class SnapshotFormatError(SnapshotError):

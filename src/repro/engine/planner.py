@@ -301,15 +301,22 @@ def _wing_row(graph, budget, block_size, k) -> Plan:
     )
 
 
-def _batch_endpoints(batch):
-    """(rows, cols) int64 arrays of every edge in a (insert, delete) pair."""
+def _batch_endpoints(graph, batch):
+    """(rows, cols) int64 arrays of every edge in a (insert, delete) pair.
+
+    Ids pass the check ``StreamingButterflyCounter.apply`` makes
+    (:func:`~repro.core.stream.counter.batch_edges`), so a batch apply
+    would reject is rejected here too, before any of it is priced.
+    """
     import numpy as np
 
+    from repro.core.stream.counter import batch_edges
+
     parts = [
-        np.asarray(part if hasattr(part, "shape") else list(part)).reshape(-1, 2)
+        batch_edges(part, graph.n_left, graph.n_right)
         for part in batch or () if part is not None
     ]
-    edges = np.concatenate(parts or [np.empty((0, 2))]).astype(np.int64)
+    edges = np.concatenate(parts or [np.empty((0, 2), dtype=np.int64)])
     return edges[:, 0], edges[:, 1]
 
 
@@ -331,10 +338,10 @@ def _stream_candidates(graph, cal, strategy, batch) -> list[Plan]:
     from repro.core.priority import priority_wedge_work
     from repro.core.workinfo import touched_wedge_work
 
+    rows, cols = _batch_endpoints(graph, batch)  # checked under any pin
     row = Plan(workload="stream_apply", storage="csr")
     out = []
     if strategy in (None, "incremental"):
-        rows, cols = _batch_endpoints(batch)
         touched = touched_wedge_work(graph, rows, cols) if rows.size else 0
         ops = touched + int(graph.n_edges) + int(rows.size)
         out.append(row.with_(

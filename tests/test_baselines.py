@@ -1,7 +1,6 @@
-"""Tests for the independent baselines (oracle cross-checks + sampling)."""
+"""Tests for the independent baselines (oracle cross-checks)."""
 
 import numpy as np
-import pytest
 
 from repro.baselines import (
     count_butterflies_bruteforce,
@@ -10,13 +9,10 @@ from repro.baselines import (
     count_butterflies_scipy,
     count_butterflies_vertex_priority,
     enumerate_butterflies,
-    estimate_butterflies_edge_sampling,
-    estimate_butterflies_wedge_sampling,
     priority_ranks,
     wedge_matrix_scipy,
 )
 from repro.core import count_butterflies
-from repro.graphs import BipartiteGraph, power_law_bipartite
 from tests.conftest import TINY_EXPECTED, tiny_named_graphs
 
 
@@ -90,55 +86,3 @@ def test_degree_ordered_on_tiny(tiny_graphs):
             ), (name, side)
 
 
-# ---------------------------------------------------------------- sampling
-def test_edge_sampling_exact_on_symmetric_graph():
-    """On K_{4,4} every edge has identical support, so even one sample is
-    exact — a sharp check of the 4·Ξ/|E| scaling."""
-    g = BipartiteGraph.complete(4, 4)
-    est = estimate_butterflies_edge_sampling(g, n_samples=1, seed=0)
-    assert est.estimate == pytest.approx(36.0)
-
-
-def test_wedge_sampling_exact_on_symmetric_graph():
-    g = BipartiteGraph.complete(4, 4)
-    est = estimate_butterflies_wedge_sampling(g, n_samples=1, seed=0)
-    # every wedge closes with C(4,2)... each wedge in common−1 = 3
-    assert est.estimate == pytest.approx(36.0)
-
-
-def test_sampling_estimates_converge():
-    g = power_law_bipartite(80, 100, 600, seed=17)
-    exact = count_butterflies(g)
-    for fn in (estimate_butterflies_edge_sampling, estimate_butterflies_wedge_sampling):
-        est = fn(g, n_samples=800, seed=3)
-        assert est.relative_error(exact) < 0.35, fn.__name__
-
-
-def test_sampling_empty_graph():
-    g = BipartiteGraph.empty(5, 5)
-    assert estimate_butterflies_edge_sampling(g, 10).estimate == 0.0
-    assert estimate_butterflies_wedge_sampling(g, 10).estimate == 0.0
-
-
-def test_sampling_rejects_bad_sample_count():
-    g = BipartiteGraph.complete(2, 2)
-    with pytest.raises(ValueError, match="n_samples"):
-        estimate_butterflies_edge_sampling(g, 0)
-    with pytest.raises(ValueError, match="n_samples"):
-        estimate_butterflies_wedge_sampling(g, -1)
-
-
-def test_sample_estimate_relative_error():
-    from repro.baselines import SampleEstimate
-
-    est = SampleEstimate(estimate=110.0, n_samples=10, method="edge")
-    assert est.relative_error(100) == pytest.approx(0.1)
-    assert SampleEstimate(0.0, 1, "edge").relative_error(0) == 0.0
-    assert SampleEstimate(5.0, 1, "edge").relative_error(0) == float("inf")
-
-
-def test_sampling_deterministic_given_seed():
-    g = power_law_bipartite(40, 40, 200, seed=9)
-    a = estimate_butterflies_edge_sampling(g, 50, seed=4).estimate
-    b = estimate_butterflies_edge_sampling(g, 50, seed=4).estimate
-    assert a == b

@@ -1,12 +1,10 @@
-"""Tests for the LRU cache simulator and the adaptive estimator."""
+"""Tests for the LRU cache simulator."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import estimate_butterflies_adaptive
 from repro.bench import CacheStats, LRUCache, simulate_invariant_cache
-from repro.core import count_butterflies
-from repro.graphs import BipartiteGraph, power_law_bipartite
+from repro.graphs import power_law_bipartite
 
 
 # --------------------------------------------------------------- LRU cache
@@ -101,52 +99,3 @@ def test_simulator_access_volume_matches_work_model():
     assert stats.accesses <= wp.total_ops + g.n_edges
 
 
-# ----------------------------------------------------------- adaptive est.
-def test_adaptive_estimate_converges_and_covers():
-    g = power_law_bipartite(100, 120, 700, seed=5)
-    exact = count_butterflies(g)
-    est = estimate_butterflies_adaptive(g, target_rel_width=0.2, seed=1)
-    assert est.converged
-    lo, hi = est.interval
-    assert lo <= exact <= hi  # seed-pinned; CI covers here
-
-
-def test_adaptive_zero_variance_converges_immediately():
-    # K_{2,n}: every wedge has the same closure count
-    g = BipartiteGraph.complete(2, 6)
-    est = estimate_butterflies_adaptive(g, target_rel_width=0.5, seed=0)
-    assert est.converged
-    assert est.half_width == 0.0
-    assert est.estimate == count_butterflies(g)
-
-
-def test_adaptive_wedge_free_graph():
-    g = BipartiteGraph([(0, 0), (1, 1)], n_left=2, n_right=2)
-    est = estimate_butterflies_adaptive(g)
-    assert est.estimate == 0.0 and est.converged and est.n_samples == 0
-
-
-def test_adaptive_max_samples_flagged():
-    g = power_law_bipartite(80, 100, 500, seed=6)
-    est = estimate_butterflies_adaptive(
-        g, target_rel_width=1e-6, max_samples=400, batch_size=200, seed=2
-    )
-    assert not est.converged
-    assert est.n_samples == 400
-
-
-def test_adaptive_tighter_target_needs_more_samples():
-    g = power_law_bipartite(80, 100, 500, seed=7)
-    loose = estimate_butterflies_adaptive(g, target_rel_width=0.5, seed=3)
-    tight = estimate_butterflies_adaptive(g, target_rel_width=0.1, seed=3)
-    assert tight.n_samples >= loose.n_samples
-
-
-def test_adaptive_validation():
-    g = BipartiteGraph.complete(2, 2)
-    with pytest.raises(ValueError, match="target_rel_width"):
-        estimate_butterflies_adaptive(g, target_rel_width=0)
-    with pytest.raises(ValueError, match="confidence"):
-        estimate_butterflies_adaptive(g, confidence=1.5)
-    with pytest.raises(ValueError, match="batch_size"):
-        estimate_butterflies_adaptive(g, batch_size=1)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
-from repro.graphs import gnm_bipartite, save_konect
+from repro.graphs import BipartiteGraph, gnm_bipartite, save_konect
 
 
 @pytest.fixture()
@@ -215,6 +215,15 @@ def test_bench_smallest_dataset(capsys):
         (["generate", "{tmp}/out.tsv", "--n-left", "5", "--n-right", "5",
           "--edges", "-3"], "n_edges must be >= 0"),
         (["stream", "empty:axb", "{tmp}/g.tsv"], "bad empty-graph spec"),
+        (["stream", "empty:3x3", "{tmp}/insert_99.txt"],
+         "right vertex 99 out of range [0, 3)"),
+        (["stream", "empty:3x3", "{tmp}/delete_99.txt", "--strategy",
+          "incremental"], "left vertex 99 out of range [0, 3)"),
+        (["stream", "empty:3x3", "{tmp}/negative.txt"], "must be non-negative"),
+        (["stream", "empty:3x3", "{tmp}/flush.txt", "--snapshot-in",
+          "{tmp}/truncated.rbsn"], "snapshot prefix needs 14 bytes"),
+        (["stream", "empty:4x3", "{tmp}/flush.txt", "--snapshot-in",
+          "{tmp}/3x3.rbsn"], "does not match counter shape 4x3"),
     ],
     ids=["unknown-rule", "missing-scan-path", "missing-graph",
          "peel-mmap-storage", "count-reorder-storage", "explain-tip-mmap",
@@ -223,12 +232,25 @@ def test_bench_smallest_dataset(capsys):
          "decompose-workers", "count-unknown-dataset", "info-unknown-dataset",
          "peel-unknown-dataset", "explain-unknown-dataset",
          "decompose-negative-top", "generate-negative-n-left",
-         "generate-negative-edges", "stream-bad-empty-spec"],
+         "generate-negative-edges", "stream-bad-empty-spec",
+         "stream-out-of-range-insert", "stream-out-of-range-delete",
+         "stream-negative-id", "stream-truncated-snapshot",
+         "stream-snapshot-shape-mismatch"],
 )
 def test_bad_input_exits_2_without_traceback(argv, reason, tmp_path, capsys):
     """Bad input is a usage error (exit 2), distinct from findings (exit 1).
-    ``{tmp}/g.tsv`` exists, so its rows fail on the flags, not the file."""
+    ``{tmp}/g.tsv`` exists, so its rows fail on the flags, not the file;
+    so do the stream scripts and snapshots below, which fail on content."""
+    from repro.core.stream import StreamingButterflyCounter
+
     save_konect(gnm_bipartite(10, 12, 40, seed=1), tmp_path / "g.tsv")
+    scripts = {"insert_99": "+ 0 99\n", "delete_99": "+ 0 1\n- 99 0\n",
+               "negative": "+ -1 0\n", "flush": "flush\n"}
+    for name, text in scripts.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    blob = StreamingButterflyCounter(BipartiteGraph.empty(3, 3)).snapshot()
+    (tmp_path / "3x3.rbsn").write_bytes(blob)
+    (tmp_path / "truncated.rbsn").write_bytes(blob[:10])
     try:
         code = main([arg.format(tmp=tmp_path) for arg in argv])
     except SystemExit as exc:  # argparse rejected the argv: usage + error line

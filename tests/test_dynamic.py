@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import DynamicButterflyCounter, count_butterflies, vertex_butterfly_counts
+from repro.core import (
+    DynamicButterflyCounter,
+    StreamingButterflyCounter,
+    count_butterflies,
+    vertex_butterfly_counts,
+)
 from repro.graphs import BipartiteGraph, gnm_bipartite, power_law_bipartite
 
 
@@ -103,7 +108,59 @@ def test_out_of_range_rejected():
     with pytest.raises(IndexError):
         dc.add_edge(5, 0)
     with pytest.raises(IndexError):
-        dc.add_edge(0, -1) if False else dc.add_edge(0, 9)
+        dc.add_edge(0, 9)
+    with pytest.raises(IndexError):
+        dc.add_edge(0, -1)
+    assert dc.n_edges == 0
+
+
+def _counter(kind, graph):
+    return (
+        DynamicButterflyCounter(graph)
+        if kind == "dynamic"
+        else StreamingButterflyCounter(graph)
+    )
+
+
+_BAD_IDS = pytest.mark.parametrize(
+    ("vertex", "error"),
+    [(-1, IndexError), (3, IndexError), (1.5, ValueError), (True, ValueError),
+     (np.bool_(True), ValueError), ("1", ValueError)],
+    ids=["minus-one", "n", "fraction", "bool", "numpy-bool", "text"],
+)
+
+
+@pytest.mark.parametrize("kind", ["dynamic", "streaming"])
+@_BAD_IDS
+def test_scalar_ids_are_checked(kind, vertex, error):
+    """No negative wrap, no bool-as-1, no truncated fraction: every scalar
+    entry point of both counters rejects the id and changes nothing."""
+    g = BipartiteGraph([(1, 1), (0, 0)], n_left=3, n_right=3)
+    counter = _counter(kind, g)
+    with pytest.raises(error):
+        counter.has_edge(vertex, 1)
+    with pytest.raises(error):
+        counter.has_edge(1, vertex)
+    for side in ("left", "right"):
+        with pytest.raises(error):
+            counter.vertex_count(vertex, side)
+    if kind == "dynamic":
+        with pytest.raises(error):
+            counter.add_edge(vertex, 1)
+        with pytest.raises(error):
+            counter.remove_edge(1, vertex)
+        with pytest.raises(error):
+            counter.add_edges([(vertex, 1)])
+    assert counter.n_edges == 2 and counter.count == 0
+
+
+@pytest.mark.parametrize("kind", ["dynamic", "streaming"])
+def test_integral_scalar_ids_accepted(kind):
+    g = BipartiteGraph([(1, 1)], n_left=3, n_right=3)
+    counter = _counter(kind, g)
+    assert counter.has_edge(np.int64(1), 1.0)
+    assert not counter.has_edge(2, np.int32(1))
+    assert counter.vertex_count(np.int64(2), "right") == 0
 
 
 def test_batch_operations_skip_gracefully():

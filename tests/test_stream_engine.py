@@ -159,6 +159,31 @@ def test_invalid_stream_strategy_raises(graph):
         engine.plan(graph, "stream_apply", strategy="blocked")
 
 
+@pytest.mark.parametrize("strategy", [None, "incremental", "recount"])
+@pytest.mark.parametrize(
+    ("batch", "match"),
+    [
+        (([(0, 99)], []), r"right vertex 99 out of range \[0, 3\) in row 0"),
+        (([], [(1, 1), (-1, 0)]), r"left vertex -1 out of range \[0, 3\) in row 1"),
+        (([(0.5, 1)], []), r"must be integers.*row 0"),
+    ],
+    ids=["out-of-range", "negative", "fractional"],
+)
+def test_bad_batch_ids_rejected_by_plan_and_apply(batch, match, strategy):
+    """The planner checks a batch exactly as ``apply`` does: no numpy
+    IndexError from the work model, no wrapped negative id, no truncated
+    fraction priced as another edge — under every strategy pin."""
+    g = BipartiteGraph.complete(3, 3)
+    with pytest.raises(ValueError, match=match):
+        engine.plan(g, "stream_apply", strategy=strategy, batch=batch)
+    counter = StreamingButterflyCounter(g)
+    with pytest.raises(ValueError, match=match):
+        counter.apply(
+            insert=batch[0], delete=batch[1], strategy=strategy or "incremental"
+        )
+    assert counter.n_edges == g.n_edges and counter.last_stats is None
+
+
 def test_small_batch_prefers_incremental(graph):
     p = engine.plan(graph, "stream_apply", batch=(_batch(graph, 8), []))
     assert p.strategy == "incremental"
