@@ -14,7 +14,7 @@ import pytest
 
 from benchmarks.conftest import run_cell
 from repro.baselines import count_butterflies_scipy
-from repro.bench import Sweep, format_table
+from repro.bench import format_table
 from repro.core import count_butterflies_unblocked
 from repro.graphs import dataset_names, graph_stats, load_dataset, paper_stats
 

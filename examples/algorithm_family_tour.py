@@ -10,8 +10,6 @@ Walks through:
 Run:  python examples/algorithm_family_tour.py
 """
 
-import numpy as np
-
 from repro import ALL_INVARIANTS, count_butterflies_unblocked, load_dataset
 from repro.bench import Sweep, TimedResult, time_callable
 from repro.core.spec import (

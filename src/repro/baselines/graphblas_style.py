@@ -18,8 +18,6 @@ a GraphBLAS system would run the paper's formulas.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela.semiring import (
     PLUS_PAIR,

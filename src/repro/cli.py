@@ -746,7 +746,8 @@ def _cmd_stream(args) -> int:
         # ValueError: bad input, exit 2 through main's handler
         with open(args.snapshot_in, "rb") as fh:
             counter.restore(fh.read())
-    ops = load_script(args.script)
+    # an id outside the graph is bad input naming its script line
+    ops = load_script(args.script, shape=(g.n_left, g.n_right))
     batches = []
     for index, (insert, delete) in enumerate(iter_batches(ops)):
         strategy = args.strategy

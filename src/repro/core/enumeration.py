@@ -25,7 +25,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro._types import COUNT_DTYPE, INDEX_DTYPE
 from repro.graphs.bipartite import BipartiteGraph
 
 __all__ = [

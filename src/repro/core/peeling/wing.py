@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro import obs
 from repro.core.local_counts import edge_butterfly_support_blocked
 from repro.graphs.bipartite import BipartiteGraph

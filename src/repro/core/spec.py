@@ -27,7 +27,6 @@ from repro._types import COUNT_DTYPE
 from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela.linalg import (
     choose2_dense,
-    diag_vector,
     gamma,
     hadamard,
     ones_matrix,

@@ -70,9 +70,17 @@ result subtracted.  Within one :meth:`StreamingButterflyCounter.apply`
 call deletes are applied before inserts (the documented batch
 semantics: an edge listed in both ends up present).
 
-State is array-backed: the edge set is one sorted int64 composite-key
-array (``u·n_right + v``), giving O(1) ``n_edges``, O(log E) membership,
-and an O(E) counting-sort rebuild of both compressed views per batch.
+State is three arrays kept in lock-step: the sorted int64 edge keys
+(``u·n_right + v``; O(1) ``n_edges``, O(log E) membership and the
+probe's search array) and the CSR and CSC views themselves.  A phase
+splices all three instead of rebuilding them.  Because the keys are
+row-major sorted, one ``searchsorted`` of the changed keys gives their
+positions in the keys and in the CSR; the CSC positions come from one
+search inside the touched columns, ``O(Σ deg)`` of those columns, which
+the delta-wedge enumeration pays anyway.  Each array then takes one
+``np.insert``/``np.delete`` copy, and each ``indptr`` offset shifts by
+the number of changed edges in the rows (columns) before it: no sort
+and no division over the whole graph.
 """
 
 from __future__ import annotations
@@ -82,7 +90,7 @@ import numpy as np
 from repro import obs
 from repro._types import BITMAP_DTYPE, COUNT_DTYPE, INDEX_DTYPE
 from repro.graphs.bipartite import BipartiteGraph
-from repro.sparsela import PatternCSC, PatternCSR
+from repro.sparsela import PatternCOO, PatternCSC, PatternCSR
 from repro.sparsela.coo import integral_ids
 from repro.sparsela.kernels import choose2, gather_slices
 
@@ -148,33 +156,62 @@ def _in_sorted(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     if sorted_keys.size == 0:
         return np.zeros(values.shape, dtype=bool)
     pos = np.searchsorted(sorted_keys, values)
-    pos_clipped = np.minimum(pos, sorted_keys.size - 1)
-    return sorted_keys[pos_clipped] == values
+    np.minimum(pos, sorted_keys.size - 1, out=pos)
+    return sorted_keys[pos] == values
 
 
-def _merge_sorted(keys: np.ndarray, add: np.ndarray) -> np.ndarray:
-    """Union of sorted ``keys`` with sorted ``add`` (disjoint from keys).
+def _column_positions(csc, rows: np.ndarray, cols: np.ndarray):
+    """The edges ``(rows[i], cols[i])`` column-major, with their entries
+    in ``csc.indices``.
 
-    One binary search plus one O(E) copy — cheaper than ``np.union1d``'s
-    full re-sort of the concatenation.
+    The edges arrive row-major (the batch keys' order), so one stable
+    sort by column makes them column-major: the order an insert hands
+    them over in.  A present edge's entry is its own, an absent one's the
+    entry it would be inserted before.  The touched columns' slices are
+    gathered and packed as ``slot·n_left + row`` (sorted: slots ascend,
+    each slice is sorted), so one ``searchsorted`` answers every edge in
+    O(Σ deg of the touched columns).  Returns ``(rows, cols, entries)``.
     """
-    if add.size == 0:
-        return keys
-    return np.insert(keys, np.searchsorted(keys, add), add)
+    order = np.argsort(cols, kind="stable")
+    rows, cols = rows[order], cols[order]
+    first = np.empty(cols.size, dtype=bool)
+    first[0] = True
+    np.not_equal(cols[1:], cols[:-1], out=first[1:])
+    touched = cols[first]
+    slot = np.cumsum(first, dtype=INDEX_DTYPE) - 1
+    lengths = csc.indptr[touched + 1] - csc.indptr[touched]
+    width = np.int64(max(csc.shape[0], 1))
+    packed = np.repeat(np.arange(touched.size, dtype=INDEX_DTYPE) * width, lengths)
+    packed += gather_slices(csc.indptr, csc.indices, touched)
+    shift = csc.indptr[touched] - (np.cumsum(lengths, dtype=INDEX_DTYPE) - lengths)
+    entries = np.searchsorted(packed, slot * width + rows) + shift[slot]
+    return rows, cols, entries
 
 
-def _remove_sorted(keys: np.ndarray, rem: np.ndarray) -> np.ndarray:
-    """Sorted ``keys`` minus sorted ``rem`` (every element present)."""
-    if rem.size == 0:
-        return keys
-    return np.delete(keys, np.searchsorted(keys, rem))
+def _shift_indptr(indptr: np.ndarray, major: np.ndarray, sign: int) -> np.ndarray:
+    """``indptr`` after ``sign`` × one entry per id in the sorted ``major``.
+
+    Offset ``i`` moves by the number of ids below ``i``: a step function
+    of ``major.size + 1`` steps, built by one ``np.repeat`` (a cumsum
+    over all ``V + 1`` offsets costs several times more).
+    """
+    steps = np.diff(np.concatenate(([-1], major, [indptr.size - 1])))
+    out = np.repeat(
+        np.arange(0, sign * (major.size + 1), sign, dtype=INDEX_DTYPE), steps
+    )
+    out += indptr
+    return out
 
 
 def _leg_keys(pivots, mids, n_side: int, n_mid: int, pairs_on_left: bool):
     """Left-major edge keys (``left · n_right + right``) of (pivot, mid) legs."""
     if pairs_on_left:
-        return pivots * np.int64(n_mid) + mids
-    return mids * np.int64(n_side) + pivots
+        keys = pivots * np.int64(n_mid)
+        keys += mids
+    else:
+        keys = mids * np.int64(n_side)
+        keys += pivots
+    return keys
 
 
 #: A row the probe tests (a pair's ``other`` endpoint) gets a bitmap row
@@ -196,6 +233,12 @@ _BITMAP_BYTES_PER_ENTRY: int = 8
 _PACKED_KEY_LIMIT: int = int(np.iinfo(np.int64).max)
 
 
+def _low_bits(mids: np.ndarray) -> np.ndarray:
+    """``mids & 7`` as bit offsets, cast to bytes first (the cast keeps
+    the low bits) so no int64 temporary the size of ``mids`` is made."""
+    return mids.astype(BITMAP_DTYPE) & BITMAP_DTYPE(7)
+
+
 def _row_bitmap(small_pm, rows: np.ndarray, row_bytes: int) -> np.ndarray:
     """Bit-packed adjacency of the sorted ``rows``, ``row_bytes`` per row.
 
@@ -211,7 +254,7 @@ def _row_bitmap(small_pm, rows: np.ndarray, row_bytes: int) -> np.ndarray:
         return bitmap
     offsets = np.arange(rows.size, dtype=INDEX_DTYPE) * row_bytes
     byte = np.repeat(offsets, lengths) + (mids >> 3)
-    bits = np.left_shift(BITMAP_DTYPE(1), (mids & 7).astype(BITMAP_DTYPE))
+    bits = np.left_shift(BITMAP_DTYPE(1), _low_bits(mids))
     first = np.empty(byte.size, dtype=bool)
     first[0] = True
     np.not_equal(byte[1:], byte[:-1], out=first[1:])
@@ -278,12 +321,17 @@ def _probe_common_mids(
     bitmap = _row_bitmap(small_pm, rows, row_bytes)
     map_cnt = cnt[mapped]
     map_mids = gather_slices(small_pm.indptr, small_pm.indices, probe[mapped])
-    map_owner = np.repeat(mapped, map_cnt)
     byte = np.repeat(pair_slot[mapped] * row_bytes, map_cnt)
     byte += map_mids >> 3
-    bit = np.right_shift(bitmap[byte], (map_mids & 7).astype(BITMAP_DTYPE))
+    bit = np.right_shift(bitmap[byte], _low_bits(map_mids))
     # (hits are ~1 in 8 entries: index them, a boolean mask is slower)
     map_hits = np.flatnonzero(bit & BITMAP_DTYPE(1))
+    n_mapped, bitmap_bytes = int(map_mids.size), int(bitmap.nbytes)
+    # entry-sized arrays die as soon as they are read, so each path's
+    # temporaries reuse the last one's memory
+    del bitmap, byte, bit
+    map_mids = map_mids[map_hits]
+    map_pair = np.repeat(mapped, map_cnt)[map_hits]
 
     # the rest: pack (edge key, pair), sort, one sorted binary search
     rest = np.flatnonzero(~on_map)
@@ -293,11 +341,13 @@ def _probe_common_mids(
     edge_keys = _leg_keys(
         np.repeat(other[rest], rest_cnt), mids, n_side, n_mid, pairs_on_left
     )
+    del mids
     if int(n_side) * int(n_mid) * max(n_pairs, 1) <= _PACKED_KEY_LIMIT:
-        packed = edge_keys * np.int64(n_pairs)
-        packed += owner
-        packed.sort()
-        edge_keys, owner = np.divmod(packed, np.int64(n_pairs))
+        edge_keys *= np.int64(n_pairs)  # packed in place
+        edge_keys += owner
+        del owner
+        edge_keys.sort()
+        edge_keys, owner = np.divmod(edge_keys, np.int64(n_pairs))
     else:
         order = np.argsort(edge_keys)
         edge_keys, owner = edge_keys[order], owner[order]
@@ -309,12 +359,12 @@ def _probe_common_mids(
         hit_mids = hit_keys // np.int64(n_side)
     if obs._enabled:
         obs.inc("stream.apply.probe.bitmap_rows", int(rows.size))
-        obs.inc("stream.apply.probe.bitmap_entries", int(map_owner.size))
+        obs.inc("stream.apply.probe.bitmap_entries", n_mapped)
         obs.inc("stream.apply.probe.search_entries", int(owner.size))
-        obs.observe("stream.apply.probe.bitmap_bytes", int(bitmap.nbytes))
+        obs.observe("stream.apply.probe.bitmap_bytes", bitmap_bytes)
     return (
-        np.concatenate((map_owner[map_hits], owner[hits])),
-        np.concatenate((map_mids[map_hits], hit_mids)),
+        np.concatenate((map_pair, owner[hits])),
+        np.concatenate((map_mids, hit_mids)),
     )
 
 
@@ -434,11 +484,7 @@ class StreamingButterflyCounter:
         self._keys = (
             coo.rows.astype(np.int64) * np.int64(max(n_right, 1)) + coo.cols
         )
-        # column-major twin of _keys (v * n_left + u), maintained in
-        # lock-step so CSC rebuilds never need an argsort
-        self._ckeys = np.sort(
-            coo.cols.astype(np.int64) * np.int64(max(n_left, 1)) + coo.rows
-        )
+        # spliced, never written in place: the graph's views stay intact
         self._csr: PatternCSR = graph.csr
         self._csc: PatternCSC = graph.csc
         self._count_from(graph)
@@ -509,66 +555,48 @@ class StreamingButterflyCounter:
             keys = keys[keep]
         return keys
 
-    def _col_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Sorted column-major (v * n_left + u) twin of row-major ``keys``."""
-        n = np.int64(max(self.n_right, 1))
-        m = np.int64(max(self.n_left, 1))
-        rows = keys // n
-        cols = keys - rows * n
-        out = cols * m + rows
-        out.sort()
-        return out
+    def _spliced(self, changed_keys, rows, cols, *, remove: bool):
+        """``(keys, csr, csc)`` with the edges ``changed_keys`` (split into
+        ``rows``/``cols``) inserted, or removed when ``remove``.
 
-    def _structures_for(
-        self, keys: np.ndarray, ckeys: np.ndarray
-    ) -> tuple[PatternCSR, PatternCSC]:
-        """Counting-sort rebuild of both compressed views from sorted keys.
-
-        ``keys`` is row-major sorted, ``ckeys`` its column-major twin —
-        with both on hand neither view needs an argsort.
+        One copy per array and an O(V) ``indptr`` shift per view; the
+        current arrays are left as they are (see the module docstring).
         """
-        m, n = self.n_left, self.n_right
-        rows = keys // np.int64(max(n, 1))
-        cols = keys - rows * np.int64(max(n, 1))
-        row_counts = np.bincount(rows, minlength=m).astype(INDEX_DTYPE)
-        indptr_r = np.zeros(m + 1, dtype=INDEX_DTYPE)
-        np.cumsum(row_counts, out=indptr_r[1:])
+        pos = np.searchsorted(self._keys, changed_keys)
+        crows, ccols, cpos = _column_positions(self._csc, rows, cols)
+        shape = (self.n_left, self.n_right)
+        sign = -1 if remove else 1
+        if remove:
+            keys = np.delete(self._keys, pos)
+            indices = np.delete(self._csr.indices, pos)
+            cindices = np.delete(self._csc.indices, cpos)
+        else:
+            keys = np.insert(self._keys, pos, changed_keys)
+            indices = np.insert(self._csr.indices, pos, cols)
+            cindices = np.insert(self._csc.indices, cpos, crows)
         csr = PatternCSR(
-            indptr_r, cols.astype(INDEX_DTYPE, copy=False), (m, n), check=False
-        )
-        crows = ckeys // np.int64(max(m, 1))
-        ccols = ckeys - crows * np.int64(max(m, 1))
-        col_counts = np.bincount(crows, minlength=n).astype(INDEX_DTYPE)
-        indptr_c = np.zeros(n + 1, dtype=INDEX_DTYPE)
-        np.cumsum(col_counts, out=indptr_c[1:])
-        csc = PatternCSC(
-            indptr_c,
-            ccols.astype(INDEX_DTYPE, copy=False),
-            (m, n),
+            _shift_indptr(self._csr.indptr, rows, sign), indices, shape,
             check=False,
         )
-        return csr, csc
+        csc = PatternCSC(
+            _shift_indptr(self._csc.indptr, ccols, sign), cindices, shape,
+            check=False,
+        )
+        return keys, csr, csc
 
     def _phase_delta(
-        self,
-        small_keys: np.ndarray,
-        small_csr,
-        small_csc,
-        big_csr,
-        big_csc,
-        changed_keys: np.ndarray,
+        self, small, big, changed_keys, rows, cols
     ) -> tuple[int, np.ndarray, np.ndarray, int]:
         """Delta between the graph without and with ``changed_keys``.
 
-        ``small_*`` is the graph missing the changed edges, ``big_*`` the
-        one containing them.  One probe, pivoting on the side with fewer
-        delta wedges (or on :attr:`_probe_side` when set), returns the
-        (positive-direction) global delta, per-left and per-right delta
-        arrays, and the intra-batch closure count.
+        ``small`` is the ``(keys, csr, csc)`` state missing the changed
+        edges, ``big`` the one containing them.  One probe, pivoting on
+        the side with fewer delta wedges (or on :attr:`_probe_side` when
+        set), returns the (positive-direction) global delta, per-left and
+        per-right delta arrays, and the intra-batch closure count.
         """
-        n = np.int64(max(self.n_right, 1))
-        rows = changed_keys // n
-        cols = changed_keys - rows * n
+        small_keys, small_csr, small_csc = small
+        _, big_csr, big_csc = big
         side = self._probe_side
         if side is None:
             left_work = big_csc.indptr[cols + 1] - big_csc.indptr[cols]
@@ -691,65 +719,32 @@ class StreamingButterflyCounter:
         stats: dict,
     ) -> None:
         """One homogeneous phase (all-deletes or all-inserts) of a batch."""
-        changed_ckeys = self._col_keys(changed_keys)
-        if remove:
-            small_keys = _remove_sorted(self._keys, changed_keys)
-            small_ckeys = _remove_sorted(self._ckeys, changed_ckeys)
-            big_keys, big_ckeys = self._keys, self._ckeys
-        else:
-            small_keys, small_ckeys = self._keys, self._ckeys
-            big_keys = _merge_sorted(self._keys, changed_keys)
-            big_ckeys = _merge_sorted(self._ckeys, changed_ckeys)
+        n = np.int64(max(self.n_right, 1))
+        rows = changed_keys // n
+        cols = changed_keys - rows * n
+        spliced = self._spliced(changed_keys, rows, cols, remove=remove)
         if strategy == "recount":
-            if remove:
-                self._recount_to(small_keys, small_ckeys)
-            else:
-                self._recount_to(big_keys, big_ckeys)
-            delta = self._last_recount_delta
+            before = self.count
+            self._keys, self._csr, self._csc = spliced
+            self._count_from(self.to_graph())
+            delta = abs(self.count - before)
         else:
-            if remove:
-                small_csr, small_csc = self._structures_for(
-                    small_keys, small_ckeys
-                )
-                big_csr, big_csc = self._csr, self._csc
-            else:
-                small_csr, small_csc = self._csr, self._csc
-                big_csr, big_csc = self._structures_for(big_keys, big_ckeys)
-            g_delta, d_left, d_right, closures = self._phase_delta(
-                small_keys, small_csr, small_csc, big_csr, big_csc,
-                changed_keys,
+            current = (self._keys, self._csr, self._csc)
+            small, big = (spliced, current) if remove else (current, spliced)
+            delta, d_left, d_right, closures = self._phase_delta(
+                small, big, changed_keys, rows, cols
             )
             stats["intra_batch_closures"] += closures
             if remove:
-                self.count -= g_delta
+                self.count -= delta
                 self._per_left -= d_left
                 self._per_right -= d_right
-                self._keys, self._ckeys = small_keys, small_ckeys
-                self._csr, self._csc = small_csr, small_csc
-                stats["destroyed"] += g_delta
             else:
-                self.count += g_delta
+                self.count += delta
                 self._per_left += d_left
                 self._per_right += d_right
-                self._keys, self._ckeys = big_keys, big_ckeys
-                self._csr, self._csc = big_csr, big_csc
-                stats["created"] += g_delta
-            return
-        # recount bookkeeping (strategy == "recount")
-        if remove:
-            stats["destroyed"] += delta
-        else:
-            stats["created"] += delta
-
-    def _recount_to(self, new_keys: np.ndarray, new_ckeys: np.ndarray) -> None:
-        """Swap in ``new_keys`` and recompute every count from scratch."""
-        csr, csc = self._structures_for(new_keys, new_ckeys)
-        before = self.count
-        self._keys, self._ckeys = new_keys, new_ckeys
-        self._csr, self._csc = csr, csc
-        self._count_from(self.to_graph())
-        # stash the phase delta for the caller's stats bookkeeping
-        self._last_recount_delta = abs(self.count - before)
+            self._keys, self._csr, self._csc = spliced
+        stats["destroyed" if remove else "created"] += delta
 
     def _count_from(self, graph: BipartiteGraph) -> None:
         """Set Ξ and both per-vertex arrays from scratch for ``graph``.
@@ -807,10 +802,10 @@ class StreamingButterflyCounter:
                 f"snapshot shape {state['n_left']}x{state['n_right']} does "
                 f"not match counter shape {self.n_left}x{self.n_right}"
             )
-        ckeys = self._col_keys(state["keys"])
-        csr, csc = self._structures_for(state["keys"], ckeys)
-        self._keys, self._ckeys = state["keys"], ckeys
-        self._csr, self._csc = csr, csc
+        keys = state["keys"]  # strictly increasing, checked by the decoder
+        rows, cols = np.divmod(keys, np.int64(max(self.n_right, 1)))
+        graph = BipartiteGraph(PatternCOO(rows, cols, (self.n_left, self.n_right)))
+        self._keys, self._csr, self._csc = keys, graph.csr, graph.csc
         self.count = state["count"]
         self._per_left = state["per_left"]
         self._per_right = state["per_right"]

@@ -37,8 +37,12 @@ __all__ = [
 Op = tuple
 
 
-def parse_script(text: str) -> list[Op]:
-    """Parse script text into an op list; raises ``ValueError`` on bad lines."""
+def parse_script(text: str, shape: tuple[int, int] | None = None) -> list[Op]:
+    """Parse script text into an op list; raises ``ValueError`` on bad lines.
+
+    With ``shape=(n_left, n_right)`` an edge id outside ``[0, n)`` of its
+    side is a bad line too, reported with its line number.
+    """
     ops: list[Op] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -63,6 +67,12 @@ def parse_script(text: str) -> list[Op]:
             ) from exc
         if u < 0 or v < 0:
             raise ValueError(f"line {lineno}: vertex ids must be non-negative")
+        for side, vertex, n in zip(("left", "right"), (u, v), shape or ()):
+            if vertex >= n:
+                raise ValueError(
+                    f"line {lineno}: {side} vertex {vertex} out of range "
+                    f"[0, {n})"
+                )
         ops.append((parts[0], u, v))
     return ops
 
@@ -80,10 +90,10 @@ def format_script(ops: Iterable[Op]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def load_script(path) -> list[Op]:
-    """Read and parse a script file."""
+def load_script(path, shape: tuple[int, int] | None = None) -> list[Op]:
+    """Read and parse a script file (``shape`` as in :func:`parse_script`)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_script(fh.read())
+        return parse_script(fh.read(), shape)
 
 
 def save_script(path, ops: Iterable[Op]) -> None:

@@ -21,7 +21,7 @@ Coefficients
     Per-edge cost of the priority kernel's rank relabel and sorted
     symmetric adjacency build, and its cost per expanded wedge.
 ``ns_per_op.stream`` / ``stream_batch_ns``
-    Per-modeled-op cost (touched wedges + view rebuild) and flat
+    Per-modeled-op cost (touched wedges + the O(nnz) splice) and flat
     per-batch overhead of the streaming batched-apply path
     (:class:`repro.core.stream.StreamingButterflyCounter`).
 """
@@ -49,20 +49,22 @@ DEFAULT_CALIBRATION_PATH = os.path.join("results", "engine_calibration.json")
 
 #: Shipped defaults.  The priority pair is the median of 15 ``calibrate()``
 #: solves on a 2-vCPU x86-64 CPython 3.11 + NumPy host.  The stream pair
-#: is measured on the same host: ``stream_batch_ns`` is the median apply
-#: of a 3-edit batch on a 25x30 graph (~0.4 ms), and ``ns_per_op.stream``
-#: spreads the rest of the median apply of the seed-0 ``benchmarks/e2e``
-#: stream script (~21 ms for ~196k modeled ops, 500 inserts + 200 hub-
-#: weighted deletes per batch, first 60 batches) over its modeled ops.
+#: is the median of 9 ``calibrate()`` solves on the same host, each fitted
+#: on mixed batches (500 uniform inserts + 200 deletes of present edges)
+#: over the spliced views; solves spread 120–141 ns/op and 0.35–1.04 ms
+#: per batch.  It prices the seed-0 ``benchmarks/e2e`` stream batches
+#: (~196k modeled ops, ~17–20 ms measured) at a median 1.25x their
+#: apply (0.7–2.1x per batch), and every one of them plans
+#: ``incremental``.
 DEFAULT_COEFFICIENTS: dict = {
     "ns_per_op": {
         "priority": 10.3,
-        "stream": 105.0,
+        "stream": 130.0,
     },
     "ns_per_edge": {
         "priority": 158.0,
     },
-    "stream_batch_ns": 4.0e5,
+    "stream_batch_ns": 9.3e5,
 }
 
 
@@ -206,23 +208,27 @@ def calibrate(
     coeffs["ns_per_edge"]["priority"] = max(per_edge * 1e9, 1.0)
     coeffs["ns_per_op"]["priority"] = max(per_wedge * 1e9, 0.05)
 
-    # stream: the same 256 uniform inserts on the sparse graph and on one
-    # the size of a real stream (~17x the modeled ops).  Typical batches
-    # pay mostly the O(nnz) view rebuild, so spanning nnz prices the term
-    # that decides incremental vs recount; two batches on one graph would
-    # span only touched wedges, ~10x dearer per op than the rebuild, and
-    # solve to a negative per-batch overhead.  The constructor is untimed.
+    # stream: one mixed batch shaped like a real stream's -- 500 uniform
+    # inserts and 200 deletes of present edges, so hub edges are drawn by
+    # degree -- on the sparse graph and on one the size of a real stream
+    # (~16x the modeled ops).  Most of a mixed batch is the delete
+    # phase's probe of hub pairs, which an insert-only batch never pays
+    # (it priced a mixed batch ~5x low).  The constructor is untimed.
     rng = np.random.default_rng(15)
     fits = []
-    for g in (light, power_law_bipartite(20_000, 30_000, 150_000, seed=16)):
-        rows = rng.integers(0, g.n_left, 256)
-        cols = rng.integers(0, g.n_right, 256)
-        edges = np.stack([rows, cols], axis=1)
-        t = _best_of(
-            lambda counter, edges=edges: counter.apply(insert=edges), repeats,
-            setup=lambda g=g: StreamingButterflyCounter(g),
+    for g in (light, power_law_bipartite(30_000, 40_000, 120_000, seed=16)):
+        insert = np.stack(
+            [rng.integers(0, g.n_left, 500), rng.integers(0, g.n_right, 500)],
+            axis=1,
         )
-        fits.append((touched_wedge_work(g, rows, cols) + g.n_edges + 256, 1, t))
+        delete = g.edges()[rng.choice(g.n_edges, 200, replace=False)]
+        t = _best_of(
+            lambda counter, i=insert, d=delete: counter.apply(insert=i, delete=d),
+            repeats, setup=lambda g=g: StreamingButterflyCounter(g),
+        )
+        edits = np.concatenate((insert, delete))
+        ops = touched_wedge_work(g, edits[:, 0], edits[:, 1]) + g.n_edges
+        fits.append((ops + len(edits), 1, t))
     per_op, per_batch = _solve(*fits[0], *fits[1])
     if per_op <= 0:  # noisy timing: charge the larger batch per op
         per_op, per_batch = fits[1][2] / fits[1][0], 0.0

@@ -302,7 +302,8 @@ def _wing_row(graph, budget, block_size, k) -> Plan:
 
 
 def _batch_endpoints(graph, batch):
-    """(rows, cols) int64 arrays of every edge in a (insert, delete) pair.
+    """(rows, cols) int64 arrays of every edge in a (insert, delete) pair,
+    and the batch's phase count: one per side holding edits, at least 1.
 
     Ids pass the check ``StreamingButterflyCounter.apply`` makes
     (:func:`~repro.core.stream.counter.batch_edges`), so a batch apply
@@ -317,7 +318,8 @@ def _batch_endpoints(graph, batch):
         for part in batch or () if part is not None
     ]
     edges = np.concatenate(parts or [np.empty((0, 2), dtype=np.int64)])
-    return edges[:, 0], edges[:, 1]
+    phases = max(1, sum(1 for part in parts if len(part)))
+    return edges[:, 0], edges[:, 1], phases
 
 
 def _stream_candidates(graph, cal, strategy, batch) -> list[Plan]:
@@ -325,10 +327,11 @@ def _stream_candidates(graph, cal, strategy, batch) -> list[Plan]:
 
     The incremental path's dominant term is the *touched* wedge work —
     Σ deg(u) + deg(v) over the batch edges (the delta-wedge enumeration)
-    — plus an O(nnz) sorted-merge/rebuild of both compressed views.  The
-    recount rebuilds every count with one per-vertex priority pass over
-    both sides (Ξ falls out of the per-left sums), so it pays the
-    priority wedge work and its per-vertex reduction once.
+    — plus the O(nnz) copies that splice the edge keys and both
+    compressed views.  The recount rebuilds every count with one
+    per-vertex priority pass over both sides (Ξ falls out of the
+    per-left sums) after each phase, so a batch with deletes and inserts
+    pays the priority wedge work and its per-vertex reduction twice.
 
     Pricing that work is itself an O(E) pass, so an unpinned recount row
     is priced exactly only when it could win: its relabel floor (the
@@ -338,7 +341,7 @@ def _stream_candidates(graph, cal, strategy, batch) -> list[Plan]:
     from repro.core.priority import priority_wedge_work
     from repro.core.workinfo import touched_wedge_work
 
-    rows, cols = _batch_endpoints(graph, batch)  # checked under any pin
+    rows, cols, phases = _batch_endpoints(graph, batch)  # checked under any pin
     row = Plan(workload="stream_apply", storage="csr")
     out = []
     if strategy in (None, "incremental"):
@@ -348,12 +351,10 @@ def _stream_candidates(graph, cal, strategy, batch) -> list[Plan]:
             strategy="incremental", modeled_ops=ops,
             est_seconds=(ops * cal.ns_per_op("stream") + cal.stream_batch_ns) * 1e-9,
             reason=f"delta-wedge maintenance touches ~{touched:,} wedges "
-                   f"for {rows.size} edit(s) (+O(nnz) view rebuild)",
+                   f"for {rows.size} edit(s)",
         ))
-    floor = (
-        _priority_seconds(graph, cal, 0) * _VERTEX_PASS_COST
-        + cal.stream_batch_ns * 1e-9
-    )
+    passes = _VERTEX_PASS_COST * phases
+    floor = _priority_seconds(graph, cal, 0) * passes + cal.stream_batch_ns * 1e-9
     if strategy is None and floor > out[0].est_seconds:
         out.append(row.with_(
             strategy="recount", modeled_ops=int(graph.n_edges),
@@ -366,10 +367,10 @@ def _stream_candidates(graph, cal, strategy, batch) -> list[Plan]:
         ops = priority_wedge_work(graph)
         out.append(row.with_(
             strategy="recount", modeled_ops=ops,
-            est_seconds=_priority_seconds(graph, cal, ops) * _VERTEX_PASS_COST
+            est_seconds=_priority_seconds(graph, cal, ops) * passes
             + cal.stream_batch_ns * 1e-9,
             reason="from-scratch recount: one per-vertex priority pass "
-                   "over both sides",
+                   f"over both sides per phase, {phases} phase(s)",
         ))
     return out
 

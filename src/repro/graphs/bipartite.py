@@ -8,11 +8,15 @@ matrix A (|V1| × |V2|), per Section II of the paper:
 The container keeps both compressed views of A — CSR (row/V1-major, used by
 invariants 5–8) and CSC (column/V2-major, used by invariants 1–4) — built
 lazily and cached, so every algorithm in the family gets its preferred
-storage without repeated conversions.  One more slot holds each side's
-same-side pair table once a tip decomposition has built it
-(:mod:`repro.core.peeling.buckets` fills it, the auto ``k_tip`` reads
-it): under ``PAIR_TABLE_MAX_BYTES`` (8 MiB) per side, kept for as long
-as the graph lives.  A derived graph starts with it empty.
+storage without repeated conversions.  A graph wrapped around an existing
+view (``from_csr``/``from_csc``) derives even its COO lazily, so wrapping
+is O(1) and sizes and ``n_edges`` read from whichever view exists.
+
+One more slot holds each side's same-side pair table once a tip
+decomposition has built it (:mod:`repro.core.peeling.buckets` fills it,
+the auto ``k_tip`` reads it): under ``PAIR_TABLE_MAX_BYTES`` (8 MiB) per
+side, kept for as long as the graph lives.  A derived graph starts with
+it empty.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ class BipartiteGraph:
                     raise ValueError("give both n_left and n_right or neither")
                 shape = (int(n_left), int(n_right))
             coo = PatternCOO.from_pairs(edges, shape)
-        self._coo = coo
+        self._coo: PatternCOO | None = coo  # None until read, after from_csr/csc
         self._csr: PatternCSR | None = None
         self._csc: PatternCSC | None = None
         # side -> (cap, pair table) left by repro.core.peeling.buckets
@@ -82,16 +86,20 @@ class BipartiteGraph:
 
     @classmethod
     def from_csr(cls, csr: PatternCSR) -> "BipartiteGraph":
-        """Build from an existing CSR pattern (kept, CSC derived lazily)."""
-        g = cls(csr.to_coo())
-        g._csr = csr
-        return g
+        """Build from an existing CSR pattern (kept; COO and CSC derived
+        lazily, so wrapping a view costs O(1))."""
+        return cls._wrap(csr=csr)
 
     @classmethod
     def from_csc(cls, csc: PatternCSC) -> "BipartiteGraph":
-        """Build from an existing CSC pattern (kept, CSR derived lazily)."""
-        g = cls(csc.to_coo())
-        g._csc = csc
+        """Build from an existing CSC pattern (kept; COO and CSR derived
+        lazily, so wrapping a view costs O(1))."""
+        return cls._wrap(csc=csc)
+
+    @classmethod
+    def _wrap(cls, csr=None, csc=None) -> "BipartiteGraph":
+        g = cls.__new__(cls)
+        g._coo, g._csr, g._csc, g._pair_tables = None, csr, csc, {}
         return g
 
     @classmethod
@@ -109,51 +117,60 @@ class BipartiteGraph:
     # ------------------------------------------------------------------
     # dimensions
     # ------------------------------------------------------------------
+    def _any_view(self):
+        """Whichever view exists: a graph always holds at least one."""
+        return next(v for v in (self._coo, self._csr, self._csc) if v is not None)
+
     @property
     def n_left(self) -> int:
         """|V1| — size of the left (row) side."""
-        return self._coo.shape[0]
+        return self.shape[0]
 
     @property
     def n_right(self) -> int:
         """|V2| — size of the right (column) side."""
-        return self._coo.shape[1]
+        return self.shape[1]
 
     @property
     def n_edges(self) -> int:
         """|E| — number of (distinct) edges."""
-        return self._coo.nnz
+        return self._any_view().nnz
 
     @property
     def shape(self) -> tuple[int, int]:
         """Biadjacency shape ``(|V1|, |V2|)``."""
-        return self._coo.shape
+        return self._any_view().shape
 
     # ------------------------------------------------------------------
     # matrix views
     # ------------------------------------------------------------------
     @property
     def coo(self) -> PatternCOO:
-        """Canonical COO view of the biadjacency matrix."""
+        """Canonical COO view of the biadjacency matrix; cached."""
+        if self._coo is None:
+            if self._csr is not None:
+                self._coo = self._csr.to_coo()  # already row-major sorted
+            else:
+                self._coo = self._csc.to_coo().canonicalize()
         return self._coo
 
     @property
     def csr(self) -> PatternCSR:
         """CSR view (left-vertex adjacency lists); cached."""
         if self._csr is None:
-            self._csr = PatternCSR.from_coo(self._coo)
+            self._csr = PatternCSR.from_coo(self.coo)
         return self._csr
 
     @property
     def csc(self) -> PatternCSC:
         """CSC view (right-vertex adjacency lists); cached."""
         if self._csc is None:
-            self._csc = PatternCSC.from_coo(self._coo)
+            self._csc = PatternCSC.from_coo(self.coo)
         return self._csc
 
     def biadjacency_dense(self, dtype=np.int64) -> np.ndarray:
         """Dense biadjacency matrix A (small graphs / tests only)."""
-        return self._coo.to_dense(dtype)
+        return self.coo.to_dense(dtype)
 
     def adjacency_dense(self, dtype=np.int64) -> np.ndarray:
         """Dense full adjacency A_G = [[0, A], [Aᵀ, 0]] of the union graph."""
@@ -193,7 +210,7 @@ class BipartiteGraph:
         invariant families is not — which is exactly the paper's Section V
         finding about partition sizes.
         """
-        return BipartiteGraph(self._coo.transpose())
+        return BipartiteGraph(self.coo.transpose())
 
     def relabel(
         self,
@@ -206,7 +223,7 @@ class BipartiteGraph:
         label-invariance and by the degree orderings in
         :mod:`repro.graphs.ordering`.
         """
-        rows, cols = self._coo.rows, self._coo.cols
+        rows, cols = self.coo.rows, self.coo.cols
         if left_perm is not None:
             rows = _permutation(left_perm, self.n_left, "left_perm")[rows]
         if right_perm is not None:
@@ -227,14 +244,14 @@ class BipartiteGraph:
         right_keep = np.asarray(right_keep, dtype=bool)
         if left_keep.shape != (self.n_left,) or right_keep.shape != (self.n_right,):
             raise ValueError("masks must cover both vertex sides")
-        sel = left_keep[self._coo.rows] & right_keep[self._coo.cols]
+        sel = left_keep[self.coo.rows] & right_keep[self.coo.cols]
         return BipartiteGraph(
-            PatternCOO(self._coo.rows[sel], self._coo.cols[sel], self.shape)
+            PatternCOO(self.coo.rows[sel], self.coo.cols[sel], self.shape)
         )
 
     def edges(self) -> np.ndarray:
         """All edges as an ``(e, 2)`` array sorted row-major."""
-        return np.stack([self._coo.rows, self._coo.cols], axis=1)
+        return np.stack([self.coo.rows, self.coo.cols], axis=1)
 
     # ------------------------------------------------------------------
     # dunder
@@ -242,7 +259,7 @@ class BipartiteGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BipartiteGraph):
             return NotImplemented
-        return self._coo == other._coo
+        return self.coo == other.coo
 
     def __hash__(self) -> None:  # pragma: no cover
         raise TypeError("BipartiteGraph is not hashable")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._types import COUNT_DTYPE
 from repro.graphs.bipartite import BipartiteGraph
 
 __all__ = ["project", "count_from_projection", "is_butterfly_free"]

@@ -1,7 +1,5 @@
 """Tests for the one-shot evaluation report generator."""
 
-import pytest
-
 from repro.bench.report import fig9_report, fig10_report, fig11_report, full_report, main
 
 

@@ -219,6 +219,8 @@ def test_bench_smallest_dataset(capsys):
          "right vertex 99 out of range [0, 3)"),
         (["stream", "empty:3x3", "{tmp}/delete_99.txt", "--strategy",
           "incremental"], "left vertex 99 out of range [0, 3)"),
+        (["stream", "empty:3x3", "{tmp}/delete_99.txt", "--strategy", "auto"],
+         "line 2: left vertex 99 out of range [0, 3)"),
         (["stream", "empty:3x3", "{tmp}/negative.txt"], "must be non-negative"),
         (["stream", "empty:3x3", "{tmp}/flush.txt", "--snapshot-in",
           "{tmp}/truncated.rbsn"], "snapshot prefix needs 14 bytes"),
@@ -234,6 +236,7 @@ def test_bench_smallest_dataset(capsys):
          "decompose-negative-top", "generate-negative-n-left",
          "generate-negative-edges", "stream-bad-empty-spec",
          "stream-out-of-range-insert", "stream-out-of-range-delete",
+         "stream-out-of-range-names-line",
          "stream-negative-id", "stream-truncated-snapshot",
          "stream-snapshot-shape-mismatch"],
 )

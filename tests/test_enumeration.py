@@ -1,6 +1,5 @@
 """Tests for butterfly enumeration and per-pair counting."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import enumerate_butterflies

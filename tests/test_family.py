@@ -1,16 +1,13 @@
 """Unit tests for the family metadata and the unblocked algorithms."""
 
-import numpy as np
 import pytest
 
 from repro.core import (
     ALL_INVARIANTS,
     INVARIANTS,
-    Invariant,
     Reference,
     Side,
     Traversal,
-    butterflies_spec,
     count_butterflies,
     count_butterflies_unblocked,
 )

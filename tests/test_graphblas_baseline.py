@@ -8,7 +8,7 @@ from repro.baselines import (
     wedge_matrix_graphblas,
 )
 from repro.core import count_butterflies
-from tests.conftest import TINY_EXPECTED, tiny_named_graphs
+from tests.conftest import TINY_EXPECTED
 
 
 def test_graphblas_on_hand_verified(tiny_graphs):

@@ -21,7 +21,7 @@ from repro.core import (
 from repro.graphs import BipartiteGraph, count_from_projection, is_butterfly_free
 from repro.reference import butterflies_reference
 from repro.sparsela import PatternCSR
-from repro.sparsela.semiring import PLUS_PAIR, PLUS_TIMES, gram, mxm
+from repro.sparsela.semiring import PLUS_TIMES, gram, mxm
 
 SETTINGS = dict(max_examples=30, deadline=None)
 

@@ -26,6 +26,10 @@ Sources of scripts:
   intra-batch duplicates);
 - the committed regression corpus under ``tests/data/stream_scripts/``
   (file names carry the shape: ``<m>x<n>__<name>.txt``);
+- the spliced CSR/CSC views against a fresh build after every batch
+  (random scripts in every probe mode, side and strategy, plus boundary
+  rows and columns, whole-row/column/graph deletes, empty to full, and
+  batches after a snapshot restore);
 - three pinned ≥2000-op scripts (fixed RNG seeds), marked ``slow``.
 """
 
@@ -42,7 +46,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import count_butterflies, vertex_butterfly_counts
-from repro.core.stream import StreamingButterflyCounter
+from repro.core.stream import STREAM_APPLY_STRATEGIES, StreamingButterflyCounter
 from repro.core.stream import counter as stream_counter
 from repro.core.stream.script import (
     format_script,
@@ -56,6 +60,7 @@ from repro.graphs import (
     planted_bicliques,
     power_law_bipartite,
 )
+from repro.sparsela import PatternCOO, PatternCSC, PatternCSR
 
 SCRIPTS_DIR = os.path.join(os.path.dirname(__file__), "data", "stream_scripts")
 
@@ -526,6 +531,147 @@ def test_intra_batch_closures_match_brute_force(name, probe_side):
 
 
 # ----------------------------------------------------------------------
+# the spliced views: every phase splices the CSR and CSC it keeps; after
+# every batch they must equal a fresh build of the current edge set
+# ----------------------------------------------------------------------
+def _assert_views_fresh(counter, edges, context=""):
+    """Keys, CSR and CSC equal a from-scratch build of ``edges``: the
+    same ``indptr``/``indices`` values and dtypes."""
+    shape = (counter.n_left, counter.n_right)
+    coo = PatternCOO.from_pairs(sorted(edges), shape)
+    assert np.array_equal(
+        counter._keys, coo.rows * max(shape[1], 1) + coo.cols
+    ), context
+    for got, want in (
+        (counter._csr, PatternCSR.from_coo(coo)),
+        (counter._csc, PatternCSC.from_coo(coo)),
+    ):
+        assert type(got) is type(want) and got.shape == want.shape, context
+        for part in ("indptr", "indices"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b), context
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _scripts(),
+    st.sampled_from(sorted(PROBE_MODES)),
+    st.sampled_from(("left", "right")),
+    st.sampled_from(STREAM_APPLY_STRATEGIES),
+)
+def test_spliced_views_equal_a_fresh_build(case, mode, side, strategy):
+    name, ops = case
+    g = CORPUS[name]
+    counter = StreamingButterflyCounter(g)
+    counter._probe_side = side
+    edges = {tuple(map(int, e)) for e in g.edges()}
+    for batch_no, (insert, delete) in enumerate(iter_batches(ops)):
+        with _probe_bounds(mode):
+            counter.apply(insert=insert, delete=delete, strategy=strategy)
+        edges = (edges - set(delete)) | set(insert)
+        _assert_views_fresh(counter, edges, f"batch {batch_no} of:\n{ops}")
+
+
+def _assert_batches_conform(counter, g, batches):
+    """Apply ``(insert, delete)`` batches; views and counts stay exact."""
+    shape = (g.n_left, g.n_right)
+    edges = {tuple(map(int, e)) for e in g.edges()}
+    for insert, delete in batches:
+        counter.apply(insert=insert, delete=delete)
+        edges = (edges - set(delete)) | set(insert)
+        _assert_views_fresh(counter, edges)
+        want_count, want_left, want_right = _reference_counts(shape, edges)
+        assert counter.count == want_count
+        assert np.array_equal(counter.vertex_counts("left"), want_left)
+        assert np.array_equal(counter.vertex_counts("right"), want_right)
+    return edges
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_splice_at_the_first_and_last_row_and_column(side):
+    """Entries land before the first offset and after the last one, and
+    empty boundary rows and columns fill and empty again."""
+    g = BipartiteGraph([(2, 1), (2, 2), (3, 2), (3, 3)], n_left=6, n_right=5)
+    corners = [(0, 0), (0, 4), (5, 0), (5, 4)]
+    counter = StreamingButterflyCounter(g)
+    counter._probe_side = side
+    _assert_batches_conform(counter, g, [
+        (corners, []),
+        ([(0, 1), (0, 2), (1, 0), (4, 4), (5, 3)], []),
+        ([], corners),
+        ([], [(0, 1), (0, 2), (1, 0), (4, 4), (5, 3)]),
+        (corners + [(2, 0), (2, 4)], [(2, 1), (3, 3)]),
+    ])
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_splice_deletes_a_whole_row_column_and_graph(side):
+    g = CORPUS["powerlaw"]
+    row = int(np.argmax(g.degrees_left()))
+    col = int(np.argmax(g.degrees_right()))
+    counter = StreamingButterflyCounter(g)
+    counter._probe_side = side
+    edges = _assert_batches_conform(counter, g, [
+        ([], [(row, int(v)) for v in g.neighbors_left(row)]),
+        ([], [(int(u), col) for u in g.neighbors_right(col)]),
+    ])
+    _assert_batches_conform(counter, BipartiteGraph(
+        sorted(edges), n_left=g.n_left, n_right=g.n_right
+    ), [([], sorted(edges))])
+    assert counter.n_edges == 0 and counter.count == 0
+    assert not counter._csr.indptr.any() and not counter._csc.indptr.any()
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_splice_from_an_empty_graph_to_a_full_one(side):
+    g = BipartiteGraph.empty(4, 5)
+    counter = StreamingButterflyCounter(g)
+    counter._probe_side = side
+    full = [(u, v) for u in range(4) for v in range(5)]
+    _assert_batches_conform(counter, g, [(full[::2], []), (full[1::2], [])])
+    assert counter.count == 6 * 10  # C(4, 2) · C(5, 2)
+
+
+def test_splice_after_snapshot_restore():
+    """``restore`` builds the views once from the keys; later batches
+    splice them like any others."""
+    g = CORPUS["planted"]
+    counter = StreamingButterflyCounter(g)
+    ops = _long_script(13, 240, g.n_left, g.n_right)
+    batches = list(iter_batches(ops))
+    for insert, delete in batches[:2]:
+        counter.apply(insert=insert, delete=delete)
+    restored = StreamingButterflyCounter.from_snapshot(counter.snapshot())
+    state = BipartiteGraph(
+        counter.to_graph().edges(), n_left=g.n_left, n_right=g.n_right
+    )
+    _assert_views_fresh(restored, {tuple(map(int, e)) for e in state.edges()})
+    _assert_batches_conform(restored, state, batches[2:])
+
+
+def test_splice_leaves_handed_out_views_intact():
+    """A phase writes new arrays: the input graph's views and a graph
+    taken by ``to_graph`` before the batch keep their edges."""
+    g = CORPUS["er"]
+    before = g.edges().copy()
+    counter = StreamingButterflyCounter(g)
+    taken = [g, counter.to_graph()]
+
+    def arrays(graph):
+        return [graph.csr.indptr, graph.csr.indices, graph.csc.indptr,
+                graph.csc.indices]
+
+    for insert, delete in (([(0, 0), (1, 1)], []), ([], [tuple(before[0])])):
+        kept = [[a.copy() for a in arrays(t)] for t in taken]
+        counter.apply(insert=insert, delete=delete)
+        for graph, copies in zip(taken, kept):
+            for now, then in zip(arrays(graph), copies):
+                assert np.array_equal(now, then)
+        taken.append(counter.to_graph())
+    assert np.array_equal(g.edges(), before)
+
+
+# ----------------------------------------------------------------------
 # committed regression corpus
 # ----------------------------------------------------------------------
 def _corpus_scripts():
@@ -551,6 +697,18 @@ def test_script_round_trip():
         ([(0, 1)], [(2, 3)]),
         ([(4, 5)], []),
     ]
+
+
+def test_script_ids_checked_against_the_shape():
+    """Given the graph's shape, an id outside its side names its line."""
+    assert parse_script("+ 2 3\n", shape=(3, 4)) == [("+", 2, 3)]
+    left = r"^line 3: left vertex 3 out of range \[0, 3\)"
+    with pytest.raises(ValueError, match=left):
+        parse_script("+ 0 1\n# note\n- 3 0\n", shape=(3, 4))
+    right = r"^line 1: right vertex 4 out of range \[0, 4\)"
+    with pytest.raises(ValueError, match=right):
+        parse_script("+ 0 4\n", shape=(3, 4))
+    assert parse_script("+ 9 9\n") == [("+", 9, 9)]  # no shape, no range check
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ from repro.core.stream import (
     StreamingButterflyCounter,
 )
 from repro.core.stream.snapshot import (
-    SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
     decode_snapshot,
     encode_snapshot,
