@@ -9,18 +9,18 @@ Counts only ever decrease during a peel, so the sweep is linear in the
 total decrement volume.
 
 - **Tips.**  :func:`tip_numbers_bucket_parallel` is the production tip
-  decomposition.  Each synchronous round extracts the whole minimum
-  bucket.  Removing a same-side vertex never changes the common-neighbour
-  count c(u, w) of two survivors, so every loss the peel can apply is
-  fixed up front: a one-time *pair table* holds each same-side pair with
-  c ≥ 2, its row sums of C(c, 2) are the initial counts, and a round
-  subtracts its members' precomputed losses (Shi & Shun's aggregated
-  peel, arXiv:1907.08607).  A graph whose table would pass
-  :data:`PAIR_TABLE_MAX_BYTES` peels by re-expanding each round's wedges
-  instead (:func:`tip_decrement_batch`).  Each build is left on the
-  graph, so an auto :func:`~repro.core.peeling.tip.k_tip` on the same
-  graph afterwards peels from it too (:func:`_cached_pair_table`) — its
-  fixpoint rounds become subtractions rather than recounts.
+  decomposition.  Each synchronous round peels every survivor at or
+  below the running level.  Removing a same-side vertex never changes
+  c(u, w), the common neighbours of two survivors, so every loss the
+  peel can apply is fixed up front: a one-time symmetric *pair table*
+  holds each same-side pair with c ≥ 2 once per endpoint, its row sums
+  of C(c, 2) are the initial counts, and a round subtracts its members'
+  rows (Shi & Shun's aggregated peel, arXiv:1907.08607).  Past
+  :data:`PAIR_TABLE_MAX_BYTES` a graph peels by re-expanding each
+  round's wedges instead (:func:`tip_decrement_batch`).  Each build is
+  left on the graph, so an auto :func:`~repro.core.peeling.tip.k_tip`
+  on the same graph afterwards peels from it too
+  (:func:`cached_pair_table`): its rounds subtract, not recount.
 - **Wings.**  :func:`wing_numbers_bucket` (dict buckets, incremental
   per-edge support) is the production wing decomposition;
   :func:`wing_numbers_bucket_parallel` recounts the survivor graph's
@@ -47,6 +47,7 @@ from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela import choose2, gather_slices, segment_sums
 
 __all__ = [
+    "cached_pair_table",
     "wing_numbers_bucket",
     "tip_decrement_batch",
     "tip_numbers_bucket_parallel",
@@ -55,9 +56,9 @@ __all__ = [
 
 #: Peak bytes the tip peel's pair table may reach, build transients
 #: included.  A graph whose table would pass it peels by wedge rounds
-#: instead.  On the e2e shapes (seed 0) ``occupations`` (~130k pairs, a
-#: 3.8 MB build peak) takes the table with >= 1.8x headroom; ``github``,
-#: ``skewed`` and ``dense`` (0.3–4.6M pairs) fall back.  A build gives up
+#: instead.  On the e2e shapes (seeds 0–9) ``occupations`` (~130k pairs,
+#: a 3.6–4.0 MB build peak) takes the table with >= 1.28x headroom;
+#: ``github``, ``skewed`` and ``dense`` (0.3–4.6M pairs) fall back.  A build gives up
 #: as soon as it would cross the cap, so the cap is also what an aborted
 #: build adds to the fallback's peak — that is what keeps it this low.
 #: It also keeps every stored partner id and multiplicity below 2^31.
@@ -67,9 +68,10 @@ __all__ = [
 PAIR_TABLE_MAX_BYTES: int = 8 << 20
 
 #: Build bytes held per wedge of a chunk (the int64 gather index and its
-#: arange, the sort keys, the repeat flags and positions) and per stored
-#: pair (the int32 upper half and the chunk parts it is joined from, then
-#: the transpose's int64 argsort, int32 row ids and int32 lower half).
+#: arange, the sort keys, the repeat flags and positions; later its
+#: part's placement transients, each pair having taken >= 2 wedges) and
+#: per stored pair (its int32 partner and multiplicity in a chunk part,
+#: then once per endpoint in the table).
 _BYTES_PER_WEDGE = 32
 _BYTES_PER_PAIR = 24
 
@@ -142,42 +144,60 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 def _pair_table(pivot_major, complementary):
     """The pivot side's same-side pair table, or ``None`` past the cap.
 
-    Returns ``(halves, counts)``.  ``halves`` holds two CSR halves over
-    the pivot side as ``(indptr, partner, mult)`` triples: the upper half
-    (row u holds each partner w > u) and its transpose (partners w < u).
-    Every pair with c(u, w) ≥ 2 common neighbours is stored once per half
-    as an int32 partner and int32 multiplicity; pairs with c = 1 close no
+    Returns ``(table, counts)``.  ``table`` is one symmetric CSR over the
+    pivot side, ``(indptr, partner, mult)``: row u holds each w with
+    c(u, w) ≥ 2 common neighbours once, as an int32 partner and int32
+    multiplicity — its partners w > u, then those w < u, each ascending —
+    so every pair is stored once per endpoint; pairs with c = 1 close no
     butterfly and are dropped.  ``counts`` is every pivot's butterfly
-    count — its row sums of C(c, 2) over both halves, widened to
-    ``COUNT_DTYPE`` before the product.
+    count — its row sum of C(c, 2), widened to ``COUNT_DTYPE`` first.
 
-    The upper half is built chunk by chunk: contiguous pivots of at most
-    :data:`~repro.core.priority.PRIORITY_PANEL_BUDGET` upper wedges
-    (endpoint w > u — the suffix of v's ascending list after u; the
-    priority kernel's cache-resident panel size, as fast as 2^16 and
-    faster than 2^14 or 2^18 here), reduced by one sort of ``row·n + w``
-    keys each.  Before the first chunk the fixed arrays and the largest
-    chunk are charged to :data:`PAIR_TABLE_MAX_BYTES` and the rest caps
-    the pair count, so a graph with more pairs returns ``None`` as soon
-    as a chunk would cross it: the whole peak, build transients included,
-    stays under the cap.
+    A degree-1 pivot shares at most one neighbour with anyone, so it
+    stores no pair and changes no other pair's c: when the side has any,
+    they are dropped from both views before a wedge is expanded.  The
+    upper pairs (w > u) are then found chunk by chunk: contiguous pivots
+    of at most :data:`~repro.core.priority.PRIORITY_PANEL_BUDGET` upper
+    wedges (the suffix of v's ascending list after u; the priority
+    kernel's cache-resident panel size, as fast as 2^16 and faster than
+    2^14 or 2^18 here), reduced by one sort of ``row·n + w`` keys each.
+    Then each chunk's part is placed in both rows of its pairs (the
+    partners' rows by one stable argsort) and freed.  Before the first chunk
+    the fixed arrays, the pruned views and the largest chunk are charged
+    to :data:`PAIR_TABLE_MAX_BYTES` and the rest caps the pair count, so
+    a graph with more pairs returns ``None`` as soon as a chunk would
+    cross it: the whole peak, build transients included, stays under it.
     """
     n, nnz = pivot_major.major_dim, pivot_major.nnz
     cap = PAIR_TABLE_MAX_BYTES
-    # the E- and n-length arrays held here and by the caller, checked
-    # before any is allocated
-    fixed = 8 * (3 * nnz + 8 * (n + 1))
+    indptr, indices = pivot_major.indptr, pivot_major.indices
+    c_indptr, endpoints = complementary.indptr, complementary.indices
+    # E- and n-length arrays held here and by the caller plus 8 KiB of
+    # sort scratch, then the pruned views and masks, checked before use
+    fixed = 8 * (3 * nnz + 8 * (n + 1) + 1024)
     if fixed > cap:
         return None
-    indptr, indices = pivot_major.indptr, pivot_major.indices
+    deg = np.diff(indptr)
+    keep = deg != 1
+    if not keep.all():
+        fixed += 8 * (3 * nnz + n + complementary.major_dim + 2)
+        if fixed > cap:
+            return None
+        indices = indices[np.repeat(keep, deg)]
+        deg *= keep
+        indptr = np.concatenate(([0], np.cumsum(deg, dtype=INDEX_DTYPE)))
+        kept = keep[endpoints]
+        endpoints = endpoints[kept]
+        c_indptr = np.concatenate(([0], np.cumsum(kept, dtype=INDEX_DTYPE)))[c_indptr]
     # entry e = (u, v) is number start[e] - 1 in column-major order: u's
-    # slot in v's ascending list within ``complementary.indices``, so v's
-    # endpoints w > u are the ``length[e]`` entries from start[e]
+    # slot in v's ascending list within ``endpoints``, so v's endpoints
+    # w > u are the ``length[e]`` entries from start[e]
     start = indices * n
-    start += pivot_major.expand_major()
-    start[start.argsort()] = np.arange(1, nnz + 1, dtype=INDEX_DTYPE)
-    length = complementary.indptr[indices + 1]
+    start += np.repeat(np.arange(n, dtype=INDEX_DTYPE), deg)
+    del deg
+    start[start.argsort()] = np.arange(1, indices.size + 1, dtype=INDEX_DTYPE)
+    length = c_indptr[indices + 1]
     length -= start
+    del indices, c_indptr
     row_work = segment_sums(length, indptr, dtype=COUNT_DTYPE)
     prefix = np.zeros(n + 1, dtype=COUNT_DTYPE)
     np.cumsum(row_work, out=prefix[1:])
@@ -190,11 +210,12 @@ def _pair_table(pivot_major, complementary):
     max_pairs = (cap - fixed - _BYTES_PER_WEDGE * largest) // _BYTES_PER_PAIR
     if max_pairs < 0:
         return None
-    partner_parts, mult_parts = [], []
+    parts = []
     upper_ptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
+    lower_ptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
     counts = np.zeros(n, dtype=COUNT_DTYPE)
     # keys ``row·n + w`` sort as int32 while a chunk spans few enough rows
-    endpoints = complementary.indices.astype(PAIR_DTYPE)
+    endpoints = endpoints.astype(PAIR_DTYPE)
     narrow_rows = np.iinfo(PAIR_DTYPE).max // max(n, 1)
     filled = 0
     for lo, hi, wedges in panels:
@@ -220,87 +241,98 @@ def _pair_table(pivot_major, complementary):
         found = firsts.size
         if filled + found > max_pairs:
             return None
+        if not found:
+            continue
         c = np.diff(firsts, append=keys.size)
         c += 1
         rows, partners = np.divmod(keys[firsts], n)
         del keys, firsts
-        partner_parts.append(partners.astype(PAIR_DTYPE, copy=False))
-        mult_parts.append(c.astype(PAIR_DTYPE))
+        parts.append((lo, hi, partners.astype(PAIR_DTYPE), c.astype(PAIR_DTYPE)))
         filled += found
         upper_ptr[lo + 1 : hi + 1] = np.bincount(rows, minlength=hi - lo)
+        lower_ptr[1:] += np.bincount(partners, minlength=n)
         loss = choose2(c)
         np.add.at(counts, rows + lo, loss)
         np.add.at(counts, partners, loss)
-    del start, length, row_work, prefix, endpoints
+    del start, length, row_work, prefix, endpoints, indptr
     np.cumsum(upper_ptr, out=upper_ptr)
-    partner = np.concatenate(partner_parts or [np.empty(0, dtype=PAIR_DTYPE)])
-    mult = np.concatenate(mult_parts or [np.empty(0, dtype=PAIR_DTYPE)])
-    del partner_parts, mult_parts
-    lower_ptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
-    np.cumsum(np.bincount(partner, minlength=n), out=lower_ptr[1:])
-    order = np.argsort(partner)
-    rows = np.repeat(np.arange(n, dtype=PAIR_DTYPE), np.diff(upper_ptr))
-    lower_partner = rows[order]
-    del rows
-    lower_mult = mult[order]
-    del order
-    halves = (
-        (upper_ptr, partner, mult),
-        (lower_ptr, lower_partner, lower_mult),
-    )
-    return halves, counts
+    np.cumsum(lower_ptr, out=lower_ptr)
+    table_ptr = upper_ptr + lower_ptr
+    partner = np.empty(2 * filled, dtype=PAIR_DTYPE)
+    mult = np.empty(2 * filled, dtype=PAIR_DTYPE)
+    # each row's next free slot behind its upper entries
+    cursor = upper_ptr[1:] + lower_ptr[:-1]
+    parts.reverse()
+    while parts:
+        lo, hi, partners, c = parts.pop()
+        size, degrees = partners.size, np.diff(upper_ptr[lo : hi + 1])
+        # upper entry i of row u goes to i + lower_ptr[u]
+        at = np.repeat(lower_ptr[lo:hi], degrees)
+        at += np.arange(upper_ptr[lo], upper_ptr[hi], dtype=INDEX_DTYPE)
+        partner[at], mult[at] = partners, c
+        del at
+        # a stable argsort of the partners: sort ``partner·size + i`` keys
+        keys = partners.astype(INDEX_DTYPE) * size + np.arange(size)
+        keys.sort()
+        owners, order = np.divmod(keys, size)
+        del keys
+        firsts = _run_starts(owners)
+        runs = np.diff(firsts, append=size)
+        owners = owners[firsts]
+        at = np.repeat(cursor[owners] - firsts, runs)
+        at += np.arange(size, dtype=INDEX_DTYPE)
+        partner[at] = np.repeat(np.arange(lo, hi, dtype=PAIR_DTYPE), degrees)[order]
+        mult[at] = c[order]
+        cursor[owners] += runs
+    return (table_ptr, partner, mult), counts
 
 
-def _cached_pair_table(graph: BipartiteGraph, side: str):
+def cached_pair_table(graph: BipartiteGraph, side: str):
     """The pair table :func:`tip_numbers_bucket_parallel` left on
-    ``graph`` for ``side``, as read-only ``(halves, counts)``, or ``None``.
+    ``graph`` for ``side``, as read-only ``(table, counts)``, or ``None``.
 
-    Never builds one.  A table is returned (counting
-    ``peel.tip.pair_table_reused``) only if it was built under the
-    :data:`PAIR_TABLE_MAX_BYTES` read now, so lowering the cap forces the
-    same path on a graph with a table as on a fresh one.
+    Never builds one.  A table is returned only if it was built under
+    the :data:`PAIR_TABLE_MAX_BYTES` read now, so lowering the cap forces
+    the same path on a graph with a table as on a fresh one.
     """
     entry = graph._pair_tables.get(side)
     if entry is None or entry[0] != PAIR_TABLE_MAX_BYTES:
         return None
-    obs.inc("peel.tip.pair_table_reused")
     return entry[1]
 
 
-def _subtract_pair_losses(counts, halves, members: np.ndarray) -> None:
+def _subtract_pair_losses(counts, table, members: np.ndarray) -> None:
     """Subtract the butterflies the same-side vertices ``members`` close
-    with each partner from ``counts`` (a pair table's ``halves``); a
-    one-member batch reads two contiguous slices, no gather."""
+    with each partner from ``counts`` (a pair ``table``); a one-member
+    batch reads one contiguous slice, no gather."""
+    indptr, partner, mult = table
     if members.size == 1:
-        u = members[0]
-        for indptr, partner, mult in halves:
-            # a row holds each partner once
-            lo, hi = indptr[u], indptr[u + 1]
-            counts[partner[lo:hi]] -= choose2(mult[lo:hi])
+        # a row holds each partner once
+        lo, hi = indptr[members[0]], indptr[members[0] + 1]
+        counts[partner[lo:hi]] -= choose2(mult[lo:hi])
     else:
-        for indptr, partner, mult in halves:
-            at = _entry_positions(indptr, members)
-            np.subtract.at(counts, partner[at], choose2(mult[at]))
+        at = _entry_positions(indptr, members)
+        np.subtract.at(counts, partner[at], choose2(mult[at]))
 
 
 def _bucket_rounds(counts: np.ndarray, tip: np.ndarray):
-    """Yield each round's members: the whole minimum bucket of the survivors.
+    """Yield each round's members: every survivor at or below the level.
 
-    Members are labelled in ``tip`` with the running-max level and leave
-    the ascending survivor list before they are yielded; the caller then
-    subtracts the round's losses from ``counts``.  Only survivors' counts
-    are ever read again, so callers may subtract from peeled vertices too
-    rather than mask them out.  The last round (no survivors) is labelled
-    but not yielded.
+    The level rises to the survivors' minimum count; counts only fall,
+    so every survivor at or below it would be labelled it anyway.  A
+    zero count keeps tip 0 and never survives into a round.  Members are
+    labelled in ``tip`` and leave the ascending survivor list before they
+    are yielded; the caller then subtracts their losses from ``counts``
+    (peeled vertices' counts are never read again).  The last round (no
+    survivors) is not yielded.
     """
     level = 0
-    alive = np.arange(counts.size, dtype=INDEX_DTYPE)
+    alive = np.flatnonzero(counts)
     while alive.size:
         alive_counts = counts[alive]
-        current = int(alive_counts.min())
-        peel = alive_counts == current
+        level = max(level, int(alive_counts.min()))
+        peel = alive_counts <= level
         members = alive[peel]
-        level = max(level, current)
         tip[members] = level
         alive = alive[~peel]
         if obs._enabled:
@@ -330,19 +362,19 @@ def tip_numbers_bucket_parallel(
 
     Identical output to the heap reference
     :func:`~repro.core.peeling.decompose.tip_numbers` (asserted in
-    tests): each round extracts the *entire* minimum bucket at once and
-    assigns it the running-max level — counts only ever decrease, so
-    intra-bucket cascades cannot lift any member above the level it is
-    extracted at — then subtracts the batch's butterfly losses from the
+    tests): each round raises the running-max level to the survivors'
+    minimum and peels every survivor at or below it at once — counts only
+    ever decrease, so intra-bucket cascades cannot lift any member above
+    that level — then subtracts the batch's butterfly losses from the
     survivors.
 
     Removing a same-side vertex never changes c(u, w) for the pairs that
     survive it, so the losses are fixed before the first round.  One
-    build (:func:`_pair_table`) stores every pair with c ≥ 2; its row
-    sums of C(c, 2) are the initial counts, and a round slices its
-    members' rows and subtracts C(c, 2) from each partner (a peeled
-    partner's count is never read again) — a one-member round reads two
-    contiguous slices, no gather.  The table path records the
+    build (:func:`_pair_table`, leaves pruned) stores every pair with
+    c ≥ 2 once per endpoint; its row sums of C(c, 2) are the initial
+    counts, and a round gathers its members' rows and subtracts C(c, 2)
+    from each partner (a peeled partner's count is never read again) — a
+    one-member round reads one contiguous slice.  The table path records the
     ``peel.tip.pair_table_bytes`` gauge.  Every call builds its own
     table and leaves it, read-only, on ``graph`` (replacing one left
     before) for a later :func:`~repro.core.peeling.tip.k_tip`.
@@ -370,18 +402,15 @@ def tip_numbers_bucket_parallel(
     if table is None:
         obs.inc("peel.tip.pair_table_fallback")
         return _tip_wedge_rounds(graph, side, tip)
-    halves, counts = table
+    pairs, counts = table
     stored = counts.copy()
-    for array in (stored, *(a for half in halves for a in half)):
+    for array in (stored, *pairs):
         array.flags.writeable = False
-    graph._pair_tables[side] = (cap, (halves, stored))
+    graph._pair_tables[side] = (cap, (pairs, stored))
     if obs._enabled:
-        obs.gauge(
-            "peel.tip.pair_table_bytes",
-            sum(a.nbytes for half in halves for a in half),
-        )
+        obs.gauge("peel.tip.pair_table_bytes", sum(a.nbytes for a in pairs))
     for members in _bucket_rounds(counts, tip):
-        _subtract_pair_losses(counts, halves, members)
+        _subtract_pair_losses(counts, pairs, members)
     return tip
 
 

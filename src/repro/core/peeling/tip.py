@@ -44,7 +44,7 @@ import numpy as np
 from repro import obs
 from repro._types import COUNT_DTYPE
 from repro.core.local_counts import vertex_butterfly_counts_blocked
-from repro.core.peeling.buckets import _cached_pair_table, _subtract_pair_losses
+from repro.core.peeling.buckets import _subtract_pair_losses, cached_pair_table
 from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela import gather_slices
 
@@ -150,11 +150,12 @@ def k_tip(
 
         plan = engine.plan(graph, "tip", side=side, k=k)
     n_side = _peel_side_sizes(graph, side)
-    table = _cached_pair_table(graph, side) if plan.strategy == "priority" else None
+    table = cached_pair_table(graph, side) if plan.strategy == "priority" else None
     if table is None:
         counts_of = _counts_kernel_from_plan(plan, side)
     else:
-        halves, counts = table
+        obs.inc("peel.tip.pair_table_reused")
+        pairs, counts = table
         counts = counts.copy()
     kept = np.ones(n_side, dtype=bool)
     current = graph
@@ -181,7 +182,7 @@ def k_tip(
                     current = _survivors(graph, kept, side)
                 else:
                     _subtract_pair_losses(
-                        counts, halves, np.flatnonzero(offenders)
+                        counts, pairs, np.flatnonzero(offenders)
                     )
             if not kept.any():
                 break

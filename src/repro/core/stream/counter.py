@@ -74,10 +74,11 @@ State is three arrays kept in lock-step: the sorted int64 edge keys
 (``u·n_right + v``; O(1) ``n_edges``, O(log E) membership and the
 probe's search array) and the CSR and CSC views themselves.  A phase
 splices all three instead of rebuilding them.  Because the keys are
-row-major sorted, one ``searchsorted`` of the changed keys gives their
-positions in the keys and in the CSR; the CSC positions come from one
-search inside the touched columns, ``O(Σ deg)`` of those columns, which
-the delta-wedge enumeration pays anyway.  Each array then takes one
+row-major sorted, the one ``searchsorted`` that tells which requested
+edits apply also gives the changed keys' positions in the keys and in
+the CSR; the CSC positions come from one search inside the touched
+columns, ``O(Σ deg)`` of those columns, which the delta-wedge
+enumeration pays anyway.  Each array then takes one
 ``np.insert``/``np.delete`` copy, and each ``indptr`` offset shifts by
 the number of changed edges in the rows (columns) before it: no sort
 and no division over the whole graph.
@@ -151,13 +152,18 @@ def _vertex_id(vertex, n: int, side: str) -> int:
     return int(vertex)
 
 
+def _located(values: np.ndarray, sorted_keys: np.ndarray):
+    """``(pos, present)``: each of ``values``' ``searchsorted`` position in
+    the sorted unique ``sorted_keys``, and whether it is there."""
+    pos = np.searchsorted(sorted_keys, values)
+    if sorted_keys.size == 0:
+        return pos, np.zeros(values.shape, dtype=bool)
+    return pos, sorted_keys[np.minimum(pos, sorted_keys.size - 1)] == values
+
+
 def _in_sorted(values: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     """Boolean membership of ``values`` in the sorted unique ``sorted_keys``."""
-    if sorted_keys.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    pos = np.searchsorted(sorted_keys, values)
-    np.minimum(pos, sorted_keys.size - 1, out=pos)
-    return sorted_keys[pos] == values
+    return _located(values, sorted_keys)[1]
 
 
 def _column_positions(csc, rows: np.ndarray, cols: np.ndarray):
@@ -555,14 +561,14 @@ class StreamingButterflyCounter:
             keys = keys[keep]
         return keys
 
-    def _spliced(self, changed_keys, rows, cols, *, remove: bool):
+    def _spliced(self, changed_keys, pos, rows, cols, *, remove: bool):
         """``(keys, csr, csc)`` with the edges ``changed_keys`` (split into
-        ``rows``/``cols``) inserted, or removed when ``remove``.
+        ``rows``/``cols``, at their ``searchsorted`` positions ``pos`` in
+        ``_keys``) inserted, or removed when ``remove``.
 
         One copy per array and an O(V) ``indptr`` shift per view; the
         current arrays are left as they are (see the module docstring).
         """
-        pos = np.searchsorted(self._keys, changed_keys)
         crows, ccols, cpos = _column_positions(self._csc, rows, cols)
         shape = (self.n_left, self.n_right)
         sign = -1 if remove else 1
@@ -664,10 +670,10 @@ class StreamingButterflyCounter:
             inserts=int(ins_keys.size),
             deletes=int(del_keys.size),
         ):
-            del_present = _in_sorted(del_keys, self._keys)
+            del_pos, del_present = _located(del_keys, self._keys)
             if strict and not del_present.all():
                 raise ValueError("strict batch: some edges to delete are absent")
-            del_keys = del_keys[del_present]
+            del_keys, del_pos = del_keys[del_present], del_pos[del_present]
             skipped_delete = int((~del_present).sum(dtype=COUNT_DTYPE))
 
             stats = {
@@ -682,21 +688,21 @@ class StreamingButterflyCounter:
             }
 
             if del_keys.size:
-                self._apply_phase(del_keys, remove=True, strategy=strategy,
-                                  stats=stats)
+                self._apply_phase(del_keys, del_pos, remove=True,
+                                  strategy=strategy, stats=stats)
 
-            ins_present = _in_sorted(ins_keys, self._keys)
+            ins_pos, ins_present = _located(ins_keys, self._keys)
             if strict and ins_present.any():
                 raise ValueError(
                     "strict batch: some edges to insert are already present"
                 )
-            ins_keys = ins_keys[~ins_present]
+            ins_keys, ins_pos = ins_keys[~ins_present], ins_pos[~ins_present]
             stats["inserted"] = int(ins_keys.size)
             stats["skipped_insert"] = int(ins_present.sum(dtype=COUNT_DTYPE))
 
             if ins_keys.size:
-                self._apply_phase(ins_keys, remove=False, strategy=strategy,
-                                  stats=stats)
+                self._apply_phase(ins_keys, ins_pos, remove=False,
+                                  strategy=strategy, stats=stats)
 
             if obs._enabled:
                 obs.inc("stream.apply.batches")
@@ -713,16 +719,19 @@ class StreamingButterflyCounter:
     def _apply_phase(
         self,
         changed_keys: np.ndarray,
+        pos: np.ndarray,
         *,
         remove: bool,
         strategy: str,
         stats: dict,
     ) -> None:
-        """One homogeneous phase (all-deletes or all-inserts) of a batch."""
+        """One homogeneous phase (all-deletes or all-inserts) of a batch;
+        ``pos`` holds the changed keys' ``searchsorted`` positions in
+        ``_keys``."""
         n = np.int64(max(self.n_right, 1))
         rows = changed_keys // n
         cols = changed_keys - rows * n
-        spliced = self._spliced(changed_keys, rows, cols, remove=remove)
+        spliced = self._spliced(changed_keys, pos, rows, cols, remove=remove)
         if strategy == "recount":
             before = self.count
             self._keys, self._csr, self._csc = spliced

@@ -10,7 +10,9 @@ So the planner is a fixed rule, not a cost model:
 - **No pins** — ``count``, ``vertex-counts`` and ``tip`` plan
   ``priority``: serial, raw, with ``modeled_ops``/``est_seconds`` from
   :func:`repro.core.priority.priority_wedge_work` and the calibration
-  table.  Pins priority already satisfies (``executor="serial"``,
+  table (a ``tip`` plan on a graph a tip decomposition left its pair
+  table on prices the table's entries instead, as ``k_tip`` peels from
+  it).  Pins priority already satisfies (``executor="serial"``,
   ``workers=1``, ``layout="raw"``) keep it.
 - **Pins** — every field left open is filled: the invariant by the
   smaller-side rule (:func:`select_count_invariant`), the executor is
@@ -76,6 +78,13 @@ DEFAULT_PLAN_BLOCK_BUDGET: int = 1 << 18
 #: the priority kernel, which also credits wedge centres.
 _VERTEX_PASS_COST = 1.7
 
+#: A tip peel over a pair table costs this many priority wedges per
+#: table entry: each peeled row's entries are gathered and subtracted
+#: once, with no sort.  Measured with ``k_tip`` at the median tip number
+#: on the e2e ``occupations`` shape, seeds 0–2 (2-vCPU x86-64 host):
+#: 0.31–0.35, including the final survivor-graph build.
+_TABLE_ENTRY_COST = 0.35
+
 #: Rule lines ``explain`` prints, keyed by which rule fired.
 _RULES = {
     "priority": "no fixed-side pin -> vertex-priority kernel, serial, raw",
@@ -129,29 +138,40 @@ def _priority_seconds(graph, cal: CalibrationTable, wedges: int) -> float:
 
 def _priority_row(graph, cal, workload="count", side="left", k=None) -> Plan:
     """The vertex-priority plan; per-vertex workloads pay a scatter
-    surcharge per pass and a tip peel ~3 passes (the model prices the
-    recount rounds even where the peel runs on the pair table)."""
-    from repro.core.priority import priority_wedge_work
-
-    wedges = priority_wedge_work(graph)
-    est = _priority_seconds(graph, cal, wedges)
-    rounds = {"count": 1, "vertex-counts": 1, "tip": 3}[workload]
-    if workload != "count":
-        est *= _VERTEX_PASS_COST * rounds
-    reason = (
-        f"vertex-priority filter: {wedges:,} wedges expanded, each "
-        "butterfly counted once from its highest-degree vertex"
-    )
+    surcharge per pass and a tip peel ~3 passes, or — where a tip
+    decomposition left its pair table on the graph — one walk of the
+    table's entries, priced without counting a wedge."""
+    table = None
     if workload == "tip":
+        from repro.core.peeling.buckets import cached_pair_table
+
+        table = cached_pair_table(graph, side)
+    if table is not None:
+        ops = int(table[0][1].size)
+        est = ops * cal.ns_per_op("priority") * _TABLE_ENTRY_COST * 1e-9
         reason = (
-            f"pair-table peel on the {side} side when a tip decomposition "
-            f"left its table on this graph, else ~{rounds} priority rounds "
-            f"({wedges:,} wedges each)"
+            f"pair-table peel on the {side} side: subtraction rounds over "
+            f"the {ops:,} entries a tip decomposition left"
         )
+    else:
+        from repro.core.priority import priority_wedge_work
+
+        wedges = priority_wedge_work(graph)
+        est = _priority_seconds(graph, cal, wedges)
+        rounds = {"count": 1, "vertex-counts": 1, "tip": 3}[workload]
+        if workload != "count":
+            est *= _VERTEX_PASS_COST * rounds
+        ops = wedges * rounds
+        reason = (
+            f"vertex-priority filter: {wedges:,} wedges expanded, each "
+            "butterfly counted once from its highest-degree vertex"
+        )
+        if workload == "tip":
+            reason = f"~{rounds} priority recount rounds ({wedges:,} wedges each)"
     return Plan(
         workload=workload, invariant=None, storage="csr",
         strategy="priority", executor="serial", workers=1, side=side, k=k,
-        modeled_ops=wedges * rounds, est_seconds=est, reason=reason,
+        modeled_ops=ops, est_seconds=est, reason=reason,
     )
 
 

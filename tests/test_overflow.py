@@ -85,8 +85,9 @@ def test_priority_vertex_counts_past_2_31(big_biclique: BipartiteGraph) -> None:
 
 
 def test_tip_numbers_past_2_31(big_biclique: BipartiteGraph) -> None:
-    # the pair table holds (hub, hub) once per half with the int32
-    # multiplicity 70 000; C(c, 2) is taken after widening to int64
+    # the pair table holds (hub, hub) once per endpoint with the int32
+    # multiplicity 70 000; C(c, 2) is taken after widening to int64.  No
+    # pivot is a leaf, so no pruned view is charged and the table fits
     with obs.capture() as metrics:
         tips = tip_numbers_bucket_parallel(big_biclique, side="left", n_workers=1)
     assert "peel.tip.pair_table_fallback" not in metrics

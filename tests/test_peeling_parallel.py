@@ -256,6 +256,92 @@ def test_table_k_tip_matches_recount_lookahead_and_tip_numbers(g, drawn_k):
             np.testing.assert_array_equal(table.kept, tips >= k)
 
 
+def _views(g: BipartiteGraph, side: str):
+    return (g.csr, g.csc) if side == "left" else (g.csc, g.csr)
+
+
+def _assert_symmetric_table(g: BipartiteGraph, side: str) -> tuple:
+    """Build ``side``'s pair table and check it against the dense
+    common-neighbour matrix C: row u holds each w with C[u, w] >= 2 once
+    (partners w > u ascending, then w < u ascending) with multiplicity
+    C[u, w], so every pair appears once per endpoint, and its row sums of
+    C(c, 2) are ``counts``.  Returns ``(table, counts)``."""
+    built = buckets._pair_table(*_views(g, side))
+    assert built is not None
+    (indptr, partner, mult), counts = built
+    assert partner.dtype == mult.dtype == np.int32
+    assert indptr.dtype == counts.dtype == np.int64
+    a = g.biadjacency_dense(np.int64)
+    common = a @ a.T if side == "left" else a.T @ a
+    np.fill_diagonal(common, 0)
+    row_of = np.repeat(np.arange(common.shape[0]), np.diff(indptr))
+    for u in range(common.shape[0]):
+        got = partner[indptr[u] : indptr[u + 1]]
+        upper, lower = got[got > u], got[got < u]
+        assert np.array_equal(got, np.concatenate([upper, lower])), u
+        # strictly ascending halves: partners are unique within a row
+        assert np.all(np.diff(upper) > 0) and np.all(np.diff(lower) > 0), u
+        np.testing.assert_array_equal(np.sort(got), np.flatnonzero(common[u] >= 2))
+    np.testing.assert_array_equal(mult, common[row_of, partner])
+    # once per endpoint: the (row, partner) entries are their own transpose
+    forward = row_of * common.shape[0] + partner
+    backward = partner.astype(np.int64) * common.shape[0] + row_of
+    np.testing.assert_array_equal(np.sort(forward), np.sort(backward))
+    row_sums = np.zeros_like(counts)
+    np.add.at(row_sums, row_of, choose2(mult))
+    np.testing.assert_array_equal(counts, row_sums)
+    np.testing.assert_array_equal(counts, choose2(common).sum(axis=1))
+    return built
+
+
+def _with_leaves(g: BipartiteGraph, side: str, hubs: np.ndarray) -> BipartiteGraph:
+    """``g`` plus one new degree-1 ``side`` vertex on each of ``hubs``
+    (ids on the other side)."""
+    hubs = np.asarray(hubs, dtype=np.int64)
+    if side == "left":
+        fresh = np.arange(g.n_left, g.n_left + hubs.size)
+        leaves = np.column_stack([fresh, hubs])
+        shape = (g.n_left + hubs.size, g.n_right)
+    else:
+        fresh = np.arange(g.n_right, g.n_right + hubs.size)
+        leaves = np.column_stack([hubs, fresh])
+        shape = (g.n_left, g.n_right + hubs.size)
+    edges = np.concatenate([g.edges().reshape(-1, 2), leaves])
+    return BipartiteGraph(edges, *shape)
+
+
+@given(g=tip_graphs(), picks=st.lists(st.integers(0, 8), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+@example(g=BipartiteGraph.complete(3, 4), picks=[0, 0, 1])
+@example(g=BipartiteGraph.empty(4, 0), picks=[0])
+def test_pair_table_ignores_leaf_pivots(g, picks):
+    """Degree-1 pivots attached to the hubs of the other side store no
+    pair and change no other pair's c: the table of the graph with them
+    is the table without them, its extra rows empty and their counts 0;
+    the other side's table does not change either.  Every table holds
+    the symmetric invariants."""
+    for side in ("left", "right"):
+        flip = "right" if side == "left" else "left"
+        degrees = np.diff(_views(g, side)[1].indptr)
+        if degrees.size == 0:
+            continue
+        hubs = np.argsort(-degrees, kind="stable")[: max(1, degrees.size // 2)]
+        leafy = _with_leaves(g, side, hubs[np.asarray(picks) % hubs.size])
+        (ptr, partner, mult), counts = _assert_symmetric_table(g, side)
+        (lptr, lpartner, lmult), lcounts = _assert_symmetric_table(leafy, side)
+        n = ptr.size - 1
+        np.testing.assert_array_equal(lptr[: n + 1], ptr)
+        assert np.all(lptr[n:] == ptr[-1])
+        np.testing.assert_array_equal(lpartner, partner)
+        np.testing.assert_array_equal(lmult, mult)
+        np.testing.assert_array_equal(lcounts[:n], counts)
+        assert not lcounts[n:].any()
+        before = _assert_symmetric_table(g, flip)
+        after = _assert_symmetric_table(leafy, flip)
+        for old, new in zip((*before[0], before[1]), (*after[0], after[1])):
+            np.testing.assert_array_equal(old, new)
+
+
 def _counting_pair_table(monkeypatch) -> list:
     """Patch ``_pair_table`` to record each build's outcome (True when
     it returns a table)."""
@@ -366,22 +452,32 @@ def test_derived_graphs_start_with_an_empty_pair_table_cache():
 
 def test_pair_table_peak_stays_under_the_cap(monkeypatch):
     """Whatever the cap, building the table (or giving up on it) never
-    allocates past it, build transients included."""
+    allocates past it, build transients included — also where leaf
+    pivots are pruned first (one in ``g``, 400 more in ``leafy``), so
+    the pruned views are charged.  The 1 KiB steps cross the caps at
+    which ``g`` gives up after pruning and the leaf-free ``K_{40,30}``
+    gives up just past its fixed arrays (numpy's sort scratch counts)."""
     g = planted_bicliques(60, 60, 3, 12, 12, background_edges=300, seed=7)
-    pm, comp = g.csr, g.csc
-    built = []
-    for cap in (1 << 14, 1 << 17, 1 << 18, 1 << 19, 1 << 20, 1 << 22):
-        monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", cap)
-        tracemalloc.start()
-        try:
-            table = buckets._pair_table(pm, comp)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= cap, cap
-        built.append(table is not None)
-    # the sweep covers both outcomes
-    assert not built[0] and built[-1]
+    hubs = np.argsort(-np.diff(g.csc.indptr), kind="stable")[:10]
+    leafy = _with_leaves(g, "left", np.repeat(hubs, 40))
+    assert (np.diff(g.csr.indptr) == 1).sum() >= 1
+    assert (np.diff(leafy.csr.indptr) == 1).sum() >= 400
+    caps = (*range(1 << 14, 1 << 16, 1 << 10), *(1 << k for k in (17, 18, 19, 20, 22)))
+    for graph in (g, leafy, BipartiteGraph.complete(40, 30)):
+        pm, comp = graph.csr, graph.csc
+        built = []
+        for cap in caps:
+            monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", cap)
+            tracemalloc.start()
+            try:
+                table = buckets._pair_table(pm, comp)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= cap, cap
+            built.append(table is not None)
+        # the sweep covers both outcomes
+        assert not built[0] and built[-1]
 
 
 def test_tip_dense_biclique_over_the_cap_falls_back(monkeypatch):
@@ -509,8 +605,12 @@ def test_tip_trace_names_the_path(table, monkeypatch):
     assert metrics.value("peel.rounds.bucket_occupancy") >= 1
     if table:
         assert "peel.tip.pair_table_fallback" not in metrics
-        # two indptrs of n + 1 int64 entries, then int32 pairs
-        assert metrics.value("peel.tip.pair_table_bytes") > 16 * (g.n_left + 1)
+        # one indptr of n + 1 int64 entries, then int32 partner and
+        # multiplicity per entry
+        (_, partner, _), _ = buckets.cached_pair_table(g, "left")
+        assert metrics.value("peel.tip.pair_table_bytes") == (
+            8 * (g.n_left + 1) + 8 * partner.size
+        )
     else:
         assert metrics.value("peel.tip.pair_table_fallback") == 1
         assert "peel.tip.pair_table_bytes" not in metrics

@@ -343,3 +343,38 @@ def test_tip_row_models_one_priority_pass_per_round():
     assert vc.modeled_ops == priority_wedge_work(g)
     assert tip.modeled_ops == 3 * vc.modeled_ops
     assert tip.est_seconds == pytest.approx(3 * vc.est_seconds)
+
+
+def test_tip_row_prices_the_pair_table_a_decomposition_left(monkeypatch):
+    """After a tip decomposition the auto tip plan peels from its table,
+    so the row prices the table's entries and counts no wedge; the reuse
+    is counted by the k-tip that peels, not by the plan.  Under a cap the
+    table was not built under, the row prices recount rounds again."""
+    from repro.core.peeling import buckets, tip_numbers_bucket_parallel
+
+    g = power_law_bipartite(60, 80, 600, seed=4)
+    (recount,) = engine.candidate_plans(g, "tip", k=1, calibration=DEFAULTS)
+    tip_numbers_bucket_parallel(g)
+    (_, partner, _), _ = buckets.cached_pair_table(g, "left")
+
+    def no_wedges(graph):
+        raise AssertionError("a table-priced tip plan counted wedges")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(priority, "priority_wedge_work", no_wedges)
+        with obs.capture() as metrics:
+            (row,) = engine.candidate_plans(
+                g, "tip", k=1, calibration=DEFAULTS
+            )
+        assert "peel.tip.pair_table_reused" not in metrics
+    assert row.strategy == "priority" and row.modeled_ops == partner.size > 0
+    assert 0 < row.est_seconds < recount.est_seconds
+    assert "pair-table peel" in row.reason
+    (right,) = engine.candidate_plans(
+        g, "tip", side="right", k=1, calibration=DEFAULTS
+    )
+    assert right.modeled_ops == recount.modeled_ops
+    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
+    (capped,) = engine.candidate_plans(g, "tip", k=1, calibration=DEFAULTS)
+    assert capped.modeled_ops == recount.modeled_ops
+    assert capped.est_seconds == pytest.approx(recount.est_seconds)
