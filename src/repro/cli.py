@@ -46,14 +46,25 @@ code as an argparse usage error; exit 1 stays reserved for "the command
 ran and failed its check" (analyzer findings, disagreeing family members).
 A closed stdout pipe (``... | head -1``) exits 141 (128 + SIGPIPE)
 without an error line.
+
+The installed ``repro-butterfly`` script and ``python -m repro.cli`` call
+:func:`run`: once a command returns its exit code, it joins threads, runs
+the exit hooks (the pool's, the shared-memory registry's,
+multiprocessing's) and flushes stdout and stderr as the interpreter
+would, then ends with ``os._exit``.  That skips only interpreter
+teardown, the freeing of numpy's and every other module's objects: about
+20 ms a run.  An uncaught exception still leaves through the normal exit.
+Code that embeds the CLI should call :func:`main`, which returns the code
+and exits nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 if TYPE_CHECKING:
     from repro.graphs import BipartiteGraph
@@ -62,7 +73,7 @@ if TYPE_CHECKING:
 # modules: ``count`` never loads the pool, the peels, the stream tier,
 # the analyzer or the bench harness (pinned by tests/test_import_set.py).
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "run", "build_parser"]
 
 
 def _load(spec: str) -> BipartiteGraph:
@@ -870,5 +881,27 @@ def _dispatch(handler, args) -> int:
         obs.reset()  # keep back-to-back in-process invocations hermetic
 
 
+def run() -> NoReturn:
+    """Console entry point: :func:`main`, then exit without interpreter teardown.
+
+    What a normal exit does that anyone can observe happens first, in the
+    interpreter's order: non-daemon threads are joined, the ``atexit``
+    hooks run (they stop worker processes and unlink shared memory), and
+    stdout and stderr are flushed, a closed stdout pipe exiting 141 as in
+    :func:`main`.  ``os._exit`` then skips only the module teardown.
+    """
+    code = main()
+    if "threading" in sys.modules:  # as at exit: joined only once imported
+        sys.modules["threading"]._shutdown()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

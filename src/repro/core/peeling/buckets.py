@@ -67,11 +67,12 @@ __all__ = [
 #: it was built under.
 PAIR_TABLE_MAX_BYTES: int = 8 << 20
 
-#: Build bytes held per wedge of a chunk (the int64 gather index and its
-#: arange, the sort keys, the repeat flags and positions; later its
-#: part's placement transients, each pair having taken >= 2 wedges) and
-#: per stored pair (its int32 partner and multiplicity in a chunk part,
-#: then once per endpoint in the table).
+#: Build bytes held per wedge of a chunk (the int64 gather index, the
+#: int64 ramp and int32 run lengths every chunk slices from buffers sized
+#: to the largest one, the sort keys, the repeat flags and positions;
+#: later its part's placement transients, each pair having taken >= 2
+#: wedges) and per stored pair (its int32 partner and multiplicity in a
+#: chunk part, then once per endpoint in the table).
 _BYTES_PER_WEDGE = 32
 _BYTES_PER_PAIR = 24
 
@@ -217,6 +218,10 @@ def _pair_table(pivot_major, complementary):
     # keys ``row·n + w`` sort as int32 while a chunk spans few enough rows
     endpoints = endpoints.astype(PAIR_DTYPE)
     narrow_rows = np.iinfo(PAIR_DTYPE).max // max(n, 1)
+    # every chunk slices its wedge ramp and its pairs' run lengths (at
+    # most one per wedge) from these, rather than allocating its own
+    ramp = np.arange(largest, dtype=INDEX_DTYPE)
+    run_buf = np.empty(largest, dtype=PAIR_DTYPE)
     filled = 0
     for lo, hi, wedges in panels:
         e_lo, e_hi = indptr[lo], indptr[hi]
@@ -225,7 +230,7 @@ def _pair_table(pivot_major, complementary):
         gather = start[e_lo:e_hi] + runs
         gather -= np.cumsum(runs, dtype=INDEX_DTYPE)
         gather = np.repeat(gather, runs)
-        gather += np.arange(wedges, dtype=INDEX_DTYPE)
+        gather += ramp[:wedges]
         keys = endpoints[gather]
         del gather
         if hi - lo > narrow_rows:
@@ -243,18 +248,20 @@ def _pair_table(pivot_major, complementary):
             return None
         if not found:
             continue
-        c = np.diff(firsts, append=keys.size)
+        c = run_buf[:found]
+        np.subtract(firsts[1:], firsts[:-1], out=c[:-1])
+        c[-1] = keys.size - firsts[-1]
         c += 1
         rows, partners = np.divmod(keys[firsts], n)
         del keys, firsts
-        parts.append((lo, hi, partners.astype(PAIR_DTYPE), c.astype(PAIR_DTYPE)))
+        parts.append((lo, hi, partners.astype(PAIR_DTYPE), c.copy()))
         filled += found
         upper_ptr[lo + 1 : hi + 1] = np.bincount(rows, minlength=hi - lo)
         lower_ptr[1:] += np.bincount(partners, minlength=n)
         loss = choose2(c)
         np.add.at(counts, rows + lo, loss)
         np.add.at(counts, partners, loss)
-    del start, length, row_work, prefix, endpoints, indptr
+    del start, length, row_work, prefix, endpoints, indptr, ramp, run_buf
     np.cumsum(upper_ptr, out=upper_ptr)
     np.cumsum(lower_ptr, out=lower_ptr)
     table_ptr = upper_ptr + lower_ptr

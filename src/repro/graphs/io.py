@@ -14,8 +14,12 @@ This module reads and writes that dialect (plus plain 0-based TSV), so the
 CLI and examples can operate on real KONECT downloads when they are
 available, and on files produced by :func:`save_konect` otherwise.
 
-Parsing goes through numpy's C text reader (:func:`numpy.loadtxt`), not a
-per-line Python loop; every parse failure surfaces as ``ValueError``.
+A plain file is read once as text for the UTF-8 check, the size header
+and the non-ASCII guard; numpy's C text reader (:func:`numpy.loadtxt`)
+then parses it by path, in chunks.  (Handed text, ``loadtxt`` iterates it
+line by line in Python, which costs about as much again.)  A ``.gz`` file
+is decompressed once and its text handed to the same reader.  Every parse
+failure surfaces as ``ValueError``.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import gzip
 import io
 import os
+import stat
 import warnings
 
 import numpy as np
@@ -45,7 +50,36 @@ def _open_text(path: str | os.PathLike, mode: str):
     return open(path, mode, encoding="utf-8")
 
 
-def _read_id_pairs(text: str, comments: str, max_rows: int | None = None) -> np.ndarray:
+#: suffixes numpy's reader decompresses when handed a path
+_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _read_edge_file(path: str | os.PathLike, comments: str) -> tuple[str, np.ndarray]:
+    """Decoded text of the edge file at ``path`` and its id pairs.
+
+    The file is read once (decompressed if ``.gz``); its text serves the
+    UTF-8 check (``UnicodeDecodeError``), the callers' header scan and the
+    non-ASCII guard.  numpy then parses a plain regular file by its
+    absolute path (never taken for a URL), and anything else from the
+    text: it would decompress a ``.gz`` file again, and a pipe cannot be
+    read twice.
+    """
+    name = os.fspath(path)
+    with _open_text(path, "r") as fh:
+        text = fh.read()
+        by_path = not name.endswith(_COMPRESSED_SUFFIXES) and stat.S_ISREG(
+            os.fstat(fh.fileno()).st_mode
+        )
+    source = os.path.abspath(name) if by_path else None
+    return text, _read_id_pairs(text, comments, source=source)
+
+
+def _read_id_pairs(
+    text: str,
+    comments: str,
+    max_rows: int | None = None,
+    source: str | None = None,
+) -> np.ndarray:
     """First two integer columns of whitespace-separated ``text``.
 
     Blank lines, text after a ``comments`` character and extra columns are
@@ -53,6 +87,7 @@ def _read_id_pairs(text: str, comments: str, max_rows: int | None = None) -> np.
     not parse as int64 — a line with one column, a fractional or
     oversized id, stray or non-ASCII text — raises ``ValueError``, so
     callers surface one typed error whatever numpy's reader tripped on.
+    numpy parses ``source``, a local file holding ``text``, when given.
     """
     if not text.isascii():
         _reject_non_ascii_rows(text, comments, max_rows)
@@ -64,12 +99,13 @@ def _read_id_pairs(text: str, comments: str, max_rows: int | None = None) -> np.
             warnings.simplefilter("ignore", UserWarning)
             warnings.simplefilter("error", DeprecationWarning)
             pairs = np.loadtxt(
-                io.StringIO(text),
+                io.StringIO(text) if source is None else source,
                 dtype=INDEX_DTYPE,
                 comments=comments,
                 usecols=(0, 1),
                 ndmin=2,
                 max_rows=max_rows,
+                encoding="utf-8",
             )
     except (ValueError, OverflowError, DeprecationWarning) as exc:
         raise ValueError(f"malformed edge line: {exc}") from exc
@@ -129,10 +165,8 @@ def load_konect(path: str | os.PathLike) -> BipartiteGraph:
     ("malformed"), a 0 or negative id ("1-based"), or an id beyond the
     size header; ``UnicodeDecodeError`` for a file that is not UTF-8 text.
     """
-    with _open_text(path, "r") as fh:
-        text = fh.read()
+    text, pairs = _read_edge_file(path, comments="%")
     n_left, n_right = _konect_size_header(text)
-    pairs = _read_id_pairs(text, comments="%")
     if pairs.size and pairs.min() < 1:
         raise ValueError("KONECT files are 1-based; found a 0 id")
     rows, cols = pairs[:, 0] - 1, pairs[:, 1] - 1
@@ -165,8 +199,7 @@ def load_edge_list(
     two integer ids ("malformed") or an id outside the sizes; extra columns
     are ignored.
     """
-    with _open_text(path, "r") as fh:
-        pairs = _read_id_pairs(fh.read(), comments="#")
+    pairs = _read_edge_file(path, comments="#")[1]
     if n_left is None:
         return BipartiteGraph(pairs)
     return BipartiteGraph(pairs, n_left=n_left, n_right=n_right)

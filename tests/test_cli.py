@@ -2,6 +2,7 @@
 
 import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -297,3 +298,122 @@ def test_closed_stdout_pipe_exits_141_without_error(tmp_path):
         err = proc.stderr.read().decode()
     assert (code, err) == (141, "")
 
+
+
+# -- how a finished command exits -------------------------------------------
+#
+# ``python -m repro.cli`` (and the installed script) end through
+# ``repro.cli.run``: exit hooks and a flush, then ``os._exit``.
+
+
+def _cli(argv, **kwargs):
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        env=_cli_subprocess_env(), timeout=120, **kwargs,
+    )
+
+
+def test_main_returns_an_int_in_process(konect_file, capsys):
+    code = main(["count", konect_file, "--json"])
+    assert type(code) is int and code == 0
+    assert '"butterflies"' in capsys.readouterr().out
+
+
+def test_count_json_reaches_a_file_and_a_pipe_whole(konect_file, tmp_path, capsys):
+    assert main(["count", konect_file, "--json"]) == 0
+    expected = capsys.readouterr().out.encode()
+    out = tmp_path / "out.json"
+    with open(out, "wb") as fh:
+        to_file = _cli(["count", konect_file, "--json"], stdout=fh)
+    to_pipe = _cli(["count", konect_file, "--json"], stdout=subprocess.PIPE)
+    assert to_file.returncode == to_pipe.returncode == 0
+    assert out.read_bytes() == to_pipe.stdout == expected
+
+
+def test_exit_hooks_run_and_their_output_is_flushed():
+    """Hooks registered by the program run before ``os._exit``."""
+    code = (
+        "import atexit, sys\n"
+        "from repro.cli import run\n"
+        "atexit.register(print, 'hook ran')\n"
+        "sys.argv = ['repro-butterfly', 'algorithms']\n"
+        "run()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("hook ran\n")
+
+
+def test_missing_graph_exits_2_by_subprocess(tmp_path):
+    proc = _cli(["count", str(tmp_path / "nope.konect")], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("repro-butterfly: error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def _live_session_members(sid: int) -> list[int]:
+    """Processes of session ``sid`` still running (zombies excluded)."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:  # it exited while we looked
+            continue
+        # fields[0] is the state, fields[3] the session id
+        if fields[0] != "Z" and int(fields[3]) == sid:
+            members.append(int(entry))
+    return members
+
+
+def _wait_for_empty_session(sid: int, timeout: float = 10.0) -> list[int]:
+    """Live members left in session ``sid`` once it empties or ``timeout``
+    passes: multiprocessing's resource tracker only exits on seeing the
+    parent's end of its pipe close."""
+    import time
+
+    deadline = time.monotonic() + timeout
+    while (members := _live_session_members(sid)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc") or not os.path.isdir("/dev/shm"),
+                    reason="needs /proc and /dev/shm")
+def test_observed_pooled_count_exits_clean(konect_file, tmp_path):
+    """Three obs files written whole, no segment left, no worker alive."""
+    import json
+
+    metrics, trace, profile = (tmp_path / n for n in
+                               ("metrics.jsonl", "trace.json", "profile.collapsed"))
+    shm_before = set(os.listdir("/dev/shm"))
+    # files, not pipes: a worker left alive would hold a pipe open
+    out, err = tmp_path / "out", tmp_path / "err"
+    with open(out, "wb") as out_fh, open(err, "wb") as err_fh:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "--metrics-out", str(metrics),
+             "--trace-out", str(trace), "--profile-out", str(profile),
+             "count", konect_file, "--workers", "2"],
+            env=_cli_subprocess_env(), stdout=out_fh, stderr=err_fh,
+            start_new_session=True,
+        )
+    try:
+        assert proc.wait(timeout=120) == 0, err.read_text()
+        assert _wait_for_empty_session(proc.pid) == []
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert "butterflies" in out.read_text()
+    assert set(os.listdir("/dev/shm")) - shm_before == set()
+    lines = metrics.read_text().splitlines()
+    assert lines and all(isinstance(json.loads(line), dict) for line in lines)
+    assert json.loads(trace.read_text())
+    for line in profile.read_text().splitlines():
+        stack, count = line.rsplit(" ", 1)
+        assert stack and int(count) > 0
