@@ -6,7 +6,6 @@ _LAZY = {
     "tip_decrement_batch": "repro.core.peeling.buckets",
     "tip_numbers_bucket_parallel": "repro.core.peeling.buckets",
     "wing_numbers_bucket": "repro.core.peeling.buckets",
-    "wing_numbers_bucket_parallel": "repro.core.peeling.buckets",
     "tip_numbers": "repro.core.peeling.decompose",
     "wing_numbers": "repro.core.peeling.decompose",
     "k_tip_linear_algebra": "repro.core.peeling.linear_algebra",
@@ -32,5 +31,4 @@ __all__ = [
     "tip_numbers_bucket_parallel",
     "wing_numbers",
     "wing_numbers_bucket",
-    "wing_numbers_bucket_parallel",
 ]

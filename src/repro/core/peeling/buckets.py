@@ -21,10 +21,11 @@ total decrement volume.
   left on the graph, so an auto :func:`~repro.core.peeling.tip.k_tip`
   on the same graph afterwards peels from it too
   (:func:`cached_pair_table`): its rounds subtract, not recount.
-- **Wings.**  :func:`wing_numbers_bucket` (dict buckets, incremental
-  per-edge support) is the production wing decomposition;
-  :func:`wing_numbers_bucket_parallel` recounts the survivor graph's
-  support every round instead.
+- **Wings.**  :func:`wing_numbers_bucket` is the one wing peel.  Each
+  round peels every surviving edge at or below the level, then either
+  enumerates the butterflies through its peeled edges and subtracts them
+  from the edges that survive (Shi & Shun's edge peel) or, when that
+  enumeration would cost far more, recounts the survivor graph.
 
 Every path is bit-identical to its heap reference (asserted in tests),
 and every path runs in-process: the paper's k-tip and k-wing peels are
@@ -39,6 +40,7 @@ import numpy as np
 from repro import obs
 from repro._types import COUNT_DTYPE, INDEX_DTYPE, PAIR_DTYPE
 from repro.core.blocked import work_bounded_panels
+from repro.core.local_counts import edge_butterfly_support_blocked
 from repro.core.priority import (
     PRIORITY_PANEL_BUDGET,
     vertex_butterfly_counts_priority,
@@ -51,7 +53,6 @@ __all__ = [
     "wing_numbers_bucket",
     "tip_decrement_batch",
     "tip_numbers_bucket_parallel",
-    "wing_numbers_bucket_parallel",
 ]
 
 #: Peak bytes the tip peel's pair table may reach, build transients
@@ -75,6 +76,14 @@ PAIR_TABLE_MAX_BYTES: int = 8 << 20
 #: chunk part, then once per endpoint in the table).
 _BYTES_PER_WEDGE = 32
 _BYTES_PER_PAIR = 24
+
+#: A wing round recounts the survivors when its enumeration walk bound,
+#: Σ deg(v)·deg(u) over the peeled edges (u, v), passes this many times the
+#: recount's Σ deg(v)² wedges.  Swept over 1–32 (EXPERIMENTS.md, "One wing
+#: peel"): never recounting is 2.6–7.9× slower on disjoint bicliques, 16–32
+#: are 1.2–1.6× slower than 8 on a staircase of them, 1–4 cost ``producers``
+#: 47–122%.
+_RECOUNT_RATIO = 8
 
 
 def tip_decrement_batch(
@@ -323,14 +332,15 @@ def _subtract_pair_losses(counts, table, members: np.ndarray) -> None:
 
 
 def _bucket_rounds(counts: np.ndarray, tip: np.ndarray):
-    """Yield each round's members: every survivor at or below the level.
+    """Yield each round's members: every survivor at or below the level
+    (vertices of a tip peel, edges of a wing peel).
 
     The level rises to the survivors' minimum count; counts only fall,
     so every survivor at or below it would be labelled it anyway.  A
     zero count keeps tip 0 and never survives into a round.  Members are
     labelled in ``tip`` and leave the ascending survivor list before they
-    are yielded; the caller then subtracts their losses from ``counts``
-    (peeled vertices' counts are never read again).  The last round (no
+    are yielded; the caller then brings the survivors' ``counts`` up to
+    date (peeled members' counts are never read again).  The last round (no
     survivors) is not yielded.
     """
     level = 0
@@ -435,110 +445,102 @@ def _tip_wedge_rounds(graph, side, tip) -> np.ndarray:
     return tip
 
 
-def wing_numbers_bucket_parallel(
-    graph: BipartiteGraph,
-) -> dict[tuple[int, int], int]:
-    """Wing numbers via synchronous bucket rounds with full recounts.
-
-    Identical output to :func:`wing_numbers_bucket` (asserted in tests).
-    Each round extracts every edge of the minimum support bucket at the
-    running-max level, rebuilds the survivor graph, and *recounts* its
-    exact per-edge support with
-    :func:`~repro.core.local_counts.edge_butterfly_support_blocked`.  A
-    full recount on the survivor graph equals the serial version's
-    incremental support bookkeeping (both are the exact support of the
-    remaining graph), so the levels coincide round for round.
-    """
-    edges = graph.edges()
-    nnz = len(edges)
-    if nnz == 0:
-        return {}
-    from repro.core.local_counts import edge_butterfly_support_blocked
-
-    support = edge_butterfly_support_blocked(graph)
-    alive = np.ones(nnz, dtype=bool)
-    wing = np.zeros(nnz, dtype=COUNT_DTYPE)
-    level = 0
-    while True:
-        current = int(support[alive].min())
-        level = max(level, current)
-        members = alive & (support == current)
-        wing[members] = level
-        alive &= ~members
-        if obs._enabled:
-            obs.gauge(
-                "peel.rounds.bucket_occupancy",
-                int(members.sum()),
-                policy="max",
-            )
-        if not alive.any():
-            break
-        survivor = BipartiteGraph(
-            edges[alive], n_left=graph.n_left, n_right=graph.n_right
-        )
-        # the survivor's CSR entry order is the original row-major edge
-        # order filtered by ``alive``, so the recount scatters straight back
-        support[alive] = edge_butterfly_support_blocked(survivor)
-    return {
-        (int(u), int(v)): int(w) for (u, v), w in zip(edges, wing)
-    }
-
-
 def wing_numbers_bucket(graph: BipartiteGraph) -> dict[tuple[int, int], int]:
-    """Wing number of every edge via bucket-scheduled peeling.
+    """Wing number of every edge via synchronous bucket rounds; identical
+    to the heap :func:`~repro.core.peeling.decompose.wing_numbers`.
 
-    Identical semantics to
-    :func:`~repro.core.peeling.decompose.wing_numbers` (see there for the
-    support-maintenance argument); the min-heap is replaced by count
-    buckets, so scheduling is O(1) amortised per support decrement instead
-    of O(log E).
+    An edge is its CSR entry position, its initial support from
+    :func:`~repro.core.local_counts.edge_butterfly_support_blocked`; an
+    edge in no butterfly keeps wing 0 and never enters a round.  Each
+    round peels every survivor at or below the level, then subtracts the
+    butterflies through its peeled edges (:func:`_subtract_wing_losses`)
+    or, when that would walk far more (:data:`_RECOUNT_RATIO`), recounts
+    the survivor graph.
     """
-    from repro.core.local_counts import edge_butterfly_support_blocked
-    from repro.core.peeling.decompose import _butterflies_of_edge
-
-    edges = [tuple(map(int, e)) for e in graph.edges()]
-    if not edges:
+    csr = graph.csr
+    if csr.nnz == 0:
         return {}
-    support0 = edge_butterfly_support_blocked(graph)
-    support: dict[tuple[int, int], int] = {
-        e: int(s) for e, s in zip(edges, support0)
+    rows, cols = csr.expand_major(), csr.indices
+    support = edge_butterfly_support_blocked(graph)
+    wing = np.zeros(csr.nnz, dtype=COUNT_DTYPE)
+    alive = support > 0
+    peeled = np.zeros(csr.nnz, dtype=bool)
+    n_alive = int(np.count_nonzero(alive))
+    col_alive = np.bincount(cols[alive], minlength=graph.n_right)
+    view = _wing_view(graph, rows, cols, np.flatnonzero(alive))
+    for members in _bucket_rounds(support, wing):
+        n_alive -= members.size
+        np.subtract.at(col_alive, cols[members], 1)
+        *_, row_deg, col_deg = view
+        walks = np.dot(col_deg[cols[members]], row_deg[rows[members]])
+        if walks > _RECOUNT_RATIO * np.dot(col_alive, col_alive):
+            alive[members] = False
+            survivor = BipartiteGraph.from_csr(csr.mask_entries(alive))
+            support[alive] = edge_butterfly_support_blocked(survivor)
+        else:
+            peeled[members] = True
+            _subtract_wing_losses(support, alive, peeled, members, rows, cols, view)
+            peeled[members] = alive[members] = False
+        if 2 * n_alive < view[0].size:
+            view = _wing_view(graph, rows, cols, np.flatnonzero(alive))
+    return {
+        (int(u), int(v)): int(w)
+        for u, v, w in zip(rows.tolist(), cols.tolist(), wing.tolist())
     }
-    adj_left: list[set] = [
-        set(map(int, graph.csr.row(u))) for u in range(graph.n_left)
-    ]
-    adj_right: list[set] = [
-        set(map(int, graph.csc.col(v))) for v in range(graph.n_right)
-    ]
-    buckets: dict[int, set[tuple[int, int]]] = {}
-    for e, s in support.items():
-        buckets.setdefault(s, set()).add(e)
-    alive = set(edges)
-    wing: dict[tuple[int, int], int] = {}
-    level = 0
-    while alive:
-        current = min(buckets)
-        bucket = buckets[current]
-        if not bucket:
-            del buckets[current]
-            continue
-        e = bucket.pop()
-        if not bucket:
-            del buckets[current]
-        u, v = e
-        level = max(level, support[e])
-        wing[e] = level
-        for w, y in list(_butterflies_of_edge(adj_left, adj_right, u, v)):
-            for other in ((w, v), (u, y), (w, y)):
-                if other in alive and other != e:
-                    old = support[other]
-                    support[other] = old - 1
-                    ob = buckets.get(old)
-                    if ob is not None:
-                        ob.discard(other)
-                        if not ob:
-                            del buckets[old]
-                    buckets.setdefault(old - 1, set()).add(other)
-        alive.discard(e)
-        adj_left[u].discard(v)
-        adj_right[v].discard(u)
-    return wing
+
+
+def _wing_view(graph, rows, cols, ids):
+    """``(ids, keys, by_col, row_ptr, col_ptr, row_deg, col_deg)`` of the
+    edges ``ids`` (ascending): position p is edge ``ids[p]`` with int64
+    key ``u·n_right + v`` (ascending); row u holds positions
+    ``row_ptr[u]:row_ptr[u + 1]``, column v ``by_col[col_ptr[v]:col_ptr[v + 1]]``."""
+    r, c = rows[ids], cols[ids]
+    row_deg = np.bincount(r, minlength=graph.n_left)
+    col_deg = np.bincount(c, minlength=graph.n_right)
+    row_ptr = np.concatenate(([0], np.cumsum(row_deg, dtype=INDEX_DTYPE)))
+    col_ptr = np.concatenate(([0], np.cumsum(col_deg, dtype=INDEX_DTYPE)))
+    keys = r * np.int64(graph.n_right) + c
+    by_col = np.argsort(c, kind="stable")
+    return ids, keys, by_col, row_ptr, col_ptr, row_deg, col_deg
+
+
+def _subtract_wing_losses(support, alive, peeled, members, rows, cols, view):
+    """Subtract every butterfly through the peeled edges ``members`` from
+    the ``support`` of its surviving edges (Shi & Shun's edge peel).
+
+    Butterfly (u, w) × (v, y) is found from peeled e = (u, v) by the
+    wedge to f = (w, v), walking y over the shorter of rows u and w and
+    looking the other corner up by ``searchsorted`` in the view's keys.
+    ``alive`` and ``peeled`` both hold ``members``, so each butterfly is
+    found from each of its peeled edges and charged to the lowest.
+    Wedges and then lookups go in chunks of :data:`PRIORITY_PANEL_BUDGET`,
+    so a hub round's temporaries stay bounded.
+    """
+    ids, keys, by_col, row_ptr, col_ptr, row_deg, col_deg = view
+    n_right = np.int64(col_deg.size)
+
+    def charged(edge, other):
+        # ``other`` is present and not a peeled edge below ``edge``
+        return alive[other] & ~(peeled[other] & (other < edge))
+
+    wedges = col_deg[cols[members]]
+    for lo, hi in work_bounded_panels(wedges, PRIORITY_PANEL_BUDGET):
+        e = np.repeat(members[lo:hi], wedges[lo:hi])
+        f = ids[by_col[_entry_positions(col_ptr, cols[members[lo:hi]])]]
+        keep = charged(e, f) & (f != e)
+        e, f = e[keep], f[keep]
+        u, w = rows[e], rows[f]
+        swap = row_deg[w] < row_deg[u]
+        walk, other = np.where(swap, w, u), np.where(swap, u, w)
+        steps = row_deg[walk]
+        for w_lo, w_hi in work_bounded_panels(steps, PRIORITY_PANEL_BUDGET):
+            wedge = np.repeat(np.arange(w_lo, w_hi), steps[w_lo:w_hi])
+            walked = ids[_entry_positions(row_ptr, walk[w_lo:w_hi])]
+            y, edge = cols[walked], e[wedge]
+            query = other[wedge] * n_right + y
+            found = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+            looked = ids[found]
+            hit = (keys[found] == query) & (y != cols[edge])
+            hit &= charged(edge, walked) & charged(edge, looked)
+            losers = np.concatenate((f[wedge[hit]], walked[hit], looked[hit]))
+            np.subtract.at(support, losers[~peeled[losers]], 1)

@@ -311,13 +311,14 @@ def _count_row(graph, row, budget, invariant, strategy, block_size) -> Plan:
 def _wing_row(graph, budget, block_size, k) -> Plan:
     ops, pivots = _side_work(graph, 6)  # left/CSR traversal
     b = block_size or max(16, min(_auto_block_size(ops, pivots, budget), 1024))
-    # the support kernel does the wedge expansion plus a same-size
-    # searchsorted resolve pass → ~2× the adjacency ops per round, ~3 rounds
+    # one support pass: the wedge expansion plus a same-size searchsorted
+    # resolve pass → ~2× the adjacency ops; the fixpoint's round count
+    # depends on the graph and k, so it is not modelled
     return Plan(
         workload="wing", invariant=None, storage="csr", strategy="blocked",
         executor="serial", workers=1, block_size=b, side="left", k=k,
-        modeled_ops=2 * ops * 3, est_seconds=None,
-        reason="blocked edge-support kernel, ~3 round(s)",
+        modeled_ops=2 * ops, est_seconds=None,
+        reason="blocked edge-support kernel (ops of one support pass)",
     )
 
 

@@ -14,7 +14,8 @@ The matrix crosses
   (empty, star) that historically break boundary arithmetic.
 
 Every cell must produce the *identical* global count, and the per-edge
-support sweep (the kernel of the wing recount rounds, in-process) must
+support sweep (the kernel of ``k_wing``'s rounds and of the wing peel's
+supports and recounts, in-process) must
 match the reference element-wise at two panel widths.  8 x 2 x 3 x 6 = 288 global cells plus the
 per-vertex and per-edge blocks: > 250 parametrized cases.
 """

@@ -2,12 +2,13 @@
 
 The round loops extract the whole minimum bucket per round.  Tips take
 their losses from a one-time same-side pair table, or — past the table's
-byte cap — re-expand each round's wedges; wings recount the survivor
-graph's support.  Every round runs in-process: no decomposition resolves
-a pool.  The contract is *bitwise identity* with the heap
-``tip_numbers`` and with ``wing_numbers_bucket`` (itself pinned against
-the heap ``wing_numbers``) — on every corpus shape, both sides, for the
-pair table and the wedge fallback.  The auto ``k_tip``
+byte cap — re-expand each round's wedges; wings enumerate the butterflies
+through each round's peeled edges, or recount the survivor graph's
+support when enumerating would cost far more.  Every round runs
+in-process: no decomposition resolves a pool.  The contract is *bitwise
+identity* with the heap ``tip_numbers`` and ``wing_numbers`` — on every
+corpus shape, both sides, for the pair table and the wedge fallback, and
+for both wing round branches.  The auto ``k_tip``
 peels from the table a tip decomposition left on the graph; it must
 agree with the recount rounds, the look-ahead sweep and
 ``tip_numbers >= k``, and a lowered cap must force its recount rounds.
@@ -32,7 +33,6 @@ from repro.core import (
     tip_numbers_bucket_parallel,
     wing_numbers,
     wing_numbers_bucket,
-    wing_numbers_bucket_parallel,
 )
 from repro.core.peeling import buckets
 from repro.graphs import (
@@ -74,7 +74,7 @@ TIP_REFERENCE = {
     for name, g in GRAPHS.items()
     for side in ("left", "right")
 }
-WING_REFERENCE = {name: wing_numbers_bucket(g) for name, g in GRAPHS.items()}
+WING_REFERENCE = {name: wing_numbers(g) for name, g in GRAPHS.items()}
 
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
@@ -90,13 +90,14 @@ def test_tip_parallel_matches_serial_bucket(graph_name, side, n_workers):
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 @pytest.mark.parametrize("n_workers", (1, 2))
 def test_wing_parallel_matches_serial_bucket(graph_name, n_workers):
-    """The recount runs in-process: a warm default executor of
-    ``n_workers`` changes neither its numbers nor its dispatch count."""
+    """The wing peel runs in-process: a warm default executor of
+    ``n_workers`` changes neither its numbers (the heap's) nor its
+    dispatch count."""
     from repro.parallel import get_default_executor
 
     executor = get_default_executor(n_workers)
     before = executor.dispatch_count
-    got = wing_numbers_bucket_parallel(GRAPHS[graph_name])
+    got = wing_numbers_bucket(GRAPHS[graph_name])
     assert got == WING_REFERENCE[graph_name]
     assert executor.dispatch_count == before
 
@@ -164,10 +165,13 @@ def test_tip_pair_table_never_resolves_a_pool(monkeypatch):
 
 
 def test_wing_recount_never_resolves_a_pool(monkeypatch):
+    """Neither wing round branch touches a pool: the tailed biclique
+    recounts and enumerates, the corpus graphs cover the rest."""
     _forbid_pools(monkeypatch)
-    got = wing_numbers_bucket_parallel(GRAPHS["planted"])
-    assert got == WING_REFERENCE["planted"]
-    assert got == wing_numbers(GRAPHS["planted"])
+    g = _tailed_biclique()
+    assert wing_numbers_bucket(g) == wing_numbers(g)
+    for name, h in GRAPHS.items():
+        assert wing_numbers_bucket(h) == WING_REFERENCE[name]
 
 
 @st.composite
@@ -254,6 +258,115 @@ def test_table_k_tip_matches_recount_lookahead_and_tip_numbers(g, drawn_k):
                 assert table.rounds == other.rounds
                 assert table.subgraph == other.subgraph
             np.testing.assert_array_equal(table.kept, tips >= k)
+
+
+def _tailed_biclique() -> BipartiteGraph:
+    """Three K_{6,6} below a K_{7,7}, with a sparse tail of ten disjoint
+    4-cycles (support 1).  The first round peels the 40 cycle edges: 160
+    walks, far under eight times the bicliques' 991 recount wedges, so it
+    enumerates.  The second peels the three K_{6,6} (support 25): their
+    3,888 walks pass eight times the K_{7,7}'s 343 wedges, so it recounts."""
+    sizes = [2] * 10 + [6] * 3 + [7]
+    starts = np.cumsum([0] + sizes)
+    edges = [
+        (u, v)
+        for lo, n in zip(starts, sizes)
+        for u in range(lo, lo + n)
+        for v in range(lo, lo + n)
+    ]
+    n = int(starts[-1])
+    return BipartiteGraph(edges, n_left=n, n_right=n)
+
+
+def _planted_wings() -> BipartiteGraph:
+    return planted_bicliques(60, 60, 3, 6, 6, background_edges=400, seed=5)
+
+
+@given(g=tip_graphs())
+@settings(max_examples=150, deadline=None)
+@example(g=BipartiteGraph.empty(0, 5))
+@example(g=BipartiteGraph.empty(4, 0))
+@example(g=BipartiteGraph.complete(5, 4))
+@example(g=_tailed_biclique())
+@example(g=_planted_wings())
+def test_wing_peel_matches_the_heap_reference(g):
+    """Random, empty-side, butterfly-free and complete graphs, each in
+    both orientations (the peel keys edges by their left endpoint)."""
+    for h in (g, g.swap_sides()):
+        assert wing_numbers_bucket(h) == wing_numbers(h)
+
+
+@pytest.mark.parametrize(
+    ("make", "recounts"),
+    ((_tailed_biclique, True), (_planted_wings, False)),
+    ids=("tailed", "planted"),
+)
+def test_wing_peel_round_branches(make, recounts, monkeypatch):
+    """The tailed biclique runs both branches.  Planted bicliques of one
+    size peel together in the last round, so every earlier round peels a
+    sparse background edge or two and enumerates."""
+    calls = {"enumerate": 0, "support": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        buckets,
+        "_subtract_wing_losses",
+        counting("enumerate", buckets._subtract_wing_losses),
+    )
+    monkeypatch.setattr(
+        buckets,
+        "edge_butterfly_support_blocked",
+        counting("support", buckets.edge_butterfly_support_blocked),
+    )
+    g = make()
+    assert wing_numbers_bucket(g) == wing_numbers(g)
+    assert calls["enumerate"] >= 1
+    # the initial supports, then one call per recount
+    assert (calls["support"] > 1) == recounts
+
+
+@pytest.mark.parametrize("budget", (1, 16))
+def test_wing_peel_in_small_chunks(budget, monkeypatch):
+    """A chunk budget far below the default cuts enumerate rounds into
+    many wedge and walk chunks; the charge to the lowest peeled edge must
+    hold across chunks."""
+    most, cut = [], buckets.work_bounded_panels
+
+    def panels(work, cap):
+        out = cut(work, cap)
+        most.append(len(out))
+        return out
+
+    monkeypatch.setattr(buckets, "PRIORITY_PANEL_BUDGET", budget)
+    monkeypatch.setattr(buckets, "work_bounded_panels", panels)
+    for name, g in GRAPHS.items():
+        assert wing_numbers_bucket(g) == WING_REFERENCE[name], name
+    for g in (_tailed_biclique(), _planted_wings()):
+        assert wing_numbers_bucket(g) == wing_numbers(g)
+    assert max(most) > 1
+
+
+def test_wing_peel_keys_pass_int32():
+    """``n_left·n_right`` passes 2^31, and the keys ``u·n_right + v`` of a
+    dense block cross it row by row: int32 keys would wrap out of order."""
+    n = 50_000
+    rng = np.random.default_rng(11)
+    edges = np.column_stack(
+        [rng.integers(42_935, 42_965, 300), rng.integers(33_635, 33_665, 300)]
+    )
+    edges = np.concatenate([edges, [[0, 0], [0, n - 1], [1, 0], [1, n - 1]]])
+    g = BipartiteGraph(np.unique(edges, axis=0), n_left=n, n_right=n)
+    keys = edges[:, 0] * n + edges[:, 1]
+    assert keys.min() < 2**31 < keys.max()
+    got = wing_numbers_bucket(g)
+    assert got == wing_numbers(g)
+    assert max(got.values()) > 1 and got[(0, 0)] == 1
 
 
 def _views(g: BipartiteGraph, side: str):
@@ -589,7 +702,7 @@ def test_bucket_occupancy_gauge_records_largest_round():
 
 def test_bucket_occupancy_gauge_from_wing_rounds():
     with obs.capture() as metrics:
-        wing_numbers_bucket_parallel(GRAPHS["er"])
+        wing_numbers_bucket(GRAPHS["er"])
     assert metrics.value("peel.rounds.bucket_occupancy") >= 1
 
 
