@@ -6,7 +6,7 @@ sweep makes that controlled: same |V1|, |V2|, uniform random edges doubling
 each step, timing the auto-selected member under both strategies.
 
 Expected shapes: spmv time grows ~linearly in |E| (the per-pivot scan is
-the whole reference partition), and adjacency time grows super-linearly
+the whole reference partition), and scratch time grows super-linearly
 (wedge counts grow faster than edges in G(n, m)).
 """
 
@@ -33,7 +33,7 @@ def _workloads():
     return WORKLOADS
 
 
-@pytest.mark.parametrize("strategy", ["adjacency", "spmv"])
+@pytest.mark.parametrize("strategy", ["scratch", "spmv"])
 @pytest.mark.parametrize("level", LEVELS)
 def test_sparsity_cell(benchmark, level, strategy):
     g = _workloads()[level]
@@ -59,6 +59,6 @@ def test_sparsity_shape(benchmark):
     print("\n" + SWEEP.render())
     # denser is slower for both strategies — the paper's GitHub-vs-Producers
     # observation as a monotone curve
-    for strategy in ("adjacency", "spmv"):
+    for strategy in ("scratch", "spmv"):
         times = [SWEEP.get(level, strategy).seconds for level in LEVELS]
         assert times[-1] > times[0], (strategy, times)

@@ -68,7 +68,7 @@ def main() -> None:
     section("5. Timing the family on the arXiv stand-in")
     ds = load_dataset("arxiv")
     sweep = Sweep(title="family timing (seconds)")
-    for strategy in ("spmv", "adjacency"):
+    for strategy in ("spmv", "scratch"):
         for inv in ALL_INVARIANTS:
             res = time_callable(
                 lambda inv=inv, s=strategy: count_butterflies_unblocked(

@@ -11,7 +11,7 @@
     repro-butterfly peel       GRAPH --k K [--mode tip|wing] [--side left|right]
     repro-butterfly decompose  GRAPH [--mode tip|wing] [--top N]
     repro-butterfly bench      [--dataset NAME] # fig10-style sweep on a stand-in
-    repro-butterfly algorithms [--executor E] [--run GRAPH]  # the registry
+    repro-butterfly algorithms [--executor E] [--run GRAPH]  # pinned count members
     repro-butterfly generate   OUT --n-left M --n-right N --edges E
     repro-butterfly stats      --from-metrics metrics.jsonl  # render metrics
     repro-butterfly stream     GRAPH SCRIPT [--strategy S] [--snapshot-out P]
@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_count.add_argument(
         "--strategy",
-        choices=("adjacency", "scratch", "spmv", "wedge", "priority"),
+        choices=("scratch", "spmv", "wedge", "priority"),
         default=None,
         help="update strategy (default: scratch; with --auto, the "
         "vertex-priority kernel; 'wedge' runs the wedge-partitioned shard "
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_explain.add_argument(
         "--strategy",
-        choices=("adjacency", "scratch", "spmv", "blocked", "wedge", "priority"),
+        choices=("scratch", "spmv", "blocked", "wedge", "priority"),
         default=None, help="pin the update strategy",
     )
     p_explain.add_argument("--workers", type=int, default=None, metavar="N",
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dataset", choices=dataset_names(), default="arxiv"
     )
     p_bench.add_argument(
-        "--strategy", choices=("adjacency", "scratch", "spmv"), default="adjacency"
+        "--strategy", choices=("scratch", "spmv"), default="scratch"
     )
 
     p_dec = sub.add_parser(
@@ -354,13 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
 
     p_alg = sub.add_parser(
-        "algorithms", help="list the registered algorithm family"
+        "algorithms",
+        help="list every pinned count member the engine's planner accepts",
     )
-    p_alg.add_argument("--executor", default=None,
-                       choices=("unblocked", "blocked", "parallel"))
+    p_alg.add_argument("--executor", default=None, choices=("serial", "shared"))
     p_alg.add_argument("--run", default=None, metavar="GRAPH",
-                       help="also run every listed member on this graph "
-                       "and assert agreement")
+                       help="also plan and run every listed member on this "
+                       "graph and assert agreement")
 
     p_stats = sub.add_parser(
         "stats", help="render a metrics JSONL file as a human table"
@@ -699,15 +699,26 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_algorithms(args) -> int:
-    from repro.core import all_algorithms
+    from repro import engine
+    from repro.core import INVARIANTS
 
-    members = all_algorithms(executor=args.executor)
+    members = [
+        pins for pins in engine.count_members()
+        if args.executor in (None, pins["executor"])
+    ]
     graph = _load(args.run) if args.run else None
     results = set()
-    for spec in members:
-        line = f"{spec.name:30s} {spec.invariant.description}"
+    for pins in members:
+        number = pins["invariant"]
+        name = f"{pins['strategy']}-{pins['executor']}"
+        if number is None:
+            description = "both sides ranked together (no invariant)"
+        else:
+            name = f"inv{number}-{name}"
+            description = INVARIANTS[number].description
+        line = f"{name:22s} {description}"
         if graph is not None:
-            value = spec(graph)
+            value = engine.execute(engine.plan(graph, "count", **pins), graph)
             results.add(value)
             line += f"  -> {value}"
         print(line)

@@ -43,8 +43,8 @@ from repro.core.family import (
     Invariant,
     Reference,
     Traversal,
-    _matrices_for_side,
-    _resolve_invariant,
+    matrices_for_side,
+    resolve_invariant,
 )
 from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela import CompressedPattern, panel_choose2_sum
@@ -175,10 +175,10 @@ def count_butterflies_blocked(
     int
         Ξ_G, the exact number of butterflies.
     """
-    inv: Invariant = _resolve_invariant(invariant)
+    inv: Invariant = resolve_invariant(invariant)
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
-    pivot_major, complementary = _matrices_for_side(graph, inv.side)
+    pivot_major, complementary = matrices_for_side(graph, inv.side)
     n = pivot_major.major_dim
     total = 0
     if work_budget is not None:

@@ -38,7 +38,7 @@ not-yet-processed vertices — "look-ahead" in the FLAME sense — are 2, 6
 group the paper's Section V measures as faster is the suffix-referencing
 one, 2/4/6/8.)
 
-Three execution strategies are provided for every member:
+Two execution strategies are provided for every member:
 
 ``strategy="spmv"``
     The literal translation of the derived update: per pivot, scan the
@@ -47,21 +47,15 @@ Three execution strategies are provided for every member:
     implementation and the one that reproduces the Fig. 10/11 shapes
     (iterating the smaller side wins in proportion to the side ratio).
 
-``strategy="adjacency"``
+``strategy="scratch"``
     The wedge-optimal refinement: enumerate only the wedges incident to
     the pivot using the complementary storage format, reducing the
-    endpoint multiset with a sort (``np.unique``).  Cost O(Σ wedges),
+    endpoint multiset through a persistent dense accumulator (the
+    Chiba–Nishizeki discipline, using the identity Σ C(y,2) =
+    (Σy² − Σy)/2 evaluated with two gathers).  Cost O(Σ wedges),
     independent of which side is traversed.  This is the "carefully
     implementing this update" remark after eq. (18) taken to its
-    conclusion, and the strategy the parallel and blocked variants build
-    on.
-
-``strategy="scratch"``
-    Same wedge enumeration, reduced through a persistent dense
-    accumulator instead of a sort (the Chiba–Nishizeki discipline, using
-    the identity Σ C(y,2) = (Σy² − Σy)/2 evaluated with two gathers).
-    Also O(Σ wedges) with a smaller constant on most inputs; the strategy
-    ablation quantifies the gap.
+    conclusion; the strategy ablation quantifies the gap to ``spmv``.
 """
 
 from __future__ import annotations
@@ -88,6 +82,8 @@ __all__ = [
     "count_butterflies",
     "has_at_least",
     "pivot_order",
+    "resolve_invariant",
+    "matrices_for_side",
     "wedge_endpoint_multiset",
     "STRATEGIES",
 ]
@@ -169,7 +165,12 @@ INVARIANTS: dict[int, Invariant] = {
 ALL_INVARIANTS: tuple[Invariant, ...] = tuple(INVARIANTS[i] for i in range(1, 9))
 
 
-def _resolve_invariant(invariant) -> Invariant:
+def resolve_invariant(invariant) -> Invariant:
+    """Paper number (1–8) or :class:`Invariant` → :class:`Invariant`.
+
+    The one normaliser of an invariant argument; raises ``ValueError``
+    for a number outside 1..8 and ``TypeError`` for anything else.
+    """
     if isinstance(invariant, Invariant):
         return invariant
     if isinstance(invariant, int):
@@ -189,7 +190,7 @@ def pivot_order(n: int, traversal: Traversal) -> range:
     return range(n - 1, -1, -1)
 
 
-def _matrices_for_side(
+def matrices_for_side(
     graph: BipartiteGraph, side: Side
 ) -> tuple[CompressedPattern, CompressedPattern]:
     """(pivot-major matrix, complementary matrix) for the given side.
@@ -197,7 +198,7 @@ def _matrices_for_side(
     The pivot-major matrix exposes each pivot's neighbourhood as one slice
     (CSC for columns, CSR for rows); the complementary matrix exposes the
     neighbourhoods of the *other* side, which is what wedge continuation
-    needs under the ``adjacency`` strategy.
+    reads.
     """
     if side is Side.COLUMNS:
         return graph.csc, graph.csr
@@ -219,27 +220,6 @@ def wedge_endpoint_multiset(
     return complementary.gather(pivot_major.slice(pivot))
 
 
-def _butterflies_at_pivot_adjacency(
-    pivot_major: CompressedPattern,
-    complementary: CompressedPattern,
-    pivot: int,
-    reference: Reference,
-) -> int:
-    """Σ_u C(y_u, 2) for one pivot under the ``adjacency`` strategy."""
-    endpoints = wedge_endpoint_multiset(pivot_major, complementary, pivot)
-    if endpoints.size == 0:
-        return 0
-    if reference is Reference.PREFIX:
-        endpoints = endpoints[endpoints < pivot]
-    else:
-        endpoints = endpoints[endpoints > pivot]
-    if endpoints.size == 0:
-        return 0
-    _, counts = np.unique(endpoints, return_counts=True)
-    counts = counts.astype(np.int64)
-    return int(np.sum(counts * (counts - 1)) // 2)
-
-
 def _butterflies_at_pivot_scratch(
     pivot_major: CompressedPattern,
     complementary: CompressedPattern,
@@ -256,9 +236,6 @@ def _butterflies_at_pivot_scratch(
 
         Σ_u C(y_u, 2) = (Σ_u y_u² − Σ_u y_u) / 2
                       = (scratch[endpoints].sum() − len(endpoints)) / 2.
-
-    Whether avoiding ``np.unique``'s sort beats its locality is an
-    empirical question the strategy ablation answers.
     """
     endpoints = wedge_endpoint_multiset(pivot_major, complementary, pivot)
     if endpoints.size == 0:
@@ -330,13 +307,7 @@ def _pivot_step(
     caller reuse buffers across calls; fresh ones are allocated when
     omitted.
     """
-    if strategy == "adjacency":
-
-        def step(pivot: int) -> int:
-            return _butterflies_at_pivot_adjacency(
-                pivot_major, complementary, pivot, reference
-            )
-    elif strategy == "scratch":
+    if strategy == "scratch":
         if scratch is None:
             scratch = np.zeros(pivot_major.major_dim, dtype=np.int64)
 
@@ -364,7 +335,7 @@ def _pivot_step(
 def count_butterflies_unblocked(
     graph: BipartiteGraph,
     invariant,
-    strategy: str = "adjacency",
+    strategy: str = "scratch",
     on_step: Callable[[int, int, int], None] | None = None,
 ) -> int:
     """Count the butterflies of ``graph`` with one family member.
@@ -376,7 +347,7 @@ def count_butterflies_unblocked(
     invariant:
         Paper invariant number (1–8) or an :class:`Invariant`.
     strategy:
-        ``"adjacency"`` (wedge-optimal) or ``"spmv"`` (paper-literal); see
+        ``"scratch"`` (wedge-optimal) or ``"spmv"`` (paper-literal); see
         the module docstring.
     on_step:
         Optional callback invoked after every pivot with
@@ -388,8 +359,8 @@ def count_butterflies_unblocked(
     int
         Ξ_G, the exact number of butterflies.
     """
-    inv = _resolve_invariant(invariant)
-    pivot_major, complementary = _matrices_for_side(graph, inv.side)
+    inv = resolve_invariant(invariant)
+    pivot_major, complementary = matrices_for_side(graph, inv.side)
     n = pivot_major.major_dim
     if obs._enabled:
         obs.inc(f"family.invariant.{inv.number}")
@@ -405,39 +376,40 @@ def count_butterflies_unblocked(
         side=inv.side.name.lower(),
         pivots=n,
     ):
-        return _count_unblocked_body(
-            pivot_major, complementary, inv, strategy, n, on_step
-        )
+        return _sweep(pivot_major, complementary, inv, strategy, on_step)
 
 
-def _count_unblocked_body(
-    pivot_major, complementary, inv, strategy, n, on_step
-) -> int:
+def _sweep(pivot_major, complementary, inv, strategy, on_step, threshold=None):
+    """Running Ξ over ``inv``'s pivots in traversal order, stopping early
+    once it reaches ``threshold`` (None: the whole sweep)."""
     step = _pivot_step(pivot_major, complementary, inv.reference, strategy)
     total = 0
-    for step_index, pivot in enumerate(pivot_order(n, inv.traversal)):
+    order = pivot_order(pivot_major.major_dim, inv.traversal)
+    for step_index, pivot in enumerate(order):
         total += step(pivot)
         if on_step is not None:
             on_step(step_index, pivot, total)
+        if threshold is not None and total >= threshold:
+            break
     return total
 
 
 #: Strategy names accepted by the counting entry points.
-STRATEGIES: tuple[str, ...] = ("adjacency", "scratch", "spmv")
+STRATEGIES: tuple[str, ...] = ("scratch", "spmv")
 
 
 def has_at_least(
     graph: BipartiteGraph,
     threshold: int,
     invariant=None,
-    strategy: str = "adjacency",
+    strategy: str = "scratch",
     on_step: Callable[[int, int, int], None] | None = None,
 ) -> bool:
     """Decide Ξ_G ≥ threshold, stopping as soon as the answer is known.
 
     Runs the auto-selected (or given) family member under the chosen
-    ``strategy`` (``"adjacency"``, ``"scratch"`` or ``"spmv"`` — the same
-    three the counting entry points accept) and returns True the moment
+    ``strategy`` (``"scratch"`` or ``"spmv"`` — the same two the counting
+    entry points accept) and returns True the moment
     the running total reaches ``threshold`` — on butterfly-rich graphs
     this inspects a small prefix of the sweep.  ``threshold <= 0`` is
     trivially True.  Exact: a False return means the full sweep ran and
@@ -456,18 +428,10 @@ def has_at_least(
         from repro.engine import select_count_invariant
 
         invariant = select_count_invariant(graph)
-    inv = _resolve_invariant(invariant)
-    pivot_major, complementary = _matrices_for_side(graph, inv.side)
-    n = pivot_major.major_dim
-    step = _pivot_step(pivot_major, complementary, inv.reference, strategy)
-    total = 0
-    for step_index, pivot in enumerate(pivot_order(n, inv.traversal)):
-        total += step(pivot)
-        if on_step is not None:
-            on_step(step_index, pivot, total)
-        if total >= threshold:
-            return True
-    return False
+    inv = resolve_invariant(invariant)
+    pivot_major, complementary = matrices_for_side(graph, inv.side)
+    total = _sweep(pivot_major, complementary, inv, strategy, on_step, threshold)
+    return total >= threshold
 
 
 def count_butterflies(graph: BipartiteGraph, *, plan=None) -> int:

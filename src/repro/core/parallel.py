@@ -19,13 +19,13 @@ executors, both thin wrappers over :class:`repro.parallel.ButterflyExecutor`:
   run in-process, used by tests to validate the tiling independently of
   pool plumbing.
 
-All three sequential strategies are supported so the parallel numbers are
+Both sequential strategies are supported so the parallel numbers are
 directly comparable to the sequential ones: ``"spmv"`` (the paper-literal
-cost model), ``"adjacency"`` and ``"scratch"`` (the wedge-optimal pair).
+cost model) and ``"scratch"`` (the wedge-optimal update).
 
 Work is split into contiguous pivot ranges balanced by *estimated work*
-(exact wedge expansions for ``adjacency``; pivots for ``spmv``, whose cost
-is dominated by the uniform reference-partition scan), not by pivot count:
+(exact wedge expansions for ``scratch``; the triangular reference-partition
+scan for ``spmv``), not by pivot count:
 power-law graphs concentrate most wedges in a few hub vertices, and naive
 equal-width ranges would leave most workers idle.
 """
@@ -67,7 +67,7 @@ def parallel_work_model(
     pivot_major, complementary, strategy: str, reference: Reference
 ) -> np.ndarray:
     """Per-pivot work estimate used to balance the parallel ranges."""
-    if strategy in ("adjacency", "scratch", "wedge"):
+    if strategy in ("scratch", "wedge"):
         return pivot_work_estimate(pivot_major, complementary)
     # spmv: dominated by the reference-partition scan, triangular in the
     # pivot index; add the pivot's own degree (the marker scatter).
@@ -213,7 +213,7 @@ def count_butterflies_parallel(
     side: str | Side | None = None,
     executor: str = "shared",
     invariant: int | Invariant | None = None,
-    strategy: str = "adjacency",
+    strategy: str = "scratch",
 ) -> int:
     """Count butterflies in parallel over pivot ranges.
 
@@ -241,7 +241,7 @@ def count_butterflies_parallel(
         to the total (pivot contributions are order-independent), which is
         precisely why the family parallelises.
     strategy:
-        ``"adjacency"`` (default), ``"scratch"`` or ``"spmv"`` — same
+        ``"scratch"`` (default) or ``"spmv"`` — same
         meanings as the sequential entry points, so speedups are
         apples-to-apples — or ``"wedge"``: shards of equal *wedge* work
         (capped at :data:`DEFAULT_WEDGE_SHARD_BUDGET` wedges each) reduced

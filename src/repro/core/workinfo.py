@@ -4,18 +4,17 @@ One home for every *exact, deterministic* model of how much element work a
 family member performs on a given graph — the quantities behind the
 paper's Fig. 10 analysis, the parallel executor's load balancing, the
 blocked executor's adaptive panels, and the execution engine's
-planner.  Before this module existed the same helpers were scattered:
-``bench/workmodel.py`` reached into ``repro.core.family``'s ``_``-prefixed
-internals and ``repro.core.parallel.pivot_work_estimate``; now every
-consumer (bench, parallel, blocked, :mod:`repro.engine`) imports the
-public names from here.
+planner.  Every consumer outside the family (bench, parallel,
+:mod:`repro.engine`) imports the public names from here, including the
+family's own ``resolve_invariant`` / ``matrices_for_side``, which this
+module re-exports.
 
 Work models
 -----------
 - ``spmv``: per pivot, the update scans every stored entry of the
   reference partition → work(pivot) = nnz(A₀) or nnz(A₂) — *triangular*
   in the pivot index (:func:`spmv_scan_lengths`).
-- ``adjacency`` / ``scratch``: per pivot, the update expands the pivot's
+- ``scratch`` / ``wedge``: per pivot, the update expands the pivot's
   wedges → work(pivot) = Σ_{x ∈ N(pivot)} deg(x), independent of the
   reference side (:func:`pivot_work_estimate`).
 
@@ -34,9 +33,8 @@ from repro._types import COUNT_DTYPE
 from repro.core.family import (
     Invariant,
     Reference,
-    Side,
-    _matrices_for_side,
-    _resolve_invariant,
+    matrices_for_side,
+    resolve_invariant,
 )
 from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela.kernels import segment_sums
@@ -54,32 +52,11 @@ __all__ = [
 ]
 
 
-def resolve_invariant(invariant) -> Invariant:
-    """Public resolver: paper number (1–8) or :class:`Invariant` → Invariant.
-
-    The supported way for other layers (bench, engine) to normalise an
-    invariant argument — previously they imported the ``_``-prefixed
-    helper from :mod:`repro.core.family` directly.
-    """
-    return _resolve_invariant(invariant)
-
-
-def matrices_for_side(graph: BipartiteGraph, side: Side):
-    """(pivot-major matrix, complementary matrix) for the given side.
-
-    CSC/CSR for columns, CSR/CSC for rows — the pivot-major matrix exposes
-    each pivot's neighbourhood as one slice, the complementary matrix the
-    neighbourhoods of the opposite side (what wedge continuation reads).
-    Public re-export of the family-internal helper.
-    """
-    return _matrices_for_side(graph, side)
-
-
 def pivot_work_estimate(pivot_major, complementary) -> np.ndarray:
     """Exact wedge-expansion work per pivot: Σ_{x ∈ N(p)} deg(x).
 
-    This is the number of wedge endpoints the adjacency/scratch update
-    fetches for pivot p — the dominant cost of those strategies, and the
+    This is the number of wedge endpoints the scratch update fetches
+    for pivot p — the dominant cost of it and of ``wedge``, and the
     weight both the parallel range balancer and the blocked work-budget
     panels use.
 
@@ -179,21 +156,20 @@ def work_profile(
     """Compute the exact work profile of one family member on ``graph``.
 
     ``strategy`` is ``"spmv"`` (reference-partition scans), or
-    ``"adjacency"`` / ``"scratch"`` / ``"wedge"`` (wedge expansions — the
-    three share one work model; they differ only in the reduction's
-    constant factor and batching).
+    ``"scratch"`` / ``"wedge"`` (wedge expansions — the two share one
+    work model; they differ only in the reduction and its batching).
     """
     inv: Invariant = resolve_invariant(invariant)
     pivot_major, complementary = matrices_for_side(graph, inv.side)
     n = pivot_major.major_dim
     if strategy == "spmv":
         per_pivot = spmv_scan_lengths(pivot_major, inv.reference)
-    elif strategy in ("adjacency", "scratch", "wedge"):
+    elif strategy in ("scratch", "wedge"):
         per_pivot = pivot_work_estimate(pivot_major, complementary)
     else:
         raise ValueError(
-            f"unknown strategy {strategy!r}; expected 'adjacency', "
-            "'scratch', 'spmv' or 'wedge'"
+            f"unknown strategy {strategy!r}; expected 'scratch', 'spmv' "
+            "or 'wedge'"
         )
     return WorkProfile(
         invariant=inv.number,

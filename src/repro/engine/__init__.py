@@ -28,7 +28,8 @@ Layers:
 - :mod:`repro.engine.plan` — the :class:`Plan` record.
 - :mod:`repro.engine.planner` — the rule (unpinned → ``priority``,
   pins filled by the smaller-side rule, ``stream_apply`` scored),
-  :func:`plan` / :func:`explain` / :func:`select_count_invariant`.
+  :func:`plan` / :func:`explain` / :func:`select_count_invariant`, and
+  :func:`count_members`, every pinned count member the rule accepts.
 - :mod:`repro.engine.calibration` — the four per-machine coefficients
   of the priority and stream estimates (measured by :func:`calibrate`,
   persisted under ``results/``, sane defaults when uncalibrated).
@@ -64,6 +65,7 @@ _LAZY = {
     "DEFAULT_MAX_WORKERS": "repro.engine.planner",
     "DEFAULT_PLAN_BLOCK_BUDGET": "repro.engine.planner",
     "candidate_plans": "repro.engine.planner",
+    "count_members": "repro.engine.planner",
     "explain": "repro.engine.planner",
     "select_count_invariant": "repro.engine.planner",
 }
@@ -77,6 +79,7 @@ __all__ = [
     "EXECUTORS",
     "plan",
     "candidate_plans",
+    "count_members",
     "explain",
     "execute",
     "select_count_invariant",

@@ -38,16 +38,15 @@ WORKLOADS: tuple[str, ...] = (
 #: :data:`repro.core.stream.STREAM_APPLY_STRATEGIES`.
 STREAM_STRATEGIES: tuple[str, ...] = ("incremental", "recount")
 
-#: Counting strategies a plan may select.  The first three are the
-#: unblocked family strategies; ``"blocked"`` is the panel derivation
-#: (its kernel picks each panel's reduction itself); ``"wedge"`` is the
-#: wedge-partitioned path — contiguous pivot shards of equal wedge work
-#: reduced with the fused panel kernel, usually paired with a pool;
-#: ``"priority"`` is the vertex-priority kernel
-#: (:mod:`repro.core.priority`), which ranks both sides together and so
-#: has no invariant — serial and raw-layout only.
+#: Counting strategies a plan may select.  The first two are the
+#: unblocked family strategies (:data:`repro.core.family.STRATEGIES`);
+#: ``"blocked"`` is the panel derivation (its kernel picks each panel's
+#: reduction itself); ``"wedge"`` is the wedge-partitioned path —
+#: contiguous pivot shards of equal wedge work reduced with the fused
+#: panel kernel, usually paired with a pool; ``"priority"`` is the
+#: vertex-priority kernel (:mod:`repro.core.priority`), which ranks both
+#: sides together and so has no invariant — serial and raw-layout only.
 COUNT_STRATEGIES: tuple[str, ...] = (
-    "adjacency",
     "scratch",
     "spmv",
     "blocked",
@@ -90,7 +89,7 @@ class Plan:
     layout: str = "raw"
     #: one of :data:`COUNT_STRATEGIES` for counts; "blocked" or
     #: "priority" for the kernels behind per-vertex / peeling workloads
-    strategy: str = "adjacency"
+    strategy: str = "scratch"
     #: one of :data:`EXECUTORS` ("serial" for the per-vertex workloads)
     executor: str = "serial"
     #: pool size (1 for serial execution)
@@ -132,6 +131,10 @@ class Plan:
             )
         if self.invariant is not None and self.invariant not in range(1, 9):
             raise ValueError(f"invariant must be 1..8, got {self.invariant}")
+        if self.block_size is not None and self.block_size < 1:
+            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
+        if self.k is not None and self.k < 0:
+            raise ValueError(f"k must be non-negative, got {self.k}")
         if self.side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
         if self.layout not in LAYOUTS:

@@ -54,6 +54,7 @@ from repro.graphs.bipartite import BipartiteGraph
 __all__ = [
     "plan",
     "candidate_plans",
+    "count_members",
     "explain",
     "select_count_invariant",
     "DEFAULT_MAX_WORKERS",
@@ -178,7 +179,10 @@ def _priority_row(graph, cal, workload="count", side="left", k=None) -> Plan:
 # ----------------------------------------------------------------------
 # the rule
 # ----------------------------------------------------------------------
-def _check_pins(workload, invariant, strategy, executor, workers, layout) -> bool:
+def _check_pins(
+    workload, invariant, strategy, executor, workers, layout,
+    block_size=None, k=None,
+) -> bool:
     """Reject unknown values and pin sets no plan satisfies; returns
     whether a pool is pinned."""
     pool = executor == "shared" or (workers is not None and workers > 1)
@@ -190,6 +194,9 @@ def _check_pins(workload, invariant, strategy, executor, workers, layout) -> boo
          f"unknown workload {workload!r}; expected one of {WORKLOADS}"),
         (workers is not None and workers < 1,
          f"n_workers must be >= 1, got {workers}"),
+        (block_size is not None and block_size < 1,
+         f"block_size must be >= 1, got {block_size}"),
+        (k is not None and k < 0, f"k must be non-negative, got {k}"),
         (executor not in (None, *EXECUTORS),
          f"unknown executor {executor!r}; expected one of {EXECUTORS}"),
         (layout not in (None, *LAYOUTS),
@@ -227,6 +234,40 @@ def _check_pins(workload, invariant, strategy, executor, workers, layout) -> boo
     return pool
 
 
+def count_members():
+    """Every pinned ``count`` member the rule accepts, as plan pins.
+
+    Filters invariant × :data:`COUNT_STRATEGIES` × :data:`EXECUTORS`
+    through the pin check :func:`plan` applies, so the planner stays the
+    one place that knows which pin sets exist; a strategy that takes no
+    invariant (``priority``) appears once, unnumbered.  Each member is a
+    dict of ``invariant``/``strategy``/``executor`` pins, planned by
+    ``plan(graph, "count", **member)`` (a ``shared`` member on the pool
+    size the rule fills unless ``workers`` is pinned as well).
+    """
+    for strategy in COUNT_STRATEGIES:
+        for executor in EXECUTORS:
+            numbers = [
+                number for number in range(1, 9)
+                if _accepts(number, strategy, executor)
+            ]
+            if not numbers and _accepts(None, strategy, executor):
+                numbers = [None]
+            for number in numbers:
+                yield {
+                    "invariant": number, "strategy": strategy,
+                    "executor": executor,
+                }
+
+
+def _accepts(invariant, strategy, executor) -> bool:
+    try:
+        _check_pins("count", invariant, strategy, executor, None, None)
+    except ValueError:
+        return False
+    return True
+
+
 def candidate_plans(
     graph: BipartiteGraph,
     workload: str = "count",
@@ -250,7 +291,9 @@ def candidate_plans(
     fills the rest.  ``stream_apply`` takes the pending edit batch via
     ``batch=(insert, delete)`` (edge lists / (k, 2) arrays).
     """
-    pool = _check_pins(workload, invariant, strategy, executor, workers, layout)
+    pool = _check_pins(
+        workload, invariant, strategy, executor, workers, layout, block_size, k
+    )
     cal = calibration or load_calibration()
     if workload == "stream_apply":
         rows = _stream_candidates(graph, cal, strategy, batch)
@@ -312,7 +355,7 @@ def _wing_row(graph, budget, block_size, k) -> Plan:
     ops, pivots = _side_work(graph, 6)  # left/CSR traversal
     b = block_size or max(16, min(_auto_block_size(ops, pivots, budget), 1024))
     # one support pass: the wedge expansion plus a same-size searchsorted
-    # resolve pass → ~2× the adjacency ops; the fixpoint's round count
+    # resolve pass → ~2× the wedge-expansion ops; the fixpoint's round count
     # depends on the graph and k, so it is not modelled
     return Plan(
         workload="wing", invariant=None, storage="csr", strategy="blocked",

@@ -80,7 +80,7 @@ def expected_partial_count(
 
 
 def check_invariant_trace(
-    graph: BipartiteGraph, invariant, strategy: str = "adjacency"
+    graph: BipartiteGraph, invariant, strategy: str = "scratch"
 ) -> int:
     """Run a family member, asserting its loop invariant at every iteration.
 

@@ -52,7 +52,7 @@ import numpy as np
 from repro import obs
 from repro.obs import profile as obs_profile
 from repro._types import COUNT_DTYPE
-from repro.core.family import Invariant, Reference, Side
+from repro.core.family import STRATEGIES, Invariant, Reference, Side
 from repro.core.workinfo import matrices_for_side, resolve_invariant
 from repro.graphs.bipartite import BipartiteGraph
 from repro.parallel.shm import SharedGraphBuffers, attach_graph
@@ -100,18 +100,15 @@ def _strategy_state(entry, pivot_major, strategy: str, side_value):
     key = (strategy, side_value)
     state = cache.get(key)
     if state is None:
-        if strategy == "scratch":
-            state = (np.zeros(pivot_major.major_dim, dtype=COUNT_DTYPE), None)
-        elif strategy == "spmv":
+        if strategy == "spmv":
             state = (
                 pivot_major.expand_major(),
                 np.zeros(pivot_major.minor_dim, dtype=bool),
             )
-        elif strategy == "wedge":
-            # endpoint-space accumulator for the fused panel reduction
-            state = (np.zeros(pivot_major.major_dim, dtype=np.int64), None)
         else:
-            state = (None, None)
+            # scratch's counters, or wedge's endpoint-space accumulator
+            # for the fused panel reduction
+            state = (np.zeros(pivot_major.major_dim, dtype=COUNT_DTYPE), None)
         cache[key] = state
     return state
 
@@ -394,7 +391,7 @@ class ButterflyExecutor:
         graph: BipartiteGraph,
         invariant: int | Invariant | None = None,
         side: str | Side | None = None,
-        strategy: str = "adjacency",
+        strategy: str = "scratch",
     ) -> int:
         """Ξ_G over the warm pool; same contract as
         :func:`~repro.core.parallel.count_butterflies_parallel`."""
@@ -413,10 +410,10 @@ class ButterflyExecutor:
             wedge_shards,
         )
 
-        if strategy not in ("adjacency", "scratch", "spmv", "wedge"):
+        if strategy not in (*STRATEGIES, "wedge"):
             raise ValueError(
-                f"unknown strategy {strategy!r}; expected 'adjacency', "
-                "'scratch', 'spmv' or 'wedge'"
+                f"unknown strategy {strategy!r}; expected one of "
+                f"{(*STRATEGIES, 'wedge')}"
             )
         reference = Reference.SUFFIX
         if invariant is not None:

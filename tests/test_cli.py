@@ -163,20 +163,28 @@ def test_generate_powerlaw(tmp_path):
 def test_algorithms_listing(capsys):
     assert main(["algorithms"]) == 0
     out = capsys.readouterr().out
-    assert "inv1-adjacency-unblocked" in out
-    assert "56 members" in out
+    assert "inv1-scratch-serial" in out
+    assert "inv8-wedge-shared" in out
+    assert "priority-serial" in out
+    assert "57 members" in out
 
 
 def test_algorithms_filtered(capsys):
-    assert main(["algorithms", "--executor", "blocked"]) == 0
+    assert main(["algorithms", "--executor", "shared"]) == 0
     out = capsys.readouterr().out
-    assert "8 members" in out
-    assert "panel" in out
+    assert "24 members" in out
+    assert "blocked" not in out and "priority" not in out
 
 
 def test_algorithms_run_agreement(konect_file, capsys):
-    assert main(["algorithms", "--executor", "blocked",
-                 "--run", konect_file]) == 0
+    """The shared members run on the warm pool, retired afterwards."""
+    from repro.parallel import shutdown_default_executors
+
+    try:
+        assert main(["algorithms", "--executor", "shared",
+                     "--run", konect_file]) == 0
+    finally:
+        shutdown_default_executors()
     out = capsys.readouterr().out
     assert "all agree:" in out
 
@@ -204,6 +212,12 @@ def test_bench_smallest_dataset(capsys):
         (["count", "{tmp}/g.tsv", "--workers", "0"], "n_workers must be >= 1"),
         (["count", "{tmp}/g.tsv", "--workers", "-3"], "n_workers must be >= 1"),
         (["explain", "{tmp}/g.tsv", "--workers", "0"], "n_workers must be >= 1"),
+        (["count", "{tmp}/g.tsv", "--blocked", "--block-size", "0"],
+         "block_size must be >= 1, got 0"),
+        (["explain", "{tmp}/g.tsv", "--strategy", "blocked", "--block-size",
+          "0"], "block_size must be >= 1, got 0"),
+        (["explain", "{tmp}/g.tsv", "--workload", "tip", "--k", "-2"],
+         "k must be non-negative, got -2"),
         (["decompose", "{tmp}/g.tsv", "--workers", "2"],
          "unrecognized arguments"),
         (["count", "dataset:nope"], "unknown dataset 'nope'"),
@@ -232,6 +246,8 @@ def test_bench_smallest_dataset(capsys):
          "peel-mmap-storage", "count-reorder-storage", "explain-tip-mmap",
          "explain-vertex-counts-pool", "count-zero-workers",
          "count-negative-workers", "explain-zero-workers",
+         "count-zero-block-size", "explain-zero-block-size",
+         "explain-tip-negative-k",
          "decompose-workers", "count-unknown-dataset", "info-unknown-dataset",
          "peel-unknown-dataset", "explain-unknown-dataset",
          "decompose-negative-top", "generate-negative-n-left",

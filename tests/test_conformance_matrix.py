@@ -1,23 +1,26 @@
-"""Differential conformance matrix: every algorithm family cell agrees.
+"""Differential conformance matrix: every pinned count member agrees.
 
-The matrix crosses
+The members are :func:`repro.engine.count_members` — every
+invariant × strategy × executor pin set the planner accepts — and each
+runs through ``engine.plan``/``engine.execute`` (a ``shared`` member on
+an ``N_WORKERS`` pool).  The matrix crosses each member with
 
-- all 8 loop invariants (paper Fig. 5 / Fig. 6),
-- two storage layouts ("csr" runs the graph as given; "csc" runs the
-  side-swapped graph with the transpose-mapped invariant i <-> i±4, which
-  exercises the opposite compressed axis for the same logical graph),
-- three executor cells: the serial in-process decomposition, a cold
-  process pool (a cell-owned :class:`~repro.parallel.ButterflyExecutor`
-  that starts, publishes and tears down per cell) and the warm
-  process-wide shared-memory pool behind ``executor="shared"``, and
+- two storage orientations ("csr" runs the graph as given; "csc" runs
+  the side-swapped graph with the transpose-mapped invariant i <-> i±4,
+  which exercises the opposite compressed axis for the same logical
+  graph), and
 - six structurally distinct graph shapes, including the degenerate ones
   (empty, star) that historically break boundary arithmetic.
 
-Every cell must produce the *identical* global count, and the per-edge
-support sweep (the kernel of ``k_wing``'s rounds and of the wing peel's
-supports and recounts, in-process) must
-match the reference element-wise at two panel widths.  8 x 2 x 3 x 6 = 288 global cells plus the
-per-vertex and per-edge blocks: > 250 parametrized cases.
+Each strategy's cells live in one test (:data:`CELL_TESTS`), and
+``test_every_member_has_a_cell`` fails when the planner accepts a
+strategy or executor no test covers.  The ``scratch`` cells add a cold
+process pool (a cell-owned :class:`~repro.parallel.ButterflyExecutor`
+that starts, publishes and tears down per cell) beside every ``shared``
+member.  Every cell must produce the *identical* global count, and the
+per-edge support sweep (the kernel of ``k_wing``'s rounds and of the
+wing peel's supports and recounts, in-process) must match the reference
+element-wise at two panel widths.
 """
 
 from __future__ import annotations
@@ -53,8 +56,18 @@ def _retire_shared_executors():
 
 INVARIANTS = list(range(1, 9))
 LAYOUTS = ("csr", "csc")
-EXECUTORS = ("serial", "process", "shared")
 N_WORKERS = 2
+
+#: every pinned count member the planner accepts
+MEMBERS = tuple(engine.count_members())
+
+
+def _cells(strategy: str) -> list[tuple[str, int | None]]:
+    """(executor, invariant) of every member running ``strategy``."""
+    return [
+        (m["executor"], m["invariant"]) for m in MEMBERS
+        if m["strategy"] == strategy
+    ]
 
 
 def _graphs() -> dict[str, BipartiteGraph]:
@@ -91,12 +104,30 @@ def _count(g: BipartiteGraph, executor: str, **kwargs) -> int:
     )
 
 
-def _cell(graph_name: str, invariant: int, layout: str, executor: str) -> int:
+def _cell(graph_name, layout, executor, invariant, strategy) -> int:
+    """One member's count through ``engine.plan``/``engine.execute``
+    (``"process"``: the cell-owned cold pool)."""
     g = GRAPHS[graph_name]
     if layout == "csc":
         g = g.swap_sides()
-        invariant = TRANSPOSE_MAP[invariant]
-    return _count(g, executor, invariant=invariant)
+        invariant = TRANSPOSE_MAP.get(invariant)
+    if executor == "process":
+        return _count(g, executor, invariant=invariant, strategy=strategy)
+    the_plan = engine.plan(
+        g, "count", invariant=invariant, strategy=strategy,
+        executor=executor, workers=N_WORKERS if executor == "shared" else None,
+    )
+    assert (the_plan.strategy, the_plan.executor) == (strategy, executor)
+    return engine.execute(the_plan, g)
+
+
+def _check(graph_name, layout, executor, invariant, strategy) -> None:
+    got = _cell(graph_name, layout, executor, invariant, strategy)
+    assert got == REFERENCE[graph_name], (
+        f"{strategy} cell (graph={graph_name}, inv={invariant}, "
+        f"layout={layout}, executor={executor}) = {got}, "
+        f"reference = {REFERENCE[graph_name]}"
+    )
 
 
 def test_transpose_map_is_an_involution():
@@ -106,41 +137,42 @@ def test_transpose_map_is_an_involution():
         assert (i <= 4) != (TRANSPOSE_MAP[i] <= 4)
 
 
-@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-@pytest.mark.parametrize("layout", LAYOUTS)
-@pytest.mark.parametrize("invariant", INVARIANTS)
-@pytest.mark.parametrize("executor", EXECUTORS)
-def test_global_count_conformance(graph_name, layout, invariant, executor):
-    got = _cell(graph_name, invariant, layout, executor)
-    assert got == REFERENCE[graph_name], (
-        f"cell (graph={graph_name}, inv={invariant}, layout={layout}, "
-        f"executor={executor}) = {got}, reference = {REFERENCE[graph_name]}"
-    )
-
-
 # ----------------------------------------------------------------------
-# wedge-partitioned backend: same matrix, strategy="wedge"
+# the family's per-pivot updates: scratch (plus a cold pool beside every
+# shared member) and the paper-literal spmv scan
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 @pytest.mark.parametrize("layout", LAYOUTS)
-@pytest.mark.parametrize("invariant", INVARIANTS)
-@pytest.mark.parametrize("executor", ("serial", "shared"))
-def test_wedge_strategy_conformance(graph_name, layout, invariant, executor):
-    g = GRAPHS[graph_name]
-    if layout == "csc":
-        g = g.swap_sides()
-        invariant = TRANSPOSE_MAP[invariant]
-    got = count_butterflies_parallel(
-        g,
-        n_workers=N_WORKERS,
-        executor=executor,
-        invariant=invariant,
-        strategy="wedge",
-    )
-    assert got == REFERENCE[graph_name], (
-        f"wedge cell (graph={graph_name}, inv={invariant}, layout={layout}, "
-        f"executor={executor}) = {got}, reference = {REFERENCE[graph_name]}"
-    )
+@pytest.mark.parametrize("executor,invariant", _cells("scratch") + [
+    ("process", invariant) for executor, invariant in _cells("scratch")
+    if executor == "shared"
+])
+def test_global_count_conformance(graph_name, layout, executor, invariant):
+    _check(graph_name, layout, executor, invariant, "scratch")
+
+
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("executor,invariant", _cells("spmv"))
+def test_spmv_strategy_conformance(graph_name, layout, executor, invariant):
+    _check(graph_name, layout, executor, invariant, "spmv")
+
+
+# ----------------------------------------------------------------------
+# the panel derivation (serial-only) and the wedge-partitioned backend
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("executor,invariant", _cells("blocked"))
+def test_blocked_strategy_conformance(graph_name, layout, executor, invariant):
+    _check(graph_name, layout, executor, invariant, "blocked")
+
+
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("executor,invariant", _cells("wedge"))
+def test_wedge_strategy_conformance(graph_name, layout, executor, invariant):
+    _check(graph_name, layout, executor, invariant, "wedge")
 
 
 @pytest.mark.parametrize("graph_name", ("powerlaw", "planted"))
@@ -160,12 +192,45 @@ def test_wedge_strategy_process_executor(graph_name, invariant):
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_priority_strategy_conformance(graph_name, layout):
-    g = GRAPHS[graph_name]
-    if layout == "csc":
-        g = g.swap_sides()
-    the_plan = engine.plan(g, "count", strategy="priority")
-    assert the_plan.label == "priority-serial"
-    assert engine.execute(the_plan, g) == REFERENCE[graph_name]
+    (executor, invariant), = _cells("priority")
+    _check(graph_name, layout, executor, invariant, "priority")
+
+
+#: the test holding each strategy's cells
+CELL_TESTS = {
+    "scratch": test_global_count_conformance,
+    "spmv": test_spmv_strategy_conformance,
+    "blocked": test_blocked_strategy_conformance,
+    "wedge": test_wedge_strategy_conformance,
+    "priority": test_priority_strategy_conformance,
+}
+
+
+def test_every_member_has_a_cell():
+    """Every strategy and executor the planner accepts is an enumerated
+    member, and every member's strategy has a conformance test: a count
+    path the planner can reach cannot go unchecked."""
+    g = GRAPHS["complete"]
+    accepted = set()
+    for strategy in engine.COUNT_STRATEGIES:
+        for executor in engine.EXECUTORS:
+            for invariant in (None, *INVARIANTS):
+                try:
+                    engine.plan(g, "count", invariant=invariant,
+                                strategy=strategy, executor=executor)
+                except ValueError:
+                    continue
+                accepted.add((strategy, executor, invariant))
+    members = {(m["strategy"], m["executor"], m["invariant"]) for m in MEMBERS}
+    # an unnumbered pin set that the rule numbers is not a second member
+    assert members == {
+        (s, e, i) for s, e, i in accepted
+        if i is not None or not any(
+            (s, e, k) in accepted for k in INVARIANTS
+        )
+    }
+    assert {s for s, _, _ in members} == set(engine.COUNT_STRATEGIES)
+    assert set(CELL_TESTS) == set(engine.COUNT_STRATEGIES)
 
 
 # ----------------------------------------------------------------------

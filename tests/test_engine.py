@@ -86,7 +86,7 @@ class TestPlanExecuteCorrectness:
         for name, g in corpus:
             expected = butterflies_spec_bform(g)
             for invariant in (2, 6):
-                for strategy in ("adjacency", "scratch", "spmv", "blocked", "wedge"):
+                for strategy in ("scratch", "spmv", "blocked", "wedge"):
                     for executor in ("serial", "shared"):
                         if strategy == "blocked" and executor == "shared":
                             continue  # serial-only: a ValueError, see TestRuleTable
@@ -104,8 +104,8 @@ class TestPlanExecuteCorrectness:
                                                   executor, layout)
                             assert p.execute(g) == expected, (name, p.label)
                             cells += 1
-        # per member: 5 serial strategies x 2 layouts + 4 pooled on raw
-        assert cells == len(corpus) * 2 * 14
+        # per member: 4 serial strategies x 2 layouts + 3 pooled on raw
+        assert cells == len(corpus) * 2 * 11
         from repro.parallel import shutdown_default_executors
 
         shutdown_default_executors()
@@ -185,7 +185,7 @@ class TestCostModelMonotonicity:
         for m in (50, 150, 300, 500):
             yield BipartiteGraph(edges[:m], n_left=40, n_right=50)
 
-    @pytest.mark.parametrize("strategy", ["adjacency", "scratch", "spmv", "wedge"])
+    @pytest.mark.parametrize("strategy", ["scratch", "spmv", "wedge"])
     def test_modeled_ops_and_cost_monotone_in_nnz(self, strategy):
         """Adding edges never lowers a pinned member's modeled work; the
         rule models no cost for it (``est_seconds`` is None)."""
@@ -276,6 +276,12 @@ class TestPinning:
         # a non-positive pool size is an error, not a silent serial plan
         with pytest.raises(ValueError, match="n_workers must be >= 1"):
             engine.plan(g, "count", workers=0, calibration=DEFAULTS)
+        # a zero panel width is an error, not the auto-sized default
+        with pytest.raises(ValueError, match="block_size must be >= 1, got 0"):
+            engine.plan(g, "count", strategy="blocked", block_size=0,
+                        calibration=DEFAULTS)
+        with pytest.raises(ValueError, match="k must be non-negative, got -2"):
+            engine.plan(g, "tip", k=-2, calibration=DEFAULTS)
 
     def test_plan_record_validation(self):
         with pytest.raises(ValueError, match="workload"):
@@ -284,6 +290,10 @@ class TestPinning:
             Plan(workers=0)
         with pytest.raises(ValueError, match="invariant"):
             Plan(invariant=12)
+        with pytest.raises(ValueError, match="block_size must be >= 1"):
+            Plan(strategy="blocked", block_size=0)
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            Plan(workload="tip", k=-1)
         with pytest.raises(TypeError, match="Plan"):
             engine.execute("not a plan", None)
 
@@ -546,8 +556,8 @@ class TestRuleTable:
          (2, "blocked", "serial", 1, "mmap", True)),
         ({"layout": "mmap"}, (6, "blocked", "serial", 1, "mmap", True)),
         ({"block_size": 32}, (6, "blocked", "serial", 1, "raw", True)),
-        ({"invariant": 1, "strategy": "adjacency"},
-         (1, "adjacency", "serial", 1, "raw", False)),
+        ({"invariant": 1, "strategy": "spmv"},
+         (1, "spmv", "serial", 1, "raw", False)),
     ])
     def test_count_pins_are_filled_by_the_rule(self, g, pins, expected):
         p = engine.plan(g, "count", calibration=DEFAULTS, **pins)

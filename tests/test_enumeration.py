@@ -11,9 +11,11 @@ from repro.core import (
     iter_butterflies,
     pairwise_butterfly_counts,
     pairwise_wedge_counts,
+    top_butterfly_pairs,
     vertex_butterfly_counts,
 )
 from repro.core.spec import pairwise_butterfly_matrix
+from repro.graphs import BipartiteGraph, planted_bicliques, power_law_bipartite
 from tests.conftest import tiny_named_graphs
 
 
@@ -44,8 +46,6 @@ def test_iter_count_matches_counting(corpus):
 
 
 def test_iter_limit():
-    from repro.graphs import BipartiteGraph
-
     g = BipartiteGraph.complete(5, 5)
     assert len(list(iter_butterflies(g, limit=7))) == 7
     assert len(list(iter_butterflies(g, limit=0))) == 0
@@ -124,8 +124,6 @@ def test_butterflies_at_edge_matches_support(corpus):
 
 
 def test_butterflies_at_edge_absent_edge():
-    from repro.graphs import BipartiteGraph
-
     g = BipartiteGraph([(0, 0)], n_left=2, n_right=2)
     with pytest.raises(ValueError, match="not present"):
         butterflies_at_edge(g, 0, 1)
@@ -134,9 +132,40 @@ def test_butterflies_at_edge_absent_edge():
 
 
 def test_enumeration_on_empty_graph():
-    from repro.graphs import BipartiteGraph
-
     g = BipartiteGraph.empty(4, 4)
     assert list(iter_butterflies(g)) == []
     assert pairwise_wedge_counts(g) == {}
     assert pairwise_butterfly_counts(g) == {}
+
+
+# ------------------------------------------------------- top pairs
+def test_top_pairs_on_planted():
+    g = planted_bicliques(20, 20, 2, 3, 4, background_edges=0, seed=1)
+    top = top_butterfly_pairs(g, 10, side="left")
+    # within each K_{3,4}, every left pair closes C(4,2) = 6 butterflies;
+    # 2 cliques × C(3,2) pairs = 6 pairs total, all with count 6
+    assert len(top) == 6
+    assert all(c == 6 for _, c in top)
+
+
+def test_top_pairs_sorted_and_capped():
+    g = power_law_bipartite(40, 50, 250, seed=2)
+    top = top_butterfly_pairs(g, 5)
+    assert len(top) <= 5
+    counts = [c for _, c in top]
+    assert counts == sorted(counts, reverse=True)
+    assert all(c >= 1 for c in counts)
+
+
+def test_top_pairs_right_side():
+    g = tiny_named_graphs()["k23"]
+    top = top_butterfly_pairs(g, 10, side="right")
+    # right pairs of K_{2,3}: C(3,2)=3 pairs, each closing C(2,2)=1
+    assert len(top) == 3 and all(c == 1 for _, c in top)
+
+
+def test_top_pairs_validation_and_empty():
+    g = BipartiteGraph.empty(3, 3)
+    assert top_butterfly_pairs(g, 4) == []
+    with pytest.raises(ValueError, match="non-negative"):
+        top_butterfly_pairs(g, -1)

@@ -233,7 +233,7 @@ class TestExecutorLifecycle:
 
 @needs_multicore
 class TestEquivalence:
-    @pytest.mark.parametrize("strategy", ["adjacency", "scratch", "spmv"])
+    @pytest.mark.parametrize("strategy", ["scratch", "spmv"])
     def test_all_invariants_match_serial(self, medium_graph, strategy):
         expected = count_butterflies(medium_graph)
         with ButterflyExecutor(n_workers=2) as ex:

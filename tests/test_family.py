@@ -10,8 +10,10 @@ from repro.core import (
     Traversal,
     count_butterflies,
     count_butterflies_unblocked,
+    has_at_least,
 )
 from repro.core.family import pivot_order
+from repro.graphs import BipartiteGraph
 from tests.conftest import TINY_EXPECTED, tiny_named_graphs
 
 
@@ -89,7 +91,7 @@ def test_invalid_strategy():
 
 # ------------------------------------------------------------- counting
 @pytest.mark.parametrize("number", range(1, 9))
-@pytest.mark.parametrize("strategy", ["adjacency", "scratch", "spmv"])
+@pytest.mark.parametrize("strategy", ["scratch", "spmv"])
 def test_every_member_on_hand_verified_graphs(number, strategy):
     for name, g in tiny_named_graphs().items():
         got = count_butterflies_unblocked(g, number, strategy=strategy)
@@ -134,16 +136,12 @@ def test_auto_selection_picks_smaller_side():
 
 
 def test_empty_and_edgeless_graphs():
-    from repro.graphs import BipartiteGraph
-
     for g in (BipartiteGraph.empty(0, 0), BipartiteGraph.empty(5, 7)):
         for number in range(1, 9):
             assert count_butterflies_unblocked(g, number) == 0
 
 
 def test_single_vertex_sides():
-    from repro.graphs import BipartiteGraph
-
     g = BipartiteGraph([(0, j) for j in range(4)], n_left=1, n_right=4)
     for number in range(1, 9):
         assert count_butterflies_unblocked(g, number) == 0
@@ -157,9 +155,89 @@ def test_counts_are_python_ints(medium_graph):
 def test_large_count_no_overflow():
     """K_{60,60} has C(60,2)² = 3,132,900 butterflies; K_{200,200} would
     overflow int32 wedge squares if accumulated carelessly."""
-    from repro.graphs import BipartiteGraph
-
     g = BipartiteGraph.complete(90, 90)
     expected = (90 * 89 // 2) ** 2
     assert count_butterflies_unblocked(g, 2) == expected
     assert count_butterflies_unblocked(g, 7, strategy="spmv") == expected
+
+
+# ---------------------------------------------------------- has_at_least
+def test_has_at_least_exactness(corpus):
+    for name, g in corpus[:6]:
+        total = count_butterflies(g)
+        assert has_at_least(g, total) is True, name
+        assert has_at_least(g, total + 1) is False, name
+
+
+def test_has_at_least_trivial_threshold():
+    g = BipartiteGraph.empty(3, 3)
+    assert has_at_least(g, 0)
+    assert has_at_least(g, -5)
+    assert not has_at_least(g, 1)
+
+
+def test_has_at_least_explicit_invariant():
+    g = tiny_named_graphs()["k33"]
+    for inv in (1, 4, 5, 8):
+        assert has_at_least(g, 9, invariant=inv)
+        assert not has_at_least(g, 10, invariant=inv)
+
+
+def test_has_at_least_early_exit_observable():
+    """On a butterfly-dense graph the early exit answers without a full
+    sweep — verified by timing it against the full count."""
+    import time
+
+    g = BipartiteGraph.complete(150, 150)
+    t0 = time.perf_counter()
+    assert has_at_least(g, 10)
+    early = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    count_butterflies(g)
+    full = time.perf_counter() - t0
+    assert early < full
+
+
+@pytest.mark.parametrize("strategy", ["scratch", "spmv"])
+def test_has_at_least_every_strategy_exact(corpus, strategy):
+    """The decision procedure is strategy-independent."""
+    for name, g in corpus[:5]:
+        total = count_butterflies(g)
+        assert has_at_least(g, total, strategy=strategy) is True, name
+        assert has_at_least(g, total + 1, strategy=strategy) is False, name
+
+
+@pytest.mark.parametrize("strategy", ["scratch", "spmv"])
+def test_has_at_least_early_exit_under_every_strategy(strategy):
+    """The sweep must stop at the first pivot whose running total clears
+    the threshold — observed through the on_step hook, per strategy."""
+    g = BipartiteGraph.complete(40, 40)
+    n_pivots = g.n_right  # auto-selected side is columns (n_right <= n_left)
+    steps = []
+    assert has_at_least(
+        g, 1, strategy=strategy,
+        on_step=lambda i, pivot, total: steps.append((i, pivot, total)),
+    )
+    assert len(steps) < n_pivots  # stopped early
+    assert steps[-1][2] >= 1
+    # a hopeless threshold runs the entire sweep
+    steps.clear()
+    assert not has_at_least(
+        g, 10**18, strategy=strategy,
+        on_step=lambda i, pivot, total: steps.append(i),
+    )
+    assert len(steps) == n_pivots
+
+
+def test_has_at_least_invalid_strategy():
+    g = tiny_named_graphs()["k33"]
+    with pytest.raises(ValueError, match="strategy"):
+        has_at_least(g, 1, strategy="magic")
+
+
+@pytest.mark.parametrize("strategy", ["scratch", "spmv"])
+@pytest.mark.parametrize("inv", [1, 3, 6, 8])
+def test_has_at_least_strategy_invariant_grid(strategy, inv):
+    g = tiny_named_graphs()["k44"]
+    assert has_at_least(g, 36, invariant=inv, strategy=strategy)
+    assert not has_at_least(g, 37, invariant=inv, strategy=strategy)

@@ -21,7 +21,7 @@ from repro.core import (
 
 def _all_family_counts(g):
     for number in range(1, 9):
-        for strategy in ("adjacency", "scratch", "spmv"):
+        for strategy in ("scratch", "spmv"):
             yield f"inv{number}/{strategy}", count_butterflies_unblocked(
                 g, number, strategy=strategy
             )

@@ -105,11 +105,11 @@ def test_expected_partial_count_bounds_checked():
 
 
 @pytest.mark.parametrize("number", range(1, 9))
-def test_invariants_hold_throughout_adjacency(number, corpus):
+def test_invariants_hold_throughout_scratch(number, corpus):
     """The FLAME proof, executed: the loop invariant holds at every
     iteration of the derived algorithm."""
     for name, g in corpus[:6]:
-        total = check_invariant_trace(g, number, strategy="adjacency")
+        total = check_invariant_trace(g, number, strategy="scratch")
         assert total == butterflies_spec(g), (name, number)
 
 

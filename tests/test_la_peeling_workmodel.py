@@ -97,21 +97,21 @@ def test_work_model_explains_smaller_side_rule():
             assert row_work < col_work, name
 
 
-def test_adjacency_work_is_wedge_expansion_count():
+def test_scratch_work_is_wedge_expansion_count():
     g = load_dataset("arxiv")
-    wp = work_profile(g, 2, "adjacency")
+    wp = work_profile(g, 2, "scratch")
     # total expansions = Σ over entries of complementary degree
     comp_deg = np.diff(g.csr.indptr)
     expected = int(comp_deg[g.csc.indices].sum())
     assert wp.total_ops == expected
 
 
-def test_adjacency_work_side_dependent_only():
-    """Adjacency work depends on the traversed side, not the reference."""
+def test_scratch_work_side_dependent_only():
+    """Scratch work depends on the traversed side, not the reference."""
     g = load_dataset("producers")
     assert (
-        work_profile(g, 1, "adjacency").total_ops
-        == work_profile(g, 2, "adjacency").total_ops
+        work_profile(g, 1, "scratch").total_ops
+        == work_profile(g, 2, "scratch").total_ops
     )
 
 

@@ -127,7 +127,7 @@ def test_invalid_worker_count():
 
 
 @pytest.mark.parametrize("invariant", range(1, 9))
-@pytest.mark.parametrize("strategy", ["adjacency", "spmv"])
+@pytest.mark.parametrize("strategy", ["scratch", "spmv"])
 def test_parallel_per_invariant_grid(invariant, strategy, medium_graph):
     """Each Fig. 11 cell: any invariant × strategy parallelises exactly."""
     expected = count_butterflies(medium_graph)

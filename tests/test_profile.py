@@ -363,7 +363,7 @@ class TestSmoke:
             # retry until a sample lands in the kernel (bounded at 2 s —
             # one count is ~tens of ms, so this converges immediately)
             while not kernel and time.perf_counter() < deadline:
-                count_butterflies_unblocked(g, 6, strategy="adjacency")
+                count_butterflies_unblocked(g, 6, strategy="scratch")
                 kernel = [
                     s for s in obs.profile_samples()
                     if str(s.get("span") or "").startswith(

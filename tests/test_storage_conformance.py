@@ -1,16 +1,18 @@
 """Differential conformance matrix over the storage layouts.
 
 Every layout (``raw`` / ``mmap``) must be observationally equivalent:
-identical global counts for every invariant and identical per-vertex
-counts in user id order.  The matrix crosses
+identical global counts and identical per-vertex counts in user id
+order.  The matrix crosses
 
-- both layouts (``mmap`` spills its column files under the test's
-  ``tmp_path``),
-- all 8 loop invariants through the blocked kernel,
+- every pinned count member (:func:`repro.engine.count_members`) with
+  every layout, keeping the pairs the planner accepts
+  (``mmap`` spills its column files under the test's ``tmp_path``;
+  pooled and ``priority`` members read ``raw`` only),
 - structurally distinct graph shapes including the degenerate ones.
 
 This file is the ``storage-conformance`` CI job's entry point; keep it
-self-contained (no shared executors, no network, no tempdir residue).
+self-contained (no shared executors left warm, no network, no tempdir
+residue).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import pytest
 
 from repro import engine
 from repro.core import count_butterflies
-from repro.core.blocked import count_butterflies_blocked
 from repro.core.local_counts import vertex_butterfly_counts
 from repro.engine.calibration import CalibrationTable
 from repro.graphs import (
@@ -33,7 +34,17 @@ from repro.storage import make_storage
 
 DEFAULTS = CalibrationTable()
 STORAGE_LAYOUTS = ("raw", "mmap")
-INVARIANTS = list(range(1, 9))
+N_WORKERS = 2
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _retire_shared_executors():
+    """The pooled members warm the default executor; retire it (and its
+    published /dev/shm segment) with the module."""
+    yield
+    from repro.parallel import shutdown_default_executors
+
+    shutdown_default_executors()
 
 
 def _graphs() -> dict[str, BipartiteGraph]:
@@ -53,6 +64,25 @@ def _graphs() -> dict[str, BipartiteGraph]:
 GRAPHS = _graphs()
 
 
+def _accepted(member: dict, layout: str) -> bool:
+    """Whether the planner takes ``member`` with ``layout`` pinned."""
+    try:
+        engine.plan(GRAPHS["complete"], "count", layout=layout,
+                    calibration=DEFAULTS, **member)
+    except ValueError:
+        return False
+    return True
+
+
+#: (member, layout) pairs the planner accepts
+CELLS = [
+    (member, layout)
+    for member in engine.count_members()
+    for layout in STORAGE_LAYOUTS
+    if _accepted(member, layout)
+]
+
+
 def _store(g, layout, tmp_path):
     """``make_storage`` with mmap's column files under ``tmp_path``."""
     if layout == "mmap":
@@ -60,14 +90,47 @@ def _store(g, layout, tmp_path):
     return make_storage(g, layout)
 
 
+def _count(g, member, layout, tmp_path, **pins) -> int:
+    """``member`` planned on ``g`` with ``layout`` pinned, run on the
+    layout's store (a shared member on an ``N_WORKERS`` pool)."""
+    p = engine.plan(
+        g, "count", layout=layout, calibration=DEFAULTS,
+        workers=N_WORKERS if member["executor"] == "shared" else None,
+        **member, **pins,
+    )
+    assert (p.strategy, p.executor, p.layout) == (
+        member["strategy"], member["executor"], layout,
+    )
+    return engine.execute(p, _store(g, layout, tmp_path))
+
+
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-@pytest.mark.parametrize("layout", STORAGE_LAYOUTS)
-@pytest.mark.parametrize("invariant", INVARIANTS)
-def test_blocked_count_cell(graph_name, layout, invariant, tmp_path):
+@pytest.mark.parametrize("invariant,layout", [
+    (member["invariant"], layout) for member, layout in CELLS
+    if member["strategy"] == "blocked"
+])
+def test_blocked_count_cell(graph_name, invariant, layout, tmp_path):
+    """The panel kernel at a width that splits every graph into panels."""
     g = GRAPHS[graph_name]
-    truth = count_butterflies(g)
-    store = _store(g, layout, tmp_path)
-    assert count_butterflies_blocked(store, invariant, block_size=7) == truth
+    member = {"invariant": invariant, "strategy": "blocked", "executor": "serial"}
+    got = _count(g, member, layout, tmp_path, block_size=7)
+    assert got == count_butterflies(g)
+
+
+def _label(member: dict) -> str:
+    number = member["invariant"]
+    name = f"{member['strategy']}-{member['executor']}"
+    return name if number is None else f"inv{number}-{name}"
+
+
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize("member,layout", [
+    pytest.param(member, layout, id=f"{_label(member)}-{layout}")
+    for member, layout in CELLS if member["strategy"] != "blocked"
+])
+def test_member_count_cell(graph_name, member, layout, tmp_path):
+    g = GRAPHS[graph_name]
+    assert _count(g, member, layout, tmp_path) == count_butterflies(g)
 
 
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
