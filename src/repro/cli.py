@@ -40,10 +40,11 @@ file as a self/total frame table, and the same data loads directly in
 speedscope / ``flamegraph.pl``.  ``--profile-hz`` tunes the sampling
 rate.
 
-Bad input (a missing file, an unknown rule id, a malformed JSON file)
-prints ``repro-butterfly: error: <msg>`` to stderr and exits 2, the same
-code as an argparse usage error; exit 1 stays reserved for "the command
-ran and failed its check" (analyzer findings, disagreeing family members).
+Bad input (a missing file, an unknown rule id, a malformed JSON file, a
+graph too large to allocate) prints ``repro-butterfly: error: <msg>`` to
+stderr and exits 2, the same code as an argparse usage error; exit 1
+stays reserved for "the command ran and failed its check" (analyzer
+findings, disagreeing family members).
 A closed stdout pipe (``... | head -1``) exits 141 (128 + SIGPIPE)
 without an error line.
 
@@ -54,8 +55,12 @@ multiprocessing's) and flushes stdout and stderr as the interpreter
 would, then ends with ``os._exit``.  That skips only interpreter
 teardown, the freeing of numpy's and every other module's objects: about
 20 ms a run.  An uncaught exception still leaves through the normal exit.
-Code that embeds the CLI should call :func:`main`, which returns the code
-and exits nothing.
+Before the command, :func:`run` defaults ``OPENBLAS_NUM_THREADS`` to 1,
+since no command calls a floating-point BLAS routine and OpenBLAS would
+otherwise start a thread pool inside ``import numpy``; export the
+variable to override it (``OPENBLAS_NUM_THREADS=4 repro-butterfly ...``).
+Code that embeds the CLI should call :func:`main`, which returns the code,
+exits nothing and leaves the environment alone.
 """
 
 from __future__ import annotations
@@ -861,6 +866,11 @@ def main(argv=None) -> int:
         # "the analyzer gate ran and found something"
         print(f"repro-butterfly: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # a graph too large to hold (an edge file naming vertex 10**11,
+        # empty:10**11x1) is bad input too, not a crash
+        print(f"repro-butterfly: error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(handler, args) -> int:
@@ -900,7 +910,15 @@ def run() -> NoReturn:
     hooks run (they stop worker processes and unlink shared memory), and
     stdout and stderr are flushed, a closed stdout pipe exiting 141 as in
     :func:`main`.  ``os._exit`` then skips only the module teardown.
+
+    Before :func:`main` it defaults ``OPENBLAS_NUM_THREADS`` to 1: no
+    count, peel or stream path calls a floating-point BLAS routine, yet
+    OpenBLAS starts a thread pool inside ``import numpy`` (~60 ms of wall
+    time, more of CPU).  Nothing imports numpy before this line
+    (``import repro.cli`` loads none), a value the user exported wins,
+    and the pool's workers inherit the setting.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main()
     if "threading" in sys.modules:  # as at exit: joined only once imported
         sys.modules["threading"]._shutdown()

@@ -308,7 +308,8 @@ def candidate_plans(
     ):
         return [_priority_row(graph, cal, workload, side, k)]
     if pool and workers is None:
-        workers = min(os.cpu_count() or 1, DEFAULT_MAX_WORKERS)
+        # at least two: a pinned pool runs on the pool even on one CPU
+        workers = max(2, min(os.cpu_count() or 1, DEFAULT_MAX_WORKERS))
     row = Plan(
         workload=workload, executor="shared" if pool else "serial",
         workers=workers if pool else 1, layout=layout or "raw",

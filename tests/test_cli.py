@@ -369,6 +369,82 @@ def test_missing_graph_exits_2_by_subprocess(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+class TestBlasThreadDefault:
+    """``run()`` defaults ``OPENBLAS_NUM_THREADS`` to 1 before any numpy
+    import: no command calls BLAS, so the default only skips OpenBLAS's
+    thread pool; what the user exported wins."""
+
+    @staticmethod
+    def _env(**blas) -> dict:
+        env = _cli_subprocess_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        env.update(blas)
+        return env
+
+    # ``main`` swapped for a probe that reports what ``run()`` handed it
+    _PROBE = (
+        "import json, os, sys\n"
+        "import repro.cli as cli\n"
+        "cli.main = lambda argv=None: print(json.dumps({\n"
+        "    'blas': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+        "    'numpy_loaded': 'numpy' in sys.modules})) or 0\n"
+        "cli.run()\n"
+    )
+
+    def _probe(self, **blas) -> dict:
+        import json
+
+        proc = subprocess.run([sys.executable, "-c", self._PROBE],
+                              env=self._env(**blas), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_run_sets_the_default_before_numpy_loads(self):
+        assert self._probe() == {"blas": "1", "numpy_loaded": False}
+
+    def test_an_exported_value_reaches_the_process_unchanged(self):
+        assert self._probe(OPENBLAS_NUM_THREADS="4") == {
+            "blas": "4", "numpy_loaded": False,
+        }
+
+    def test_main_leaves_the_environment_alone(self, konect_file, monkeypatch,
+                                               capsys):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert main(["count", konect_file]) == 0
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+    def test_count_json_is_byte_identical_with_and_without_the_user_value(
+        self, konect_file
+    ):
+        outs = [
+            subprocess.run(
+                [sys.executable, "-m", "repro.cli", "count", konect_file,
+                 "--json"],
+                env=self._env(**blas), capture_output=True, timeout=120,
+            )
+            for blas in ({}, {"OPENBLAS_NUM_THREADS": "4"})
+        ]
+        assert [p.returncode for p in outs] == [0, 0], outs[0].stderr
+        assert outs[0].stdout == outs[1].stdout
+        assert b'"butterflies"' in outs[0].stdout
+
+    def test_pooled_count_agrees_under_the_default(self, konect_file):
+        import json
+
+        counts = []
+        for extra in ([], ["--workers", "2"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "count", konect_file,
+                 "--json", *extra],
+                env=self._env(), capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            counts.append(json.loads(proc.stdout))
+        assert counts[1]["plan"].endswith("-sharedx2")
+        assert counts[0]["butterflies"] == counts[1]["butterflies"]
+
+
 def _live_session_members(sid: int) -> list[int]:
     """Processes of session ``sid`` still running (zombies excluded)."""
     members = []

@@ -576,6 +576,23 @@ class TestRuleTable:
         p = engine.plan(g, "count", executor="shared", calibration=DEFAULTS)
         assert p.workers == engine.DEFAULT_MAX_WORKERS
 
+    def test_shared_on_one_cpu_still_runs_a_pool(self, g, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        p = engine.plan(
+            g, "count", executor="shared", strategy="scratch",
+            calibration=DEFAULTS,
+        )
+        assert (p.executor, p.workers) == ("shared", 2)
+        assert p.label.endswith("-sharedx2")
+        pinned = engine.plan(
+            g, "count", executor="shared", strategy="scratch", workers=1,
+            calibration=DEFAULTS,
+        )
+        assert (pinned.executor, pinned.workers) == ("shared", 1)
+        assert pinned.label.endswith("-serial")
+
     def test_smaller_side_rule_follows_the_shape(self, g):
         tall = g.swap_sides()  # now n_right < n_left: member 2
         assert engine.plan(tall, "count", strategy="scratch").invariant == 2
