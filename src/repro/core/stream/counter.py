@@ -31,8 +31,8 @@ steps, all sized by the batch's wedge footprint rather than the graph:
 2. **Baseline probe (X)** — gather the *smaller* ``S``-adjacency of
    each touched pair (its *probe* end) and test every mid against the
    *other* end's row in ``S``.  Each hit is one ``(pair, x)`` row, so
-   ``b`` is the per-pair hit count.  Two paths, built per phase and
-   kept by nothing across batches:
+   ``b`` is the per-pair hit count.  Two paths, each run over blocks
+   of about ``_PROBE_BLOCK`` entries:
 
    - *bitmap rows* — an ``other`` row queried at least as often as its
      degree (Σ of its pairs' probe lengths ≥ ``deg_S``) gets one
@@ -48,6 +48,14 @@ steps, all sized by the batch's wedge footprint rather than the graph:
    their queries — plus one gather per bitmap entry and ``O(k log |E|)``
    for the ``k`` searched entries; ``Σ min(deg u, deg w)`` entries in
    all.
+
+   The probe's entry- and vertex-sized arrays live in the counter's
+   workspace (:class:`_Scratch`): a few buffers kept across phases and
+   batches, each replaced at the exact size asked for when too small.
+   The blocks bound the entry-sized ones, so the workspace holds about
+   the bitmap plus one block's buffers.  Allocating them per phase
+   instead, glibc handed the freed pages back to the OS after each
+   phase and the next phase faulted them in again.
 3. **Closed-form update** — scatter ``ΔC2`` to both pair endpoints,
    ``d`` to every hit mid and ``b + d − 1`` to every emitted mid; ``ΔΞ``
    is ``Σ ΔC2``.
@@ -220,6 +228,98 @@ def _leg_keys(pivots, mids, n_side: int, n_mid: int, pairs_on_left: bool):
     return keys
 
 
+class _Scratch:
+    """One counter's probe workspace, kept across phases and batches.
+
+    The probe writes its entry- and vertex-sized arrays into a few named
+    flat buffers instead of allocating them per phase: glibc hands a
+    phase's freed temporaries back to the OS, and the next phase faults
+    them in again.  A buffer too small for a request is replaced at the
+    exact size asked for (never doubled), so each holds the largest need
+    of its role so far; a request gets a prefix view, valid until the
+    next request for the same name.  Not thread-safe, like the counter.
+
+    A :meth:`filled` buffer holds one value between probes: the probe
+    writes it only through :meth:`scatter`, which records where, and
+    :meth:`clean` puts just those items back.  The probe cleans in a
+    ``finally``, so one that raises leaves the buffers clean too.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+        self._fills: dict[str, int] = {}
+        self._scattered: list[tuple[str, np.ndarray]] = []
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the workspace holds."""
+        return sum(buf.nbytes for buf in self._buffers.values())
+
+    def _grown(self, name: str, size: int, make) -> np.ndarray:
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            self._buffers.pop(name, None)  # drop the old one first
+            buf = self._buffers[name] = make(size)
+        return buf[:size]
+
+    def take(self, name: str, size: int, dtype) -> np.ndarray:
+        """``size`` uninitialised items of buffer ``name``."""
+        return self._grown(name, size, lambda n: np.empty(n, dtype=dtype))
+
+    def ramp(self, size: int) -> np.ndarray:
+        """``np.arange(size)``: a prefix of one kept, read-only ramp."""
+
+        def make(n):
+            ramp = np.arange(n, dtype=INDEX_DTYPE)
+            ramp.flags.writeable = False
+            return ramp
+
+        return self._grown("ramp", size, make)
+
+    def filled(self, name: str, size: int, dtype, fill: int) -> np.ndarray:
+        """``size`` items of buffer ``name``, every one equal to ``fill``."""
+        self._fills[name] = fill
+        return self._grown(name, size, lambda n: np.full(n, fill, dtype=dtype))
+
+    def scatter(self, name: str, at: np.ndarray, values) -> None:
+        """``buffer[at] = values`` on a :meth:`filled` buffer, undone by
+        the next :meth:`clean`."""
+        self._scattered.append((name, at))
+        self._buffers[name][at] = values
+
+    def clean(self) -> None:
+        """Put every item :meth:`scatter` wrote back to its fill."""
+        while self._scattered:
+            name, at = self._scattered.pop()
+            self._buffers[name][at] = self._fills[name]
+
+
+def _gather(ws: _Scratch, name: str, indptr, indices, ids) -> np.ndarray:
+    """:func:`gather_slices` into the scratch buffer ``name``.
+
+    The same passes (one ``repeat`` of the slice starts, one add of the
+    position ramp, one gather), but the ramp is the kept one and the
+    gather writes into the buffer: only the index array is allocated.
+    """
+    starts = indptr[ids]
+    lengths = indptr[ids + 1] - starts
+    total = int(lengths.sum(dtype=INDEX_DTYPE))
+    out = ws.take(name, total, INDEX_DTYPE)
+    if total == 0:
+        return out
+    offsets = np.zeros(ids.size, dtype=INDEX_DTYPE)
+    np.cumsum(lengths[:-1], out=offsets[1:])
+    src = np.repeat(starts - offsets, lengths)
+    src += ws.ramp(total)
+    # the indices are in range: "clip" keeps take from buffering its out
+    np.take(indices, src, out=out, mode="clip")
+    if obs._enabled:
+        obs.inc("kernels.gather.calls")
+        obs.inc("kernels.gather.items", total)
+        obs.inc("kernels.gather.bytes", int(out.nbytes + src.nbytes))
+    return out
+
+
 #: A row the probe tests (a pair's ``other`` endpoint) gets a bitmap row
 #: when its queries — Σ ``cnt`` over the pairs testing it — reach this
 #: multiple of its degree, the bits its bitmap row costs to set.  Read at
@@ -239,62 +339,156 @@ _BITMAP_BYTES_PER_ENTRY: int = 8
 _PACKED_KEY_LIMIT: int = int(np.iinfo(np.int64).max)
 
 
-def _low_bits(mids: np.ndarray) -> np.ndarray:
-    """``mids & 7`` as bit offsets, cast to bytes first (the cast keeps
-    the low bits) so no int64 temporary the size of ``mids`` is made."""
-    return mids.astype(BITMAP_DTYPE) & BITMAP_DTYPE(7)
+#: Probe entries handled per block: the probe's entry-sized buffers and
+#: temporaries stay near ``_PROBE_BLOCK`` items (128 KiB of int64)
+#: however large the phase.  Larger blocks were no faster on the e2e
+#: stream and raised its peak RSS.  Read at call time, so a test can
+#: force many blocks.
+_PROBE_BLOCK: int = 1 << 14
 
 
-def _row_bitmap(small_pm, rows: np.ndarray, row_bytes: int) -> np.ndarray:
+def _blocks(counts: np.ndarray) -> list[tuple[int, int]]:
+    """``[lo, hi)`` runs of consecutive items holding ``counts`` entries.
+
+    A run starts at every item whose first entry crosses a multiple of
+    :data:`_PROBE_BLOCK`, so it holds fewer than ``_PROBE_BLOCK`` entries
+    plus its last item's.  No entries, no runs.
+    """
+    total = int(counts.sum(dtype=INDEX_DTYPE))
+    if total == 0:
+        return []
+    if total <= _PROBE_BLOCK:
+        return [(0, counts.size)]
+    firsts = np.cumsum(counts, dtype=INDEX_DTYPE) - counts
+    cuts = np.searchsorted(firsts, np.arange(0, total, _PROBE_BLOCK))
+    # (a few dozen cuts; np.unique would import numpy.ma, ~26 ms once)
+    bounds = sorted(set(cuts.tolist())) + [counts.size]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _row_bitmap(ws: _Scratch, small_pm, rows: np.ndarray, row_bytes: int):
     """Bit-packed adjacency of the sorted ``rows``, ``row_bytes`` per row.
 
     Row ``i`` spans bytes ``[i·row_bytes, (i+1)·row_bytes)``; bit
     ``mid & 7`` of byte ``mid >> 3`` is set when ``(rows[i], mid)`` is an
-    edge.  Rows are ascending and each row's mids sorted, so the byte
-    offsets arrive sorted and one ``bitwise_or.reduceat`` sets them.
+    edge.  Rows are ascending and each row's mids sorted, so a block of
+    rows' byte offsets arrive sorted and one ``bitwise_or.reduceat``
+    sets them.  The bitmap is the workspace's, set through
+    :meth:`_Scratch.scatter`: the caller cleans it.
     """
-    bitmap = np.zeros(rows.size * row_bytes, dtype=BITMAP_DTYPE)
+    bitmap = ws.filled("bitmap", rows.size * row_bytes, BITMAP_DTYPE, 0)
     lengths = small_pm.indptr[rows + 1] - small_pm.indptr[rows]
-    mids = gather_slices(small_pm.indptr, small_pm.indices, rows)
-    if mids.size == 0:
-        return bitmap
-    offsets = np.arange(rows.size, dtype=INDEX_DTYPE) * row_bytes
-    byte = np.repeat(offsets, lengths) + (mids >> 3)
-    bits = np.left_shift(BITMAP_DTYPE(1), _low_bits(mids))
-    first = np.empty(byte.size, dtype=bool)
-    first[0] = True
-    np.not_equal(byte[1:], byte[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    bitmap[byte[starts]] = np.bitwise_or.reduceat(bits, starts)
+    for lo, hi in _blocks(lengths):
+        mids = _gather(ws, "mids", small_pm.indptr, small_pm.indices, rows[lo:hi])
+        if mids.size == 0:
+            continue
+        bits = ws.take("low", mids.size, BITMAP_DTYPE)
+        np.bitwise_and(mids, 7, out=bits, casting="unsafe")
+        np.left_shift(BITMAP_DTYPE(1), bits, out=bits)
+        byte = np.repeat(ws.ramp(hi)[lo:] * row_bytes, lengths[lo:hi])
+        byte += np.right_shift(mids, 3, out=mids)
+        first = ws.take("bit", mids.size, BITMAP_DTYPE).view(bool)
+        first[0] = True
+        np.not_equal(byte[1:], byte[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        ws.scatter("bitmap", byte[starts], np.bitwise_or.reduceat(bits, starts))
     return bitmap
 
 
-def _bitmap_rows(small_pm, other, cnt, row_bytes: int):
+def _bitmap_rows(ws: _Scratch, small_pm, other, cnt, row_bytes: int):
     """The phase's bitmap rows (ascending) and each pair's slot among them.
 
     A row earns a bitmap row when its queries reach
     :data:`_BITMAP_QUERY_RATIO` × its degree; past the byte cap the
     most-queried rows win.  A pair whose ``other`` row has none gets
-    slot −1.
+    slot −1.  The slots are numbered in the workspace's ``slot`` buffer
+    through :meth:`_Scratch.scatter`: the caller cleans it.
     """
     budget = _BITMAP_BYTES_PER_ENTRY * int(cnt.sum(dtype=COUNT_DTYPE))
     max_rows = budget // row_bytes
     if max_rows == 0 or other.size == 0:
         return other[:0], np.full(other.size, -1, dtype=INDEX_DTYPE)
     queries = np.bincount(other, weights=cnt)
-    degree = np.diff(small_pm.indptr[: queries.size + 1])
-    rows = np.flatnonzero(
-        (queries > 0) & (queries >= _BITMAP_QUERY_RATIO * degree)
-    )
+    n = queries.size
+    # queries ≥ ratio·degree, and queries > 0: queries are whole numbers,
+    # so both are one test against max(ratio·degree, 0.5)
+    need = ws.take("need", n, np.float64)
+    np.subtract(small_pm.indptr[1 : n + 1], small_pm.indptr[:n], out=need)
+    need *= _BITMAP_QUERY_RATIO
+    np.maximum(need, 0.5, out=need)
+    earns = ws.take("bit", n, BITMAP_DTYPE).view(bool)
+    rows = np.flatnonzero(np.greater_equal(queries, need, out=earns))
     if rows.size > max_rows:
         top = np.argsort(-queries[rows], kind="stable")[:max_rows]
         rows = np.sort(rows[top])
-    slot = np.full(queries.size, -1, dtype=INDEX_DTYPE)
-    slot[rows] = np.arange(rows.size, dtype=INDEX_DTYPE)
+    slot = ws.filled("slot", n, INDEX_DTYPE, -1)
+    ws.scatter("slot", rows, ws.ramp(rows.size))
     return rows, slot[other]
 
 
+def _bitmap_hits(ws: _Scratch, small_pm, bitmap, pairs, probe, byte0, cnt):
+    """Hit rows ``(pair, mid)`` of one block of bitmap-probed pairs.
+
+    Pair ``pairs[i]`` probes the ``cnt[i]`` mids of row ``probe[i]``
+    against its bitmap row, which starts at byte ``byte0[i]``: one byte
+    gather and one shift per entry.  A hit's mid is rebuilt from its
+    byte and bit offsets, its pair found among the entry offsets.
+    """
+    mids = _gather(ws, "mids", small_pm.indptr, small_pm.indices, probe)
+    low = ws.take("low", mids.size, BITMAP_DTYPE)
+    np.bitwise_and(mids, 7, out=low, casting="unsafe")
+    byte = np.repeat(byte0, cnt)
+    byte += np.right_shift(mids, 3, out=mids)
+    bit = np.take(bitmap, byte, out=ws.take("bit", mids.size, BITMAP_DTYPE),
+                  mode="clip")
+    del byte
+    np.right_shift(bit, low, out=bit)
+    # (hits are ~1 in 8 entries: index them, a boolean mask is slower)
+    hits = np.flatnonzero(np.bitwise_and(bit, 1, out=bit))
+    hit_mids = mids[hits]
+    hit_mids <<= 3
+    hit_mids |= low[hits]
+    ends = np.cumsum(cnt, dtype=INDEX_DTYPE)
+    return pairs[np.searchsorted(ends, hits, side="right")], hit_mids
+
+
+def _search_hits(
+    ws: _Scratch, small_pm, small_edge_keys, pairs, probe, other, cnt,
+    n_pairs: int, n_side: int, n_mid: int, pairs_on_left: bool,
+):
+    """Hit rows ``(pair, mid)`` of one block of searched pairs.
+
+    Pair ``pairs[i]`` probes the ``cnt[i]`` mids of row ``probe[i]`` for
+    edges to row ``other[i]``: the implied edge keys are packed with the
+    pair (argsorted past :data:`_PACKED_KEY_LIMIT`), sorted and
+    binary-searched in the small graph's sorted edge keys.
+    """
+    edge_keys = _gather(ws, "mids", small_pm.indptr, small_pm.indices, probe)
+    if pairs_on_left:  # other · n_mid + mid
+        edge_keys += np.repeat(other * np.int64(n_mid), cnt)
+    else:  # mid · n_side + other
+        edge_keys *= np.int64(n_side)
+        edge_keys += np.repeat(other, cnt)
+    owner = np.repeat(pairs, cnt)
+    if int(n_side) * int(n_mid) * max(n_pairs, 1) <= _PACKED_KEY_LIMIT:
+        edge_keys *= np.int64(n_pairs)  # packed in place
+        edge_keys += owner
+        edge_keys.sort()
+        np.divmod(edge_keys, np.int64(n_pairs), out=(edge_keys, owner))
+    else:
+        order = np.argsort(edge_keys)
+        edge_keys, owner = edge_keys[order], owner[order]
+    hits = np.flatnonzero(_in_sorted(edge_keys, small_edge_keys))
+    hit_keys = edge_keys[hits]
+    if pairs_on_left:
+        hit_mids = hit_keys % np.int64(n_mid)
+    else:
+        hit_mids = hit_keys // np.int64(n_side)
+    return owner[hits], hit_mids
+
+
 def _probe_common_mids(
+    ws: _Scratch,
     small_pm,
     small_edge_keys: np.ndarray,
     u_arr: np.ndarray,
@@ -308,8 +502,10 @@ def _probe_common_mids(
     Gathers only the smaller adjacency of each pair (the *probe* end) and
     tests each of its mids against the other end's row: by one bit of
     the phase bitmap when that row has a bitmap row, else by one sorted
-    binary search of the implied edge keys.  Returns ``(pair index,
-    mid)`` of every hit — one row per common mid, in no fixed order.
+    binary search of the implied edge keys.  Pairs go in blocks of about
+    :data:`_PROBE_BLOCK` entries, whose arrays live in the workspace
+    ``ws``.  Returns ``(pair index, mid)`` of every hit — one row per
+    common mid, in no fixed order.
     """
     n_pairs = u_arr.size
     cnt_u = small_pm.indptr[u_arr + 1] - small_pm.indptr[u_arr]
@@ -317,64 +513,50 @@ def _probe_common_mids(
     take_u = cnt_u <= cnt_w
     probe = np.where(take_u, u_arr, w_arr)
     other = np.where(take_u, w_arr, u_arr)
-    cnt = np.where(take_u, cnt_u, cnt_w)
+    cnt = np.minimum(cnt_u, cnt_w, out=cnt_u)
+    del cnt_w, take_u
     row_bytes = (n_mid + 7) >> 3
-    rows, pair_slot = _bitmap_rows(small_pm, other, cnt, row_bytes)
-    on_map = pair_slot >= 0
-
-    # bitmap rows: one gather and one shift per entry
-    mapped = np.flatnonzero(on_map)
-    bitmap = _row_bitmap(small_pm, rows, row_bytes)
-    map_cnt = cnt[mapped]
-    map_mids = gather_slices(small_pm.indptr, small_pm.indices, probe[mapped])
-    byte = np.repeat(pair_slot[mapped] * row_bytes, map_cnt)
-    byte += map_mids >> 3
-    bit = np.right_shift(bitmap[byte], _low_bits(map_mids))
-    # (hits are ~1 in 8 entries: index them, a boolean mask is slower)
-    map_hits = np.flatnonzero(bit & BITMAP_DTYPE(1))
-    n_mapped, bitmap_bytes = int(map_mids.size), int(bitmap.nbytes)
-    # entry-sized arrays die as soon as they are read, so each path's
-    # temporaries reuse the last one's memory
-    del bitmap, byte, bit
-    map_mids = map_mids[map_hits]
-    map_pair = np.repeat(mapped, map_cnt)[map_hits]
-
-    # the rest: pack (edge key, pair), sort, one sorted binary search
+    none = np.empty(0, dtype=INDEX_DTYPE)
+    hits = [(none, none)]
+    try:
+        rows, pair_slot = _bitmap_rows(ws, small_pm, other, cnt, row_bytes)
+        bitmap = _row_bitmap(ws, small_pm, rows, row_bytes)
+        on_map = pair_slot >= 0
+        mapped = np.flatnonzero(on_map)
+        map_cnt, map_probe = cnt[mapped], probe[mapped]
+        byte0 = pair_slot[mapped] * row_bytes
+        del pair_slot
+        for lo, hi in _blocks(map_cnt):
+            hits.append(_bitmap_hits(
+                ws, small_pm, bitmap, mapped[lo:hi], map_probe[lo:hi],
+                byte0[lo:hi], map_cnt[lo:hi],
+            ))
+    finally:
+        ws.clean()
     rest = np.flatnonzero(~on_map)
     rest_cnt = cnt[rest]
-    mids = gather_slices(small_pm.indptr, small_pm.indices, probe[rest])
-    owner = np.repeat(rest, rest_cnt)
-    edge_keys = _leg_keys(
-        np.repeat(other[rest], rest_cnt), mids, n_side, n_mid, pairs_on_left
-    )
-    del mids
-    if int(n_side) * int(n_mid) * max(n_pairs, 1) <= _PACKED_KEY_LIMIT:
-        edge_keys *= np.int64(n_pairs)  # packed in place
-        edge_keys += owner
-        del owner
-        edge_keys.sort()
-        edge_keys, owner = np.divmod(edge_keys, np.int64(n_pairs))
-    else:
-        order = np.argsort(edge_keys)
-        edge_keys, owner = edge_keys[order], owner[order]
-    hits = np.flatnonzero(_in_sorted(edge_keys, small_edge_keys))
-    hit_keys = edge_keys[hits]
-    if pairs_on_left:
-        hit_mids = hit_keys % np.int64(n_mid)
-    else:
-        hit_mids = hit_keys // np.int64(n_side)
+    for lo, hi in _blocks(rest_cnt):
+        part = rest[lo:hi]
+        hits.append(_search_hits(
+            ws, small_pm, small_edge_keys, part, probe[part], other[part],
+            rest_cnt[lo:hi], n_pairs, n_side, n_mid, pairs_on_left,
+        ))
     if obs._enabled:
+        n_mapped = int(map_cnt.sum(dtype=COUNT_DTYPE))
         obs.inc("stream.apply.probe.bitmap_rows", int(rows.size))
         obs.inc("stream.apply.probe.bitmap_entries", n_mapped)
-        obs.inc("stream.apply.probe.search_entries", int(owner.size))
-        obs.observe("stream.apply.probe.bitmap_bytes", bitmap_bytes)
+        obs.inc("stream.apply.probe.search_entries",
+                int(rest_cnt.sum(dtype=COUNT_DTYPE)))
+        obs.observe("stream.apply.probe.bitmap_bytes", int(bitmap.nbytes))
+        obs.gauge("stream.apply.scratch_bytes", ws.nbytes, policy="max")
     return (
-        np.concatenate((map_pair, owner[hits])),
-        np.concatenate((map_mids, hit_mids)),
+        np.concatenate([pair for pair, _ in hits]),
+        np.concatenate([mid for _, mid in hits]),
     )
 
 
 def _side_delta(
+    ws: _Scratch,
     small_pm,
     big_comp,
     small_edge_keys: np.ndarray,
@@ -396,8 +578,6 @@ def _side_delta(
     delta_mid[n_mid], global_delta, intra_batch_closures)``, all ≥ 0 —
     the change from adding the batch to the small graph.
     """
-    delta_pivot = np.zeros(n_side, dtype=COUNT_DTYPE)
-    delta_mid = np.zeros(n_mid, dtype=COUNT_DTYPE)
     n64 = np.int64(n_side)
 
     # 1. delta-wedge enumeration: every wedge the batch adds has a batch
@@ -418,8 +598,14 @@ def _side_delta(
     keep = lower | ~in_batch
     owners, ends, mids = owners[keep], ends[keep], mids[keep]
     if mids.size == 0:
-        return delta_pivot, delta_mid, 0, 0
-    pair_keys = np.minimum(owners, ends) * n64 + np.maximum(owners, ends)
+        return (np.zeros(n_side, dtype=COUNT_DTYPE),
+                np.zeros(n_mid, dtype=COUNT_DTYPE), 0, 0)
+    #    (arrays are dropped as soon as they are read: the probe's peak
+    #    holds only what step 3 needs)
+    pair_keys = np.minimum(owners, ends)
+    pair_keys *= n64
+    pair_keys += np.maximum(owners, ends, out=owners)
+    del owners, ends, in_batch, lower, both, keep
     order = np.argsort(pair_keys)
     pair_keys, mids = pair_keys[order], mids[order]
     first = np.empty(pair_keys.size, dtype=bool)
@@ -428,24 +614,28 @@ def _side_delta(
     starts = np.flatnonzero(first)
     uniq = pair_keys[starts]
     d = np.diff(np.append(starts, pair_keys.size)).astype(COUNT_DTYPE)
-    row_pair = np.repeat(np.arange(uniq.size, dtype=INDEX_DTYPE), d)
+    del order, pair_keys, first, starts
 
     # 2. baseline probe: the old common mids X of every pair
     u_arr = uniq // n64
     w_arr = uniq - u_arr * n64
     hit_pair, hit_mids = _probe_common_mids(
-        small_pm, small_edge_keys, u_arr, w_arr, n_side, n_mid, pairs_on_left
+        ws, small_pm, small_edge_keys, u_arr, w_arr, n_side, n_mid,
+        pairs_on_left,
     )
     b = np.bincount(hit_pair, minlength=uniq.size).astype(
         COUNT_DTYPE, copy=False
     )
 
-    # 3. closed-form update, credited to both sides (docstring §3)
+    # 3. closed-form update, credited to both sides (docstring §3); the
+    #    kept rows are grouped by pair, so pair i's y rows are the next d[i]
+    delta_pivot = np.zeros(n_side, dtype=COUNT_DTYPE)
+    delta_mid = np.zeros(n_mid, dtype=COUNT_DTYPE)
     pair_delta = b * d + choose2(d)
     np.add.at(delta_pivot, u_arr, pair_delta)
     np.add.at(delta_pivot, w_arr, pair_delta)
     np.add.at(delta_mid, hit_mids, d[hit_pair])
-    np.add.at(delta_mid, mids, (b + d - 1)[row_pair])
+    np.add.at(delta_mid, mids, np.repeat(b + d - 1, d))
     global_delta = int(pair_delta.sum(dtype=COUNT_DTYPE))
     closures = int(choose2(d).sum(dtype=COUNT_DTYPE)) + int(
         b[np.searchsorted(uniq, both_keys)].sum(dtype=COUNT_DTYPE)
@@ -494,6 +684,7 @@ class StreamingButterflyCounter:
         self._csr: PatternCSR = graph.csr
         self._csc: PatternCSC = graph.csc
         self._count_from(graph)
+        self._scratch = _Scratch()
         #: stats dict of the most recent :meth:`apply` (None before any)
         self.last_stats: dict | None = None
 
@@ -615,12 +806,14 @@ class StreamingButterflyCounter:
             obs.inc(f"stream.apply.probe.{side}")
         if side == "left":
             d_left, d_right, g_delta, closures = _side_delta(
-                small_csr, big_csc, small_keys, changed_keys, rows, cols,
+                self._scratch, small_csr, big_csc, small_keys, changed_keys,
+                rows, cols,
                 self.n_left, self.n_right, True,
             )
         else:
             d_right, d_left, g_delta, closures = _side_delta(
-                small_csc, big_csr, small_keys, changed_keys, cols, rows,
+                self._scratch, small_csc, big_csr, small_keys, changed_keys,
+                cols, rows,
                 self.n_right, self.n_left, False,
             )
         return g_delta, d_left, d_right, closures

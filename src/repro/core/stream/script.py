@@ -21,6 +21,7 @@ scripts to tiny readable reproducers, which are then committed verbatim.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -36,16 +37,28 @@ __all__ = [
 #: One script operation: ``("+", u, v)``, ``("-", u, v)`` or ``("flush",)``.
 Op = tuple
 
+#: A vertex id token: ASCII decimal digits, the edge-file loader's
+#: dialect (a leading ``-`` parses, to be rejected as negative).
+#: Python's ``int`` also takes ``1_0``, ``+1`` and non-ASCII digits.
+_ID = re.compile(r"-?[0-9]+")
+
 
 def parse_script(text: str, shape: tuple[int, int] | None = None) -> list[Op]:
     """Parse script text into an op list; raises ``ValueError`` on bad lines.
 
-    With ``shape=(n_left, n_right)`` an edge id outside ``[0, n)`` of its
-    side is a bad line too, reported with its line number.
+    Ids are ASCII decimal integers, as in an edge file; anything else
+    (non-ASCII text, ``1_0``, ``+1``) is a bad line, reported with its
+    line number.  With ``shape=(n_left, n_right)`` an edge id outside
+    ``[0, n)`` of its side is a bad line too.
     """
     ops: list[Op] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    # lines end at "\n" only (a file is read with universal newlines);
+    # str.splitlines would also end one at U+2028 or U+0085
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.isascii():
+            raise ValueError(f"line {lineno}: non-ASCII text in {raw!r}")
+        line = line.strip()
         if not line:
             continue
         parts = line.split()
@@ -60,10 +73,13 @@ def parse_script(text: str, shape: tuple[int, int] | None = None) -> list[Op]:
                 f"got {raw!r}"
             )
         try:
+            if not (_ID.fullmatch(parts[1]) and _ID.fullmatch(parts[2])):
+                raise ValueError("not decimal digits")
             u, v = int(parts[1]), int(parts[2])
-        except ValueError as exc:
+        except ValueError as exc:  # (int also refuses > 4300 digits)
             raise ValueError(
-                f"line {lineno}: vertex ids must be integers, got {raw!r}"
+                f"line {lineno}: vertex ids must be decimal integers, "
+                f"got {raw!r}"
             ) from exc
         if u < 0 or v < 0:
             raise ValueError(f"line {lineno}: vertex ids must be non-negative")

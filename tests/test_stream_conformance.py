@@ -477,6 +477,193 @@ def test_probe_modes_take_their_paths():
     assert seen["rule"]["search_entries"] > 0
 
 
+# ----------------------------------------------------------------------
+# the probe's workspace, kept across phases, batches and errors
+# ----------------------------------------------------------------------
+def _graph_of(shape, edges):
+    if not edges:
+        return BipartiteGraph.empty(*shape)
+    return BipartiteGraph(sorted(edges), n_left=shape[0], n_right=shape[1])
+
+
+def _step(counter, edges, insert, delete):
+    """Apply one batch to ``counter`` and check it bitwise against a fresh
+    counter over the same start graph and against a recount; returns the
+    new edge set."""
+    shape = (counter.n_left, counter.n_right)
+    fresh = StreamingButterflyCounter(_graph_of(shape, edges))
+    fresh._probe_side = counter._probe_side
+    want_stats = fresh.apply(insert=insert, delete=delete)
+    stats = counter.apply(insert=insert, delete=delete)
+    edges = (edges - set(delete)) | set(insert)
+    want_count, want_left, want_right = _reference_counts(shape, edges)
+    assert stats == want_stats
+    assert counter.count == fresh.count == want_count
+    for side, want in (("left", want_left), ("right", want_right)):
+        assert np.array_equal(counter.vertex_counts(side), want)
+        assert np.array_equal(fresh.vertex_counts(side), want)
+    return edges
+
+
+def _assert_workspace_clean(counter):
+    """Between probes the bitmap is all zero and every slot −1."""
+    buffers = counter._scratch._buffers
+    assert not counter._scratch._scattered
+    if "bitmap" in buffers:
+        assert not buffers["bitmap"].any()
+    if "slot" in buffers:
+        assert (buffers["slot"] == -1).all()
+
+
+def _random_deletes(rng, edges, k):
+    pool = sorted(edges)
+    picks = rng.choice(len(pool), size=min(k, len(pool)), replace=False)
+    return [pool[i] for i in picks]
+
+
+#: a 4000-edge power-law graph: 150 random deletes probe ~58k entries,
+#: several blocks at the shipped block size
+_BLOCKS_GRAPH = power_law_bipartite(200, 250, 4000, seed=7)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_workspace_across_batch_sizes(block, monkeypatch):
+    """One counter fed empty, small, block-spanning and small batches
+    again: its kept buffers serve every size."""
+    if block is not None:
+        monkeypatch.setattr(stream_counter, "_PROBE_BLOCK", block)
+    g = _BLOCKS_GRAPH
+    rng = np.random.default_rng(5)
+    counter = StreamingButterflyCounter(g)
+    edges = {tuple(map(int, e)) for e in g.edges()}
+    small = [(1, 2), (3, 4), (1, 4)]
+    with obs.capture() as metrics:
+        for insert, delete in (
+            ([], []), (small, []),
+            (small[:1], _random_deletes(rng, edges, 150)),
+            ([], small), ([(0, 0)], []),
+        ):
+            edges = _step(counter, edges, insert, delete)
+            _assert_workspace_clean(counter)
+    entries = metrics.value("stream.apply.probe.bitmap_entries")
+    assert entries > stream_counter._PROBE_BLOCK  # it took several blocks
+    # the blocks bound the entry buffers: one block plus its last pair's
+    mids = counter._scratch._buffers["mids"]
+    assert mids.size <= stream_counter._PROBE_BLOCK + int(g.degrees_left().max())
+
+
+def test_workspace_of_two_interleaved_counters():
+    """Two counters of different shapes, fed batch by batch in turn: each
+    keeps its own workspace."""
+    rng = np.random.default_rng(6)
+    runs = []
+    for g in (_BLOCKS_GRAPH, CORPUS["powerlaw"]):
+        ops = _long_script(int(rng.integers(1000)), 300, g.n_left, g.n_right)
+        batches = list(iter_batches(ops))
+        edges = {tuple(map(int, e)) for e in g.edges()}
+        batches.insert(1, ([], _random_deletes(rng, edges, 60)))
+        runs.append([StreamingButterflyCounter(g), edges, batches])
+    for i in range(max(len(batches) for _, _, batches in runs)):
+        for run in runs:
+            counter, edges, batches = run
+            if i < len(batches):
+                run[1] = _step(counter, edges, *batches[i])
+    assert runs[0][0]._scratch is not runs[1][0]._scratch
+
+
+def test_workspace_after_restore_mid_stream():
+    """``restore`` swaps the state under a warm workspace: a smaller
+    graph's phases run in the larger one's buffers."""
+    rng = np.random.default_rng(7)
+    g = _BLOCKS_GRAPH
+    counter = StreamingButterflyCounter(g)
+    edges = {tuple(map(int, e)) for e in g.edges()}
+    edges = _step(counter, edges, [], _random_deletes(rng, edges, 150))
+    other = StreamingButterflyCounter(BipartiteGraph.empty(g.n_left, g.n_right))
+    other.apply(insert=[(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)])
+    counter.restore(other.snapshot())
+    edges = {(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)}
+    for insert, delete in (([(2, 0)], []), ([], [(0, 0)]), ([(3, 0), (3, 1)], [])):
+        edges = _step(counter, edges, insert, delete)
+    edges = _step(counter, edges, [tuple(map(int, e)) for e in g.edges()[:400]], [])
+    _assert_workspace_clean(counter)
+
+
+@pytest.mark.parametrize("fail_in", ["_row_bitmap", "_bitmap_hits"])
+def test_workspace_clean_after_a_probe_raises(fail_in, monkeypatch):
+    """A probe that raises after setting bitmap bits and slots leaves the
+    workspace clean and the counter unchanged; later batches are exact."""
+    rng = np.random.default_rng(8)
+    g = _BLOCKS_GRAPH
+    counter = StreamingButterflyCounter(g)
+    edges = {tuple(map(int, e)) for e in g.edges()}
+    edges = _step(counter, edges, [], _random_deletes(rng, edges, 150))
+    real = getattr(stream_counter, fail_in)
+    calls = []
+
+    def fails_once(ws, *args, **kwargs):
+        out = real(ws, *args, **kwargs)
+        if not calls:
+            calls.append(True)
+            assert ws._scattered  # bits and slots are set
+            raise RuntimeError("probe failed")
+        return out
+
+    monkeypatch.setattr(stream_counter, fail_in, fails_once)
+    before = (counter.count, counter.vertex_counts("left"),
+              counter.vertex_counts("right"), counter.n_edges)
+    deletes = _random_deletes(rng, edges, 150)
+    with pytest.raises(RuntimeError, match="probe failed"):
+        counter.apply(delete=deletes)
+    assert calls
+    _assert_workspace_clean(counter)
+    assert counter.count == before[0] and counter.n_edges == before[3]
+    assert np.array_equal(counter.vertex_counts("left"), before[1])
+    assert np.array_equal(counter.vertex_counts("right"), before[2])
+    edges = _step(counter, edges, [], deletes)
+    edges = _step(counter, edges, [(0, 0), (5, 7)], _random_deletes(rng, edges, 150))
+    _assert_workspace_clean(counter)
+
+
+def test_workspace_across_probe_modes_and_sides():
+    """One counter switched between every probe mode and side batch by
+    batch: each phase starts from a clean bitmap and slot buffer whatever
+    the last one used."""
+    rng = np.random.default_rng(9)
+    g = CORPUS["powerlaw"]
+    counter = StreamingButterflyCounter(g)
+    edges = {tuple(map(int, e)) for e in g.edges()}
+    modes = [(mode, side) for mode in PROBE_MODES for side in ("left", "right")]
+    ops = _long_script(21, 16 * 50, g.n_left, g.n_right)
+    batches = list(iter_batches(ops))
+    for i, (insert, delete) in enumerate(batches):
+        mode, side = modes[i % len(modes)]
+        if i % 3 == 1:
+            delete = delete + _random_deletes(rng, edges, 40)
+        counter._probe_side = side
+        with _probe_bounds(mode):
+            edges = _step(counter, edges, insert, delete)
+        _assert_workspace_clean(counter)
+
+
+def test_scratch_gauge_reports_the_held_bytes():
+    """``stream.apply.scratch_bytes`` (policy max) is the workspace's held
+    bytes, recorded only when observing."""
+    rng = np.random.default_rng(10)
+    g = _BLOCKS_GRAPH
+    counter = StreamingButterflyCounter(g)
+    edges = {tuple(map(int, e)) for e in g.edges()}
+    with obs.disabled():
+        counter.apply(delete=_random_deletes(rng, edges, 150))
+    held = counter._scratch.nbytes
+    assert held > 0
+    with obs.capture() as metrics:
+        counter.apply(delete=_random_deletes(rng, edges, 10))
+        gauge = metrics.get("stream.apply.scratch_bytes")
+    assert gauge.policy == "max"
+    assert gauge.value == counter._scratch.nbytes >= held
+
+
 def _butterflies(edges):
     """Every butterfly of an edge set, as the frozenset of its four edges."""
     by_left: dict[int, set[int]] = {}
@@ -709,6 +896,31 @@ def test_script_ids_checked_against_the_shape():
     with pytest.raises(ValueError, match=right):
         parse_script("+ 0 4\n", shape=(3, 4))
     assert parse_script("+ 9 9\n") == [("+", 9, 9)]  # no shape, no range check
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("+ 0 1_0", "must be decimal integers"),  # int() reads 10
+        ("+ 0 +1", "must be decimal integers"),
+        ("- 0x1 2", "must be decimal integers"),
+        ("+ 0 1.0", "must be decimal integers"),
+        ("+ 0 " + "9" * 5000, "must be decimal integers"),  # past int()'s cap
+        ("+ 0 \u0661", "non-ASCII text"),  # Arabic-Indic one: int() reads 1
+        ("+ \uff10 1", "non-ASCII text"),  # fullwidth zero
+        ("+ 0 1\u00a0", "non-ASCII text"),  # a no-break space, not a separator
+        ("+ 0 1\u2028+ 2 3", "non-ASCII text"),  # not a line break either
+        ("+ 0 -1", "must be non-negative"),
+    ],
+)
+def test_script_ids_are_ascii_decimal(line, reason):
+    """Ids are read in the edge-file loader's dialect, naming the line."""
+    with pytest.raises(ValueError, match=f"^line 2: .*{reason}"):
+        parse_script(f"flush\n{line}\n")
+    # a comment may hold anything; CRLF line ends parse
+    assert parse_script("+ 0 12  # caf\u00e9 \u0661\r\nflush\r\n") == [
+        ("+", 0, 12), ("flush",)
+    ]
 
 
 # ----------------------------------------------------------------------
