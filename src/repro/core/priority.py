@@ -24,8 +24,9 @@ The kernel is serial numpy over whole-graph arrays: relabel all m + n
 vertices by rank, build the symmetric adjacency with every list sorted
 ascending, and for each edge v < u gather the prefix of adj(v) that lies
 below u — exactly the endpoints w < u.  Top vertices are cut into
-contiguous panels of bounded wedge work and each panel's (owner,
-endpoint) list is reduced by :func:`repro.sparsela.panel_choose2_sum`.
+contiguous panels of bounded wedge work; each panel expands straight into
+int64 keys (top, endpoint), reduced by one histogram or one in-place sort
+(:func:`repro.sparsela.keyed_choose2_sum`).
 
 :func:`vertex_butterfly_counts_priority` walks the same panels and, per
 (top, endpoint) pair of multiplicity k, credits C(k, 2) to both
@@ -40,8 +41,8 @@ import numpy as np
 from repro import obs
 from repro._types import COUNT_DTYPE, INDEX_DTYPE
 from repro.core.blocked import work_bounded_panels
-from repro.sparsela import panel_choose2_sum
-from repro.sparsela.kernels import DEFAULT_KEYSPACE_CAP, choose2
+from repro.sparsela import kernels
+from repro.sparsela.kernels import choose2, keyed_choose2_sum, run_starts
 
 __all__ = [
     "count_butterflies_priority",
@@ -179,26 +180,28 @@ class _RankedWedges:
             if ends[first[hi]] > ends[first[lo]]
         ]
 
-    def gather(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(owners, endpoints)`` of the wedges of tops ``[lo, hi)``.
+    def keys(self, lo: int, hi: int) -> np.ndarray:
+        """The wedges of tops ``[lo, hi)`` as int64 keys ``(u − lo)·hi + w``.
 
-        ``owners`` are panel-local top ids, non-decreasing; every
-        endpoint is below ``hi``.
+        Top u and endpoint w < hi of each wedge, in top order; a fresh
+        array the caller may consume.
         """
         e_lo, e_hi = self.first[lo], self.first[hi]
         w_lo = self.ends[e_lo]
         wedges = int(self.ends[e_hi] - w_lo)
         gather = np.repeat(self.shift[e_lo:e_hi], self._lengths(e_lo, e_hi))
         gather += np.arange(w_lo, w_lo + wedges, dtype=INDEX_DTYPE)
-        endpoints = self.adj[gather]
+        keys = self.adj[gather]
         del gather
-        owners = np.repeat(np.arange(hi - lo, dtype=INDEX_DTYPE), self.work[lo:hi])
+        if hi - lo > 1:  # a lone top's keys are its endpoints
+            base = np.arange(0, (hi - lo) * hi, hi, dtype=INDEX_DTYPE)
+            keys += np.repeat(base, self.work[lo:hi])
         if obs._enabled:
             obs.inc("priority.wedges", wedges)
-        return owners, endpoints
+        return keys
 
     def centres(self, lo: int, hi: int) -> np.ndarray:
-        """The centre of each wedge :meth:`gather` returns for ``[lo, hi)``."""
+        """The centre of each wedge :meth:`keys` returns for ``[lo, hi)``."""
         e_lo, e_hi = self.first[lo], self.first[hi]
         return np.repeat(self.centre[e_lo:e_hi], self._lengths(e_lo, e_hi))
 
@@ -214,7 +217,7 @@ def count_butterflies_priority(graph) -> int:
     wedges = _RankedWedges(graph, *priority_ranks(graph))
     total = 0
     for lo, hi in wedges.panels():
-        total += panel_choose2_sum(*wedges.gather(lo, hi), hi - lo, hi)
+        total += int(keyed_choose2_sum(wedges.keys(lo, hi), (hi - lo) * hi)[0])
     return total
 
 
@@ -236,14 +239,12 @@ def _credit_panel(credit, wedges: _RankedWedges, lo: int, hi: int) -> None:
     host): the dense path also pays C(k, 2) and two sums over the whole
     key space.
     """
-    owners, endpoints = wedges.gather(lo, hi)
+    keys = wedges.keys(lo, hi)
     centres = wedges.centres(lo, hi)
-    n_pivots, n_wedges = hi - lo, endpoints.size
-    keys = owners * hi
-    keys += endpoints
-    del owners, endpoints
+    n_pivots, n_wedges = hi - lo, keys.size
     keyspace = n_pivots * hi
-    if keyspace <= DEFAULT_KEYSPACE_CAP and keyspace <= max(n_wedges // 2, 1 << 16):
+    dense_cap = min(kernels.DEFAULT_KEYSPACE_CAP, max(n_wedges // 2, 1 << 16))
+    if keyspace <= dense_cap:
         mult = np.bincount(keys, minlength=keyspace)
         per_wedge = mult[keys]
         pairs = choose2(mult).reshape(n_pivots, hi)
@@ -259,10 +260,7 @@ def _credit_panel(credit, wedges: _RankedWedges, lo: int, hi: int) -> None:
             order = np.argsort(keys)
             keys, centres = keys[order], centres[order]
             del order
-        new = np.empty(n_wedges, dtype=bool)
-        new[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        group_start = np.flatnonzero(new)
+        group_start = run_starts(keys)
         mult = np.diff(np.append(group_start, n_wedges))
         pair_keys = keys[group_start]
         pairs = choose2(mult)

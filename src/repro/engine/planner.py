@@ -67,7 +67,7 @@ DEFAULT_MAX_WORKERS = 6
 #: Default wedge-work budget used to SIZE panels (elements).  Smaller
 #: than the executor's transient-memory cap
 #: (:data:`repro.core.blocked.DEFAULT_PANEL_WORK_BUDGET`) on purpose: the
-#: panel kernel's ``np.unique`` sort degrades superlinearly once the
+#: panel kernel's key sort degrades superlinearly once the
 #: expanded wedge set falls out of L2, so the planner targets a
 #: cache-resident panel (~256k int64 endpoints ≈ 2 MB) rather than the
 #: largest panel that merely *fits in RAM*.  Override with ``budget=``.

@@ -153,6 +153,19 @@ def _konect_size_header(text: str) -> tuple[int | None, int | None]:
     return n_left, n_right
 
 
+def _first_id_below_1(text: str, pairs: np.ndarray) -> str:
+    """``"line L has id X"`` for the first id below 1, L the file's 1-based line.
+
+    Run on the error path only: data row r is the r-th line that is not
+    blank once its ``%`` comment is cut, as the reader counts them.
+    """
+    row = int(np.flatnonzero((pairs < 1).any(axis=1))[0])
+    ident = int(pairs[row, 0] if pairs[row, 0] < 1 else pairs[row, 1])
+    lines = enumerate(text.split("\n"), 1)
+    data = [i for i, line in lines if line.split("%", 1)[0].strip()]
+    return f"line {data[row]} has id {ident}"
+
+
 def load_konect(path: str | os.PathLike) -> BipartiteGraph:
     """Load a KONECT-style bipartite edge list (1-based ids, % comments).
 
@@ -162,13 +175,14 @@ def load_konect(path: str | os.PathLike) -> BipartiteGraph:
     algorithms operate on the unweighted pattern).
 
     Raises ``ValueError`` for a line that is not two integer ids
-    ("malformed"), a 0 or negative id ("1-based"), or an id beyond the
-    size header; ``UnicodeDecodeError`` for a file that is not UTF-8 text.
+    ("malformed"), a 0 or negative id ("1-based; line L has id X"), or an
+    id beyond the size header; ``UnicodeDecodeError`` for a file that is
+    not UTF-8 text.
     """
     text, pairs = _read_edge_file(path, comments="%")
     n_left, n_right = _konect_size_header(text)
     if pairs.size and pairs.min() < 1:
-        raise ValueError("KONECT files are 1-based; found a 0 id")
+        raise ValueError(f"KONECT files are 1-based; {_first_id_below_1(text, pairs)}")
     rows, cols = pairs[:, 0] - 1, pairs[:, 1] - 1
     if n_left is None:
         n_left = int(rows.max()) + 1 if rows.size else 0

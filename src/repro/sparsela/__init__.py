@@ -31,6 +31,7 @@ _LAZY = {
     "choose2": "repro.sparsela.kernels",
     "choose2_sum": "repro.sparsela.kernels",
     "gather_slices": "repro.sparsela.kernels",
+    "keyed_choose2_sum": "repro.sparsela.kernels",
     "multiplicity_counts": "repro.sparsela.kernels",
     "panel_choose2_per_owner": "repro.sparsela.kernels",
     "panel_choose2_sum": "repro.sparsela.kernels",
@@ -82,6 +83,7 @@ __all__ = [
     "choose2",
     "choose2_sum",
     "segment_sums",
+    "keyed_choose2_sum",
     "panel_choose2_sum",
     "panel_choose2_per_owner",
     "DEFAULT_KEYSPACE_CAP",

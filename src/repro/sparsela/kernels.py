@@ -12,11 +12,12 @@ operations per the HPC guidance (no per-element Python loops):
   wedge counts into butterfly counts (``C(n,2)`` distinct wedge pairs form
   ``C(n,2)`` butterflies, Section II of the paper).
 - :func:`spmv_pattern` — y = A·x for a pattern matrix and dense vector.
-- :func:`panel_choose2_sum` / :func:`panel_choose2_per_owner` — the fused
-  Σ C(·, 2) reduction over a whole pivot panel's (owner, endpoint) wedge
-  list.  Each call picks its evaluation (``sort``, ``bincount`` or
-  ``scratch``) from the panel's shape; every branch wins on some input,
-  so there is no caller-side switch.
+- :func:`keyed_choose2_sum` — Σ C(mult, 2) over a whole panel's composite
+  wedge keys, by one histogram or one in-place sort.
+- :func:`panel_choose2_sum` / :func:`panel_choose2_per_owner` — the same
+  over a pivot panel's (owner, endpoint) wedge list; each call picks its
+  evaluation (``sort``, ``bincount`` or ``scratch``) from the panel's
+  shape, and every branch wins on some input.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ __all__ = [
     "spmv_pattern",
     "spmv_pattern_transposed",
     "segment_sums",
+    "keyed_choose2_sum",
+    "run_starts",
     "panel_choose2_sum",
     "panel_choose2_per_owner",
     "DEFAULT_KEYSPACE_CAP",
@@ -148,70 +151,123 @@ def spmv_pattern_transposed(a: CompressedPattern, x: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# fused panel reductions (Σ C(·, 2) over (owner, endpoint) keys)
+# keyed reductions (Σ C(mult, 2) over composite wedge keys)
 # ----------------------------------------------------------------------
 
-#: Largest ``n_pivots × n`` key space (entry count) the ``bincount`` branch
-#: will materialise: 2²² int64 entries = 32 MiB of transient histogram.
+#: Largest key space (entry count) the ``bincount`` branch will
+#: materialise: 2²² int64 entries = 32 MiB of transient histogram.
 #: Read at call time, so a test can lower it to force the other branches.
 DEFAULT_KEYSPACE_CAP: int = 1 << 22
 
 
-def _panel_reduction(n_pivots: int, n: int, n_items: int) -> str:
-    """The panel reduction for a wedge list of this shape.
+def _histogram_pays(keyspace: int, n_keys: int) -> bool:
+    """Whether a dense histogram of the key space beats sorting the keys.
 
-    ``"bincount"`` — scatter the composite keys into a dense histogram of
-    the whole ``n_pivots × n`` key space; sort-free, one pass over the
-    wedges plus one over the key space.  Chosen when the key space is
-    within :data:`DEFAULT_KEYSPACE_CAP` and commensurate with the wedges.
-
-    ``"sort"`` — ``np.unique`` over composite keys; O(W log W), excellent
-    locality.  Chosen for sparse panels whose per-owner segments are too
-    small to amortise the scratch loop.
-
-    ``"scratch"`` — Chiba–Nishizeki discipline: per owner segment, scatter
-    the endpoints into a length-``n`` dense accumulator, reduce with
-    Σ C(y,2) = (Σy² − Σy)/2 and zero the touched entries.  Sort-free with
-    O(n) transient memory; chosen otherwise.
+    The histogram pays O(keyspace) zeroing and scanning, so it wins only
+    when the keys are at least commensurate with the space they spread
+    over (and the space is within :data:`DEFAULT_KEYSPACE_CAP`).
     """
-    keyspace = n_pivots * n
-    # bincount pays O(keyspace) zeroing + scanning: profitable only when the
-    # wedge list is at least commensurate with the key space it spreads over.
-    if keyspace <= DEFAULT_KEYSPACE_CAP and keyspace <= max(4 * n_items, 1 << 16):
+    return keyspace <= DEFAULT_KEYSPACE_CAP and keyspace <= max(4 * n_keys, 1 << 16)
+
+
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Offsets where each run of equal values of a sorted, non-empty array starts."""
+    new = np.empty(keys.size, dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def keyed_choose2_sum(keys: np.ndarray, keyspace: int, n_groups: int = 1) -> np.ndarray:
+    """``Σ_k C(mult(k), 2)`` over the distinct values k of a key array, per group.
+
+    ``keys`` is int64 in ``[0, keyspace)``; group g holds the ``keyspace //
+    n_groups`` keys from ``g · keyspace // n_groups`` on.  The
+    multiplicities come from a ``bincount`` of the whole key space when
+    :func:`_histogram_pays`, else from the run lengths of ``keys`` sorted
+    **in place** (the caller's array is consumed); the branch is recorded
+    as ``kernels.panel.method.<branch>``.  One group sums to
+    (Σ mult² − W) / 2 over the W keys, Σ mult² one exact int64 ``np.dot``.
+    Returns the int64 sum of each group.
+    """
+    n_keys = keys.size
+    out = np.zeros(n_groups, dtype=COUNT_DTYPE)
+    if n_keys == 0:
+        return out
+    dense = _histogram_pays(keyspace, n_keys)
+    if obs._enabled:
+        _record_panel_reduction("bincount" if dense else "sort", keys)
+    if dense:
+        mult = np.bincount(keys, minlength=keyspace)
+    else:
+        keys.sort()
+        starts = run_starts(keys)
+        mult = np.diff(starts, append=n_keys)
+    if n_groups == 1:
+        out[0] = (np.dot(mult, mult) - n_keys) // 2
+    elif dense:
+        out[:] = choose2(mult).reshape(n_groups, -1).sum(axis=1, dtype=COUNT_DTYPE)
+    else:
+        np.add.at(out, keys[starts] // (keyspace // n_groups), choose2(mult))
+    return out
+
+
+def _panel_reduction(n_pivots: int, n: int, n_items: int) -> str:
+    """The reduction for a panel's (owner, endpoint) wedge list of this shape.
+
+    ``"bincount"`` / ``"sort"`` — :func:`keyed_choose2_sum` over the keys
+    ``owner · n + endpoint``.  ``"scratch"`` — Chiba–Nishizeki discipline:
+    per owner segment, scatter the endpoints into a length-``n`` dense
+    accumulator, reduce with Σ C(y,2) = (Σy² − Σy)/2 and zero the touched
+    entries.  Its interpreter loop costs ~µs per owner, so it takes only
+    panels the histogram does not, with at least 64 wedges per owner.
+    """
+    if _histogram_pays(n_pivots * n, n_items):
         return "bincount"
-    # scratch loops once per owner segment in the interpreter (~µs each);
-    # on sparse panels — many owners, a handful of wedges apiece — the
-    # vectorised sort reduction wins despite its O(W log W) term.  The
-    # crossover sits around 64 wedges per owner (measured; either side of
-    # it the loser degrades gently).
-    if n_items < 64 * n_pivots:
-        return "sort"
-    return "scratch"
+    return "sort" if n_items < 64 * n_pivots else "scratch"
 
 
-def _record_panel_reduction(
-    chosen: str, owners_local: np.ndarray, endpoints: np.ndarray
-) -> None:
+def _record_panel_reduction(chosen: str, *arrays: np.ndarray) -> None:
     """Per-kernel op/byte counters keyed by the chosen reduction branch."""
     if obs._enabled:
         obs.inc("kernels.panel.calls")
         obs.inc(f"kernels.panel.method.{chosen}")
-        obs.inc("kernels.panel.wedges", int(endpoints.size))
-        obs.inc(
-            "kernels.panel.bytes",
-            int(np.asarray(endpoints).nbytes + np.asarray(owners_local).nbytes),
-        )
+        obs.inc("kernels.panel.wedges", int(arrays[-1].size))
+        obs.inc("kernels.panel.bytes", sum(int(a.nbytes) for a in arrays))
 
 
-def _owner_segment_bounds(owners_local: np.ndarray, n_pivots: int) -> np.ndarray:
-    """Start offsets of each owner's contiguous run (length ``n_pivots+1``).
-
-    ``owners_local`` must be non-decreasing (wedge lists are generated in
-    pivot order); owners with no wedges yield empty segments.
-    """
-    return np.searchsorted(
+def _panel_reduce(
+    owners_local: np.ndarray,
+    endpoints: np.ndarray,
+    n_pivots: int,
+    n: int,
+    scratch: np.ndarray | None,
+    n_groups: int,
+) -> np.ndarray:
+    """A panel's Σ C(mult, 2) in ``n_groups`` (1 or ``n_pivots``) int64 sums."""
+    owners_local = np.asarray(owners_local)
+    endpoints = np.asarray(endpoints)
+    if _panel_reduction(n_pivots, n, endpoints.size) != "scratch":
+        keys = np.multiply(owners_local, n, dtype=COUNT_DTYPE)
+        keys += endpoints
+        return keyed_choose2_sum(keys, n_pivots * n, n_groups)
+    _record_panel_reduction("scratch", owners_local, endpoints)
+    if scratch is None:
+        scratch = np.zeros(n, dtype=COUNT_DTYPE)
+    out = np.zeros(n_pivots, dtype=COUNT_DTYPE)
+    bounds = np.searchsorted(
         owners_local, np.arange(n_pivots + 1, dtype=INDEX_DTYPE), side="left"
     )
+    for k in range(n_pivots):
+        lo, hi = int(bounds[k]), int(bounds[k + 1])
+        if hi <= lo:
+            continue
+        seg = endpoints[lo:hi]
+        np.add.at(scratch, seg, 1)
+        sum_sq = int(scratch[seg].sum())
+        scratch[seg] = 0
+        out[k] = (sum_sq - (hi - lo)) // 2
+    return out
 
 
 def panel_choose2_sum(
@@ -234,37 +290,8 @@ def panel_choose2_sum(
     zeroed length-``n`` int64 accumulator for the ``scratch`` branch
     (returned zeroed again).
     """
-    owners_local = np.asarray(owners_local)
-    endpoints = np.asarray(endpoints)
-    if endpoints.size == 0:
-        return 0
-    chosen = _panel_reduction(n_pivots, n, endpoints.size)
-    if obs._enabled:
-        _record_panel_reduction(chosen, owners_local, endpoints)
-    if chosen == "sort":
-        keys = owners_local.astype(COUNT_DTYPE) * np.int64(n) + endpoints
-        _, counts = np.unique(keys, return_counts=True)
-        counts = counts.astype(COUNT_DTYPE)
-        return int(np.sum(counts * (counts - 1)) // 2)
-    if chosen == "bincount":
-        keys = owners_local.astype(COUNT_DTYPE) * np.int64(n) + endpoints
-        counts = np.bincount(keys).astype(COUNT_DTYPE, copy=False)
-        return int(np.sum(counts * (counts - 1)) // 2)
-    # scratch: per-owner dense accumulation, (Σy² − Σy)/2 per owner
-    if scratch is None:
-        scratch = np.zeros(n, dtype=COUNT_DTYPE)
-    bounds = _owner_segment_bounds(owners_local, n_pivots)
-    total = 0
-    for k in range(n_pivots):
-        lo, hi = int(bounds[k]), int(bounds[k + 1])
-        if hi <= lo:
-            continue
-        seg = endpoints[lo:hi]
-        np.add.at(scratch, seg, 1)
-        sum_sq = int(scratch[seg].sum())
-        scratch[seg] = 0
-        total += (sum_sq - (hi - lo)) // 2
-    return total
+    sums = _panel_reduce(owners_local, endpoints, n_pivots, n, scratch, 1)
+    return int(sums.sum(dtype=COUNT_DTYPE))
 
 
 def panel_choose2_per_owner(
@@ -280,40 +307,7 @@ def panel_choose2_per_owner(
     ``n_pivots`` int64 vector of per-pivot butterfly contributions — the
     reduction behind the per-vertex (local-count) panel kernels.
     """
-    owners_local = np.asarray(owners_local)
-    endpoints = np.asarray(endpoints)
-    out = np.zeros(n_pivots, dtype=COUNT_DTYPE)
-    if endpoints.size == 0:
-        return out
-    chosen = _panel_reduction(n_pivots, n, endpoints.size)
-    if obs._enabled:
-        _record_panel_reduction(chosen, owners_local, endpoints)
-    if chosen == "sort":
-        keys = owners_local.astype(COUNT_DTYPE) * np.int64(n) + endpoints
-        uniq, counts = np.unique(keys, return_counts=True)
-        counts = counts.astype(COUNT_DTYPE)
-        contrib = (counts * (counts - 1)) // 2
-        np.add.at(out, (uniq // n).astype(np.int64), contrib)
-        return out
-    if chosen == "bincount":
-        keys = owners_local.astype(COUNT_DTYPE) * np.int64(n) + endpoints
-        counts = np.bincount(keys, minlength=n_pivots * n)
-        counts = counts.astype(COUNT_DTYPE, copy=False).reshape(n_pivots, n)
-        contrib = (counts * (counts - 1)) // 2
-        return contrib.sum(axis=1)
-    if scratch is None:
-        scratch = np.zeros(n, dtype=COUNT_DTYPE)
-    bounds = _owner_segment_bounds(owners_local, n_pivots)
-    for k in range(n_pivots):
-        lo, hi = int(bounds[k]), int(bounds[k + 1])
-        if hi <= lo:
-            continue
-        seg = endpoints[lo:hi]
-        np.add.at(scratch, seg, 1)
-        sum_sq = int(scratch[seg].sum())
-        scratch[seg] = 0
-        out[k] = (sum_sq - (hi - lo)) // 2
-    return out
+    return _panel_reduce(owners_local, endpoints, n_pivots, n, scratch, n_pivots)
 
 
 def segment_sums(values: np.ndarray, indptr: np.ndarray, dtype=None) -> np.ndarray:

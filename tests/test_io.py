@@ -133,6 +133,7 @@ _PARITY_CASES = {
     "one_column": b"1 1\n42\n",
     "fractional_id": b"1 1\n1 1.5\n",
     "zero_id": b"1 1\n0 2\n",
+    "negative_id": b"% bip unweighted\n1 1\n-3 2\n",
     "id_beyond_header": b"% bip unweighted\n% 2 2 2\n1 1\n3 1\n",
 }
 
@@ -182,7 +183,25 @@ def test_parity_cases_load_as_the_format_says(tmp_path):
     for case in ("one_column", "fractional_id"):
         assert errors[case][0] is ValueError and "malformed" in errors[case][1]
     assert errors["zero_id"][0] is ValueError and "1-based" in errors["zero_id"][1]
+    assert errors["negative_id"][1].endswith("line 3 has id -3")
     assert errors["id_beyond_header"][0] is ValueError
+
+
+@pytest.mark.parametrize(
+    "raw,where",
+    [
+        (b"1 1\n0 2\n", "line 2 has id 0"),
+        (b"% bip unweighted\n1 1\n-3 2\n", "line 3 has id -3"),
+        (b"1 1\n\n% note\n  % indented note\n2 -7 % tail\n-1 -1\n", "line 5 has id -7"),
+        (b"% 3 4 4\r\n1 1\r\n\r\n4 0\r\n", "line 4 has id 0"),
+        (b"% 3 4 4\r1 1\r\r4 0\r", "line 4 has id 0"),
+    ],
+    ids=["zero", "negative", "comments_and_blanks", "crlf", "cr_only"],
+)
+def test_konect_error_names_the_line_and_id_below_1(tmp_path, raw, where):
+    for path in _twins(tmp_path, "bad.konect", raw):
+        with pytest.raises(ValueError, match=f"^KONECT files are 1-based; {where}$"):
+            load_konect(path)
 
 
 def test_plain_file_is_parsed_by_path(tmp_path, monkeypatch):

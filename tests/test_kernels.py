@@ -1,7 +1,11 @@
 """Unit tests for the vectorised kernels."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.sparsela import (
@@ -130,15 +134,11 @@ def test_segment_sums_bool_values_promote():
 
 # ----------------------------------------------------- fused panel reductions
 def _brute_choose2(owners, endpoints):
-    from collections import Counter
-
     c = Counter(zip(owners.tolist(), endpoints.tolist()))
     return sum(m * (m - 1) // 2 for m in c.values())
 
 
 def _brute_choose2_per_owner(owners, endpoints, n_pivots):
-    from collections import Counter
-
     c = Counter(zip(owners.tolist(), endpoints.tolist()))
     out = np.zeros(n_pivots, dtype=np.int64)
     for (p, _u), m in c.items():
@@ -275,3 +275,76 @@ def test_panel_choose2_large_multiplicity_exact(monkeypatch):
             got = panel_choose2_sum(owners, endpoints, n_pivots, 3)
         assert _fired(metrics) == {branch}
         assert got == expected
+
+
+# ----------------------------------------------------------- keyed reduction
+@st.composite
+def _key_arrays(draw):
+    """``(keys, keyspace, n_groups)``: one key, one run, all-distinct or any keys."""
+    n_groups, span = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    keyspace = n_groups * span
+    key = st.integers(0, keyspace - 1)
+    kind = draw(st.sampled_from(["single", "one_run", "distinct", "random"]))
+    if kind == "single":
+        keys = [draw(key)]
+    elif kind == "one_run":
+        keys = [draw(key)] * draw(st.integers(2, 300))
+    elif kind == "distinct":
+        keys = draw(st.lists(key, min_size=1, max_size=keyspace, unique=True))
+    else:
+        keys = draw(st.lists(key, max_size=300))
+    return keys, keyspace, n_groups
+
+
+@pytest.mark.parametrize("branch", ["bincount", "sort"])
+@given(case=_key_arrays())
+@example(case=([5], 8, 1))  # W = 1
+@example(case=([3] * 200, 8, 2))  # one run
+@example(case=(list(range(24)), 24, 3))  # all distinct
+@settings(max_examples=150, deadline=None)
+def test_keyed_choose2_sum_matches_counter(branch, case):
+    keys, keyspace, n_groups = case
+    want = [0] * n_groups
+    for key, mult in Counter(keys).items():
+        want[key // (keyspace // n_groups)] += mult * (mult - 1) // 2
+    with pytest.MonkeyPatch.context() as mp, obs.capture() as metrics:
+        if branch == "sort":
+            mp.setattr(kernels, "DEFAULT_KEYSPACE_CAP", 0)
+        arr = np.array(keys, dtype=np.int64)
+        got = kernels.keyed_choose2_sum(arr, keyspace, n_groups)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert _fired(metrics) == ({branch} if keys else set())
+
+
+@st.composite
+def _small_graphs(draw):
+    """Random biadjacency patterns up to 12 x 12, any density."""
+    from repro.graphs import BipartiteGraph
+
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    dense = (rng.random((m, n)) < draw(st.floats(0.0, 1.0))).astype(int)
+    if not dense.any():
+        return BipartiteGraph.empty(m, n)
+    return BipartiteGraph.from_biadjacency(dense)
+
+
+@pytest.mark.parametrize("cap", ["default", 0], ids=["histogram", "sort"])
+@pytest.mark.parametrize("budget", [1, 1 << 15], ids=["one-top", "multi-top"])
+@given(g=_small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_priority_kernels_match_oracles_at_any_panel_budget(budget, cap, g):
+    """Budget 1 gives every top its own panel; 2^15 packs many tops into one."""
+    from repro.baselines import count_butterflies_bruteforce
+    from repro.core import priority
+    from repro.core.local_counts import vertex_butterfly_counts
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(priority, "PRIORITY_PANEL_BUDGET", budget)
+        if cap != "default":
+            mp.setattr(kernels, "DEFAULT_KEYSPACE_CAP", cap)
+        count = priority.count_butterflies_priority(g)
+        left, right = priority.vertex_butterfly_counts_priority(g)
+    assert count == count_butterflies_bruteforce(g)
+    np.testing.assert_array_equal(left, vertex_butterfly_counts(g, "left"))
+    np.testing.assert_array_equal(right, vertex_butterfly_counts(g, "right"))
