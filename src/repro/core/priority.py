@@ -23,15 +23,20 @@ neighbours (:func:`priority_wedge_work`, exact for this kernel).
 The kernel is serial numpy over whole-graph arrays: relabel all m + n
 vertices by rank, build the symmetric adjacency with every list sorted
 ascending, and for each edge v < u gather the prefix of adj(v) that lies
-below u — exactly the endpoints w < u.  Top vertices are cut into
-contiguous panels of bounded wedge work; each panel expands straight into
-int64 keys (top, endpoint), reduced by one histogram or one in-place sort
-(:func:`repro.sparsela.keyed_choose2_sum`).
+below u — exactly the endpoints w < u.  The build takes two in-place
+sorts of packed int64 keys and no argsort: one for the adjacency, one
+that lines each lower entry up with its transposed twin.  Top vertices
+are cut into contiguous panels of bounded wedge work; each panel expands
+straight into int64 keys (top, endpoint), reduced by one histogram or
+one in-place sort (:func:`repro.sparsela.keyed_choose2_sum`).
 
 :func:`vertex_butterfly_counts_priority` walks the same panels and, per
 (top, endpoint) pair of multiplicity k, credits C(k, 2) to both
 endpoints and k − 1 to each wedge's centre: both sides' per-vertex
-counts from one pass, since the ranking is joint.
+counts from one pass, since the ranking is joint.  A panel too wide for
+the histogram packs each wedge as ``pair << b | centre`` and sorts in
+place; only the wedges whose pair repeats are unpacked and credited,
+since a pair of multiplicity 1 credits nothing.
 """
 
 from __future__ import annotations
@@ -115,6 +120,12 @@ class _RankedWedges:
     endpoint of its wedge i is ``adj[shift[e] + i]``.  Top u owns runs
     ``first[u]:first[u + 1]``.
 
+    A run's length is the position of its lower entry's transposed twin
+    in adj(v).  The twins (upper entries) come out in (centre, top)
+    order; one in-place sort of their tops with each twin's index packed
+    below (``top · n_up + i``, then ``% n_up``) puts them in the lower
+    entries' (top, centre) order.
+
     Temporaries are freed, or overwritten in place, as soon as they are
     consumed; five E-length arrays are kept.
     """
@@ -150,12 +161,18 @@ class _RankedWedges:
         del owner, lower
         first = np.zeros(n_all + 1, dtype=INDEX_DTYPE)
         np.cumsum(np.bincount(top, minlength=n_all), out=first[1:])
+        del top
         upper = np.flatnonzero(~is_lower)
         del is_lower
-        top += centre * n_all  # (centre, top) order
-        length = np.empty(centre.size, dtype=INDEX_DTYPE)
-        length[np.argsort(top)] = upper  # the twins' positions, for now
-        del top, upper
+        # the upper twins, (centre, top) order, sorted into (top, centre)
+        n_up = upper.size
+        twin = adj[upper]
+        twin *= n_up
+        twin += np.arange(n_up, dtype=INDEX_DTYPE)
+        twin.sort()
+        twin %= n_up
+        length = upper[twin]  # the twins' positions, for now
+        del twin, upper
         shift = offsets[centre]  # run starts in adj
         length -= shift
         ends = np.zeros(centre.size + 1, dtype=INDEX_DTYPE)
@@ -180,21 +197,29 @@ class _RankedWedges:
             if ends[first[hi]] > ends[first[lo]]
         ]
 
-    def keys(self, lo: int, hi: int) -> np.ndarray:
+    def keys(self, lo: int, hi: int, bits: int = 0) -> np.ndarray:
         """The wedges of tops ``[lo, hi)`` as int64 keys ``(u − lo)·hi + w``.
 
         Top u and endpoint w < hi of each wedge, in top order; a fresh
-        array the caller may consume.
+        array the caller may consume.  With ``bits`` each key is shifted
+        up by ``bits`` and the wedge's centre packed below it.
         """
         e_lo, e_hi = self.first[lo], self.first[hi]
         w_lo = self.ends[e_lo]
         wedges = int(self.ends[e_hi] - w_lo)
-        gather = np.repeat(self.shift[e_lo:e_hi], self._lengths(e_lo, e_hi))
+        lengths = self._lengths(e_lo, e_hi)
+        gather = np.repeat(self.shift[e_lo:e_hi], lengths)
         gather += np.arange(w_lo, w_lo + wedges, dtype=INDEX_DTYPE)
         keys = self.adj[gather]
         del gather
-        if hi - lo > 1:  # a lone top's keys are its endpoints
-            base = np.arange(0, (hi - lo) * hi, hi, dtype=INDEX_DTYPE)
+        base = np.arange(0, (hi - lo) * hi, hi, dtype=INDEX_DTYPE)
+        if bits:  # each run's packed (top, centre) base, one repeat
+            keys <<= bits
+            base <<= bits
+            runs = np.repeat(base, np.diff(self.first[lo : hi + 1]))
+            runs |= self.centre[e_lo:e_hi]
+            keys += np.repeat(runs, lengths)
+        elif hi - lo > 1:  # a lone top's keys are its endpoints
             keys += np.repeat(base, self.work[lo:hi])
         if obs._enabled:
             obs.inc("priority.wedges", wedges)
@@ -221,8 +246,8 @@ def count_butterflies_priority(graph) -> int:
     return total
 
 
-#: Largest packed (owner, endpoint, centre) key the per-vertex reduction
-#: sorts directly; a panel whose key space is wider sorts by argsort
+#: Largest packed (pair, centre) key the per-vertex reduction sorts
+#: directly; a panel whose packed keys would pass it sorts by argsort
 #: instead.  Read at call time, so a test can force that path.
 _PACKED_KEY_LIMIT: int = int(np.iinfo(COUNT_DTYPE).max)
 
@@ -233,43 +258,78 @@ def _credit_panel(credit, wedges: _RankedWedges, lo: int, hi: int) -> None:
     Each (top u, endpoint w) pair of multiplicity k closes C(k, 2)
     butterflies, all holding u and w, and each of its k wedge centres sits
     in k − 1 of them.  All sums are int64.  A key space of at most half
-    the wedges (or 2^16 keys) is histogrammed densely, with no sort;
-    otherwise the keys are sorted with their centres packed below them.
+    the wedges (or 2^16 keys) is histogrammed densely, with no sort.
     Half beat both 4x and 1x the wedges on the e2e shapes (2-vCPU x86-64
     host): the dense path also pays C(k, 2) and two sums over the whole
-    key space.
+    key space.  Its centre credits are summed per run (one centre each)
+    and scattered once per run, not once per wedge.
+
+    Otherwise each wedge is packed as ``pair << b | centre``, with ``b``
+    the bit length of ``hi`` (every centre lies below its top), and the
+    keys are sorted in place; past :data:`_PACKED_KEY_LIMIT` the pair keys
+    are argsorted with their centres instead.  A pair of multiplicity 1
+    credits nothing, so only the wedges whose pair repeats a sorted
+    neighbour's are kept and unpacked: 12–49% of the sorted wedges on the
+    seed-0 e2e shapes.
     """
-    keys = wedges.keys(lo, hi)
-    centres = wedges.centres(lo, hi)
-    n_pivots, n_wedges = hi - lo, keys.size
+    n_pivots, n_wedges = hi - lo, int(wedges.work[lo:hi].sum(dtype=COUNT_DTYPE))
     keyspace = n_pivots * hi
     dense_cap = min(kernels.DEFAULT_KEYSPACE_CAP, max(n_wedges // 2, 1 << 16))
     if keyspace <= dense_cap:
+        keys = wedges.keys(lo, hi)
         mult = np.bincount(keys, minlength=keyspace)
         per_wedge = mult[keys]
+        del keys
         pairs = choose2(mult).reshape(n_pivots, hi)
         credit[lo:hi] += pairs.sum(axis=1)
         credit[:hi] += pairs.sum(axis=0)
+        per_wedge -= 1
+        # unsorted, the wedges still come in runs of one centre: sum each
+        # run, then scatter once per run
+        e_lo, e_hi = wedges.first[lo], wedges.first[hi]
+        busy = wedges._lengths(e_lo, e_hi) > 0
+        starts = wedges.ends[e_lo:e_hi][busy] - wedges.ends[e_lo]
+        run_sums = np.add.reduceat(per_wedge, starts)
+        np.add.at(credit, wedges.centre[e_lo:e_hi][busy], run_sums)
+        return
+    bits = hi.bit_length()  # every centre lies below hi
+    packed = keyspace << bits <= _PACKED_KEY_LIMIT
+    if packed:
+        keys = wedges.keys(lo, hi, bits)
+        keys.sort()
+        pair_of = keys >> bits
+        repeats = pair_of[1:] == pair_of[:-1]
+        del pair_of
     else:
-        if keyspace * hi <= _PACKED_KEY_LIMIT:
-            keys *= hi
-            keys += centres
-            keys.sort()
-            keys, centres = np.divmod(keys, hi)
-        else:
-            order = np.argsort(keys)
-            keys, centres = keys[order], centres[order]
-            del order
-        group_start = run_starts(keys)
-        mult = np.diff(np.append(group_start, n_wedges))
-        pair_keys = keys[group_start]
-        pairs = choose2(mult)
-        np.add.at(credit, lo + pair_keys // hi, pairs)
-        np.add.at(credit, pair_keys % hi, pairs)
-        del keys
-        per_wedge = np.repeat(mult, mult)
-    per_wedge -= 1
-    np.add.at(credit, centres, per_wedge)
+        keys, centres = wedges.keys(lo, hi), wedges.centres(lo, hi)
+        order = np.argsort(keys)
+        keys, centres = keys[order], centres[order]
+        del order
+        repeats = keys[1:] == keys[:-1]
+    # a pair seen once credits nothing: keep the wedges whose pair
+    # matches a sorted neighbour's
+    keep = np.zeros(n_wedges, dtype=bool)
+    keep[1:] = repeats
+    keep[:-1] |= repeats
+    del repeats
+    keys = keys.compress(keep)
+    if keys.size == 0:
+        return
+    if packed:
+        centres = keys & ((1 << bits) - 1)
+        keys >>= bits
+    else:
+        centres = centres.compress(keep)
+    del keep
+    group_start = run_starts(keys)
+    mult = np.diff(np.append(group_start, keys.size))
+    top, end = np.divmod(keys[group_start], hi)
+    del keys, group_start
+    pairs = choose2(mult)
+    top += lo
+    np.add.at(credit, top, pairs)
+    np.add.at(credit, end, pairs)
+    np.add.at(credit, centres, np.repeat(mult - 1, mult))
 
 
 def vertex_butterfly_counts_priority(graph) -> tuple[np.ndarray, np.ndarray]:

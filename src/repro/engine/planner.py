@@ -74,10 +74,15 @@ DEFAULT_MAX_WORKERS = 6
 DEFAULT_PLAN_BLOCK_BUDGET: int = 1 << 18
 
 #: A per-vertex pass costs this many passes of its count kernel: the
-#: reduction scatters into per-vertex totals instead of summing.  Measured
-#: on the seven e2e shapes at seed 0 (2-vCPU x86-64 host): 1.4–1.8× for
-#: the priority kernel, which also credits wedge centres.
-_VERTEX_PASS_COST = 1.7
+#: reduction scatters into per-vertex totals instead of summing, and also
+#: credits wedge centres.  Measured on the seven e2e shapes at seed 0
+#: (2-vCPU x86-64 host, median of 21 interleaved calls each, two runs):
+#: 1.08–1.55× the priority count; ~1.1× on the three small shapes, whose
+#: sorted panels credit only the few repeated pairs, and 1.33–1.55× on
+#: occupations, github, dense and skewed (the stream shape).  The
+#: constant follows the large shapes, where an estimate's error costs
+#: the most.
+_VERTEX_PASS_COST = 1.5
 
 #: A tip peel over a pair table costs this many priority wedges per
 #: table entry: each peeled row's entries are gathered and subtracted

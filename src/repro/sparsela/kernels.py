@@ -220,11 +220,15 @@ def _panel_reduction(n_pivots: int, n: int, n_items: int) -> str:
     per owner segment, scatter the endpoints into a length-``n`` dense
     accumulator, reduce with Σ C(y,2) = (Σy² − Σy)/2 and zero the touched
     entries.  Its interpreter loop costs ~µs per owner, so it takes only
-    panels the histogram does not, with at least 64 wedges per owner.
+    panels the histogram does not, with at least 256 wedges per owner.
+    On the Fig. 9 stand-ins' ``blocked`` and serial ``wedge`` panels the
+    keyed sort won by up to 42% at 76–184 wedges per owner, read −23% to
+    +10% against ``scratch`` at 263–325, and lost by up to 48% at 500–790
+    (EXPERIMENTS.md).
     """
     if _histogram_pays(n_pivots * n, n_items):
         return "bincount"
-    return "sort" if n_items < 64 * n_pivots else "scratch"
+    return "sort" if n_items < 256 * n_pivots else "scratch"
 
 
 def _record_panel_reduction(chosen: str, *arrays: np.ndarray) -> None:

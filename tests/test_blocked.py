@@ -148,7 +148,7 @@ def _branch_graph(branch, medium_graph, monkeypatch):
     """A graph whose panels drive the reduction kernel into ``branch``.
 
     ``medium_graph``'s panels fit the key-space cap (``bincount``); with
-    the cap at 0, a sparse graph stays under 64 wedges per pivot
+    the cap at 0, a sparse graph stays under 256 wedges per pivot
     (``sort``) and a dense one goes over (``scratch``).  ``auto`` is the
     unpatched kernel on ``medium_graph``.
     """
@@ -157,7 +157,7 @@ def _branch_graph(branch, medium_graph, monkeypatch):
     monkeypatch.setattr(kernels, "DEFAULT_KEYSPACE_CAP", 0)
     if branch == "sort":
         return power_law_bipartite(300, 300, 900, seed=11)
-    return erdos_renyi_bipartite(40, 50, 0.5, seed=7)
+    return erdos_renyi_bipartite(80, 100, 0.5, seed=7)
 
 
 @pytest.mark.parametrize("branch", ["auto", "sort", "bincount", "scratch"])

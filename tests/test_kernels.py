@@ -153,12 +153,13 @@ def _force_branch(branch, monkeypatch, n_pivots):
     """Wedge count that drives the panel kernel into ``branch``.
 
     A key space within ``DEFAULT_KEYSPACE_CAP`` picks ``bincount``; with
-    the cap at 0, fewer than 64 wedges per owner pick ``sort`` and more
-    pick ``scratch``.  ``auto`` leaves the kernel its own choice.
+    the cap at 0, fewer than 256 wedges per owner pick ``sort`` and
+    256 or more pick ``scratch``.  ``auto`` leaves the kernel its own
+    choice.
     """
     if branch in ("sort", "scratch"):
         monkeypatch.setattr(kernels, "DEFAULT_KEYSPACE_CAP", 0)
-    return {"sort": 8, "scratch": 100}.get(branch, 40) * n_pivots
+    return {"sort": 8, "scratch": 300}.get(branch, 40) * n_pivots
 
 
 def _fired(metrics):
@@ -211,8 +212,8 @@ def test_panel_choose2_owner_with_no_wedges(monkeypatch):
     from repro.sparsela import panel_choose2_per_owner
 
     # owners 0 and 3 have wedges, 1 and 2 do not; each wedge repeated
-    # ``reps`` times so the scratch branch sees >= 64 wedges per owner
-    for branch, reps in (("bincount", 1), ("sort", 1), ("scratch", 100)):
+    # ``reps`` times so the scratch branch sees >= 256 wedges per owner
+    for branch, reps in (("bincount", 1), ("sort", 1), ("scratch", 256)):
         if branch != "bincount":
             monkeypatch.setattr(kernels, "DEFAULT_KEYSPACE_CAP", 0)
         owners = np.repeat([0, 0, 3, 3, 3], reps)
@@ -230,10 +231,10 @@ def test_panel_choose2_scratch_buffer_reuse_and_rezero(monkeypatch):
     monkeypatch.setattr(kernels, "DEFAULT_KEYSPACE_CAP", 0)
     n = 12
     scratch = np.zeros(n, dtype=np.int64)
-    # owner 0 meets endpoint 3 200 times, owner 1 meets endpoint 7 300 times
-    owners = np.repeat([0, 1], [200, 300])
-    endpoints = np.repeat([3, 7], [200, 300])
-    expected = 200 * 199 // 2 + 300 * 299 // 2
+    # owner 0 meets endpoint 3 300 times, owner 1 meets endpoint 7 400 times
+    owners = np.repeat([0, 1], [300, 400])
+    endpoints = np.repeat([3, 7], [300, 400])
+    expected = 300 * 299 // 2 + 400 * 399 // 2
     with obs.capture() as metrics:
         got = panel_choose2_sum(owners, endpoints, 2, n, scratch=scratch)
     assert _fired(metrics) == {"scratch"}
@@ -253,6 +254,9 @@ def test_panel_auto_dispatch_respects_keyspace_cap(monkeypatch):
     assert _panel_reduction(10**4, 10**4, 5000) == "sort"
     # key space beyond the cap, dense owner segments -> scratch discipline
     assert _panel_reduction(10**4, 10**4, 10**7) == "scratch"
+    # the crossover: 256 wedges per owner
+    assert _panel_reduction(10**4, 10**4, 256 * 10**4 - 1) == "sort"
+    assert _panel_reduction(10**4, 10**4, 256 * 10**4) == "scratch"
     # the cap is read at call time, not bound at definition
     monkeypatch.setattr(kernels, "DEFAULT_KEYSPACE_CAP", 0)
     assert _panel_reduction(4, 100, 5000) == "scratch"
@@ -267,7 +271,7 @@ def test_panel_choose2_large_multiplicity_exact(monkeypatch):
     endpoints = np.zeros(m, dtype=np.int64)
     expected = m * (m - 1) // 2
     # one owner -> bincount (tiny key space), then scratch once the cap is
-    # 0; enough empty owners to fall under 64 wedges each -> sort
+    # 0; enough empty owners to fall under 256 wedges each -> sort
     for branch, n_pivots in (("bincount", 1), ("scratch", 1), ("sort", m)):
         if branch != "bincount":
             monkeypatch.setattr(kernels, "DEFAULT_KEYSPACE_CAP", 0)

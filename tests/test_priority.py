@@ -37,6 +37,7 @@ from repro.graphs import (
     power_law_bipartite,
 )
 from repro.reference import k_tip_reference
+from repro.sparsela import kernels
 from tests.conftest import random_graph_corpus, tiny_named_graphs
 
 DEFAULTS = CalibrationTable()
@@ -279,6 +280,126 @@ def test_vertex_kernel_expands_the_modeled_wedges(name):
     with obs.capture() as metrics:
         vertex_butterfly_counts_priority(g)
     assert metrics.value("priority.wedges") == priority_wedge_work(g)
+
+
+def _force_reduction(monkeypatch, branch):
+    """Send every panel of ``vertex_butterfly_counts_priority`` to ``branch``.
+
+    The small graphs below fit the dense histogram by default.  With
+    ``DEFAULT_KEYSPACE_CAP`` at 0 each panel is sorted instead: shift
+    packed under the default ``_PACKED_KEY_LIMIT``, argsorted with it at
+    0.  ``per-top`` sorts with ``PRIORITY_PANEL_BUDGET`` at 1, so every top
+    gets its own panel and some panels hold repeated pairs, others none.
+    """
+    if branch != "histogram":
+        monkeypatch.setattr(kernels, "DEFAULT_KEYSPACE_CAP", 0)
+    if branch == "argsort":
+        monkeypatch.setattr(priority, "_PACKED_KEY_LIMIT", 0)
+    if branch == "per-top":
+        monkeypatch.setattr(priority, "PRIORITY_PANEL_BUDGET", 1)
+
+
+def _repeats_per_panel(g) -> list[bool]:
+    """Whether each panel of ``g`` holds some (top, endpoint) pair twice."""
+    wedges = priority._RankedWedges(g, *priority_ranks(g))
+    return [
+        bool(np.unique(wedges.keys(lo, hi), return_counts=True)[1].max() > 1)
+        for lo, hi in wedges.panels()
+    ]
+
+
+def _assert_vertex_counts_match(g) -> None:
+    left, right = vertex_butterfly_counts_priority(g)
+    np.testing.assert_array_equal(left, vertex_butterfly_counts(g, "left"))
+    np.testing.assert_array_equal(right, vertex_butterfly_counts(g, "right"))
+
+
+@pytest.mark.parametrize("branch", ["histogram", "packed", "argsort", "per-top"])
+@given(dense=tie_heavy_graphs())
+@settings(max_examples=80, deadline=None)
+def test_vertex_counts_match_on_every_reduction_branch(branch, dense):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _force_reduction(monkeypatch, branch)
+        _assert_vertex_counts_match(_graph(dense))
+
+
+@st.composite
+def star_forests(draw) -> np.ndarray:
+    """0/1 matrices with at most one 1 per column, either way round."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    dense = np.zeros((m, n), dtype=int)
+    for j in range(n):
+        i = draw(st.integers(-1, m - 1))
+        if i >= 0:
+            dense[i, j] = 1
+    return dense if draw(st.booleans()) else dense.T
+
+
+@pytest.mark.parametrize("branch", ["packed", "argsort"])
+@given(dense=star_forests())
+@settings(max_examples=60, deadline=None)
+def test_vertex_counts_on_panels_with_no_repeated_pair(branch, dense):
+    g = _graph(dense)
+    assert not any(_repeats_per_panel(g))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _force_reduction(monkeypatch, branch)
+        left, right = vertex_butterfly_counts_priority(g)
+    assert (left.size, right.size) == dense.shape
+    assert not left.any() and not right.any()
+
+
+@pytest.mark.parametrize("branch", ["packed", "argsort"])
+def test_per_top_panels_with_and_without_repeats(monkeypatch, branch):
+    _force_reduction(monkeypatch, "per-top")
+    _force_reduction(monkeypatch, branch)
+    g = SHAPES["planted"]
+    assert {True, False} <= set(_repeats_per_panel(g))
+    _assert_vertex_counts_match(g)
+
+
+def _ranked_wedges_by_argsort(g):
+    """``_RankedWedges``' five arrays by the formula it used to build them:
+    a lexsort for the adjacency, then an argsort of the lower entries'
+    (centre, top) keys to line them up with their upper twins."""
+    rank_l, rank_r = priority_ranks(g)
+    n_all = g.n_left + g.n_right
+    a = rank_l[g.csr.expand_major()]
+    b = rank_r[g.csr.panel_indices(0, g.n_left)]
+    owner, nbr = np.concatenate([a, b]), np.concatenate([b, a])
+    order = np.lexsort((nbr, owner))
+    owner, adj = owner[order], nbr[order]
+    offsets = np.zeros(n_all + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n_all), out=offsets[1:])
+    is_lower = adj < owner
+    top, centre = owner[is_lower], adj[is_lower]
+    first = np.zeros(n_all + 1, dtype=np.int64)
+    np.cumsum(np.bincount(top, minlength=n_all), out=first[1:])
+    twin = np.empty(centre.size, dtype=np.int64)
+    twin[np.argsort(centre * n_all + top)] = np.flatnonzero(~is_lower)
+    shift = offsets[centre]
+    ends = np.zeros(centre.size + 1, dtype=np.int64)
+    np.cumsum(twin - shift, out=ends[1:])
+    return adj, centre, shift - ends[:-1], ends, first
+
+
+def _assert_same_ranked_wedges(g) -> None:
+    wedges = priority._RankedWedges(g, *priority_ranks(g))
+    built = (wedges.adj, wedges.centre, wedges.shift, wedges.ends, wedges.first)
+    for mine, oracle in zip(built, _ranked_wedges_by_argsort(g)):
+        assert mine.dtype == np.int64
+        np.testing.assert_array_equal(mine, oracle)
+
+
+@pytest.mark.parametrize("name", sorted(set(CORPUS) - {"empty"}))
+def test_ranked_wedges_match_the_argsort_build(name):
+    _assert_same_ranked_wedges(CORPUS[name])
+    _assert_same_ranked_wedges(CORPUS[name].swap_sides())
+
+
+@given(dense=tie_heavy_graphs())
+@settings(max_examples=80, deadline=None)
+def test_ranked_wedges_match_the_argsort_build_on_ties(dense):
+    _assert_same_ranked_wedges(_graph(dense))
 
 
 # ----------------------------------------------------------------------
