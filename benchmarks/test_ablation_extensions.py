@@ -10,9 +10,7 @@ paper's core:
   reference) vs the in-process bucket round loop (same output, different
   scheduling);
 - **dynamic maintenance**: a batch of edge updates via the incremental
-  counter vs recounting after every update;
-- **GraphBLAS pipeline**: the 4-operation semiring form vs the loop
-  family (the interpretive overhead of generality, measured).
+  counter vs recounting after every update.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_cell
-from repro.baselines import count_butterflies_graphblas
 from repro.bench import Sweep, TimedResult
 from repro.core import (
     DynamicButterflyCounter,
@@ -122,14 +119,4 @@ def test_dynamic_single_update_cost(benchmark):
         return dc.count
 
     value = benchmark.pedantic(one_update, rounds=5, iterations=20)
-    assert value == count_butterflies(g)
-
-
-# ---------------------------------------------------------- graphblas
-def test_graphblas_pipeline(benchmark):
-    g = load_dataset("arxiv")
-    value = run_cell(
-        benchmark, lambda: count_butterflies_graphblas(g), experiment="ablE",
-        variant="graphblas",
-    )
     assert value == count_butterflies(g)

@@ -1,10 +1,11 @@
 """Ablation D — the family against the external baselines.
 
-Positions the derived family against the algorithms the paper cites:
-vertex-priority counting (ref [15]), degree-ordered side counting
-(refs [3]/[12] — also the family's named future-work optimisation), the
-scipy sparse-product route and Wang et al.'s space-efficient counter.
-Every cell is exact.
+Positions the kernel the program runs against the algorithms the paper
+cites: ``family(auto)`` is the vertex-priority kernel (ref [15]) that the
+planner's auto rule picks, against degree-ordered side counting (refs
+[3]/[12] — also the family's named future-work optimisation), the scipy
+sparse-product route and Wang et al.'s space-efficient counter.  Every
+cell is exact.
 """
 
 from __future__ import annotations
@@ -15,18 +16,16 @@ from benchmarks.conftest import run_cell
 from repro.baselines import (
     count_butterflies_degree_ordered,
     count_butterflies_scipy,
-    count_butterflies_vertex_priority,
     count_butterflies_wang_space_efficient,
 )
 from repro.bench import Sweep, TimedResult
-from repro.core import count_butterflies
+from repro.core import count_butterflies_priority
 from repro.graphs import load_dataset
 
 SWEEP = Sweep(title="ablD: family vs baselines on occupations stand-in, seconds")
 
 EXACT_COUNTERS = {
-    "family(auto)": lambda g: count_butterflies(g),
-    "vertex-priority": count_butterflies_vertex_priority,
+    "family(auto)": count_butterflies_priority,
     "degree-ordered": count_butterflies_degree_ordered,
     "scipy-spgemm": count_butterflies_scipy,
     "wang2014-space": count_butterflies_wang_space_efficient,

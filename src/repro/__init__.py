@@ -30,7 +30,7 @@ Package map:
 - :mod:`repro.graphs`    — graph container, generators, KONECT I/O, the
   synthetic Fig. 9 dataset stand-ins.
 - :mod:`repro.baselines` — independent oracles (brute force, scipy,
-  vertex-priority, degree-ordered).
+  Wang et al.'s baselines, degree-ordered).
 - :mod:`repro.metrics`   — butterfly-derived clustering metrics.
 - :mod:`repro.bench`     — the harness behind the ``benchmarks/`` suite.
 """
@@ -44,7 +44,6 @@ _LAZY = {
     "DynamicButterflyCounter": "repro.core",
     "Invariant": "repro.core",
     "StreamingButterflyCounter": "repro.core",
-    "iter_butterflies": "repro.core",
     "Reference": "repro.core",
     "Side": "repro.core",
     "Traversal": "repro.core",
@@ -104,7 +103,6 @@ __all__ = [
     "wing_numbers",
     "DynamicButterflyCounter",
     "StreamingButterflyCounter",
-    "iter_butterflies",
     # graphs
     "BipartiteGraph",
     "erdos_renyi_bipartite",

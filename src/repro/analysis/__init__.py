@@ -36,6 +36,7 @@ RPR004    engine-plan purity (no plan mutation / inline member selection)
 RPR006    exception discipline (no bare/broad/swallowed handlers)
 RPR009    resource lifecycle (shm/file release on every path)
 RPR012    public-API surface drift (``__all__`` vs ``docs/api.md``)
+RPR013    module-level import the module never references
 ========  ==============================================================
 
 Per-line suppression: ``# repro: noqa[RPR006] <justification>``; a

@@ -10,6 +10,7 @@ RPR002  integer reductions without an explicit ``COUNT_DTYPE`` dtype
 RPR003  observability hygiene (span usage, metric names, disabled-path cost)
 RPR004  engine-plan purity (no plan mutation / inline member selection)
 RPR006  exception discipline (no bare/broad/swallowed handlers)
+RPR013  module-level imports the module never references
 
 Interprocedural rules (pass 2, over the whole-program model built by
 ``analysis/model.py`` — see docs/analysis.md §"whole-program pass"):
@@ -71,6 +72,7 @@ _NARROW_DTYPE_ATTRS = frozenset({"int8", "int16", "int32", "intc", "uint8", "uin
 
 _METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
 _METRIC_PREFIX_RE = re.compile(r"^[a-z][a-z0-9_]*\.")
+_IDENTIFIER_RE = re.compile(r"[A-Za-z_]\w*")
 
 
 class Rule:
@@ -749,6 +751,69 @@ class ExceptionDisciplineRule(Rule):
 
 
 # ----------------------------------------------------------------------
+# RPR013 — unused imports
+# ----------------------------------------------------------------------
+
+class UnusedImportRule(Rule):
+    """A module-level import the module never references (ruff's F401).
+
+    A package ``__init__.py`` re-exports by importing, a name listed in
+    ``__all__`` is used by whoever star-imports it, and ``from __future__``
+    binds no name, so none of them is reported.  A name inside a quoted
+    annotation (``model: "ProjectModel"``) counts as a use.
+    """
+
+    id = "RPR013"
+    title = "unused import"
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if ctx.is_package:
+            return
+        used = self._all_names(ctx.tree)
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            for note in self._annotations(node):
+                if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                    used.update(_IDENTIFIER_RE.findall(note.value))
+        for stmt in ctx.tree.body:
+            if isinstance(stmt, ast.Import):
+                bound = [(a.asname or a.name.split(".")[0], a.name)
+                         for a in stmt.names]
+            elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+                bound = [(a.asname or a.name, a.name)
+                         for a in stmt.names if a.name != "*"]
+            else:
+                continue
+            for name, imported in bound:
+                if name not in used:
+                    yield self.finding(
+                        ctx, stmt,
+                        f"'{imported}' imported but never used; delete the "
+                        "import or list the name in __all__",
+                    )
+
+    @staticmethod
+    def _annotations(node: ast.AST) -> list:
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            return [node.annotation]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return [node.returns]
+        return []
+
+    @staticmethod
+    def _all_names(tree: ast.Module) -> set[str]:
+        for stmt in tree.body:
+            if (isinstance(stmt, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in stmt.targets)
+                    and isinstance(stmt.value, (ast.List, ast.Tuple))):
+                return {e.value for e in stmt.value.elts
+                        if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+        return set()
+
+
+# ----------------------------------------------------------------------
 # interprocedural rules (RPR009, RPR012) — pass 2 over the project model
 # ----------------------------------------------------------------------
 
@@ -912,6 +977,7 @@ RULES: tuple[Rule, ...] = (
     ExceptionDisciplineRule(),
     ResourceLifecycleRule(),
     ApiSurfaceDriftRule(),
+    UnusedImportRule(),
 )
 
 ALL_RULE_IDS: tuple[str, ...] = tuple(r.id for r in RULES)

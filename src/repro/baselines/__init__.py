@@ -9,13 +9,9 @@ _LAZY = {
     "enumerate_butterflies": "repro.baselines.bruteforce",
     "vertex_counts_bruteforce": "repro.baselines.bruteforce",
     "count_butterflies_degree_ordered": "repro.baselines.chiba_nishizeki",
-    "count_butterflies_graphblas": "repro.baselines.graphblas_style",
-    "wedge_matrix_graphblas": "repro.baselines.graphblas_style",
     "count_butterflies_scipy": "repro.baselines.scipy_reference",
     "vertex_counts_scipy": "repro.baselines.scipy_reference",
     "wedge_matrix_scipy": "repro.baselines.scipy_reference",
-    "count_butterflies_vertex_priority": "repro.baselines.vertex_priority",
-    "priority_ranks": "repro.baselines.vertex_priority",
     "PartitionedCountResult": "repro.baselines.wang2014",
     "count_butterflies_wang_baseline": "repro.baselines.wang2014",
     "count_butterflies_wang_partitioned": "repro.baselines.wang2014",
@@ -32,11 +28,7 @@ __all__ = [
     "count_butterflies_scipy",
     "vertex_counts_scipy",
     "wedge_matrix_scipy",
-    "count_butterflies_vertex_priority",
-    "priority_ranks",
     "count_butterflies_degree_ordered",
-    "count_butterflies_graphblas",
-    "wedge_matrix_graphblas",
     "count_butterflies_wang_baseline",
     "count_butterflies_wang_space_efficient",
     "count_butterflies_wang_partitioned",

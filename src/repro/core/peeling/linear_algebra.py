@@ -3,55 +3,56 @@
 Section IV's point is that the peeling algorithms fall out of the *same
 formulation* as counting.  The fast implementations in :mod:`tip` and
 :mod:`wing` compile that formulation down to wedge kernels; this module
-keeps it in matrix form and executes it on the
-:mod:`repro.sparsela.semiring` layer, so each fixpoint round is literally
-the paper's equations:
+keeps it in matrix form and executes it with ``scipy.sparse`` products,
+so each fixpoint round is literally the paper's equations:
 
 k-tip round (eqs. 19–21):
 
-    B  = A plus_pair.mxm Aᵀ               # wedge matrix
+    B  = A·Aᵀ                             # wedge matrix
     s  = rowreduce( C(offdiag(B), 2) )    # per-vertex butterflies
     m  = s ≥ k                            # vertex mask
     A' = m-masked rows of A               # eq. (22)
 
 k-wing round (eqs. 25–27):
 
-    B   = A plus_pair.mxm Aᵀ
-    S_w = (B mxm A  −  diag(B)·1ᵀ  −  1·diag(AᵀA)ᵀ + J) ∘ A
-        —— computed with A itself as the *output mask* of the mxm, the
-        masked-SpGEMM idiom that makes the ∘A free
+    B   = A·Aᵀ
+    S_w = (B·A  −  diag(B)·1ᵀ  −  1·diag(AᵀA)ᵀ + J) ∘ A
     M   = S_w ≥ k
     A'  = A ∘ M
 
-Identical fixpoints to the fast versions (asserted in tests); the
-per-round cost is a full Gram product, so this is the readable/medium-size
-form, not the production one.
+scipy shares no kernel code with :mod:`repro.sparsela`, so these stay an
+independent reference: identical fixpoints to the fast versions (asserted
+in tests).  The per-round cost is a full Gram product, so this is the
+readable/medium-size form, not the production one.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro._types import COUNT_DTYPE
 from repro.core.peeling.tip import TipResult
 from repro.core.peeling.wing import WingResult
 from repro.graphs.bipartite import BipartiteGraph
-from repro.sparsela import PatternCSR
-from repro.sparsela.semiring import PLUS_PAIR, ValuedCSR, gram, mxm
 
 __all__ = ["k_tip_linear_algebra", "k_wing_linear_algebra"]
 
 
-def _vertex_vector_from_gram(b: ValuedCSR) -> np.ndarray:
-    """s_i = Σ_{j≠i} C(B_ij, 2): row-reduce the off-diagonal C(·,2) of B."""
-    n = b.shape[0]
-    row_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(b.indptr))
-    off = row_ids != b.indices
-    vals = b.values[off].astype(COUNT_DTYPE)
-    contrib = (vals * (vals - 1)) // 2
-    s = np.zeros(n, dtype=COUNT_DTYPE)
-    np.add.at(s, row_ids[off], contrib)
-    return s
+def _scipy_pattern(graph: BipartiteGraph) -> sp.csr_matrix:
+    """A as an int64 scipy CSR sharing the graph's sorted entry order."""
+    csr = graph.csr
+    data = np.ones(csr.nnz, dtype=COUNT_DTYPE)
+    return sp.csr_matrix((data, csr.indices, csr.indptr), shape=graph.shape)
+
+
+def _vertex_vector(a: sp.csr_matrix) -> np.ndarray:
+    """s_i = Σ_{j≠i} C(B_ij, 2) with B = A·Aᵀ (B_ii = deg_i)."""
+    b = (a @ a.T).tocsr()
+    b.data = (b.data * (b.data - 1)) // 2
+    deg = np.diff(a.indptr).astype(COUNT_DTYPE)
+    rows = np.asarray(b.sum(axis=1, dtype=COUNT_DTYPE)).ravel()
+    return rows - deg * (deg - 1) // 2
 
 
 def k_tip_linear_algebra(
@@ -76,8 +77,7 @@ def k_tip_linear_algebra(
     rounds = 0
     while True:
         rounds += 1
-        b = gram(current.csr, semiring=PLUS_PAIR)
-        s = _vertex_vector_from_gram(b)
+        s = _vertex_vector(_scipy_pattern(current))
         offenders = kept & (s < k)  # eq. (20): m = s >= k
         if not offenders.any():
             break
@@ -88,32 +88,23 @@ def k_tip_linear_algebra(
         if not kept.any():
             break
     if k > 0:
-        s = _vertex_vector_from_gram(gram(current.csr, semiring=PLUS_PAIR))
-        kept = kept & (s >= k)
+        kept = kept & (_vertex_vector(_scipy_pattern(current)) >= k)
     return TipResult(subgraph=current, kept=kept, rounds=rounds, k=k, side="left")
 
 
-def _edge_support_matrix(a_csr: PatternCSR) -> ValuedCSR:
-    """S_w of eq. (25) with A as the output mask of the inner product.
+def _edge_support(a: sp.csr_matrix) -> np.ndarray:
+    """S_w of eq. (25) at A's entries, in A's (sorted) entry order.
 
-    S_w = (B·A − diag(B)·1ᵀ − 1·diag(AᵀA)ᵀ + J) ∘ A with B = A·Aᵀ; the
-    Hadamard-∘A is realised by passing A as the mxm mask, so only the m·n
-    positions that can survive are ever computed.
+    S_w = (B·A − diag(B)·1ᵀ − 1·diag(AᵀA)ᵀ + J) ∘ A with B = A·Aᵀ.  Every
+    entry of A has (B·A)_ij ≥ B_ii ≥ 1, so the Hadamard product keeps A's
+    pattern exactly.
     """
-    b = gram(a_csr, semiring=PLUS_PAIR)
-    core = mxm(b, a_csr, mask=a_csr)  # (A·Aᵀ·A) ∘ A, via output masking
-    deg_left = a_csr.row_degrees()  # diag(A·Aᵀ)
-    deg_right = a_csr.col_degrees()  # diag(Aᵀ·A)
-    row_ids = np.repeat(
-        np.arange(core.shape[0], dtype=np.int64), np.diff(core.indptr)
-    )
-    values = (
-        core.values
-        - deg_left[row_ids]
-        - deg_right[core.indices]
-        + 1  # the J term, restricted to the mask
-    )
-    return ValuedCSR(core.indptr, core.indices, values, core.shape)
+    core = (a @ a.T @ a).multiply(a).tocsr()
+    core.sort_indices()
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    deg_left = np.diff(a.indptr)  # diag(A·Aᵀ)
+    deg_right = np.bincount(a.indices, minlength=a.shape[1])  # diag(Aᵀ·A)
+    return core.data - deg_left[rows] - deg_right[a.indices] + 1  # + J ∘ A
 
 
 def k_wing_linear_algebra(graph: BipartiteGraph, k: int) -> WingResult:
@@ -124,9 +115,7 @@ def k_wing_linear_algebra(graph: BipartiteGraph, k: int) -> WingResult:
     rounds = 0
     while current.n_edges:
         rounds += 1
-        sw = _edge_support_matrix(current.csr)
-        # the mxm mask guarantees sw's pattern equals current.csr's pattern
-        keep = sw.values >= k  # eq. (26)
+        keep = _edge_support(_scipy_pattern(current)) >= k  # eq. (26)
         if keep.all():
             break
         current = BipartiteGraph.from_csr(current.csr.mask_entries(keep))

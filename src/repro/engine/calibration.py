@@ -29,6 +29,7 @@ Coefficients
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -68,14 +69,21 @@ DEFAULT_COEFFICIENTS: dict = {
 }
 
 
-def _merge(defaults: dict, override: dict) -> dict:
-    """``override`` over ``defaults``, keeping only the defaults' keys."""
+def _merge(defaults: dict, override) -> dict:
+    """``override`` over ``defaults``, keeping only the defaults' keys and
+    only the overrides of their shape: a finite number for a number."""
+    if not isinstance(override, dict):
+        override = {}
     out = {}
     for key, value in defaults.items():
+        given = override.get(key)
         if isinstance(value, dict):
-            out[key] = _merge(value, override.get(key, {}) or {})
+            out[key] = _merge(value, given)
+        elif (isinstance(given, (int, float)) and not isinstance(given, bool)
+              and math.isfinite(given)):
+            out[key] = given
         else:
-            out[key] = override.get(key, value)
+            out[key] = value
     return out
 
 
@@ -134,10 +142,11 @@ def save_calibration(table: CalibrationTable, path: str | None = None) -> str:
 def load_calibration(path: str | None = None) -> CalibrationTable:
     """Load the persisted table, merged over defaults.
 
-    Missing file, unreadable JSON, or partial coefficient sets all
-    degrade gracefully to the shipped defaults — an uncalibrated machine
-    must still plan sanely.  Keys the table no longer has (a file from
-    an older release) are dropped.
+    Missing file, unreadable or wrongly shaped JSON, partial coefficient
+    sets and coefficients that are not finite numbers (NaN, inf, a
+    string) all degrade gracefully to the shipped defaults — an
+    uncalibrated machine must still plan sanely.  Keys the table no
+    longer has (a file from an older release) are dropped.
     """
     path = path or os.environ.get("REPRO_CALIBRATION", DEFAULT_CALIBRATION_PATH)
     try:
@@ -145,7 +154,9 @@ def load_calibration(path: str | None = None) -> CalibrationTable:
             payload = json.load(fh)
     except (OSError, ValueError):
         return CalibrationTable()
-    coeffs = _merge(DEFAULT_COEFFICIENTS, payload.get("coefficients", {}) or {})
+    if not isinstance(payload, dict):
+        return CalibrationTable()
+    coeffs = _merge(DEFAULT_COEFFICIENTS, payload.get("coefficients"))
     return CalibrationTable(
         coefficients=coeffs,
         source=str(path),
@@ -184,8 +195,11 @@ def calibrate(
 
     Each pair comes from two measurements that weight its two terms
     differently, solved exactly in the model; ``repeats`` best-of timing
-    keeps scheduler noise out.
+    keeps scheduler noise out.  ``repeats`` below 1 is a ``ValueError``:
+    no timing would leave every coefficient NaN.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     import numpy as np  # deferred: keeps import cost off the fast path
 
     from repro.core.priority import count_butterflies_priority, priority_wedge_work

@@ -252,6 +252,8 @@ def calibrate_if_drifted(
     """
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     report = drift_report(path)
     median = report["median_rel_error"]
     if median is None or median <= threshold:

@@ -13,8 +13,9 @@ formats and kernels the paper's algorithm family needs:
 - :mod:`~repro.sparsela.linalg` — dense trace/Hadamard helpers mirroring the
   paper's notation, used by the specification oracle.
 
-scipy.sparse is deliberately *not* used here; it appears only in
-:mod:`repro.baselines` as an independent cross-check.
+scipy.sparse is deliberately *not* used here; it appears only in the
+independent cross-checks (:mod:`repro.baselines` and the matrix-form peel
+references in :mod:`repro.core.peeling.linear_algebra`).
 """
 
 from repro._lazy import lazy_exports
@@ -39,38 +40,10 @@ _LAZY = {
     "spmv_pattern": "repro.sparsela.kernels",
     "spmv_pattern_transposed": "repro.sparsela.kernels",
     "linalg": "repro.sparsela.linalg",
-    "semiring": "repro.sparsela.semiring",
-    "hstack_patterns": "repro.sparsela.stack",
-    "vstack_patterns": "repro.sparsela.stack",
-    "ANY_PAIR": "repro.sparsela.semiring",
-    "PLUS_PAIR": "repro.sparsela.semiring",
-    "PLUS_TIMES": "repro.sparsela.semiring",
-    "Semiring": "repro.sparsela.semiring",
-    "ValuedCSR": "repro.sparsela.semiring",
-    "ewise_mult": "repro.sparsela.semiring",
-    "gram": "repro.sparsela.semiring",
-    "mxm": "repro.sparsela.semiring",
-    "reduce_scalar": "repro.sparsela.semiring",
-    "tril": "repro.sparsela.semiring",
-    "triu": "repro.sparsela.semiring",
 }
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
 __all__ = [
-    "Semiring",
-    "ValuedCSR",
-    "PLUS_TIMES",
-    "PLUS_PAIR",
-    "ANY_PAIR",
-    "mxm",
-    "gram",
-    "ewise_mult",
-    "reduce_scalar",
-    "tril",
-    "triu",
-    "semiring",
-    "hstack_patterns",
-    "vstack_patterns",
     "PatternCOO",
     "PatternCSR",
     "PatternCSC",

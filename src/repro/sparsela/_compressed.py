@@ -273,19 +273,6 @@ class CompressedPattern:
             out[self.indices, major] = 1
         return out
 
-    def __matmul__(self, other):
-        """``A @ B`` over the integer plus_times semiring.
-
-        Sugar over :func:`repro.sparsela.semiring.mxm`; returns a
-        :class:`~repro.sparsela.semiring.ValuedCSR` (products generally
-        carry multiplicities even when the operands are patterns).
-        """
-        from repro.sparsela.semiring import PLUS_TIMES, ValuedCSR, mxm
-
-        if isinstance(other, (CompressedPattern, ValuedCSR)):
-            return mxm(self, other, PLUS_TIMES)
-        return NotImplemented
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CompressedPattern):
             return NotImplemented

@@ -389,6 +389,55 @@ class TestExceptionDiscipline:
 
 
 # ----------------------------------------------------------------------
+# RPR013 — unused imports
+# ----------------------------------------------------------------------
+
+
+class TestUnusedImports:
+    def test_unused_import_flagged(self):
+        src = "import os\nfrom numpy import zeros, ones\n\nzeros(3)\n"
+        findings = run(src, "repro.core.fixture", rules=["RPR013"])
+        assert [(f.rule, f.line) for f in findings] == [("RPR013", 1), ("RPR013", 2)]
+        assert "'os'" in findings[0].message and "'ones'" in findings[1].message
+
+    def test_dotted_import_binds_its_root(self):
+        src = "import os.path\nimport numpy as np\n\nos.getcwd()\nnp.zeros(1)\n"
+        assert run(src, "repro.core.fixture", rules=["RPR013"]) == []
+
+    def test_package_init_reexports_exempt(self):
+        findings, _ = analysis.analyze_source(
+            "from repro.core.family import count_butterflies\n",
+            path="pkg/__init__.py", module="repro.pkg", rules=["RPR013"],
+        )
+        assert findings == []
+
+    def test_names_in_all_exempt(self):
+        src = ('from repro.core.family import count_butterflies\n'
+               '__all__ = ["count_butterflies"]\n')
+        assert run(src, "repro.core.fixture", rules=["RPR013"]) == []
+
+    def test_future_import_exempt(self):
+        src = "from __future__ import annotations\n"
+        assert run(src, "repro.core.fixture", rules=["RPR013"]) == []
+
+    def test_quoted_annotation_counts_as_use(self):
+        src = ("from repro.analysis.model import ProjectModel\n\n"
+               "def f(model: \"ProjectModel\") -> None:\n    return None\n")
+        assert run(src, "repro.core.fixture", rules=["RPR013"]) == []
+
+    def test_import_inside_a_function_not_checked(self):
+        src = "def f():\n    import os\n"
+        assert run(src, "repro.core.fixture", rules=["RPR013"]) == []
+
+    def test_noqa_suppresses(self):
+        findings, supp = analysis.analyze_source(
+            "import os  # repro: noqa[RPR013] imported for its side effect\n",
+            path="fixture.py", module="repro.core.fixture", rules=["RPR013"],
+        )
+        assert findings == [] and supp.used == 1
+
+
+# ----------------------------------------------------------------------
 # engine plumbing: rule selection, reports, pragmas, JSON schema
 # ----------------------------------------------------------------------
 
@@ -412,6 +461,7 @@ def test_all_rule_ids_catalogued():
         "RPR006",
         "RPR009",
         "RPR012",
+        "RPR013",
     )
 
 
@@ -441,7 +491,8 @@ def test_analyze_paths_report(dirty_tree: Path):
     report = analysis.analyze_paths([str(dirty_tree)])
     assert report.exit_code == 1
     assert report.files == 3
-    assert report.counts_by_rule() == {"RPR001": 1, "RPR002": 1}
+    # the private import is never used, too
+    assert report.counts_by_rule() == {"RPR001": 1, "RPR002": 1, "RPR013": 1}
     assert all(f.line >= 1 for f in report.findings)
 
 
@@ -533,15 +584,15 @@ def test_self_scan_clean():
 def test_self_scan_pragma_count_pinned():
     """Every ``# repro: noqa`` in the tree is an explicit, reviewed event.
 
-    The seven sanctioned sites, also listed in docs/analysis.md: RPR006
+    The six sanctioned sites, also listed in docs/analysis.md: RPR006
     best-effort cleanup at parallel/executor.py (evicted-segment close)
     and parallel/shm.py (close on teardown, close before unlink, racing
-    unlink), and RPR002 float-or-int oracles at sparsela/linalg.py (two)
-    and sparsela/semiring.py (monoid-owned dtype).  Adding one means
-    updating this number *and* that list in the same change.
+    unlink), and RPR002 float-or-int oracles at sparsela/linalg.py (two).
+    Adding one means updating this number *and* that list in the same
+    change.
     """
     report = analysis.analyze_paths([str(SRC_REPRO)])
-    assert report.suppressed == 7
+    assert report.suppressed == 6
 
 
 def test_repo_scan_clean_with_relaxed_roots():
@@ -559,7 +610,7 @@ def test_repo_scan_clean_with_relaxed_roots():
     rendered = analysis.render_text(report)
     assert report.findings == [], f"analyzer findings:\n{rendered}"
     assert report.parse_errors == []
-    assert report.suppressed == 10
+    assert report.suppressed == 9
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,10 @@ from repro.baselines import (
     count_butterflies_degree_ordered,
     count_butterflies_networkx,
     count_butterflies_scipy,
-    count_butterflies_vertex_priority,
     enumerate_butterflies,
-    priority_ranks,
     wedge_matrix_scipy,
 )
-from repro.core import count_butterflies
+from repro.core import count_butterflies, priority_ranks
 from tests.conftest import TINY_EXPECTED, tiny_named_graphs
 
 
@@ -70,11 +68,6 @@ def test_priority_ranks_respect_degree(medium_graph):
     hub = int(np.argmax(dl))
     leaf = int(np.argmin(dl))
     assert rl[hub] > rl[leaf]
-
-
-def test_vertex_priority_on_tiny(tiny_graphs):
-    for name, g in tiny_graphs.items():
-        assert count_butterflies_vertex_priority(g) == TINY_EXPECTED[name], name
 
 
 # --------------------------------------------------------- degree ordered

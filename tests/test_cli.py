@@ -241,6 +241,9 @@ def test_bench_smallest_dataset(capsys):
           "{tmp}/truncated.rbsn"], "snapshot prefix needs 14 bytes"),
         (["stream", "empty:4x3", "{tmp}/flush.txt", "--snapshot-in",
           "{tmp}/3x3.rbsn"], "does not match counter shape 4x3"),
+        (["calibrate", "--repeats", "0"], "repeats must be >= 1, got 0"),
+        (["calibrate", "--if-drifted", "0.5", "--repeats", "-1", "--ledger",
+          "{tmp}/ledger.jsonl"], "repeats must be >= 1, got -1"),
     ],
     ids=["unknown-rule", "missing-scan-path", "missing-graph",
          "peel-mmap-storage", "count-reorder-storage", "explain-tip-mmap",
@@ -255,7 +258,8 @@ def test_bench_smallest_dataset(capsys):
          "stream-out-of-range-insert", "stream-out-of-range-delete",
          "stream-out-of-range-names-line",
          "stream-negative-id", "stream-truncated-snapshot",
-         "stream-snapshot-shape-mismatch"],
+         "stream-snapshot-shape-mismatch", "calibrate-zero-repeats",
+         "calibrate-if-drifted-negative-repeats"],
 )
 def test_bad_input_exits_2_without_traceback(argv, reason, tmp_path, capsys):
     """Bad input is a usage error (exit 2), distinct from findings (exit 1).

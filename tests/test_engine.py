@@ -427,6 +427,36 @@ class TestCalibration:
             "stream_batch_ns": DEFAULT_COEFFICIENTS["stream_batch_ns"],
         }
 
+    def test_non_finite_coefficients_fall_back_to_defaults(self, tmp_path):
+        # json writes float("nan") as NaN and reads it back as a float
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"calibrated": True, "coefficients": {
+            "ns_per_op": {"priority": float("nan"), "stream": float("inf")},
+            "ns_per_edge": {"priority": "fast"},
+            "stream_batch_ns": True,
+        }}))
+        table = load_calibration(str(path))
+        assert table.coefficients == DEFAULT_COEFFICIENTS
+        g = power_law_bipartite(50, 60, 400, seed=6)
+        got = engine.plan(g, "count", calibration=table)
+        want = engine.plan(g, "count", calibration=DEFAULTS)
+        assert got.est_seconds == want.est_seconds
+
+    def test_wrongly_shaped_file_plans_with_defaults(self, tmp_path):
+        path = tmp_path / "shape.json"
+        for payload in ([1, 2], {"coefficients": [1]},
+                        {"coefficients": {"ns_per_op": 5.0}}):
+            path.write_text(json.dumps(payload))
+            table = load_calibration(str(path))
+            assert table.coefficients == DEFAULT_COEFFICIENTS, payload
+
+    def test_calibrate_rejects_fewer_than_one_repeat(self, tmp_path):
+        path = tmp_path / "never.json"
+        for repeats in (0, -2):
+            with pytest.raises(ValueError, match="repeats must be >= 1"):
+                calibrate(path=str(path), repeats=repeats, persist=True)
+        assert not path.exists()
+
     def test_the_table_holds_four_coefficients(self):
         leaves = [
             (k, sub) for k, v in DEFAULT_COEFFICIENTS.items()

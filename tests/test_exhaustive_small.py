@@ -13,9 +13,7 @@ import pytest
 
 from repro.baselines import (
     count_butterflies_bruteforce,
-    count_butterflies_graphblas,
     count_butterflies_scipy,
-    count_butterflies_vertex_priority,
     count_butterflies_wang_space_efficient,
 )
 from repro.core import (
@@ -26,11 +24,12 @@ from repro.core import (
     butterflies_spec_upper,
     count_butterflies,
     count_butterflies_blocked,
+    count_butterflies_priority,
     count_butterflies_unblocked,
     edge_butterfly_support,
     vertex_butterfly_counts,
 )
-from repro.graphs import BipartiteGraph, count_from_projection
+from repro.graphs import BipartiteGraph
 from repro.reference import butterflies_reference
 
 
@@ -53,10 +52,8 @@ def test_all_counters_on_every_small_graph(shape):
         assert count_butterflies_unblocked(g, 4, strategy="spmv") == expected
         assert count_butterflies_blocked(g, 5, block_size=2) == expected
         assert count_butterflies_scipy(g) == expected
-        assert count_butterflies_graphblas(g) == expected
-        assert count_butterflies_vertex_priority(g) == expected
+        assert count_butterflies_priority(g) == expected
         assert count_butterflies_wang_space_efficient(g) == expected
-        assert count_from_projection(g) == expected
         assert butterflies_reference(g, 3) == expected
 
 

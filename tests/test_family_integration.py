@@ -8,7 +8,6 @@ from repro.baselines import (
     count_butterflies_degree_ordered,
     count_butterflies_networkx,
     count_butterflies_scipy,
-    count_butterflies_vertex_priority,
 )
 from repro.core import (
     butterflies_spec,
@@ -38,7 +37,6 @@ def test_family_matches_all_baselines_on_corpus(corpus):
     for name, g in corpus:
         expected = count_butterflies(g)
         assert count_butterflies_scipy(g) == expected, name
-        assert count_butterflies_vertex_priority(g) == expected, name
         assert count_butterflies_degree_ordered(g) == expected, name
         if g.n_left <= 40:  # brute force is quadratic in |V1|
             assert count_butterflies_bruteforce(g) == expected, name
@@ -72,7 +70,6 @@ def test_medium_graph_cross_validation(medium_graph):
         count_butterflies_parallel(medium_graph, n_workers=2, executor="shared")
         == expected
     )
-    assert count_butterflies_vertex_priority(medium_graph) == expected
     assert count_butterflies_degree_ordered(medium_graph) == expected
 
 

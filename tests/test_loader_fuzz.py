@@ -1,7 +1,7 @@
-"""Robustness fuzz of the three graph loaders.
+"""Robustness fuzz of the two graph loaders.
 
-Random text fed to :func:`load_konect`, :func:`load_edge_list` and
-:func:`load_matrix_market` may be rejected, but only with ``ValueError``
+Random text fed to :func:`load_konect` and :func:`load_edge_list` may be
+rejected, but only with ``ValueError``
 (``UnicodeDecodeError``, itself a ``ValueError``, on non-UTF-8 bytes).
 Every ``save_*`` → ``load_*`` round trip is exact, and the KONECT dialect
 details — size header, mid-file comments, extra columns — keep working.
@@ -18,10 +18,8 @@ from repro.graphs import (
     BipartiteGraph,
     load_edge_list,
     load_konect,
-    load_matrix_market,
     save_edge_list,
     save_konect,
-    save_matrix_market,
 )
 
 SETTINGS = dict(
@@ -31,19 +29,12 @@ SETTINGS = dict(
 _TOKENS = st.one_of(
     st.integers(-3, 12).map(str),
     st.integers(-(2**70), 2**70).map(str),
-    st.sampled_from(["%", "#", "%%MatrixMarket", "matrix", "coordinate", "pattern",
-                     "1.5", "2.0", "-0", "+3", "1e3", "nan", "inf", "x", "", "\t"]),
+    st.sampled_from(["%", "#", "1.5", "2.0", "-0", "+3", "1e3", "nan", "inf", "x", "", "\t"]),
     st.text(max_size=4),
 )
 _LINES = st.lists(
     st.lists(_TOKENS, max_size=5).map(" ".join), max_size=12
 ).map("\n".join)
-_MTX_HEADERS = st.sampled_from([
-    "",
-    "%%MatrixMarket matrix coordinate pattern general\n",
-    "%%MatrixMarket matrix coordinate real general\n% c\n",
-    "%%MatrixMarket matrix array real general\n",
-])
 
 
 @pytest.fixture(scope="module")
@@ -59,24 +50,19 @@ def _load(loader, path):
         pass
 
 
-@given(body=_LINES, header=_MTX_HEADERS)
+@given(body=_LINES)
 @settings(**SETTINGS)
-def test_random_text_raises_only_value_error(scratch, body, header):
-    for name, loader, text in (
-        ("g.konect", load_konect, body),
-        ("g.edges", load_edge_list, body),
-        ("g.mtx", load_matrix_market, header + body),
-    ):
+def test_random_text_raises_only_value_error(scratch, body):
+    for name, loader in (("g.konect", load_konect), ("g.edges", load_edge_list)):
         path = scratch / name
-        path.write_text(text, encoding="utf-8")
+        path.write_text(body, encoding="utf-8")
         _load(loader, path)
 
 
 @given(blob=st.binary(max_size=64))
 @settings(**SETTINGS)
 def test_random_bytes_raise_only_value_error(scratch, blob):
-    for name, loader in (("b.konect", load_konect), ("b.edges", load_edge_list),
-                         ("b.mtx", load_matrix_market)):
+    for name, loader in (("b.konect", load_konect), ("b.edges", load_edge_list)):
         path = scratch / name
         path.write_bytes(blob)
         _load(loader, path)
@@ -107,11 +93,6 @@ def test_save_load_roundtrips_are_exact(scratch, g, gz):
     assert load_edge_list(edges, n_left=g.n_left, n_right=g.n_right) == g
     assert load_edge_list(edges).edges().tolist() == g.edges().tolist()
 
-    mtx = scratch / "r.mtx"
-    save_matrix_market(g, mtx)
-    loaded = load_matrix_market(mtx)
-    assert loaded == g and loaded.shape == g.shape
-
 
 @given(g=graphs(), shrink=st.sampled_from(["left", "right"]))
 @settings(**SETTINGS)
@@ -125,12 +106,6 @@ def test_size_header_smaller_than_ids_rejected(scratch, g, shrink):
     konect.write_text(f"% bip unweighted\n% {g.n_edges} {m} {n}\n{body}")
     with pytest.raises(ValueError, match="out of range"):
         load_konect(konect)
-    mtx = scratch / "small.mtx"
-    mtx.write_text(
-        f"%%MatrixMarket matrix coordinate pattern general\n{m} {n} {g.n_edges}\n{body}"
-    )
-    with pytest.raises(ValueError, match="out of range"):
-        load_matrix_market(mtx)
 
 
 @given(g=graphs(), seed=st.integers(0, 2**32 - 1))
@@ -165,39 +140,16 @@ def test_loaders_reject_with_the_documented_messages(tmp_path):
         (load_konect, "g.konect", "-4 1\n", "1-based"),
         (load_edge_list, "g.edges", "0 1\n2\n", "malformed"),
         (load_edge_list, "g.edges", "0 x\n", "malformed"),
-        (load_matrix_market, "g.mtx",
-         "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n", "truncated"),
-        (load_matrix_market, "g.mtx",
-         "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n2\n", "malformed"),
-        (load_matrix_market, "g.mtx",
-         "%%MatrixMarket matrix coordinate pattern general\n2 2 -1\n", "malformed"),
         # non-ASCII ids never reach numpy's integer parser, which can crash
         # the interpreter on some characters outside the BMP
         (load_konect, "g.konect", "1 2\n1\U000e0000\n", "malformed"),
         (load_edge_list, "g.edges", "\U000d5ac9 1\n", "malformed"),
-        (load_matrix_market, "g.mtx",
-         "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 \U0010ffff\n",
-         "malformed"),
     ]
     for loader, name, text, match in cases:
         path = tmp_path / name
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=match):
             loader(path)
-
-
-def test_mtx_reads_only_the_declared_entries(tmp_path):
-    path = tmp_path / "g.mtx"
-    path.write_text(
-        "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2\nnot an entry\n"
-    )
-    assert load_matrix_market(path).edges().tolist() == [[0, 1]]
-    path.write_text(
-        "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n"
-        "% \U000e0000 in a comment\n1 2\n\U000e0000 past the entries\n",
-        encoding="utf-8",
-    )
-    assert load_matrix_market(path).edges().tolist() == [[0, 1]]
 
 
 def _python_calls(fn) -> int:

@@ -1,5 +1,4 @@
-"""Tests for one-mode projection, bucket peeling, and counting on
-degree-ordered relabels."""
+"""Tests for bucket peeling and counting on degree-ordered relabels."""
 
 import numpy as np
 import pytest
@@ -8,58 +7,12 @@ from repro import engine
 from repro.core import count_butterflies, tip_numbers, tip_numbers_bucket_parallel
 from repro.graphs import (
     BipartiteGraph,
-    count_from_projection,
-    is_butterfly_free,
     order_by_degree,
     order_side_by_degree,
     planted_bicliques,
     power_law_bipartite,
-    project,
 )
-from tests.conftest import TINY_EXPECTED, tiny_named_graphs
-
-
-# -------------------------------------------------------------- projection
-def test_projection_weights_are_common_neighbours():
-    g = tiny_named_graphs()["k23"]
-    proj = project(g, "left")
-    assert proj == {(0, 1): 3}
-
-
-def test_projection_min_weight_filter(corpus):
-    name, g = corpus[0]
-    all_pairs = project(g, "left", min_weight=1)
-    heavy = project(g, "left", min_weight=2)
-    assert set(heavy) <= set(all_pairs)
-    assert all(w >= 2 for w in heavy.values())
-
-
-def test_projection_min_weight_validation():
-    g = tiny_named_graphs()["k23"]
-    with pytest.raises(ValueError, match="min_weight"):
-        project(g, "left", min_weight=0)
-
-
-def test_count_from_projection_both_sides(corpus):
-    for name, g in corpus:
-        expected = count_butterflies(g)
-        assert count_from_projection(g, "left") == expected, name
-        assert count_from_projection(g, "right") == expected, name
-
-
-def test_count_from_projection_tiny(tiny_graphs):
-    for name, g in tiny_graphs.items():
-        assert count_from_projection(g) == TINY_EXPECTED[name], name
-
-
-def test_is_butterfly_free(tiny_graphs):
-    for name, g in tiny_graphs.items():
-        assert is_butterfly_free(g) == (TINY_EXPECTED[name] == 0), name
-
-
-def test_is_butterfly_free_on_corpus(corpus):
-    for name, g in corpus:
-        assert is_butterfly_free(g) == (count_butterflies(g) == 0), name
+from tests.conftest import tiny_named_graphs
 
 
 # ---------------------------------------------------------- bucket peeling

@@ -1,27 +1,22 @@
 """Property-based tests for the extension subsystems.
 
 Same graph strategy as :mod:`tests.test_properties`, applied to the
-semiring layer, enumeration, the dynamic counter, projections, and the
-blocked local-count kernel.
+loop reference, the dynamic counter and the blocked local-count kernel.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import count_butterflies_graphblas
 from repro.core import (
     DynamicButterflyCounter,
     butterflies_spec,
     count_butterflies,
-    iter_butterflies,
     vertex_butterfly_counts_blocked,
     vertex_counts_dense,
 )
-from repro.graphs import BipartiteGraph, count_from_projection, is_butterfly_free
+from repro.graphs import BipartiteGraph
 from repro.reference import butterflies_reference
-from repro.sparsela import PatternCSR
-from repro.sparsela.semiring import PLUS_TIMES, gram, mxm
 
 SETTINGS = dict(max_examples=30, deadline=None)
 
@@ -40,49 +35,10 @@ def bipartite_graphs(draw, max_left=10, max_right=10):
     )
 
 
-@given(g=bipartite_graphs())
-@settings(**SETTINGS)
-def test_gram_equals_dense_product(g):
-    a = g.biadjacency_dense()
-    if a.size == 0:
-        return
-    assert np.array_equal(gram(PatternCSR.from_dense(a)).to_dense(), a @ a.T)
-
-
-@given(g=bipartite_graphs(), seed=st.integers(0, 10**6))
-@settings(**SETTINGS)
-def test_mxm_matches_dense_for_random_pairs(g, seed):
-    a = g.biadjacency_dense()
-    if a.size == 0:
-        return
-    rng = np.random.default_rng(seed)
-    b = (rng.random((g.n_right, 7)) < 0.5).astype(int)
-    got = mxm(PatternCSR.from_dense(a), PatternCSR.from_dense(b), PLUS_TIMES)
-    assert np.array_equal(got.to_dense(), a @ b)
-
-
-@given(g=bipartite_graphs())
-@settings(**SETTINGS)
-def test_graphblas_pipeline_equals_spec(g):
-    assert count_butterflies_graphblas(g) == butterflies_spec(g)
-
-
 @given(g=bipartite_graphs(), invariant=st.integers(1, 8))
 @settings(**SETTINGS)
 def test_pure_python_reference_equals_spec(g, invariant):
     assert butterflies_reference(g, invariant) == butterflies_spec(g)
-
-
-@given(g=bipartite_graphs())
-@settings(**SETTINGS)
-def test_enumeration_count_and_uniqueness(g):
-    bfs = list(iter_butterflies(g))
-    assert len(bfs) == butterflies_spec(g)
-    assert len(set(bfs)) == len(bfs)
-    for u, w, v, y in bfs:
-        assert u < w and v < y
-        a = g.biadjacency_dense()
-        assert a[u, v] and a[u, y] and a[w, v] and a[w, y]
 
 
 @given(g=bipartite_graphs(), seed=st.integers(0, 10**6))
@@ -97,19 +53,6 @@ def test_dynamic_replay_reaches_same_state(g, seed):
     # tear half down, cross-check against recount
     dc.remove_edges(edges[: len(edges) // 2])
     assert dc.count == count_butterflies(dc.to_graph())
-
-
-@given(g=bipartite_graphs())
-@settings(**SETTINGS)
-def test_projection_recovers_count(g):
-    assert count_from_projection(g, "left") == butterflies_spec(g)
-    assert count_from_projection(g, "right") == butterflies_spec(g)
-
-
-@given(g=bipartite_graphs())
-@settings(**SETTINGS)
-def test_butterfly_free_agrees_with_count(g):
-    assert is_butterfly_free(g) == (butterflies_spec(g) == 0)
 
 
 @given(g=bipartite_graphs(), block=st.integers(1, 16),
