@@ -22,6 +22,13 @@ compressed index arrays, so the only dtypes that matter are:
     stored value below 2³¹, and each multiplicity is widened to
     ``COUNT_DTYPE`` before its C(c, 2) product.
 
+``RANK_DTYPE``
+    ``int32`` storage for the vertex-priority kernels' rank-space ids
+    and packed sort and panel keys, chosen per array only when its
+    largest value fits (:mod:`repro.core.priority`).  Never an
+    accumulator or a gather offset: those stay int64, and a key is
+    widened before it is used as an index or shifted past its range.
+
 ``BITMAP_DTYPE``
     ``uint8`` bytes of the stream probe's per-phase row bitmap, 8
     adjacency bits each.  Storage only: a byte is only shifted and
@@ -40,6 +47,9 @@ COUNT_DTYPE = np.int64
 
 #: dtype of the pair table's partner ids and multiplicities (storage only).
 PAIR_DTYPE = np.int32
+
+#: dtype of the priority kernels' rank-space ids and keys, where they fit.
+RANK_DTYPE = np.int32
 
 #: dtype of bit-packed adjacency rows: 8 bits per byte (storage only).
 BITMAP_DTYPE = np.uint8

@@ -24,11 +24,18 @@ The kernel is serial numpy over whole-graph arrays: relabel all m + n
 vertices by rank, build the symmetric adjacency with every list sorted
 ascending, and for each edge v < u gather the prefix of adj(v) that lies
 below u — exactly the endpoints w < u.  The build takes two in-place
-sorts of packed int64 keys and no argsort: one for the adjacency, one
+sorts of shift-packed keys and no argsort: one for the adjacency, one
 that lines each lower entry up with its transposed twin.  Top vertices
 are cut into contiguous panels of bounded wedge work; each panel expands
-straight into int64 keys (top, endpoint), reduced by one histogram or
-one in-place sort (:func:`repro.sparsela.keyed_choose2_sum`).
+straight into (top, endpoint) keys, reduced by one histogram or one
+in-place sort (:func:`repro.sparsela.keyed_choose2_sum`).
+
+The kernels are memory-bound, so they move as few bytes per wedge as
+the values allow: the rank-space adjacency, the build's sort keys and
+each panel's keys are int32 wherever their largest value fits (every
+e2e shape but skewed, whose build stays int64), chosen per array and
+per panel, and int64 otherwise.  Gather offsets and every reduction
+stay exact int64.
 
 :func:`vertex_butterfly_counts_priority` walks the same panels and, per
 (top, endpoint) pair of multiplicity k, credits C(k, 2) to both
@@ -44,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro._types import COUNT_DTYPE, INDEX_DTYPE
+from repro._types import COUNT_DTYPE, INDEX_DTYPE, RANK_DTYPE
 from repro.core.blocked import work_bounded_panels
 from repro.sparsela import kernels
 from repro.sparsela.kernels import choose2, keyed_choose2_sum, run_starts
@@ -59,10 +66,14 @@ __all__ = [
 
 #: Wedges expanded per panel of top vertices.  An eighth of the blocked
 #: planner's 2^18: the gathered prefixes are scattered across the whole
-#: adjacency, so panels pay off only while they stay cache-resident
-#: (2-vCPU x86-64 host, e2e shapes at seed 0, median of 21 interleaved
-#: runs: github 20.8 ms at 2^15 against 24.6 ms at 2^16, occupations 9.7
-#: against 11.8, dense 113 against 116; 2^17 and 2^18 were slower still).
+#: adjacency, so panels pay off only while they stay cache-resident.
+#: Re-swept on int32 keys (2-vCPU x86-64 host, e2e shapes at seed 0,
+#: count kernel, medians of 9 interleaved runs, two sweeps): dense 34.9
+#: and 35.2 ms at 2^15 against 38.1/37.4 at 2^14 and 35.0/36.2 at 2^16,
+#: github 6.9/6.5 against 7.0/6.6 and 7.7/7.3, occupations 4.3/4.5
+#: against 4.3/5.3 and 4.7/5.4.  2^14 won producers (3.0/2.9 against
+#: 3.6/3.2) and recordlabels (2.9/2.8 against 3.1/2.9), so no budget won
+#: every shape; 2^17 was slowest on all but arxiv (a tie).
 PRIORITY_PANEL_BUDGET: int = 1 << 15
 
 
@@ -78,8 +89,11 @@ def priority_ranks(graph) -> tuple[np.ndarray, np.ndarray]:
     csr = graph.csr
     deg = np.concatenate([csr.degrees(), csr.minor_degrees()]).astype(COUNT_DTYPE)
     n_all = deg.size
+    bits = (n_all - 1).bit_length()
     # one sort of packed (degree, id) keys: unique, so no stability needed
-    order = np.sort(deg * n_all + np.arange(n_all, dtype=INDEX_DTYPE)) % n_all
+    deg <<= bits
+    deg |= np.arange(n_all, dtype=INDEX_DTYPE)
+    order = np.sort(deg) & ((1 << bits) - 1)
     rank = np.empty(n_all, dtype=INDEX_DTYPE)
     rank[order] = np.arange(n_all, dtype=INDEX_DTYPE)
     return rank[: graph.n_left], rank[graph.n_left :]
@@ -91,21 +105,37 @@ def priority_wedge_work(graph) -> int:
     Centre v's neighbours, sorted by rank, are its l_v lower-ranked ones
     followed by the rest; the one at position i expands i wedges through
     v (the endpoints ranked below it), which sums to C(d_v, 2) − C(l_v, 2).
-    O(E) with no sort: every right id exceeds every left id, so an edge's
-    left endpoint outranks its right one exactly when its degree is
-    strictly larger.  The planner's work model for the ``priority``
-    strategy.
+    One O(E) pass in CSR order with no sort: every right id exceeds every
+    left id, so an edge's left endpoint outranks its right one exactly
+    when its degree is strictly larger.  A row's left-top edges are read
+    off a running count at ``indptr``; a column's are one weighted
+    bincount (float64 sums of 1s, exact far past any degree).  The
+    planner's work model for the ``priority`` strategy.
     """
     csr = graph.csr
     deg_l, deg_r = csr.degrees(), csr.minor_degrees()
-    rows, cols = csr.expand_major(), csr.panel_indices(0, graph.n_left)
-    left_top = deg_l[rows] > deg_r[cols]
-    lower_l = np.bincount(rows[left_top], minlength=graph.n_left)
-    lower_r = np.bincount(cols[~left_top], minlength=graph.n_right)
+    cols = csr.panel_indices(0, graph.n_left)
+    left_top = np.repeat(deg_l, deg_l) > deg_r[cols]
+    running = np.zeros(cols.size + 1, dtype=COUNT_DTYPE)
+    np.cumsum(left_top, out=running[1:])
+    lower_l = np.diff(running[csr.indptr])
+    tops_r = np.bincount(cols, weights=left_top, minlength=graph.n_right)
+    lower_r = deg_r - tops_r.astype(COUNT_DTYPE)
     return int(
         choose2(deg_l).sum() + choose2(deg_r).sum()
         - choose2(lower_l).sum() - choose2(lower_r).sum()
     )
+
+
+#: Largest key the kernels store as int32; every rank-space array and
+#: panel key space past it is int64.  Read at call time, so a test can
+#: force the int64 path.
+_NARROW_KEY_LIMIT: int = int(np.iinfo(RANK_DTYPE).max)
+
+
+def _key_dtype(largest: int) -> type:
+    """int32 if every value up to ``largest`` fits :data:`_NARROW_KEY_LIMIT`."""
+    return RANK_DTYPE if largest <= _NARROW_KEY_LIMIT else INDEX_DTYPE
 
 
 class _RankedWedges:
@@ -120,57 +150,72 @@ class _RankedWedges:
     endpoint of its wedge i is ``adj[shift[e] + i]``.  Top u owns runs
     ``first[u]:first[u + 1]``.
 
-    A run's length is the position of its lower entry's transposed twin
-    in adj(v).  The twins (upper entries) come out in (centre, top)
-    order; one in-place sort of their tops with each twin's index packed
-    below (``top · n_up + i``, then ``% n_up``) puts them in the lower
-    entries' (top, centre) order.
+    The adjacency comes from one in-place sort of ``owner << b |
+    neighbour`` keys, ``b`` the bit length of n_all − 1, masked back to
+    the neighbours.  A run's length is the position of its lower entry's
+    transposed twin in adj(v).  The twins (upper entries) come out in
+    (centre, top) order; one in-place sort of their tops with each
+    twin's index packed below (``top << b | i``, ``b`` now the bit
+    length of n_up − 1, then ``& (2^b − 1)``) puts them in the lower
+    entries' (top, centre) order.  Shift and mask, not multiply and
+    ``%``: numpy's integer remainder costs several times a pass.
 
-    Temporaries are freed, or overwritten in place, as soon as they are
-    consumed; five E-length arrays are kept.
+    ``adj`` and ``centre`` are int32 when the packed adjacency keys fit
+    :data:`_NARROW_KEY_LIMIT`, as are those keys; the twin keys are
+    int32 by the same test on their own width.  ``shift``, ``ends`` and
+    ``first`` index the wedges and stay int64.  Temporaries are freed,
+    or overwritten in place, as soon as they are consumed; five
+    E-length arrays are kept.
     """
 
     def __init__(self, graph, rank_l, rank_r) -> None:
         csr = graph.csr
         n_all = graph.n_left + graph.n_right
         nnz = graph.n_edges
+        bits = (n_all - 1).bit_length()
+        ids = _key_dtype(n_all << bits)
+        rank_l = rank_l.astype(ids, copy=False)
+        rank_r = rank_r.astype(ids, copy=False)
+        deg_l = csr.degrees()
+        deg = np.empty(n_all, dtype=INDEX_DTYPE)  # rank-space degrees
+        deg[rank_l] = deg_l
+        deg[rank_r] = csr.minor_degrees()
         # every edge as (rank of left endpoint, rank of right endpoint)
-        a = rank_l[csr.expand_major()]
+        a = np.repeat(rank_l, deg_l)
+        del deg_l
         b = rank_r[csr.panel_indices(0, graph.n_left)]
-        deg = np.bincount(a, minlength=n_all) + np.bincount(b, minlength=n_all)
         # one sort of packed (owner, neighbour) keys, both directions
-        keys = np.empty(2 * nnz, dtype=INDEX_DTYPE)
-        np.multiply(a, n_all, out=keys[:nnz])
-        keys[:nnz] += b
-        np.multiply(b, n_all, out=keys[nnz:])
-        keys[nnz:] += a
+        keys = np.empty(2 * nnz, dtype=ids)
+        np.left_shift(a, bits, out=keys[:nnz])
+        keys[:nnz] |= b
+        np.left_shift(b, bits, out=keys[nnz:])
+        keys[nnz:] |= a
         del a, b
         keys.sort()
+        keys &= ids((1 << bits) - 1)
+        adj = keys
         offsets = np.zeros(n_all + 1, dtype=INDEX_DTYPE)
         np.cumsum(deg, out=offsets[1:])
-        owner = np.repeat(np.arange(n_all, dtype=INDEX_DTYPE) * n_all, deg)
+        owner = np.repeat(np.arange(n_all, dtype=ids), deg)
         del deg
-        keys -= owner
-        owner //= n_all
-        adj = keys
         # the transposed upper entry (v, u) of lower entry (u, v) sits at
         # pos_v(u) within adj(v), so the run of (u, v) is adj(v)[:pos_v(u)]
         is_lower = adj < owner
-        lower = np.flatnonzero(is_lower)
-        top, centre = owner[lower], adj[lower]
-        del owner, lower
         first = np.zeros(n_all + 1, dtype=INDEX_DTYPE)
-        np.cumsum(np.bincount(top, minlength=n_all), out=first[1:])
-        del top
+        np.cumsum(np.bincount(owner[is_lower], minlength=n_all), out=first[1:])
+        del owner
+        centre = adj[is_lower]
         upper = np.flatnonzero(~is_lower)
         del is_lower
         # the upper twins, (centre, top) order, sorted into (top, centre)
         n_up = upper.size
-        twin = adj[upper]
-        twin *= n_up
-        twin += np.arange(n_up, dtype=INDEX_DTYPE)
+        bits = (n_up - 1).bit_length()
+        twin_ids = _key_dtype(n_all << bits)
+        twin = adj[upper].astype(twin_ids, copy=False)
+        twin <<= bits
+        twin |= np.arange(n_up, dtype=twin_ids)
         twin.sort()
-        twin %= n_up
+        twin &= twin_ids((1 << bits) - 1)
         length = upper[twin]  # the twins' positions, for now
         del twin, upper
         shift = offsets[centre]  # run starts in adj
@@ -183,6 +228,7 @@ class _RankedWedges:
         self.adj, self.centre = adj, centre
         self.shift, self.ends, self.first = shift, ends, first
         self.work = ends[first[1:]] - ends[first[:-1]]  # wedges per top
+        self._ramp = np.arange(0, dtype=INDEX_DTYPE)
 
     def panels(self) -> list[tuple[int, int]]:
         """Contiguous top panels ``[lo, hi)`` of bounded wedge work.
@@ -198,21 +244,28 @@ class _RankedWedges:
         ]
 
     def keys(self, lo: int, hi: int, bits: int = 0) -> np.ndarray:
-        """The wedges of tops ``[lo, hi)`` as int64 keys ``(u − lo)·hi + w``.
+        """The wedges of tops ``[lo, hi)`` as keys ``(u − lo)·hi + w``.
 
         Top u and endpoint w < hi of each wedge, in top order; a fresh
-        array the caller may consume.  With ``bits`` each key is shifted
-        up by ``bits`` and the wedge's centre packed below it.
+        array the caller may consume, int32 when the key space fits in
+        it and int64 otherwise.  With ``bits`` each key is shifted up by
+        ``bits`` and the wedge's centre packed below it.
         """
         e_lo, e_hi = self.first[lo], self.first[hi]
         w_lo = self.ends[e_lo]
         wedges = int(self.ends[e_hi] - w_lo)
+        if self._ramp.size < wedges:  # kept for the panels that follow
+            self._ramp = np.arange(wedges, dtype=INDEX_DTYPE)
         lengths = self._lengths(e_lo, e_hi)
-        gather = np.repeat(self.shift[e_lo:e_hi], lengths)
-        gather += np.arange(w_lo, w_lo + wedges, dtype=INDEX_DTYPE)
-        keys = self.adj[gather]
+        gather = np.repeat(self.shift[e_lo:e_hi] + w_lo, lengths)
+        gather += self._ramp[:wedges]
+        dtype = _key_dtype(((hi - lo) * hi) << bits)
+        # every index is in range: "wrap" only skips the bounds check
+        # (~25% off the gather on the dense e2e shape)
+        keys = np.take(self.adj, gather, mode="wrap")
         del gather
-        base = np.arange(0, (hi - lo) * hi, hi, dtype=INDEX_DTYPE)
+        keys = keys.astype(dtype, copy=False)  # widened before any shift
+        base = np.arange(0, (hi - lo) * hi, hi, dtype=dtype)
         if bits:  # each run's packed (top, centre) base, one repeat
             keys <<= bits
             base <<= bits
@@ -262,23 +315,27 @@ def _credit_panel(credit, wedges: _RankedWedges, lo: int, hi: int) -> None:
     Half beat both 4x and 1x the wedges on the e2e shapes (2-vCPU x86-64
     host): the dense path also pays C(k, 2) and two sums over the whole
     key space.  Its centre credits are summed per run (one centre each)
-    and scattered once per run, not once per wedge.
+    and scattered once per run, not once per wedge.  Its keys are
+    widened to int64 once: bincount and numpy's gathers cast narrower
+    indices to intp on every call.
 
     Otherwise each wedge is packed as ``pair << b | centre``, with ``b``
-    the bit length of ``hi`` (every centre lies below its top), and the
-    keys are sorted in place; past :data:`_PACKED_KEY_LIMIT` the pair keys
-    are argsorted with their centres instead.  A pair of multiplicity 1
-    credits nothing, so only the wedges whose pair repeats a sorted
-    neighbour's are kept and unpacked: 12–49% of the sorted wedges on the
-    seed-0 e2e shapes.
+    the bit length of ``hi`` (every centre lies below its top), in int32
+    only if ``keyspace << b`` fits it and widened before the shift
+    otherwise; the keys are sorted in place.  Past
+    :data:`_PACKED_KEY_LIMIT` the pair keys are argsorted with their
+    centres instead.  A pair of multiplicity 1 credits nothing, so only
+    the wedges whose pair repeats a sorted neighbour's are kept and
+    unpacked: 12–49% of the sorted wedges on the seed-0 e2e shapes.
     """
     n_pivots, n_wedges = hi - lo, int(wedges.work[lo:hi].sum(dtype=COUNT_DTYPE))
     keyspace = n_pivots * hi
     dense_cap = min(kernels.DEFAULT_KEYSPACE_CAP, max(n_wedges // 2, 1 << 16))
     if keyspace <= dense_cap:
-        keys = wedges.keys(lo, hi)
+        # widened once: bincount and the gather below index with them
+        keys = wedges.keys(lo, hi).astype(INDEX_DTYPE, copy=False)
         mult = np.bincount(keys, minlength=keyspace)
-        per_wedge = mult[keys]
+        per_wedge = np.take(mult, keys, mode="wrap")
         del keys
         pairs = choose2(mult).reshape(n_pivots, hi)
         credit[lo:hi] += pairs.sum(axis=1)

@@ -69,22 +69,24 @@ DEFAULT_COEFFICIENTS: dict = {
 }
 
 
-def _merge(defaults: dict, override) -> dict:
+def _merge(defaults: dict, override) -> tuple[dict, bool]:
     """``override`` over ``defaults``, keeping only the defaults' keys and
-    only the overrides of their shape: a finite number for a number."""
+    only the overrides of their shape: a finite number for a number.
+    Also returns whether any override was taken."""
     if not isinstance(override, dict):
         override = {}
-    out = {}
+    out, took = {}, False
     for key, value in defaults.items():
         given = override.get(key)
         if isinstance(value, dict):
-            out[key] = _merge(value, given)
+            out[key], took_sub = _merge(value, given)
+            took |= took_sub
         elif (isinstance(given, (int, float)) and not isinstance(given, bool)
               and math.isfinite(given)):
-            out[key] = given
+            out[key], took = given, True
         else:
             out[key] = value
-    return out
+    return out, took
 
 
 @dataclass(frozen=True)
@@ -113,10 +115,12 @@ class CalibrationTable:
     @property
     def origin(self) -> str:
         """Human-readable provenance line for ``explain`` output."""
-        if self.source:
-            kind = "calibrated" if self.calibrated else "loaded"
-            return f"{kind}: {self.source}"
-        return "defaults (run repro.engine.calibrate() to measure this machine)"
+        if not self.source:
+            return "defaults (run repro.engine.calibrate() to measure this machine)"
+        if not self.calibrated and self.coefficients == DEFAULT_COEFFICIENTS:
+            return f"defaults ({self.source} overrides none of them)"
+        kind = "calibrated" if self.calibrated else "loaded"
+        return f"{kind}: {self.source}"
 
     def as_dict(self) -> dict:
         return {
@@ -146,7 +150,9 @@ def load_calibration(path: str | None = None) -> CalibrationTable:
     sets and coefficients that are not finite numbers (NaN, inf, a
     string) all degrade gracefully to the shipped defaults — an
     uncalibrated machine must still plan sanely.  Keys the table no
-    longer has (a file from an older release) are dropped.
+    longer has (a file from an older release) are dropped.  The table is
+    ``calibrated`` only if the file says so and at least one of its
+    coefficients was taken.
     """
     path = path or os.environ.get("REPRO_CALIBRATION", DEFAULT_CALIBRATION_PATH)
     try:
@@ -156,11 +162,11 @@ def load_calibration(path: str | None = None) -> CalibrationTable:
         return CalibrationTable()
     if not isinstance(payload, dict):
         return CalibrationTable()
-    coeffs = _merge(DEFAULT_COEFFICIENTS, payload.get("coefficients"))
+    coeffs, took = _merge(DEFAULT_COEFFICIENTS, payload.get("coefficients"))
     return CalibrationTable(
         coefficients=coeffs,
         source=str(path),
-        calibrated=bool(payload.get("calibrated", True)),
+        calibrated=took and bool(payload.get("calibrated", True)),
     )
 
 

@@ -437,18 +437,42 @@ class TestCalibration:
         }}))
         table = load_calibration(str(path))
         assert table.coefficients == DEFAULT_COEFFICIENTS
+        # the file says calibrated, but no coefficient came from it
+        assert not table.calibrated and table.source == str(path)
         g = power_law_bipartite(50, 60, 400, seed=6)
         got = engine.plan(g, "count", calibration=table)
         want = engine.plan(g, "count", calibration=DEFAULTS)
         assert got.est_seconds == want.est_seconds
+        line = next(
+            ln for ln in engine.explain(got, g, calibration=table).splitlines()
+            if ln.startswith("calibration:")
+        )
+        assert line == f"calibration: defaults ({path} overrides none of them)"
 
     def test_wrongly_shaped_file_plans_with_defaults(self, tmp_path):
         path = tmp_path / "shape.json"
         for payload in ([1, 2], {"coefficients": [1]},
                         {"coefficients": {"ns_per_op": 5.0}}):
-            path.write_text(json.dumps(payload))
+            path.write_text(json.dumps({"calibrated": True, **payload}
+                                       if isinstance(payload, dict) else payload))
             table = load_calibration(str(path))
             assert table.coefficients == DEFAULT_COEFFICIENTS, payload
+            assert not table.calibrated, payload
+            assert table.origin.startswith("defaults"), payload
+
+    def test_one_finite_coefficient_keeps_the_file_calibrated(self, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"calibrated": True, "coefficients": {
+            "ns_per_op": {"priority": float("nan"), "stream": 99.0},
+            "ns_per_edge": {"priority": None},
+        }}))
+        table = load_calibration(str(path))
+        assert table.calibrated
+        assert table.ns_per_op("stream") == 99.0
+        assert table.ns_per_op("priority") == (
+            DEFAULT_COEFFICIENTS["ns_per_op"]["priority"]
+        )
+        assert table.origin == f"calibrated: {path}"
 
     def test_calibrate_rejects_fewer_than_one_repeat(self, tmp_path):
         path = tmp_path / "never.json"

@@ -28,6 +28,7 @@ from repro.core import (
     vertex_butterfly_counts_priority,
     count_butterflies_unblocked,
 )
+from repro.core import priority
 from repro.graphs import BipartiteGraph
 
 N_RIGHT = 70_000
@@ -71,6 +72,21 @@ def test_shared_executor_past_2_31(big_biclique: BipartiteGraph) -> None:
 
 def test_priority_past_2_31(big_biclique: BipartiteGraph) -> None:
     # the two hubs rank on top: one pair (hub, hub) of multiplicity 70 000
+    assert count_butterflies_priority(big_biclique) == EXPECTED
+
+
+def test_priority_wide_build_with_narrow_panel_keys_past_2_31(
+    big_biclique: BipartiteGraph,
+) -> None:
+    # the 70 002 ranks pack past 2^31, so the build sorts int64 keys; the
+    # one busy panel is the top hub alone, whose key space (70 002) fits
+    # int32 -- its 70 000 wedges all hit the pair (hub, hub)
+    ranks = priority.priority_ranks(big_biclique)
+    wedges = priority._RankedWedges(big_biclique, *ranks)
+    assert wedges.adj.dtype == wedges.centre.dtype == np.int64
+    ((lo, hi),) = wedges.panels()
+    keys = wedges.keys(lo, hi)
+    assert keys.dtype == np.int32 and keys.size == N_RIGHT
     assert count_butterflies_priority(big_biclique) == EXPECTED
 
 

@@ -386,7 +386,6 @@ def _assert_same_ranked_wedges(g) -> None:
     wedges = priority._RankedWedges(g, *priority_ranks(g))
     built = (wedges.adj, wedges.centre, wedges.shift, wedges.ends, wedges.first)
     for mine, oracle in zip(built, _ranked_wedges_by_argsort(g)):
-        assert mine.dtype == np.int64
         np.testing.assert_array_equal(mine, oracle)
 
 
@@ -396,10 +395,78 @@ def test_ranked_wedges_match_the_argsort_build(name):
     _assert_same_ranked_wedges(CORPUS[name].swap_sides())
 
 
+@pytest.mark.parametrize("name", sorted(set(CORPUS) - {"empty"}))
+def test_wide_ranked_wedges_match_the_argsort_build(monkeypatch, name):
+    _force_width(monkeypatch, "wide")
+    _assert_same_ranked_wedges(CORPUS[name])
+    _assert_same_ranked_wedges(CORPUS[name].swap_sides())
+
+
 @given(dense=tie_heavy_graphs())
 @settings(max_examples=80, deadline=None)
 def test_ranked_wedges_match_the_argsort_build_on_ties(dense):
     _assert_same_ranked_wedges(_graph(dense))
+
+
+# ----------------------------------------------------------------------
+# key widths: int32 where the values fit, int64 past that
+# ----------------------------------------------------------------------
+def _force_width(monkeypatch, width: str) -> None:
+    """``wide`` sends every rank-space array and panel key to int64."""
+    if width == "wide":
+        monkeypatch.setattr(priority, "_NARROW_KEY_LIMIT", 0)
+
+
+@pytest.mark.parametrize("width", ["narrow", "wide"])
+def test_rank_space_arrays_are_int32_while_they_fit(monkeypatch, width):
+    _force_width(monkeypatch, width)
+    g = SHAPES["powerlaw"]
+    ids = np.int32 if width == "narrow" else np.int64
+    wedges = priority._RankedWedges(g, *priority_ranks(g))
+    assert wedges.adj.dtype == wedges.centre.dtype == ids
+    # gather offsets and wedge counts index arrays: always int64
+    for offsets in (wedges.shift, wedges.ends, wedges.first, wedges.work):
+        assert offsets.dtype == np.int64
+    for lo, hi in wedges.panels():
+        assert wedges.keys(lo, hi).dtype == ids
+        assert wedges.keys(lo, hi, hi.bit_length()).dtype == ids
+
+
+@pytest.mark.parametrize("width", ["narrow", "wide"])
+@pytest.mark.parametrize("budget", [1, priority.PRIORITY_PANEL_BUDGET])
+@given(dense=st.one_of(tie_heavy_graphs(), star_forests()))
+@settings(max_examples=60, deadline=None)
+def test_both_key_widths_count_exactly(budget, width, dense):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _force_width(monkeypatch, width)
+        monkeypatch.setattr(priority, "PRIORITY_PANEL_BUDGET", budget)
+        g = _graph(dense)
+        assert count_butterflies_priority(g) == _pairwise(dense)
+        _assert_vertex_counts_match(g)
+
+
+@given(dense=tie_heavy_graphs())
+@settings(max_examples=60, deadline=None)
+def test_wedge_work_is_the_ranked_wedges_and_a_brute_force_count(dense):
+    g = _graph(dense)
+    work = priority_wedge_work(g)
+    if g.n_edges:
+        assert work == int(priority._RankedWedges(g, *priority_ranks(g)).work.sum())
+    assert work == _ranked_wedges_by_enumeration(g)
+
+
+def _ranked_wedges_by_enumeration(g) -> int:
+    """Wedges (u, v, w) with u outranking both v and w, one at a time."""
+    rank_l, rank_r = priority_ranks(g)
+    dense = g.biadjacency_dense()
+    total = 0
+    for side, ranks, other in ((dense, rank_l, rank_r), (dense.T, rank_r, rank_l)):
+        for v, row in enumerate(side.T):  # centre v on the other side
+            ends = ranks[np.flatnonzero(row)]
+            total += sum(
+                1 for u in ends for w in ends if w < u and other[v] < u
+            )
+    return total
 
 
 # ----------------------------------------------------------------------
