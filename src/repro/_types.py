@@ -16,11 +16,12 @@ compressed index arrays, so the only dtypes that matter are:
     arbitrary precision) at API boundaries.
 
 ``PAIR_DTYPE``
-    ``int32`` storage for the tip peel's same-side pair table (partner ids
-    and common-neighbour multiplicities).  Storage only, never an
-    accumulator: the table exists only under a byte cap that keeps every
-    stored value below 2³¹, and each multiplicity is widened to
-    ``COUNT_DTYPE`` before its C(c, 2) product.
+    ``int32`` storage for the tip peel's same-side pair table (partner
+    row slots, the slot → vertex map, and each pair's loss C(c, 2) when
+    the largest possible one fits).  Storage only, never an accumulator:
+    the table exists only under a byte cap that keeps every stored id
+    below 2³¹, each multiplicity is widened to ``COUNT_DTYPE`` before its
+    C(c, 2) product, and each loss before it is summed or subtracted.
 
 ``RANK_DTYPE``
     ``int32`` storage for the vertex-priority kernels' rank-space ids
@@ -45,7 +46,7 @@ INDEX_DTYPE = np.int64
 #: dtype of all wedge / butterfly accumulators.
 COUNT_DTYPE = np.int64
 
-#: dtype of the pair table's partner ids and multiplicities (storage only).
+#: dtype of the pair table's partner slots, slot map and narrow losses (storage only).
 PAIR_DTYPE = np.int32
 
 #: dtype of the priority kernels' rank-space ids and keys, where they fit.

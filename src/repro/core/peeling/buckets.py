@@ -12,10 +12,14 @@ total decrement volume.
   decomposition.  Each synchronous round peels every survivor at or
   below the running level.  Removing a same-side vertex never changes
   c(u, w), the common neighbours of two survivors, so every loss the
-  peel can apply is fixed up front: a one-time symmetric *pair table*
-  holds each same-side pair with c ≥ 2 once per endpoint, its row sums
-  of C(c, 2) are the initial counts, and a round subtracts its members'
-  rows (Shi & Shun's aggregated peel, arXiv:1907.08607).  Past
+  peel can apply is fixed up front (Shi & Shun's aggregated peel,
+  arXiv:1907.08607): a one-time symmetric *pair table* holds each
+  same-side pair with c ≥ 2 once per endpoint with its loss C(c, 2).  It
+  lives in *survivor space*: only the vertices with such a pair get a
+  row slot, and partners are slots.  Its row sums are the initial
+  counts, and the rounds run over that one compact count vector, a
+  peeled slot parked at a sentinel: a round is one min, one mask, one
+  label write and one subtraction of its members' rows.  Past
   :data:`PAIR_TABLE_MAX_BYTES` a graph peels by re-expanding each
   round's wedges instead (:func:`tip_decrement_batch`).  Each build is
   left on the graph, so an auto :func:`~repro.core.peeling.tip.k_tip`
@@ -72,10 +76,20 @@ PAIR_TABLE_MAX_BYTES: int = 8 << 20
 #: int64 ramp and int32 run lengths every chunk slices from buffers sized
 #: to the largest one, the sort keys, the repeat flags and positions;
 #: later its part's placement transients, each pair having taken >= 2
-#: wedges) and per stored pair (its int32 partner and multiplicity in a
-#: chunk part, then once per endpoint in the table).
+#: wedges) and per stored pair besides its loss (its int32 partner in a
+#: chunk part, then once per endpoint in the table); each pair also
+#: holds its loss three times, at the loss's own width.
 _BYTES_PER_WEDGE = 32
-_BYTES_PER_PAIR = 24
+_BYTES_PER_PAIR = 12
+
+#: The largest loss C(c, 2) the table stores as int32; a side whose
+#: largest degree d has C(d, 2) above it stores int64 losses.  Read at
+#: call time, so tests can force the wide loss.
+_NARROW_LOSS_LIMIT: int = int(np.iinfo(PAIR_DTYPE).max)
+
+#: A peeled slot's count in the table rounds.  Later rounds subtract at
+#: most its count at peeling from it, so it stays above every live count.
+_PEELED = np.iinfo(COUNT_DTYPE).max
 
 #: A wing round recounts the survivors when its enumeration walk bound,
 #: Σ deg(v)·deg(u) over the peeled edges (u, v), passes this many times the
@@ -154,13 +168,19 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 def _pair_table(pivot_major, complementary):
     """The pivot side's same-side pair table, or ``None`` past the cap.
 
-    Returns ``(table, counts)``.  ``table`` is one symmetric CSR over the
-    pivot side, ``(indptr, partner, mult)``: row u holds each w with
-    c(u, w) ≥ 2 common neighbours once, as an int32 partner and int32
-    multiplicity — its partners w > u, then those w < u, each ascending —
-    so every pair is stored once per endpoint; pairs with c = 1 close no
-    butterfly and are dropped.  ``counts`` is every pivot's butterfly
-    count — its row sum of C(c, 2), widened to ``COUNT_DTYPE`` first.
+    Returns ``(table, vertex, counts)`` in *survivor space*: only the
+    pivots with at least one pair of c ≥ 2 common neighbours get a row,
+    row slot i holding pivot ``vertex[i]`` (int32, ascending).  ``table``
+    is one symmetric CSR over the slots, ``(indptr, partner, loss)``: row
+    i holds each partner slot j once, as an int32 slot and the pair's
+    loss C(c, 2) — its partners above it, then those below, each
+    ascending — so every pair is stored once per endpoint; pairs with
+    c = 1 close no butterfly and are dropped.  The loss is int32 when
+    C(d_max, 2) fits :data:`_NARROW_LOSS_LIMIT` (d_max the pivot side's
+    largest degree, which bounds every c), int64 otherwise.  ``counts``
+    is every slot's butterfly count, its row sum of losses summed in
+    int64 as the chunks are reduced; a pivot without a slot closes no
+    butterfly.
 
     A degree-1 pivot shares at most one neighbour with anyone, so it
     stores no pair and changes no other pair's c: when the side has any,
@@ -170,12 +190,14 @@ def _pair_table(pivot_major, complementary):
     wedges (the suffix of v's ascending list after u; the priority
     kernel's cache-resident panel size, as fast as 2^16 and faster than
     2^14 or 2^18 here), reduced by one sort of ``row·n + w`` keys each.
-    Then each chunk's part is placed in both rows of its pairs (the
-    partners' rows by one stable argsort) and freed.  Before the first chunk
-    the fixed arrays, the pruned views and the largest chunk are charged
-    to :data:`PAIR_TABLE_MAX_BYTES` and the rest caps the pair count, so
-    a graph with more pairs returns ``None`` as soon as a chunk would
-    cross it: the whole peak, build transients included, stays under it.
+    Once every chunk is reduced the slots are known, and each chunk's
+    part is placed in both rows of its pairs (the partners' rows by one
+    stable argsort), its partners relabelled to slots as it goes, and
+    freed.  Before the first chunk the fixed arrays, the pruned views
+    and the largest chunk are charged to :data:`PAIR_TABLE_MAX_BYTES` and
+    the rest caps the pair count, so a graph with more pairs returns
+    ``None`` as soon as a chunk would cross it: the whole peak, build
+    transients included, stays under it.
     """
     n, nnz = pivot_major.major_dim, pivot_major.nnz
     cap = PAIR_TABLE_MAX_BYTES
@@ -187,6 +209,9 @@ def _pair_table(pivot_major, complementary):
     if fixed > cap:
         return None
     deg = np.diff(indptr)
+    d_max = int(deg.max(initial=0))
+    narrow = d_max * (d_max - 1) // 2 <= _NARROW_LOSS_LIMIT
+    loss_dtype = np.dtype(PAIR_DTYPE if narrow else COUNT_DTYPE)
     keep = deg != 1
     if not keep.all():
         fixed += 8 * (3 * nnz + n + complementary.major_dim + 2)
@@ -217,7 +242,8 @@ def _pair_table(pivot_major, complementary):
         if prefix[hi] > prefix[lo]
     ]
     largest = max((wedges for _, _, wedges in panels), default=0)
-    max_pairs = (cap - fixed - _BYTES_PER_WEDGE * largest) // _BYTES_PER_PAIR
+    per_pair = _BYTES_PER_PAIR + 3 * loss_dtype.itemsize
+    max_pairs = (cap - fixed - _BYTES_PER_WEDGE * largest) // per_pair
     if max_pairs < 0:
         return None
     parts = []
@@ -263,29 +289,39 @@ def _pair_table(pivot_major, complementary):
         c += 1
         rows, partners = np.divmod(keys[firsts], n)
         del keys, firsts
-        parts.append((lo, hi, partners.astype(PAIR_DTYPE), c.copy()))
+        loss = choose2(c)
+        part_loss = loss.astype(loss_dtype, copy=False)
+        parts.append((lo, hi, partners.astype(PAIR_DTYPE), part_loss))
         filled += found
         upper_ptr[lo + 1 : hi + 1] = np.bincount(rows, minlength=hi - lo)
         lower_ptr[1:] += np.bincount(partners, minlength=n)
-        loss = choose2(c)
         np.add.at(counts, rows + lo, loss)
         np.add.at(counts, partners, loss)
+        # ``c`` would keep ``run_buf`` alive into the placement
+        del rows, partners, c, loss, part_loss
     del start, length, row_work, prefix, endpoints, indptr, ramp, run_buf
     np.cumsum(upper_ptr, out=upper_ptr)
     np.cumsum(lower_ptr, out=lower_ptr)
     table_ptr = upper_ptr + lower_ptr
+    # the survivors, in vertex order: slot i's row starts where vertex[i]'s
+    # would in a table over every pivot
+    listed = table_ptr[1:] != table_ptr[:-1]
+    vertex = np.flatnonzero(listed).astype(PAIR_DTYPE)
+    slot = np.cumsum(listed, dtype=PAIR_DTYPE)
+    slot -= 1
+    del listed
     partner = np.empty(2 * filled, dtype=PAIR_DTYPE)
-    mult = np.empty(2 * filled, dtype=PAIR_DTYPE)
+    loss = np.empty(2 * filled, dtype=loss_dtype)
     # each row's next free slot behind its upper entries
     cursor = upper_ptr[1:] + lower_ptr[:-1]
     parts.reverse()
     while parts:
-        lo, hi, partners, c = parts.pop()
+        lo, hi, partners, part_loss = parts.pop()
         size, degrees = partners.size, np.diff(upper_ptr[lo : hi + 1])
         # upper entry i of row u goes to i + lower_ptr[u]
         at = np.repeat(lower_ptr[lo:hi], degrees)
         at += np.arange(upper_ptr[lo], upper_ptr[hi], dtype=INDEX_DTYPE)
-        partner[at], mult[at] = partners, c
+        partner[at], loss[at] = slot[partners], part_loss
         del at
         # a stable argsort of the partners: sort ``partner·size + i`` keys
         keys = partners.astype(INDEX_DTYPE) * size + np.arange(size)
@@ -297,15 +333,19 @@ def _pair_table(pivot_major, complementary):
         owners = owners[firsts]
         at = np.repeat(cursor[owners] - firsts, runs)
         at += np.arange(size, dtype=INDEX_DTYPE)
-        partner[at] = np.repeat(np.arange(lo, hi, dtype=PAIR_DTYPE), degrees)[order]
-        mult[at] = c[order]
+        partner[at] = np.repeat(slot[lo:hi], degrees)[order]
+        loss[at] = part_loss[order]
         cursor[owners] += runs
-    return (table_ptr, partner, mult), counts
+    indptr = np.empty(vertex.size + 1, dtype=INDEX_DTYPE)
+    indptr[:-1] = table_ptr[vertex]
+    indptr[-1] = table_ptr[-1]
+    return (indptr, partner, loss), vertex, counts[vertex]
 
 
 def cached_pair_table(graph: BipartiteGraph, side: str):
     """The pair table :func:`tip_numbers_bucket_parallel` left on
-    ``graph`` for ``side``, as read-only ``(table, counts)``, or ``None``.
+    ``graph`` for ``side``, as read-only ``(table, vertex, counts)`` in
+    the survivor space of :func:`_pair_table`, or ``None``.
 
     Never builds one.  A table is returned only if it was built under
     the :data:`PAIR_TABLE_MAX_BYTES` read now, so lowering the cap forces
@@ -318,22 +358,54 @@ def cached_pair_table(graph: BipartiteGraph, side: str):
 
 
 def _subtract_pair_losses(counts, table, members: np.ndarray) -> None:
-    """Subtract the butterflies the same-side vertices ``members`` close
-    with each partner from ``counts`` (a pair ``table``); a one-member
-    batch reads one contiguous slice, no gather."""
-    indptr, partner, mult = table
+    """Subtract the butterflies the table slots ``members`` close with
+    each partner from the slot ``counts`` (a pair ``table``); a
+    one-member batch reads one contiguous slice, no gather.  The losses
+    are widened to int64 for the one ``np.subtract.at``: with int32
+    values into int64 counts it leaves numpy's fast path, with int32
+    indices it does not."""
+    indptr, partner, loss = table
     if members.size == 1:
         # a row holds each partner once
-        lo, hi = indptr[members[0]], indptr[members[0] + 1]
-        counts[partner[lo:hi]] -= choose2(mult[lo:hi])
-    else:
+        at = slice(indptr[members[0]], indptr[members[0] + 1])
+    elif members.size:
         at = _entry_positions(indptr, members)
-        np.subtract.at(counts, partner[at], choose2(mult[at]))
+    else:
+        return
+    np.subtract.at(counts, partner[at], loss[at].astype(COUNT_DTYPE, copy=False))
+
+
+def _table_rounds(counts: np.ndarray, table) -> np.ndarray:
+    """Tip numbers of the table's slots by bucket rounds over their
+    ``counts`` (consumed).
+
+    Every slot starts alive with a positive count.  A round raises the
+    level to the alive minimum, peels every slot at or below it, labels
+    them, parks their counts at :data:`_PEELED` and subtracts their rows
+    from their partners; no round gathers the survivors.
+    """
+    tip = np.zeros(counts.size, dtype=COUNT_DTYPE)
+    peel = np.empty(counts.size, dtype=bool)
+    alive, level = counts.size, 0
+    while alive:
+        level = max(level, int(np.minimum.reduce(counts)))
+        np.less_equal(counts, level, out=peel)
+        (members,) = peel.nonzero()
+        tip[members] = level
+        counts[members] = _PEELED
+        alive -= members.size
+        if obs._enabled:
+            obs.gauge(
+                "peel.rounds.bucket_occupancy", members.size, policy="max"
+            )
+        if alive:
+            _subtract_pair_losses(counts, table, members)
+    return tip
 
 
 def _bucket_rounds(counts: np.ndarray, tip: np.ndarray):
     """Yield each round's members: every survivor at or below the level
-    (vertices of a tip peel, edges of a wing peel).
+    (vertices of the tip peel's wedge fallback, edges of a wing peel).
 
     The level rises to the survivors' minimum count; counts only fall,
     so every survivor at or below it would be labelled it anyway.  A
@@ -388,13 +460,16 @@ def tip_numbers_bucket_parallel(
     Removing a same-side vertex never changes c(u, w) for the pairs that
     survive it, so the losses are fixed before the first round.  One
     build (:func:`_pair_table`, leaves pruned) stores every pair with
-    c ≥ 2 once per endpoint; its row sums of C(c, 2) are the initial
-    counts, and a round gathers its members' rows and subtracts C(c, 2)
-    from each partner (a peeled partner's count is never read again) — a
-    one-member round reads one contiguous slice.  The table path records the
-    ``peel.tip.pair_table_bytes`` gauge.  Every call builds its own
-    table and leaves it, read-only, on ``graph`` (replacing one left
-    before) for a later :func:`~repro.core.peeling.tip.k_tip`.
+    c ≥ 2 once per endpoint with its loss C(c, 2), over row slots for
+    only the vertices that have such a pair (every other vertex keeps
+    tip 0); its row sums are the initial counts.  The rounds
+    (:func:`_table_rounds`) then subtract each round's rows from its
+    members' partners (a peeled partner's count is never read again) — a
+    one-member round reads one contiguous slice.  The table path records
+    the ``peel.tip.pair_table_bytes`` gauge (the table and its slot map).
+    Every call builds its own table and leaves it, read-only, on
+    ``graph`` (replacing one left before) for a later
+    :func:`~repro.core.peeling.tip.k_tip`.
 
     A graph whose table would pass :data:`PAIR_TABLE_MAX_BYTES` (build
     transients included) counts ``peel.tip.pair_table_fallback`` and
@@ -419,15 +494,17 @@ def tip_numbers_bucket_parallel(
     if table is None:
         obs.inc("peel.tip.pair_table_fallback")
         return _tip_wedge_rounds(graph, side, tip)
-    pairs, counts = table
+    pairs, vertex, counts = table
     stored = counts.copy()
-    for array in (stored, *pairs):
+    for array in (stored, vertex, *pairs):
         array.flags.writeable = False
-    graph._pair_tables[side] = (cap, (pairs, stored))
+    graph._pair_tables[side] = (cap, (pairs, vertex, stored))
     if obs._enabled:
-        obs.gauge("peel.tip.pair_table_bytes", sum(a.nbytes for a in pairs))
-    for members in _bucket_rounds(counts, tip):
-        _subtract_pair_losses(counts, pairs, members)
+        obs.gauge(
+            "peel.tip.pair_table_bytes",
+            sum(a.nbytes for a in (*pairs, vertex)),
+        )
+    tip[vertex] = _table_rounds(counts, pairs)
     return tip
 
 

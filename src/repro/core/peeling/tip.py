@@ -155,8 +155,8 @@ def k_tip(
         counts_of = _counts_kernel_from_plan(plan, side)
     else:
         obs.inc("peel.tip.pair_table_reused")
-        pairs, counts = table
-        counts = counts.copy()
+        pairs, vertex, slot_counts = table
+        slot_counts = slot_counts.copy()
     kept = np.ones(n_side, dtype=bool)
     current = graph
     rounds = 0
@@ -168,6 +168,10 @@ def k_tip(
             with obs.span("peel.tip.round", round=rounds):
                 if table is None:
                     counts = counts_of(current)
+                else:
+                    # a vertex without a slot closes no butterfly
+                    counts = np.zeros(n_side, dtype=COUNT_DTYPE)
+                    counts[vertex] = slot_counts
                 # vertices already peeled lost their rows (or, on the
                 # table, may hold stale counts); only demand >= k of the
                 # still-present vertices
@@ -182,7 +186,7 @@ def k_tip(
                     current = _survivors(graph, kept, side)
                 else:
                     _subtract_pair_losses(
-                        counts, pairs, np.flatnonzero(offenders)
+                        slot_counts, pairs, np.flatnonzero(offenders[vertex])
                     )
             if not kept.any():
                 break

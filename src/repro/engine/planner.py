@@ -88,8 +88,10 @@ _VERTEX_PASS_COST = 1.5
 #: table entry: each peeled row's entries are gathered and subtracted
 #: once, with no sort.  Measured with ``k_tip`` at the median tip number
 #: on the e2e ``occupations`` shape, seeds 0–2 (2-vCPU x86-64 host):
-#: 0.31–0.35, including the final survivor-graph build.
-_TABLE_ENTRY_COST = 0.35
+#: 0.31–0.35 on the vertex-space table, including the final
+#: survivor-graph build; on the survivor-space table the same ``k_tip``
+#: takes 0.84–0.93× that table's time (8 alternating runs), so 0.26–0.33.
+_TABLE_ENTRY_COST = 0.3
 
 #: Rule lines ``explain`` prints, keyed by which rule fired.
 _RULES = {

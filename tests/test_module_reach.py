@@ -11,6 +11,7 @@ that only its own tests call fails here.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -59,7 +60,8 @@ ORACLES = {
 }
 
 #: Argument lists that between them reach every subcommand and option
-#: family; run in this order inside one scratch directory.
+#: family (test_every_subcommand_is_invoked); run in this order inside
+#: one scratch directory.
 INVOCATIONS = [
     ["generate", "g.tsv", "--n-left", "30", "--n-right", "40", "--edges",
      "200", "--seed", "1"],
@@ -152,3 +154,25 @@ def test_every_oracle_entry_names_existing_code():
     paths = _module_paths()
     stale = [k for k in ORACLES if not any(_covers(k, p) for p in paths)]
     assert stale == []
+
+
+def _subcommand(argv: list[str]) -> str:
+    """The subcommand ``argv`` runs: its first word after the global
+    options, each of which takes one value."""
+    i = 0
+    while argv[i].startswith("-"):
+        i += 2
+    return argv[i]
+
+
+def test_every_subcommand_is_invoked():
+    """A subcommand no invocation runs would leave the modules only it
+    loads reading as orphans above."""
+    from repro.cli import build_parser
+
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    invoked = {_subcommand(argv) for argv in INVOCATIONS}
+    assert sorted(set(subparsers.choices) - invoked) == []

@@ -29,6 +29,8 @@ from repro.core import (
     count_butterflies_unblocked,
 )
 from repro.core import priority
+from repro.core.peeling import buckets
+from repro.core.peeling.buckets import cached_pair_table
 from repro.graphs import BipartiteGraph
 
 N_RIGHT = 70_000
@@ -101,41 +103,68 @@ def test_priority_vertex_counts_past_2_31(big_biclique: BipartiteGraph) -> None:
 
 
 def test_tip_numbers_past_2_31(big_biclique: BipartiteGraph) -> None:
-    # the pair table holds (hub, hub) once per endpoint with the int32
-    # multiplicity 70 000; C(c, 2) is taken after widening to int64.  No
-    # pivot is a leaf, so no pruned view is charged and the table fits
+    # the pair table holds (hub, hub) once per endpoint with its loss
+    # C(70 000, 2), stored int64: C(d_max, 2) passes int32 on this side.
+    # No pivot is a leaf, so no pruned view is charged and the table fits
     with obs.capture() as metrics:
         tips = tip_numbers_bucket_parallel(big_biclique, side="left", n_workers=1)
     assert "peel.tip.pair_table_fallback" not in metrics
     assert metrics.value("peel.tip.pair_table_bytes") > 0
     assert tips.dtype == np.int64
     assert tips.tolist() == [EXPECTED, EXPECTED]
+    (_, _, loss), _, _ = cached_pair_table(big_biclique, "left")
+    assert loss.dtype == np.int64 and loss.tolist() == [EXPECTED, EXPECTED]
 
 
-def _with_third_row(big_biclique: BipartiteGraph) -> BipartiteGraph:
-    """K_{2,70000} plus a third left vertex on the first 48 000 right
-    vertices: it shares c = 48 000 with each hub, so c·(c − 1) > 2^31."""
+def _with_third_row(
+    big_biclique: BipartiteGraph, shared: int = 48_000
+) -> BipartiteGraph:
+    """K_{2,70000} plus a third left vertex on the first ``shared`` right
+    vertices: it shares c = ``shared`` with each hub (48 000 by default,
+    so c·(c − 1) > 2^31)."""
     third = np.column_stack(
-        [np.full(48_000, 2, dtype=np.int64), np.arange(48_000, dtype=np.int64)]
+        [np.full(shared, 2, dtype=np.int64), np.arange(shared, dtype=np.int64)]
     )
     return BipartiteGraph(np.concatenate([big_biclique.edges(), third]))
 
 
 def test_tip_round_losses_past_2_31(big_biclique: BipartiteGraph) -> None:
     # the third vertex peels first (2·C(48 000, 2) = 2 303 952 000
-    # butterflies) and its round takes C(48 000, 2) from each hub's stored
-    # int32 multiplicity, leaving the hubs at exactly C(70 000, 2) — only
-    # if the loss is widened first
+    # butterflies) and its round takes its stored int64 loss C(48 000, 2)
+    # from each hub, leaving the hubs at exactly C(70 000, 2)
     g = _with_third_row(big_biclique)
     assert 48_000 * 47_999 > 2**31
     tips = tip_numbers_bucket_parallel(g, side="left", n_workers=1)
     assert tips.tolist() == [EXPECTED, EXPECTED, 48_000 * 47_999]
 
 
+def test_tip_wide_loss_rounds_past_2_31(
+    big_biclique: BipartiteGraph, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # with c = 66 000 the third vertex's loss to each hub, C(c, 2), passes
+    # int32 on its own; the third vertex peels first, and the tip rounds
+    # and the table k-tip must subtract that int64 loss from each hub
+    # whole (a wrapped one would lift the hubs above the level).  The
+    # build's one-row chunk of 136k wedges needs a cap above 8 MiB
+    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 16 << 20)
+    g = _with_third_row(big_biclique, 66_000)
+    third = 66_000 * 65_999
+    assert third // 2 > 2**31
+    with obs.capture() as metrics:
+        tips = tip_numbers_bucket_parallel(g, side="left", n_workers=1)
+        result = k_tip(g, third + 1, side="left")
+    assert "peel.tip.pair_table_fallback" not in metrics
+    assert tips.tolist() == [third, third, third]
+    assert metrics.value("peel.tip.pair_table_reused") == 1
+    # the hubs keep C(70 000, 2) < k once the third vertex is gone
+    assert result.kept.tolist() == [False, False, False]
+    assert result.rounds == 2
+
+
 def test_k_tip_past_2_31(big_biclique: BipartiteGraph) -> None:
     # the auto k-tip peels from the pair table the tip decomposition left:
-    # the hubs' initial count is the row sum C(70 000, 2), taken after
-    # widening the int32 multiplicity
+    # the hubs' initial count is the row sum of their int64 loss
+    # C(70 000, 2)
     g = BipartiteGraph(big_biclique.edges())
     tip_numbers_bucket_parallel(g, side="left", n_workers=1)
     with obs.capture() as metrics:
@@ -151,7 +180,7 @@ def test_k_tip_past_2_31(big_biclique: BipartiteGraph) -> None:
 def test_k_tip_round_losses_past_2_31(big_biclique: BipartiteGraph) -> None:
     # the hubs start at C(70 000, 2) + C(48 000, 2) > 2^31; k just above
     # the third vertex's count peels it in round 1, whose subtraction of
-    # C(48 000, 2) from each hub must be widened to leave C(70 000, 2) >= k
+    # C(48 000, 2) from each hub must stay int64 to leave C(70 000, 2) >= k
     g = _with_third_row(big_biclique)
     tip_numbers_bucket_parallel(g, side="left", n_workers=1)
     k = 48_000 * 47_999 + 1

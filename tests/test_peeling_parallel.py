@@ -199,14 +199,38 @@ def tip_graphs(draw) -> BipartiteGraph:
     return BipartiteGraph(np.column_stack([rows, cols]), n_left=m, n_right=n)
 
 
-def _tip_paths(g: BipartiteGraph, side: str) -> tuple[np.ndarray, np.ndarray]:
-    """(pair-table tips, wedge-fallback tips), the fallback's count checked."""
+def _tip_paths(g: BipartiteGraph, side: str) -> tuple[np.ndarray, ...]:
+    """(pair-table tips, wide-loss pair-table tips, wedge-fallback tips),
+    the wide table's loss width and the fallback's count checked."""
     with obs.capture() as metrics:
         table = tip_numbers_bucket_parallel(g, side=side, n_workers=1)
+        with mock.patch.object(buckets, "_NARROW_LOSS_LIMIT", 0):
+            wide = tip_numbers_bucket_parallel(g, side=side, n_workers=1)
+        (_, _, loss), _, _ = buckets.cached_pair_table(g, side)
+        assert loss.dtype == np.int64 or loss.size == 0
         with mock.patch.object(buckets, "PAIR_TABLE_MAX_BYTES", 0):
             fallback = tip_numbers_bucket_parallel(g, side=side, n_workers=1)
     assert metrics.value("peel.tip.pair_table_fallback") == 1
-    return table, fallback
+    return table, wide, fallback
+
+
+def _staircase(n: int) -> BipartiteGraph:
+    """Left vertex u adjacent to right vertices 0..u+1: every pair's c
+    is the lower one's degree, so the left peel takes one vertex a round
+    until the last two, which always tie."""
+    return BipartiteGraph(
+        [(u, v) for u in range(n) for v in range(u + 2)], n_left=n, n_right=n + 1
+    )
+
+
+def _twin_bicliques() -> BipartiteGraph:
+    """Two disjoint K_{3,3}: every survivor has count 6 and all of them
+    peel in one round."""
+    return BipartiteGraph(
+        [(u + 3 * b, v + 3 * b) for b in range(2) for u in range(3) for v in range(3)],
+        n_left=6,
+        n_right=6,
+    )
 
 
 @given(g=tip_graphs())
@@ -215,14 +239,15 @@ def _tip_paths(g: BipartiteGraph, side: str) -> tuple[np.ndarray, np.ndarray]:
 @example(g=BipartiteGraph.empty(4, 0))
 @example(g=BipartiteGraph([(0, 0), (0, 1), (2, 1)], n_left=4, n_right=3))
 @example(g=BipartiteGraph.complete(5, 4))
+@example(g=_twin_bicliques())
+@example(g=_staircase(6))
 def test_tip_table_and_fallback_match_the_heap_reference(g):
-    """Pair table = wedge fallback = heap ``tip_numbers``, bit for bit,
-    on both sides."""
+    """Pair table (int32 and forced int64 losses) = wedge fallback =
+    heap ``tip_numbers``, bit for bit, on both sides."""
     for side in ("left", "right"):
         reference = tip_numbers(g, side=side)
-        table, fallback = _tip_paths(g, side)
-        np.testing.assert_array_equal(table, reference)
-        np.testing.assert_array_equal(fallback, reference)
+        for tips in _tip_paths(g, side):
+            np.testing.assert_array_equal(tips, reference)
 
 
 @given(g=tip_graphs(), drawn_k=st.integers(2, 40))
@@ -375,35 +400,47 @@ def _views(g: BipartiteGraph, side: str):
 
 def _assert_symmetric_table(g: BipartiteGraph, side: str) -> tuple:
     """Build ``side``'s pair table and check it against the dense
-    common-neighbour matrix C: row u holds each w with C[u, w] >= 2 once
-    (partners w > u ascending, then w < u ascending) with multiplicity
-    C[u, w], so every pair appears once per endpoint, and its row sums of
-    C(c, 2) are ``counts``.  Returns ``(table, counts)``."""
+    common-neighbour matrix C: exactly the vertices with some C[u, w] >= 2
+    get a slot, ascending; slot i's row holds the slot of each w with
+    C[vertex[i], w] >= 2 once (partners above it ascending, then those
+    below ascending) with loss C(C[u, w], 2), so every pair appears once
+    per endpoint, and its row sums are ``counts``.  Returns
+    ``(table, vertex, counts)``."""
     built = buckets._pair_table(*_views(g, side))
     assert built is not None
-    (indptr, partner, mult), counts = built
-    assert partner.dtype == mult.dtype == np.int32
+    (indptr, partner, loss), vertex, counts = built
+    assert partner.dtype == loss.dtype == vertex.dtype == np.int32
     assert indptr.dtype == counts.dtype == np.int64
     a = g.biadjacency_dense(np.int64)
     common = a @ a.T if side == "left" else a.T @ a
     np.fill_diagonal(common, 0)
-    row_of = np.repeat(np.arange(common.shape[0]), np.diff(indptr))
-    for u in range(common.shape[0]):
-        got = partner[indptr[u] : indptr[u + 1]]
-        upper, lower = got[got > u], got[got < u]
+    np.testing.assert_array_equal(vertex, np.flatnonzero((common >= 2).any(axis=1)))
+    # every row is non-empty
+    assert np.all(np.diff(indptr) > 0) and indptr[0] == 0
+    assert indptr[-1] == partner.size == loss.size
+    row_of = np.repeat(np.arange(vertex.size), np.diff(indptr))
+    for i, u in enumerate(vertex):
+        got = partner[indptr[i] : indptr[i + 1]]
+        upper, lower = got[got > i], got[got < i]
         assert np.array_equal(got, np.concatenate([upper, lower])), u
         # strictly ascending halves: partners are unique within a row
         assert np.all(np.diff(upper) > 0) and np.all(np.diff(lower) > 0), u
-        np.testing.assert_array_equal(np.sort(got), np.flatnonzero(common[u] >= 2))
-    np.testing.assert_array_equal(mult, common[row_of, partner])
+        np.testing.assert_array_equal(
+            np.sort(vertex[got]), np.flatnonzero(common[u] >= 2)
+        )
+    np.testing.assert_array_equal(
+        loss, choose2(common[vertex[row_of], vertex[partner]])
+    )
     # once per endpoint: the (row, partner) entries are their own transpose
-    forward = row_of * common.shape[0] + partner
-    backward = partner.astype(np.int64) * common.shape[0] + row_of
+    forward = row_of * vertex.size + partner
+    backward = partner.astype(np.int64) * vertex.size + row_of
     np.testing.assert_array_equal(np.sort(forward), np.sort(backward))
     row_sums = np.zeros_like(counts)
-    np.add.at(row_sums, row_of, choose2(mult))
+    np.add.at(row_sums, row_of, loss.astype(np.int64))
     np.testing.assert_array_equal(counts, row_sums)
-    np.testing.assert_array_equal(counts, choose2(common).sum(axis=1))
+    every = choose2(common).sum(axis=1)
+    np.testing.assert_array_equal(counts, every[vertex])
+    assert not np.delete(every, vertex).any()
     return built
 
 
@@ -429,10 +466,10 @@ def _with_leaves(g: BipartiteGraph, side: str, hubs: np.ndarray) -> BipartiteGra
 @example(g=BipartiteGraph.empty(4, 0), picks=[0])
 def test_pair_table_ignores_leaf_pivots(g, picks):
     """Degree-1 pivots attached to the hubs of the other side store no
-    pair and change no other pair's c: the table of the graph with them
-    is the table without them, its extra rows empty and their counts 0;
-    the other side's table does not change either.  Every table holds
-    the symmetric invariants."""
+    pair and change no other pair's c: they get no slot, so the table of
+    the graph with them is the table without them; the other side's
+    table does not change either.  Every table holds the symmetric
+    invariants."""
     for side in ("left", "right"):
         flip = "right" if side == "left" else "left"
         degrees = np.diff(_views(g, side)[1].indptr)
@@ -440,19 +477,11 @@ def test_pair_table_ignores_leaf_pivots(g, picks):
             continue
         hubs = np.argsort(-degrees, kind="stable")[: max(1, degrees.size // 2)]
         leafy = _with_leaves(g, side, hubs[np.asarray(picks) % hubs.size])
-        (ptr, partner, mult), counts = _assert_symmetric_table(g, side)
-        (lptr, lpartner, lmult), lcounts = _assert_symmetric_table(leafy, side)
-        n = ptr.size - 1
-        np.testing.assert_array_equal(lptr[: n + 1], ptr)
-        assert np.all(lptr[n:] == ptr[-1])
-        np.testing.assert_array_equal(lpartner, partner)
-        np.testing.assert_array_equal(lmult, mult)
-        np.testing.assert_array_equal(lcounts[:n], counts)
-        assert not lcounts[n:].any()
-        before = _assert_symmetric_table(g, flip)
-        after = _assert_symmetric_table(leafy, flip)
-        for old, new in zip((*before[0], before[1]), (*after[0], after[1])):
-            np.testing.assert_array_equal(old, new)
+        for other in (side, flip):
+            before = _assert_symmetric_table(g, other)
+            after = _assert_symmetric_table(leafy, other)
+            for old, new in zip((*before[0], *before[1:]), (*after[0], *after[1:])):
+                np.testing.assert_array_equal(old, new)
 
 
 def _counting_pair_table(monkeypatch) -> list:
@@ -718,11 +747,12 @@ def test_tip_trace_names_the_path(table, monkeypatch):
     assert metrics.value("peel.rounds.bucket_occupancy") >= 1
     if table:
         assert "peel.tip.pair_table_fallback" not in metrics
-        # one indptr of n + 1 int64 entries, then int32 partner and
-        # multiplicity per entry
-        (_, partner, _), _ = buckets.cached_pair_table(g, "left")
+        # one indptr of s + 1 int64 entries and one int32 vertex id per
+        # slot, then int32 partner and loss per entry
+        (_, partner, _), vertex, _ = buckets.cached_pair_table(g, "left")
+        assert 0 < vertex.size < g.n_left
         assert metrics.value("peel.tip.pair_table_bytes") == (
-            8 * (g.n_left + 1) + 8 * partner.size
+            8 * (vertex.size + 1) + 4 * vertex.size + 8 * partner.size
         )
     else:
         assert metrics.value("peel.tip.pair_table_fallback") == 1

@@ -543,7 +543,7 @@ def test_tip_row_prices_the_pair_table_a_decomposition_left(monkeypatch):
     g = power_law_bipartite(60, 80, 600, seed=4)
     (recount,) = engine.candidate_plans(g, "tip", k=1, calibration=DEFAULTS)
     tip_numbers_bucket_parallel(g)
-    (_, partner, _), _ = buckets.cached_pair_table(g, "left")
+    (_, partner, _), _, _ = buckets.cached_pair_table(g, "left")
 
     def no_wedges(graph):
         raise AssertionError("a table-priced tip plan counted wedges")
