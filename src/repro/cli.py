@@ -170,25 +170,24 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         choices=range(1, 9),
         default=None,
-        help="family member 1-8 (default: the smaller side's suffix "
-        "member, 2 or 6)",
+        help="pin family member 1-8 (alone: its unblocked scratch "
+        "sweep; default: the engine's rule, which needs no member)",
     )
     p_count.add_argument(
         "--strategy",
         choices=("scratch", "spmv", "wedge", "priority"),
         default=None,
-        help="update strategy (default: scratch; with --auto, the "
-        "vertex-priority kernel; 'wedge' runs the wedge-partitioned shard "
-        "backend, 'priority' the serial vertex-priority kernel, which "
-        "takes no --invariant)",
+        help="pin the update strategy (default: the engine's rule, the "
+        "serial vertex-priority kernel unless a flag pins a fixed-side "
+        "plan); 'scratch'/'spmv' run the unblocked family member, "
+        "'wedge' the wedge-partitioned shard backend, 'priority' takes "
+        "no --invariant",
     )
     p_count.add_argument(
         "--auto",
         action="store_true",
-        help="let the engine's rule plan the count (the vertex-priority "
-        "kernel unless a flag pins a fixed-side plan) instead of the "
-        "sequential family; prints the chosen plan and threads it into "
-        "--trace-out as engine.plan/execute spans",
+        help="accepted for compatibility and ignored: every count is "
+        "planned by the engine's rule",
     )
     p_count.add_argument(
         "--workers",
@@ -208,13 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument(
         "--blocked",
         action="store_true",
-        help="use the blocked (panel) member — with --trace-out the "
+        help="pin the blocked (panel) member — with --trace-out the "
         "trace nests family → invariant → panel",
     )
     p_count.add_argument(
         "--block-size", type=int, default=None, metavar="B",
-        help="panel width for --blocked (default: sized to a "
-        "cache-resident wedge budget)",
+        help="pin the blocked member at panel width B (--blocked alone: "
+        "sized to a cache-resident wedge budget)",
     )
     # SUPPRESS: a subparser default would overwrite the value the global
     # --trace-out already parsed onto the namespace
@@ -232,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_peel.add_argument(
         "--auto",
         action="store_true",
-        help="print the engine's round plan (kernel/block size/pool) "
+        help="print the engine's plan (kernel, rounds, block size) "
         "before peeling",
     )
 
@@ -468,36 +467,31 @@ def _cmd_info(args) -> int:
 
 
 def _count_plan_from_args(args, g):
-    """Translate the ``count`` flag set into one pinned engine plan.
+    """Translate the ``count`` flag set into engine pins and plan them.
 
-    Every hand-picked knob becomes a *pinned plan field* — there is no
-    separate code path per flag; the engine's rule fills the rest.
+    Every flag is a pinned plan field and the engine's rule fills the
+    rest, so a count without pins plans the vertex-priority kernel.
+    ``--invariant`` alone pins the member's unblocked ``scratch`` sweep;
+    ``--blocked`` and ``--block-size`` pin the panel kernel; ``--workers
+    N`` pins the pool (N > 1) or the serial executor; ``--auto`` pins
+    nothing.
     """
     from repro import engine
 
-    layout = _layout_arg(args)
-    if args.blocked:
-        return engine.plan(
-            g, "count", strategy="blocked", invariant=args.invariant,
-            block_size=args.block_size, executor="serial", layout=layout,
-        )
-    if args.workers is not None:
-        executor = "shared" if args.workers > 1 else "serial"
-        return engine.plan(
-            g, "count", invariant=args.invariant, strategy=args.strategy,
-            executor=executor, workers=args.workers, layout=layout,
-        )
-    if args.auto or args.strategy in ("wedge", "priority"):
-        # not members of the sequential family: the rule plans them
-        return engine.plan(
-            g, "count", invariant=args.invariant, strategy=args.strategy,
-            block_size=args.block_size, layout=layout,
-        )
-    # default: the sequential unblocked family (scratch, the fastest
-    # unblocked strategy), the smaller-side member unless pinned
+    strategy = args.strategy
+    if args.blocked or args.block_size is not None:
+        if strategy is not None:
+            raise ValueError(
+                f"conflicting pins: --strategy {strategy} with a panel "
+                "width (--blocked/--block-size pin strategy 'blocked')"
+            )
+        strategy = "blocked"
+    elif strategy is None and args.invariant is not None and args.workers is None:
+        strategy = "scratch"
     return engine.plan(
-        g, "count", invariant=args.invariant,
-        strategy=args.strategy or "scratch", executor="serial", layout=layout,
+        g, "count", invariant=args.invariant, strategy=strategy,
+        workers=args.workers, block_size=args.block_size,
+        layout=_layout_arg(args),
     )
 
 
@@ -526,23 +520,21 @@ def _cmd_count(args) -> int:
         invariant_desc = f"auto (chose {plan.invariant})"
     else:
         invariant_desc = "auto"
-    strategy_desc = plan.strategy if args.strategy is None else args.strategy
     mode = _describe_mode(plan)
     if args.json:
         import json
 
         print(json.dumps({
             "invariant": invariant_desc,
-            "strategy": strategy_desc,
+            "strategy": plan.strategy,
             "mode": mode,
             "plan": plan.label,
             "butterflies": result,
         }))
         return 0
-    if args.auto:
-        print(f"plan       : {plan.label} — {plan.reason}")
+    print(f"plan       : {plan.label} — {plan.reason}")
     print(f"invariant  : {invariant_desc}")
-    print(f"strategy   : {strategy_desc}")
+    print(f"strategy   : {plan.strategy}")
     print(f"mode       : {mode}")
     print(f"butterflies: {result}")
     return 0
@@ -553,11 +545,12 @@ def _cmd_peel(args) -> int:
     from repro.core import k_tip, k_wing
 
     g = _load(args.graph)
-    plan = engine.plan(g, args.mode, side=args.side, k=args.k)
+    plan = None  # k_tip runs no plan; k_wing plans itself when given none
     if args.auto:
+        plan = engine.plan(g, args.mode, side=args.side, k=args.k)
         print(f"plan       : {plan.label} — {plan.reason}")
     if args.mode == "tip":
-        res = k_tip(g, args.k, side=args.side, plan=plan)
+        res = k_tip(g, args.k, side=args.side)
         print(f"{args.k}-tip ({args.side} side): kept {res.n_kept} vertices, "
               f"{res.subgraph.n_edges} edges, {res.rounds} rounds")
     else:

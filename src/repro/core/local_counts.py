@@ -34,8 +34,6 @@ from repro.sparsela.linalg import choose2_dense
 
 __all__ = [
     "vertex_butterfly_counts",
-    "vertex_butterfly_counts_blocked",
-    "vertex_counts_panel",
     "vertex_counts_dense",
     "edge_butterfly_support",
     "edge_butterfly_support_blocked",
@@ -44,10 +42,9 @@ __all__ = [
     "paper_tip_vector",
 ]
 
-#: Pivot cap of one per-vertex panel (and the pinned-width default): on
-#: the e2e benchmark's ``skewed`` and ``occupations`` shapes, panels
-#: filled to the whole wedge budget reduced ~1.5x slower than panels
-#: capped at 128 pivots (2-vCPU host).
+#: Pivot cap of one per-vertex panel: on the e2e benchmark's ``skewed``
+#: and ``occupations`` shapes, panels filled to the whole wedge budget
+#: reduced ~1.5x slower than panels capped at 128 pivots (2-vCPU host).
 _PANEL_PIVOTS = 128
 
 
@@ -65,12 +62,17 @@ def vertex_butterfly_counts(graph: BipartiteGraph, side: str = "left") -> np.nda
 
     For a left vertex u this is Σ_{w≠u} C(|N(u) ∩ N(w)|, 2) with w ranging
     over the left side — each butterfly at u pairs u with exactly one other
-    left vertex.  Panelised: pivots are cut into contiguous panels of at
-    most :data:`~repro.core.parallel.DEFAULT_WEDGE_SHARD_BUDGET` wedge
+    left vertex.  The fixed-side oracle the tip decomposition and the
+    tests read (production per-vertex counts run
+    :func:`~repro.core.priority.vertex_butterfly_counts_priority`).
+    Panelised: pivots are cut into contiguous panels of at most
+    :data:`~repro.core.parallel.DEFAULT_WEDGE_SHARD_BUDGET` wedge
     expansions (a hub heavier than that gets a singleton panel) and at most
-    128 pivots, and each panel is reduced by
-    :func:`vertex_counts_panel` — O(Σ wedges) total, with transient memory
-    bounded by the budget rather than the graph.
+    :data:`_PANEL_PIVOTS` pivots.  Each pivot's count depends only on its
+    own wedge expansion, so each panel's (pivot, endpoint) multiset is
+    reduced on its own by :func:`repro.sparsela.panel_choose2_per_owner`
+    — O(Σ wedges) total, with transient memory bounded by the budget
+    rather than the graph.
 
     Parameters
     ----------
@@ -88,71 +90,31 @@ def vertex_butterfly_counts(graph: BipartiteGraph, side: str = "left") -> np.nda
     from repro.core.blocked import work_bounded_panels
     from repro.core.parallel import DEFAULT_WEDGE_SHARD_BUDGET
     from repro.core.workinfo import pivot_work_estimate
+    from repro.sparsela import panel_choose2_per_owner
 
     pivot_major, complementary = _side_patterns(graph, side)
-    out = np.zeros(pivot_major.major_dim, dtype=COUNT_DTYPE)
+    n = pivot_major.major_dim
+    out = np.zeros(n, dtype=COUNT_DTYPE)
     work = pivot_work_estimate(pivot_major, complementary)
     for lo, hi in work_bounded_panels(work, DEFAULT_WEDGE_SHARD_BUDGET):
         for p_lo in range(lo, hi, _PANEL_PIVOTS):
             p_hi = min(p_lo + _PANEL_PIVOTS, hi)
-            out[p_lo:p_hi] = vertex_counts_panel(
-                pivot_major, complementary, p_lo, p_hi
-            )
+            deg = pivot_major.panel_degrees(p_lo, p_hi)
+            if deg.sum(dtype=COUNT_DTYPE) == 0:
+                continue
+            neighbors = pivot_major.panel_indices(p_lo, p_hi)
+            owner = np.repeat(np.arange(p_lo, p_hi, dtype=np.int64), deg)
+            endpoints = complementary.gather(neighbors)
+            owners = np.repeat(owner, complementary.degrees_of(neighbors))
+            if obs._enabled:
+                obs.inc("local.panels")
+                obs.observe("local.panel.wedges", int(endpoints.size))
+            sel = endpoints != owners
+            if sel.any():
+                out[p_lo:p_hi] = panel_choose2_per_owner(
+                    owners[sel] - p_lo, endpoints[sel], p_hi - p_lo, n
+                )
     return out
-
-
-def vertex_butterfly_counts_blocked(
-    graph: BipartiteGraph,
-    side: str = "left",
-    block_size: int = _PANEL_PIVOTS,
-) -> np.ndarray:
-    """:func:`vertex_butterfly_counts` with a pinned panel width.
-
-    Identical output; every panel is exactly ``block_size`` consecutive
-    pivots (the last one may be shorter) regardless of their wedge work —
-    the form the peeling fixpoint loops and the block-size ablations call.
-    """
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
-    pivot_major, complementary = _side_patterns(graph, side)
-    n = pivot_major.major_dim
-    out = np.zeros(n, dtype=COUNT_DTYPE)
-    for lo in range(0, n, block_size):
-        hi = min(lo + block_size, n)
-        out[lo:hi] = vertex_counts_panel(pivot_major, complementary, lo, hi)
-    return out
-
-
-def vertex_counts_panel(pivot_major, complementary, lo: int, hi: int) -> np.ndarray:
-    """Per-vertex butterfly counts for pivots ``[lo, hi)`` — one panel.
-
-    The unit of work behind both the blocked and the parallel per-vertex
-    kernels: each pivot's count depends only on its own wedge expansion,
-    so disjoint panels are independent.  The (pivot, endpoint) multiset is
-    reduced by :func:`repro.sparsela.panel_choose2_per_owner`, which picks
-    its branch from the panel's shape.
-    """
-    from repro.sparsela import panel_choose2_per_owner
-
-    out = np.zeros(max(hi - lo, 0), dtype=COUNT_DTYPE)
-    if hi <= lo:
-        return out
-    n = pivot_major.major_dim
-    pivots = np.arange(lo, hi, dtype=np.int64)
-    deg = pivot_major.panel_degrees(lo, hi)
-    if deg.sum(dtype=COUNT_DTYPE) == 0:
-        return out
-    neighbors = pivot_major.panel_indices(lo, hi)
-    owner = np.repeat(pivots, deg)
-    endpoints = complementary.gather(neighbors)
-    owners = np.repeat(owner, complementary.degrees_of(neighbors))
-    if obs._enabled:
-        obs.inc("local.panels")
-        obs.observe("local.panel.wedges", int(endpoints.size))
-    sel = endpoints != owners
-    if not sel.any():
-        return out
-    return panel_choose2_per_owner(owners[sel] - lo, endpoints[sel], hi - lo, n)
 
 
 def paper_tip_vector(graph: BipartiteGraph) -> np.ndarray:

@@ -9,19 +9,16 @@ survivors below k, hence the fixpoint loop.
 
 Two implementations are provided:
 
-- :func:`k_tip` — the batch fixpoint.  On the auto (``priority``) plan,
-  after :func:`~repro.core.peeling.buckets.tip_numbers_bucket_parallel`
-  on the same graph, it peels from the same-side pair table that call
-  left on the graph: removing a same-side vertex never changes c(u, w)
-  for two survivors, so s starts as the table's row sums and each round
+- :func:`k_tip` — the batch fixpoint.  After
+  :func:`~repro.core.peeling.buckets.tip_numbers_bucket_parallel` on the
+  same graph, it peels from the same-side pair table that call left on
+  the graph: removing a same-side vertex never changes c(u, w) for two
+  survivors, so s starts as the table's row sums and each round
   subtracts its offenders' C(c, 2) losses from their partners instead
-  of recounting.  It never builds a table itself.  Without one, and on
-  a ``blocked`` pin, the rounds run exactly as formulated: each is one
-  per-vertex count of the survivor graph from the planned kernel (the
-  one-pass
-  :func:`~repro.core.priority.vertex_butterfly_counts_priority`, or the
-  blocked
-  :func:`~repro.core.local_counts.vertex_butterfly_counts_blocked`).
+  of recounting.  It never builds a table itself.  Without one, the
+  rounds run exactly as formulated: each is one per-vertex count of the
+  survivor graph by the one-pass
+  :func:`~repro.core.priority.vertex_butterfly_counts_priority`.
 - :func:`k_tip_lookahead` — the fused single-sweep variant of Fig. 8
   (KTIP_UNB_VAR1): the s vector is produced by a FLAME sweep over the rows
   in which each σ₁ is computed from the rows *below* the pivot (the A₂
@@ -43,8 +40,8 @@ import numpy as np
 
 from repro import obs
 from repro._types import COUNT_DTYPE
-from repro.core.local_counts import vertex_butterfly_counts_blocked
 from repro.core.peeling.buckets import _subtract_pair_losses, cached_pair_table
+from repro.core.priority import vertex_butterfly_counts_priority
 from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela import gather_slices
 
@@ -95,26 +92,7 @@ def _survivors(graph: BipartiteGraph, kept: np.ndarray, side: str):
     return graph.subgraph_from_mask(np.ones(graph.n_left, dtype=bool), kept)
 
 
-def _counts_kernel_from_plan(plan, side: str):
-    """Build the per-round counts callable a :class:`repro.engine.Plan`
-    describes: the one-pass priority kernel or the blocked kernel (at the
-    plan's block size); tip plans are serial."""
-    if plan.strategy == "priority":
-        from repro.core.priority import vertex_butterfly_counts_priority
-
-        index = 0 if side == "left" else 1
-        return lambda g: vertex_butterfly_counts_priority(g)[index]
-    block = plan.block_size or 128
-    return lambda g: vertex_butterfly_counts_blocked(g, side, block_size=block)
-
-
-def k_tip(
-    graph: BipartiteGraph,
-    k: int,
-    side: str = "left",
-    *,
-    plan=None,
-) -> TipResult:
+def k_tip(graph: BipartiteGraph, k: int, side: str = "left") -> TipResult:
     """Batch k-tip peeling: iterate eqs. (19)–(22) until fixpoint.
 
     Parameters
@@ -127,15 +105,6 @@ def k_tip(
     side:
         Which vertex set is peeled (``"left"`` = V1, the formulation's
         default, or ``"right"``).
-    plan:
-        Optional :class:`repro.engine.Plan` pinning the per-round counts
-        kernel (priority, or blocked at a block size).  When ``None`` the
-        engine plans it, which is the behaviour every auto entry point
-        gets.  A ``priority`` plan peels from the pair table a
-        :func:`~repro.core.peeling.buckets.tip_numbers_bucket_parallel`
-        call left on ``graph``, the rounds then subtracting losses
-        rather than recounting; otherwise each round recounts the
-        survivor graph.
 
     Returns
     -------
@@ -145,15 +114,10 @@ def k_tip(
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    if plan is None:
-        from repro import engine
-
-        plan = engine.plan(graph, "tip", side=side, k=k)
     n_side = _peel_side_sizes(graph, side)
-    table = cached_pair_table(graph, side) if plan.strategy == "priority" else None
-    if table is None:
-        counts_of = _counts_kernel_from_plan(plan, side)
-    else:
+    table = cached_pair_table(graph, side)
+    index = 0 if side == "left" else 1
+    if table is not None:
         obs.inc("peel.tip.pair_table_reused")
         pairs, vertex, slot_counts = table
         slot_counts = slot_counts.copy()
@@ -167,7 +131,7 @@ def k_tip(
             rounds += 1
             with obs.span("peel.tip.round", round=rounds):
                 if table is None:
-                    counts = counts_of(current)
+                    counts = vertex_butterfly_counts_priority(current)[index]
                 else:
                     # a vertex without a slot closes no butterfly
                     counts = np.zeros(n_side, dtype=COUNT_DTYPE)

@@ -100,7 +100,7 @@ def _dispatch(the_plan: Plan, graph: BipartiteGraph, k: int | None):
     if workload == "tip":
         from repro.core.peeling.tip import k_tip
 
-        return k_tip(graph, k, side=the_plan.side, plan=the_plan)
+        return k_tip(graph, k, side=the_plan.side)
     # wing
     from repro.core.peeling.wing import k_wing
 
@@ -184,15 +184,7 @@ def _member(the_plan: Plan, graph) -> int:
 
 
 def _dispatch_vertex_counts(the_plan: Plan, graph: BipartiteGraph):
-    # every layout keeps the caller's vertex ids
-    view = _storage_view(the_plan, graph)
-    if the_plan.strategy == "priority":
-        from repro.core.priority import vertex_butterfly_counts_priority
+    from repro.core.priority import vertex_butterfly_counts_priority
 
-        left, right = vertex_butterfly_counts_priority(view)
-        return left if the_plan.side == "left" else right
-    from repro.core.local_counts import vertex_butterfly_counts_blocked
-
-    return vertex_butterfly_counts_blocked(
-        view, side=the_plan.side, block_size=the_plan.block_size or 128
-    )
+    left, right = vertex_butterfly_counts_priority(graph)
+    return left if the_plan.side == "left" else right

@@ -87,8 +87,8 @@ class Plan:
     #: graph storage layout the kernels read (:data:`LAYOUTS`): raw int64
     #: arrays or mmap-backed
     layout: str = "raw"
-    #: one of :data:`COUNT_STRATEGIES` for counts; "blocked" or
-    #: "priority" for the kernels behind per-vertex / peeling workloads
+    #: one of :data:`COUNT_STRATEGIES` for counts; "priority" for the
+    #: per-vertex and tip workloads, "blocked" for wing
     strategy: str = "scratch"
     #: one of :data:`EXECUTORS` ("serial" for the per-vertex workloads)
     executor: str = "serial"
@@ -122,13 +122,6 @@ class Plan:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.workload in ("vertex-counts", "tip") and (
-            self.executor != "serial" or self.workers > 1
-        ):
-            raise ValueError(
-                f"workload {self.workload!r} runs serially (got "
-                f"executor={self.executor!r}, workers={self.workers})"
-            )
         if self.invariant is not None and self.invariant not in range(1, 9):
             raise ValueError(f"invariant must be 1..8, got {self.invariant}")
         if self.block_size is not None and self.block_size < 1:
@@ -140,6 +133,15 @@ class Plan:
         if self.layout not in LAYOUTS:
             raise ValueError(
                 f"unknown layout {self.layout!r}; expected one of {LAYOUTS}"
+            )
+        if self.workload in ("vertex-counts", "tip") and (
+            self.strategy != "priority" or self.executor != "serial"
+            or self.workers > 1
+        ):
+            raise ValueError(
+                f"workload {self.workload!r} runs serially on strategy "
+                f"'priority' (got strategy={self.strategy!r}, "
+                f"executor={self.executor!r}, workers={self.workers})"
             )
 
     # ------------------------------------------------------------------

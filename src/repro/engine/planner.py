@@ -13,14 +13,14 @@ So the planner is a fixed rule, not a cost model:
   table (a ``tip`` plan on a graph a tip decomposition left its pair
   table on prices the table's entries instead, as ``k_tip`` peels from
   it).  Pins priority already satisfies (``executor="serial"``,
-  ``workers=1``, ``layout="raw"``) keep it.
-- **Pins** — every field left open is filled: the invariant by the
-  smaller-side rule (:func:`select_count_invariant`), the executor is
-  ``shared`` iff ``executor="shared"`` or ``workers > 1``, the strategy
-  is ``blocked`` when serial and ``wedge`` when shared (per-vertex
-  workloads: serial ``blocked``), the layout is ``raw`` and the panel
-  width :func:`_auto_block_size`.  Contradictory pins raise; so does a
-  pool pin on ``vertex-counts``/``tip``, which run serially.
+  ``workers=1``, ``layout="raw"``) keep it.  ``vertex-counts`` and
+  ``tip`` run nothing else: any other pin on them raises.
+- **Pins** (``count`` only) — every field left open is filled: the
+  invariant by the smaller-side rule (:func:`select_count_invariant`),
+  the executor is ``shared`` iff ``executor="shared"`` or
+  ``workers > 1``, the strategy is ``blocked`` when serial and
+  ``wedge`` when shared, the layout is ``raw`` and the panel width
+  :func:`_auto_block_size`.  Contradictory pins raise.
 - **wing** — its one blocked edge-support row.
 - **stream_apply** — the one scored decision left: batched incremental
   maintenance against a from-scratch recount, because which is cheaper
@@ -96,9 +96,9 @@ _TABLE_ENTRY_COST = 0.3
 #: Rule lines ``explain`` prints, keyed by which rule fired.
 _RULES = {
     "priority": "no fixed-side pin -> vertex-priority kernel, serial, raw",
-    "pinned": "pins given -> invariant: pinned, else the smaller side's "
-              "suffix member; strategy: pinned, else blocked (serial) / "
-              "wedge (shared); layout: pinned, else raw",
+    "pinned": "pins given on a count -> invariant: pinned, else the "
+              "smaller side's suffix member; strategy: pinned, else "
+              "blocked (serial) / wedge (shared); layout: pinned, else raw",
     "wing": "wing -> the blocked edge-support kernel",
     "stream_apply": "stream_apply -> score incremental against recount, "
                     "keep the cheaper estimate",
@@ -211,14 +211,18 @@ def _check_pins(
         (strategy not in (None, *allowed),
          f"unknown {'stream ' if stream else ''}strategy {strategy!r}; "
          f"expected one of {allowed}"),
-        (layout not in (None, "raw")
-         and workload not in ("count", "vertex-counts"),
-         "the storage-layout axis applies to 'count'/'vertex-counts' "
-         f"plans; workload {workload!r} runs on raw views"),
-        (workload in ("vertex-counts", "tip")
-         and strategy not in (None, "blocked", "priority"),
-         f"workload {workload!r} runs strategy 'blocked' or 'priority' "
-         f"(got strategy={strategy!r})"),
+        (workload in ("wing", "stream_apply") and layout not in (None, "raw"),
+         "the storage-layout axis applies to 'count' plans; workload "
+         f"{workload!r} runs on raw views"),
+        (workload in ("vertex-counts", "tip") and (
+            invariant is not None or block_size is not None
+            or layout not in (None, "raw")
+            or strategy not in (None, "priority")
+        ),
+         f"workload {workload!r} runs only the vertex-priority kernel, "
+         "which takes no invariant, block_size or storage-layout axis pin "
+         f"(got invariant={invariant!r}, strategy={strategy!r}, "
+         f"block_size={block_size!r}, layout={layout!r})"),
         (executor == "serial" and pool,
          f"conflicting pins: executor='serial' with workers={workers}"),
         # the priority kernel ranks both sides together, serially, raw
@@ -322,18 +326,7 @@ def candidate_plans(
         workers=workers if pool else 1, layout=layout or "raw",
         side=side, k=k,
     )
-    if workload == "count":
-        return [_count_row(graph, row, budget, invariant, strategy, block_size)]
-    # per-vertex: the pivot side is the counted side (rows ↔ CSR)
-    ops, pivots = _side_work(graph, 6 if side == "left" else 2)
-    rounds = 3 if workload == "tip" else 1
-    return [row.with_(
-        storage="csr" if side == "left" else "csc", strategy="blocked",
-        block_size=block_size or max(_auto_block_size(ops, pivots, budget), 128),
-        modeled_ops=ops * rounds, est_seconds=None,
-        reason=f"serial panel kernel on the {side} side, "
-               f"~{rounds} round(s)",
-    )]
+    return [_count_row(graph, row, budget, invariant, strategy, block_size)]
 
 
 def _count_row(graph, row, budget, invariant, strategy, block_size) -> Plan:

@@ -20,9 +20,6 @@ __all__ = [
     "gamma",
     "hadamard",
     "ones_matrix",
-    "hadamard_trace",
-    "total_sum",
-    "diag_vector",
     "choose2_dense",
 ]
 
@@ -42,33 +39,12 @@ def hadamard(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise ValueError(f"Hadamard product needs equal shapes, {x.shape} vs {y.shape}")
     return x * y
 
+
 def ones_matrix(m: int, n: int | None = None, dtype=np.int64) -> np.ndarray:
     """The all-ones matrix J of shape ``(m, n)`` (square when ``n`` omitted)."""
     if n is None:
         n = m
     return np.ones((m, n), dtype=dtype)
-
-
-def hadamard_trace(x: np.ndarray, y: np.ndarray) -> int | float:
-    """``Σ_ij (X ∘ Y)_ij`` — equal to ``Γ(X Yᵀ)`` by eq. (3) of the paper.
-
-    Computed in the cheap form (no matrix product); the test-suite asserts
-    equality with ``gamma(x @ y.T)`` to validate the identity itself.
-    """
-    return hadamard(x, y).sum()  # repro: noqa[RPR002] float-or-int oracle; dtype follows operands
-
-
-def total_sum(x: np.ndarray) -> int | float:
-    """``Σ_ij X_ij`` over all entries."""
-    return np.asarray(x).sum()  # repro: noqa[RPR002] float-or-int oracle; dtype follows operands
-
-
-def diag_vector(x: np.ndarray) -> np.ndarray:
-    """DIAG(X): the diagonal of a square matrix as a vector (paper eq. 19)."""
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"DIAG requires a square matrix, got shape {x.shape}")
-    return np.diagonal(x).copy()
 
 
 def choose2_dense(x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import re
 import signal
@@ -44,6 +45,36 @@ def test_count_auto(konect_file, capsys):
     assert "auto" in out and "butterflies:" in out
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_count_prints_the_same_bytes_with_and_without_auto(
+    konect_file, capsys, fmt
+):
+    """Plain ``count`` plans with the engine's rule; ``--auto`` is a no-op."""
+    assert main(["count", konect_file, *fmt]) == 0
+    plain = capsys.readouterr().out
+    assert main(["count", konect_file, "--auto", *fmt]) == 0
+    assert capsys.readouterr().out == plain
+    assert "priority-serial" in plain
+
+
+def test_count_invariant_pin_plans_the_same_with_and_without_auto(
+    konect_file, capsys
+):
+    plans = set()
+    for extra in ([], ["--auto"]):
+        assert main(["count", konect_file, "--invariant", "3", "--json",
+                     *extra]) == 0
+        plans.add(json.loads(capsys.readouterr().out)["plan"])
+    assert plans == {"inv3-scratch-serial"}
+
+
+def test_count_block_size_pins_the_blocked_member(konect_file, capsys):
+    assert main(["count", konect_file, "--block-size", "32", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["strategy"], payload["mode"]) == ("blocked", "blocked (b=32)")
+    assert payload["plan"].endswith("-blocked-b32-serial")
+
+
 def test_count_explicit_invariant_consistency(konect_file, capsys):
     values = set()
     for inv in ("1", "5", "8"):
@@ -79,8 +110,6 @@ def test_peel_requires_k(konect_file):
 
 
 def test_info_json(konect_file, capsys):
-    import json
-
     assert main(["info", konect_file, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n_edges"] == 40
@@ -88,8 +117,6 @@ def test_info_json(konect_file, capsys):
 
 
 def test_count_json(konect_file, capsys):
-    import json
-
     assert main(["count", konect_file, "--json", "--invariant", "3"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["invariant"] == "3"
@@ -218,6 +245,13 @@ def test_bench_smallest_dataset(capsys):
           "0"], "block_size must be >= 1, got 0"),
         (["explain", "{tmp}/g.tsv", "--workload", "tip", "--k", "-2"],
          "k must be non-negative, got -2"),
+        (["explain", "{tmp}/g.tsv", "--workload", "tip", "--block-size", "8"],
+         "workload 'tip' runs only the vertex-priority kernel"),
+        (["explain", "{tmp}/g.tsv", "--workload", "vertex-counts",
+          "--strategy", "blocked"],
+         "workload 'vertex-counts' runs only the vertex-priority kernel"),
+        (["count", "{tmp}/g.tsv", "--strategy", "wedge", "--block-size", "8"],
+         "conflicting pins: --strategy wedge"),
         (["decompose", "{tmp}/g.tsv", "--workers", "2"],
          "unrecognized arguments"),
         (["count", "dataset:nope"], "unknown dataset 'nope'"),
@@ -250,7 +284,8 @@ def test_bench_smallest_dataset(capsys):
          "explain-vertex-counts-pool", "count-zero-workers",
          "count-negative-workers", "explain-zero-workers",
          "count-zero-block-size", "explain-zero-block-size",
-         "explain-tip-negative-k",
+         "explain-tip-negative-k", "explain-tip-block-size",
+         "explain-vertex-counts-blocked", "count-wedge-block-size",
          "decompose-workers", "count-unknown-dataset", "info-unknown-dataset",
          "peel-unknown-dataset", "explain-unknown-dataset",
          "decompose-negative-top", "generate-negative-n-left",
@@ -396,8 +431,6 @@ class TestBlasThreadDefault:
     )
 
     def _probe(self, **blas) -> dict:
-        import json
-
         proc = subprocess.run([sys.executable, "-c", self._PROBE],
                               env=self._env(**blas), capture_output=True,
                               text=True, timeout=120)
@@ -434,8 +467,6 @@ class TestBlasThreadDefault:
         assert b'"butterflies"' in outs[0].stdout
 
     def test_pooled_count_agrees_under_the_default(self, konect_file):
-        import json
-
         counts = []
         for extra in ([], ["--workers", "2"]):
             proc = subprocess.run(
@@ -482,8 +513,6 @@ def _wait_for_empty_session(sid: int, timeout: float = 10.0) -> list[int]:
                     reason="needs /proc and /dev/shm")
 def test_observed_pooled_count_exits_clean(konect_file, tmp_path):
     """Three obs files written whole, no segment left, no worker alive."""
-    import json
-
     metrics, trace, profile = (tmp_path / n for n in
                                ("metrics.jsonl", "trace.json", "profile.collapsed"))
     shm_before = set(os.listdir("/dev/shm"))

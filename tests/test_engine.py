@@ -532,8 +532,9 @@ class TestBackCompatShims:
     def test_peeling_entry_points_accept_plans(self):
         g = power_law_bipartite(40, 50, 300, seed=3)
         tip_plan = engine.plan(g, "tip", k=2, calibration=DEFAULTS)
+        # k_tip has nothing left for a plan to choose: the engine runs it
         assert (
-            k_tip(g, 2, plan=tip_plan).kept.tolist()
+            engine.execute(tip_plan, g).kept.tolist()
             == k_tip(g, 2).kept.tolist()
         )
         wing_plan = engine.plan(g, "wing", k=2, calibration=DEFAULTS)
@@ -654,20 +655,19 @@ class TestRuleTable:
         assert select_count_invariant(square) == 2
 
     @pytest.mark.parametrize("workload", ["vertex-counts", "tip"])
-    @pytest.mark.parametrize("pins, executor, workers", [
-        ({"strategy": "blocked"}, "serial", 1),
-        ({"block_size": 64}, "serial", 1),
-    ])
-    def test_per_vertex_pins_always_run_blocked(
-        self, g, workload, pins, executor, workers
-    ):
-        p = engine.plan(
-            g, workload, side="right", k=1, calibration=DEFAULTS, **pins
-        )
-        assert (p.strategy, p.executor, p.workers, p.side) == (
-            "blocked", executor, workers, "right",
-        )
-        assert p.storage == "csc" and p.est_seconds is None
+    @pytest.mark.parametrize("pins", [
+        {"invariant": 3}, {"strategy": "blocked"}, {"block_size": 8},
+        {"layout": "mmap"},
+    ], ids=["invariant", "blocked", "block_size", "mmap"])
+    def test_per_vertex_fixed_side_pins_are_an_error(self, g, workload, pins):
+        """Per-vertex workloads run only the priority kernel: a pin that
+        would choose another kernel is one ValueError, not a dropped pin."""
+        with pytest.raises(
+            ValueError,
+            match=f"workload '{workload}' runs only the vertex-priority kernel",
+        ):
+            engine.plan(g, workload, side="right", k=1, calibration=DEFAULTS,
+                        **pins)
 
     @pytest.mark.parametrize("workload", ["vertex-counts", "tip"])
     @pytest.mark.parametrize("pins", [{"executor": "shared"}, {"workers": 2}])
@@ -677,21 +677,28 @@ class TestRuleTable:
 
     @pytest.mark.parametrize("workload", ["vertex-counts", "tip"])
     def test_hand_built_pooled_per_vertex_plan_does_not_run(self, g, workload):
-        """A pooled per-vertex plan built by hand (not by the planner) is
-        refused before any kernel runs."""
+        """A per-vertex plan built by hand (not by the planner) that is
+        pooled, or on any strategy but ``priority``, is refused when the
+        record is built, before any kernel runs."""
         with pytest.raises(ValueError, match="runs serially"):
             engine.execute(
                 engine.Plan(workload=workload, strategy="blocked", k=1,
                             executor="shared", workers=2),
                 g,
             )
+        with pytest.raises(ValueError, match="strategy='blocked'"):
+            engine.execute(
+                engine.Plan(workload=workload, strategy="blocked", k=1), g
+            )
         serial = engine.plan(g, workload, k=1, calibration=DEFAULTS)
         with pytest.raises(ValueError, match="runs serially"):
             serial.with_(executor="shared", workers=2)
+        with pytest.raises(ValueError, match="strategy 'priority'"):
+            serial.with_(strategy="blocked")
 
     @pytest.mark.parametrize("workload", ["vertex-counts", "tip"])
     def test_per_vertex_workloads_reject_family_strategies(self, g, workload):
-        with pytest.raises(ValueError, match="'blocked' or 'priority'"):
+        with pytest.raises(ValueError, match="runs only the vertex-priority"):
             engine.plan(g, workload, strategy="scratch", calibration=DEFAULTS)
 
     def test_wing_is_its_one_blocked_row(self, g):

@@ -49,9 +49,9 @@ def test_vertex_counts_fingerprint_pinned():
     could mask (errors that cancel in the sum)."""
     import hashlib
 
-    from repro.core import vertex_butterfly_counts_blocked
+    from repro.core import vertex_butterfly_counts
 
-    counts = vertex_butterfly_counts_blocked(load_dataset("arxiv"), "left")
+    counts = vertex_butterfly_counts(load_dataset("arxiv"), "left")
     digest = hashlib.sha256(counts.tobytes()).hexdigest()
     assert counts.sum() == 2 * GOLDEN_DATASETS["arxiv"]
     assert digest == VERTEX_COUNTS_SHA256

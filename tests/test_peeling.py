@@ -148,7 +148,7 @@ def test_auto_tip_plan_is_priority_and_matches_reference(skewed_graph, side):
         )
         assert the_plan.strategy == "priority"
         expected = k_tip_reference(g, k, side=side)
-        assert k_tip(g, k, side=side, plan=the_plan).kept.tolist() == expected
+        assert the_plan.execute(g).kept.tolist() == expected
         assert k_tip(g, k, side=side).kept.tolist() == expected
 
 

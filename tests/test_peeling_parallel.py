@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import engine, obs
+from repro import obs
 from repro.core import (
     k_tip,
     k_tip_lookahead,
@@ -259,11 +259,10 @@ def test_tip_table_and_fallback_match_the_heap_reference(g):
     drawn_k=1,
 )
 def test_table_k_tip_matches_recount_lookahead_and_tip_numbers(g, drawn_k):
-    """The pair-table ``k_tip`` (auto plan after a tip decomposition of
-    the same graph), the auto ``k_tip`` on a graph without a table, the
-    ``blocked``-pinned recount rounds, the look-ahead sweep and
-    ``tip_numbers >= k`` give the same fixpoint: equal ``kept``,
-    ``rounds`` and subgraph."""
+    """The pair-table ``k_tip`` (after a tip decomposition of the same
+    graph), the priority recount rounds ``k_tip`` runs on a graph
+    without a table, the look-ahead sweep and ``tip_numbers >= k`` give
+    the same fixpoint: equal ``kept``, ``rounds`` and subgraph."""
     bare = BipartiteGraph(g.edges(), g.n_left, g.n_right)
     for side in ("left", "right"):
         tips = tip_numbers(g, side=side)
@@ -272,13 +271,11 @@ def test_table_k_tip_matches_recount_lookahead_and_tip_numbers(g, drawn_k):
             with obs.capture() as metrics:
                 table = k_tip(g, k, side=side)
             assert metrics.value("peel.tip.pair_table_reused") == 1
-            pinned = engine.plan(g, "tip", side=side, k=k, strategy="blocked")
             with obs.capture() as metrics:
-                recount = k_tip(g, k, side=side, plan=pinned)
                 unbuilt = k_tip(bare, k, side=side)
             assert "peel.tip.pair_table_reused" not in metrics
             lookahead = k_tip_lookahead(g, k, side=side)
-            for other in (recount, unbuilt, lookahead):
+            for other in (unbuilt, lookahead):
                 np.testing.assert_array_equal(table.kept, other.kept)
                 assert table.rounds == other.rounds
                 assert table.subgraph == other.subgraph

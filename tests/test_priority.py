@@ -503,9 +503,10 @@ def test_per_vertex_priority_row_is_raw_serial_and_unpinned_only():
         assert (row.executor, row.workers, row.layout, row.side) == (
             "serial", 1, "raw", "left",
         )
-        for pins in ({"strategy": "blocked"}, {"block_size": 64}):
-            assert rows(workload, **pins) == [], (workload, pins)
-    assert rows("vertex-counts", layout="mmap") == []
+        for pins in ({"strategy": "blocked"}, {"block_size": 64},
+                     {"layout": "mmap"}):
+            with pytest.raises(ValueError, match="vertex-priority kernel"):
+                rows(workload, **pins)
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 """Property-based tests for the extension subsystems.
 
 Same graph strategy as :mod:`tests.test_properties`, applied to the
-loop reference, the dynamic counter and the blocked local-count kernel.
+loop reference, the dynamic counter and the panelised local-count kernel.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,8 @@ from repro.core import (
     DynamicButterflyCounter,
     butterflies_spec,
     count_butterflies,
-    vertex_butterfly_counts_blocked,
+    local_counts,
+    vertex_butterfly_counts,
     vertex_counts_dense,
 )
 from repro.graphs import BipartiteGraph
@@ -59,7 +61,9 @@ def test_dynamic_replay_reaches_same_state(g, seed):
        side=st.sampled_from(["left", "right"]))
 @settings(**SETTINGS)
 def test_blocked_vertex_counts_property(g, block, side):
-    assert np.array_equal(
-        vertex_butterfly_counts_blocked(g, side, block),
-        vertex_counts_dense(g, side),
-    )
+    # block caps the pivots of one panel
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(local_counts, "_PANEL_PIVOTS", block)
+        assert np.array_equal(
+            vertex_butterfly_counts(g, side), vertex_counts_dense(g, side)
+        )

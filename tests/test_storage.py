@@ -333,11 +333,9 @@ class TestPlannerStorageAxis:
         g = _graph()
         for side in ("left", "right"):
             truth = vertex_butterfly_counts(g, side)
-            for pins in ({}, {"strategy": "blocked"}):
-                p = engine.plan(g, "vertex-counts", side=side,
-                                calibration=DEFAULTS, **pins)
-                view = make_storage(g, layout)
-                np.testing.assert_array_equal(engine.execute(p, view), truth)
+            p = engine.plan(g, "vertex-counts", side=side, calibration=DEFAULTS)
+            view = make_storage(g, layout)
+            np.testing.assert_array_equal(engine.execute(p, view), truth)
 
     def test_label_and_explain_show_the_layout(self):
         g = _graph()
