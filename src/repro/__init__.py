@@ -10,10 +10,11 @@ Quick start::
     from repro import count_butterflies, engine, power_law_bipartite
 
     g = power_law_bipartite(2000, 3000, 10_000, seed=1)
-    print(count_butterflies(g))           # smaller-side scratch sweep
     p = engine.plan(g, "count")           # the planner's rule …
     print(engine.explain(p, g))           # … and the line that fired
-    print(p.execute(g))
+    print(p.execute(g))                   # Ξ_G on the priority kernel
+    print(count_butterflies(g))           # the same Ξ_G, by the paper's
+                                          # smaller-side member (slower)
 
 (the expert door to a specific family member is
 ``count_butterflies_unblocked(g, 5)``).

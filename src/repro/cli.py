@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_peel.add_argument(
         "--auto",
         action="store_true",
-        help="print the engine's plan (kernel, rounds, block size) "
+        help="print the engine's plan (kernel and modelled work) "
         "before peeling",
     )
 
@@ -442,13 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_info(args) -> int:
-    from repro.core import count_butterflies
+    from repro import engine
     from repro.graphs import graph_stats
     from repro.metrics import bipartite_clustering_coefficient
 
     g = _load(args.graph)
     stats = graph_stats(g)
-    count = count_butterflies(g)
+    count = engine.execute(engine.plan(g), g)  # the kernel `count` runs
     cc = bipartite_clustering_coefficient(g, butterflies=count)
     if args.json:
         import json
@@ -545,8 +545,7 @@ def _cmd_peel(args) -> int:
     from repro.core import k_tip, k_wing
 
     g = _load(args.graph)
-    plan = None  # k_tip runs no plan; k_wing plans itself when given none
-    if args.auto:
+    if args.auto:  # neither peel has a choice left: the plan is printed
         plan = engine.plan(g, args.mode, side=args.side, k=args.k)
         print(f"plan       : {plan.label} — {plan.reason}")
     if args.mode == "tip":
@@ -554,7 +553,7 @@ def _cmd_peel(args) -> int:
         print(f"{args.k}-tip ({args.side} side): kept {res.n_kept} vertices, "
               f"{res.subgraph.n_edges} edges, {res.rounds} rounds")
     else:
-        res = k_wing(g, args.k, plan=plan)
+        res = k_wing(g, args.k)
         print(f"{args.k}-wing: kept {res.n_edges} edges, {res.rounds} rounds")
     return 0
 

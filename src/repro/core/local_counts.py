@@ -36,8 +36,6 @@ __all__ = [
     "vertex_butterfly_counts",
     "vertex_counts_dense",
     "edge_butterfly_support",
-    "edge_butterfly_support_blocked",
-    "edge_support_panel",
     "edge_support_dense",
     "paper_tip_vector",
 ]
@@ -155,7 +153,9 @@ def edge_butterfly_support(graph: BipartiteGraph) -> np.ndarray:
     Per left vertex u: one wedge expansion gives the counts
     c_w = |N(u) ∩ N(w)| for every w (including c_u = deg u); a second pass
     over u's incident edges segment-sums c over each neighbour column.
-    Total cost O(Σ wedges).
+    Total cost O(Σ wedges).  The fixed-side oracle the heap wing
+    decomposition and the tests read (production per-edge support runs
+    :func:`~repro.core.priority.edge_butterfly_support_priority`).
 
     Returns
     -------
@@ -189,95 +189,6 @@ def edge_butterfly_support(graph: BipartiteGraph) -> np.ndarray:
         support[e_lo:e_hi] = sums - deg_left[u] - deg_right[nbrs] + 1
         c[uniq] = 0
     return support
-
-
-def edge_butterfly_support_blocked(
-    graph: BipartiteGraph, block_size: int = 64
-) -> np.ndarray:
-    """Blocked fast path for :func:`edge_butterfly_support`.
-
-    Identical output; processes panels of ``block_size`` left vertices
-    with three whole-panel operations:
-
-    1. one gather expands every wedge of the panel, and a single
-       ``np.unique`` over ``u_local·m + w`` keys yields all pairwise
-       wedge counts c_{u,w} at once;
-    2. a second gather builds, for every edge (u, v) of the panel, the
-       query keys ``u_local·m + w`` for w ∈ N(v);
-    3. ``np.searchsorted`` resolves the queries against the sorted unique
-       keys (misses contribute 0), and a segmented sum per edge finishes
-       eq. (23).
-
-    This is the kernel :func:`~repro.core.peeling.wing.k_wing` runs per
-    fixpoint round.
-    """
-    if block_size < 1:
-        raise ValueError(f"block_size must be >= 1, got {block_size}")
-    csr, csc = graph.csr, graph.csc
-    m = csr.major_dim
-    support = np.zeros(csr.nnz, dtype=COUNT_DTYPE)
-    for lo in range(0, m, block_size):
-        hi = min(lo + block_size, m)
-        e_lo, _ = csr.entry_range(lo, hi)
-        vals = edge_support_panel(csr, csc, lo, hi)
-        support[e_lo : e_lo + len(vals)] = vals
-    return support
-
-
-def edge_support_panel(csr, csc, lo: int, hi: int) -> np.ndarray:
-    """Butterfly support of every stored edge of CSR rows ``[lo, hi)``.
-
-    The unit of work behind the blocked per-edge kernel (edges of
-    disjoint row panels are independent), in three whole-panel
-    operations:
-
-    1. one gather expands every wedge of the panel, and a single
-       ``np.unique`` over ``u_local·m + w`` keys yields all pairwise
-       wedge counts c_{u,w} at once;
-    2. the wedge expansion itself *is* the per-edge query list
-       ``(u_local, w)`` for w ∈ N(v), grouped by edge;
-    3. ``np.searchsorted`` resolves the queries against the sorted unique
-       keys (misses contribute 0), and a segmented sum per edge finishes
-       eq. (23).
-
-    Returns the int64 support values parallel to the entry range
-    ``csr.indices[indptr[lo]:indptr[hi]]``.
-    """
-    m = csr.major_dim
-    e_lo, e_hi = csr.entry_range(lo, hi)
-    out = np.zeros(e_hi - e_lo, dtype=COUNT_DTYPE)
-    if e_hi == e_lo:
-        return out
-    panel_nbrs = csr.panel_indices(lo, hi)  # v of every panel edge
-    panel_deg = csr.panel_degrees(lo, hi)
-    owners_u = np.repeat(
-        np.arange(lo, hi, dtype=np.int64), panel_deg
-    )  # u of every panel edge
-    # (1) all wedge endpoints of the panel, keyed by (u_local, w)
-    wedge_w = csc.gather(panel_nbrs)
-    wedge_deg = csc.degrees_of(panel_nbrs)
-    wedge_u = np.repeat(owners_u, wedge_deg)
-    keys = (wedge_u - lo) * np.int64(m) + wedge_w
-    uniq_keys, pair_counts = np.unique(keys, return_counts=True)
-    pair_counts = pair_counts.astype(COUNT_DTYPE)
-    # (2) per edge (u, v): queries (u_local, w) for w ∈ N(v) — the
-    # wedge expansion *is* that list, grouped by edge already
-    query_keys = keys
-    # (3) resolve and segment-sum per edge
-    pos = np.searchsorted(uniq_keys, query_keys)
-    pos = np.minimum(pos, len(uniq_keys) - 1)
-    vals = np.where(
-        uniq_keys[pos] == query_keys, pair_counts[pos], 0
-    )
-    csum = np.zeros(vals.size + 1, dtype=COUNT_DTYPE)
-    np.cumsum(vals, out=csum[1:])
-    seg_ends = np.cumsum(wedge_deg, dtype=INDEX_DTYPE)
-    seg_starts = seg_ends - wedge_deg
-    sums = csum[seg_ends] - csum[seg_starts]
-    # deg(u) per panel edge is the panel's own degree vector re-expanded;
-    # deg(v) per panel edge equals the wedge segment length
-    out[:] = sums - np.repeat(panel_deg, panel_deg) - wedge_deg + 1
-    return out
 
 
 def edge_support_dense(graph: BipartiteGraph) -> np.ndarray:

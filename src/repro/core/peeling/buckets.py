@@ -25,11 +25,14 @@ total decrement volume.
   left on the graph, so an auto :func:`~repro.core.peeling.tip.k_tip`
   on the same graph afterwards peels from it too
   (:func:`cached_pair_table`): its rounds subtract, not recount.
-- **Wings.**  :func:`wing_numbers_bucket` is the one wing peel.  Each
+- **Wings.**  :func:`wing_numbers_bucket` is the one wing peel.  Its
+  initial supports come from one ranked-wedge pass
+  (:func:`~repro.core.priority.edge_butterfly_support_priority`).  Each
   round peels every surviving edge at or below the level, then either
   enumerates the butterflies through its peeled edges and subtracts them
   from the edges that survive (Shi & Shun's edge peel) or, when that
-  enumeration would cost far more, recounts the survivor graph.
+  enumeration would cost far more, recounts the survivor graph with the
+  same pass.
 
 Every path is bit-identical to its heap reference (asserted in tests),
 and every path runs in-process: the paper's k-tip and k-wing peels are
@@ -44,9 +47,9 @@ import numpy as np
 from repro import obs
 from repro._types import COUNT_DTYPE, INDEX_DTYPE, PAIR_DTYPE
 from repro.core.blocked import work_bounded_panels
-from repro.core.local_counts import edge_butterfly_support_blocked
 from repro.core.priority import (
     PRIORITY_PANEL_BUDGET,
+    edge_butterfly_support_priority,
     vertex_butterfly_counts_priority,
 )
 from repro.graphs.bipartite import BipartiteGraph
@@ -93,10 +96,10 @@ _PEELED = np.iinfo(COUNT_DTYPE).max
 
 #: A wing round recounts the survivors when its enumeration walk bound,
 #: Σ deg(v)·deg(u) over the peeled edges (u, v), passes this many times the
-#: recount's Σ deg(v)² wedges.  Swept over 1–32 (EXPERIMENTS.md, "One wing
-#: peel"): never recounting is 2.6–7.9× slower on disjoint bicliques, 16–32
-#: are 1.2–1.6× slower than 8 on a staircase of them, 1–4 cost ``producers``
-#: 47–122%.
+#: recount's Σ deg(v)² wedges.  Re-swept over 1–16 on the ranked recount
+#: (EXPERIMENTS.md, "One wedge engine for the wing peels"): never recounting
+#: is 4–36× slower on disjoint bicliques; 1–4 run a biclique staircase
+#: 1.7–3.8× faster but cost ``producers`` 15–54%, and 16 is 1.7× slower.
 _RECOUNT_RATIO = 8
 
 
@@ -527,7 +530,7 @@ def wing_numbers_bucket(graph: BipartiteGraph) -> dict[tuple[int, int], int]:
     to the heap :func:`~repro.core.peeling.decompose.wing_numbers`.
 
     An edge is its CSR entry position, its initial support from
-    :func:`~repro.core.local_counts.edge_butterfly_support_blocked`; an
+    :func:`~repro.core.priority.edge_butterfly_support_priority`; an
     edge in no butterfly keeps wing 0 and never enters a round.  Each
     round peels every survivor at or below the level, then subtracts the
     butterflies through its peeled edges (:func:`_subtract_wing_losses`)
@@ -538,7 +541,7 @@ def wing_numbers_bucket(graph: BipartiteGraph) -> dict[tuple[int, int], int]:
     if csr.nnz == 0:
         return {}
     rows, cols = csr.expand_major(), csr.indices
-    support = edge_butterfly_support_blocked(graph)
+    support = edge_butterfly_support_priority(graph)
     wing = np.zeros(csr.nnz, dtype=COUNT_DTYPE)
     alive = support > 0
     peeled = np.zeros(csr.nnz, dtype=bool)
@@ -553,7 +556,7 @@ def wing_numbers_bucket(graph: BipartiteGraph) -> dict[tuple[int, int], int]:
         if walks > _RECOUNT_RATIO * np.dot(col_alive, col_alive):
             alive[members] = False
             survivor = BipartiteGraph.from_csr(csr.mask_entries(alive))
-            support[alive] = edge_butterfly_support_blocked(survivor)
+            support[alive] = edge_butterfly_support_priority(survivor)
         else:
             peeled[members] = True
             _subtract_wing_losses(support, alive, peeled, members, rows, cols, view)

@@ -5,7 +5,9 @@ contained in at least k butterflies of H — the bipartite analogue of
 k-truss.  The paper's formulation is the two-step fixpoint of eqs.
 (25)–(27): compute the per-edge support matrix S_w, mask out edges with
 support < k (Hadamard mask on A), repeat until no edge is removed or all
-edges are gone.
+edges are gone.  Each round's support is one ranked-wedge pass
+(:func:`~repro.core.priority.edge_butterfly_support_priority`), the
+kernel the wing decomposition counts with too.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import obs
-from repro.core.local_counts import edge_butterfly_support_blocked
+from repro.core.priority import edge_butterfly_support_priority
 from repro.graphs.bipartite import BipartiteGraph
 
 __all__ = ["WingResult", "k_wing"]
@@ -44,13 +46,7 @@ class WingResult:
         return self.subgraph.n_edges
 
 
-def k_wing(
-    graph: BipartiteGraph,
-    k: int,
-    *,
-    block_size: int | None = None,
-    plan=None,
-) -> WingResult:
+def k_wing(graph: BipartiteGraph, k: int) -> WingResult:
     """Batch k-wing peeling: iterate eqs. (25)–(27) until fixpoint.
 
     Parameters
@@ -60,12 +56,6 @@ def k_wing(
     k:
         Minimum number of butterflies each surviving edge must be part of
         (within the surviving subgraph).
-    block_size:
-        Panel width of the per-round support kernel.  Overrides ``plan``.
-        When both are ``None`` the engine's planner sizes it.
-    plan:
-        Optional :class:`repro.engine.Plan` pinning the round shape (as
-        produced by ``engine.plan(graph, "wing", k=...)``).
 
     Returns
     -------
@@ -75,21 +65,13 @@ def k_wing(
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    if block_size is None:
-        if plan is None and graph.n_edges:
-            from repro import engine
-
-            plan = engine.plan(graph, "wing", k=k)
-        block_size = (plan.block_size if plan is not None else None) or 64
     current = graph
     rounds = 0
     with obs.span("peel.wing", k=k) as wing_span:
         while current.n_edges:
             rounds += 1
             with obs.span("peel.wing.round", round=rounds):
-                support = edge_butterfly_support_blocked(
-                    current, block_size=block_size
-                )  # per entry
+                support = edge_butterfly_support_priority(current)  # per entry
             keep = support >= k  # eq. (26): M = S_w >= k
             if obs._enabled:
                 obs.inc("peel.wing.rounds")

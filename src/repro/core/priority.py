@@ -44,6 +44,10 @@ counts from one pass, since the ranking is joint.  A panel too wide for
 the histogram packs each wedge as ``pair << b | centre`` and sorts in
 place; only the wedges whose pair repeats are unpacked and credited,
 since a pair of multiplicity 1 credits nothing.
+
+:func:`edge_butterfly_support_priority` walks them once more and
+credits each wedge's k − 1 butterflies to both of its edges: per-edge
+support, what the wing peels count with, from the same ranked wedges.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from repro.sparsela.kernels import choose2, keyed_choose2_sum, run_starts
 
 __all__ = [
     "count_butterflies_priority",
+    "edge_butterfly_support_priority",
     "priority_ranks",
     "priority_wedge_work",
     "vertex_butterfly_counts_priority",
@@ -225,7 +230,7 @@ class _RankedWedges:
         del length
         shift -= ends[:-1]
         self.n_all = n_all
-        self.adj, self.centre = adj, centre
+        self.adj, self.centre, self.offsets = adj, centre, offsets
         self.shift, self.ends, self.first = shift, ends, first
         self.work = ends[first[1:]] - ends[first[:-1]]  # wedges per top
         self._ramp = np.arange(0, dtype=INDEX_DTYPE)
@@ -243,22 +248,31 @@ class _RankedWedges:
             if ends[first[hi]] > ends[first[lo]]
         ]
 
-    def keys(self, lo: int, hi: int, bits: int = 0) -> np.ndarray:
-        """The wedges of tops ``[lo, hi)`` as keys ``(u − lo)·hi + w``.
-
-        Top u and endpoint w < hi of each wedge, in top order; a fresh
-        array the caller may consume, int32 when the key space fits in
-        it and int64 otherwise.  With ``bits`` each key is shifted up by
-        ``bits`` and the wedge's centre packed below it.
-        """
+    def gather(self, lo: int, hi: int) -> np.ndarray:
+        """The ``adj`` position of each wedge (u, v, w) of tops ``[lo, hi)``:
+        the entry (v, w), in top order."""
         e_lo, e_hi = self.first[lo], self.first[hi]
         w_lo = self.ends[e_lo]
         wedges = int(self.ends[e_hi] - w_lo)
         if self._ramp.size < wedges:  # kept for the panels that follow
             self._ramp = np.arange(wedges, dtype=INDEX_DTYPE)
-        lengths = self._lengths(e_lo, e_hi)
-        gather = np.repeat(self.shift[e_lo:e_hi] + w_lo, lengths)
+        gather = np.repeat(self.shift[e_lo:e_hi] + w_lo, self._lengths(e_lo, e_hi))
         gather += self._ramp[:wedges]
+        return gather
+
+    def keys(self, lo: int, hi: int, bits: int = 0, gather=None) -> np.ndarray:
+        """The wedges of tops ``[lo, hi)`` as keys ``(u − lo)·hi + w``.
+
+        Top u and endpoint w < hi of each wedge, in top order; a fresh
+        array the caller may consume, int32 when the key space fits in
+        it and int64 otherwise.  With ``bits`` each key is shifted up by
+        ``bits`` and the wedge's centre packed below it.  ``gather``:
+        :meth:`gather` of the same tops, if the caller holds it.
+        """
+        e_lo, e_hi = self.first[lo], self.first[hi]
+        if gather is None:
+            gather = self.gather(lo, hi)
+        wedges = gather.size
         dtype = _key_dtype(((hi - lo) * hi) << bits)
         # every index is in range: "wrap" only skips the bounds check
         # (~25% off the gather on the dense e2e shape)
@@ -271,12 +285,20 @@ class _RankedWedges:
             base <<= bits
             runs = np.repeat(base, np.diff(self.first[lo : hi + 1]))
             runs |= self.centre[e_lo:e_hi]
-            keys += np.repeat(runs, lengths)
+            keys += np.repeat(runs, self._lengths(e_lo, e_hi))
         elif hi - lo > 1:  # a lone top's keys are its endpoints
             keys += np.repeat(base, self.work[lo:hi])
         if obs._enabled:
             obs.inc("priority.wedges", wedges)
         return keys
+
+    def run_sums(self, lo: int, hi: int, per_wedge: np.ndarray):
+        """``(busy, sums)``: which runs of tops ``[lo, hi)`` hold a wedge,
+        and ``per_wedge`` (in :meth:`keys` order) summed over each of those."""
+        e_lo, e_hi = self.first[lo], self.first[hi]
+        busy = self._lengths(e_lo, e_hi) > 0
+        starts = self.ends[e_lo:e_hi][busy] - self.ends[e_lo]
+        return busy, np.add.reduceat(per_wedge, starts)
 
     def centres(self, lo: int, hi: int) -> np.ndarray:
         """The centre of each wedge :meth:`keys` returns for ``[lo, hi)``."""
@@ -305,6 +327,21 @@ def count_butterflies_priority(graph) -> int:
 _PACKED_KEY_LIMIT: int = int(np.iinfo(COUNT_DTYPE).max)
 
 
+def _dense_cap(n_wedges: int) -> int:
+    """Largest panel key space the per-vertex and per-edge passes histogram."""
+    return min(kernels.DEFAULT_KEYSPACE_CAP, max(n_wedges // 2, 1 << 16))
+
+
+def _repeated(pairs: np.ndarray) -> np.ndarray:
+    """Mask of the sorted ``pairs`` equal to a neighbour: the wedges of the
+    pairs of multiplicity >= 2, as a pair seen once credits nothing."""
+    repeats = pairs[1:] == pairs[:-1]
+    keep = np.zeros(pairs.size, dtype=bool)
+    keep[1:] = repeats
+    keep[:-1] |= repeats
+    return keep
+
+
 def _credit_panel(credit, wedges: _RankedWedges, lo: int, hi: int) -> None:
     """Add the butterflies of tops ``[lo, hi)`` to the rank-space ``credit``.
 
@@ -330,8 +367,7 @@ def _credit_panel(credit, wedges: _RankedWedges, lo: int, hi: int) -> None:
     """
     n_pivots, n_wedges = hi - lo, int(wedges.work[lo:hi].sum(dtype=COUNT_DTYPE))
     keyspace = n_pivots * hi
-    dense_cap = min(kernels.DEFAULT_KEYSPACE_CAP, max(n_wedges // 2, 1 << 16))
-    if keyspace <= dense_cap:
+    if keyspace <= _dense_cap(n_wedges):
         # widened once: bincount and the gather below index with them
         keys = wedges.keys(lo, hi).astype(INDEX_DTYPE, copy=False)
         mult = np.bincount(keys, minlength=keyspace)
@@ -343,32 +379,22 @@ def _credit_panel(credit, wedges: _RankedWedges, lo: int, hi: int) -> None:
         per_wedge -= 1
         # unsorted, the wedges still come in runs of one centre: sum each
         # run, then scatter once per run
-        e_lo, e_hi = wedges.first[lo], wedges.first[hi]
-        busy = wedges._lengths(e_lo, e_hi) > 0
-        starts = wedges.ends[e_lo:e_hi][busy] - wedges.ends[e_lo]
-        run_sums = np.add.reduceat(per_wedge, starts)
-        np.add.at(credit, wedges.centre[e_lo:e_hi][busy], run_sums)
+        busy, sums = wedges.run_sums(lo, hi, per_wedge)
+        centres = wedges.centre[wedges.first[lo] : wedges.first[hi]]
+        np.add.at(credit, centres[busy], sums)
         return
     bits = hi.bit_length()  # every centre lies below hi
     packed = keyspace << bits <= _PACKED_KEY_LIMIT
     if packed:
         keys = wedges.keys(lo, hi, bits)
         keys.sort()
-        pair_of = keys >> bits
-        repeats = pair_of[1:] == pair_of[:-1]
-        del pair_of
+        keep = _repeated(keys >> bits)
     else:
         keys, centres = wedges.keys(lo, hi), wedges.centres(lo, hi)
         order = np.argsort(keys)
         keys, centres = keys[order], centres[order]
         del order
-        repeats = keys[1:] == keys[:-1]
-    # a pair seen once credits nothing: keep the wedges whose pair
-    # matches a sorted neighbour's
-    keep = np.zeros(n_wedges, dtype=bool)
-    keep[1:] = repeats
-    keep[:-1] |= repeats
-    del repeats
+        keep = _repeated(keys)
     keys = keys.compress(keep)
     if keys.size == 0:
         return
@@ -415,3 +441,86 @@ def vertex_butterfly_counts_priority(graph) -> tuple[np.ndarray, np.ndarray]:
     for lo, hi in wedges.panels():
         _credit_panel(credit, wedges, lo, hi)
     return credit[rank_l], credit[rank_r]
+
+
+def _edge_credit_panel(credit, runs, wedges: _RankedWedges, lo: int, hi: int) -> None:
+    """Credit the butterflies of tops ``[lo, hi)`` to their edges.
+
+    A wedge (u, v, w) of a pair of multiplicity k lies in k − 1 of its
+    butterflies and credits that to both of its edges, in int64: (u, v),
+    its run's lower entry, summed per run into ``runs``, and (v, w)
+    through its gather position into the ``adj``-space ``credit``.  The
+    multiplicities come from a histogram, as in :func:`_credit_panel`,
+    or from an in-place sort with each wedge's panel index packed below
+    its pair (argsorted past :data:`_PACKED_KEY_LIMIT`).
+    """
+    gather = wedges.gather(lo, hi)
+    n_wedges, keyspace = gather.size, (hi - lo) * hi
+    keys = wedges.keys(lo, hi, gather=gather)
+    if keyspace <= _dense_cap(n_wedges):
+        keys = keys.astype(INDEX_DTYPE, copy=False)
+        per_wedge = np.take(np.bincount(keys, minlength=keyspace), keys, mode="wrap")
+        per_wedge -= 1
+    else:
+        bits = (n_wedges - 1).bit_length()  # every panel index fits below
+        if keyspace << bits <= _PACKED_KEY_LIMIT:
+            keys = keys.astype(_key_dtype(keyspace << bits), copy=False)
+            keys <<= bits
+            keys |= wedges._ramp[:n_wedges]
+            keys.sort()
+            index = keys & ((1 << bits) - 1)
+            keys >>= bits
+        else:
+            index = np.argsort(keys)
+            keys = keys[index]
+        keep = _repeated(keys)
+        keys, index = keys.compress(keep), index.compress(keep)
+        del keep
+        per_wedge = np.zeros(n_wedges, dtype=COUNT_DTYPE)
+        if keys.size:
+            mult = np.diff(np.append(run_starts(keys), keys.size))
+            per_wedge[index] = np.repeat(mult - 1, mult)
+        del keys, index
+    np.add.at(credit, gather, per_wedge)
+    del gather
+    busy, sums = wedges.run_sums(lo, hi, per_wedge)
+    runs[wedges.first[lo] : wedges.first[hi]][busy] = sums
+
+
+def edge_butterfly_support_priority(graph) -> np.ndarray:
+    """Butterflies containing each edge, int64, parallel to ``graph.csr``.
+
+    Shi & Shun's per-edge count over ranked wedges (arXiv:1907.08607):
+    every butterfly is found once, from its top-ranked vertex, and
+    credited to its four edges.  Identical output to
+    :func:`~repro.core.local_counts.edge_butterfly_support`, at the
+    priority kernel's wedge cost.  An edge holds two ``adj`` positions:
+    its lower entry, which leads its top's list, and the upper twin that
+    ends the entry's run.  Both credits are added onto the lower entry,
+    and the argsort of the CSR entries' (higher, lower rank) keys, which
+    lists them in the lower entries' order, folds those onto CSR order.
+    """
+    nnz = graph.n_edges
+    support = np.zeros(nnz, dtype=COUNT_DTYPE)
+    if nnz == 0:
+        return support
+    rank_l, rank_r = priority_ranks(graph)
+    wedges = _RankedWedges(graph, rank_l, rank_r)
+    credit = np.zeros(2 * nnz, dtype=COUNT_DTYPE)
+    runs = np.zeros(nnz, dtype=COUNT_DTYPE)
+    for lo, hi in wedges.panels():
+        _edge_credit_panel(credit, runs, wedges, lo, hi)
+    first = wedges.first
+    at = np.repeat(wedges.offsets[:-1] - first[:-1], np.diff(first))
+    at += np.arange(nnz, dtype=INDEX_DTYPE)
+    runs += credit[at]
+    np.add(wedges.shift, wedges.ends[1:], out=at)  # the upper twins
+    runs += credit[at]
+    del credit, at
+    a = np.repeat(rank_l, graph.csr.degrees())
+    b = rank_r[graph.csr.panel_indices(0, graph.n_left)]
+    keys = np.maximum(a, b)
+    keys <<= (wedges.n_all - 1).bit_length()
+    keys |= np.minimum(a, b)
+    support[np.argsort(keys)] = runs
+    return support

@@ -14,10 +14,11 @@ fixed rule, with one front door and an explainable decision::
 
     engine.plan(graph, "tip", side="left", k=4).execute(graph)
 
-Every public counting/peeling entry point (``count_butterflies``,
-``count_butterflies_parallel``, ``k_tip``/``k_wing``, the CLI ``count`` /
-``peel`` / ``explain`` commands) routes its auto-selection through this
-package; hand-picked knobs are expressed as *pinned plan fields* rather
+Every public counting entry point (``count_butterflies``,
+``count_butterflies_parallel``, the CLI ``count`` / ``explain``
+commands) routes its auto-selection through this package (``k_tip`` and
+``k_wing`` have no choice left: ``peel --auto`` prints their plan);
+hand-picked knobs are expressed as *pinned plan fields* rather
 than separate code paths.  Plan decisions are recorded as obs trace
 attributes and counters (``engine.plan.*``, ``engine.execute`` spans with
 predicted vs actual cost), so ``stats`` and Perfetto show why a run was

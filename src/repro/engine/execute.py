@@ -104,7 +104,7 @@ def _dispatch(the_plan: Plan, graph: BipartiteGraph, k: int | None):
     # wing
     from repro.core.peeling.wing import k_wing
 
-    return k_wing(graph, k, plan=the_plan)
+    return k_wing(graph, k)
 
 
 def _dispatch_stream(

@@ -34,6 +34,10 @@ WORKLOADS: tuple[str, ...] = (
     "count", "vertex-counts", "tip", "wing", "stream_apply",
 )
 
+#: Workloads that run only the vertex-priority kernels: serial, raw, with
+#: no member, strategy or panel-width axis.
+PRIORITY_ONLY: tuple[str, ...] = ("vertex-counts", "tip", "wing")
+
 #: Strategies the ``stream_apply`` workload may select — mirrors
 #: :data:`repro.core.stream.STREAM_APPLY_STRATEGIES`.
 STREAM_STRATEGIES: tuple[str, ...] = ("incremental", "recount")
@@ -88,7 +92,7 @@ class Plan:
     #: arrays or mmap-backed
     layout: str = "raw"
     #: one of :data:`COUNT_STRATEGIES` for counts; "priority" for the
-    #: per-vertex and tip workloads, "blocked" for wing
+    #: per-vertex, tip and wing workloads
     strategy: str = "scratch"
     #: one of :data:`EXECUTORS` ("serial" for the per-vertex workloads)
     executor: str = "serial"
@@ -134,7 +138,7 @@ class Plan:
             raise ValueError(
                 f"unknown layout {self.layout!r}; expected one of {LAYOUTS}"
             )
-        if self.workload in ("vertex-counts", "tip") and (
+        if self.workload in PRIORITY_ONLY and (
             self.strategy != "priority" or self.executor != "serial"
             or self.workers > 1
         ):
@@ -151,7 +155,7 @@ class Plan:
         bits = []
         if self.invariant is not None:
             bits.append(f"inv{self.invariant}")
-        elif self.workload != "count":
+        elif self.workload not in ("count", "wing"):
             bits.append(self.side)
         bits.append(self.strategy)
         if self.strategy == "blocked" and self.block_size:

@@ -7,21 +7,22 @@ butterfly to its highest-degree vertex, so it has no traversed side, and
 measured on every e2e shape it ties or beats the best fixed-side member.
 So the planner is a fixed rule, not a cost model:
 
-- **No pins** — ``count``, ``vertex-counts`` and ``tip`` plan
-  ``priority``: serial, raw, with ``modeled_ops``/``est_seconds`` from
-  :func:`repro.core.priority.priority_wedge_work` and the calibration
-  table (a ``tip`` plan on a graph a tip decomposition left its pair
-  table on prices the table's entries instead, as ``k_tip`` peels from
-  it).  Pins priority already satisfies (``executor="serial"``,
-  ``workers=1``, ``layout="raw"``) keep it.  ``vertex-counts`` and
-  ``tip`` run nothing else: any other pin on them raises.
+- **No pins** — ``count``, ``vertex-counts``, ``tip`` and ``wing``
+  plan ``priority``: serial, raw, with ``modeled_ops``/``est_seconds``
+  from :func:`repro.core.priority.priority_wedge_work` and the
+  calibration table (a ``tip`` plan on a graph a tip decomposition left
+  its pair table on prices the table's entries instead, as ``k_tip``
+  peels from it; a ``wing`` plan models one support pass and no
+  seconds, as its fixpoint's rounds are not modelled).  Pins priority
+  already satisfies (``executor="serial"``, ``workers=1``,
+  ``layout="raw"``) keep it.  ``vertex-counts``, ``tip`` and ``wing``
+  run nothing else: any other pin on them raises.
 - **Pins** (``count`` only) — every field left open is filled: the
   invariant by the smaller-side rule (:func:`select_count_invariant`),
   the executor is ``shared`` iff ``executor="shared"`` or
   ``workers > 1``, the strategy is ``blocked`` when serial and
   ``wedge`` when shared, the layout is ``raw`` and the panel width
   :func:`_auto_block_size`.  Contradictory pins raise.
-- **wing** — its one blocked edge-support row.
 - **stream_apply** — the one scored decision left: batched incremental
   maintenance against a from-scratch recount, because which is cheaper
   depends on the batch size against the graph size.
@@ -45,6 +46,7 @@ from repro.engine.plan import (
     COUNT_STRATEGIES,
     EXECUTORS,
     LAYOUTS,
+    PRIORITY_ONLY,
     STREAM_STRATEGIES,
     WORKLOADS,
     Plan,
@@ -99,7 +101,6 @@ _RULES = {
     "pinned": "pins given on a count -> invariant: pinned, else the "
               "smaller side's suffix member; strategy: pinned, else "
               "blocked (serial) / wedge (shared); layout: pinned, else raw",
-    "wing": "wing -> the blocked edge-support kernel",
     "stream_apply": "stream_apply -> score incremental against recount, "
                     "keep the cheaper estimate",
 }
@@ -148,7 +149,8 @@ def _priority_row(graph, cal, workload="count", side="left", k=None) -> Plan:
     """The vertex-priority plan; per-vertex workloads pay a scatter
     surcharge per pass and a tip peel ~3 passes, or — where a tip
     decomposition left its pair table on the graph — one walk of the
-    table's entries, priced without counting a wedge."""
+    table's entries, priced without counting a wedge.  A wing peel
+    models one edge-support pass and is not priced."""
     table = None
     if workload == "tip":
         from repro.core.peeling.buckets import cached_pair_table
@@ -166,7 +168,7 @@ def _priority_row(graph, cal, workload="count", side="left", k=None) -> Plan:
 
         wedges = priority_wedge_work(graph)
         est = _priority_seconds(graph, cal, wedges)
-        rounds = {"count": 1, "vertex-counts": 1, "tip": 3}[workload]
+        rounds = 3 if workload == "tip" else 1
         if workload != "count":
             est *= _VERTEX_PASS_COST * rounds
         ops = wedges * rounds
@@ -176,6 +178,9 @@ def _priority_row(graph, cal, workload="count", side="left", k=None) -> Plan:
         )
         if workload == "tip":
             reason = f"~{rounds} priority recount rounds ({wedges:,} wedges each)"
+        elif workload == "wing":  # the fixpoint's rounds are not modelled
+            est = None
+            reason = f"one ranked edge-support pass ({wedges:,} wedges) a round"
     return Plan(
         workload=workload, invariant=None, storage="csr",
         strategy="priority", executor="serial", workers=1, side=side, k=k,
@@ -211,10 +216,10 @@ def _check_pins(
         (strategy not in (None, *allowed),
          f"unknown {'stream ' if stream else ''}strategy {strategy!r}; "
          f"expected one of {allowed}"),
-        (workload in ("wing", "stream_apply") and layout not in (None, "raw"),
+        (stream and layout not in (None, "raw"),
          "the storage-layout axis applies to 'count' plans; workload "
          f"{workload!r} runs on raw views"),
-        (workload in ("vertex-counts", "tip") and (
+        (workload in PRIORITY_ONLY and (
             invariant is not None or block_size is not None
             or layout not in (None, "raw")
             or strategy not in (None, "priority")
@@ -231,7 +236,7 @@ def _check_pins(
          f"invariant (got invariant={invariant!r})"),
         (strategy == "priority" and pool,
          f"conflicting pins: strategy 'priority' is serial-only ({got})"),
-        (pool and workload in ("vertex-counts", "tip"),
+        (pool and workload in PRIORITY_ONLY,
          f"conflicting pins: workload {workload!r} is serial-only ({got})"),
         (strategy == "priority" and layout not in (None, "raw"),
          f"strategy 'priority' reads the raw layout (got layout={layout!r})"),
@@ -311,8 +316,6 @@ def candidate_plans(
         return sorted(rows, key=lambda c: c.est_seconds)
     side = side or "left"
     budget = budget if budget is not None else DEFAULT_PLAN_BLOCK_BUDGET
-    if workload == "wing":
-        return [_wing_row(graph, budget, block_size, k)]
     if strategy == "priority" or (
         strategy is None and invariant is None and block_size is None
         and not pool and layout in (None, "raw")
@@ -349,20 +352,6 @@ def _count_row(graph, row, budget, invariant, strategy, block_size) -> Plan:
         modeled_ops=ops, est_seconds=None,
         reason=f"{strategy} sweep of member {number} over its "
                f"{pivots} {side}-side pivots",
-    )
-
-
-def _wing_row(graph, budget, block_size, k) -> Plan:
-    ops, pivots = _side_work(graph, 6)  # left/CSR traversal
-    b = block_size or max(16, min(_auto_block_size(ops, pivots, budget), 1024))
-    # one support pass: the wedge expansion plus a same-size searchsorted
-    # resolve pass → ~2× the wedge-expansion ops; the fixpoint's round count
-    # depends on the graph and k, so it is not modelled
-    return Plan(
-        workload="wing", invariant=None, storage="csr", strategy="blocked",
-        executor="serial", workers=1, block_size=b, side="left", k=k,
-        modeled_ops=2 * ops, est_seconds=None,
-        reason="blocked edge-support kernel (ops of one support pass)",
     )
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.family import count_butterflies
 from repro.graphs.bipartite import BipartiteGraph
 
 __all__ = [
@@ -43,13 +42,16 @@ def bipartite_clustering_coefficient(
     """The global bipartite clustering coefficient C₄ = 4·Ξ_G / caterpillars.
 
     ``butterflies`` may be supplied to avoid recounting when Ξ_G is already
-    known.  Returns 0.0 for caterpillar-free graphs.
+    known; otherwise it is counted on the engine's default plan.  Returns
+    0.0 for caterpillar-free graphs.
     """
     cats = caterpillar_count(graph)
     if cats == 0:
         return 0.0
     if butterflies is None:
-        butterflies = count_butterflies(graph)
+        from repro import engine
+
+        butterflies = engine.execute(engine.plan(graph), graph)
     return 4.0 * butterflies / cats
 
 

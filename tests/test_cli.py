@@ -116,6 +116,28 @@ def test_info_json(konect_file, capsys):
     assert "butterflies" in payload and "clustering_c4" in payload
 
 
+def test_info_counts_on_the_engine_default_plan(konect_file, capsys, monkeypatch):
+    """``info`` and the clustering metric count with the kernel ``count``
+    runs, not the family's smaller-side scratch sweep."""
+    import repro.core
+    from repro.core import family
+    from repro.metrics import bipartite_clustering_coefficient, clustering
+
+    def scratch_sweep(*args, **kwargs):
+        raise AssertionError("counted with the family's scratch sweep")
+
+    for module in (family, repro.core, clustering):
+        monkeypatch.setattr(module, "count_butterflies", scratch_sweep, raising=False)
+    assert main(["count", konect_file, "--json"]) == 0
+    counted = json.loads(capsys.readouterr().out)["butterflies"]
+    assert counted > 0
+    assert main(["info", konect_file, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["butterflies"] == counted
+    g = gnm_bipartite(10, 12, 40, seed=1)
+    assert bipartite_clustering_coefficient(g) == payload["clustering_c4"]
+
+
 def test_count_json(konect_file, capsys):
     assert main(["count", konect_file, "--json", "--invariant", "3"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -250,6 +272,9 @@ def test_bench_smallest_dataset(capsys):
         (["explain", "{tmp}/g.tsv", "--workload", "vertex-counts",
           "--strategy", "blocked"],
          "workload 'vertex-counts' runs only the vertex-priority kernel"),
+        (["explain", "{tmp}/g.tsv", "--workload", "wing", "--k", "1",
+          "--block-size", "8"],
+         "workload 'wing' runs only the vertex-priority kernel"),
         (["count", "{tmp}/g.tsv", "--strategy", "wedge", "--block-size", "8"],
          "conflicting pins: --strategy wedge"),
         (["decompose", "{tmp}/g.tsv", "--workers", "2"],
@@ -285,7 +310,8 @@ def test_bench_smallest_dataset(capsys):
          "count-negative-workers", "explain-zero-workers",
          "count-zero-block-size", "explain-zero-block-size",
          "explain-tip-negative-k", "explain-tip-block-size",
-         "explain-vertex-counts-blocked", "count-wedge-block-size",
+         "explain-vertex-counts-blocked", "explain-wing-block-size",
+         "count-wedge-block-size",
          "decompose-workers", "count-unknown-dataset", "info-unknown-dataset",
          "peel-unknown-dataset", "explain-unknown-dataset",
          "decompose-negative-top", "generate-negative-n-left",

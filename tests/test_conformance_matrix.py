@@ -33,7 +33,7 @@ from repro.core import (
     count_butterflies,
     count_butterflies_parallel,
     edge_butterfly_support,
-    edge_butterfly_support_blocked,
+    edge_butterfly_support_priority,
     vertex_butterfly_counts,
 )
 from repro.graphs import (
@@ -262,15 +262,13 @@ EDGE_REFERENCE = {
 @pytest.mark.parametrize("side", ("left", "right"))
 @pytest.mark.parametrize("executor", ("serial", "shared"))
 def test_edge_support_conformance(graph_name, side, executor):
-    """The per-edge support wing peeling recounts with: the blocked
-    kernel, always in-process, at a one-row panel and at its default
-    panel width.  Each butterfly has four edges, so the support sums to
-    four times the global count of the executor cell (the serial tiling,
-    or the warm pool of Fig. 11's sweep)."""
+    """The per-edge support the wing peels count with: the ranked-wedge
+    kernel, always in-process.  Each butterfly has four edges, so the
+    support sums to four times the global count of the executor cell
+    (the serial tiling, or the warm pool of Fig. 11's sweep)."""
     g = _oriented(graph_name, side)
-    for block_size in (1, 64):
-        got = edge_butterfly_support_blocked(g, block_size=block_size)
-        np.testing.assert_array_equal(got, EDGE_REFERENCE[(graph_name, side)])
+    got = edge_butterfly_support_priority(g)
+    np.testing.assert_array_equal(got, EDGE_REFERENCE[(graph_name, side)])
     assert int(got.sum()) == 4 * _count(g, executor)
 
 

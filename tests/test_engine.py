@@ -538,7 +538,7 @@ class TestBackCompatShims:
             == k_tip(g, 2).kept.tolist()
         )
         wing_plan = engine.plan(g, "wing", k=2, calibration=DEFAULTS)
-        assert k_wing(g, 2, plan=wing_plan).n_edges == k_wing(g, 2).n_edges
+        assert engine.execute(wing_plan, g).n_edges == k_wing(g, 2).n_edges
 
     def test_workmodel_import_untangled(self):
         """The work model lives in core.workinfo; the parallel balancer
@@ -654,7 +654,7 @@ class TestRuleTable:
         square = BipartiteGraph.empty(5, 5)  # ties pick 2
         assert select_count_invariant(square) == 2
 
-    @pytest.mark.parametrize("workload", ["vertex-counts", "tip"])
+    @pytest.mark.parametrize("workload", ["vertex-counts", "tip", "wing"])
     @pytest.mark.parametrize("pins", [
         {"invariant": 3}, {"strategy": "blocked"}, {"block_size": 8},
         {"layout": "mmap"},
@@ -669,13 +669,13 @@ class TestRuleTable:
             engine.plan(g, workload, side="right", k=1, calibration=DEFAULTS,
                         **pins)
 
-    @pytest.mark.parametrize("workload", ["vertex-counts", "tip"])
+    @pytest.mark.parametrize("workload", ["vertex-counts", "tip", "wing"])
     @pytest.mark.parametrize("pins", [{"executor": "shared"}, {"workers": 2}])
     def test_per_vertex_pool_pins_are_an_error(self, g, workload, pins):
         with pytest.raises(ValueError, match=f"'{workload}' is serial-only"):
             engine.plan(g, workload, k=1, calibration=DEFAULTS, **pins)
 
-    @pytest.mark.parametrize("workload", ["vertex-counts", "tip"])
+    @pytest.mark.parametrize("workload", ["vertex-counts", "tip", "wing"])
     def test_hand_built_pooled_per_vertex_plan_does_not_run(self, g, workload):
         """A per-vertex plan built by hand (not by the planner) that is
         pooled, or on any strategy but ``priority``, is refused when the
@@ -696,15 +696,19 @@ class TestRuleTable:
         with pytest.raises(ValueError, match="strategy 'priority'"):
             serial.with_(strategy="blocked")
 
-    @pytest.mark.parametrize("workload", ["vertex-counts", "tip"])
+    @pytest.mark.parametrize("workload", ["vertex-counts", "tip", "wing"])
     def test_per_vertex_workloads_reject_family_strategies(self, g, workload):
         with pytest.raises(ValueError, match="runs only the vertex-priority"):
             engine.plan(g, workload, strategy="scratch", calibration=DEFAULTS)
 
-    def test_wing_is_its_one_blocked_row(self, g):
+    def test_wing_is_its_one_priority_row(self, g):
+        """One ranked support pass modelled, its rounds not priced."""
+        from repro.core.priority import priority_wedge_work
+
         p = engine.plan(g, "wing", k=1, calibration=DEFAULTS)
-        assert (p.strategy, p.executor, p.est_seconds) == ("blocked", "serial", None)
-        assert len(p.candidates) == 1
+        assert (p.strategy, p.executor, p.est_seconds) == ("priority", "serial", None)
+        assert (p.block_size, p.modeled_ops) == (None, priority_wedge_work(g))
+        assert (p.label, len(p.candidates)) == ("priority-serial", 1)
 
     def test_mmap_with_a_pool_is_an_error(self, g):
         with pytest.raises(ValueError, match="layout 'mmap' is serial-only"):

@@ -11,6 +11,7 @@ from repro.baselines import (
 from repro.core import (
     count_butterflies,
     edge_butterfly_support,
+    edge_butterfly_support_priority,
     edge_support_dense,
     paper_tip_vector,
     vertex_butterfly_counts,
@@ -79,30 +80,24 @@ def test_paper_tip_vector_is_half(corpus):
 
 
 # -------------------------------------------------------------- per-edge
-@pytest.mark.parametrize("block_size", [1, 5, 64, 10_000])
-def test_edge_support_blocked_matches_plain(block_size, corpus):
-    from repro.core import edge_butterfly_support_blocked
+@pytest.mark.parametrize("budget", [1, 5, 64, 10_000])
+def test_edge_support_blocked_matches_plain(budget, corpus, monkeypatch):
+    """The ranked-wedge support kernel, tiled into top panels of at most
+    ``budget`` wedges, against the fixed-side eq. (23) loop, which shares
+    no code with it."""
+    from repro.core import priority
 
+    monkeypatch.setattr(priority, "PRIORITY_PANEL_BUDGET", budget)
     for name, g in corpus:
-        assert np.array_equal(
-            edge_butterfly_support_blocked(g, block_size),
-            edge_butterfly_support(g),
-        ), (name, block_size)
+        for h in (g, g.swap_sides()):
+            assert np.array_equal(
+                edge_butterfly_support_priority(h), edge_butterfly_support(h)
+            ), (name, budget)
 
 
-def test_edge_support_blocked_validation():
-    from repro.core import edge_butterfly_support_blocked
-
-    g = tiny_named_graphs()["k33"]
-    with pytest.raises(ValueError, match="block_size"):
-        edge_butterfly_support_blocked(g, 0)
-
-
-def test_edge_support_blocked_medium(medium_graph):
-    from repro.core import edge_butterfly_support_blocked
-
+def test_edge_support_priority_medium(medium_graph):
     assert np.array_equal(
-        edge_butterfly_support_blocked(medium_graph),
+        edge_butterfly_support_priority(medium_graph),
         edge_butterfly_support(medium_graph),
     )
 

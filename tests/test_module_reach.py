@@ -38,6 +38,11 @@ ORACLES = {
     "(test_reference, test_exhaustive_small)",
     "flame/": "the FLAME partition views and the paper's worksheet "
     "(test_flame_invariants, test_worksheet)",
+    "core/local_counts.py": "the fixed-side per-vertex and per-edge "
+    "loops and their dense forms, the oracles of the priority passes "
+    "(test_local_counts, test_priority, the heap decompositions)",
+    "sparsela/linalg.py": "the dense helpers (choose2_dense, gamma, "
+    "hadamard) of the specification and the dense local-count oracles",
     "core/peeling/decompose.py": "the heap tip and wing decompositions, "
     "the oracle of the bucket peels (test_decompose, test_peeling_parallel)",
     "core/peeling/linear_algebra.py": "k-tip and k-wing as the literal "

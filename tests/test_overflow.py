@@ -23,6 +23,7 @@ from repro.core import (
     count_butterflies_blocked,
     count_butterflies_parallel,
     count_butterflies_priority,
+    edge_butterfly_support_priority,
     k_tip,
     tip_numbers_bucket_parallel,
     vertex_butterfly_counts_priority,
@@ -100,6 +101,16 @@ def test_priority_vertex_counts_past_2_31(big_biclique: BipartiteGraph) -> None:
     assert left.tolist() == [EXPECTED, EXPECTED]
     assert right.shape == (N_RIGHT,)
     assert (right == N_RIGHT - 1).all()
+
+
+def test_edge_support_on_the_wide_build(big_biclique: BipartiteGraph) -> None:
+    # every edge (hub, v) lies in one butterfly per other right vertex.
+    # The int64 build's one busy panel is the top hub alone: its key
+    # space (70 002) passes the histogram cap, so its wedges sort as
+    # int64 keys with each 17-bit panel index packed below the pair
+    support = edge_butterfly_support_priority(big_biclique)
+    assert support.dtype == np.int64 and support.shape == (2 * N_RIGHT,)
+    assert (support == N_RIGHT - 1).all()
 
 
 def test_tip_numbers_past_2_31(big_biclique: BipartiteGraph) -> None:

@@ -28,6 +28,8 @@ from repro import obs
 from repro.core import (
     k_tip,
     k_tip_lookahead,
+    k_wing,
+    k_wing_linear_algebra,
     tip_decrement_batch,
     tip_numbers,
     tip_numbers_bucket_parallel,
@@ -318,6 +320,20 @@ def test_wing_peel_matches_the_heap_reference(g):
         assert wing_numbers_bucket(h) == wing_numbers(h)
 
 
+@given(g=tip_graphs(), k=st.integers(0, 10))
+@settings(max_examples=100, deadline=None)
+@example(g=_planted_wings(), k=4)
+def test_k_wing_keeps_the_edges_of_wing_number_at_least_k(g, k):
+    """The ranked-support fixpoint against the heap wing numbers and the
+    matrix form of eqs. (25)–(27), in both orientations."""
+    for h in (g, g.swap_sides()):
+        res = k_wing(h, k)
+        kept = sorted(map(tuple, res.subgraph.edges().tolist()))
+        assert kept == sorted(e for e, w in wing_numbers(h).items() if w >= k)
+        la = k_wing_linear_algebra(h, k)
+        assert la.subgraph == res.subgraph and la.rounds == res.rounds
+
+
 @pytest.mark.parametrize(
     ("make", "recounts"),
     ((_tailed_biclique, True), (_planted_wings, False)),
@@ -343,8 +359,8 @@ def test_wing_peel_round_branches(make, recounts, monkeypatch):
     )
     monkeypatch.setattr(
         buckets,
-        "edge_butterfly_support_blocked",
-        counting("support", buckets.edge_butterfly_support_blocked),
+        "edge_butterfly_support_priority",
+        counting("support", buckets.edge_butterfly_support_priority),
     )
     g = make()
     assert wing_numbers_bucket(g) == wing_numbers(g)

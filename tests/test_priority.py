@@ -2,10 +2,11 @@
 
 The count kernel (:mod:`repro.core.priority`) charges each butterfly to
 its highest-ranked vertex; the per-vertex kernel walks the same ranked
-wedges and credits both sides at once.  Their oracle here is pairwise
-overlap counting on the dense biadjacency matrix, which shares no code
-with them, plus brute-force enumeration and the fixed-side per-vertex
-kernel.  The planner scores them as one more ``count`` row and one more
+wedges and credits both sides at once, and the per-edge kernel credits
+each wedge's two edges.  Their oracle here is pairwise overlap counting
+on the dense biadjacency matrix, which shares no code with them, plus
+brute-force enumeration, the fixed-side per-vertex kernel and the dense
+eq. (25) support.  The planner scores them as one more ``count`` row and one more
 ``vertex-counts``/``tip`` row, with :func:`priority_wedge_work` as the
 exact work model.
 """
@@ -22,9 +23,10 @@ from hypothesis import strategies as st
 from repro import engine, obs
 from repro.baselines import vertex_counts_bruteforce
 from repro.core import priority
-from repro.core.local_counts import vertex_butterfly_counts
+from repro.core.local_counts import edge_support_dense, vertex_butterfly_counts
 from repro.core.priority import (
     count_butterflies_priority,
+    edge_butterfly_support_priority,
     priority_ranks,
     priority_wedge_work,
     vertex_butterfly_counts_priority,
@@ -443,6 +445,26 @@ def test_both_key_widths_count_exactly(budget, width, dense):
         g = _graph(dense)
         assert count_butterflies_priority(g) == _pairwise(dense)
         _assert_vertex_counts_match(g)
+
+
+def _assert_edge_support_matches(g) -> None:
+    expected = edge_support_dense(g)[g.csr.expand_major(), g.csr.indices]
+    np.testing.assert_array_equal(edge_butterfly_support_priority(g), expected)
+
+
+@pytest.mark.parametrize("width", ["narrow", "wide"])
+@pytest.mark.parametrize("branch", ["histogram", "packed", "argsort", "per-top"])
+@given(dense=st.one_of(tie_heavy_graphs(), star_forests()))
+@settings(max_examples=60, deadline=None)
+def test_edge_support_matches_the_dense_oracle_on_every_branch(branch, width, dense):
+    """Per-edge support against eq. (25) evaluated densely, on every
+    multiplicity branch and both key widths, in both orientations."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _force_reduction(monkeypatch, branch)
+        _force_width(monkeypatch, width)
+        g = _graph(dense)
+        _assert_edge_support_matches(g)
+        _assert_edge_support_matches(g.swap_sides())
 
 
 @given(dense=tie_heavy_graphs())
