@@ -23,7 +23,6 @@ _LAZY = {
     "sweep_to_dict": "repro.bench.results",
     "WorkProfile": "repro.core.workinfo",
     "work_profile": "repro.core.workinfo",
-    "work_table": "repro.core.workinfo",
 }
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
@@ -39,7 +38,6 @@ __all__ = [
     "format_seconds",
     "WorkProfile",
     "work_profile",
-    "work_table",
     "LRUCache",
     "CacheStats",
     "simulate_invariant_cache",

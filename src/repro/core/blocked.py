@@ -23,14 +23,7 @@ blocked member is symmetric.
 
 Each panel's (pivot, endpoint) wedge list is reduced by
 :func:`repro.sparsela.panel_choose2_sum`, which picks its ``sort``,
-``bincount`` or ``scratch`` branch from the panel's shape.  The one
-execution knob is the panel tiling: ``work_budget`` switches from fixed
-vertex-count panels to *work-adaptive* panels sized by the exact
-per-pivot wedge-expansion estimate
-(:func:`~repro.core.parallel.pivot_work_estimate`).  On hub-heavy
-power-law graphs a fixed ``block_size`` makes the transient wedge working
-set swing by orders of magnitude between panels; a wedge budget bounds
-it.
+``bincount`` or ``scratch`` branch from the panel's shape.
 """
 
 from __future__ import annotations
@@ -53,13 +46,7 @@ __all__ = [
     "count_butterflies_blocked",
     "panel_butterflies",
     "work_bounded_panels",
-    "DEFAULT_PANEL_WORK_BUDGET",
 ]
-
-#: Default wedge-work budget per adaptive panel (≈ transient endpoints
-#: materialised per iteration); chosen so a panel's gather output stays
-#: comfortably L2/L3-resident (2²⁰ int64 endpoints = 8 MiB).
-DEFAULT_PANEL_WORK_BUDGET: int = 1 << 20
 
 
 def work_bounded_panels(work: np.ndarray, budget: int) -> list[tuple[int, int]]:
@@ -146,7 +133,6 @@ def count_butterflies_blocked(
     graph: BipartiteGraph,
     invariant=2,
     block_size: int = 64,
-    work_budget: int | None = None,
 ) -> int:
     """Count butterflies with the blocked member of the chosen invariant.
 
@@ -162,13 +148,6 @@ def count_butterflies_blocked(
         Panel width b ≥ 1.  ``b = 1`` degenerates to the unblocked
         algorithm (used by the equivalence tests); larger panels trade a
         transient ``O(panel wedges)`` working set for fewer iterations.
-        Ignored when ``work_budget`` is given.
-    work_budget:
-        When given, panels are sized *adaptively* so each panel expands at
-        most ≈ ``work_budget`` wedges (exact per-pivot estimate from
-        :func:`~repro.core.parallel.pivot_work_estimate`), instead of a
-        fixed pivot count — bounding transient memory on hub-heavy
-        power-law graphs where a fixed-width panel can explode.
 
     Returns
     -------
@@ -181,32 +160,16 @@ def count_butterflies_blocked(
     pivot_major, complementary = matrices_for_side(graph, inv.side)
     n = pivot_major.major_dim
     total = 0
-    if work_budget is not None:
-        from repro.core.parallel import pivot_work_estimate
-
-        work = pivot_work_estimate(pivot_major, complementary)
-        panels = work_bounded_panels(work, work_budget)
-    else:
-        boundaries = list(range(0, n, block_size)) + [n]
-        panels = [
-            (boundaries[i], boundaries[i + 1]) for i in range(len(boundaries) - 1)
-        ]
+    boundaries = list(range(0, n, block_size)) + [n]
+    panels = [
+        (boundaries[i], boundaries[i + 1]) for i in range(len(boundaries) - 1)
+    ]
     if inv.traversal is Traversal.BACKWARD:
         panels.reverse()
     if obs._enabled:
         obs.inc("blocked.panels", len(panels))
-        obs.inc(
-            "blocked.panels.adaptive" if work_budget is not None
-            else "blocked.panels.fixed",
-            len(panels),
-        )
     scratch = np.zeros(n, dtype=np.int64)
-    with obs.span(
-        "blocked.count",
-        invariant=inv.number,
-        layout="adaptive" if work_budget is not None else "fixed",
-        panels=len(panels),
-    ):
+    with obs.span("blocked.count", invariant=inv.number, panels=len(panels)):
         if obs._enabled:
             # traced variant: one child span per panel (invariant→panel
             # nesting); kept off the disabled path so ``REPRO_OBS=0``

@@ -80,7 +80,6 @@ __all__ = [
     "ALL_INVARIANTS",
     "count_butterflies_unblocked",
     "count_butterflies",
-    "has_at_least",
     "pivot_order",
     "resolve_invariant",
     "matrices_for_side",
@@ -128,17 +127,6 @@ class Invariant:
     def storage(self) -> str:
         """Preferred compressed format, per Section V: CSC for 1–4, CSR for 5–8."""
         return "csc" if self.side is Side.COLUMNS else "csr"
-
-    @property
-    def look_ahead(self) -> bool:
-        """True when the update reads vertices not yet processed.
-
-        Forward traversal + suffix reference, or backward traversal +
-        prefix reference.
-        """
-        if self.traversal is Traversal.FORWARD:
-            return self.reference is Reference.SUFFIX
-        return self.reference is Reference.PREFIX
 
     @property
     def description(self) -> str:
@@ -302,10 +290,9 @@ def _pivot_step(
     """``pivot -> Σ_u C(y_u, 2)`` under ``strategy``, its buffers bound.
 
     The one strategy dispatch behind every per-pivot sweep (the counting
-    loop, :func:`has_at_least` and the parallel ranges).  ``scratch``
-    (scratch strategy) and ``entry_major_ids``/``marker`` (spmv) let a
-    caller reuse buffers across calls; fresh ones are allocated when
-    omitted.
+    loop and the parallel ranges).  ``scratch`` (scratch strategy) and
+    ``entry_major_ids``/``marker`` (spmv) let a caller reuse buffers
+    across calls; fresh ones are allocated when omitted.
     """
     if strategy == "scratch":
         if scratch is None:
@@ -376,62 +363,17 @@ def count_butterflies_unblocked(
         side=inv.side.name.lower(),
         pivots=n,
     ):
-        return _sweep(pivot_major, complementary, inv, strategy, on_step)
-
-
-def _sweep(pivot_major, complementary, inv, strategy, on_step, threshold=None):
-    """Running Ξ over ``inv``'s pivots in traversal order, stopping early
-    once it reaches ``threshold`` (None: the whole sweep)."""
-    step = _pivot_step(pivot_major, complementary, inv.reference, strategy)
-    total = 0
-    order = pivot_order(pivot_major.major_dim, inv.traversal)
-    for step_index, pivot in enumerate(order):
-        total += step(pivot)
-        if on_step is not None:
-            on_step(step_index, pivot, total)
-        if threshold is not None and total >= threshold:
-            break
-    return total
+        step = _pivot_step(pivot_major, complementary, inv.reference, strategy)
+        total = 0
+        for step_index, pivot in enumerate(pivot_order(n, inv.traversal)):
+            total += step(pivot)
+            if on_step is not None:
+                on_step(step_index, pivot, total)
+        return total
 
 
 #: Strategy names accepted by the counting entry points.
 STRATEGIES: tuple[str, ...] = ("scratch", "spmv")
-
-
-def has_at_least(
-    graph: BipartiteGraph,
-    threshold: int,
-    invariant=None,
-    strategy: str = "scratch",
-    on_step: Callable[[int, int, int], None] | None = None,
-) -> bool:
-    """Decide Ξ_G ≥ threshold, stopping as soon as the answer is known.
-
-    Runs the auto-selected (or given) family member under the chosen
-    ``strategy`` (``"scratch"`` or ``"spmv"`` — the same two the counting
-    entry points accept) and returns True the moment
-    the running total reaches ``threshold`` — on butterfly-rich graphs
-    this inspects a small prefix of the sweep.  ``threshold <= 0`` is
-    trivially True.  Exact: a False return means the full sweep ran and
-    Ξ_G < threshold.
-
-    ``on_step`` mirrors :func:`count_butterflies_unblocked`: invoked after
-    every *executed* pivot with ``(step_index, pivot, running_total)``, so
-    tests (and progress meters) can observe exactly where the sweep
-    stopped.
-    """
-    if threshold <= 0:
-        return True
-    if invariant is None:
-        # Section V smaller-side rule lives in the engine; lazy import
-        # keeps core importable without the engine package.
-        from repro.engine import select_count_invariant
-
-        invariant = select_count_invariant(graph)
-    inv = resolve_invariant(invariant)
-    pivot_major, complementary = matrices_for_side(graph, inv.side)
-    total = _sweep(pivot_major, complementary, inv, strategy, on_step, threshold)
-    return total >= threshold
 
 
 def count_butterflies(graph: BipartiteGraph, *, plan=None) -> int:

@@ -54,6 +54,7 @@ from repro.core.priority import (
 )
 from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela import choose2, gather_slices, segment_sums
+from repro.sparsela.kernels import run_starts
 
 __all__ = [
     "cached_pair_table",
@@ -148,7 +149,7 @@ def tip_decrement_batch(
     width = np.int64(ids.size)
     keys = endpoints[sel] * width + batch_pos[sel]
     keys.sort()
-    starts = _run_starts(keys)
+    starts = run_starts(keys)
     mult = np.diff(starts, append=keys.size).astype(COUNT_DTYPE, copy=False)
     shared = mult > 1  # pairs with one common neighbour lose nothing
     if not shared.any():
@@ -156,16 +157,8 @@ def tip_decrement_batch(
     mult = mult[shared]
     per_pair = (mult * (mult - 1)) // 2
     owner = keys[starts[shared]] // width
-    first = _run_starts(owner)
+    first = run_starts(owner)
     return owner[first], np.add.reduceat(per_pair, first)
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Offsets at which each run of equal entries of sorted ``values`` starts."""
-    flags = np.empty(values.size, dtype=bool)
-    flags[:1] = True
-    np.not_equal(values[1:], values[:-1], out=flags[1:])
-    return np.flatnonzero(flags)
 
 
 def _pair_table(pivot_major, complementary):
@@ -280,7 +273,7 @@ def _pair_table(pivot_major, complementary):
         # a pair of multiplicity c is a run of c equal keys; most pairs
         # have c = 1, so keep only the repeats before grouping
         keys = keys[np.flatnonzero(keys[1:] == keys[:-1])]
-        firsts = _run_starts(keys)
+        firsts = run_starts(keys)
         found = firsts.size
         if filled + found > max_pairs:
             return None
@@ -331,7 +324,7 @@ def _pair_table(pivot_major, complementary):
         keys.sort()
         owners, order = np.divmod(keys, size)
         del keys
-        firsts = _run_starts(owners)
+        firsts = run_starts(owners)
         runs = np.diff(firsts, append=size)
         owners = owners[firsts]
         at = np.repeat(cursor[owners] - firsts, runs)

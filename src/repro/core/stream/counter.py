@@ -1012,18 +1012,6 @@ class StreamingButterflyCounter:
         self._per_left = state["per_left"]
         self._per_right = state["per_right"]
 
-    @classmethod
-    def from_snapshot(cls, data: bytes) -> "StreamingButterflyCounter":
-        """Reconstruct a counter directly from snapshot bytes."""
-        from repro.core.stream.snapshot import decode_snapshot
-
-        state = decode_snapshot(data)
-        counter = cls(
-            BipartiteGraph.empty(state["n_left"], state["n_right"])
-        )
-        counter.restore(data)
-        return counter
-
     def __repr__(self) -> str:
         return (
             f"StreamingButterflyCounter(|V1|={self.n_left}, "

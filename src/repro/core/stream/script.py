@@ -29,7 +29,6 @@ __all__ = [
     "parse_script",
     "format_script",
     "load_script",
-    "save_script",
     "iter_batches",
     "replay",
 ]
@@ -110,12 +109,6 @@ def load_script(path, shape: tuple[int, int] | None = None) -> list[Op]:
     """Read and parse a script file (``shape`` as in :func:`parse_script`)."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_script(fh.read(), shape)
-
-
-def save_script(path, ops: Iterable[Op]) -> None:
-    """Write an op list to a script file in canonical form."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_script(ops))
 
 
 def iter_batches(

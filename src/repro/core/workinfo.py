@@ -2,9 +2,8 @@
 
 One home for every *exact, deterministic* model of how much element work a
 family member performs on a given graph — the quantities behind the
-paper's Fig. 10 analysis, the parallel executor's load balancing, the
-blocked executor's adaptive panels, and the execution engine's
-planner.  Every consumer outside the family (bench, parallel,
+paper's Fig. 10 analysis, the parallel executor's load balancing and
+the execution engine's planner.  Every consumer outside the family (bench, parallel,
 :mod:`repro.engine`) imports the public names from here, including the
 family's own ``resolve_invariant`` / ``matrices_for_side``, which this
 module re-exports.
@@ -45,10 +44,8 @@ __all__ = [
     "pivot_work_estimate",
     "spmv_scan_lengths",
     "touched_wedge_work",
-    "wedge_work_prefix",
     "WorkProfile",
     "work_profile",
-    "work_table",
 ]
 
 
@@ -57,8 +54,7 @@ def pivot_work_estimate(pivot_major, complementary) -> np.ndarray:
 
     This is the number of wedge endpoints the scratch update fetches
     for pivot p — the dominant cost of it and of ``wedge``, and the
-    weight both the parallel range balancer and the blocked work-budget
-    panels use.
+    weight the parallel range balancer and the wedge shards cut on.
 
     Reads both patterns only through the storage accessor protocol, so it
     runs directly on any :mod:`repro.storage` view (an
@@ -68,23 +64,6 @@ def pivot_work_estimate(pivot_major, complementary) -> np.ndarray:
         pivot_major.entries(0, pivot_major.nnz)
     )
     return segment_sums(per_entry, pivot_major.entry_offsets())
-
-
-def wedge_work_prefix(pivot_major, complementary) -> np.ndarray:
-    """Exact int64 prefix sums of the per-pivot wedge work.
-
-    ``out[p]`` is the number of wedge expansions performed by pivots
-    ``[0, p)`` — ``out[0] == 0`` and ``out[-1]`` is the graph's total
-    wedge count for this orientation.  Cutting this array at equally
-    spaced values yields contiguous pivot shards of equal *wedge* work,
-    which is what the wedge-partitioned executor
-    (:func:`repro.core.parallel.wedge_shards`) balances on.  Accumulated
-    in exact int64: nnz-scale wedge totals exceed 2⁵³ long before 2⁶³.
-    """
-    per_pivot = pivot_work_estimate(pivot_major, complementary)
-    out = np.zeros(len(per_pivot) + 1, dtype=np.int64)
-    np.cumsum(per_pivot.astype(np.int64, copy=False), out=out[1:])
-    return out
 
 
 def touched_wedge_work(
@@ -144,11 +123,6 @@ class WorkProfile:
     #: largest single-pivot cost (the load-balancing worst case)
     max_pivot_ops: int
 
-    @property
-    def mean_pivot_ops(self) -> float:
-        """Average per-iteration cost."""
-        return self.total_ops / self.pivots if self.pivots else 0.0
-
 
 def work_profile(
     graph: BipartiteGraph, invariant, strategy: str = "spmv"
@@ -178,8 +152,3 @@ def work_profile(
         total_ops=int(per_pivot.sum(dtype=COUNT_DTYPE)),
         max_pivot_ops=int(per_pivot.max()) if n else 0,
     )
-
-
-def work_table(graph: BipartiteGraph, strategy: str = "spmv") -> dict[int, WorkProfile]:
-    """Work profiles of all eight invariants, keyed by invariant number."""
-    return {k: work_profile(graph, k, strategy) for k in range(1, 9)}

@@ -66,13 +66,11 @@ __all__ = [
 #: Pool size for ``executor="shared"`` pinned without ``workers``.
 DEFAULT_MAX_WORKERS = 6
 
-#: Default wedge-work budget used to SIZE panels (elements).  Smaller
-#: than the executor's transient-memory cap
-#: (:data:`repro.core.blocked.DEFAULT_PANEL_WORK_BUDGET`) on purpose: the
-#: panel kernel's key sort degrades superlinearly once the
-#: expanded wedge set falls out of L2, so the planner targets a
-#: cache-resident panel (~256k int64 endpoints ≈ 2 MB) rather than the
-#: largest panel that merely *fits in RAM*.  Override with ``budget=``.
+#: Wedge-work budget the blocked member's panels are SIZED to (elements):
+#: the panel kernel's key sort degrades superlinearly once the expanded
+#: wedge set falls out of L2, so the planner targets a cache-resident
+#: panel (~256k int64 endpoints ≈ 2 MB) rather than the largest panel
+#: that merely *fits in RAM*.
 DEFAULT_PLAN_BLOCK_BUDGET: int = 1 << 18
 
 #: A per-vertex pass costs this many passes of its count kernel: the
@@ -129,12 +127,13 @@ def _side_work(graph: BipartiteGraph, number: int) -> tuple[int, int]:
     return ops, int(pivot_major.major_dim)
 
 
-def _auto_block_size(ops: int, pivots: int, budget: int) -> int:
-    """Panel width that keeps a panel's wedge expansion ≈ within budget."""
+def _auto_block_size(ops: int, pivots: int) -> int:
+    """Panel width that keeps a panel's wedge expansion ≈ within
+    :data:`DEFAULT_PLAN_BLOCK_BUDGET`."""
     mean = ops / pivots if pivots else 0.0
     if mean <= 0:
         return 64
-    return max(16, min(int(budget / max(mean, 1.0)), 4096))
+    return max(16, min(int(DEFAULT_PLAN_BLOCK_BUDGET / max(mean, 1.0)), 4096))
 
 
 def _priority_seconds(graph, cal: CalibrationTable, wedges: int) -> float:
@@ -288,7 +287,6 @@ def candidate_plans(
     graph: BipartiteGraph,
     workload: str = "count",
     *,
-    budget: int | None = None,
     invariant=None,
     strategy: str | None = None,
     executor: str | None = None,
@@ -315,7 +313,6 @@ def candidate_plans(
         rows = _stream_candidates(graph, cal, strategy, batch)
         return sorted(rows, key=lambda c: c.est_seconds)
     side = side or "left"
-    budget = budget if budget is not None else DEFAULT_PLAN_BLOCK_BUDGET
     if strategy == "priority" or (
         strategy is None and invariant is None and block_size is None
         and not pool and layout in (None, "raw")
@@ -329,10 +326,10 @@ def candidate_plans(
         workers=workers if pool else 1, layout=layout or "raw",
         side=side, k=k,
     )
-    return [_count_row(graph, row, budget, invariant, strategy, block_size)]
+    return [_count_row(graph, row, invariant, strategy, block_size)]
 
 
-def _count_row(graph, row, budget, invariant, strategy, block_size) -> Plan:
+def _count_row(graph, row, invariant, strategy, block_size) -> Plan:
     """Fill a pinned count plan: member, strategy and panel width."""
     number = (
         resolve_invariant(invariant).number if invariant is not None
@@ -346,7 +343,7 @@ def _count_row(graph, row, budget, invariant, strategy, block_size) -> Plan:
     return row.with_(
         invariant=number, storage=storage, strategy=strategy, side=side,
         block_size=(
-            block_size or _auto_block_size(ops, pivots, budget)
+            block_size or _auto_block_size(ops, pivots)
             if strategy == "blocked" else None
         ),
         modeled_ops=ops, est_seconds=None,
@@ -436,7 +433,6 @@ def plan(
     graph: BipartiteGraph,
     workload: str = "count",
     *,
-    budget: int | None = None,
     invariant=None,
     strategy: str | None = None,
     executor: str | None = None,
@@ -452,16 +448,14 @@ def plan(
 
     Non-None keyword arguments pin the corresponding plan field (the
     rule fills what the caller left open; contradictory pins raise
-    ``ValueError``); ``budget`` bounds the transient wedge working set of
-    panel kernels (element count, see :data:`DEFAULT_PLAN_BLOCK_BUDGET`);
-    ``batch=(insert, delete)`` gives the ``stream_apply`` workload its
+    ``ValueError``); ``batch=(insert, delete)`` gives the ``stream_apply`` workload its
     pending edit batch.  The returned :class:`Plan` carries the rows it
     was chosen from (``plan.candidates``) for :func:`explain`.
     """
     cal = calibration or load_calibration()
     with obs.span("engine.plan", workload=workload) as sp:
         cands = candidate_plans(
-            graph, workload, budget=budget, invariant=invariant,
+            graph, workload, invariant=invariant,
             strategy=strategy, executor=executor, workers=workers,
             block_size=block_size, side=side, k=k, batch=batch,
             layout=layout, calibration=cal,

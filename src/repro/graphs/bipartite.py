@@ -9,8 +9,8 @@ The container keeps both compressed views of A — CSR (row/V1-major, used by
 invariants 5–8) and CSC (column/V2-major, used by invariants 1–4) — built
 lazily and cached, so every algorithm in the family gets its preferred
 storage without repeated conversions.  A graph wrapped around an existing
-view (``from_csr``/``from_csc``) derives even its COO lazily, so wrapping
-is O(1) and sizes and ``n_edges`` read from whichever view exists.
+CSR (``from_csr``) derives even its COO lazily, so wrapping is O(1) and
+sizes and ``n_edges`` read from whichever view exists.
 
 One more slot holds each side's same-side pair table once a tip
 decomposition has built it (:mod:`repro.core.peeling.buckets` fills it,
@@ -88,18 +88,8 @@ class BipartiteGraph:
     def from_csr(cls, csr: PatternCSR) -> "BipartiteGraph":
         """Build from an existing CSR pattern (kept; COO and CSC derived
         lazily, so wrapping a view costs O(1))."""
-        return cls._wrap(csr=csr)
-
-    @classmethod
-    def from_csc(cls, csc: PatternCSC) -> "BipartiteGraph":
-        """Build from an existing CSC pattern (kept; COO and CSR derived
-        lazily, so wrapping a view costs O(1))."""
-        return cls._wrap(csc=csc)
-
-    @classmethod
-    def _wrap(cls, csr=None, csc=None) -> "BipartiteGraph":
         g = cls.__new__(cls)
-        g._coo, g._csr, g._csc, g._pair_tables = None, csr, csc, {}
+        g._coo, g._csr, g._csc, g._pair_tables = None, csr, None, {}
         return g
 
     @classmethod
@@ -147,11 +137,8 @@ class BipartiteGraph:
     @property
     def coo(self) -> PatternCOO:
         """Canonical COO view of the biadjacency matrix; cached."""
-        if self._coo is None:
-            if self._csr is not None:
-                self._coo = self._csr.to_coo()  # already row-major sorted
-            else:
-                self._coo = self._csc.to_coo().canonicalize()
+        if self._coo is None:  # a graph without one holds its CSR
+            self._coo = self._csr.to_coo()  # already row-major sorted
         return self._coo
 
     @property
@@ -171,15 +158,6 @@ class BipartiteGraph:
     def biadjacency_dense(self, dtype=np.int64) -> np.ndarray:
         """Dense biadjacency matrix A (small graphs / tests only)."""
         return self.coo.to_dense(dtype)
-
-    def adjacency_dense(self, dtype=np.int64) -> np.ndarray:
-        """Dense full adjacency A_G = [[0, A], [Aᵀ, 0]] of the union graph."""
-        a = self.biadjacency_dense(dtype)
-        m, n = a.shape
-        out = np.zeros((m + n, m + n), dtype=dtype)
-        out[:m, m:] = a
-        out[m:, :m] = a.T
-        return out
 
     # ------------------------------------------------------------------
     # neighbourhoods and degrees

@@ -35,7 +35,6 @@ __all__ = [
     "chung_lu_bipartite",
     "power_law_bipartite",
     "planted_bicliques",
-    "configuration_model_bipartite",
 ]
 
 
@@ -187,42 +186,6 @@ def power_law_bipartite(
     rng.shuffle(lw)
     rng.shuffle(rw)
     return chung_lu_bipartite(lw, rw, rng, n_edges=n_edges)
-
-
-def configuration_model_bipartite(
-    left_degrees,
-    right_degrees,
-    seed=0,
-) -> BipartiteGraph:
-    """Bipartite configuration model: match degree *stubs* uniformly.
-
-    Each left vertex u contributes ``left_degrees[u]`` stubs, each right
-    vertex v ``right_degrees[v]`` stubs; the two stub lists (which must
-    have equal totals) are matched by a uniform shuffle.  Parallel edges
-    produced by the matching are merged, so realised degrees are ≤ the
-    requested ones (exactly the standard simple-graph projection of the
-    model); the tests quantify how close they stay on sparse sequences.
-
-    Useful for null-model comparisons: same degree sequence as an observed
-    graph, butterflies only as forced by the degrees.
-    """
-    ld = np.asarray(left_degrees, dtype=INDEX_DTYPE)
-    rd = np.asarray(right_degrees, dtype=INDEX_DTYPE)
-    if ld.ndim != 1 or rd.ndim != 1:
-        raise ValueError("degree sequences must be 1-D")
-    if (ld < 0).any() or (rd < 0).any():
-        raise ValueError("degrees must be non-negative")
-    if ld.sum() != rd.sum():
-        raise ValueError(
-            f"degree sums must match: {int(ld.sum())} != {int(rd.sum())}"
-        )
-    rng = _rng(seed)
-    left_stubs = np.repeat(np.arange(len(ld), dtype=INDEX_DTYPE), ld)
-    right_stubs = np.repeat(np.arange(len(rd), dtype=INDEX_DTYPE), rd)
-    rng.shuffle(right_stubs)
-    return BipartiteGraph(
-        PatternCOO(left_stubs, right_stubs, (len(ld), len(rd))).canonicalize()
-    )
 
 
 def planted_bicliques(

@@ -57,16 +57,20 @@ _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 def _read_edge_file(path: str | os.PathLike, comments: str) -> tuple[str, np.ndarray]:
     """Decoded text of the edge file at ``path`` and its id pairs.
 
-    The file is read once (decompressed if ``.gz``); its text serves the
-    UTF-8 check (``UnicodeDecodeError``), the callers' header scan and the
-    non-ASCII guard.  numpy then parses a plain regular file by its
+    The file is read once (decompressed if ``.gz``; a truncated stream is
+    a ``ValueError``); its text serves the UTF-8 check
+    (``UnicodeDecodeError``), the callers' header scan and the non-ASCII
+    guard.  numpy then parses a plain regular file by its
     absolute path (never taken for a URL), and anything else from the
     text: it would decompress a ``.gz`` file again, and a pipe cannot be
     read twice.
     """
     name = os.fspath(path)
     with _open_text(path, "r") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except EOFError as exc:  # gzip stream cut short
+            raise ValueError(f"{name}: {exc}") from exc
         by_path = not name.endswith(_COMPRESSED_SUFFIXES) and stat.S_ISREG(
             os.fstat(fh.fileno()).st_mode
         )

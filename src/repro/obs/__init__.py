@@ -13,8 +13,8 @@ Usage::
     from repro import obs
 
     obs.enable()                        # or REPRO_OBS=1 in the environment
-    with obs.span("blocked.count", invariant=2) as sp:
-        sp.add_event("panel", lo=0, hi=64)   # -> a node in the trace tree
+    with obs.span("blocked.count", invariant=2) as sp:   # a trace node
+        sp.set_attributes(panels=4)     # attributes of that node
         ...                             # -> blocked.count.{calls,seconds}
     obs.inc("kernels.panel.wedges", endpoints.size)
     obs.gauge("peel.tip.kept", int(kept.sum()), policy="sum")
@@ -41,8 +41,8 @@ Tracing
 :func:`span` upgraded in place in PR 3: the same call sites that used to
 produce only flat ``name.calls``/``name.seconds`` aggregates now *also*
 yield a :class:`~repro.obs.trace.Span` — trace/span ids, the enclosing
-span as parent (``contextvars``-propagated), attributes, events and a
-terminal status — recorded into a bounded ring buffer on exit.  Worker
+span as parent (``contextvars``-propagated), attributes and a terminal
+status — recorded into a bounded ring buffer on exit.  Worker
 processes ship their span records back inside the metric delta
 (:func:`worker_delta`) and the owner re-parents them under the
 dispatching span via :func:`merge_snapshot`, so one parallel count
@@ -125,7 +125,6 @@ __all__ = [
     "registry",
     "tracer",
     "trace_records",
-    "clear_trace",
     "snapshot",
     "worker_delta",
     "merge_snapshot",
@@ -275,13 +274,7 @@ class _NoopSpan:
     def __exit__(self, *exc):
         return False
 
-    def set_attribute(self, key, value):
-        return self
-
     def set_attributes(self, **attrs):
-        return self
-
-    def add_event(self, name, **attrs):
         return self
 
     def abort(self):
@@ -300,7 +293,7 @@ def span(name: str, **attrs):
     :class:`~repro.obs.trace.Span`: the enclosing span becomes its
     parent (``contextvars``-propagated, so nesting follows ``with``
     nesting), ``attrs`` seed its attributes, and
-    ``set_attribute``/``add_event``/``abort`` enrich it before the exit
+    ``set_attributes``/``abort`` enrich it before the exit
     records both the flat metrics and the trace record.  Spans nest
     freely and are thread-safe: state lives on the span instance,
     aggregation goes through the locked registry and ring buffer.
@@ -326,11 +319,6 @@ def tracer() -> Tracer:
 def trace_records() -> list[dict]:
     """Snapshot list (oldest first) of the completed span records."""
     return _TRACER.records()
-
-
-def clear_trace() -> None:
-    """Drop every buffered span record."""
-    _TRACER.clear()
 
 
 def snapshot() -> dict[str, dict]:

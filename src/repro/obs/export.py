@@ -4,8 +4,7 @@
 list as Chrome trace-event (Perfetto-loadable) JSON; this is what
 ``repro-butterfly count --trace-out trace.json`` and ``obs.dump_trace``
 emit.  Every span becomes one complete (``"ph": "X"``) event with
-microsecond timestamps; span events become instant (``"ph": "i"``)
-events.  Load the file at https://ui.perfetto.dev or
+microsecond timestamps.  Load the file at https://ui.perfetto.dev or
 ``chrome://tracing``.
 """
 
@@ -27,10 +26,9 @@ def chrome_trace_events(records: list[dict]) -> list[dict]:
     """Span records → Chrome trace events, sorted by ascending ``ts``.
 
     One complete event (``ph="X"``, required fields ``name/ph/ts/pid/tid``
-    plus ``dur``) per span; one instant event (``ph="i"``) per span
-    event.  Timestamps are microseconds on the span's own monotonic
-    clock; ``args`` carries the span/trace ids, status and attributes so
-    Perfetto's detail pane shows the full node.
+    plus ``dur``) per span.  Timestamps are microseconds on the span's
+    own monotonic clock; ``args`` carries the span/trace ids, status and
+    attributes so Perfetto's detail pane shows the full node.
     """
     events: list[dict] = []
     for r in records:
@@ -53,20 +51,7 @@ def chrome_trace_events(records: list[dict]) -> list[dict]:
                 "args": args,
             }
         )
-        for ev in r.get("events") or ():
-            events.append(
-                {
-                    "name": f"{r['name']}:{ev['name']}",
-                    "cat": r["name"].split(".", 1)[0],
-                    "ph": "i",
-                    "s": "t",
-                    "ts": ev["ts"] * 1e6,
-                    "pid": r.get("pid", 0),
-                    "tid": r.get("tid", 0),
-                    "args": dict(ev.get("attrs") or {}),
-                }
-            )
-    events.sort(key=lambda e: (e["ts"], -e.get("dur", 0.0)))
+    events.sort(key=lambda e: (e["ts"], -e["dur"]))
     return events
 
 

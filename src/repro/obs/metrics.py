@@ -387,15 +387,6 @@ class Metrics:
             return metric.total
         return metric.value
 
-    def counters_with_prefix(self, prefix: str) -> dict[str, int]:
-        """All counter values whose name starts with ``prefix``."""
-        with self._lock:
-            return {
-                name: m.value
-                for name, m in self._metrics.items()
-                if name.startswith(prefix) and isinstance(m, Counter)
-            }
-
     def layers(self, names: Iterable[str] | None = None) -> set[str]:
         """Distinct first-dot prefixes ("layers") of the registered names."""
         source = self.names() if names is None else names

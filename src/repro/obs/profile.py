@@ -17,14 +17,10 @@ metric-delta result path under :data:`repro.obs.PROFILE_DELTA_KEY`,
 re-homed under the dispatching span by :func:`adopt_samples` exactly
 like worker span records.
 
-Two export formats, both dependency-free:
-
-- :func:`collapsed_stacks` — the ``frame;frame;frame count`` text that
-  ``flamegraph.pl``, speedscope (https://speedscope.app, "Import") and
-  ``inferno`` consume directly; the attributed span is the root frame
-  (``span:blocked.count;...``).
-- :func:`chrome_profile_events` — Chrome trace-event sample (``"ph":
-  "P"``) events that overlay on the span trace in Perfetto.
+The export format is dependency-free: :func:`collapsed_stacks` writes
+the ``frame;frame;frame count`` text that ``flamegraph.pl``, speedscope
+(https://speedscope.app, "Import") and ``inferno`` consume directly;
+the attributed span is the root frame (``span:blocked.count;...``).
 
 Overhead budget: at the default :data:`DEFAULT_PROFILE_HZ` one pass
 costs on the order of 100 µs even with deep stacks, so the profiled
@@ -53,7 +49,6 @@ __all__ = [
     "Profiler",
     "start_profiler",
     "stop_profiler",
-    "profiler",
     "maybe_resume_worker",
     "samples",
     "drain_samples",
@@ -64,8 +59,6 @@ __all__ = [
     "collapsed_stacks",
     "parse_collapsed",
     "write_collapsed",
-    "chrome_profile_events",
-    "chrome_profile",
     "aggregate_frames",
     "render_profile_report",
 ]
@@ -295,11 +288,6 @@ def stop_profiler() -> Profiler | None:
     return prof
 
 
-def profiler() -> Profiler | None:
-    """The live profiler handle, or None."""
-    return _PROFILER
-
-
 def maybe_resume_worker() -> Profiler | None:
     """Restart sampling inside a forked worker whose parent was profiling.
 
@@ -443,46 +431,6 @@ def write_collapsed(path, records: list[dict] | None = None) -> str:
     with open(path, "w") as fh:
         fh.write(text)
     return text
-
-
-def chrome_profile_events(records: list[dict]) -> list[dict]:
-    """Samples → Chrome trace sample events (``"ph": "P"``).
-
-    Merged into a span trace's ``traceEvents`` these overlay the
-    sampled stacks on the span timeline in Perfetto; ``args`` carries
-    the attributed span and the root→leaf stack.
-    """
-    events = []
-    for s in records:
-        events.append(
-            {
-                "name": "sample",
-                "cat": "profile",
-                "ph": "P",
-                "ts": s["ts"] * 1e6,
-                "pid": s.get("pid", 0),
-                "tid": s.get("tid", 0),
-                "args": {
-                    "span": s.get("span"),
-                    "span_id": s.get("span_id"),
-                    "trace_id": s.get("trace_id"),
-                    "stack": list(s.get("stack") or ()),
-                },
-            }
-        )
-    events.sort(key=lambda e: e["ts"])
-    return events
-
-
-def chrome_profile(records: list[dict], **meta) -> dict:
-    """The standalone Chrome-trace JSON object for a sample list."""
-    payload = {
-        "traceEvents": chrome_profile_events(records),
-        "displayTimeUnit": "ms",
-    }
-    if meta:
-        payload["otherData"] = {k: v for k, v in meta.items() if v is not None}
-    return payload
 
 
 # ----------------------------------------------------------------------

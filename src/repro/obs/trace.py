@@ -42,7 +42,6 @@ __all__ = [
     "Span",
     "Tracer",
     "current_span",
-    "active_span_for_thread",
     "adopt_spans",
     "span_tree",
     "DEFAULT_TRACE_CAPACITY",
@@ -78,21 +77,12 @@ def current_span() -> "Span | None":
     return _CURRENT.get()
 
 
-def active_span_for_thread(tid: int) -> "Span | None":
-    """The innermost live span of thread ``tid`` (any thread), or None.
-
-    The cross-thread read the sampling profiler uses; within one thread
-    prefer :func:`current_span` (contextvars-accurate under asyncio).
-    """
-    return _ACTIVE_SPANS.get(tid)
-
-
 class Tracer:
     """Thread-safe bounded ring buffer of *completed* span records.
 
     Records are plain dicts (picklable — they ride the worker result
     path) with keys ``trace_id, span_id, parent_id, name, ts, dur, pid,
-    tid, status, attrs, events``.
+    tid, status, attrs``.
     """
 
     def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
@@ -164,7 +154,6 @@ class Span:
         "span_id",
         "parent_id",
         "attrs",
-        "events",
         "status",
         "ts",
         "dur",
@@ -177,7 +166,6 @@ class Span:
     def __init__(self, name: str, attrs: dict | None = None) -> None:
         self.name = name
         self.attrs = dict(attrs) if attrs else {}
-        self.events: list[dict] = []
         self.status = "ok"
         self.span_id = _new_id()
         self.trace_id = ""
@@ -192,19 +180,8 @@ class Span:
     # ------------------------------------------------------------------
     # enrichment API (all safe on the no-op twin in repro.obs)
     # ------------------------------------------------------------------
-    def set_attribute(self, key: str, value) -> "Span":
-        self.attrs[key] = value
-        return self
-
     def set_attributes(self, **attrs) -> "Span":
         self.attrs.update(attrs)
-        return self
-
-    def add_event(self, name: str, **attrs) -> "Span":
-        event = {"name": name, "ts": _time.perf_counter()}
-        if attrs:
-            event["attrs"] = attrs
-        self.events.append(event)
         return self
 
     def abort(self) -> "Span":
@@ -268,7 +245,6 @@ class Span:
             "tid": self.tid,
             "status": self.status,
             "attrs": dict(self.attrs),
-            "events": list(self.events),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

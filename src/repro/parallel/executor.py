@@ -70,6 +70,9 @@ _ATTACHED: "OrderedDict[str, tuple]" = OrderedDict()
 #: Max distinct segments a worker keeps mapped (LRU beyond this).
 _ATTACH_CACHE_SIZE = 8
 
+#: Max distinct graphs an executor keeps published (LRU beyond this).
+_PUBLISH_CACHE_SIZE = 4
+
 
 def _attached(meta):
     name = meta[0]
@@ -245,7 +248,6 @@ class ButterflyExecutor:
         self._closed = False
         #: id(csr matrix) -> (SharedGraphBuffers, weakref to the matrix)
         self._published: "OrderedDict[int, tuple]" = OrderedDict()
-        self._publish_cache_size = 4
         # per-instance telemetry (kept for benchmarks / tests); every
         # increment is mirrored onto the repro.obs registry under the
         # ``executor.*`` names when observability is enabled
@@ -304,16 +306,10 @@ class ButterflyExecutor:
 
         ref = weakref.ref(csr, lambda _ref: _finalize())
         self._published[key] = (buffers, ref)
-        while len(self._published) > self._publish_cache_size:
+        while len(self._published) > _PUBLISH_CACHE_SIZE:
             _, (old, _old_ref) = self._published.popitem(last=False)
             old.unlink()
         return buffers
-
-    def release(self, graph: BipartiteGraph) -> None:
-        """Drop ``graph``'s cached publication (unlinks its segment)."""
-        entry = self._published.pop(id(graph.csr), None)
-        if entry is not None:
-            entry[0].unlink()
 
     def close(self) -> None:
         """Shut the pool down and unlink every published segment."""

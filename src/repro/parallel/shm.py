@@ -152,17 +152,6 @@ class SharedGraphBuffers:
         *_, total = _offsets(self.n_left, self.n_right, self.nnz)
         return total
 
-    def matrices(self):
-        """Owner-side zero-copy (read-only) CSR/CSC views of the segment."""
-        a, b, c, d = _views(self._shm.buf, self.n_left, self.n_right, self.nnz)
-        for arr in (a, b, c, d):
-            arr.flags.writeable = False
-        shape = (self.n_left, self.n_right)
-        return (
-            PatternCSR(a, b, shape, check=False),
-            PatternCSC(c, d, shape, check=False),
-        )
-
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Unmap the owner's view (segment persists until :meth:`unlink`)."""

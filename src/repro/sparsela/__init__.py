@@ -8,8 +8,8 @@ formats and kernels the paper's algorithm family needs:
   (invariants 5–8 of the paper).
 - :class:`~repro.sparsela.csc.PatternCSC` — column-compressed storage
   (invariants 1–4 of the paper).
-- :mod:`~repro.sparsela.kernels` — vectorised gather / multiplicity /
-  Σ C(·,2) / SpMV kernels.
+- :mod:`~repro.sparsela.kernels` — vectorised gather, segment-sum and
+  keyed Σ C(·,2) kernels.
 - :mod:`~repro.sparsela.linalg` — dense trace/Hadamard helpers mirroring the
   paper's notation, used by the specification oracle.
 
@@ -33,12 +33,9 @@ _LAZY = {
     "choose2_sum": "repro.sparsela.kernels",
     "gather_slices": "repro.sparsela.kernels",
     "keyed_choose2_sum": "repro.sparsela.kernels",
-    "multiplicity_counts": "repro.sparsela.kernels",
     "panel_choose2_per_owner": "repro.sparsela.kernels",
     "panel_choose2_sum": "repro.sparsela.kernels",
     "segment_sums": "repro.sparsela.kernels",
-    "spmv_pattern": "repro.sparsela.kernels",
-    "spmv_pattern_transposed": "repro.sparsela.kernels",
     "linalg": "repro.sparsela.linalg",
 }
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
@@ -52,7 +49,6 @@ __all__ = [
     "expand_indptr",
     "integral_ids",
     "gather_slices",
-    "multiplicity_counts",
     "choose2",
     "choose2_sum",
     "segment_sums",
@@ -60,7 +56,5 @@ __all__ = [
     "panel_choose2_sum",
     "panel_choose2_per_owner",
     "DEFAULT_KEYSPACE_CAP",
-    "spmv_pattern",
-    "spmv_pattern_transposed",
     "linalg",
 ]

@@ -98,20 +98,6 @@ class PatternCSC(CompressedPattern):
         """Degree of each row vertex."""
         return self.minor_degrees()
 
-    def select_cols(self, col_ids: np.ndarray) -> "PatternCSC":
-        """Submatrix keeping only ``col_ids`` (in the given order)."""
-        col_ids = np.asarray(col_ids, dtype=INDEX_DTYPE)
-        lengths = self.indptr[col_ids + 1] - self.indptr[col_ids]
-        total = int(lengths.sum(dtype=INDEX_DTYPE))
-        indptr = np.zeros(len(col_ids) + 1, dtype=INDEX_DTYPE)
-        np.cumsum(lengths, out=indptr[1:])
-        indices = np.empty(total, dtype=INDEX_DTYPE)
-        if total:
-            from repro.sparsela.kernels import gather_slices
-
-            indices = gather_slices(self.indptr, self.indices, col_ids)
-        return PatternCSC(indptr, indices, (self.shape[0], len(col_ids)), check=False)
-
     def mask_entries(self, keep: np.ndarray) -> "PatternCSC":
         """New matrix keeping only stored entries where ``keep`` is True."""
         keep = np.asarray(keep, dtype=bool)

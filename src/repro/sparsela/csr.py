@@ -100,24 +100,6 @@ class PatternCSR(CompressedPattern):
         """Degree of each column vertex."""
         return self.minor_degrees()
 
-    def select_rows(self, row_ids: np.ndarray) -> "PatternCSR":
-        """Submatrix keeping only ``row_ids`` (in the given order).
-
-        The result has ``len(row_ids)`` rows; columns are unchanged.  Used by
-        the peeling algorithms and the partitioned-specification tests.
-        """
-        row_ids = np.asarray(row_ids, dtype=INDEX_DTYPE)
-        lengths = self.indptr[row_ids + 1] - self.indptr[row_ids]
-        total = int(lengths.sum(dtype=INDEX_DTYPE))
-        indptr = np.zeros(len(row_ids) + 1, dtype=INDEX_DTYPE)
-        np.cumsum(lengths, out=indptr[1:])
-        indices = np.empty(total, dtype=INDEX_DTYPE)
-        if total:
-            from repro.sparsela.kernels import gather_slices
-
-            indices = gather_slices(self.indptr, self.indices, row_ids)
-        return PatternCSR(indptr, indices, (len(row_ids), self.shape[1]), check=False)
-
     def mask_entries(self, keep: np.ndarray) -> "PatternCSR":
         """New matrix keeping only stored entries where ``keep`` is True.
 

@@ -6,12 +6,9 @@ operations per the HPC guidance (no per-element Python loops):
 - :func:`gather_slices` — fetch and concatenate many compressed slices at
   once, the sparse analogue of a block gather.  Every wedge-enumeration in
   the package bottoms out here.
-- :func:`multiplicity_counts` — multiset → (values, counts), used to turn a
-  wedge list into per-endpoint wedge counts.
 - :func:`choose2_sum` / :func:`choose2` — the Σ C(x, 2) reduction that turns
   wedge counts into butterfly counts (``C(n,2)`` distinct wedge pairs form
   ``C(n,2)`` butterflies, Section II of the paper).
-- :func:`spmv_pattern` — y = A·x for a pattern matrix and dense vector.
 - :func:`keyed_choose2_sum` — Σ C(mult, 2) over a whole panel's composite
   wedge keys, by one histogram or one in-place sort.
 - :func:`panel_choose2_sum` / :func:`panel_choose2_per_owner` — the same
@@ -26,15 +23,11 @@ import numpy as np
 
 from repro import obs
 from repro._types import COUNT_DTYPE, INDEX_DTYPE
-from repro.sparsela._compressed import CompressedPattern
 
 __all__ = [
     "gather_slices",
-    "multiplicity_counts",
     "choose2",
     "choose2_sum",
-    "spmv_pattern",
-    "spmv_pattern_transposed",
     "segment_sums",
     "keyed_choose2_sum",
     "run_starts",
@@ -80,19 +73,6 @@ def gather_slices(
     return out
 
 
-def multiplicity_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values and their multiplicities for a 1-D integer multiset.
-
-    Equivalent to ``np.unique(values, return_counts=True)`` but kept as a
-    named kernel so the algorithms read like the math ("wedge counts per
-    endpoint") and so the implementation can be swapped wholesale.
-    """
-    if values.size == 0:
-        return values, np.empty(0, dtype=COUNT_DTYPE)
-    uniq, counts = np.unique(values, return_counts=True)
-    return uniq, counts.astype(COUNT_DTYPE)
-
-
 def choose2(x: np.ndarray) -> np.ndarray:
     """Elementwise ``C(x, 2) = x·(x−1)/2`` in exact int64 arithmetic."""
     x = np.asarray(x, dtype=COUNT_DTYPE)
@@ -110,44 +90,6 @@ def choose2_sum(x: np.ndarray) -> int:
         return 0
     x = np.asarray(x, dtype=COUNT_DTYPE)
     return int(np.sum(x * (x - 1)) // 2)
-
-
-def spmv_pattern(a: CompressedPattern, x: np.ndarray) -> np.ndarray:
-    """Dense ``y = A·x`` for a compressed pattern matrix.
-
-    Works for either format: conceptually sums ``x`` over the stored entries
-    of each row.  For CSR this is a segmented sum over slices; for CSC it is
-    a scatter-add of ``x[j]`` into the rows of column ``j``.
-    """
-    x = np.asarray(x)
-    m, n = a.shape
-    if x.shape != (n,):
-        raise ValueError(f"x must have shape ({n},), got {x.shape}")
-    out_dtype = np.result_type(x.dtype, COUNT_DTYPE) if x.dtype.kind in "iub" else x.dtype
-    if a.MAJOR_AXIS == 0:  # CSR: y_i = sum of x at column ids of row i
-        vals = x[a.indices]
-        return segment_sums(vals, a.indptr, out_dtype)
-    # CSC: y += x[j] at each stored row id of column j
-    y = np.zeros(m, dtype=out_dtype)
-    contrib = np.repeat(x, np.diff(a.indptr))
-    np.add.at(y, a.indices, contrib)
-    return y
-
-
-def spmv_pattern_transposed(a: CompressedPattern, x: np.ndarray) -> np.ndarray:
-    """Dense ``y = Aᵀ·x`` for a compressed pattern matrix."""
-    x = np.asarray(x)
-    m, n = a.shape
-    if x.shape != (m,):
-        raise ValueError(f"x must have shape ({m},), got {x.shape}")
-    out_dtype = np.result_type(x.dtype, COUNT_DTYPE) if x.dtype.kind in "iub" else x.dtype
-    if a.MAJOR_AXIS == 1:  # CSC: (Aᵀx)_j = sum of x at row ids of column j
-        vals = x[a.indices]
-        return segment_sums(vals, a.indptr, out_dtype)
-    y = np.zeros(n, dtype=out_dtype)
-    contrib = np.repeat(x, np.diff(a.indptr))
-    np.add.at(y, a.indices, contrib)
-    return y
 
 
 # ----------------------------------------------------------------------
@@ -171,11 +113,12 @@ def _histogram_pays(keyspace: int, n_keys: int) -> bool:
 
 
 def run_starts(keys: np.ndarray) -> np.ndarray:
-    """Offsets where each run of equal values of a sorted, non-empty array starts."""
-    new = np.empty(keys.size, dtype=bool)
-    new[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    return np.flatnonzero(new)
+    """Offsets where each run of equal values of a sorted array starts
+    (none for an empty one)."""
+    flags = np.empty(keys.size, dtype=bool)
+    flags[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=flags[1:])
+    return np.flatnonzero(flags)
 
 
 def keyed_choose2_sum(keys: np.ndarray, keyspace: int, n_groups: int = 1) -> np.ndarray:

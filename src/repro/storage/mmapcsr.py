@@ -154,11 +154,3 @@ class MmapCSR(GraphStorage):
     @property
     def csc(self) -> PatternCSC:
         return self._mmap_csc
-
-    @property
-    def file_bytes(self) -> int:
-        """Total size of the mapped column files on disk."""
-        return sum(
-            os.path.getsize(os.path.join(self.directory, f"{name}.npy"))
-            for name in _FILES
-        )

@@ -91,7 +91,7 @@ def test_blocked_medium_graph_all_invariants(medium_graph):
         ), number
 
 
-# ------------------------------------------------ work-adaptive panel sizing
+# ------------------------------------------------ work-bounded panel cuts
 def test_work_bounded_panels_tile_exactly():
     import numpy as np
 
@@ -125,22 +125,6 @@ def test_work_bounded_panels_validation_and_empty():
     with pytest.raises(ValueError, match="budget"):
         work_bounded_panels(np.array([1, 2]), 0)
     assert work_bounded_panels(np.array([], dtype=np.int64), 5) == []
-
-
-@pytest.mark.parametrize("budget", [1, 64, 4096, None])
-def test_blocked_work_budget_matches_fixed_blocks(medium_graph, budget):
-    from repro.core import DEFAULT_PANEL_WORK_BUDGET, count_butterflies
-
-    expected = count_butterflies(medium_graph)
-    kwargs = {} if budget is None else {"work_budget": budget}
-    assert count_butterflies_blocked(medium_graph, 2, **kwargs) == expected
-    assert DEFAULT_PANEL_WORK_BUDGET >= 1
-
-
-@pytest.mark.parametrize("number", range(1, 9))
-def test_blocked_work_budget_every_invariant(number):
-    g = tiny_named_graphs()["k44"]
-    assert count_butterflies_blocked(g, number, work_budget=8) == 36
 
 
 # ------------------------------------------------ panel reduction branches
@@ -184,5 +168,5 @@ def test_blocked_count_method_ablation(medium_graph, branch, monkeypatch):
     expected = butterflies_spec_or_count(g)
     with obs.capture() as metrics:
         assert count_butterflies_blocked(g, 2) == expected
-        assert count_butterflies_blocked(g, 6, work_budget=2048) == expected
+        assert count_butterflies_blocked(g, 6, block_size=32) == expected
     assert metrics.value(f"kernels.panel.method.{branch}") > 0

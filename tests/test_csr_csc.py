@@ -85,26 +85,6 @@ def test_empty_shapes():
     assert len(csr.indptr) == 5 and len(csc.indptr) == 7
 
 
-def test_select_rows(dense):
-    m = PatternCSR.from_dense(dense)
-    ids = np.array([3, 0, 7])
-    sub = m.select_rows(ids)
-    assert np.array_equal(sub.to_dense(), dense[ids])
-
-
-def test_select_cols(dense):
-    m = PatternCSC.from_dense(dense)
-    ids = np.array([5, 1, 2])
-    sub = m.select_cols(ids)
-    assert np.array_equal(sub.to_dense(), dense[:, ids])
-
-
-def test_select_rows_empty_selection(dense):
-    m = PatternCSR.from_dense(dense)
-    sub = m.select_rows(np.array([], dtype=np.int64))
-    assert sub.shape == (0, dense.shape[1]) and sub.nnz == 0
-
-
 def test_mask_entries_csr(dense):
     m = PatternCSR.from_dense(dense)
     keep = np.zeros(m.nnz, dtype=bool)

@@ -14,6 +14,7 @@ The contract under test (ISSUE acceptance criteria):
 
 from __future__ import annotations
 
+import gc
 import glob
 import os
 
@@ -35,6 +36,7 @@ from repro.parallel import (
     live_segment_names,
     shutdown_default_executors,
 )
+from repro.parallel import executor as executor_module
 from repro.parallel.shm import SEGMENT_PREFIX
 
 from .conftest import TINY_EXPECTED, tiny_named_graphs
@@ -76,11 +78,14 @@ def _no_segment_leaks():
 class TestSharedGraphBuffers:
     def test_publish_roundtrip(self, medium_graph):
         with SharedGraphBuffers.publish(medium_graph) as buffers:
-            csr, csc = buffers.matrices()
-            assert np.array_equal(csr.indptr, medium_graph.csr.indptr)
-            assert np.array_equal(csr.indices, medium_graph.csr.indices)
-            assert np.array_equal(csc.indptr, medium_graph.csc.indptr)
-            assert np.array_equal(csc.indices, medium_graph.csc.indices)
+            shm, csr, csc = attach_graph(buffers.meta)
+            try:
+                assert np.array_equal(csr.indptr, medium_graph.csr.indptr)
+                assert np.array_equal(csr.indices, medium_graph.csr.indices)
+                assert np.array_equal(csc.indptr, medium_graph.csc.indptr)
+                assert np.array_equal(csc.indices, medium_graph.csc.indices)
+            finally:
+                shm.close()
             assert buffers.name in live_segment_names()
         assert buffers.name not in live_segment_names()
 
@@ -115,8 +120,11 @@ class TestSharedGraphBuffers:
 
         g = BipartiteGraph.empty(3, 4)
         with SharedGraphBuffers.publish(g) as buffers:
-            csr, _csc = buffers.matrices()
-            assert csr.nnz == 0
+            shm, csr, _csc = attach_graph(buffers.meta)
+            try:
+                assert csr.nnz == 0
+            finally:
+                shm.close()
 
     def test_meta_is_plain_tuple(self, medium_graph):
         with SharedGraphBuffers.publish(medium_graph) as buffers:
@@ -171,14 +179,14 @@ class TestExecutorLifecycle:
         with pytest.raises(RuntimeError):
             ex.count(medium_graph)
 
-    def test_release_unlinks_one_graph(self, medium_graph):
+    def test_collected_graph_unlinks_its_segment(self):
+        g = power_law_bipartite(60, 80, 300, seed=1)
         with ButterflyExecutor(n_workers=2) as ex:
-            ex.count(medium_graph)
+            ex.count(g)
             assert len(live_segment_names()) == 1
-            ex.release(medium_graph)
+            del g
+            gc.collect()
             assert live_segment_names() == []
-            # releasing twice is fine
-            ex.release(medium_graph)
 
     def test_publication_cache_evicts_lru(self):
         graphs = [
@@ -188,7 +196,7 @@ class TestExecutorLifecycle:
             for g in graphs:
                 ex.count(g)
             # cache cap is 4: older segments must have been unlinked
-            assert len(live_segment_names()) <= ex._publish_cache_size
+            assert len(live_segment_names()) <= executor_module._PUBLISH_CACHE_SIZE
         assert live_segment_names() == []
 
     def test_warm_pool_reused_across_calls(self, medium_graph):

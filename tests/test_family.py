@@ -10,7 +10,6 @@ from repro.core import (
     Traversal,
     count_butterflies,
     count_butterflies_unblocked,
-    has_at_least,
 )
 from repro.core.family import pivot_order
 from repro.graphs import BipartiteGraph
@@ -44,13 +43,6 @@ def test_reference_assignment():
         assert INVARIANTS[k].reference is Reference.PREFIX
     for k in (2, 4, 6, 8):
         assert INVARIANTS[k].reference is Reference.SUFFIX
-
-
-def test_look_ahead_members():
-    """Operationally, the members that read not-yet-processed vertices are
-    forward+suffix (2, 6) and backward+prefix (3, 7).  (The paper's prose
-    groups the *suffix* members 2/4/6/8 as its faster set; see DESIGN.md.)"""
-    assert [i.number for i in ALL_INVARIANTS if i.look_ahead] == [2, 3, 6, 7]
 
 
 def test_description_strings():
@@ -159,85 +151,3 @@ def test_large_count_no_overflow():
     expected = (90 * 89 // 2) ** 2
     assert count_butterflies_unblocked(g, 2) == expected
     assert count_butterflies_unblocked(g, 7, strategy="spmv") == expected
-
-
-# ---------------------------------------------------------- has_at_least
-def test_has_at_least_exactness(corpus):
-    for name, g in corpus[:6]:
-        total = count_butterflies(g)
-        assert has_at_least(g, total) is True, name
-        assert has_at_least(g, total + 1) is False, name
-
-
-def test_has_at_least_trivial_threshold():
-    g = BipartiteGraph.empty(3, 3)
-    assert has_at_least(g, 0)
-    assert has_at_least(g, -5)
-    assert not has_at_least(g, 1)
-
-
-def test_has_at_least_explicit_invariant():
-    g = tiny_named_graphs()["k33"]
-    for inv in (1, 4, 5, 8):
-        assert has_at_least(g, 9, invariant=inv)
-        assert not has_at_least(g, 10, invariant=inv)
-
-
-def test_has_at_least_early_exit_observable():
-    """On a butterfly-dense graph the early exit answers without a full
-    sweep — verified by timing it against the full count."""
-    import time
-
-    g = BipartiteGraph.complete(150, 150)
-    t0 = time.perf_counter()
-    assert has_at_least(g, 10)
-    early = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    count_butterflies(g)
-    full = time.perf_counter() - t0
-    assert early < full
-
-
-@pytest.mark.parametrize("strategy", ["scratch", "spmv"])
-def test_has_at_least_every_strategy_exact(corpus, strategy):
-    """The decision procedure is strategy-independent."""
-    for name, g in corpus[:5]:
-        total = count_butterflies(g)
-        assert has_at_least(g, total, strategy=strategy) is True, name
-        assert has_at_least(g, total + 1, strategy=strategy) is False, name
-
-
-@pytest.mark.parametrize("strategy", ["scratch", "spmv"])
-def test_has_at_least_early_exit_under_every_strategy(strategy):
-    """The sweep must stop at the first pivot whose running total clears
-    the threshold — observed through the on_step hook, per strategy."""
-    g = BipartiteGraph.complete(40, 40)
-    n_pivots = g.n_right  # auto-selected side is columns (n_right <= n_left)
-    steps = []
-    assert has_at_least(
-        g, 1, strategy=strategy,
-        on_step=lambda i, pivot, total: steps.append((i, pivot, total)),
-    )
-    assert len(steps) < n_pivots  # stopped early
-    assert steps[-1][2] >= 1
-    # a hopeless threshold runs the entire sweep
-    steps.clear()
-    assert not has_at_least(
-        g, 10**18, strategy=strategy,
-        on_step=lambda i, pivot, total: steps.append(i),
-    )
-    assert len(steps) == n_pivots
-
-
-def test_has_at_least_invalid_strategy():
-    g = tiny_named_graphs()["k33"]
-    with pytest.raises(ValueError, match="strategy"):
-        has_at_least(g, 1, strategy="magic")
-
-
-@pytest.mark.parametrize("strategy", ["scratch", "spmv"])
-@pytest.mark.parametrize("inv", [1, 3, 6, 8])
-def test_has_at_least_strategy_invariant_grid(strategy, inv):
-    g = tiny_named_graphs()["k44"]
-    assert has_at_least(g, 36, invariant=inv, strategy=strategy)
-    assert not has_at_least(g, 37, invariant=inv, strategy=strategy)

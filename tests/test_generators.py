@@ -133,63 +133,6 @@ def test_planted_bicliques_overflow_rejected():
         planted_bicliques(5, 10, 3, 2, 2)
 
 
-def test_configuration_model_degree_bounds():
-    from repro.graphs import configuration_model_bipartite
-
-    ld = [3, 2, 1, 0, 2]
-    rd = [4, 2, 2]
-    g = configuration_model_bipartite(ld, rd, seed=1)
-    # realised degrees never exceed requested (dedup only removes)
-    assert (g.degrees_left() <= np.array(ld)).all()
-    assert (g.degrees_right() <= np.array(rd)).all()
-    assert g.shape == (5, 3)
-
-
-def test_configuration_model_sparse_sequence_nearly_exact():
-    from repro.graphs import configuration_model_bipartite
-
-    rng = np.random.default_rng(3)
-    ld = rng.integers(0, 4, size=200)
-    rd_total = int(ld.sum())
-    rd = np.zeros(300, dtype=int)
-    for _ in range(rd_total):
-        rd[rng.integers(300)] += 1
-    g = configuration_model_bipartite(ld, rd, seed=5)
-    # on a sparse sequence almost no stubs collide
-    assert g.n_edges >= 0.95 * rd_total
-
-
-def test_configuration_model_determinism():
-    from repro.graphs import configuration_model_bipartite
-
-    a = configuration_model_bipartite([2, 2], [2, 2], seed=9)
-    b = configuration_model_bipartite([2, 2], [2, 2], seed=9)
-    assert a == b
-
-
-def test_configuration_model_validation():
-    from repro.graphs import configuration_model_bipartite
-
-    with pytest.raises(ValueError, match="must match"):
-        configuration_model_bipartite([2], [1])
-    with pytest.raises(ValueError, match="non-negative"):
-        configuration_model_bipartite([-1], [1, -2])
-    with pytest.raises(ValueError, match="1-D"):
-        configuration_model_bipartite([[1]], [1])
-
-
-def test_configuration_model_as_null_model():
-    """A planted-biclique graph has far more butterflies than its
-    configuration-model null with the same degree sequence."""
-    from repro.graphs import configuration_model_bipartite, planted_bicliques
-
-    g = planted_bicliques(40, 40, 4, 4, 4, background_edges=30, seed=6)
-    null = configuration_model_bipartite(
-        g.degrees_left(), g.degrees_right(), seed=7
-    )
-    assert count_butterflies(g) > 2 * count_butterflies(null)
-
-
 def test_all_generators_produce_valid_structures():
     graphs = [
         erdos_renyi_bipartite(15, 25, 0.2, seed=2),

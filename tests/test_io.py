@@ -91,6 +91,14 @@ def test_edge_list_gzip_roundtrip(tmp_path):
     assert load_edge_list(path).edges().tolist() == g.edges().tolist()
 
 
+@pytest.mark.parametrize("loader", [load_konect, load_edge_list])
+def test_truncated_gzip_is_a_value_error(tmp_path, loader):
+    path = tmp_path / "cut.gz"
+    path.write_bytes(b"\x1f\x8b\xff")  # a gzip magic, then nothing whole
+    with pytest.raises(ValueError, match="cut.gz"):
+        loader(path)
+
+
 def test_edge_list_roundtrip(tmp_path):
     g = gnm_bipartite(9, 11, 30, seed=4)
     path = tmp_path / "g.edges"

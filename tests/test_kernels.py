@@ -9,16 +9,12 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.sparsela import (
-    PatternCSC,
     PatternCSR,
     choose2,
     choose2_sum,
     gather_slices,
     kernels,
-    multiplicity_counts,
     segment_sums,
-    spmv_pattern,
-    spmv_pattern_transposed,
 )
 
 
@@ -54,17 +50,6 @@ def test_gather_slices_preserves_order_and_multiplicity():
     assert got.tolist() == [0, 1, 2, 0]
 
 
-def test_multiplicity_counts():
-    vals, counts = multiplicity_counts(np.array([3, 1, 3, 3, 1]))
-    assert vals.tolist() == [1, 3]
-    assert counts.tolist() == [2, 3]
-
-
-def test_multiplicity_counts_empty():
-    vals, counts = multiplicity_counts(np.array([], dtype=np.int64))
-    assert vals.size == 0 and counts.size == 0
-
-
 def test_choose2_values():
     assert choose2(np.array([0, 1, 2, 3, 10])).tolist() == [0, 0, 1, 3, 45]
 
@@ -84,35 +69,11 @@ def test_choose2_sum_large_values_exact():
     assert choose2_sum(np.array([100_000])) == 100_000 * 99_999 // 2
 
 
-@pytest.mark.parametrize("fmt", [PatternCSR, PatternCSC])
-def test_spmv_matches_dense(fmt, rng):
-    dense = (rng.random((8, 11)) < 0.4).astype(int)
-    m = fmt.from_dense(dense)
-    x = rng.integers(0, 5, size=11)
-    assert np.array_equal(spmv_pattern(m, x), dense @ x)
-
-
-@pytest.mark.parametrize("fmt", [PatternCSR, PatternCSC])
-def test_spmv_transposed_matches_dense(fmt, rng):
-    dense = (rng.random((8, 11)) < 0.4).astype(int)
-    m = fmt.from_dense(dense)
-    x = rng.integers(0, 5, size=8)
-    assert np.array_equal(spmv_pattern_transposed(m, x), dense.T @ x)
-
-
-def test_spmv_shape_check():
-    m = PatternCSR.empty((3, 4))
-    with pytest.raises(ValueError, match="shape"):
-        spmv_pattern(m, np.zeros(3))
-    with pytest.raises(ValueError, match="shape"):
-        spmv_pattern_transposed(m, np.zeros(4))
-
-
-def test_spmv_float_input_preserved():
-    m = PatternCSR.from_pairs([(0, 0), (0, 1)], shape=(1, 2))
-    y = spmv_pattern(m, np.array([0.5, 0.25]))
-    assert y.dtype.kind == "f"
-    assert y.tolist() == [0.75]
+def test_run_starts_empty_single_and_runs():
+    assert kernels.run_starts(np.array([], dtype=np.int64)).tolist() == []
+    assert kernels.run_starts(np.array([7], dtype=np.int32)).tolist() == [0]
+    keys = np.array([1, 1, 2, 5, 5, 5, 9], dtype=np.int64)
+    assert kernels.run_starts(keys).tolist() == [0, 2, 3, 6]
 
 
 def test_segment_sums_basic():

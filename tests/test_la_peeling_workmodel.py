@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.workinfo import WorkProfile, work_profile, work_table
+from repro.core.workinfo import WorkProfile, work_profile
 from repro.core import (
     k_tip,
     k_tip_linear_algebra,
@@ -120,7 +120,6 @@ def test_work_profile_fields():
     wp = work_profile(g, 2, "spmv")
     assert isinstance(wp, WorkProfile)
     assert wp.pivots == 3
-    assert wp.mean_pivot_ops == wp.total_ops / 3
     assert wp.max_pivot_ops <= g.n_edges
 
 
@@ -128,17 +127,10 @@ def test_work_profile_empty_graph():
     from repro.graphs import BipartiteGraph
 
     wp = work_profile(BipartiteGraph.empty(0, 0), 1)
-    assert wp.total_ops == 0 and wp.pivots == 0 and wp.mean_pivot_ops == 0.0
+    assert wp.total_ops == 0 and wp.pivots == 0 and wp.max_pivot_ops == 0
 
 
 def test_work_profile_invalid_strategy():
     g = tiny_named_graphs()["k33"]
     with pytest.raises(ValueError, match="strategy"):
         work_profile(g, 1, "magic")
-
-
-def test_work_table_has_all_members():
-    g = tiny_named_graphs()["k33"]
-    wt = work_table(g)
-    assert sorted(wt) == list(range(1, 9))
-    assert all(isinstance(v, WorkProfile) for v in wt.values())

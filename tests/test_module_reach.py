@@ -1,17 +1,27 @@
-"""Every module of ``src/repro`` is run by a subcommand or is an oracle.
+"""Every module of ``src/repro`` is run by a subcommand or is an oracle,
+and every public name outside the oracles has a caller.
 
 One fresh interpreter drives every subcommand in-process through
 ``repro.cli.main`` (about 1 s) and reports the ``repro`` modules it
 loaded.  A module that none of them loads must be named in
 :data:`ORACLES` with the reason it stays: an independent check an exact
 path is compared with, a tool an EXPERIMENTS table is regenerated with,
-or a route a benchmark takes that no subcommand does.  Library surface
-that only its own tests call fails here.
+or a route a benchmark takes that no subcommand does.
+
+Inside the reached modules the same rule holds per name: an AST scan
+finds every public function, class and public method of a public class,
+and each must be named (``ast.Name``, ``ast.Attribute`` or a
+``from ... import`` name) somewhere outside its own ``def`` in
+``src/repro``, ``benchmarks/``, ``examples/`` or ``scripts/``, or be a
+key of :data:`KEPT` with the reason it stays.  Library surface that only
+its own tests call fails here.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import functools
 import json
 import os
 import subprocess
@@ -62,6 +72,45 @@ ORACLES = {
     "(benchmarks/test_ablation_extensions.py)",
     "storage/raw.py": "the raw layout the e2e benchmark builds through "
     "make_storage(graph, plan.layout)",
+}
+
+#: Public names (``module::name`` or ``module::Class.method``) outside
+#: ORACLES that nothing in ``src/repro``, ``benchmarks/``, ``examples/``
+#: or ``scripts/`` names, each with why it stays.
+KEPT = {
+    "graphs/generators.py::erdos_renyi_bipartite": "test tool: the G(m, n, "
+    "p) graphs of the conformance, stream and peel corpora",
+    "graphs/io.py::load_edge_list": "the plain edge-list reader kept beside "
+    "KONECT (CHANGELOG: \"KONECT and plain edge lists stay\"; test_io)",
+    "graphs/io.py::save_edge_list": "the writer of that pair (test_io, "
+    "test_loader_fuzz)",
+    "core/stream/script.py::format_script": "test tool: renders generated "
+    "op lists as script text (test_stream_conformance)",
+    "core/stream/counter.py::StreamingButterflyCounter.add_edges": "test "
+    "tool: one-sided batches in test_dynamic and the stream properties",
+    "core/stream/counter.py::StreamingButterflyCounter.remove_edges": "the "
+    "deleting half of that pair (test_dynamic, test_properties_extensions)",
+    "core/stream/counter.py::StreamingButterflyCounter.vertex_counts": "the "
+    "only read of the maintained per-vertex counts, which the stream "
+    "conformance and snapshot tests check against the oracle",
+    "obs/__init__.py::capture": "test tool: the hermetic registry and "
+    "tracer every obs-reading test records into",
+    "obs/__init__.py::disabled": "test tool: pins the no-op path in "
+    "test_obs, test_engine and test_peeling_parallel",
+    "obs/__init__.py::trace_records": "test tool: reads the spans a "
+    "capture() block recorded (test_trace_export, test_engine)",
+    "obs/__init__.py::profile_samples": "test tool: reads the live profiler "
+    "samples (test_profile)",
+    "obs/metrics.py::Metrics.histogram": "test tool: reads one histogram "
+    "of a captured registry (test_obs, test_drift, test_engine)",
+    "obs/sinks.py::MemorySink": "test tool: the in-memory sink double "
+    "(test_obs)",
+    "sparsela/coo.py::PatternCOO.is_canonical": "test tool: the "
+    "canonical-form predicate the ingestion and view tests assert",
+    "analysis/engine.py::analyze_source": "test tool: runs the analyzer "
+    "rules on one in-memory source (test_analysis)",
+    "analysis/engine.py::analyze_sources": "test tool: runs the "
+    "whole-program rules on in-memory sources (test_analysis_project)",
 }
 
 #: Argument lists that between them reach every subcommand and option
@@ -181,3 +230,95 @@ def test_every_subcommand_is_invoked():
     ]
     invoked = {_subcommand(argv) for argv in INVOCATIONS}
     assert sorted(set(subparsers.choices) - invoked) == []
+
+
+# ----------------------------------------------------------------------
+# every public name has a caller
+# ----------------------------------------------------------------------
+#: Trees whose code counts as a caller, beside ``src/repro`` itself.
+CALLER_ROOTS = ("benchmarks", "examples", "scripts")
+
+
+def _public_defs(tree: ast.Module):
+    """``(qualname, node)`` of every public top-level function and
+    class, and of every public method of a public class."""
+    for node in tree.body:
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+class _Uses(ast.NodeVisitor):
+    """Every name a tree uses, with the ids of the defs around each use."""
+
+    def __init__(self, uses: dict[str, list[frozenset[int]]]) -> None:
+        self.uses = uses
+        self.stack: list[int] = []
+
+    def _enter(self, node) -> None:
+        self.stack.append(id(node))
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _enter
+
+    def _use(self, name: str) -> None:
+        self.uses.setdefault(name, []).append(frozenset(self.stack))
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self._use(node.id)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self._use(node.attr)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        for alias in node.names:
+            self._use(alias.name)
+
+
+@functools.lru_cache(maxsize=1)
+def _uncalled_public_names() -> frozenset[str]:
+    """``module::qualname`` of every public name outside ORACLES that no
+    code but its own ``def`` names."""
+    repo = Path(__file__).resolve().parents[1]
+    files = list(PACKAGE.rglob("*.py"))
+    for root in CALLER_ROOTS:
+        files.extend((repo / root).rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    uses: dict[str, list[frozenset[int]]] = {}
+    for tree in trees.values():
+        _Uses(uses).visit(tree)
+    uncalled = set()
+    for path in PACKAGE.rglob("*.py"):
+        rel = path.relative_to(PACKAGE).as_posix()
+        if any(_covers(k, rel) for k in ORACLES):
+            continue
+        for qualname, node in _public_defs(trees[path]):
+            name = qualname.rpartition(".")[2]
+            if all(id(node) in around for around in uses.get(name, ())):
+                uncalled.add(f"{rel}::{qualname}")
+    return frozenset(uncalled)
+
+
+def test_every_public_name_has_a_caller():
+    orphans = sorted(_uncalled_public_names() - set(KEPT))
+    assert orphans == [], (
+        "named by no code in src/repro, benchmarks, examples or scripts: "
+        "delete them with their tests, or name each in KEPT with why it "
+        f"stays: {orphans}"
+    )
+
+
+def test_every_kept_entry_is_an_uncalled_name():
+    """A KEPT key that no longer exists, or that a caller now names,
+    is stale."""
+    stale = sorted(set(KEPT) - _uncalled_public_names())
+    assert stale == []

@@ -96,15 +96,6 @@ class TestMetricsRegistry:
         m.reset()
         assert len(m) == 0
 
-    def test_counters_with_prefix(self):
-        m = Metrics()
-        m.inc("kernels.gather.calls", 2)
-        m.inc("kernels.panel.calls", 3)
-        m.inc("executor.tasks", 5)
-        m.set("kernels.gauge", 9)  # gauges excluded
-        got = m.counters_with_prefix("kernels.")
-        assert got == {"kernels.gather.calls": 2, "kernels.panel.calls": 3}
-
     def test_layers_are_first_dot_prefixes(self):
         m = Metrics()
         for name in ("kernels.a", "kernels.b.c", "peel.tip.rounds", "flat"):

@@ -10,7 +10,6 @@ sample lands inside a kernel span on a real count.
 
 from __future__ import annotations
 
-import json
 import subprocess
 import sys
 import threading
@@ -26,8 +25,6 @@ from repro.obs.profile import (
     Profiler,
     SampleBuffer,
     aggregate_frames,
-    chrome_profile,
-    chrome_profile_events,
     collapsed_stacks,
     parse_collapsed,
     render_profile_report,
@@ -220,25 +217,6 @@ class TestCollapsedStacks:
         path = tmp_path / "p.collapsed"
         write_collapsed(path, _fake_records())
         assert parse_collapsed(path.read_text())["process;cli.py:main"] == 1
-
-
-class TestChromeExport:
-    def test_sample_event_schema(self):
-        events = chrome_profile_events(_fake_records())
-        assert len(events) == 3
-        for ev in events:
-            assert ev["ph"] == "P"
-            assert ev["name"] == "sample"
-            assert {"ts", "pid", "tid", "args"} <= set(ev)
-            assert "stack" in ev["args"]
-        # sorted by timestamp
-        assert [ev["ts"] for ev in events] == sorted(ev["ts"] for ev in events)
-
-    def test_chrome_profile_is_json_document(self):
-        doc = chrome_profile(_fake_records(), command="unit")
-        payload = json.loads(json.dumps(doc))
-        assert payload["otherData"]["command"] == "unit"
-        assert len(payload["traceEvents"]) == 3
 
 
 class TestReport:

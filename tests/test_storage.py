@@ -10,8 +10,9 @@ Two concerns, each pinned separately:
   paged in by the OS instead of living on the heap.
 
 The work-model regression (2⁴⁰ wedges on a hub graph, computed directly
-on a storage view) guards the int64 prefix-sum discipline of
-:func:`repro.core.workinfo.wedge_work_prefix`.
+on a storage view) guards the int64 discipline of
+:func:`repro.core.workinfo.pivot_work_estimate` and the shard cuts
+:func:`repro.core.parallel.balanced_ranges` makes from it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from repro import engine
 from repro.core import count_butterflies
 from repro.core.blocked import count_butterflies_blocked
 from repro.core.local_counts import vertex_butterfly_counts
-from repro.core.workinfo import wedge_work_prefix
+from repro.core.parallel import balanced_ranges
+from repro.core.workinfo import pivot_work_estimate
 from repro.engine.calibration import CalibrationTable
 from repro.engine.plan import LAYOUTS as PLAN_LAYOUTS
 from repro.graphs import (
@@ -103,7 +105,8 @@ class TestMmapCSR:
         store = MmapCSR.from_graph(g)
         directory = store.directory
         assert count_butterflies_blocked(store, 2, 16) == count_butterflies(g)
-        assert store.file_bytes > 0
+        files = [os.path.join(directory, f) for f in os.listdir(directory)]
+        assert sum(os.path.getsize(f) for f in files) > 0
         with pytest.raises(TypeError, match="no in-memory"):
             store.graph
         del store
@@ -262,13 +265,14 @@ def test_mmap_counts_beyond_rlimit_budget(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_wedge_work_prefix_2_pow_40_on_raw_view():
+def test_wedge_work_2_pow_40_on_raw_view():
     """Hub graph: 2²⁰ left vertices each adjacent to one hub of degree 2²⁰.
 
     Every left pivot expands deg(hub) = 2²⁰ wedge endpoints, so the total
     is exactly 2⁴⁰ — far past float64-safe integer territory for sums of
     this scale and a regression trap for any float intermediate.  Computed
-    directly on the RawCSR view's patterns through the accessor protocol.
+    directly on the RawCSR view's patterns through the accessor protocol,
+    then cut the way the shard cutter cuts it.
     """
     n = 1 << 20
     csr = PatternCSR(
@@ -278,13 +282,15 @@ def test_wedge_work_prefix_2_pow_40_on_raw_view():
         check=False,
     )
     store = RawCSR(BipartiteGraph.from_csr(csr))
-    prefix = wedge_work_prefix(store.csr, store.csc)
-    assert prefix.dtype == np.int64
-    assert prefix[0] == 0
-    assert int(prefix[-1]) == 2**40
-    # exact triangular growth: pivot p contributes exactly 2^20
-    assert int(prefix[1]) == 2**20
-    assert int(prefix[n // 2]) == (n // 2) * 2**20
+    per_pivot = pivot_work_estimate(store.csr, store.csc)
+    assert per_pivot.dtype.kind == "i"
+    assert int(per_pivot.sum(dtype=np.int64)) == 2**40
+    assert int(per_pivot[0]) == int(per_pivot[-1]) == 2**20
+    # exact int64 cuts: four ranges of exactly 2^38 wedges each
+    ranges = balanced_ranges(per_pivot, 4)
+    assert ranges == [(k * n // 4, (k + 1) * n // 4) for k in range(4)]
+    for lo, hi in ranges:
+        assert int(per_pivot[lo:hi].sum(dtype=np.int64)) == 2**38
 
 
 # ----------------------------------------------------------------------

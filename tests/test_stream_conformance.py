@@ -828,7 +828,8 @@ def test_splice_after_snapshot_restore():
     batches = list(iter_batches(ops))
     for insert, delete in batches[:2]:
         counter.apply(insert=insert, delete=delete)
-    restored = StreamingButterflyCounter.from_snapshot(counter.snapshot())
+    restored = StreamingButterflyCounter(BipartiteGraph.empty(g.n_left, g.n_right))
+    restored.restore(counter.snapshot())
     state = BipartiteGraph(
         counter.to_graph().edges(), n_left=g.n_left, n_right=g.n_right
     )

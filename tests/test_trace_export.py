@@ -32,9 +32,8 @@ def _assert_chrome_schema(payload: dict) -> list[dict]:
     for event in events:
         for field in REQUIRED_EVENT_FIELDS:
             assert field in event, f"event missing {field!r}: {event}"
-        assert event["ph"] in ("X", "i")
-        if event["ph"] == "X":
-            assert "dur" in event and event["dur"] >= 0
+        assert event["ph"] == "X"
+        assert "dur" in event and event["dur"] >= 0
         assert event["ts"] >= last_ts, "timestamps must be non-decreasing"
         last_ts = event["ts"]
     return events
@@ -47,7 +46,7 @@ class TestChromeTrace:
     def _records(self):
         with obs.capture():
             with obs.span("family.count", invariant=2) as sp:
-                sp.add_event("selected", side="columns")
+                sp.set_attributes(selected="columns")
                 with obs.span("blocked.count", invariant=2):
                     with obs.span("blocked.panel", lo=0, hi=64):
                         pass
@@ -58,9 +57,8 @@ class TestChromeTrace:
     def test_events_schema_and_order(self):
         records = self._records()
         events = _assert_chrome_schema(chrome_trace(records))
-        # 4 spans -> 4 complete events, 1 span event -> 1 instant event
-        assert sum(e["ph"] == "X" for e in events) == 4
-        assert sum(e["ph"] == "i" for e in events) == 1
+        # 4 spans -> 4 complete events
+        assert [e["ph"] for e in events] == ["X"] * 4
 
     def test_args_carry_span_identity_and_attrs(self):
         records = self._records()
@@ -70,6 +68,7 @@ class TestChromeTrace:
             by_name.setdefault(e["name"], e)
         family = by_name["family.count"]
         assert family["args"]["invariant"] == 2
+        assert family["args"]["selected"] == "columns"
         assert family["args"]["span_id"]
         assert family["args"]["status"] == "ok"
         panel = by_name["blocked.panel"]
