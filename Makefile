@@ -67,7 +67,7 @@ report:
 	$(PYTHON) -m repro.bench.report --out evaluation_report.md
 
 examples:
-	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done
+	@for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PYTHON) $$f || exit 1; done
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .benchmarks

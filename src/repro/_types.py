@@ -34,9 +34,14 @@ compressed index arrays, so the only dtypes that matter are:
     ``uint8`` bytes of the stream probe's per-phase row bitmap, 8
     adjacency bits each.  Storage only: a byte is only shifted and
     masked down to one bit, never summed or counted.
+
+It also holds the one process-pool width default, :func:`pool_width`,
+which the executor, the planner and the parallel entry point share.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -54,6 +59,9 @@ RANK_DTYPE = np.int32
 
 #: dtype of bit-packed adjacency rows: 8 bits per byte (storage only).
 BITMAP_DTYPE = np.uint8
+
+#: Widest default pool: the paper's thread count (Fig. 11).
+DEFAULT_MAX_WORKERS = 6
 
 #: numpy array aliases used in annotations throughout the package.
 IndexArray = np.ndarray
@@ -85,3 +93,19 @@ def as_index_array(values, *, copy: bool = False) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D index array, got shape {arr.shape!r}")
     return np.ascontiguousarray(arr)
+
+
+def pool_width(n_workers: int | None = None) -> int:
+    """``n_workers``, or the host's CPU count capped at
+    :data:`DEFAULT_MAX_WORKERS` when it is ``None``.
+
+    Raises
+    ------
+    ValueError
+        If ``n_workers`` is below 1.
+    """
+    if n_workers is None:
+        return min(os.cpu_count() or 1, DEFAULT_MAX_WORKERS)
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    return int(n_workers)

@@ -46,7 +46,17 @@ __all__ = [
     "count_butterflies_blocked",
     "panel_butterflies",
     "work_bounded_panels",
+    "DEFAULT_PLAN_BLOCK_BUDGET",
 ]
+
+#: Wedge-work budget of one panel (elements): the panel kernel's key sort
+#: degrades superlinearly once the expanded wedge set falls out of L2, so
+#: panels target a cache-resident ~256k int64 endpoints (≈ 2 MB) rather
+#: than the largest panel that merely *fits in RAM*.  The planner sizes
+#: the blocked member's panels to it, the pooled ``wedge`` strategy caps
+#: its shards at it and the per-vertex oracle cuts its panels by it; each
+#: reads it at call time.
+DEFAULT_PLAN_BLOCK_BUDGET: int = 1 << 18
 
 
 def work_bounded_panels(work: np.ndarray, budget: int) -> list[tuple[int, int]]:

@@ -242,10 +242,10 @@ def _butterflies_at_pivot_scratch(
 
 def _butterflies_at_pivot_spmv(
     pivot_major: CompressedPattern,
-    entry_major_ids: np.ndarray,
-    marker: np.ndarray,
+    complementary: CompressedPattern,
     pivot: int,
     reference: Reference,
+    state: tuple[np.ndarray, np.ndarray],
 ) -> int:
     """Σ_u C(y_u, 2) for one pivot under the ``spmv`` strategy.
 
@@ -253,7 +253,10 @@ def _butterflies_at_pivot_spmv(
     partition (the contiguous ``indptr`` range before or after the pivot)
     against a boolean marker of the pivot's neighbourhood — the direct
     sparse evaluation of the derived update, O(nnz(A_ref)) per pivot.
+    ``state`` is the expanded major ids of every entry and the
+    ``minor_dim`` marker (left all-False).
     """
+    entry_major_ids, marker = state
     neighbors = pivot_major.slice(pivot)
     if neighbors.size == 0:
         return 0
@@ -277,46 +280,24 @@ def _butterflies_at_pivot_spmv(
     return int(np.sum(y * (y - 1)) // 2)
 
 
-def _pivot_step(
-    pivot_major: CompressedPattern,
-    complementary: CompressedPattern,
-    reference: Reference,
-    strategy: str,
-    *,
-    scratch: np.ndarray | None = None,
-    entry_major_ids: np.ndarray | None = None,
-    marker: np.ndarray | None = None,
-) -> Callable[[int], int]:
-    """``pivot -> Σ_u C(y_u, 2)`` under ``strategy``, its buffers bound.
+#: strategy -> ``(state, at_pivot)``: the reusable buffers
+#: ``state(pivot_major)`` of the per-pivot kernel ``at_pivot(pivot_major,
+#: complementary, pivot, reference, buffers)``, which leaves them as it
+#: found them.  The sequential sweep and the pooled ranges of
+#: :mod:`repro.core.parallel` both read it.
+_PIVOT_KERNELS: dict[str, tuple[Callable, Callable]] = {
+    "scratch": (
+        lambda pm: np.zeros(pm.major_dim, dtype=COUNT_DTYPE),
+        _butterflies_at_pivot_scratch,
+    ),
+    "spmv": (
+        lambda pm: (pm.expand_major(), np.zeros(pm.minor_dim, dtype=bool)),
+        _butterflies_at_pivot_spmv,
+    ),
+}
 
-    The one strategy dispatch behind every per-pivot sweep (the counting
-    loop and the parallel ranges).  ``scratch`` (scratch strategy) and
-    ``entry_major_ids``/``marker`` (spmv) let a caller reuse buffers
-    across calls; fresh ones are allocated when omitted.
-    """
-    if strategy == "scratch":
-        if scratch is None:
-            scratch = np.zeros(pivot_major.major_dim, dtype=np.int64)
-
-        def step(pivot: int) -> int:
-            return _butterflies_at_pivot_scratch(
-                pivot_major, complementary, pivot, reference, scratch
-            )
-    elif strategy == "spmv":
-        if entry_major_ids is None:
-            entry_major_ids = pivot_major.expand_major()
-        if marker is None:
-            marker = np.zeros(pivot_major.minor_dim, dtype=bool)
-
-        def step(pivot: int) -> int:
-            return _butterflies_at_pivot_spmv(
-                pivot_major, entry_major_ids, marker, pivot, reference
-            )
-    else:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-        )
-    return step
+#: Strategy names accepted by the counting entry points.
+STRATEGIES: tuple[str, ...] = tuple(_PIVOT_KERNELS)
 
 
 def count_butterflies_unblocked(
@@ -363,17 +344,20 @@ def count_butterflies_unblocked(
         side=inv.side.name.lower(),
         pivots=n,
     ):
-        step = _pivot_step(pivot_major, complementary, inv.reference, strategy)
+        if strategy not in _PIVOT_KERNELS:
+            raise ValueError(
+                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
+            )
+        state, at_pivot = _PIVOT_KERNELS[strategy]
+        buffers = state(pivot_major)
         total = 0
         for step_index, pivot in enumerate(pivot_order(n, inv.traversal)):
-            total += step(pivot)
+            total += at_pivot(
+                pivot_major, complementary, pivot, inv.reference, buffers
+            )
             if on_step is not None:
                 on_step(step_index, pivot, total)
         return total
-
-
-#: Strategy names accepted by the counting entry points.
-STRATEGIES: tuple[str, ...] = ("scratch", "spmv")
 
 
 def count_butterflies(graph: BipartiteGraph, *, plan=None) -> int:

@@ -64,7 +64,7 @@ def vertex_butterfly_counts(graph: BipartiteGraph, side: str = "left") -> np.nda
     tests read (production per-vertex counts run
     :func:`~repro.core.priority.vertex_butterfly_counts_priority`).
     Panelised: pivots are cut into contiguous panels of at most
-    :data:`~repro.core.parallel.DEFAULT_WEDGE_SHARD_BUDGET` wedge
+    :data:`~repro.core.blocked.DEFAULT_PLAN_BLOCK_BUDGET` wedge
     expansions (a hub heavier than that gets a singleton panel) and at most
     :data:`_PANEL_PIVOTS` pivots.  Each pivot's count depends only on its
     own wedge expansion, so each panel's (pivot, endpoint) multiset is
@@ -85,8 +85,7 @@ def vertex_butterfly_counts(graph: BipartiteGraph, side: str = "left") -> np.nda
     numpy.ndarray
         int64 vector of length ``n_left`` or ``n_right``.
     """
-    from repro.core.blocked import work_bounded_panels
-    from repro.core.parallel import DEFAULT_WEDGE_SHARD_BUDGET
+    from repro.core.blocked import DEFAULT_PLAN_BLOCK_BUDGET, work_bounded_panels
     from repro.core.workinfo import pivot_work_estimate
     from repro.sparsela import panel_choose2_per_owner
 
@@ -94,7 +93,7 @@ def vertex_butterfly_counts(graph: BipartiteGraph, side: str = "left") -> np.nda
     n = pivot_major.major_dim
     out = np.zeros(n, dtype=COUNT_DTYPE)
     work = pivot_work_estimate(pivot_major, complementary)
-    for lo, hi in work_bounded_panels(work, DEFAULT_WEDGE_SHARD_BUDGET):
+    for lo, hi in work_bounded_panels(work, DEFAULT_PLAN_BLOCK_BUDGET):
         for p_lo in range(lo, hi, _PANEL_PIVOTS):
             p_hi = min(p_lo + _PANEL_PIVOTS, hi)
             deg = pivot_major.panel_degrees(p_lo, p_hi)

@@ -21,57 +21,38 @@ executors, both thin wrappers over :class:`repro.parallel.ButterflyExecutor`:
 
 Both sequential strategies are supported so the parallel numbers are
 directly comparable to the sequential ones: ``"spmv"`` (the paper-literal
-cost model) and ``"scratch"`` (the wedge-optimal update).
+cost model) and ``"scratch"`` (the wedge-optimal update), plus ``"wedge"``
+(the fused panel kernel over wedge-capped shards).  Each is one row of
+the strategy table below; the pool reads the row, not the name.
 
 Work is split into contiguous pivot ranges balanced by *estimated work*
-(exact wedge expansions for ``scratch``; the triangular reference-partition
-scan for ``spmv``), not by pivot count:
+(exact wedge expansions for ``scratch`` and ``wedge``; the triangular
+reference-partition scan for ``spmv``), not by pivot count:
 power-law graphs concentrate most wedges in a few hub vertices, and naive
 equal-width ranges would leave most workers idle.
 """
 
 from __future__ import annotations
 
-import os
+from collections import namedtuple
 
 import numpy as np
 
 from repro import obs
-from repro.core.family import (
-    Invariant,
-    Reference,
-    Side,
-    _pivot_step,
-)
+from repro._types import pool_width
+from repro.core import blocked
+from repro.core.family import _PIVOT_KERNELS, Invariant, Reference, Side
 from repro.core.workinfo import pivot_work_estimate, spmv_scan_lengths
 from repro.graphs.bipartite import BipartiteGraph
 
 __all__ = [
     "count_butterflies_parallel",
     "count_range",
-    "parallel_work_model",
     "pivot_work_estimate",
     "spmv_scan_lengths",
     "balanced_ranges",
     "wedge_shards",
-    "DEFAULT_WEDGE_SHARD_BUDGET",
 ]
-
-#: Per-shard wedge cap for ``strategy="wedge"``: 2^18 wedge expansions keep
-#: a shard's owner/endpoint arrays cache-resident (mirrors the planner's
-#: ``DEFAULT_PLAN_BLOCK_BUDGET``).
-DEFAULT_WEDGE_SHARD_BUDGET = 1 << 18
-
-
-def parallel_work_model(
-    pivot_major, complementary, strategy: str, reference: Reference
-) -> np.ndarray:
-    """Per-pivot work estimate used to balance the parallel ranges."""
-    if strategy in ("scratch", "wedge"):
-        return pivot_work_estimate(pivot_major, complementary)
-    # spmv: dominated by the reference-partition scan, triangular in the
-    # pivot index; add the pivot's own degree (the marker scatter).
-    return spmv_scan_lengths(pivot_major, reference) + pivot_major.degrees()
 
 
 def balanced_ranges(work: np.ndarray, n_chunks: int) -> list[tuple[int, int]]:
@@ -126,13 +107,11 @@ def balanced_ranges(work: np.ndarray, n_chunks: int) -> list[tuple[int, int]]:
     return out
 
 
-def wedge_shards(
-    work: np.ndarray,
-    n_chunks: int,
-    budget: int = DEFAULT_WEDGE_SHARD_BUDGET,
-) -> list[tuple[int, int]]:
+def wedge_shards(work: np.ndarray, n_chunks: int) -> list[tuple[int, int]]:
     """Cut the pivot space into contiguous shards of roughly equal wedge
-    work, each additionally capped at ``budget`` wedge expansions.
+    work, each additionally capped at
+    :data:`~repro.core.blocked.DEFAULT_PLAN_BLOCK_BUDGET` wedge expansions
+    (read at call time).
 
     First pass is :func:`balanced_ranges` over the exact per-pivot wedge
     work (``pivot_work_estimate`` prefix sums); any shard whose wedge set
@@ -141,8 +120,7 @@ def wedge_shards(
     drags a multi-megabyte owner/endpoint expansion into one worker.  The
     shards tile ``range(len(work))`` exactly, in order.
     """
-    from repro.core.blocked import work_bounded_panels
-
+    budget = blocked.DEFAULT_PLAN_BLOCK_BUDGET
     work = np.asarray(work)
     shards: list[tuple[int, int]] = []
     for lo, hi in balanced_ranges(work, n_chunks):
@@ -152,9 +130,61 @@ def wedge_shards(
             continue
         shards.extend(
             (lo + p_lo, lo + p_hi)
-            for p_lo, p_hi in work_bounded_panels(chunk, budget)
+            for p_lo, p_hi in blocked.work_bounded_panels(chunk, budget)
         )
     return shards
+
+
+def _wedge_work(pm, co, ref) -> np.ndarray:
+    return pivot_work_estimate(pm, co)
+
+
+#: One pool strategy: its per-pivot ``work(pivot_major, complementary,
+#: reference)``, its ``tiling(work, n_chunks)`` into ranges, the
+#: per-worker ``state(pivot_major)`` every range reuses (and leaves as it
+#: found it), and its range ``count(pivot_major, complementary, lo, hi,
+#: reference, state)``.
+_PoolStrategy = namedtuple("_PoolStrategy", "work tiling state count")
+
+
+def _per_pivot(strategy: str, work) -> _PoolStrategy:
+    """The row that sweeps a range pivot by pivot with ``strategy``'s
+    sequential kernel and buffers (:mod:`repro.core.family`)."""
+    state, at_pivot = _PIVOT_KERNELS[strategy]
+
+    def count(pm, co, lo, hi, ref, buffers) -> int:
+        return sum(at_pivot(pm, co, p, ref, buffers) for p in range(lo, hi))
+
+    return _PoolStrategy(work, balanced_ranges, state, count)
+
+
+_POOL_STRATEGIES = {
+    "scratch": _per_pivot("scratch", _wedge_work),
+    # the reference-partition scan, triangular in the pivot index, plus
+    # the pivot's own degree (the marker scatter)
+    "spmv": _per_pivot(
+        "spmv", lambda pm, co, ref: spmv_scan_lengths(pm, ref) + pm.degrees()
+    ),
+    "wedge": _PoolStrategy(
+        _wedge_work, wedge_shards, _PIVOT_KERNELS["scratch"][0],
+        # one fused sort-free panel reduction over the whole shard's
+        # wedge set: no per-pivot Python loop at all
+        lambda pm, co, lo, hi, ref, acc: int(
+            blocked.panel_butterflies(pm, co, lo, hi, ref, scratch=acc)
+        ),
+    ),
+}
+
+
+def _pool_strategy(strategy: str) -> _PoolStrategy:
+    """The table row of ``strategy``: the one pool strategy check."""
+    row = _POOL_STRATEGIES.get(strategy)
+    if row is None:
+        raise ValueError(
+            f"unknown strategy {strategy!r}; expected one of "
+            f"{tuple(_POOL_STRATEGIES)}"
+        )
+    return row
 
 
 def count_range(
@@ -164,47 +194,16 @@ def count_range(
     hi: int,
     reference: Reference,
     strategy: str,
-    entry_major_ids=None,
-    marker=None,
-    scratch=None,
+    state,
 ) -> int:
     """Count the contribution of pivots [lo, hi) — the unit of parallel work.
 
-    ``entry_major_ids``/``marker`` (spmv) and ``scratch`` (scratch
-    strategy) are optional reusable buffers so warm-pool workers amortise
-    them across chunks; fresh ones are allocated when omitted.
+    ``state`` is the strategy's reusable buffers, built once per worker,
+    strategy and side by the table row's ``state``.
     """
-    if strategy == "wedge":
-        # one fused sort-free panel reduction over the whole shard's wedge
-        # set — no per-pivot Python loop at all
-        from repro.core.blocked import panel_butterflies
-
-        return int(
-            panel_butterflies(
-                pivot_major, complementary, lo, hi, reference, scratch=scratch
-            )
-        )
-    step = _pivot_step(
-        pivot_major, complementary, reference, strategy, scratch=scratch,
-        entry_major_ids=entry_major_ids, marker=marker,
+    return _pool_strategy(strategy).count(
+        pivot_major, complementary, lo, hi, reference, state
     )
-    total = 0
-    for pivot in range(lo, hi):
-        total += step(pivot)
-    return total
-
-
-def _resolve_workers(executor: str, n_workers: int | None) -> int:
-    # same vocabulary as repro.engine.plan.EXECUTORS
-    if executor not in ("shared", "serial"):
-        raise ValueError(
-            f"unknown executor {executor!r}; expected 'shared' or 'serial'"
-        )
-    if n_workers is None:
-        n_workers = min(os.cpu_count() or 1, 6)
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    return n_workers
 
 
 def count_butterflies_parallel(
@@ -222,8 +221,9 @@ def count_butterflies_parallel(
     graph:
         The bipartite graph.
     n_workers:
-        Pool size; defaults to ``os.cpu_count()`` capped at 6 (the paper's
-        thread count).
+        Pool size; defaults to ``os.cpu_count()`` capped at
+        :data:`~repro.engine.DEFAULT_MAX_WORKERS` (6, the paper's thread
+        count).
     side:
         ``"columns"``/``"rows"`` (or a :class:`Side`); defaults to the
         smaller vertex set, per the paper's Section V selection rule.
@@ -244,7 +244,8 @@ def count_butterflies_parallel(
         ``"scratch"`` (default) or ``"spmv"`` — same
         meanings as the sequential entry points, so speedups are
         apples-to-apples — or ``"wedge"``: shards of equal *wedge* work
-        (capped at :data:`DEFAULT_WEDGE_SHARD_BUDGET` wedges each) reduced
+        (capped at :data:`~repro.core.blocked.DEFAULT_PLAN_BLOCK_BUDGET`
+        wedges each) reduced
         with the fused sort-free panel kernel instead of a per-pivot
         Python loop.
 
@@ -256,7 +257,12 @@ def count_butterflies_parallel(
     from repro.parallel import ButterflyExecutor, get_default_executor
     from repro.parallel.executor import CHUNKS_PER_WORKER
 
-    n_workers = _resolve_workers(executor, n_workers)
+    # same vocabulary as repro.engine.plan.EXECUTORS
+    if executor not in ("shared", "serial"):
+        raise ValueError(
+            f"unknown executor {executor!r}; expected 'shared' or 'serial'"
+        )
+    n_workers = pool_width(n_workers)
     if obs._enabled:
         obs.inc(f"parallel.executor.{executor}")
     # the span is the ancestor every ``executor.map`` dispatch span

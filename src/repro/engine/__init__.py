@@ -63,8 +63,8 @@ _LAZY = {
     "STREAM_STRATEGIES": "repro.engine.plan",
     "WORKLOADS": "repro.engine.plan",
     "Plan": "repro.engine.plan",
-    "DEFAULT_MAX_WORKERS": "repro.engine.planner",
-    "DEFAULT_PLAN_BLOCK_BUDGET": "repro.engine.planner",
+    "DEFAULT_MAX_WORKERS": "repro._types",
+    "DEFAULT_PLAN_BLOCK_BUDGET": "repro.core.blocked",
     "candidate_plans": "repro.engine.planner",
     "count_members": "repro.engine.planner",
     "explain": "repro.engine.planner",

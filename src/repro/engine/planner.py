@@ -33,9 +33,8 @@ ledger skips them.
 
 from __future__ import annotations
 
-import os
-
 from repro import obs
+from repro._types import pool_width
 from repro.core.workinfo import (
     matrices_for_side,
     pivot_work_estimate,
@@ -59,19 +58,7 @@ __all__ = [
     "count_members",
     "explain",
     "select_count_invariant",
-    "DEFAULT_MAX_WORKERS",
-    "DEFAULT_PLAN_BLOCK_BUDGET",
 ]
-
-#: Pool size for ``executor="shared"`` pinned without ``workers``.
-DEFAULT_MAX_WORKERS = 6
-
-#: Wedge-work budget the blocked member's panels are SIZED to (elements):
-#: the panel kernel's key sort degrades superlinearly once the expanded
-#: wedge set falls out of L2, so the planner targets a cache-resident
-#: panel (~256k int64 endpoints ≈ 2 MB) rather than the largest panel
-#: that merely *fits in RAM*.
-DEFAULT_PLAN_BLOCK_BUDGET: int = 1 << 18
 
 #: A per-vertex pass costs this many passes of its count kernel: the
 #: reduction scatters into per-vertex totals instead of summing, and also
@@ -129,7 +116,9 @@ def _side_work(graph: BipartiteGraph, number: int) -> tuple[int, int]:
 
 def _auto_block_size(ops: int, pivots: int) -> int:
     """Panel width that keeps a panel's wedge expansion ≈ within
-    :data:`DEFAULT_PLAN_BLOCK_BUDGET`."""
+    :data:`repro.core.blocked.DEFAULT_PLAN_BLOCK_BUDGET`."""
+    from repro.core.blocked import DEFAULT_PLAN_BLOCK_BUDGET
+
     mean = ops / pivots if pivots else 0.0
     if mean <= 0:
         return 64
@@ -320,7 +309,7 @@ def candidate_plans(
         return [_priority_row(graph, cal, workload, side, k)]
     if pool and workers is None:
         # at least two: a pinned pool runs on the pool even on one CPU
-        workers = max(2, min(os.cpu_count() or 1, DEFAULT_MAX_WORKERS))
+        workers = max(2, pool_width())
     row = Plan(
         workload=workload, executor="shared" if pool else "serial",
         workers=workers if pool else 1, layout=layout or "raw",

@@ -19,8 +19,9 @@ A one-worker executor runs every call in-process over the same ranges
 :func:`repro.core.parallel.count_butterflies_parallel` is exactly that.
 
 Task messages are tiny: ``(meta, side, reference, strategy, lo, hi,
-collect)`` tuples.  Workers attach each named segment once, cache the
-attachment and the per-strategy scratch buffers, and evict
+collect)`` tuples, one pool task for every strategy.  Workers attach each
+named segment once, cache the attachment and the per-strategy buffers
+(the ``state`` of :mod:`repro.core.parallel`'s strategy table), and evict
 least-recently-used segments beyond a small cap, so a long-lived pool
 counting many graphs does not accumulate mappings.
 
@@ -42,17 +43,14 @@ from __future__ import annotations
 
 import atexit
 import concurrent.futures as cf
-import os
 import weakref
 from collections import OrderedDict
 from concurrent.futures.process import BrokenProcessPool
 
-import numpy as np
-
 from repro import obs
 from repro.obs import profile as obs_profile
-from repro._types import COUNT_DTYPE
-from repro.core.family import STRATEGIES, Invariant, Reference, Side
+from repro._types import pool_width
+from repro.core.family import Invariant, Reference, Side
 from repro.core.workinfo import matrices_for_side, resolve_invariant
 from repro.graphs.bipartite import BipartiteGraph
 from repro.parallel.shm import SharedGraphBuffers, attach_graph
@@ -64,7 +62,8 @@ __all__ = ["ButterflyExecutor", "get_default_executor", "shutdown_default_execut
 # worker side: per-process segment + scratch caches
 # ----------------------------------------------------------------------
 
-#: segment name -> (shm handle, PatternCSR, PatternCSC, scratch dict)
+#: segment name -> (shm handle, PatternCSR, PatternCSC,
+#: {(strategy, side): worker buffers})
 _ATTACHED: "OrderedDict[str, tuple]" = OrderedDict()
 
 #: Max distinct segments a worker keeps mapped (LRU beyond this).
@@ -92,114 +91,40 @@ def _attached(meta):
     return entry
 
 
-def _strategy_state(entry, pivot_major, strategy: str, side_value):
-    """Reusable per-(segment, strategy, side) scratch buffers.
+def _shm_count_range(args) -> tuple:
+    """Pool task: butterfly contribution of pivots ``[lo, hi)``.
 
-    The buffer dims depend on which matrix is pivot-major (``scratch``
-    needs ``major_dim`` counters, ``spmv`` needs a ``minor_dim`` marker
-    plus the expanded row ids), so the cache key must include the side.
+    Returns ``(count, metric_delta_or_None)``.  With ``collect`` set (the
+    owner dispatched with observability on) the task resets the worker's
+    registry first, so the :func:`repro.obs.worker_delta` it returns (metric
+    snapshot plus drained span records) is this task's alone; tasks in one
+    worker run sequentially.  It also restarts the worker's sampler if the
+    owner was profiling when the pool forked (fork copies the profiler
+    handle but not its thread).  The strategy's buffers are built on the
+    first task per (segment, strategy, side) and reused after.
     """
-    _, _, _, cache = entry
-    key = (strategy, side_value)
-    state = cache.get(key)
-    if state is None:
-        if strategy == "spmv":
-            state = (
-                pivot_major.expand_major(),
-                np.zeros(pivot_major.minor_dim, dtype=bool),
-            )
-        else:
-            # scratch's counters, or wedge's endpoint-space accumulator
-            # for the fused panel reduction
-            state = (np.zeros(pivot_major.major_dim, dtype=COUNT_DTYPE), None)
-        cache[key] = state
-    return state
+    from repro.core import parallel
 
-
-def _collect_begin(collect: bool) -> None:
-    """Start a fresh metric-delta window in a pool worker.
-
-    Tasks within one worker run sequentially, so resetting the worker's
-    registry at task start makes the end-of-task snapshot exactly this
-    task's delta — the owner merges it through the result path.  If the
-    owner was running the sampling profiler when the pool forked, the
-    worker restarts its own sampler here (fork copies the profiler
-    handle but not its thread); the samples ride the same delta under
-    :data:`repro.obs.PROFILE_DELTA_KEY`.
-    """
+    meta, side_value, reference_value, strategy, lo, hi, collect = args
     if collect:
         obs.reset()
         obs.enable()
         obs_profile.maybe_resume_worker()
-
-
-def _collect_end(collect: bool):
-    """End the window: the task's metric snapshot *plus* its drained span
-    records (under :data:`repro.obs.TRACE_DELTA_KEY`) — see
-    :func:`repro.obs.worker_delta`.  The owner re-parents the spans under
-    the dispatching ``executor.map`` span when folding the delta back."""
-    return obs.worker_delta() if collect else None
-
-
-def _shm_count_range(args) -> tuple:
-    """Pool task: butterfly contribution of pivots ``[lo, hi)``.
-
-    Returns ``(count, metric_delta_or_None)``; the delta is the worker's
-    :func:`repro.obs.snapshot` for this task when the owner dispatched
-    with observability on.
-    """
-    from repro.core.parallel import count_range
-
-    meta, side_value, reference_value, strategy, lo, hi, collect = args
-    _collect_begin(collect)
     with obs.span("worker.count_range", lo=lo, hi=hi, strategy=strategy):
-        entry = _attached(meta)
-        _, csr, csc, _ = entry
+        _, csr, csc, states = _attached(meta)
         if side_value == Side.COLUMNS.value:
             pivot_major, complementary = csc, csr
         else:
             pivot_major, complementary = csr, csc
-        extra0, extra1 = _strategy_state(entry, pivot_major, strategy, side_value)
-        if strategy == "scratch":
-            value = count_range(
-                pivot_major, complementary, lo, hi,
-                Reference(reference_value), strategy, scratch=extra0,
-            )
-        else:
-            value = count_range(
-                pivot_major, complementary, lo, hi,
-                Reference(reference_value), strategy, extra0, extra1,
-            )
-    return value, _collect_end(collect)
-
-
-def _shm_wedge_shard(args) -> tuple:
-    """Pool task: fused panel reduction over the wedge shard ``[lo, hi)``.
-
-    The whole shard's wedge set is expanded and reduced with the sort-free
-    ``panel_choose2_sum`` kernel — no per-pivot Python loop.  Shards are
-    cut by :func:`repro.core.parallel.wedge_shards` so the expansion stays
-    under the cache-resident wedge budget.
-    """
-    from repro.core.blocked import panel_butterflies
-
-    meta, side_value, reference_value, lo, hi, collect = args
-    _collect_begin(collect)
-    with obs.span("worker.wedge_shard", lo=lo, hi=hi):
-        entry = _attached(meta)
-        _, csr, csc, _ = entry
-        if side_value == Side.COLUMNS.value:
-            pivot_major, complementary = csc, csr
-        else:
-            pivot_major, complementary = csr, csc
-        scratch, _ = _strategy_state(entry, pivot_major, "wedge", side_value)
-        value = int(
-            panel_butterflies(
-                pivot_major, complementary, lo, hi,
-                Reference(reference_value), scratch=scratch,
-            )
+        state = states.get((strategy, side_value))
+        if state is None:
+            state = parallel._pool_strategy(strategy).state(pivot_major)
+            states[(strategy, side_value)] = state
+        value = parallel.count_range(
+            pivot_major, complementary, lo, hi,
+            Reference(reference_value), strategy, state,
         )
-    return value, _collect_end(collect)
+    return value, obs.worker_delta() if collect else None
 
 
 # ----------------------------------------------------------------------
@@ -218,8 +143,9 @@ class ButterflyExecutor:
     Parameters
     ----------
     n_workers:
-        Pool width; defaults to ``os.cpu_count()`` capped at 6 (the
-        paper's thread count).  ``1`` short-circuits every dispatch to an
+        Pool width; defaults to ``os.cpu_count()`` capped at
+        :data:`~repro.engine.DEFAULT_MAX_WORKERS` (6, the paper's thread
+        count).  ``1`` short-circuits every dispatch to an
         in-process serial run (no pool, no segments).
 
     Use as a context manager, or call :meth:`close` — both shut the pool
@@ -239,11 +165,7 @@ class ButterflyExecutor:
     """
 
     def __init__(self, n_workers: int | None = None) -> None:
-        if n_workers is None:
-            n_workers = min(os.cpu_count() or 1, 6)
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        self.n_workers = int(n_workers)
+        self.n_workers = pool_width(n_workers)
         self._pool: cf.ProcessPoolExecutor | None = None
         self._closed = False
         #: id(csr matrix) -> (SharedGraphBuffers, weakref to the matrix)
@@ -352,32 +274,27 @@ class ButterflyExecutor:
             obs.inc("executor.tasks", len(tasks))
         pool = self._ensure_pool()
         self._last_dispatch = None
-        try:
-            with obs.span(
-                "executor.map", tasks=len(tasks), workers=self.n_workers
-            ) as sp:
-                try:
-                    results = list(pool.map(fn, tasks))
-                except BrokenProcessPool:
-                    sp.abort()
-                    raise
-                if sp.span_id is not None:
-                    self._last_dispatch = (sp.trace_id, sp.span_id)
-                return results
-        except BrokenProcessPool:
-            # heal: rebuild the pool once, re-dispatch (tasks are pure)
-            self.pool_healed += 1
-            obs.inc("executor.pool_healed")
-            self._pool = None
-            pool.shutdown(wait=False)
-            pool = self._ensure_pool()
+        for healed in (False, True):
+            if healed:
+                # heal: rebuild the pool once, re-dispatch (tasks are pure)
+                self.pool_healed += 1
+                obs.inc("executor.pool_healed")
+                self._pool = None
+                pool.shutdown(wait=False)
+                pool = self._ensure_pool()
             with obs.span(
                 "executor.map",
                 tasks=len(tasks),
                 workers=self.n_workers,
-                healed=True,
+                **({"healed": True} if healed else {}),
             ) as sp:
-                results = list(pool.map(fn, tasks))
+                try:
+                    results = list(pool.map(fn, tasks))
+                except BrokenProcessPool:
+                    if healed:
+                        raise
+                    sp.abort()
+                    continue
                 if sp.span_id is not None:
                     self._last_dispatch = (sp.trace_id, sp.span_id)
                 return results
@@ -399,18 +316,9 @@ class ButterflyExecutor:
     def _count(self, graph, invariant, side, strategy, n_chunks: int) -> int:
         """:meth:`count` over ``n_chunks`` ranges (the in-process tiling of
         ``executor="serial"`` passes a wider pool's range count)."""
-        from repro.core.parallel import (
-            balanced_ranges,
-            count_range,
-            parallel_work_model,
-            wedge_shards,
-        )
+        from repro.core import parallel
 
-        if strategy not in (*STRATEGIES, "wedge"):
-            raise ValueError(
-                f"unknown strategy {strategy!r}; expected one of "
-                f"{(*STRATEGIES, 'wedge')}"
-            )
+        row = parallel._pool_strategy(strategy)
         reference = Reference.SUFFIX
         if invariant is not None:
             inv = resolve_invariant(invariant)
@@ -419,39 +327,29 @@ class ButterflyExecutor:
             from repro.engine import select_count_invariant
 
             side_e = resolve_invariant(select_count_invariant(graph)).side
-        elif isinstance(side, Side):
-            side_e = side
         else:
             side_e = Side(side)
         pivot_major, complementary = matrices_for_side(graph, side_e)
-        work = parallel_work_model(pivot_major, complementary, strategy, reference)
-        if strategy == "wedge":
-            ranges = wedge_shards(work, n_chunks)
-        else:
-            ranges = balanced_ranges(work, n_chunks)
+        work = row.work(pivot_major, complementary, reference)
+        ranges = row.tiling(work, n_chunks)
         if not ranges:
             return 0
         if self.n_workers == 1:
+            state = row.state(pivot_major)
             return sum(
-                count_range(pivot_major, complementary, lo, hi, reference, strategy)
+                parallel.count_range(
+                    pivot_major, complementary, lo, hi, reference, strategy, state
+                )
                 for lo, hi in ranges
             )
         meta = self._publish(graph).meta
         collect = obs.is_enabled()
-        if strategy == "wedge":
-            fn = _shm_wedge_shard
-            tasks = [
-                (meta, side_e.value, reference.value, lo, hi, collect)
-                for lo, hi in ranges
-            ]
-        else:
-            fn = _shm_count_range
-            tasks = [
-                (meta, side_e.value, reference.value, strategy, lo, hi, collect)
-                for lo, hi in ranges
-            ]
+        tasks = [
+            (meta, side_e.value, reference.value, strategy, lo, hi, collect)
+            for lo, hi in ranges
+        ]
         total = 0
-        for value, delta in self._map(fn, tasks):
+        for value, delta in self._map(_shm_count_range, tasks):
             total += value
             if delta:
                 obs.merge_snapshot(delta, parent=self._last_dispatch)
@@ -474,8 +372,7 @@ def get_default_executor(n_workers: int | None = None) -> ButterflyExecutor:
     ``n_workers``.  All default executors are torn down at interpreter
     exit (or explicitly via :func:`shutdown_default_executors`).
     """
-    if n_workers is None:
-        n_workers = min(os.cpu_count() or 1, 6)
+    n_workers = pool_width(n_workers)
     ex = _DEFAULTS.get(n_workers)
     if ex is None or ex.closed:
         ex = ButterflyExecutor(n_workers=n_workers)

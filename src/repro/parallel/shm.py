@@ -94,8 +94,8 @@ class SharedGraphBuffers:
 
     Create with :meth:`publish`, hand :attr:`meta` to workers, and let the
     context manager (or :meth:`unlink`) tear the segment down.  The handle
-    is idempotent: ``close``/``unlink`` may be called any number of times,
-    from ``finally`` blocks, ``atexit``, or ``weakref.finalize`` callbacks.
+    is idempotent: ``unlink`` may be called any number of times, from
+    ``finally`` blocks, ``atexit``, or ``weakref.finalize`` callbacks.
     """
 
     __slots__ = ("_shm", "name", "n_left", "n_right", "nnz", "__weakref__")
@@ -153,14 +153,6 @@ class SharedGraphBuffers:
         return total
 
     # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Unmap the owner's view (segment persists until :meth:`unlink`)."""
-        if self._shm is not None:
-            try:
-                self._shm.close()
-            except OSError:  # pragma: no cover - defensive; repro: noqa[RPR006] close() is best-effort on teardown
-                pass
-
     def unlink(self) -> None:
         """Unmap *and* remove the segment.  Idempotent."""
         shm, self._shm = self._shm, None

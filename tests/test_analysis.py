@@ -584,14 +584,13 @@ def test_self_scan_clean():
 def test_self_scan_pragma_count_pinned():
     """Every ``# repro: noqa`` in the tree is an explicit, reviewed event.
 
-    The four sanctioned sites, also listed in docs/analysis.md: RPR006
+    The three sanctioned sites, also listed in docs/analysis.md: RPR006
     best-effort cleanup at parallel/executor.py (evicted-segment close)
-    and parallel/shm.py (close on teardown, close before unlink, racing
-    unlink).  Adding one means updating this number *and* that list in
-    the same change.
+    and parallel/shm.py (close before unlink, racing unlink).  Adding one
+    means updating this number *and* that list in the same change.
     """
     report = analysis.analyze_paths([str(SRC_REPRO)])
-    assert report.suppressed == 4
+    assert report.suppressed == 3
 
 
 def test_repo_scan_clean_with_relaxed_roots():
@@ -609,7 +608,7 @@ def test_repo_scan_clean_with_relaxed_roots():
     rendered = analysis.render_text(report)
     assert report.findings == [], f"analyzer findings:\n{rendered}"
     assert report.parse_errors == []
-    assert report.suppressed == 7
+    assert report.suppressed == 6
 
 
 # ----------------------------------------------------------------------

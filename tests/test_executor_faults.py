@@ -184,7 +184,8 @@ def test_clean_state_after_fault_suite(graph, expected):
 
 
 # ----------------------------------------------------------------------
-# wedge-shard dispatch under worker death
+# wedge-shard dispatch under worker death (wedge shards run on the one
+# pool task, ``_shm_count_range``)
 # ----------------------------------------------------------------------
 def _kill_once_then(real, flag_path):
     """Wrapper for a shm task: first call that sees the flag dies like a
@@ -200,8 +201,8 @@ def _kill_once_then(real, flag_path):
         os._exit(1)
 
     wrapper.__module__ = "repro.parallel.executor"
-    wrapper.__qualname__ = "_shm_wedge_shard"
-    wrapper.__name__ = "_shm_wedge_shard"
+    wrapper.__qualname__ = "_shm_count_range"
+    wrapper.__name__ = "_shm_count_range"
     return wrapper
 
 
@@ -214,8 +215,8 @@ def test_wedge_shard_worker_killed_heals_once(
     flag = tmp_path / "die-wedge"
     monkeypatch.setattr(
         executor_mod,
-        "_shm_wedge_shard",
-        _kill_once_then(executor_mod._shm_wedge_shard, str(flag)),
+        "_shm_count_range",
+        _kill_once_then(executor_mod._shm_count_range, str(flag)),
     )
     with ButterflyExecutor(n_workers=2) as ex:
         assert ex.count(graph, strategy="wedge") == expected  # no flag yet
@@ -246,8 +247,8 @@ def test_wedge_shard_kill_marks_dispatch_span_aborted(
     flag = tmp_path / "die-wedge-traced"
     monkeypatch.setattr(
         executor_mod,
-        "_shm_wedge_shard",
-        _kill_once_then(executor_mod._shm_wedge_shard, str(flag)),
+        "_shm_count_range",
+        _kill_once_then(executor_mod._shm_count_range, str(flag)),
     )
     with ButterflyExecutor(n_workers=2) as ex:
         ex.count(graph, strategy="wedge")  # warm pool + publish
@@ -266,8 +267,10 @@ def test_wedge_shard_kill_marks_dispatch_span_aborted(
     # shipped worker spans (from either dispatch) adopt a map span as
     # parent — shard bounds ride along as span attributes
     map_ids = {m["span_id"] for m in maps}
-    workers = [r for r in records if r["name"] == "worker.wedge_shard"]
+    workers = [r for r in records if r["name"].startswith("worker.")]
     assert workers
+    assert all(r["name"] == "worker.count_range" for r in workers)
+    assert all(r["attrs"]["strategy"] == "wedge" for r in workers)
     for r in workers:
         assert r["parent_id"] in map_ids
         assert r["attrs"]["hi"] > r["attrs"]["lo"]

@@ -232,13 +232,14 @@ def test_balanced_ranges_hub_exact_beyond_float53():
 
 
 # ------------------------------------------------------------- wedge shards
-def test_wedge_shards_tile_and_respect_budget():
-    from repro.core import wedge_shards
+def test_wedge_shards_tile_and_respect_budget(monkeypatch):
+    from repro.core import blocked, wedge_shards
 
     rng = np.random.default_rng(3)
     work = rng.integers(0, 1000, size=500).astype(np.int64)
     budget = 2000
-    shards = wedge_shards(work, 8, budget=budget)
+    monkeypatch.setattr(blocked, "DEFAULT_PLAN_BLOCK_BUDGET", budget)
+    shards = wedge_shards(work, 8)
     covered = [i for lo, hi in shards for i in range(lo, hi)]
     assert covered == list(range(500))
     for lo, hi in shards:
@@ -247,20 +248,22 @@ def test_wedge_shards_tile_and_respect_budget():
         assert total <= budget or hi - lo == 1
 
 
-def test_wedge_shards_oversized_pivot_is_singleton():
-    from repro.core import wedge_shards
+def test_wedge_shards_oversized_pivot_is_singleton(monkeypatch):
+    from repro.core import blocked, wedge_shards
 
     work = np.array([10, 5000, 10, 10], dtype=np.int64)
-    shards = wedge_shards(work, 2, budget=100)
+    monkeypatch.setattr(blocked, "DEFAULT_PLAN_BLOCK_BUDGET", 100)
+    shards = wedge_shards(work, 2)
     assert (1, 2) in shards
     covered = [i for lo, hi in shards for i in range(lo, hi)]
     assert covered == list(range(4))
 
 
 def test_wedge_shards_default_budget_matches_constant():
-    from repro.core import DEFAULT_WEDGE_SHARD_BUDGET, wedge_shards
+    from repro.core import wedge_shards
+    from repro.engine import DEFAULT_PLAN_BLOCK_BUDGET
 
-    assert DEFAULT_WEDGE_SHARD_BUDGET == 1 << 18
+    assert DEFAULT_PLAN_BLOCK_BUDGET == 1 << 18
     # under-budget work: shard layout degenerates to balanced_ranges
     work = np.full(64, 10, dtype=np.int64)
     assert wedge_shards(work, 4) == balanced_ranges(work, 4)
@@ -278,6 +281,25 @@ def test_count_wedge_strategy_matches_family(medium_graph):
                 strategy="wedge",
             )
             assert got == expected, (executor, invariant)
+
+
+@pytest.mark.parametrize("invariant", [2, 5], ids=["suffix-2", "prefix-5"])
+@pytest.mark.parametrize("strategy", ["scratch", "spmv", "wedge"])
+def test_pool_strategy_parity(medium_graph, strategy, invariant):
+    """Every pool strategy, on a suffix and a prefix member: the 2-worker
+    pool, the one-worker in-process executor and the unblocked sweep of
+    the same member agree."""
+    from repro.core import count_butterflies_unblocked
+    from repro.parallel import ButterflyExecutor, get_default_executor
+
+    expected = count_butterflies_unblocked(medium_graph, invariant)
+    pooled = get_default_executor(2).count(
+        medium_graph, invariant=invariant, strategy=strategy
+    )
+    in_process = ButterflyExecutor(n_workers=1).count(
+        medium_graph, invariant=invariant, strategy=strategy
+    )
+    assert pooled == in_process == expected
 
 
 # ------------------------------------------------------ spmv work model fix
@@ -300,11 +322,11 @@ def test_spmv_scan_lengths_triangular(medium_graph):
 def test_spmv_work_model_is_not_uniform(medium_graph):
     """Regression: the seed modelled spmv work as np.ones — pivot 0 and
     pivot n-1 have wildly different suffix scan lengths."""
-    from repro.core.parallel import parallel_work_model
+    from repro.core import parallel
     from repro.core.family import Reference
 
     pm, co = medium_graph.csr, medium_graph.csc
-    work = parallel_work_model(pm, co, "spmv", Reference.SUFFIX)
+    work = parallel._pool_strategy("spmv").work(pm, co, Reference.SUFFIX)
     assert work.dtype.kind in "iu"
     assert work[0] >= work[-1]  # suffix scans shrink toward the end
     assert len(np.unique(work)) > 1
