@@ -199,7 +199,8 @@ def count_range(
     """Count the contribution of pivots [lo, hi) — the unit of parallel work.
 
     ``state`` is the strategy's reusable buffers, built once per worker,
-    strategy and side by the table row's ``state``.
+    side and table row ``state`` factory (rows that share a factory share
+    the buffers).
     """
     return _pool_strategy(strategy).count(
         pivot_major, complementary, lo, hi, reference, state

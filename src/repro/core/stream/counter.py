@@ -5,8 +5,8 @@ the paper's eq. 23 delta one Python-set intersection at a time; this
 module applies the *same* closed form to a whole batch at once with the
 repo's vectorised wedge machinery.
 
-Algorithm (one batch phase; one side's probe credits both sides)
-----------------------------------------------------------------
+Algorithm (one batch phase; each pass's probe credits both sides)
+-----------------------------------------------------------------
 Let ``A`` be the phase's edge set, ``S`` the graph without ``A`` and
 ``B = S ∪ A`` the graph with it.  One side holds the *pivots*, the
 other the *mids*.  For a pivot pair ``{u, w}`` let ``X`` be its common
@@ -60,17 +60,42 @@ steps, all sized by the batch's wedge footprint rather than the graph:
    ``d`` to every hit mid and ``b + d − 1`` to every emitted mid; ``ΔΞ``
    is ``Σ ΔC2``.
 
-The pivots are the side with fewer delta wedges — ``Σ deg_B(v)`` over
-the batch edges ``(u, v)`` for left pivots, ``Σ deg_B(u)`` for right
-ones (the paper's "iterate over the cheaper side").  Both choices give
-bit-identical results; the conformance tests force each.
+Each edge picks its own pivot side (Wang et al.'s "iterate over the
+cheaper side", taken per vertex): a batch edge ``(u, v)`` costs
+``deg_B(v)`` delta wedges as a left pivot's leg and ``deg_B(u)`` as a
+right one's.  The phase gives the left pivot to the edges with
+``deg_B(v) ≤ deg_B(u)`` (group G1) and the right pivot to the rest (G2)
+when that saves at least :data:`_SPLIT_MIN_WEDGES` wedges over the
+cheaper whole side; otherwise one pass pivots every edge on that side.
+Both single-side choices give bit-identical results; the conformance
+tests force each, and force the split.
+
+Split phase.  Write ``Ξ(·)`` for the count.  With ``B = S ∪ G1 ∪ G2``,
+``Ξ(B) − Ξ(S) = [Ξ(B) − Ξ(B − G1)] + [Ξ(S + G2) − Ξ(S)]``: G1's pass is
+the three steps above with small graph ``B − G1`` and big graph ``B``,
+G2's with ``S`` and ``S + G2``, and their per-vertex deltas add.  Only
+``S`` and ``B`` exist as states (one splice per phase), so:
+
+- G1's probe reads ``B``'s pivot-major view and keys.  Each pair's
+  common mids there are ``X`` plus its ``d`` rows ``Y``, so
+  ``b = hits − d``, and each ``y`` is credited ``b − 1`` on top of the
+  ``d`` its hit row gives it;
+- G2's enumeration reads ``B``'s mid-major view and drops every wedge
+  whose other leg is in G1 (not in ``S + G2``);
+- one ``searchsorted`` of the legs against the phase's keys, with a
+  G1 mask at the found positions, tells both filters which group a
+  batch leg is in.
 
 Intra-batch interactions — edges of the same batch closing butterflies
 with each other — are exact by construction (enumeration runs against
 ``B``).  ``intra_batch_closures`` counts the butterflies a phase created
-(or destroyed) that hold at least two batch edges; per pair that is
-``C(d, 2) + b · #{y ∈ Y with both legs in A}``, the same from either
-side because it is a property of the butterflies' edges.
+(or destroyed) that hold at least two batch edges; per pair of one
+pass that is ``C(d, 2) + b · #{y ∈ Y with both legs in the pass}``,
+the same from either side because it is a property of the butterflies'
+edges.  On a split phase G2's pass counts those with no G1 edge and G1's
+those with two or more; G1's adds the ones with exactly one G1 edge and
+a G2 edge (the *cross term*): per row ``y`` with one G1 leg, the pair's
+``b`` when ``y``'s other leg is in G2, else its ``x`` with a leg in G2.
 
 Deletions reuse the same small-graph→big-graph delta with the roles
 reversed (``S`` is the post-delete graph, ``B`` the current one) and the
@@ -555,58 +580,98 @@ def _probe_common_mids(
     )
 
 
+#: A phase orients each edge on its own (the split phase, module
+#: docstring) only when that saves at least this many delta wedges over
+#: the one-side choice; below it the second pass costs more than the
+#: wedges it saves.  Read at call time, so a test can force every phase
+#: that saves anything to split (0).
+_SPLIT_MIN_WEDGES: int = 4096
+
+
 def _side_delta(
     ws: _Scratch,
-    small_pm,
-    big_comp,
-    small_edge_keys: np.ndarray,
+    probe,
+    big,
     batch_keys: np.ndarray,
-    batch_pivots: np.ndarray,
-    batch_mids: np.ndarray,
-    n_side: int,
-    n_mid: int,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    left_group: np.ndarray | None,
     pairs_on_left: bool,
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Per-vertex butterfly deltas of both sides, small graph → big graph.
+    """Per-vertex butterfly deltas of both sides for one pivot side's pass.
 
-    ``batch_pivots`` / ``batch_mids`` are the batch edges as (pivot-side
-    vertex, mid-side vertex) and ``batch_keys`` their sorted left-major
-    keys; ``small_pm`` is the small graph's pivot-major view (CSR for
-    left pivots), ``big_comp`` the big graph's mid-major view (CSC for
-    left pivots), and ``small_edge_keys`` the small graph's sorted
-    left-major edge keys.  Returns ``(delta_pivot[n_side],
-    delta_mid[n_mid], global_delta, intra_batch_closures)``, all ≥ 0 —
-    the change from adding the batch to the small graph.
+    ``batch_keys`` are the phase's sorted left-major edge keys and
+    ``rows``/``cols`` their endpoints; ``probe`` and ``big`` are
+    ``(keys, csr, csc)`` states: the probe reads ``probe``'s pivot-major
+    view and keys, the delta-wedge enumeration ``big``'s mid-major view
+    (the CSC for left pivots).  ``left_group`` is ``None`` when the pass
+    owns the whole batch (``probe`` the graph without it, ``big`` the one
+    with it); on a split phase it marks the batch keys of G1, and the
+    pass is G1's when ``pairs_on_left`` (``probe`` = ``big`` = the graph
+    with the batch) or G2's (``probe`` the graph without the batch, ``big``
+    the one with it, G1's legs dropped).  Returns ``(delta_left[n_left],
+    delta_right[n_right], global_delta, intra_batch_closures)``, all ≥ 0
+    — the change from adding the pass's edges to its smaller graph.
     """
+    probe_keys, probe_csr, probe_csc = probe
+    _, big_csr, big_csc = big
+    n_left, n_right = big_csr.shape
+    if pairs_on_left:
+        probe_pm, big_comp, n_side, n_mid = probe_csr, big_csc, n_left, n_right
+        batch_pivots, batch_mids = rows, cols
+    else:
+        probe_pm, big_comp, n_side, n_mid = probe_csc, big_csr, n_right, n_left
+        batch_pivots, batch_mids = cols, rows
+    first_pass = left_group is not None and pairs_on_left  # G1's
+    if left_group is not None:
+        mine = left_group if pairs_on_left else ~left_group
+        batch_pivots, batch_mids = batch_pivots[mine], batch_mids[mine]
     n64 = np.int64(n_side)
 
-    # 1. delta-wedge enumeration: every wedge the batch adds has a batch
-    #    leg (p, q) — emit ({p, w}, q) for every other end w of q in B
+    # 1. delta-wedge enumeration: every wedge the pass adds has a leg
+    #    (p, q) of its own — emit ({p, w}, q) for every other end w of q
     counts = big_comp.indptr[batch_mids + 1] - big_comp.indptr[batch_mids]
     ends = gather_slices(big_comp.indptr, big_comp.indices, batch_mids)
     owners = np.repeat(batch_pivots, counts)
     mids = np.repeat(batch_mids, counts)
-    #    a wedge with both legs in the batch is met from both pivots: keep
-    #    the lower pivot's copy (the batch edge itself, end == owner, is
-    #    always dropped)
-    in_batch = _in_sorted(
+    #    a wedge with both legs the pass's own is met from both pivots:
+    #    keep the lower pivot's copy (the pass's edge itself, end ==
+    #    owner, is always dropped)
+    pos, in_batch = _located(
         _leg_keys(ends, mids, n_side, n_mid, pairs_on_left), batch_keys
     )
+    dropped = None
+    if left_group is not None:
+        in_g1 = left_group[np.minimum(pos, batch_keys.size - 1)]
+        in_g1 &= in_batch
+        if first_pass:  # a G2 leg is an ordinary edge of G1's graphs
+            in_g2 = in_batch ^ in_g1
+            in_batch = in_g1
+        else:  # G1's legs are not in G2's graph
+            in_batch ^= in_g1
+            dropped = in_g1
+    del pos
     lower = owners < ends
     both = in_batch & lower
     both_keys = owners[both] * n64 + ends[both]
     keep = lower | ~in_batch
+    if dropped is not None:
+        keep &= ~dropped
     owners, ends, mids = owners[keep], ends[keep], mids[keep]
     if mids.size == 0:
-        return (np.zeros(n_side, dtype=COUNT_DTYPE),
-                np.zeros(n_mid, dtype=COUNT_DTYPE), 0, 0)
+        return (np.zeros(n_left, dtype=COUNT_DTYPE),
+                np.zeros(n_right, dtype=COUNT_DTYPE), 0, 0)
     #    (arrays are dropped as soon as they are read: the probe's peak
     #    holds only what step 3 needs)
     pair_keys = np.minimum(owners, ends)
     pair_keys *= n64
     pair_keys += np.maximum(owners, ends, out=owners)
-    del owners, ends, in_batch, lower, both, keep
     order = np.argsort(pair_keys)
+    if first_pass:  # which rows hold one G1 leg, and which a G2 leg
+        single = ~in_batch[keep][order]
+        g2_row = in_g2[keep][order]
+        del in_g2
+    del owners, ends, in_batch, lower, both, keep, dropped
     pair_keys, mids = pair_keys[order], mids[order]
     first = np.empty(pair_keys.size, dtype=bool)
     first[0] = True
@@ -616,16 +681,24 @@ def _side_delta(
     d = np.diff(np.append(starts, pair_keys.size)).astype(COUNT_DTYPE)
     del order, pair_keys, first, starts
 
-    # 2. baseline probe: the old common mids X of every pair
+    # 2. baseline probe: the old common mids X of every pair; G1's probe
+    #    graph holds the pass's own rows too, one hit each (step 1's Y)
     u_arr = uniq // n64
     w_arr = uniq - u_arr * n64
     hit_pair, hit_mids = _probe_common_mids(
-        ws, small_pm, small_edge_keys, u_arr, w_arr, n_side, n_mid,
+        ws, probe_pm, probe_keys, u_arr, w_arr, n_side, n_mid,
         pairs_on_left,
     )
     b = np.bincount(hit_pair, minlength=uniq.size).astype(
         COUNT_DTYPE, copy=False
     )
+    # each y ∈ Y gains b + d − 1; in G1's probe graph each y is also one
+    # of its pair's hits, which counts in b and credits it d
+    if first_pass:
+        b -= d
+        y_credit = b - 1
+    else:
+        y_credit = b + d - 1
 
     # 3. closed-form update, credited to both sides (docstring §3); the
     #    kept rows are grouped by pair, so pair i's y rows are the next d[i]
@@ -635,12 +708,48 @@ def _side_delta(
     np.add.at(delta_pivot, u_arr, pair_delta)
     np.add.at(delta_pivot, w_arr, pair_delta)
     np.add.at(delta_mid, hit_mids, d[hit_pair])
-    np.add.at(delta_mid, mids, np.repeat(b + d - 1, d))
+    np.add.at(delta_mid, mids, np.repeat(y_credit, d))
     global_delta = int(pair_delta.sum(dtype=COUNT_DTYPE))
     closures = int(choose2(d).sum(dtype=COUNT_DTYPE)) + int(
         b[np.searchsorted(uniq, both_keys)].sum(dtype=COUNT_DTYPE)
     )
-    return delta_pivot, delta_mid, global_delta, closures
+    if first_pass:
+        closures += _cross_closures(
+            batch_keys[~left_group], u_arr, w_arr, d, b, hit_pair, hit_mids,
+            single, g2_row, n_mid,
+        )
+    if pairs_on_left:
+        return delta_pivot, delta_mid, global_delta, closures
+    return delta_mid, delta_pivot, global_delta, closures
+
+
+def _cross_closures(
+    g2_keys, u_arr, w_arr, d, b, hit_pair, hit_mids, single, g2_row,
+    n_mid: int,
+) -> int:
+    """Butterflies of G1's pass holding one G1 edge and a G2 edge.
+
+    They pair one ``y`` row with a single G1 leg with one ``x`` of the
+    same pair.  When the row's other leg is in G2 every ``x`` counts
+    (``b``); otherwise the ``x`` with a leg in G2 do.  Those are the
+    pair's probe hits with a G2 leg, less its rows whose other leg is in
+    G2 (each also a hit).  ``g2_keys`` are G2's sorted keys; the rest are
+    G1's pass arrays (left pivots, right mids).
+    """
+    slot = np.repeat(np.arange(d.size, dtype=INDEX_DTYPE), d)
+    n_mid64 = np.int64(n_mid)
+    # only a hit on a mid of some G2 edge can have a G2 leg
+    g2_mid = np.zeros(n_mid, dtype=bool)
+    g2_mid[g2_keys % n_mid64] = True
+    cand = np.flatnonzero(g2_mid[hit_mids])
+    pair, mid = hit_pair[cand], hit_mids[cand]
+    hit_g2 = _in_sorted(u_arr[pair] * n_mid64 + mid, g2_keys)
+    hit_g2 |= _in_sorted(w_arr[pair] * n_mid64 + mid, g2_keys)
+    c2 = np.bincount(pair[hit_g2], minlength=d.size)
+    c2 -= np.bincount(slot[g2_row], minlength=d.size)
+    return int(b[slot[g2_row]].sum(dtype=COUNT_DTYPE)) + int(
+        c2[slot[single & ~g2_row]].sum(dtype=COUNT_DTYPE)
+    )
 
 
 class StreamingButterflyCounter:
@@ -663,9 +772,10 @@ class StreamingButterflyCounter:
         dynamic.
     """
 
-    #: Pins the probed side of every incremental phase (``"left"`` /
-    #: ``"right"``); ``None`` picks the side with fewer delta wedges.  A
-    #: test hook: both sides give bit-identical results.
+    #: Pins every incremental phase to one pass on one side (``"left"`` /
+    #: ``"right"``, never split); ``None`` orients each edge to its
+    #: cheaper pivot, or the whole phase to the cheaper side below the
+    #: split gate.  A test hook: every choice gives bit-identical results.
     _probe_side: str | None = None
 
     def __init__(self, graph: BipartiteGraph) -> None:
@@ -787,35 +897,48 @@ class StreamingButterflyCounter:
         """Delta between the graph without and with ``changed_keys``.
 
         ``small`` is the ``(keys, csr, csc)`` state missing the changed
-        edges, ``big`` the one containing them.  One probe, pivoting on
-        the side with fewer delta wedges (or on :attr:`_probe_side` when
-        set), returns the (positive-direction) global delta, per-left and
-        per-right delta arrays, and the intra-batch closure count.
+        edges, ``big`` the one containing them.  Each edge ``(u, v)``
+        prices its delta wedges from both pivots, ``deg_B(v)`` left and
+        ``deg_B(u)`` right.  When orienting every edge to its cheaper
+        pivot saves at least :data:`_SPLIT_MIN_WEDGES` wedges over the
+        cheaper whole side, the phase splits: G1 (the left-pivot edges)
+        and G2 run one :func:`_side_delta` pass each and their deltas
+        add.  Otherwise (and on every phase when :attr:`_probe_side` is
+        set) one pass pivots on the whole phase's side.  Returns the
+        (positive-direction) global delta, per-left and per-right delta
+        arrays, and the intra-batch closure count.
         """
-        small_keys, small_csr, small_csc = small
-        _, big_csr, big_csc = big
         side = self._probe_side
+        left_group = None
         if side is None:
-            left_work = big_csc.indptr[cols + 1] - big_csc.indptr[cols]
-            right_work = big_csr.indptr[rows + 1] - big_csr.indptr[rows]
-            cheaper_left = left_work.sum(dtype=COUNT_DTYPE) <= right_work.sum(
+            left_work = big[2].indptr[cols + 1] - big[2].indptr[cols]
+            right_work = big[1].indptr[rows + 1] - big[1].indptr[rows]
+            total_left = int(left_work.sum(dtype=COUNT_DTYPE))
+            total_right = int(right_work.sum(dtype=COUNT_DTYPE))
+            on_left = left_work <= right_work
+            per_edge = int(np.where(on_left, left_work, right_work).sum(
                 dtype=COUNT_DTYPE
-            )
-            side = "left" if cheaper_left else "right"
-        if obs._enabled:
-            obs.inc(f"stream.apply.probe.{side}")
-        if side == "left":
-            d_left, d_right, g_delta, closures = _side_delta(
-                self._scratch, small_csr, big_csc, small_keys, changed_keys,
-                rows, cols,
-                self.n_left, self.n_right, True,
-            )
+            ))
+            saving = min(total_left, total_right) - per_edge
+            if saving > 0 and saving >= _SPLIT_MIN_WEDGES:
+                left_group = on_left  # saving > 0: both groups hold edges
+            side = "left" if total_left <= total_right else "right"
+        if left_group is None:
+            passes = [(small, side == "left")]
         else:
-            d_right, d_left, g_delta, closures = _side_delta(
-                self._scratch, small_csc, big_csr, small_keys, changed_keys,
-                cols, rows,
-                self.n_right, self.n_left, False,
+            passes = [(big, True), (small, False)]
+        g_delta, d_left, d_right, closures = 0, 0, 0, 0
+        for probe, on_left in passes:
+            if obs._enabled:
+                obs.inc(f"stream.apply.probe.{'left' if on_left else 'right'}")
+            p_left, p_right, p_delta, p_closures = _side_delta(
+                self._scratch, probe, big, changed_keys, rows, cols,
+                left_group, on_left,
             )
+            d_left = d_left + p_left
+            d_right = d_right + p_right
+            g_delta += p_delta
+            closures += p_closures
         return g_delta, d_left, d_right, closures
 
     def apply(

@@ -74,11 +74,12 @@ def touched_wedge_work(
     For a batch of edge updates ``(rows[i], cols[i])`` the incremental
     maintenance path (:class:`repro.core.stream.StreamingButterflyCounter`)
     enumerates, per changed edge, the wedges through one of its endpoints
-    — ``deg(v)`` continuations for left pivots, ``deg(u)`` for right ones,
-    on whichever side sums smaller — and probes the touched pairs.
-    ``deg(u) + deg(v)`` summed over the batch covers both sides and is
-    the term the planner's ``stream_apply`` workload weighs against a
-    from-scratch recount.
+    — ``deg(v)`` continuations for a left pivot, ``deg(u)`` for a right
+    one, each edge on its cheaper side when that saves enough, else every
+    edge on the side that sums smaller — and probes the touched pairs.
+    ``deg(u) + deg(v)`` summed over the batch covers both sides, an upper
+    bound of that per-edge work, and is the term the planner's
+    ``stream_apply`` workload weighs against a from-scratch recount.
     Duplicate endpoints count once per appearance — that is exactly how
     often the kernel gathers them.
     """

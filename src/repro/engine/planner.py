@@ -366,9 +366,10 @@ def _stream_candidates(graph, cal, strategy, batch) -> list[Plan]:
     """Score batched incremental maintenance vs a from-scratch recount.
 
     The incremental path's dominant term is the *touched* wedge work —
-    Σ deg(u) + deg(v) over the batch edges (the delta-wedge enumeration)
-    — plus the O(nnz) copies that splice the edge keys and both
-    compressed views.  The recount rebuilds every count with one
+    Σ deg(u) + deg(v) over the batch edges, an upper bound of the
+    delta-wedge enumeration, which walks min(deg u, deg v) per edge on a
+    split phase — plus the O(nnz) copies that splice the edge keys and
+    both compressed views.  The recount rebuilds every count with one
     per-vertex priority pass over both sides (Ξ falls out of the
     per-left sums) after each phase, so a batch with deletes and inserts
     pays the priority wedge work and its per-vertex reduction twice.

@@ -63,7 +63,7 @@ __all__ = ["ButterflyExecutor", "get_default_executor", "shutdown_default_execut
 # ----------------------------------------------------------------------
 
 #: segment name -> (shm handle, PatternCSR, PatternCSC,
-#: {(strategy, side): worker buffers})
+#: {(state factory, side): worker buffers})
 _ATTACHED: "OrderedDict[str, tuple]" = OrderedDict()
 
 #: Max distinct segments a worker keeps mapped (LRU beyond this).
@@ -101,7 +101,8 @@ def _shm_count_range(args) -> tuple:
     worker run sequentially.  It also restarts the worker's sampler if the
     owner was profiling when the pool forked (fork copies the profiler
     handle but not its thread).  The strategy's buffers are built on the
-    first task per (segment, strategy, side) and reused after.
+    first task per (segment, state factory, side) and reused after, so
+    strategies whose table rows share a factory share the buffers.
     """
     from repro.core import parallel
 
@@ -116,10 +117,12 @@ def _shm_count_range(args) -> tuple:
             pivot_major, complementary = csc, csr
         else:
             pivot_major, complementary = csr, csc
-        state = states.get((strategy, side_value))
+        # keyed by the row's factory: strategies that share one (scratch
+        # and wedge) share its zeroed accumulator too
+        make_state = parallel._pool_strategy(strategy).state
+        state = states.get((make_state, side_value))
         if state is None:
-            state = parallel._pool_strategy(strategy).state(pivot_major)
-            states[(strategy, side_value)] = state
+            state = states[(make_state, side_value)] = make_state(pivot_major)
         value = parallel.count_range(
             pivot_major, complementary, lo, hi,
             Reference(reference_value), strategy, state,

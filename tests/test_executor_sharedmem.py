@@ -278,3 +278,40 @@ class TestEquivalence:
             with pytest.raises(ValueError):
                 ex.count(medium_graph, side="middle")
             assert ex.pool_starts == 0  # rejected before any dispatch
+
+
+# ----------------------------------------------------------------------
+# worker side: the buffers a worker keeps per segment
+# ----------------------------------------------------------------------
+
+
+def test_worker_keeps_one_buffer_per_state_factory(medium_graph):
+    """A worker running ``scratch`` and ``wedge`` ranges of one segment
+    holds one cache entry: both table rows build the same zeroed
+    accumulator.  ``spmv`` builds its own.  The pool task runs in this
+    process, which then plays one worker."""
+    from repro.core.family import Reference, Side
+
+    expected = count_butterflies(medium_graph)
+    with SharedGraphBuffers.publish(medium_graph) as buffers:
+        name = buffers.meta[0]
+        try:
+            for strategy in ("scratch", "wedge", "scratch", "wedge"):
+                value, _ = executor_module._shm_count_range((
+                    buffers.meta, Side.ROWS.value, Reference.SUFFIX.value,
+                    strategy, 0, medium_graph.n_left, False,
+                ))
+                assert value == expected, strategy
+            states = executor_module._ATTACHED[name][3]
+            assert len(states) == 1
+            (accumulator,) = states.values()
+            assert not accumulator.any()  # left as it was found
+            executor_module._shm_count_range((
+                buffers.meta, Side.ROWS.value, Reference.SUFFIX.value,
+                "spmv", 0, medium_graph.n_left, False,
+            ))
+            assert len(states) == 2
+        finally:
+            entry = executor_module._ATTACHED.pop(name, None)
+            if entry is not None:
+                entry[0].close()

@@ -21,6 +21,10 @@ Sources of scripts:
 - the probe's two paths forced against each other on both sides: a
   bitmap row for every tested row, for none (sorted search only, also
   with its argsort fallback) and the rule's own mix;
+- the split phase (each edge on its cheaper pivot, two passes) forced
+  on graphs with a hub on each side, against a brute-force enumeration
+  and both pinned sides in every probe mode, plus hand-built butterflies
+  with one edge in each group (the closure cross term);
 - hand-written adversarial cases (re-insert after delete,
   delete-then-insert inside one batch, hub-heavy batches, empty batches,
   intra-batch duplicates);
@@ -209,21 +213,19 @@ def test_left_and_right_probes_agree(case):
             assert np.array_equal(counter.vertex_counts("right"), want_right)
 
 
-def test_one_probe_per_phase(monkeypatch):
-    """A batch with deletes and inserts runs two phases, each one
-    ``_side_delta`` pass; the other side is credited from it."""
-    calls = []
-    original = stream_counter._side_delta
-
-    def counting(*args):
-        calls.append(args[-1])
-        return original(*args)
-
-    monkeypatch.setattr(stream_counter, "_side_delta", counting)
+def test_one_probe_per_phase():
+    """A phase runs one ``_side_delta`` pass per non-empty group: exactly
+    one when it does not split (the other side is credited from it), two
+    when it does (G1's left pass, then G2's right pass)."""
     g = CORPUS["planted"]
     ops = _long_script(5, 120, g.n_left, g.n_right)
-    _assert_script_conforms(g, [op for op in ops if op[0] != "flush"])
-    assert len(calls) == 2
+    with _recorded_passes() as passes:
+        _assert_script_conforms(g, [op for op in ops if op[0] != "flush"])
+    assert len(passes) == 2  # a delete and an insert phase
+    assert all(p in (["left"], ["right"]) for p in passes)
+    with _split_gate(0), _recorded_passes() as passes:
+        _assert_script_conforms(_two_hub_graph(_HAND_BUILT_LEAVES), _HAND_BUILT_OPS)
+    assert passes == [["G1", "G2"], ["G1", "G2"]]
 
 
 def test_auto_probe_picks_both_sides():
@@ -676,6 +678,25 @@ def _butterflies(edges):
     return out
 
 
+def _brute_force_batch(edges, insert, delete):
+    """One batch's ``created``/``destroyed``/``intra_batch_closures`` and
+    the edge set after it, from every butterfly before and after each
+    phase; also the destroyed and created butterflies themselves."""
+    gone = edges & set(delete)
+    kept = edges - gone
+    added = set(insert) - kept
+    between = _butterflies(kept)
+    destroyed = _butterflies(edges) - between
+    created = _butterflies(kept | added) - between
+    stats = {
+        "created": len(created),
+        "destroyed": len(destroyed),
+        "intra_batch_closures": sum(len(b & gone) >= 2 for b in destroyed)
+        + sum(len(b & added) >= 2 for b in created),
+    }
+    return stats, kept | added, destroyed, created
+
+
 @pytest.mark.parametrize("probe_side", [None, "left", "right"])
 @pytest.mark.parametrize("name", ["complete", "er", "planted", "powerlaw"])
 def test_intra_batch_closures_match_brute_force(name, probe_side):
@@ -696,25 +717,201 @@ def test_intra_batch_closures_match_brute_force(name, probe_side):
         vs = rng.choice(g.n_right, size=3, replace=False)
         insert = [(int(u), int(v)) for u in us for v in vs]
         stats = counter.apply(insert=insert, delete=delete)
-
-        gone = edges & set(delete)
-        kept = edges - gone
-        added = set(insert) - kept
-        before, between = _butterflies(edges), _butterflies(kept)
-        edges = kept | added
-        after = _butterflies(edges)
-        destroyed, created = before - between, after - between
-        want = sum(len(b & gone) >= 2 for b in destroyed)
-        want += sum(len(b & added) >= 2 for b in created)
-        assert stats["destroyed"] == len(destroyed)
-        assert stats["created"] == len(created)
-        assert stats["intra_batch_closures"] == want
-        closures += want
+        want, edges, _, _ = _brute_force_batch(edges, insert, delete)
+        assert {key: stats[key] for key in want} == want
+        closures += want["intra_batch_closures"]
     assert closures > 0
     recount = StreamingButterflyCounter(g).apply(
         insert=insert, delete=delete, strategy="recount"
     )
     assert recount["intra_batch_closures"] == 0
+
+
+# ----------------------------------------------------------------------
+# the split phase: each edge pivots on its cheaper side, G1 (left
+# pivots) against the graph with the batch, G2 (right) against the one
+# without it
+# ----------------------------------------------------------------------
+@contextmanager
+def _split_gate(wedges):
+    """Set the counter's split gate (``_SPLIT_MIN_WEDGES``) for a block;
+    0 splits every phase where orienting each edge saves any wedge."""
+    saved = stream_counter._SPLIT_MIN_WEDGES
+    stream_counter._SPLIT_MIN_WEDGES = wedges
+    try:
+        yield
+    finally:
+        stream_counter._SPLIT_MIN_WEDGES = saved
+
+
+@contextmanager
+def _recorded_passes():
+    """Record every phase's ``_side_delta`` passes: one list per phase
+    holding ``"left"``/``"right"`` for a whole-phase pass and ``"G1"``/
+    ``"G2"`` for a split phase's."""
+    phases = []
+    side_delta = stream_counter._side_delta
+    apply_phase = StreamingButterflyCounter._apply_phase
+
+    def phase(self, *args, **kwargs):
+        phases.append([])
+        return apply_phase(self, *args, **kwargs)
+
+    def one_pass(ws, probe, big, batch_keys, rows, cols, left_group, on_left):
+        names = ("left", "right") if left_group is None else ("G1", "G2")
+        phases[-1].append(names[0] if on_left else names[1])
+        return side_delta(ws, probe, big, batch_keys, rows, cols, left_group, on_left)
+
+    stream_counter._side_delta = one_pass
+    StreamingButterflyCounter._apply_phase = phase
+    try:
+        yield phases
+    finally:
+        stream_counter._side_delta = side_delta
+        StreamingButterflyCounter._apply_phase = apply_phase
+
+
+#: Leaves per side of a two-hub graph: left hub 0 is joined to every
+#: right vertex and right hub 0 to every left one, so a hub edge's leaf
+#: end is its cheaper pivot's mid.
+_HUB_LEAVES = 9
+
+
+def _two_hub_graph(leaf_edges):
+    n = _HUB_LEAVES + 1
+    hubs = {(0, v) for v in range(n)} | {(u, 0) for u in range(n)}
+    return BipartiteGraph(
+        sorted(hubs | set(leaf_edges)), n_left=n, n_right=n
+    )
+
+
+@st.composite
+def _two_hub_scripts(draw):
+    """Leaf edges of a two-hub graph, then 1–3 batches that delete hub
+    edges of both hubs and leaf edges, and re-insert some of each hub's
+    deleted edges with new leaf edges.
+
+    A leaf holds at most 1 + 4 + 2 edges through the first batch and a
+    hub at least 9, so both of its phases hold a left-pivot and a
+    right-pivot edge, and split under gate 0.
+    """
+    leaf = st.tuples(st.integers(1, _HUB_LEAVES), st.integers(1, _HUB_LEAVES))
+    start = draw(st.lists(leaf, max_size=4, unique=True))
+    hub_edges = [
+        st.lists(st.sampled_from(hub), min_size=1, max_size=2, unique=True)
+        for hub in (
+            [(0, v) for v in range(1, _HUB_LEAVES + 1)],
+            [(u, 0) for u in range(1, _HUB_LEAVES + 1)],
+        )
+    ]
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        gone = [draw(edges) for edges in hub_edges]
+        back = [draw(st.lists(st.sampled_from(g), min_size=1, unique=True))
+                for g in gone]
+        delete = gone[0] + gone[1] + draw(st.lists(leaf, max_size=3))
+        insert = back[0] + back[1] + draw(st.lists(leaf, max_size=2))
+        batches.append((insert, delete))
+    return start, batches
+
+
+@pytest.mark.parametrize("mode", sorted(PROBE_MODES))
+@settings(max_examples=25, deadline=None)
+@given(_two_hub_scripts())
+def test_split_phases_match_brute_force_and_both_sides(mode, case):
+    """Split phases (forced by gate 0) give the count, both per-vertex
+    arrays and the whole stats dict of a brute-force enumeration and of
+    the same batches pinned to either side, in every probe mode."""
+    start, batches = case
+    g = _two_hub_graph(start)
+    shape = (g.n_left, g.n_right)
+    counters = {side: StreamingButterflyCounter(g) for side in (None, "left", "right")}
+    for side, counter in counters.items():
+        counter._probe_side = side
+    edges = {tuple(map(int, e)) for e in g.edges()}
+    for batch_no, (insert, delete) in enumerate(batches):
+        with _split_gate(0), _probe_bounds(mode), _recorded_passes() as passes:
+            stats = {side: c.apply(insert=insert, delete=delete)
+                     for side, c in counters.items()}
+        if batch_no == 0:
+            assert passes[:2] == [["G1", "G2"], ["G1", "G2"]]
+        want, edges, _, _ = _brute_force_batch(edges, insert, delete)
+        want_count, want_left, want_right = _reference_counts(shape, edges)
+        context = f"batch {batch_no} of {case}"
+        assert stats[None] == stats["left"] == stats["right"], context
+        assert {key: stats[None][key] for key in want} == want, context
+        for counter in counters.values():
+            assert counter.count == want_count, context
+            assert np.array_equal(counter.vertex_counts("left"), want_left), context
+            assert np.array_equal(counter.vertex_counts("right"), want_right), context
+
+
+#: A batch whose phases split into G1 = {(0, 1), (0, 2)} (left pivots:
+#: their right ends are the cheaper mids) and G2 = {(1, 0), (2, 2)} on
+#: ``_two_hub_graph(_HAND_BUILT_LEAVES)``, deleted and then re-inserted.
+_HAND_BUILT_LEAVES = [(1, 1), (2, 2), (3, 2), (4, 2)]
+_HAND_BUILT_G1 = {(0, 1), (0, 2)}
+_HAND_BUILT_G2 = {(1, 0), (2, 2)}
+_HAND_BUILT_OPS = (
+    [("-", u, v) for u, v in sorted(_HAND_BUILT_G1 | _HAND_BUILT_G2)]
+    + [("flush",)]
+    + [("+", u, v) for u, v in sorted(_HAND_BUILT_G1 | _HAND_BUILT_G2)]
+)
+
+
+def test_split_phase_closes_butterflies_across_the_groups():
+    """Butterflies with one G1 edge and one G2 edge (the closure cross
+    term of G1's pass) in a delete and an insert phase: {(0, 1), (0, 0),
+    (1, 1), (1, 0)}, whose G2 edge is a leg of an ``x`` of G1's pair
+    {0, 1}, and {(0, 2), (0, 0), (2, 2), (2, 0)}, whose G2 edge is the
+    other leg of G1's ``y`` row."""
+    g = _two_hub_graph(_HAND_BUILT_LEAVES)
+    batch = sorted(_HAND_BUILT_G1 | _HAND_BUILT_G2)
+    edges = {tuple(map(int, e)) for e in g.edges()}
+    counter = StreamingButterflyCounter(g)
+    for insert, delete in (([], batch), (batch, [])):
+        with _split_gate(0), _recorded_passes() as passes:
+            stats = counter.apply(insert=insert, delete=delete)
+        assert passes == [["G1", "G2"]]
+        want, edges, destroyed, created = _brute_force_batch(edges, insert, delete)
+        assert {key: stats[key] for key in want} == want
+        crossing = [
+            b for b in destroyed | created
+            if len(b & _HAND_BUILT_G1) == 1 and len(b & _HAND_BUILT_G2) == 1
+        ]
+        assert len(crossing) == 2
+        want_count, want_left, want_right = _reference_counts(g.shape, edges)
+        assert counter.count == want_count
+        assert np.array_equal(counter.vertex_counts("left"), want_left)
+        assert np.array_equal(counter.vertex_counts("right"), want_right)
+
+
+@pytest.mark.parametrize("gate", [0, None])
+@pytest.mark.parametrize("strategy", STREAM_APPLY_STRATEGIES)
+def test_one_splice_per_phase(gate, strategy):
+    """Every phase splices its state once, split or not, recount or
+    incremental: a split phase reads both of its groups' graphs from the
+    two states the splice leaves it."""
+    splices = []
+    spliced = StreamingButterflyCounter._spliced
+
+    def counting(self, *args, **kwargs):
+        splices.append(kwargs["remove"])
+        return spliced(self, *args, **kwargs)
+
+    g = _two_hub_graph(_HAND_BUILT_LEAVES)
+    counter = StreamingButterflyCounter(g)
+    ops = _HAND_BUILT_OPS + [("flush",)] + [
+        ("-", 0, 3), ("-", 5, 0), ("+", 1, 2), ("+", 0, 3), ("+", 6, 6),
+    ]
+    StreamingButterflyCounter._spliced = counting
+    try:
+        with _split_gate(stream_counter._SPLIT_MIN_WEDGES if gate is None else gate):
+            for insert, delete in iter_batches(ops):
+                counter.apply(insert=insert, delete=delete, strategy=strategy)
+    finally:
+        StreamingButterflyCounter._spliced = spliced
+    assert splices == [True, False, True, False]
 
 
 # ----------------------------------------------------------------------
@@ -945,3 +1142,16 @@ def test_pinned_long_scripts(seed):
     ops = _long_script(seed, 2000, 25, 30)
     assert sum(1 for op in ops if op[0] != "flush") >= 2000
     _assert_script_conforms(BipartiteGraph.empty(25, 30), ops)
+
+
+def test_two_sided_hubs_script_splits():
+    """The committed two-hub script splits every incremental phase under
+    the shipped gate (the CLI replay in CI then runs the split path
+    through ``--strategy auto`` too, on the batches it plans
+    incremental)."""
+    filename = "251x251__two_sided_hubs.txt"
+    ops = load_script(os.path.join(SCRIPTS_DIR, filename))
+    with _recorded_passes() as passes:
+        _assert_script_conforms(BipartiteGraph.empty(251, 251), ops)
+    # the build from an empty graph, then 4 delete and 4 insert phases
+    assert passes == [["G1", "G2"]] * 9
