@@ -77,44 +77,4 @@ __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # the Plan→Execute pipeline
-    "engine",
-    # core counting
-    "count_butterflies",
-    "count_butterflies_unblocked",
-    "count_butterflies_blocked",
-    "count_butterflies_parallel",
-    "ButterflyExecutor",
-    "butterflies_spec",
-    "Invariant",
-    "Side",
-    "Traversal",
-    "Reference",
-    "INVARIANTS",
-    "ALL_INVARIANTS",
-    # local counts and peeling
-    "vertex_butterfly_counts",
-    "edge_butterfly_support",
-    "k_tip",
-    "k_tip_lookahead",
-    "k_wing",
-    "tip_numbers",
-    "wing_numbers",
-    "DynamicButterflyCounter",
-    "StreamingButterflyCounter",
-    # graphs
-    "BipartiteGraph",
-    "erdos_renyi_bipartite",
-    "gnm_bipartite",
-    "power_law_bipartite",
-    "planted_bicliques",
-    "load_konect",
-    "save_konect",
-    "load_dataset",
-    "dataset_names",
-    # metrics
-    "bipartite_clustering_coefficient",
-    "caterpillar_count",
-]
+__all__ = ["__version__", *_LAZY]

@@ -3,10 +3,17 @@
 Every ``repro`` package re-exports its public names through one literal
 ``name -> module`` table instead of importing every submodule up front, so
 ``from repro.core import count_butterflies`` loads ``repro.core.family``
-and what it needs, not the whole package.  Each ``__init__`` writes::
+and what it needs, not the whole package.  The table is the package's
+one export list: each ``__init__`` writes ``__all__ = [*_LAZY]``::
 
     _LAZY = {"count_butterflies": "repro.core.family", ...}
     __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
+
+    __all__ = [*_LAZY]
+
+and lists in front of ``*_LAZY`` only names the ``__init__`` binds
+itself (``repro.__version__``, ``repro.engine``'s ``plan``/``execute``,
+the eager helpers of ``repro.obs``), never a table key again.
 
 A name whose module is ``<package>.<name>`` is that submodule itself
 (``repro.engine``, ``repro.sparsela.linalg``).  A function that shares
@@ -14,7 +21,8 @@ its name with a submodule of the same package cannot be lazy: importing
 the submodule binds the module under that name first.  Such names are
 imported eagerly instead (``repro.engine`` does this for ``plan`` and
 ``execute``).  The project analyzer reads the ``_LAZY`` table as it reads
-``from ... import`` re-exports (``repro.analysis.model``).
+``from ... import`` re-exports, and a ``*_LAZY`` element of ``__all__``
+as the table's keys (``repro.analysis.model``).
 """
 
 from __future__ import annotations

@@ -74,29 +74,4 @@ _LAZY = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
-__all__ = [
-    "Finding",
-    "Suppressions",
-    "SEVERITIES",
-    "parse_suppressions",
-    "ModuleContext",
-    "Report",
-    "analyze_paths",
-    "analyze_source",
-    "analyze_sources",
-    "iter_python_files",
-    "module_name_for",
-    "Rule",
-    "ProjectRule",
-    "RULES",
-    "ALL_RULE_IDS",
-    "resolve_rules",
-    "render_text",
-    "render_json",
-    "report_payload",
-    "JSON_SCHEMA_ID",
-    "ModuleFacts",
-    "ProjectModel",
-    "extract_module_facts",
-    "RELAXED_PROFILE_EXCLUDES",
-]
+__all__ = [*_LAZY]

@@ -3,10 +3,11 @@
 The two-pass engine (docs/analysis.md §"whole-program pass") first
 extracts one :class:`ModuleFacts` record per file — symbol table,
 import aliases (a package's lazy ``_LAZY`` re-export table counts as
-imports), ``__all__`` exports, and one :class:`FunctionFacts` per
-function (calls made, resource acquisitions with their syntactic
-protection, the callees whose results it returns).  Facts are plain
-in-memory records built once per file per scan.
+imports), ``__all__`` exports (a ``*_LAZY`` element lists that table's
+names), and one :class:`FunctionFacts` per function (calls made,
+resource acquisitions with their syntactic protection, the callees
+whose results it returns).  Facts are plain in-memory records built
+once per file per scan.
 
 The model then resolves calls **conservatively**: direct calls,
 aliased-import calls, ``self.method`` / ``ClassName.method`` calls and
@@ -134,7 +135,8 @@ class ModuleFacts:
     path: str
     module: str
     is_package: bool = False
-    #: ``__all__`` when it is a literal list/tuple of strings, else None
+    #: ``__all__`` when it is a literal list/tuple of strings (a
+    #: ``*_LAZY`` element standing for the ``_LAZY`` keys), else None
     exports: list[str] | None = None
     #: top-level name -> "func" | "class" | "var"
     symbols: dict[str, str] = field(default_factory=dict)
@@ -191,17 +193,28 @@ def _lazy_reexports(module: str, node: ast.expr) -> dict[str, str]:
     return out
 
 
-def _literal_all(node: ast.Assign | ast.AugAssign) -> list[str] | None:
+def _literal_all(node: ast.Assign, lazy: dict[str, str] | None) -> list[str] | None:
+    """The names a literal ``__all__`` list or tuple exports, else None.
+
+    A ``*_LAZY`` element stands for the keys of the module's ``_LAZY``
+    table (``lazy``, None when no table came before it), so
+    ``["__version__", *_LAZY]`` exports the table's names and one more.
+    """
     value = node.value
-    if isinstance(value, (ast.List, ast.Tuple)):
-        names = []
-        for elt in value.elts:
-            if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                names.append(elt.value)
-            else:
-                return None
-        return names
-    return None
+    if not isinstance(value, (ast.List, ast.Tuple)):
+        return None
+    names = []
+    for elt in value.elts:
+        if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
+            names.append(elt.value)
+        elif (
+            isinstance(elt, ast.Starred) and isinstance(elt.value, ast.Name)
+            and elt.value.id == _LAZY_TABLE and lazy is not None
+        ):
+            names.extend(lazy)
+        else:
+            return None
+    return names
 
 
 class _FunctionScanner:
@@ -519,6 +532,7 @@ def extract_module_facts(
 ) -> ModuleFacts:
     """One AST walk producing the per-file model slice."""
     facts = ModuleFacts(path=path, module=module, is_package=is_package)
+    lazy: dict[str, str] | None = None  # the ``_LAZY`` table, once seen
     for stmt in tree.body:
         if isinstance(stmt, ast.Import):
             for alias in stmt.names:
@@ -543,9 +557,10 @@ def extract_module_facts(
             for target in targets:
                 if isinstance(target, ast.Name):
                     if target.id == "__all__" and isinstance(stmt, ast.Assign):
-                        facts.exports = _literal_all(stmt)
+                        facts.exports = _literal_all(stmt, lazy)
                     if target.id == _LAZY_TABLE and stmt.value is not None:
-                        for local, dotted in _lazy_reexports(module, stmt.value).items():
+                        lazy = _lazy_reexports(module, stmt.value)
+                        for local, dotted in lazy.items():
                             facts.imports.setdefault(local, dotted)
                     facts.symbols.setdefault(target.id, "var")
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):

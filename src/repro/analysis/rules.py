@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 
 from repro.analysis.engine import ModuleContext
 from repro.analysis.findings import Finding
-from repro.analysis.model import ProjectModel
+from repro.analysis.model import ProjectModel, _dotted
 
 __all__ = [
     "Rule",
@@ -99,18 +99,6 @@ class Rule:
 # ----------------------------------------------------------------------
 # helpers shared by several rules
 # ----------------------------------------------------------------------
-
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
 
 def _is_private_component(part: str) -> bool:
     return part.startswith("_") and not (part.startswith("__") and part.endswith("__"))
@@ -922,7 +910,8 @@ class ApiSurfaceDriftRule(ProjectRule):
     """RPR012 — ``__all__`` exports and ``docs/api.md`` stay in sync.
 
     Two checks: (a) every name a ``repro`` package exports via a
-    literal ``__all__`` appears in ``docs/api.md``; (b) every
+    literal ``__all__`` (a ``*_LAZY`` element lists the package's lazy
+    table) appears in ``docs/api.md``; (b) every
     ``## repro.<pkg>`` section header in the doc names a module that
     actually exists.  Both are skipped when the scan has no
     ``docs/api.md`` next to it (fixture scans).

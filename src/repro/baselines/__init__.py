@@ -19,18 +19,4 @@ _LAZY = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
-__all__ = [
-    "count_butterflies_bruteforce",
-    "count_butterflies_networkx",
-    "enumerate_butterflies",
-    "vertex_counts_bruteforce",
-    "edge_support_bruteforce",
-    "count_butterflies_scipy",
-    "vertex_counts_scipy",
-    "wedge_matrix_scipy",
-    "count_butterflies_degree_ordered",
-    "count_butterflies_wang_baseline",
-    "count_butterflies_wang_space_efficient",
-    "count_butterflies_wang_partitioned",
-    "PartitionedCountResult",
-]
+__all__ = [*_LAZY]

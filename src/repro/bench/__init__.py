@@ -26,25 +26,4 @@ _LAZY = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
-__all__ = [
-    "Sweep",
-    "TimedResult",
-    "time_callable",
-    "fig9_workloads",
-    "crossover_workloads",
-    "sparsity_workloads",
-    "format_table",
-    "format_markdown_table",
-    "format_seconds",
-    "WorkProfile",
-    "work_profile",
-    "LRUCache",
-    "CacheStats",
-    "simulate_invariant_cache",
-    "sweep_to_dict",
-    "sweep_from_dict",
-    "save_run",
-    "load_run",
-    "RunComparison",
-    "compare_runs",
-]
+__all__ = [*_LAZY]

@@ -23,8 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.family import Reference, pivot_order
-from repro.core.workinfo import matrices_for_side, resolve_invariant
+from repro.core.family import (
+    Reference,
+    matrices_for_side,
+    pivot_order,
+    resolve_invariant,
+)
 from repro.graphs.bipartite import BipartiteGraph
 
 __all__ = [

@@ -48,8 +48,6 @@ from repro.graphs.bipartite import BipartiteGraph
 __all__ = [
     "count_butterflies_parallel",
     "count_range",
-    "pivot_work_estimate",
-    "spmv_scan_lengths",
     "balanced_ranges",
     "wedge_shards",
 ]

@@ -18,17 +18,4 @@ _LAZY = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
-__all__ = [
-    "TipResult",
-    "k_tip",
-    "k_tip_lookahead",
-    "k_tip_linear_algebra",
-    "WingResult",
-    "k_wing",
-    "k_wing_linear_algebra",
-    "tip_decrement_batch",
-    "tip_numbers",
-    "tip_numbers_bucket_parallel",
-    "wing_numbers",
-    "wing_numbers_bucket",
-]
+__all__ = [*_LAZY]

@@ -27,13 +27,4 @@ _LAZY = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
-__all__ = [
-    "StreamingButterflyCounter",
-    "STREAM_APPLY_STRATEGIES",
-    "DynamicButterflyCounter",
-    "SnapshotError",
-    "SnapshotFormatError",
-    "SnapshotVersionError",
-    "SnapshotChecksumError",
-    "SnapshotTruncatedError",
-]
+__all__ = [*_LAZY]

@@ -3,10 +3,9 @@
 One home for every *exact, deterministic* model of how much element work a
 family member performs on a given graph — the quantities behind the
 paper's Fig. 10 analysis, the parallel executor's load balancing and
-the execution engine's planner.  Every consumer outside the family (bench, parallel,
-:mod:`repro.engine`) imports the public names from here, including the
-family's own ``resolve_invariant`` / ``matrices_for_side``, which this
-module re-exports.
+the execution engine's planner.  The family's ``resolve_invariant`` and
+``matrices_for_side`` are imported from :mod:`repro.core.family`, which
+defines them.
 
 Work models
 -----------
@@ -39,8 +38,6 @@ from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela.kernels import segment_sums
 
 __all__ = [
-    "matrices_for_side",
-    "resolve_invariant",
     "pivot_work_estimate",
     "spmv_scan_lengths",
     "touched_wedge_work",

@@ -72,31 +72,4 @@ _LAZY = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
-__all__ = [
-    "Plan",
-    "WORKLOADS",
-    "COUNT_STRATEGIES",
-    "STREAM_STRATEGIES",
-    "EXECUTORS",
-    "plan",
-    "candidate_plans",
-    "count_members",
-    "explain",
-    "execute",
-    "select_count_invariant",
-    "CalibrationTable",
-    "calibrate",
-    "load_calibration",
-    "save_calibration",
-    "DEFAULT_CALIBRATION_PATH",
-    "DEFAULT_COEFFICIENTS",
-    "DEFAULT_MAX_WORKERS",
-    "DEFAULT_PLAN_BLOCK_BUDGET",
-    "DEFAULT_DRIFT_LEDGER_PATH",
-    "plan_fingerprint",
-    "record_drift",
-    "load_drift",
-    "drift_report",
-    "render_drift_report",
-    "calibrate_if_drifted",
-]
+__all__ = ["plan", "execute", *_LAZY]

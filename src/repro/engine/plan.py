@@ -1,8 +1,8 @@
 """The :class:`Plan` record — one fully-specified execution decision.
 
 A plan pins every knob the counting/peeling entry points used to expose
-separately: which family member (``invariant``), which compressed storage
-the traversal reads (``storage``), which per-pivot update strategy
+separately: which family member (``invariant``, whose compressed storage
+the read-only ``storage`` names), which per-pivot update strategy
 (``strategy``), which executor runs it (``executor`` + ``workers``), what
 panel width the blocked kernels use (``block_size``), and which vertex
 side per-vertex workloads address (``side``).  The rule planner
@@ -86,8 +86,6 @@ class Plan:
     #: where the kernel is side-addressed rather than invariant-addressed,
     #: and for the side-free ``priority`` count)
     invariant: int | None = None
-    #: compressed layout the traversal is pivot-major in: "csc" or "csr"
-    storage: str = "csc"
     #: graph storage layout the kernels read (:data:`LAYOUTS`): raw int64
     #: arrays or mmap-backed
     layout: str = "raw"
@@ -149,6 +147,16 @@ class Plan:
             )
 
     # ------------------------------------------------------------------
+    @property
+    def storage(self) -> str:
+        """Compressed layout the traversal is pivot-major in: the member's
+        ("csc" for 1–4, "csr" for 5–8), else "csr" (priority and stream)."""
+        if self.invariant is None:
+            return "csr"
+        from repro.core.family import INVARIANTS
+
+        return INVARIANTS[self.invariant].storage
+
     @property
     def label(self) -> str:
         """Compact identifier used in the explain table and trace attrs."""

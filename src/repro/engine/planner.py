@@ -35,11 +35,8 @@ from __future__ import annotations
 
 from repro import obs
 from repro._types import pool_width
-from repro.core.workinfo import (
-    matrices_for_side,
-    pivot_work_estimate,
-    resolve_invariant,
-)
+from repro.core.family import matrices_for_side, resolve_invariant
+from repro.core.workinfo import pivot_work_estimate
 from repro.engine.calibration import CalibrationTable, load_calibration
 from repro.engine.plan import (
     COUNT_STRATEGIES,
@@ -170,8 +167,8 @@ def _priority_row(graph, cal, workload="count", side="left", k=None) -> Plan:
             est = None
             reason = f"one ranked edge-support pass ({wedges:,} wedges) a round"
     return Plan(
-        workload=workload, invariant=None, storage="csr",
-        strategy="priority", executor="serial", workers=1, side=side, k=k,
+        workload=workload, invariant=None, strategy="priority",
+        executor="serial", workers=1, side=side, k=k,
         modeled_ops=ops, est_seconds=est, reason=reason,
     )
 
@@ -327,10 +324,9 @@ def _count_row(graph, row, invariant, strategy, block_size) -> Plan:
     if strategy is None:
         strategy = "wedge" if row.executor == "shared" else "blocked"
     ops, pivots = _side_work(graph, number)
-    storage = resolve_invariant(number).storage
-    side = "right" if storage == "csc" else "left"
+    side = "right" if resolve_invariant(number).storage == "csc" else "left"
     return row.with_(
-        invariant=number, storage=storage, strategy=strategy, side=side,
+        invariant=number, strategy=strategy, side=side,
         block_size=(
             block_size or _auto_block_size(ops, pivots)
             if strategy == "blocked" else None
@@ -383,7 +379,7 @@ def _stream_candidates(graph, cal, strategy, batch) -> list[Plan]:
     from repro.core.workinfo import touched_wedge_work
 
     rows, cols, phases = _batch_endpoints(graph, batch)  # checked under any pin
-    row = Plan(workload="stream_apply", storage="csr")
+    row = Plan(workload="stream_apply")
     out = []
     if strategy in (None, "incremental"):
         touched = touched_wedge_work(graph, rows, cols) if rows.size else 0

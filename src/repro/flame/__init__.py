@@ -13,12 +13,4 @@ _LAZY = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
-__all__ = [
-    "ColumnPartition",
-    "RowPartition",
-    "expected_partial_count",
-    "check_invariant_trace",
-    "Worksheet",
-    "worksheet_for",
-    "run_worksheet",
-]
+__all__ = [*_LAZY]

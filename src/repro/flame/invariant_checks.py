@@ -33,9 +33,9 @@ from repro.core.family import (
     Side,
     Traversal,
     count_butterflies_unblocked,
+    resolve_invariant,
 )
 from repro.core.spec import partitioned_spec_columns, partitioned_spec_rows
-from repro.core.workinfo import resolve_invariant
 from repro.graphs.bipartite import BipartiteGraph
 
 __all__ = ["expected_partial_count", "check_invariant_trace"]

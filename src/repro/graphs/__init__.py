@@ -32,31 +32,4 @@ _LAZY = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
-__all__ = [
-    "BipartiteGraph",
-    "erdos_renyi_bipartite",
-    "gnm_bipartite",
-    "chung_lu_bipartite",
-    "power_law_bipartite",
-    "planted_bicliques",
-    "load_konect",
-    "save_konect",
-    "load_edge_list",
-    "save_edge_list",
-    "DATASETS",
-    "DatasetSpec",
-    "dataset_names",
-    "load_dataset",
-    "paper_stats",
-    "degree_order",
-    "order_by_degree",
-    "order_side_by_degree",
-    "shuffle_labels",
-    "GraphStats",
-    "graph_stats",
-    "wedge_count_left",
-    "wedge_count_right",
-    "ReducedGraph",
-    "drop_isolated",
-    "two_two_core",
-]
+__all__ = [*_LAZY]

@@ -9,8 +9,4 @@ _LAZY = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
-__all__ = [
-    "caterpillar_count",
-    "bipartite_clustering_coefficient",
-    "local_clustering_left",
-]
+__all__ = [*_LAZY]

@@ -62,13 +62,7 @@ from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_exports
 from repro.obs.metrics import GAUGE_POLICIES, Counter, Gauge, Histogram, Metrics
-from repro.obs.trace import (
-    Span,
-    Tracer,
-    adopt_spans,
-    current_span,
-    span_tree,
-)
+from repro.obs.trace import Span, Tracer, adopt_spans, span_tree
 
 if TYPE_CHECKING:
     from repro.obs.profile import Profiler
@@ -86,7 +80,6 @@ _LAZY = {
     "snapshot_records": "repro.obs.sinks",
     "DEFAULT_PROFILE_HZ": "repro.obs.profile",
     "Profiler": "repro.obs.profile",
-    "SampleBuffer": "repro.obs.profile",
     "collapsed_stacks": "repro.obs.profile",
     "parse_collapsed": "repro.obs.profile",
     "chrome_trace": "repro.obs.export",
@@ -102,15 +95,6 @@ __all__ = [
     "GAUGE_POLICIES",
     "Span",
     "Tracer",
-    "MemorySink",
-    "JsonlSink",
-    "read_jsonl",
-    "jsonl_runs",
-    "render_table",
-    "chrome_trace",
-    "write_chrome_trace",
-    "snapshot_records",
-    "flush",
     "enable",
     "disable",
     "is_enabled",
@@ -120,7 +104,6 @@ __all__ = [
     "observe",
     "gauge",
     "span",
-    "current_span",
     "span_tree",
     "registry",
     "tracer",
@@ -132,15 +115,11 @@ __all__ = [
     "render",
     "dump_jsonl",
     "dump_trace",
-    "Profiler",
-    "SampleBuffer",
-    "DEFAULT_PROFILE_HZ",
     "start_profiler",
     "stop_profiler",
     "profile_samples",
     "dump_profile",
-    "collapsed_stacks",
-    "parse_collapsed",
+    *_LAZY,
 ]
 
 #: ``REPRO_OBS=0`` pins the no-op path for the whole process (benchmarks).
@@ -219,7 +198,7 @@ def capture():
     fresh = Metrics()
     _REGISTRY = fresh
     _TRACER = Tracer()
-    previous_samples = profile.swap_buffer(profile.SampleBuffer())
+    previous_samples = profile.swap_buffer(Tracer(profile.DEFAULT_SAMPLE_CAPACITY))
     if not _FORCED_OFF:
         _enabled = True
     try:

@@ -2,10 +2,11 @@
 
 A daemon thread wakes ``hz`` times per second, walks
 ``sys._current_frames()`` and appends one sample per live thread into a
-bounded :class:`SampleBuffer`.  Each sample carries the thread's stack
-(root→leaf ``file:function`` frames) *and* the innermost open
-:func:`repro.obs.span` of that thread — read through the
-``_ACTIVE_SPANS`` side registry :mod:`repro.obs.trace` maintains,
+bounded ring of :data:`DEFAULT_SAMPLE_CAPACITY` samples (a
+:class:`~repro.obs.trace.Tracer`, the span ring's class).  Each sample
+carries the thread's stack (root→leaf ``file:function`` frames) *and*
+the innermost open :func:`repro.obs.span` of that thread — read through
+the ``_ACTIVE_SPANS`` side registry :mod:`repro.obs.trace` maintains,
 because a sampler thread cannot read another thread's contextvars.
 That attribution is what turns a flat flamegraph into "time inside
 ``blocked.count`` vs time inside ``engine.execute``".
@@ -37,15 +38,13 @@ import os
 import sys
 import threading
 import time
-from collections import deque
 
-from repro.obs.trace import _ACTIVE_SPANS
+from repro.obs.trace import _ACTIVE_SPANS, Tracer
 
 __all__ = [
     "DEFAULT_PROFILE_HZ",
     "DEFAULT_SAMPLE_CAPACITY",
     "MAX_STACK_DEPTH",
-    "SampleBuffer",
     "Profiler",
     "start_profiler",
     "stop_profiler",
@@ -80,61 +79,6 @@ MAX_STACK_DEPTH = 64
 #: The sampler thread's name — tests (and ``threading.enumerate()``
 #: spelunking) identify it by this.
 PROFILE_THREAD_NAME = "repro-obs-profiler"
-
-
-class SampleBuffer:
-    """Thread-safe bounded ring of profile samples (oldest dropped first).
-
-    Same shape as :class:`repro.obs.trace.Tracer` on purpose: plain-dict
-    records, ``records``/``drain``/``extend``/``clear``, a ``dropped``
-    eviction counter — the worker-delta transport treats both uniformly.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_SAMPLE_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._lock = threading.Lock()
-        self._buf: deque = deque(maxlen=self.capacity)
-        #: Samples evicted by the ring bound.
-        self.dropped = 0
-
-    def record(self, sample: dict) -> None:
-        with self._lock:
-            if len(self._buf) == self.capacity:
-                self.dropped += 1
-            self._buf.append(sample)
-
-    def records(self) -> list[dict]:
-        """A snapshot list (oldest first) of the buffered samples."""
-        with self._lock:
-            return list(self._buf)
-
-    def drain(self) -> list[dict]:
-        """Pop and return every buffered sample (the worker-delta path)."""
-        with self._lock:
-            out = list(self._buf)
-            self._buf.clear()
-            return out
-
-    def extend(self, records) -> None:
-        with self._lock:
-            for record in records:
-                if len(self._buf) == self.capacity:
-                    self.dropped += 1
-                self._buf.append(record)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._buf.clear()
-            self.dropped = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._buf)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SampleBuffer({len(self)}/{self.capacity}, dropped={self.dropped})"
 
 
 def _frame_stack(frame) -> list[str]:
@@ -239,7 +183,7 @@ class Profiler:
 
 #: The process-wide sample ring every sampler writes into (swapped by
 #: ``obs.capture()`` for hermetic tests, replaced after ``fork``).
-_BUFFER = SampleBuffer()
+_BUFFER = Tracer(DEFAULT_SAMPLE_CAPACITY)
 
 #: The process-wide profiler handle (None until :func:`start_profiler`).
 _PROFILER: Profiler | None = None
@@ -295,7 +239,7 @@ def maybe_resume_worker() -> Profiler | None:
     ``want_running`` intent, hz) but not the sampler thread.  The
     executor's per-task collect hook calls this: if the inherited handle
     says the owner wanted profiling, the worker starts a *fresh*
-    profiler and a fresh :class:`SampleBuffer` (the inherited buffer —
+    profiler and a fresh sample ring (the inherited ring —
     and, worse, its possibly-mid-acquire lock — belongs to the parent).
     No-op in the owner process and when nothing was running.
     """
@@ -309,7 +253,7 @@ def maybe_resume_worker() -> Profiler | None:
         return None
     if prof.pid == os.getpid():
         return prof
-    _BUFFER = SampleBuffer(prof.capacity)
+    _BUFFER = Tracer(prof.capacity)
     fresh = Profiler(hz=prof.hz, capacity=prof.capacity)
     fresh.start()
     _PROFILER = fresh
@@ -334,7 +278,7 @@ def clear_samples() -> None:
     _BUFFER.clear()
 
 
-def swap_buffer(buffer: SampleBuffer) -> SampleBuffer:
+def swap_buffer(buffer: Tracer) -> Tracer:
     """Swap the live sample ring, returning the previous one.
 
     ``obs.capture()`` uses this so profile samples are as hermetic as

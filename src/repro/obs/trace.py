@@ -41,7 +41,6 @@ from contextvars import ContextVar
 __all__ = [
     "Span",
     "Tracer",
-    "current_span",
     "adopt_spans",
     "span_tree",
     "DEFAULT_TRACE_CAPACITY",
@@ -72,17 +71,13 @@ def _new_id() -> str:
     return f"{os.getpid():x}-{next(_IDS):x}"
 
 
-def current_span() -> "Span | None":
-    """The innermost live :class:`Span` of this context, or None."""
-    return _CURRENT.get()
-
-
 class Tracer:
-    """Thread-safe bounded ring buffer of *completed* span records.
+    """Thread-safe bounded ring buffer of plain-dict records.
 
-    Records are plain dicts (picklable — they ride the worker result
-    path) with keys ``trace_id, span_id, parent_id, name, ts, dur, pid,
-    tid, status, attrs``.
+    Records are picklable (they ride the worker result path).  The span
+    ring holds completed span records (``trace_id, span_id, parent_id,
+    name, ts, dur, pid, tid, status, attrs``); the profiler's sample
+    ring (:mod:`repro.obs.profile`) is the same class.
     """
 
     def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY) -> None:

@@ -26,11 +26,4 @@ _LAZY = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
-__all__ = [
-    "ButterflyExecutor",
-    "SharedGraphBuffers",
-    "attach_graph",
-    "get_default_executor",
-    "live_segment_names",
-    "shutdown_default_executors",
-]
+__all__ = [*_LAZY]

@@ -50,8 +50,13 @@ from concurrent.futures.process import BrokenProcessPool
 from repro import obs
 from repro.obs import profile as obs_profile
 from repro._types import pool_width
-from repro.core.family import Invariant, Reference, Side
-from repro.core.workinfo import matrices_for_side, resolve_invariant
+from repro.core.family import (
+    Invariant,
+    Reference,
+    Side,
+    matrices_for_side,
+    resolve_invariant,
+)
 from repro.graphs.bipartite import BipartiteGraph
 from repro.parallel.shm import SharedGraphBuffers, attach_graph
 

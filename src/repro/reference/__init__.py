@@ -18,9 +18,4 @@ _LAZY = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
-__all__ = [
-    "butterflies_reference",
-    "butterflies_reference_all_invariants",
-    "k_tip_reference",
-    "k_wing_reference",
-]
+__all__ = [*_LAZY]

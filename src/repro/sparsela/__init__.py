@@ -40,21 +40,4 @@ _LAZY = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
-__all__ = [
-    "PatternCOO",
-    "PatternCSR",
-    "PatternCSC",
-    "CompressedPattern",
-    "compress_pairs",
-    "expand_indptr",
-    "integral_ids",
-    "gather_slices",
-    "choose2",
-    "choose2_sum",
-    "segment_sums",
-    "keyed_choose2_sum",
-    "panel_choose2_sum",
-    "panel_choose2_per_owner",
-    "DEFAULT_KEYSPACE_CAP",
-    "linalg",
-]
+__all__ = [*_LAZY]

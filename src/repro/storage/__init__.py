@@ -20,11 +20,4 @@ _LAZY = {
 }
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY, globals())
 
-__all__ = [
-    "GraphStorage",
-    "LAYOUTS",
-    "make_storage",
-    "resolve_storage",
-    "RawCSR",
-    "MmapCSR",
-]
+__all__ = [*_LAZY]

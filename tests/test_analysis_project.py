@@ -468,6 +468,57 @@ class TestApiSurfaceDrift:
         assert findings == []
         assert suppressed == 1
 
+    def test_lazy_table_exports_are_checked(self):
+        findings = project(
+            {
+                "repro.pkg": """
+                _LAZY = {"widget": "repro.pkg.impl", "gizmo": "repro.pkg.impl"}
+
+                __all__ = [*_LAZY]
+                """,
+                "repro.pkg.impl": "widget = gizmo = 1\n",
+            },
+            rules=["RPR012"],
+            api_doc=_DOC_WITH_WIDGET,
+        )
+        assert rule_ids(findings) == ["RPR012"]
+        assert "'gizmo'" in findings[0].message
+
+    def test_literal_and_lazy_parts_are_both_checked(self):
+        findings = project(
+            {
+                "repro.pkg": """
+                _LAZY = {"gizmo": "repro.pkg.impl"}
+
+                __all__ = ["gadget", "widget", *_LAZY]
+
+                def gadget():
+                    return 2
+
+                def widget():
+                    return 1
+                """,
+                "repro.pkg.impl": "gizmo = 1\n",
+            },
+            rules=["RPR012"],
+            api_doc=_DOC_WITH_WIDGET,
+        )
+        assert sorted(f.message.split("'")[3] for f in findings) == [
+            "gadget", "gizmo",
+        ]
+
+    @pytest.mark.parametrize("source", [
+        '_LAZY = {"gizmo": "repro.pkg.impl"}\n__all__ = sorted(_LAZY)\n',
+        '_LAZY = {"gizmo": "repro.pkg.impl"}\n__all__ = [*_OTHER]\n',
+        '_LAZY = {"gizmo": "repro.pkg.impl"}\n__all__ = ["gadget", *_OTHER]\n',
+        '__all__ = [*_LAZY]\n_LAZY = {"gizmo": "repro.pkg.impl"}\n',
+    ])
+    def test_other_all_forms_export_nothing(self, source):
+        sources = {"repro.pkg": source, "repro.pkg.impl": "gizmo = 1\n"}
+        assert model_of(sources).modules["repro.pkg"].exports is None
+        findings = project(sources, rules=["RPR012"], api_doc=_DOC_WITH_WIDGET)
+        assert findings == []
+
     def test_no_doc_no_findings(self):
         findings = project(
             {

@@ -100,6 +100,42 @@ class TestFingerprint:
         }
         assert len(prints) == 2
 
+    #: fingerprints of planner-made plans on ``power_law_bipartite(60,
+    #: 80, 600, seed=4)``, recorded while ``storage`` was a settable plan
+    #: field; deriving it from the member must keep every ledger key
+    PINNED_PRINTS = {
+        ("count", None, None): "bf0eed2e6f00",
+        ("count", 1, "scratch"): "5be2616ad3cd",
+        ("count", 2, "wedge"): "33d6911ebb68",
+        ("count", 4, "scratch"): "3e9100bb73f6",
+        ("count", 5, "wedge"): "3517a236c841",
+        ("count", 6, "spmv"): "204bfbd5aab0",
+        ("count", 8, "scratch"): "cfff6c29fd38",
+        ("vertex-counts", None, None): "41f9bc18ec09",
+        ("tip", None, None): "6dbff3387c8f",
+        ("wing", None, None): "cdeb10529987",
+    }
+
+    def test_planner_fingerprints_are_pinned(self):
+        g = power_law_bipartite(60, 80, 600, seed=4)
+        prints = {}
+        for workload, invariant, strategy in self.PINNED_PRINTS:
+            pins = {"k": 2} if workload in ("tip", "wing") else {}
+            if workload == "vertex-counts":
+                pins["side"] = "right"
+            if strategy is not None:
+                pins.update(invariant=invariant, strategy=strategy)
+                if strategy == "wedge":
+                    pins.update(executor="shared", workers=2)
+            the_plan = engine.plan(g, workload, **pins)
+            prints[workload, invariant, strategy] = drift.plan_fingerprint(the_plan)
+        assert prints == self.PINNED_PRINTS
+        incremental, recount = engine.plan(
+            g, "stream_apply", batch=([(0, 1), (2, 3)], [])
+        ).candidates
+        assert {drift.plan_fingerprint(incremental),
+                drift.plan_fingerprint(recount)} == {"cb54083e2db7", "7cab32fcd774"}
+
 
 # ----------------------------------------------------------------------
 # recording

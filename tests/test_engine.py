@@ -304,6 +304,23 @@ class TestPinning:
         clone = p.with_(workers=3, executor="shared")
         assert clone.workers == 3 and p.workers == 1
 
+    def test_storage_is_derived_from_the_member(self, g):
+        """``storage`` is the member's compressed layout, "csr" without
+        one; it is read-only and still a key of ``as_dict``."""
+        from repro.core.family import INVARIANTS
+
+        for number in range(1, 9):
+            pinned = engine.plan(g, "count", invariant=number)
+            assert pinned.storage == INVARIANTS[number].storage
+            assert pinned.as_dict()["storage"] == pinned.storage
+        assert engine.plan(g, "count").storage == "csr"
+        assert Plan().storage == "csr"
+        assert Plan(invariant=3).storage == "csc"
+        with pytest.raises(TypeError):
+            Plan(storage="csc")
+        with pytest.raises(AttributeError):
+            Plan().storage = "csc"
+
 
 # ----------------------------------------------------------------------
 # 4. explain / trace agreement
@@ -547,6 +564,11 @@ class TestBackCompatShims:
 
         assert parallel.pivot_work_estimate is workinfo.pivot_work_estimate
         assert parallel.spmv_scan_lengths is workinfo.spmv_scan_lengths
+        # the package serves them from the module that defines them
+        from repro import core
+
+        for name in ("pivot_work_estimate", "spmv_scan_lengths"):
+            assert core._LAZY[name] == "repro.core.workinfo"
 
 
 # ----------------------------------------------------------------------

@@ -4,11 +4,14 @@ Each package serves its public names through ``repro._lazy``: every
 ``__all__`` name resolves on first access, ``dir()`` lists them, an
 unknown name is an ``AttributeError``, and a name whose function shares
 its name with a submodule (``repro.engine.plan``/``execute``) still
-resolves to the function.
+resolves to the function.  The ``_LAZY`` table is the one export list:
+``__all__`` is ``[*_LAZY]``, led only by names the ``__init__`` binds
+itself, and ``from <pkg> import *`` binds exactly ``__all__``.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -55,6 +58,35 @@ def test_lazy_table_entries_are_the_defining_values(package):
 
 def test_dir_lists_every_all_name(package):
     assert set(package.__all__) <= set(dir(package))
+
+
+def _assigned(tree: ast.Module, name: str) -> ast.expr:
+    (value,) = [
+        stmt.value for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == name for t in stmt.targets)
+    ]
+    return value
+
+
+def test_all_does_not_repeat_a_lazy_key(package):
+    """``__all__`` lists a ``_LAZY`` name only through ``*_LAZY``."""
+    with open(package.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    lazy = {key.value for key in _assigned(tree, "_LAZY").keys}
+    literals = {
+        elt.value for elt in _assigned(tree, "__all__").elts
+        if isinstance(elt, ast.Constant)
+    }
+    assert sorted(literals & lazy) == []
+    assert set(package.__all__) >= lazy
+
+
+def test_star_import_binds_exactly_all(package):
+    namespace: dict = {}
+    exec(f"from {package.__name__} import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(package.__all__)
 
 
 def test_unknown_name_is_an_attribute_error(package):

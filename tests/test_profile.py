@@ -21,15 +21,16 @@ from repro import obs
 from repro.obs import profile as obs_profile
 from repro.obs.profile import (
     DEFAULT_PROFILE_HZ,
+    DEFAULT_SAMPLE_CAPACITY,
     PROFILE_THREAD_NAME,
     Profiler,
-    SampleBuffer,
     aggregate_frames,
     collapsed_stacks,
     parse_collapsed,
     render_profile_report,
     write_collapsed,
 )
+from repro.obs.trace import Tracer
 
 
 def _profiler_threads() -> list[threading.Thread]:
@@ -139,11 +140,22 @@ class TestLifecycle:
 
 
 # ----------------------------------------------------------------------
-# buffer
+# buffer: the sample ring is the span ring's class, Tracer
 # ----------------------------------------------------------------------
 class TestSampleBuffer:
+    def test_live_ring_is_a_tracer_of_the_sample_capacity(self):
+        rings = [obs_profile.swap_buffer(Tracer())]
+        obs_profile.swap_buffer(rings[0])
+        with obs.capture():  # capture swaps in a fresh ring of its own
+            rings.append(obs_profile.swap_buffer(Tracer()))
+            obs_profile.swap_buffer(rings[1])
+        assert rings[0] is not rings[1]
+        for ring in rings:
+            assert type(ring) is Tracer
+            assert ring.capacity == DEFAULT_SAMPLE_CAPACITY == 1 << 15
+
     def test_bounded_capacity_counts_drops(self):
-        buf = SampleBuffer(capacity=4)
+        buf = Tracer(capacity=4)
         for i in range(10):
             buf.record({"i": i})
         assert len(buf) == 4
@@ -151,7 +163,7 @@ class TestSampleBuffer:
         assert [s["i"] for s in buf.records()] == [6, 7, 8, 9]
 
     def test_drain_empties(self):
-        buf = SampleBuffer(capacity=4)
+        buf = Tracer(capacity=4)
         buf.record({"i": 0})
         assert buf.drain() == [{"i": 0}]
         assert len(buf) == 0
