@@ -42,7 +42,7 @@ from repro import obs
 from repro._types import pool_width
 from repro.core import blocked
 from repro.core.family import _PIVOT_KERNELS, Invariant, Reference, Side
-from repro.core.workinfo import pivot_work_estimate, spmv_scan_lengths
+from repro.core.workinfo import PIVOT_WORK
 from repro.graphs.bipartite import BipartiteGraph
 
 __all__ = [
@@ -133,19 +133,16 @@ def wedge_shards(work: np.ndarray, n_chunks: int) -> list[tuple[int, int]]:
     return shards
 
 
-def _wedge_work(pm, co, ref) -> np.ndarray:
-    return pivot_work_estimate(pm, co)
-
-
 #: One pool strategy: its per-pivot ``work(pivot_major, complementary,
-#: reference)``, its ``tiling(work, n_chunks)`` into ranges, the
-#: per-worker ``state(pivot_major)`` every range reuses (and leaves as it
-#: found it), and its range ``count(pivot_major, complementary, lo, hi,
+#: reference)`` (:data:`~repro.core.workinfo.PIVOT_WORK`), its
+#: ``tiling(work, n_chunks)`` into ranges, the per-worker
+#: ``state(pivot_major)`` every range reuses (and leaves as it found
+#: it), and its range ``count(pivot_major, complementary, lo, hi,
 #: reference, state)``.
 _PoolStrategy = namedtuple("_PoolStrategy", "work tiling state count")
 
 
-def _per_pivot(strategy: str, work) -> _PoolStrategy:
+def _per_pivot(strategy: str) -> _PoolStrategy:
     """The row that sweeps a range pivot by pivot with ``strategy``'s
     sequential kernel and buffers (:mod:`repro.core.family`)."""
     state, at_pivot = _PIVOT_KERNELS[strategy]
@@ -153,18 +150,14 @@ def _per_pivot(strategy: str, work) -> _PoolStrategy:
     def count(pm, co, lo, hi, ref, buffers) -> int:
         return sum(at_pivot(pm, co, p, ref, buffers) for p in range(lo, hi))
 
-    return _PoolStrategy(work, balanced_ranges, state, count)
+    return _PoolStrategy(PIVOT_WORK[strategy], balanced_ranges, state, count)
 
 
 _POOL_STRATEGIES = {
-    "scratch": _per_pivot("scratch", _wedge_work),
-    # the reference-partition scan, triangular in the pivot index, plus
-    # the pivot's own degree (the marker scatter)
-    "spmv": _per_pivot(
-        "spmv", lambda pm, co, ref: spmv_scan_lengths(pm, ref) + pm.degrees()
-    ),
+    "scratch": _per_pivot("scratch"),
+    "spmv": _per_pivot("spmv"),
     "wedge": _PoolStrategy(
-        _wedge_work, wedge_shards, _PIVOT_KERNELS["scratch"][0],
+        PIVOT_WORK["wedge"], wedge_shards, _PIVOT_KERNELS["scratch"][0],
         # one fused sort-free panel reduction over the whole shard's
         # wedge set: no per-pivot Python loop at all
         lambda pm, co, lo, hi, ref, acc: int(

@@ -21,10 +21,11 @@ total decrement volume.
   peeled slot parked at a sentinel: a round is one min, one mask, one
   label write and one subtraction of its members' rows.  Past
   :data:`PAIR_TABLE_MAX_BYTES` a graph peels by re-expanding each
-  round's wedges instead (:func:`tip_decrement_batch`).  Each build is
-  left on the graph, so an auto :func:`~repro.core.peeling.tip.k_tip`
-  on the same graph afterwards peels from it too
-  (:func:`cached_pair_table`): its rounds subtract, not recount.
+  round's wedges instead (:func:`tip_decrement_batch`).  Either way the
+  table is dropped when the rounds end and the tip numbers are left on
+  the graph: a vertex is in the k-tip exactly when its tip number is
+  ≥ k, so a later :func:`~repro.core.peeling.tip.k_tip` on the same
+  graph reads its kept set off them and runs no round.
 - **Wings.**  :func:`wing_numbers_bucket` is the one wing peel.  Its
   initial supports come from one ranked-wedge pass
   (:func:`~repro.core.priority.edge_butterfly_support_priority`).  Each
@@ -57,7 +58,6 @@ from repro.sparsela import choose2, gather_slices, segment_sums
 from repro.sparsela.kernels import run_starts
 
 __all__ = [
-    "cached_pair_table",
     "wing_numbers_bucket",
     "tip_decrement_batch",
     "tip_numbers_bucket_parallel",
@@ -72,8 +72,7 @@ __all__ = [
 #: build adds to the fallback's peak — that is what keeps it this low.
 #: It also keeps every stored partner id and multiplicity below 2^31.
 #: A fixed constant, not a knob; read at call time, so tests can force
-#: either path; a table left on a graph serves only calls under the cap
-#: it was built under.
+#: either path.
 PAIR_TABLE_MAX_BYTES: int = 8 << 20
 
 #: Build bytes held per wedge of a chunk (the int64 gather index, the
@@ -338,39 +337,6 @@ def _pair_table(pivot_major, complementary):
     return (indptr, partner, loss), vertex, counts[vertex]
 
 
-def cached_pair_table(graph: BipartiteGraph, side: str):
-    """The pair table :func:`tip_numbers_bucket_parallel` left on
-    ``graph`` for ``side``, as read-only ``(table, vertex, counts)`` in
-    the survivor space of :func:`_pair_table`, or ``None``.
-
-    Never builds one.  A table is returned only if it was built under
-    the :data:`PAIR_TABLE_MAX_BYTES` read now, so lowering the cap forces
-    the same path on a graph with a table as on a fresh one.
-    """
-    entry = graph._pair_tables.get(side)
-    if entry is None or entry[0] != PAIR_TABLE_MAX_BYTES:
-        return None
-    return entry[1]
-
-
-def _subtract_pair_losses(counts, table, members: np.ndarray) -> None:
-    """Subtract the butterflies the table slots ``members`` close with
-    each partner from the slot ``counts`` (a pair ``table``); a
-    one-member batch reads one contiguous slice, no gather.  The losses
-    are widened to int64 for the one ``np.subtract.at``: with int32
-    values into int64 counts it leaves numpy's fast path, with int32
-    indices it does not."""
-    indptr, partner, loss = table
-    if members.size == 1:
-        # a row holds each partner once
-        at = slice(indptr[members[0]], indptr[members[0] + 1])
-    elif members.size:
-        at = _entry_positions(indptr, members)
-    else:
-        return
-    np.subtract.at(counts, partner[at], loss[at].astype(COUNT_DTYPE, copy=False))
-
-
 def _table_rounds(counts: np.ndarray, table) -> np.ndarray:
     """Tip numbers of the table's slots by bucket rounds over their
     ``counts`` (consumed).
@@ -378,8 +344,12 @@ def _table_rounds(counts: np.ndarray, table) -> np.ndarray:
     Every slot starts alive with a positive count.  A round raises the
     level to the alive minimum, peels every slot at or below it, labels
     them, parks their counts at :data:`_PEELED` and subtracts their rows
-    from their partners; no round gathers the survivors.
+    from their partners; no round gathers the survivors.  A one-member
+    round reads one contiguous slice, no gather.  The losses are widened
+    to int64 for the one ``np.subtract.at``: with int32 values into int64
+    counts it leaves numpy's fast path, with int32 indices it does not.
     """
+    indptr, partner, loss = table
     tip = np.zeros(counts.size, dtype=COUNT_DTYPE)
     peel = np.empty(counts.size, dtype=bool)
     alive, level = counts.size, 0
@@ -394,8 +364,13 @@ def _table_rounds(counts: np.ndarray, table) -> np.ndarray:
             obs.gauge(
                 "peel.rounds.bucket_occupancy", members.size, policy="max"
             )
-        if alive:
-            _subtract_pair_losses(counts, table, members)
+        if not alive:
+            break
+        if members.size == 1:  # a row holds each partner once
+            at = slice(indptr[members[0]], indptr[members[0] + 1])
+        else:
+            at = _entry_positions(indptr, members)
+        np.subtract.at(counts, partner[at], loss[at].astype(COUNT_DTYPE, copy=False))
     return tip
 
 
@@ -462,10 +437,8 @@ def tip_numbers_bucket_parallel(
     (:func:`_table_rounds`) then subtract each round's rows from its
     members' partners (a peeled partner's count is never read again) — a
     one-member round reads one contiguous slice.  The table path records
-    the ``peel.tip.pair_table_bytes`` gauge (the table and its slot map).
-    Every call builds its own table and leaves it, read-only, on
-    ``graph`` (replacing one left before) for a later
-    :func:`~repro.core.peeling.tip.k_tip`.
+    the ``peel.tip.pair_table_bytes`` gauge (the table and its slot map);
+    the table is dropped when the rounds end.
 
     A graph whose table would pass :data:`PAIR_TABLE_MAX_BYTES` (build
     transients included) counts ``peel.tip.pair_table_fallback`` and
@@ -474,7 +447,10 @@ def tip_numbers_bucket_parallel(
     then each round's losses from :func:`tip_decrement_batch`.
 
     Both paths run in-process and never resolve a pool.  ``n_workers``
-    is validated (``>= 1``) and otherwise ignored.
+    is validated (``>= 1``) and otherwise ignored.  Both leave a
+    read-only copy of the result on ``graph`` (n·8 bytes per side,
+    replacing one left before) for a later
+    :func:`~repro.core.peeling.tip.k_tip`; the caller's array is its own.
     """
     if side == "left":
         pivot_major, complementary = graph.csr, graph.csc
@@ -485,27 +461,27 @@ def tip_numbers_bucket_parallel(
     if n_workers is not None and n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     tip = np.zeros(pivot_major.major_dim, dtype=COUNT_DTYPE)
-    cap = PAIR_TABLE_MAX_BYTES
     table = _pair_table(pivot_major, complementary)
     if table is None:
         obs.inc("peel.tip.pair_table_fallback")
-        return _tip_wedge_rounds(graph, side, tip)
-    pairs, vertex, counts = table
-    stored = counts.copy()
-    for array in (stored, vertex, *pairs):
-        array.flags.writeable = False
-    graph._pair_tables[side] = (cap, (pairs, vertex, stored))
-    if obs._enabled:
-        obs.gauge(
-            "peel.tip.pair_table_bytes",
-            sum(a.nbytes for a in (*pairs, vertex)),
-        )
-    tip[vertex] = _table_rounds(counts, pairs)
+        _tip_wedge_rounds(graph, side, tip)
+    else:
+        pairs, vertex, counts = table
+        if obs._enabled:
+            obs.gauge(
+                "peel.tip.pair_table_bytes",
+                sum(a.nbytes for a in (*pairs, vertex)),
+            )
+        tip[vertex] = _table_rounds(counts, pairs)
+    stored = tip.copy()
+    stored.flags.writeable = False
+    graph._tip_numbers[side] = stored
     return tip
 
 
-def _tip_wedge_rounds(graph, side, tip) -> np.ndarray:
-    """The wedge fallback of :func:`tip_numbers_bucket_parallel`."""
+def _tip_wedge_rounds(graph, side, tip) -> None:
+    """The wedge fallback of :func:`tip_numbers_bucket_parallel`: fills
+    ``tip``."""
     left, right = vertex_butterfly_counts_priority(graph)
     if side == "left":
         pivot_major, complementary, counts = graph.csr, graph.csc, left
@@ -515,7 +491,6 @@ def _tip_wedge_rounds(graph, side, tip) -> np.ndarray:
     for members in _bucket_rounds(counts, tip):
         affected, lost = tip_decrement_batch(pivot_major, complementary, members)
         counts[affected] -= lost
-    return tip
 
 
 def wing_numbers_bucket(graph: BipartiteGraph) -> dict[tuple[int, int], int]:

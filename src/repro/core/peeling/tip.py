@@ -9,16 +9,13 @@ survivors below k, hence the fixpoint loop.
 
 Two implementations are provided:
 
-- :func:`k_tip` — the batch fixpoint.  After
-  :func:`~repro.core.peeling.buckets.tip_numbers_bucket_parallel` on the
-  same graph, it peels from the same-side pair table that call left on
-  the graph: removing a same-side vertex never changes c(u, w) for two
-  survivors, so s starts as the table's row sums and each round
-  subtracts its offenders' C(c, 2) losses from their partners instead
-  of recounting.  It never builds a table itself.  Without one, the
-  rounds run exactly as formulated: each is one per-vertex count of the
-  survivor graph by the one-pass
-  :func:`~repro.core.priority.vertex_butterfly_counts_priority`.
+- :func:`k_tip` — the batch fixpoint.  Its rounds run exactly as
+  formulated: each is one per-vertex count of the survivor graph by the
+  one-pass :func:`~repro.core.priority.vertex_butterfly_counts_priority`.
+  After :func:`~repro.core.peeling.buckets.tip_numbers_bucket_parallel`
+  on the same graph none runs: the k-tips are nested and the tip numbers
+  index them (a vertex is in the k-tip exactly when its tip number is
+  ≥ k), so the kept set is read off the tip numbers that call left.
 - :func:`k_tip_lookahead` — the fused single-sweep variant of Fig. 8
   (KTIP_UNB_VAR1): the s vector is produced by a FLAME sweep over the rows
   in which each σ₁ is computed from the rows *below* the pivot (the A₂
@@ -40,7 +37,6 @@ import numpy as np
 
 from repro import obs
 from repro._types import COUNT_DTYPE
-from repro.core.peeling.buckets import _subtract_pair_losses, cached_pair_table
 from repro.core.priority import vertex_butterfly_counts_priority
 from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela import gather_slices
@@ -60,7 +56,8 @@ class TipResult:
     kept:
         Boolean mask over the peeled side: True for vertices in the k-tip.
     rounds:
-        Number of fixpoint iterations executed.
+        Number of fixpoint iterations executed; 0 when the kept set was
+        read off tip numbers a decomposition left on the graph.
     k, side:
         Echo of the query.
     """
@@ -110,52 +107,42 @@ def k_tip(graph: BipartiteGraph, k: int, side: str = "left") -> TipResult:
     -------
     TipResult
         The maximal subgraph in which every ``side`` vertex lies in ≥ k
-        butterflies; empty when no such subgraph exists.
+        butterflies; empty when no such subgraph exists.  On a graph
+        holding ``side``'s tip numbers the kept set is ``tip >= k`` and
+        ``rounds`` is 0.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     n_side = _peel_side_sizes(graph, side)
-    table = cached_pair_table(graph, side)
+    tips = graph._tip_numbers.get(side)
     index = 0 if side == "left" else 1
-    if table is not None:
-        obs.inc("peel.tip.pair_table_reused")
-        pairs, vertex, slot_counts = table
-        slot_counts = slot_counts.copy()
     kept = np.ones(n_side, dtype=bool)
     current = graph
     rounds = 0
     with obs.span("peel.tip", k=k, side=side) as tip_span:
-        # the loop ends when no kept vertex is below k, or none is kept,
-        # so recounting the final survivor graph could not change ``kept``
-        while True:
-            rounds += 1
-            with obs.span("peel.tip.round", round=rounds):
-                if table is None:
-                    counts = vertex_butterfly_counts_priority(current)[index]
-                else:
-                    # a vertex without a slot closes no butterfly
-                    counts = np.zeros(n_side, dtype=COUNT_DTYPE)
-                    counts[vertex] = slot_counts
-                # vertices already peeled lost their rows (or, on the
-                # table, may hold stale counts); only demand >= k of the
-                # still-present vertices
-                offenders = kept & (counts < k)
-                if obs._enabled:
-                    obs.inc("peel.tip.rounds")
-                    obs.inc("peel.tip.peeled", int(offenders.sum()))
-                if not offenders.any():
-                    break
-                kept &= ~offenders
-                if table is None:
-                    current = _survivors(graph, kept, side)
-                else:
-                    _subtract_pair_losses(
-                        slot_counts, pairs, np.flatnonzero(offenders[vertex])
-                    )
-            if not kept.any():
-                break
-        if table is not None:
+        if tips is not None:
+            obs.inc("peel.tip.tip_numbers_reused")
+            kept = tips >= k
             current = _survivors(graph, kept, side)
+        else:
+            # the loop ends when no kept vertex is below k, or none is kept,
+            # so recounting the final survivor graph could not change ``kept``
+            while True:
+                rounds += 1
+                with obs.span("peel.tip.round", round=rounds):
+                    counts = vertex_butterfly_counts_priority(current)[index]
+                    # vertices already peeled lost their rows; only demand
+                    # >= k of the still-present vertices
+                    offenders = kept & (counts < k)
+                    if obs._enabled:
+                        obs.inc("peel.tip.rounds")
+                        obs.inc("peel.tip.peeled", int(offenders.sum()))
+                    if not offenders.any():
+                        break
+                    kept &= ~offenders
+                    current = _survivors(graph, kept, side)
+                if not kept.any():
+                    break
         if obs._enabled:
             # policy="sum": kept counts over disjoint vertex shards are
             # additive, so worker-delta merges are order-independent

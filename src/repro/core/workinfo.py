@@ -9,9 +9,13 @@ defines them.
 
 Work models
 -----------
+One per strategy, in :data:`PIVOT_WORK`; the pool balances its ranges on
+the same rows.
+
 - ``spmv``: per pivot, the update scans every stored entry of the
-  reference partition → work(pivot) = nnz(A₀) or nnz(A₂) — *triangular*
-  in the pivot index (:func:`spmv_scan_lengths`).
+  reference partition → nnz(A₀) or nnz(A₂) — *triangular* in the pivot
+  index (:func:`spmv_scan_lengths`) — plus the pivot's degree for the
+  marker scatter.
 - ``scratch`` / ``wedge``: per pivot, the update expands the pivot's
   wedges → work(pivot) = Σ_{x ∈ N(pivot)} deg(x), independent of the
   reference side (:func:`pivot_work_estimate`).
@@ -38,6 +42,7 @@ from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela.kernels import segment_sums
 
 __all__ = [
+    "PIVOT_WORK",
     "pivot_work_estimate",
     "spmv_scan_lengths",
     "touched_wedge_work",
@@ -108,6 +113,20 @@ def spmv_scan_lengths(pivot_major, reference: Reference) -> np.ndarray:
     return nnz - indptr[1:]
 
 
+def _wedge_work(pivot_major, complementary, reference) -> np.ndarray:
+    return pivot_work_estimate(pivot_major, complementary)
+
+
+#: Each strategy's exact per-pivot work, ``work(pivot_major,
+#: complementary, reference)``: what :func:`work_profile` sums and the
+#: parallel pool balances its ranges on.
+PIVOT_WORK = {
+    "scratch": _wedge_work,
+    "spmv": lambda pm, co, ref: spmv_scan_lengths(pm, ref) + pm.degrees(),
+    "wedge": _wedge_work,
+}
+
+
 @dataclass(frozen=True)
 class WorkProfile:
     """Exact element-operation counts for one (graph, invariant, strategy)."""
@@ -127,22 +146,19 @@ def work_profile(
 ) -> WorkProfile:
     """Compute the exact work profile of one family member on ``graph``.
 
-    ``strategy`` is ``"spmv"`` (reference-partition scans), or
-    ``"scratch"`` / ``"wedge"`` (wedge expansions — the two share one
-    work model; they differ only in the reduction and its batching).
+    ``strategy`` is a key of :data:`PIVOT_WORK`: ``"spmv"``
+    (reference-partition scans and the marker scatter), or ``"scratch"``
+    / ``"wedge"`` (wedge expansions — the two share one work model; they
+    differ only in the reduction and its batching).
     """
+    if strategy not in PIVOT_WORK:
+        raise ValueError(
+            f"unknown strategy {strategy!r}; expected one of {tuple(PIVOT_WORK)}"
+        )
     inv: Invariant = resolve_invariant(invariant)
     pivot_major, complementary = matrices_for_side(graph, inv.side)
     n = pivot_major.major_dim
-    if strategy == "spmv":
-        per_pivot = spmv_scan_lengths(pivot_major, inv.reference)
-    elif strategy in ("scratch", "wedge"):
-        per_pivot = pivot_work_estimate(pivot_major, complementary)
-    else:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected 'scratch', 'spmv' "
-            "or 'wedge'"
-        )
+    per_pivot = PIVOT_WORK[strategy](pivot_major, complementary, inv.reference)
     return WorkProfile(
         invariant=inv.number,
         strategy=strategy,

@@ -123,20 +123,15 @@ def _dispatch_stream(
 
 
 def _storage_view(the_plan: Plan, graph):
-    """The graph as seen through the plan's storage layout.
-
-    ``layout="raw"`` (and a caller who already hands us a
-    :class:`~repro.storage.GraphStorage` — e.g. an out-of-core
-    :class:`~repro.storage.MmapCSR`) passes through untouched; otherwise
-    the layout is built here, inside the timed execution.
-    """
+    """The graph as the plan's layout reads it: an ``mmap`` plan spills
+    it here, inside the timed execution, unless the caller already hands
+    in an :class:`~repro.storage.MmapCSR`; a ``raw`` plan reads the
+    graph (or the caller's storage) as given."""
     if the_plan.layout == "raw":
         return graph
-    from repro.storage import GraphStorage, resolve_storage
+    from repro.storage import make_storage
 
-    if isinstance(graph, GraphStorage):
-        return graph
-    return resolve_storage(graph, the_plan.layout)
+    return make_storage(graph, the_plan.layout)
 
 
 def _dispatch_count(the_plan: Plan, graph: BipartiteGraph) -> int:

@@ -24,6 +24,7 @@ __all__ = [
     "COUNT_STRATEGIES",
     "STREAM_STRATEGIES",
     "EXECUTORS",
+    "LAYOUTS",
 ]
 
 #: Workloads the engine can plan: a global butterfly count, a per-vertex
@@ -62,9 +63,8 @@ COUNT_STRATEGIES: tuple[str, ...] = (
 #: :func:`repro.core.parallel.count_butterflies_parallel`).
 EXECUTORS: tuple[str, ...] = ("serial", "shared")
 
-#: Storage layouts a plan may select — mirrors
-#: :data:`repro.storage.LAYOUTS` (kept literal here so the plan record
-#: has no import edge into the storage package).
+#: Storage layouts a plan may select (:func:`repro.storage.make_storage`
+#: builds them): the graph's own arrays, or memory-mapped column files.
 LAYOUTS: tuple[str, ...] = ("raw", "mmap")
 
 

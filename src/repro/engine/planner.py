@@ -11,9 +11,10 @@ So the planner is a fixed rule, not a cost model:
   plan ``priority``: serial, raw, with ``modeled_ops``/``est_seconds``
   from :func:`repro.core.priority.priority_wedge_work` and the
   calibration table (a ``tip`` plan on a graph a tip decomposition left
-  its pair table on prices the table's entries instead, as ``k_tip``
-  peels from it; a ``wing`` plan models one support pass and no
-  seconds, as its fixpoint's rounds are not modelled).  Pins priority
+  its tip numbers on prices one survivor-graph build instead, as
+  ``k_tip`` reads its kept set off them; a ``wing`` plan models one
+  support pass and no seconds, as its fixpoint's rounds are not
+  modelled).  Pins priority
   already satisfies (``executor="serial"``, ``workers=1``,
   ``layout="raw"``) keep it.  ``vertex-counts``, ``tip`` and ``wing``
   run nothing else: any other pin on them raises.
@@ -67,15 +68,6 @@ __all__ = [
 #: constant follows the large shapes, where an estimate's error costs
 #: the most.
 _VERTEX_PASS_COST = 1.5
-
-#: A tip peel over a pair table costs this many priority wedges per
-#: table entry: each peeled row's entries are gathered and subtracted
-#: once, with no sort.  Measured with ``k_tip`` at the median tip number
-#: on the e2e ``occupations`` shape, seeds 0–2 (2-vCPU x86-64 host):
-#: 0.31–0.35 on the vertex-space table, including the final
-#: survivor-graph build; on the survivor-space table the same ``k_tip``
-#: takes 0.84–0.93× that table's time (8 alternating runs), so 0.26–0.33.
-_TABLE_ENTRY_COST = 0.3
 
 #: Rule lines ``explain`` prints, keyed by which rule fired.
 _RULES = {
@@ -133,20 +125,16 @@ def _priority_seconds(graph, cal: CalibrationTable, wedges: int) -> float:
 def _priority_row(graph, cal, workload="count", side="left", k=None) -> Plan:
     """The vertex-priority plan; per-vertex workloads pay a scatter
     surcharge per pass and a tip peel ~3 passes, or — where a tip
-    decomposition left its pair table on the graph — one walk of the
-    table's entries, priced without counting a wedge.  A wing peel
+    decomposition left its tip numbers on the graph — one survivor-graph
+    build over the edges, priced without counting a wedge.  A wing peel
     models one edge-support pass and is not priced."""
-    table = None
-    if workload == "tip":
-        from repro.core.peeling.buckets import cached_pair_table
-
-        table = cached_pair_table(graph, side)
-    if table is not None:
-        ops = int(table[0][1].size)
-        est = ops * cal.ns_per_op("priority") * _TABLE_ENTRY_COST * 1e-9
+    if workload == "tip" and side in graph._tip_numbers:
+        ops = graph.n_edges
+        # a masked gather per edge, priced like a wedge's gather
+        est = ops * cal.ns_per_op("priority") * 1e-9
         reason = (
-            f"pair-table peel on the {side} side: subtraction rounds over "
-            f"the {ops:,} entries a tip decomposition left"
+            f"k-tip read off the {side} tip numbers a decomposition left: "
+            f"one survivor-graph build over {ops:,} edges"
         )
     else:
         from repro.core.priority import priority_wedge_work

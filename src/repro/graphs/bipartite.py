@@ -12,11 +12,10 @@ storage without repeated conversions.  A graph wrapped around an existing
 CSR (``from_csr``) derives even its COO lazily, so wrapping is O(1) and
 sizes and ``n_edges`` read from whichever view exists.
 
-One more slot holds each side's same-side pair table once a tip
-decomposition has built it (:mod:`repro.core.peeling.buckets` fills it,
-the auto ``k_tip`` reads it): under ``PAIR_TABLE_MAX_BYTES`` (8 MiB) per
-side, kept for as long as the graph lives.  A derived graph starts with
-it empty.
+One more slot holds each side's tip numbers once a tip decomposition
+has run on it (:mod:`repro.core.peeling.buckets` fills it; ``k_tip`` and
+the planner's tip row read it): n·8 bytes per side, read-only.  A derived
+graph starts with it empty.
 """
 
 from __future__ import annotations
@@ -46,12 +45,9 @@ class BipartiteGraph:
     n_left, n_right:
         Side sizes.  Inferred from the edges when omitted (isolated
         trailing vertices then do not exist).
-
-    A graph a tip decomposition ran on holds that side's pair table (up
-    to 8 MiB per side) until it is freed; build a fresh graph to drop it.
     """
 
-    __slots__ = ("_coo", "_csr", "_csc", "_pair_tables")
+    __slots__ = ("_coo", "_csr", "_csc", "_tip_numbers")
 
     def __init__(
         self,
@@ -73,8 +69,8 @@ class BipartiteGraph:
         self._coo: PatternCOO | None = coo  # None until read, after from_csr/csc
         self._csr: PatternCSR | None = None
         self._csc: PatternCSC | None = None
-        # side -> (cap, pair table) left by repro.core.peeling.buckets
-        self._pair_tables: dict = {}
+        # side -> tip numbers left by repro.core.peeling.buckets
+        self._tip_numbers: dict = {}
 
     # ------------------------------------------------------------------
     # alternative constructors
@@ -89,7 +85,7 @@ class BipartiteGraph:
         """Build from an existing CSR pattern (kept; COO and CSC derived
         lazily, so wrapping a view costs O(1))."""
         g = cls.__new__(cls)
-        g._coo, g._csr, g._csc, g._pair_tables = None, csr, None, {}
+        g._coo, g._csr, g._csc, g._tip_numbers = None, csr, None, {}
         return g
 
     @classmethod

@@ -115,8 +115,8 @@ class SharedGraphBuffers:
 
         One ``O(nnz)`` memcpy, independent of the worker count — the whole
         point of the transport.  ``graph`` may be a plain
-        :class:`~repro.graphs.bipartite.BipartiteGraph` or any
-        :class:`~repro.storage.GraphStorage` view.
+        :class:`~repro.graphs.bipartite.BipartiteGraph` or an
+        :class:`~repro.storage.MmapCSR`.
         """
         csr, csc = graph.csr, graph.csc
         n_left, n_right = graph.n_left, graph.n_right

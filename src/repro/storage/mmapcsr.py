@@ -1,4 +1,5 @@
-"""``MmapCSR`` — out-of-core graphs through memory-mapped column files.
+"""``MmapCSR`` — out-of-core graphs through memory-mapped column files,
+and :func:`make_storage`, the factory behind the plan's ``layout`` field.
 
 Both compressed views are persisted as four ``.npy`` files plus a JSON
 sidecar, then mapped back with ``np.load(..., mmap_mode="r")``.  The
@@ -20,9 +21,8 @@ import numpy as np
 from repro._types import INDEX_DTYPE
 from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela import PatternCSC, PatternCSR
-from repro.storage.base import GraphStorage
 
-__all__ = ["MmapCSR"]
+__all__ = ["MmapCSR", "make_storage"]
 
 #: on-disk file names, in (view, array) order.
 _FILES = ("csr_indptr", "csr_indices", "csc_indptr", "csc_indices")
@@ -31,13 +31,17 @@ _META = "meta.json"
 _SPILL_CHUNK = 1 << 20
 
 
-class MmapCSR(GraphStorage):
+class MmapCSR:
     """Graph storage over memory-mapped CSR/CSC column files.
 
     Build with :meth:`from_graph` (spill an in-memory graph to a
     directory, then map it back) or :meth:`load` (attach to files written
     earlier — including files produced out-of-core by external tooling, as
-    the rlimit test does).
+    the rlimit test does).  It duck-types
+    :class:`~repro.graphs.bipartite.BipartiteGraph` for everything the
+    counting kernels read (sizes, ``n_edges``, ``csr``, ``csc``), in the
+    caller's vertex ids, so :func:`repro.engine.execute` and every count
+    kernel accept it unchanged.
     """
 
     layout = "mmap"
@@ -45,7 +49,6 @@ class MmapCSR(GraphStorage):
     def __init__(self, directory: str, csr: PatternCSR, csc: PatternCSC) -> None:
         # deliberately no BipartiteGraph: building one would materialise a
         # COO copy of the whole edge set in memory
-        self._graph = None
         self.directory = str(directory)
         self._mmap_csr = csr
         self._mmap_csc = csc
@@ -154,3 +157,39 @@ class MmapCSR(GraphStorage):
     @property
     def csc(self) -> PatternCSC:
         return self._mmap_csc
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the four mapped index arrays."""
+        return sum(
+            int(a.nbytes)
+            for view in (self._mmap_csr, self._mmap_csc)
+            for a in (view.indptr, view.indices)
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"MmapCSR(layout={self.layout!r}, |V1|={self.n_left}, "
+            f"|V2|={self.n_right}, |E|={self.n_edges})"
+        )
+
+
+def make_storage(graph, layout: str, **kwargs):
+    """``graph`` in the plan's storage ``layout``: the graph itself for
+    ``"raw"``, an :class:`MmapCSR` spilled to a temporary directory (or
+    ``kwargs["directory"]``) for ``"mmap"``.  Storage already in the
+    asked layout passes through; an :class:`MmapCSR` cannot become raw.
+    """
+    from repro.engine.plan import LAYOUTS
+
+    if layout not in LAYOUTS:
+        raise ValueError(
+            f"unknown storage layout {layout!r}; expected one of {LAYOUTS}"
+        )
+    if isinstance(graph, MmapCSR) and layout != "mmap":
+        raise TypeError(
+            f"graph is already 'mmap' storage; cannot re-wrap as {layout!r}"
+        )
+    if layout == "raw" or isinstance(graph, MmapCSR):
+        return graph
+    return MmapCSR.from_graph(graph, **kwargs)

@@ -562,8 +562,9 @@ class TestBackCompatShims:
         consumes the same public API."""
         from repro.core import parallel, workinfo
 
-        assert parallel.pivot_work_estimate is workinfo.pivot_work_estimate
-        assert parallel.spmv_scan_lengths is workinfo.spmv_scan_lengths
+        # each pool row balances on the model work_profile sums
+        for strategy, row in parallel._POOL_STRATEGIES.items():
+            assert row.work is workinfo.PIVOT_WORK[strategy]
         # the package serves them from the module that defines them
         from repro import core
 

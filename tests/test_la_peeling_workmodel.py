@@ -65,13 +65,14 @@ def test_la_tip_on_planted():
 
 # ------------------------------------------------------------ work model
 def test_work_profile_prefix_suffix_tile():
-    """For any sweep, prefix work + suffix work = (pivots − 1) · nnz:
-    every stored entry is scanned by all pivots but its own."""
+    """For any sweep, prefix work + suffix work = (pivots + 1) · nnz:
+    every stored entry is scanned by all pivots but its own, and each
+    sweep scatters every pivot's own entries once (the marker)."""
     g = load_dataset("arxiv")
     for a, b, n in ((1, 2, g.n_right), (5, 6, g.n_left)):
         wp_pre = work_profile(g, a, "spmv")
         wp_suf = work_profile(g, b, "spmv")
-        assert wp_pre.total_ops + wp_suf.total_ops == (n - 1) * g.n_edges
+        assert wp_pre.total_ops + wp_suf.total_ops == (n + 1) * g.n_edges
 
 
 def test_work_profile_direction_invariance():

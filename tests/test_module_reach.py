@@ -71,8 +71,6 @@ ORACLES = {
     "(benchmarks/test_workmodel_reduction.py)",
     "graphs/ordering.py": "the degree-ordered relabels of the ablE table "
     "(benchmarks/test_ablation_extensions.py)",
-    "storage/raw.py": "the raw layout the e2e benchmark builds through "
-    "make_storage(graph, plan.layout)",
 }
 
 #: Public names (``module::name`` or ``module::Class.method``) outside

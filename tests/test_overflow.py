@@ -31,7 +31,6 @@ from repro.core import (
 )
 from repro.core import priority
 from repro.core.peeling import buckets
-from repro.core.peeling.buckets import cached_pair_table
 from repro.graphs import BipartiteGraph
 
 N_RIGHT = 70_000
@@ -123,7 +122,7 @@ def test_tip_numbers_past_2_31(big_biclique: BipartiteGraph) -> None:
     assert metrics.value("peel.tip.pair_table_bytes") > 0
     assert tips.dtype == np.int64
     assert tips.tolist() == [EXPECTED, EXPECTED]
-    (_, _, loss), _, _ = cached_pair_table(big_biclique, "left")
+    (_, _, loss), _, _ = buckets._pair_table(big_biclique.csr, big_biclique.csc)
     assert loss.dtype == np.int64 and loss.tolist() == [EXPECTED, EXPECTED]
 
 
@@ -154,9 +153,9 @@ def test_tip_wide_loss_rounds_past_2_31(
 ) -> None:
     # with c = 66 000 the third vertex's loss to each hub, C(c, 2), passes
     # int32 on its own; the third vertex peels first, and the tip rounds
-    # and the table k-tip must subtract that int64 loss from each hub
-    # whole (a wrapped one would lift the hubs above the level).  The
-    # build's one-row chunk of 136k wedges needs a cap above 8 MiB
+    # must subtract that int64 loss from each hub whole (a wrapped one
+    # would lift the hubs above the level).  The build's one-row chunk of
+    # 136k wedges needs a cap above 8 MiB
     monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 16 << 20)
     g = _with_third_row(big_biclique, 66_000)
     third = 66_000 * 65_999
@@ -166,38 +165,39 @@ def test_tip_wide_loss_rounds_past_2_31(
         result = k_tip(g, third + 1, side="left")
     assert "peel.tip.pair_table_fallback" not in metrics
     assert tips.tolist() == [third, third, third]
-    assert metrics.value("peel.tip.pair_table_reused") == 1
+    assert metrics.value("peel.tip.tip_numbers_reused") == 1
     # the hubs keep C(70 000, 2) < k once the third vertex is gone
     assert result.kept.tolist() == [False, False, False]
-    assert result.rounds == 2
+    assert result.rounds == 0
 
 
 def test_k_tip_past_2_31(big_biclique: BipartiteGraph) -> None:
-    # the auto k-tip peels from the pair table the tip decomposition left:
-    # the hubs' initial count is the row sum of their int64 loss
-    # C(70 000, 2)
+    # the hubs' count C(70 000, 2) passes int32: the recount rounds on a
+    # fresh graph and the tip numbers a decomposition left must both
+    # compare it with k whole
+    fresh = BipartiteGraph(big_biclique.edges())
     g = BipartiteGraph(big_biclique.edges())
     tip_numbers_bucket_parallel(g, side="left", n_workers=1)
-    with obs.capture() as metrics:
-        kept = k_tip(g, EXPECTED, side="left")
-        gone = k_tip(g, EXPECTED + 1, side="left")
-    assert metrics.value("peel.tip.pair_table_reused") == 2
-    assert kept.kept.tolist() == [True, True] and kept.rounds == 1
-    assert kept.subgraph == big_biclique
-    assert gone.kept.tolist() == [False, False] and gone.rounds == 1
-    assert gone.subgraph.n_edges == 0
+    for graph, rounds in ((fresh, 1), (g, 0)):
+        kept = k_tip(graph, EXPECTED, side="left")
+        gone = k_tip(graph, EXPECTED + 1, side="left")
+        assert kept.kept.tolist() == [True, True] and kept.rounds == rounds
+        assert kept.subgraph == big_biclique
+        assert gone.kept.tolist() == [False, False] and gone.rounds == rounds
+        assert gone.subgraph.n_edges == 0
 
 
 def test_k_tip_round_losses_past_2_31(big_biclique: BipartiteGraph) -> None:
     # the hubs start at C(70 000, 2) + C(48 000, 2) > 2^31; k just above
-    # the third vertex's count peels it in round 1, whose subtraction of
-    # C(48 000, 2) from each hub must stay int64 to leave C(70 000, 2) >= k
+    # the third vertex's count peels it in round 1, and the round-2
+    # recount must leave the hubs at C(70 000, 2) >= k; the tip numbers
+    # a decomposition left give the same k-tip in no round
+    fresh = _with_third_row(big_biclique)
     g = _with_third_row(big_biclique)
     tip_numbers_bucket_parallel(g, side="left", n_workers=1)
     k = 48_000 * 47_999 + 1
-    with obs.capture() as metrics:
-        result = k_tip(g, k, side="left")
-    assert metrics.value("peel.tip.pair_table_reused") == 1
-    assert result.kept.tolist() == [True, True, False]
-    assert result.rounds == 2
-    assert result.subgraph == BipartiteGraph(big_biclique.edges(), 3, N_RIGHT)
+    for graph, rounds in ((fresh, 2), (g, 0)):
+        result = k_tip(graph, k, side="left")
+        assert result.kept.tolist() == [True, True, False]
+        assert result.rounds == rounds
+        assert result.subgraph == BipartiteGraph(big_biclique.edges(), 3, N_RIGHT)

@@ -8,15 +8,17 @@ support when enumerating would cost far more.  Every round runs
 in-process: no decomposition resolves a pool.  The contract is *bitwise
 identity* with the heap ``tip_numbers`` and ``wing_numbers`` — on every
 corpus shape, both sides, for the pair table and the wedge fallback, and
-for both wing round branches.  The auto ``k_tip``
-peels from the table a tip decomposition left on the graph; it must
-agree with the recount rounds, the look-ahead sweep and
-``tip_numbers >= k``, and a lowered cap must force its recount rounds.
+for both wing round branches.  A tip decomposition drops its table and
+leaves its tip numbers on the graph; ``k_tip`` there reads ``tip >= k``
+and must agree with the recount rounds on a fresh graph, the look-ahead
+sweep and the matrix form, on either tip path.
 """
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -27,6 +29,7 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core import (
     k_tip,
+    k_tip_linear_algebra,
     k_tip_lookahead,
     k_wing,
     k_wing_linear_algebra,
@@ -208,7 +211,7 @@ def _tip_paths(g: BipartiteGraph, side: str) -> tuple[np.ndarray, ...]:
         table = tip_numbers_bucket_parallel(g, side=side, n_workers=1)
         with mock.patch.object(buckets, "_NARROW_LOSS_LIMIT", 0):
             wide = tip_numbers_bucket_parallel(g, side=side, n_workers=1)
-        (_, _, loss), _, _ = buckets.cached_pair_table(g, side)
+            (_, _, loss), _, _ = buckets._pair_table(*_views(g, side))
         assert loss.dtype == np.int64 or loss.size == 0
         with mock.patch.object(buckets, "PAIR_TABLE_MAX_BYTES", 0):
             fallback = tip_numbers_bucket_parallel(g, side=side, n_workers=1)
@@ -252,36 +255,71 @@ def test_tip_table_and_fallback_match_the_heap_reference(g):
             np.testing.assert_array_equal(tips, reference)
 
 
-@given(g=tip_graphs(), drawn_k=st.integers(2, 40))
+def _decompose(g: BipartiteGraph, side: str, cap: int) -> np.ndarray:
+    """``tip_numbers_bucket_parallel`` under ``cap``, checked to leave no
+    array of the pair table it built alive once it returns."""
+    built = []
+    real = buckets._pair_table
+
+    def recording(pivot_major, complementary):
+        table = real(pivot_major, complementary)
+        if table is not None:
+            (indptr, partner, loss), vertex, counts = table
+            built.extend(
+                weakref.ref(a) for a in (indptr, partner, loss, vertex, counts)
+            )
+        return table
+
+    with mock.patch.object(buckets, "PAIR_TABLE_MAX_BYTES", cap):
+        with mock.patch.object(buckets, "_pair_table", recording):
+            tips = tip_numbers_bucket_parallel(g, side=side, n_workers=1)
+    gc.collect()
+    assert [ref() for ref in built if ref() is not None] == []
+    assert bool(built) == bool(cap)
+    return tips
+
+
+@given(g=tip_graphs())
 @settings(max_examples=100, deadline=None)
-@example(g=BipartiteGraph.empty(0, 5), drawn_k=2)
-@example(g=BipartiteGraph.complete(5, 4), drawn_k=18)
+@example(g=BipartiteGraph.empty(0, 5))
+@example(g=BipartiteGraph.complete(5, 4))
 @example(
-    g=BipartiteGraph([(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)], n_left=3, n_right=2),
-    drawn_k=1,
+    g=BipartiteGraph([(0, 0), (0, 1), (1, 0), (1, 1), (2, 1)], n_left=3, n_right=2)
 )
-def test_table_k_tip_matches_recount_lookahead_and_tip_numbers(g, drawn_k):
-    """The pair-table ``k_tip`` (after a tip decomposition of the same
-    graph), the priority recount rounds ``k_tip`` runs on a graph
-    without a table, the look-ahead sweep and ``tip_numbers >= k`` give
-    the same fixpoint: equal ``kept``, ``rounds`` and subgraph."""
-    bare = BipartiteGraph(g.edges(), g.n_left, g.n_right)
+@example(g=_twin_bicliques())
+@example(g=_staircase(6))
+def test_k_tip_after_a_decomposition_matches_a_fresh_graph(g):
+    """On both sides, for every k in {0, 1, each tip number, max + 1}: a
+    ``k_tip`` on a graph decomposed by the pair table or by the wedge
+    fallback (cap 0) reads ``tip >= k`` in 0 rounds, and equals in
+    ``kept`` and subgraph the recount rounds on a fresh graph, the
+    look-ahead sweep and the matrix form of eqs. (19)–(22).  The tip
+    numbers handed back are the caller's to change, and a decomposition
+    leaves no pair table behind."""
     for side in ("left", "right"):
-        tips = tip_numbers(g, side=side)
-        tip_numbers_bucket_parallel(g, side=side, n_workers=1)
-        for k in (0, 1, drawn_k):
-            with obs.capture() as metrics:
-                table = k_tip(g, k, side=side)
-            assert metrics.value("peel.tip.pair_table_reused") == 1
-            with obs.capture() as metrics:
-                unbuilt = k_tip(bare, k, side=side)
-            assert "peel.tip.pair_table_reused" not in metrics
+        reference = tip_numbers(g, side=side)
+        decomposed = []
+        for cap in (buckets.PAIR_TABLE_MAX_BYTES, 0):
+            h = BipartiteGraph(g.edges(), g.n_left, g.n_right)
+            tips = _decompose(h, side, cap)
+            np.testing.assert_array_equal(tips, reference)
+            tips += 1  # no later k-tip may see this
+            decomposed.append(h)
+        top = int(reference.max(initial=0))
+        for k in sorted({0, 1, top + 1, *reference.tolist()}):
+            fresh = k_tip(g, k, side=side)
+            np.testing.assert_array_equal(fresh.kept, reference >= k)
             lookahead = k_tip_lookahead(g, k, side=side)
-            for other in (unbuilt, lookahead):
-                np.testing.assert_array_equal(table.kept, other.kept)
-                assert table.rounds == other.rounds
-                assert table.subgraph == other.subgraph
-            np.testing.assert_array_equal(table.kept, tips >= k)
+            assert lookahead.rounds == fresh.rounds
+            others = [lookahead, k_tip_linear_algebra(g, k, side=side)]
+            for h in decomposed:
+                with obs.capture() as metrics:
+                    others.append(k_tip(h, k, side=side))
+                assert metrics.value("peel.tip.tip_numbers_reused") == 1
+                assert others[-1].rounds == 0
+            for other in others:
+                np.testing.assert_array_equal(other.kept, fresh.kept)
+                assert other.subgraph == fresh.subgraph
 
 
 def _tailed_biclique() -> BipartiteGraph:
@@ -518,9 +556,9 @@ def _fresh_planted() -> BipartiteGraph:
 
 def test_k_tip_after_tip_numbers_builds_one_table(monkeypatch):
     """``tip_numbers_bucket_parallel`` then the auto ``k_tip`` on one graph
-    pay for one build; the k-tip counts the reuse.  Neither consumer
-    subtracts from the table's counts: repeating the k-tip gives the
-    same, and a k-tip never builds a table itself."""
+    pay for one build; the k-tip counts the reuse and runs no round.
+    Repeating the k-tip gives the same, and a k-tip never builds a table
+    itself: on a fresh graph it recounts."""
     builds = _counting_pair_table(monkeypatch)
     g = _fresh_planted()
     tips = tip_numbers_bucket_parallel(g, n_workers=1)
@@ -528,64 +566,54 @@ def test_k_tip_after_tip_numbers_builds_one_table(monkeypatch):
     with obs.capture() as metrics:
         result = k_tip(g, k)
     assert builds == [True]
-    assert metrics.value("peel.tip.pair_table_reused") == 1
-    assert metrics.value("peel.tip.rounds") == result.rounds >= 2
+    assert metrics.value("peel.tip.tip_numbers_reused") == 1
+    assert result.rounds == 0 and "peel.tip.rounds" not in metrics
     assert metrics.value("peel.tip.kept") == result.n_kept
     np.testing.assert_array_equal(result.kept, tips >= k)
     again = k_tip(g, k)
     np.testing.assert_array_equal(again.kept, result.kept)
-    assert again.rounds == result.rounds
+    assert again.subgraph == result.subgraph
     with obs.capture() as metrics:
         fresh = k_tip(_fresh_planted(), k)
     assert builds == [True]
-    assert "peel.tip.pair_table_reused" not in metrics
+    assert "peel.tip.tip_numbers_reused" not in metrics
+    assert metrics.value("peel.tip.rounds") == fresh.rounds >= 2
     np.testing.assert_array_equal(fresh.kept, result.kept)
+    assert fresh.subgraph == result.subgraph
 
 
-def test_cached_pair_table_never_overrides_the_cap(monkeypatch):
-    """On one graph object a ``k_tip`` peels from the table a tip
-    decomposition left only under the cap that table was built under, so
-    lowering the cap forces the recount rounds; the decomposition itself
-    builds on every call, so a raised cap after a failure rebuilds."""
+def test_tip_numbers_are_left_per_side_on_either_path(monkeypatch):
+    """Each side keeps its own tip numbers, whichever path left them and
+    whatever the cap is afterwards; a later decomposition of the same
+    side replaces them."""
     builds = _counting_pair_table(monkeypatch)
     g = _fresh_planted()
-    tips = tip_numbers_bucket_parallel(g, n_workers=1)
-    k = int(np.median(tips[tips > 0]))
-    default = buckets.PAIR_TABLE_MAX_BYTES
+    k, default = 3, buckets.PAIR_TABLE_MAX_BYTES
 
-    def reused(cap):
-        monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", cap)
+    def reused(side):
         with obs.capture() as metrics:
-            result = k_tip(g, k)
-        np.testing.assert_array_equal(result.kept, tips >= k)
-        return "peel.tip.pair_table_reused" in metrics
+            k_tip(g, k, side=side)
+        return metrics.value("peel.tip.tip_numbers_reused") == 1
 
-    assert reused(default)
-    assert not reused(0)
-    assert builds == [True]
-    with obs.capture() as metrics:
-        np.testing.assert_array_equal(tip_numbers_bucket_parallel(g, n_workers=1), tips)
-    assert metrics.value("peel.tip.pair_table_fallback") == 1
-    assert not reused(0)
+    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
+    left = tip_numbers_bucket_parallel(g, n_workers=1)
+    assert reused("left") and not reused("right")
+    before = g._tip_numbers["left"]
     monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", default)
-    np.testing.assert_array_equal(tip_numbers_bucket_parallel(g, n_workers=1), tips)
-    assert builds == [True, False, True]
-    assert reused(default)
-    # the right side keeps its own table beside the left one
-    with obs.capture() as metrics:
-        k_tip(g, k, side="right")
-    assert "peel.tip.pair_table_reused" not in metrics
-    tip_numbers_bucket_parallel(g, side="right", n_workers=1)
-    assert builds == [True, False, True, True]
-    with obs.capture() as metrics:
-        k_tip(g, k, side="left")
-        k_tip(g, k, side="right")
-    assert metrics.value("peel.tip.pair_table_reused") == 2
+    np.testing.assert_array_equal(tip_numbers_bucket_parallel(g, n_workers=1), left)
+    assert g._tip_numbers["left"] is not before
+    right = tip_numbers_bucket_parallel(g, side="right", n_workers=1)
+    assert builds == [False, True, True]
+    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
+    for side, tips in (("left", left), ("right", right)):
+        assert reused(side)
+        np.testing.assert_array_equal(k_tip(g, k, side=side).kept, tips >= k)
+    assert not g._tip_numbers["left"].flags.writeable
 
 
-def test_derived_graphs_start_with_an_empty_pair_table_cache():
-    """Masked, relabelled and side-swapped graphs hold no table (a copied
-    one would peel the wrong graph): their k-tip recounts."""
+def test_derived_graphs_start_without_tip_numbers():
+    """Masked, relabelled and side-swapped graphs hold no tip numbers
+    (copied ones would answer for the wrong graph): their k-tip recounts."""
     g = _fresh_planted()
     tip_numbers_bucket_parallel(g, n_workers=1)
     rng = np.random.default_rng(5)
@@ -601,7 +629,7 @@ def test_derived_graphs_start_with_an_empty_pair_table_cache():
         k = int(np.median(tips[tips > 0]))
         with obs.capture() as metrics:
             got = k_tip(d, k)
-        assert "peel.tip.pair_table_reused" not in metrics, name
+        assert "peel.tip.tip_numbers_reused" not in metrics, name
         np.testing.assert_array_equal(got.kept, tips >= k)
 
 
@@ -762,7 +790,7 @@ def test_tip_trace_names_the_path(table, monkeypatch):
         assert "peel.tip.pair_table_fallback" not in metrics
         # one indptr of s + 1 int64 entries and one int32 vertex id per
         # slot, then int32 partner and loss per entry
-        (_, partner, _), vertex, _ = buckets.cached_pair_table(g, "left")
+        (_, partner, _), vertex, _ = buckets._pair_table(g.csr, g.csc)
         assert 0 < vertex.size < g.n_left
         assert metrics.value("peel.tip.pair_table_bytes") == (
             8 * (vertex.size + 1) + 4 * vertex.size + 8 * partner.size

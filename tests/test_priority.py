@@ -556,20 +556,21 @@ def test_tip_row_models_one_priority_pass_per_round():
     assert tip.est_seconds == pytest.approx(3 * vc.est_seconds)
 
 
-def test_tip_row_prices_the_pair_table_a_decomposition_left(monkeypatch):
-    """After a tip decomposition the auto tip plan peels from its table,
-    so the row prices the table's entries and counts no wedge; the reuse
-    is counted by the k-tip that peels, not by the plan.  Under a cap the
-    table was not built under, the row prices recount rounds again."""
+def test_tip_row_prices_the_tip_numbers_a_decomposition_left(monkeypatch):
+    """After a tip decomposition the auto tip plan reads its kept set off
+    the tip numbers left on the graph, so the row prices one
+    survivor-graph build over the edges and counts no wedge; the reuse is
+    counted by the k-tip, not by the plan.  Tip numbers the wedge
+    fallback left (cap 0) count the same; the other side still recounts."""
     from repro.core.peeling import buckets, tip_numbers_bucket_parallel
 
     g = power_law_bipartite(60, 80, 600, seed=4)
     (recount,) = engine.candidate_plans(g, "tip", k=1, calibration=DEFAULTS)
+    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
     tip_numbers_bucket_parallel(g)
-    (_, partner, _), _, _ = buckets.cached_pair_table(g, "left")
 
     def no_wedges(graph):
-        raise AssertionError("a table-priced tip plan counted wedges")
+        raise AssertionError("a tip-number priced tip plan counted wedges")
 
     with monkeypatch.context() as patched:
         patched.setattr(priority, "priority_wedge_work", no_wedges)
@@ -577,15 +578,14 @@ def test_tip_row_prices_the_pair_table_a_decomposition_left(monkeypatch):
             (row,) = engine.candidate_plans(
                 g, "tip", k=1, calibration=DEFAULTS
             )
-        assert "peel.tip.pair_table_reused" not in metrics
-    assert row.strategy == "priority" and row.modeled_ops == partner.size > 0
+        assert "peel.tip.tip_numbers_reused" not in metrics
+    assert row.strategy == "priority" and row.modeled_ops == g.n_edges
+    assert row.est_seconds == pytest.approx(
+        g.n_edges * DEFAULTS.ns_per_op("priority") * 1e-9
+    )
     assert 0 < row.est_seconds < recount.est_seconds
-    assert "pair-table peel" in row.reason
+    assert "tip numbers" in row.reason
     (right,) = engine.candidate_plans(
         g, "tip", side="right", k=1, calibration=DEFAULTS
     )
     assert right.modeled_ops == recount.modeled_ops
-    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
-    (capped,) = engine.candidate_plans(g, "tip", k=1, calibration=DEFAULTS)
-    assert capped.modeled_ops == recount.modeled_ops
-    assert capped.est_seconds == pytest.approx(recount.est_seconds)

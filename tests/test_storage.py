@@ -1,4 +1,4 @@
-"""repro.storage — the GraphStorage layouts behind the planner's storage axis.
+"""repro.storage — the layouts behind the plan's ``layout`` axis.
 
 Two concerns, each pinned separately:
 
@@ -32,19 +32,13 @@ from repro.core.local_counts import vertex_butterfly_counts
 from repro.core.parallel import balanced_ranges
 from repro.core.workinfo import pivot_work_estimate
 from repro.engine.calibration import CalibrationTable
-from repro.engine.plan import LAYOUTS as PLAN_LAYOUTS
+from repro.engine.plan import LAYOUTS, Plan
 from repro.graphs import (
     BipartiteGraph,
     power_law_bipartite,
 )
 from repro.sparsela import PatternCSR
-from repro.storage import (
-    LAYOUTS,
-    MmapCSR,
-    RawCSR,
-    make_storage,
-    resolve_storage,
-)
+from repro.storage import MmapCSR, make_storage
 
 DEFAULTS = CalibrationTable()
 
@@ -54,22 +48,30 @@ def _graph() -> BipartiteGraph:
 
 
 # ----------------------------------------------------------------------
-# layouts behind the protocol
+# the layouts make_storage builds
 # ----------------------------------------------------------------------
 
 
 class TestGraphStorage:
     def test_factory_builds_each_layout(self):
+        """``mmap`` duck-types the graph it spills."""
         g = _graph()
-        classes = {"raw": RawCSR, "mmap": MmapCSR}
-        # the plan record keeps its own literal copy of the axis
-        assert LAYOUTS == PLAN_LAYOUTS == tuple(classes)
-        for layout in LAYOUTS:
-            store = make_storage(g, layout)
-            assert isinstance(store, classes[layout])
-            assert store.layout == layout
-            assert (store.n_left, store.n_right) == g.shape
-            assert store.n_edges == g.n_edges
+        assert LAYOUTS == ("raw", "mmap")
+        store = make_storage(g, "mmap")
+        assert isinstance(store, MmapCSR) and store.layout == "mmap"
+        assert (store.n_left, store.n_right) == g.shape
+        assert store.n_edges == g.n_edges
+        assert store.nbytes == 8 * (g.n_left + g.n_right + 2 + 2 * g.n_edges)
+
+    def test_resolve_passthrough_and_default(self):
+        """The default ``raw`` layout is the graph itself, and storage
+        already in the asked layout passes through unchanged."""
+        g = _graph()
+        assert Plan.__dataclass_fields__["layout"].default == "raw"
+        assert make_storage(g, "raw") is g
+        store = make_storage(g, "mmap")
+        again = make_storage(store, "mmap")  # existing object wins
+        assert again is store
 
     def test_factory_rejects_unknown_and_rewrap(self):
         g = _graph()
@@ -80,13 +82,6 @@ class TestGraphStorage:
         with pytest.raises(TypeError, match="already"):
             make_storage(store, "raw")
         assert make_storage(store, "mmap") is store
-
-    def test_resolve_passthrough_and_default(self):
-        g = _graph()
-        store = resolve_storage(g, None)
-        assert isinstance(store, RawCSR)
-        again = resolve_storage(store, "mmap")  # existing object wins
-        assert again is store
 
     def test_counts_agree_across_layouts(self):
         g = _graph()
@@ -271,7 +266,7 @@ def test_wedge_work_2_pow_40_on_raw_view():
     Every left pivot expands deg(hub) = 2²⁰ wedge endpoints, so the total
     is exactly 2⁴⁰ — far past float64-safe integer territory for sums of
     this scale and a regression trap for any float intermediate.  Computed
-    directly on the RawCSR view's patterns through the accessor protocol,
+    directly on the raw layout's patterns through the accessor protocol,
     then cut the way the shard cutter cuts it.
     """
     n = 1 << 20
@@ -281,7 +276,7 @@ def test_wedge_work_2_pow_40_on_raw_view():
         (n, 1),
         check=False,
     )
-    store = RawCSR(BipartiteGraph.from_csr(csr))
+    store = make_storage(BipartiteGraph.from_csr(csr), "raw")
     per_pivot = pivot_work_estimate(store.csr, store.csc)
     assert per_pivot.dtype.kind == "i"
     assert int(per_pivot.sum(dtype=np.int64)) == 2**40
