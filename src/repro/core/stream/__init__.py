@@ -16,7 +16,6 @@ This package holds the dynamic/streaming subsystem:
 from repro._lazy import lazy_exports
 
 _LAZY = {
-    "STREAM_APPLY_STRATEGIES": "repro.core.stream.counter",
     "StreamingButterflyCounter": "repro.core.stream.counter",
     "DynamicButterflyCounter": "repro.core.stream.dynamic",
     "SnapshotChecksumError": "repro.core.stream.snapshot",

@@ -88,14 +88,9 @@ G2's with ``S`` and ``S + G2``, and their per-vertex deltas add.  Only
 
 Intra-batch interactions — edges of the same batch closing butterflies
 with each other — are exact by construction (enumeration runs against
-``B``).  ``intra_batch_closures`` counts the butterflies a phase created
-(or destroyed) that hold at least two batch edges; per pair of one
-pass that is ``C(d, 2) + b · #{y ∈ Y with both legs in the pass}``,
-the same from either side because it is a property of the butterflies'
-edges.  On a split phase G2's pass counts those with no G1 edge and G1's
-those with two or more; G1's adds the ones with exactly one G1 edge and
-a G2 edge (the *cross term*): per row ``y`` with one G1 leg, the pair's
-``b`` when ``y``'s other leg is in G2, else its ``x`` with a leg in G2.
+``B``).  On a split phase a butterfly holding edges of both groups is
+G1's: G1's term counts every butterfly of ``B`` with a G1 edge, G2's
+those with a G2 edge and none of G1.
 
 Deletions reuse the same small-graph→big-graph delta with the roles
 reversed (``S`` is the post-delete graph, ``B`` the current one) and the
@@ -123,6 +118,7 @@ import numpy as np
 
 from repro import obs
 from repro._types import BITMAP_DTYPE, COUNT_DTYPE, INDEX_DTYPE
+from repro.engine.plan import STREAM_STRATEGIES
 from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela import PatternCOO, PatternCSC, PatternCSR
 from repro.sparsela.coo import integral_ids
@@ -130,13 +126,8 @@ from repro.sparsela.kernels import choose2, gather_slices
 
 __all__ = [
     "StreamingButterflyCounter",
-    "STREAM_APPLY_STRATEGIES",
     "batch_edges",
 ]
-
-#: Execution strategies :meth:`StreamingButterflyCounter.apply` accepts —
-#: the same vocabulary the engine's ``stream_apply`` workload plans over.
-STREAM_APPLY_STRATEGIES: tuple[str, ...] = ("incremental", "recount")
 
 
 def batch_edges(edges, n_left: int, n_right: int) -> np.ndarray:
@@ -597,7 +588,7 @@ def _side_delta(
     cols: np.ndarray,
     left_group: np.ndarray | None,
     pairs_on_left: bool,
-) -> tuple[np.ndarray, np.ndarray, int, int]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Per-vertex butterfly deltas of both sides for one pivot side's pass.
 
     ``batch_keys`` are the phase's sorted left-major edge keys and
@@ -610,8 +601,8 @@ def _side_delta(
     pass is G1's when ``pairs_on_left`` (``probe`` = ``big`` = the graph
     with the batch) or G2's (``probe`` the graph without the batch, ``big``
     the one with it, G1's legs dropped).  Returns ``(delta_left[n_left],
-    delta_right[n_right], global_delta, intra_batch_closures)``, all ≥ 0
-    — the change from adding the pass's edges to its smaller graph.
+    delta_right[n_right], global_delta)``, all ≥ 0 — the change from
+    adding the pass's edges to its smaller graph.
     """
     probe_keys, probe_csr, probe_csc = probe
     _, big_csr, big_csc = big
@@ -640,38 +631,31 @@ def _side_delta(
     pos, in_batch = _located(
         _leg_keys(ends, mids, n_side, n_mid, pairs_on_left), batch_keys
     )
-    dropped = None
-    if left_group is not None:
+    keep = owners < ends
+    if left_group is None:
+        keep |= ~in_batch
+    else:
         in_g1 = left_group[np.minimum(pos, batch_keys.size - 1)]
         in_g1 &= in_batch
         if first_pass:  # a G2 leg is an ordinary edge of G1's graphs
-            in_g2 = in_batch ^ in_g1
-            in_batch = in_g1
+            keep |= ~in_g1
         else:  # G1's legs are not in G2's graph
-            in_batch ^= in_g1
-            dropped = in_g1
-    del pos
-    lower = owners < ends
-    both = in_batch & lower
-    both_keys = owners[both] * n64 + ends[both]
-    keep = lower | ~in_batch
-    if dropped is not None:
-        keep &= ~dropped
+            keep |= ~in_batch
+            keep &= ~in_g1
+        del in_g1
+    del pos, in_batch
     owners, ends, mids = owners[keep], ends[keep], mids[keep]
+    del keep
     if mids.size == 0:
         return (np.zeros(n_left, dtype=COUNT_DTYPE),
-                np.zeros(n_right, dtype=COUNT_DTYPE), 0, 0)
+                np.zeros(n_right, dtype=COUNT_DTYPE), 0)
     #    (arrays are dropped as soon as they are read: the probe's peak
     #    holds only what step 3 needs)
     pair_keys = np.minimum(owners, ends)
     pair_keys *= n64
     pair_keys += np.maximum(owners, ends, out=owners)
+    del owners, ends
     order = np.argsort(pair_keys)
-    if first_pass:  # which rows hold one G1 leg, and which a G2 leg
-        single = ~in_batch[keep][order]
-        g2_row = in_g2[keep][order]
-        del in_g2
-    del owners, ends, in_batch, lower, both, keep, dropped
     pair_keys, mids = pair_keys[order], mids[order]
     first = np.empty(pair_keys.size, dtype=bool)
     first[0] = True
@@ -710,46 +694,9 @@ def _side_delta(
     np.add.at(delta_mid, hit_mids, d[hit_pair])
     np.add.at(delta_mid, mids, np.repeat(y_credit, d))
     global_delta = int(pair_delta.sum(dtype=COUNT_DTYPE))
-    closures = int(choose2(d).sum(dtype=COUNT_DTYPE)) + int(
-        b[np.searchsorted(uniq, both_keys)].sum(dtype=COUNT_DTYPE)
-    )
-    if first_pass:
-        closures += _cross_closures(
-            batch_keys[~left_group], u_arr, w_arr, d, b, hit_pair, hit_mids,
-            single, g2_row, n_mid,
-        )
     if pairs_on_left:
-        return delta_pivot, delta_mid, global_delta, closures
-    return delta_mid, delta_pivot, global_delta, closures
-
-
-def _cross_closures(
-    g2_keys, u_arr, w_arr, d, b, hit_pair, hit_mids, single, g2_row,
-    n_mid: int,
-) -> int:
-    """Butterflies of G1's pass holding one G1 edge and a G2 edge.
-
-    They pair one ``y`` row with a single G1 leg with one ``x`` of the
-    same pair.  When the row's other leg is in G2 every ``x`` counts
-    (``b``); otherwise the ``x`` with a leg in G2 do.  Those are the
-    pair's probe hits with a G2 leg, less its rows whose other leg is in
-    G2 (each also a hit).  ``g2_keys`` are G2's sorted keys; the rest are
-    G1's pass arrays (left pivots, right mids).
-    """
-    slot = np.repeat(np.arange(d.size, dtype=INDEX_DTYPE), d)
-    n_mid64 = np.int64(n_mid)
-    # only a hit on a mid of some G2 edge can have a G2 leg
-    g2_mid = np.zeros(n_mid, dtype=bool)
-    g2_mid[g2_keys % n_mid64] = True
-    cand = np.flatnonzero(g2_mid[hit_mids])
-    pair, mid = hit_pair[cand], hit_mids[cand]
-    hit_g2 = _in_sorted(u_arr[pair] * n_mid64 + mid, g2_keys)
-    hit_g2 |= _in_sorted(w_arr[pair] * n_mid64 + mid, g2_keys)
-    c2 = np.bincount(pair[hit_g2], minlength=d.size)
-    c2 -= np.bincount(slot[g2_row], minlength=d.size)
-    return int(b[slot[g2_row]].sum(dtype=COUNT_DTYPE)) + int(
-        c2[slot[single & ~g2_row]].sum(dtype=COUNT_DTYPE)
-    )
+        return delta_pivot, delta_mid, global_delta
+    return delta_mid, delta_pivot, global_delta
 
 
 class StreamingButterflyCounter:
@@ -795,8 +742,6 @@ class StreamingButterflyCounter:
         self._csc: PatternCSC = graph.csc
         self._count_from(graph)
         self._scratch = _Scratch()
-        #: stats dict of the most recent :meth:`apply` (None before any)
-        self.last_stats: dict | None = None
 
     # ------------------------------------------------------------------
     # queries
@@ -893,7 +838,7 @@ class StreamingButterflyCounter:
 
     def _phase_delta(
         self, small, big, changed_keys, rows, cols
-    ) -> tuple[int, np.ndarray, np.ndarray, int]:
+    ) -> tuple[int, np.ndarray, np.ndarray]:
         """Delta between the graph without and with ``changed_keys``.
 
         ``small`` is the ``(keys, csr, csc)`` state missing the changed
@@ -905,8 +850,8 @@ class StreamingButterflyCounter:
         and G2 run one :func:`_side_delta` pass each and their deltas
         add.  Otherwise (and on every phase when :attr:`_probe_side` is
         set) one pass pivots on the whole phase's side.  Returns the
-        (positive-direction) global delta, per-left and per-right delta
-        arrays, and the intra-batch closure count.
+        (positive-direction) global delta and the per-left and per-right
+        delta arrays.
         """
         side = self._probe_side
         left_group = None
@@ -927,19 +872,18 @@ class StreamingButterflyCounter:
             passes = [(small, side == "left")]
         else:
             passes = [(big, True), (small, False)]
-        g_delta, d_left, d_right, closures = 0, 0, 0, 0
+        g_delta, d_left, d_right = 0, 0, 0
         for probe, on_left in passes:
             if obs._enabled:
                 obs.inc(f"stream.apply.probe.{'left' if on_left else 'right'}")
-            p_left, p_right, p_delta, p_closures = _side_delta(
+            p_left, p_right, p_delta = _side_delta(
                 self._scratch, probe, big, changed_keys, rows, cols,
                 left_group, on_left,
             )
             d_left = d_left + p_left
             d_right = d_right + p_right
             g_delta += p_delta
-            closures += p_closures
-        return g_delta, d_left, d_right, closures
+        return g_delta, d_left, d_right
 
     def apply(
         self,
@@ -967,16 +911,13 @@ class StreamingButterflyCounter:
 
         Returns a stats dict: ``created`` / ``destroyed`` butterflies,
         ``inserted`` / ``deleted`` edges actually applied,
-        ``skipped_insert`` / ``skipped_delete``, ``batch_size`` (distinct
-        requested edits) and ``intra_batch_closures``: the created plus
-        destroyed butterflies that hold at least two edges of their
-        phase's batch (the deletes or the inserts).  ``recount`` does not
-        enumerate butterflies and reports 0 for it.
+        ``skipped_insert`` / ``skipped_delete`` and ``batch_size``
+        (distinct requested edits) — the same under either strategy.
         """
-        if strategy not in STREAM_APPLY_STRATEGIES:
+        if strategy not in STREAM_STRATEGIES:
             raise ValueError(
                 f"unknown strategy {strategy!r}; expected one of "
-                f"{STREAM_APPLY_STRATEGIES}"
+                f"{STREAM_STRATEGIES}"
             )
         ins_keys = self._batch_keys(insert)
         del_keys = self._batch_keys(delete)
@@ -1000,7 +941,6 @@ class StreamingButterflyCounter:
                 "skipped_insert": 0,
                 "skipped_delete": skipped_delete,
                 "batch_size": int(ins_keys.size + del_keys.size + skipped_delete),
-                "intra_batch_closures": 0,
             }
 
             if del_keys.size:
@@ -1023,13 +963,8 @@ class StreamingButterflyCounter:
             if obs._enabled:
                 obs.inc("stream.apply.batches")
                 obs.observe("stream.apply.batch_size", stats["batch_size"])
-                obs.inc(
-                    "stream.apply.intra_batch_closures",
-                    stats["intra_batch_closures"],
-                )
                 obs.inc("stream.apply.edges_inserted", stats["inserted"])
                 obs.inc("stream.apply.edges_deleted", stats["deleted"])
-        self.last_stats = stats
         return stats
 
     def _apply_phase(
@@ -1056,10 +991,9 @@ class StreamingButterflyCounter:
         else:
             current = (self._keys, self._csr, self._csc)
             small, big = (spliced, current) if remove else (current, spliced)
-            delta, d_left, d_right, closures = self._phase_delta(
+            delta, d_left, d_right = self._phase_delta(
                 small, big, changed_keys, rows, cols
             )
-            stats["intra_batch_closures"] += closures
             if remove:
                 self.count -= delta
                 self._per_left -= d_left

@@ -30,7 +30,6 @@ __all__ = [
     "format_script",
     "load_script",
     "iter_batches",
-    "replay",
 ]
 
 #: One script operation: ``("+", u, v)``, ``("-", u, v)`` or ``("flush",)``.
@@ -137,28 +136,3 @@ def iter_batches(
             raise ValueError(f"unknown op {op!r}")
     if pending:
         yield insert, delete
-
-
-def replay(counter, ops: Sequence[Op], *, strategy: str = "incremental") -> dict:
-    """Apply a whole script to a counter; returns aggregate stats.
-
-    ``counter`` is anything exposing the
-    :meth:`~repro.core.stream.counter.StreamingButterflyCounter.apply`
-    signature.  Returns totals over all batches: ``batches``, ``created``,
-    ``destroyed``, ``inserted``, ``deleted``, ``intra_batch_closures``.
-    """
-    totals = {
-        "batches": 0,
-        "created": 0,
-        "destroyed": 0,
-        "inserted": 0,
-        "deleted": 0,
-        "intra_batch_closures": 0,
-    }
-    for insert, delete in iter_batches(ops):
-        stats = counter.apply(insert=insert, delete=delete, strategy=strategy)
-        totals["batches"] += 1
-        for key in ("created", "destroyed", "inserted", "deleted",
-                    "intra_batch_closures"):
-            totals[key] += stats[key]
-    return totals

@@ -20,7 +20,7 @@ import time
 
 from repro import obs
 from repro.engine.plan import Plan
-from repro.engine.planner import select_count_invariant
+from repro.engine.planner import _check_tip_graph, select_count_invariant
 from repro.graphs.bipartite import BipartiteGraph
 
 __all__ = ["execute"]
@@ -100,6 +100,7 @@ def _dispatch(the_plan: Plan, graph: BipartiteGraph, k: int | None):
     if workload == "tip":
         from repro.core.peeling.tip import k_tip
 
+        _check_tip_graph(graph)
         return k_tip(graph, k, side=the_plan.side)
     # wing
     from repro.core.peeling.wing import k_wing

@@ -39,8 +39,8 @@ WORKLOADS: tuple[str, ...] = (
 #: no member, strategy or panel-width axis.
 PRIORITY_ONLY: tuple[str, ...] = ("vertex-counts", "tip", "wing")
 
-#: Strategies the ``stream_apply`` workload may select — mirrors
-#: :data:`repro.core.stream.STREAM_APPLY_STRATEGIES`.
+#: Strategies the ``stream_apply`` workload may select, and the ones
+#: :meth:`repro.core.stream.StreamingButterflyCounter.apply` accepts.
 STREAM_STRATEGIES: tuple[str, ...] = ("incremental", "recount")
 
 #: Counting strategies a plan may select.  The first two are the

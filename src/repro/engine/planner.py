@@ -122,12 +122,27 @@ def _priority_seconds(graph, cal: CalibrationTable, wedges: int) -> float:
     ) * 1e-9
 
 
+def _check_tip_graph(graph) -> None:
+    """``ValueError`` naming the layout unless ``graph`` is a
+    :class:`BipartiteGraph`: a tip peel reads the tip numbers a
+    decomposition left on the graph and builds survivor subgraphs, and a
+    storage view (:class:`~repro.storage.MmapCSR`) holds neither."""
+    if not isinstance(graph, BipartiteGraph):
+        layout = getattr(graph, "layout", type(graph).__name__)
+        raise ValueError(
+            "workload 'tip' runs on the raw layout (a BipartiteGraph), "
+            f"got {layout!r} storage"
+        )
+
+
 def _priority_row(graph, cal, workload="count", side="left", k=None) -> Plan:
     """The vertex-priority plan; per-vertex workloads pay a scatter
     surcharge per pass and a tip peel ~3 passes, or — where a tip
     decomposition left its tip numbers on the graph — one survivor-graph
     build over the edges, priced without counting a wedge.  A wing peel
     models one edge-support pass and is not priced."""
+    if workload == "tip":
+        _check_tip_graph(graph)
     if workload == "tip" and side in graph._tip_numbers:
         ops = graph.n_edges
         # a masked gather per edge, priced like a wedge's gather

@@ -26,6 +26,42 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+def test_choice_literals_match_the_engine_tuples():
+    """``cli.py`` spells its layout, strategy, workload and executor
+    choices as literals (reading ``repro.engine.plan`` while the parser
+    is built would load numpy for every subcommand); each must name
+    exactly the engine's values."""
+    import argparse
+
+    from repro.engine.plan import (
+        COUNT_STRATEGIES, EXECUTORS, LAYOUTS, STREAM_STRATEGIES, WORKLOADS,
+    )
+
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+
+    def choices(command, flag):
+        (action,) = [a for a in subparsers.choices[command]._actions
+                     if flag in a.option_strings]
+        return tuple(action.choices)
+
+    assert choices("count", "--storage") == ("auto", *LAYOUTS)
+    assert choices("explain", "--storage") == ("auto", *LAYOUTS)
+    assert choices("explain", "--strategy") == COUNT_STRATEGIES
+    # count pins the blocked member with its own --blocked flag
+    assert choices("count", "--strategy") == tuple(
+        s for s in COUNT_STRATEGIES if s != "blocked"
+    )
+    assert choices("stream", "--strategy") == ("auto", *STREAM_STRATEGIES)
+    # stream_apply is planned per batch by the stream subcommand
+    assert choices("explain", "--workload") == tuple(
+        w for w in WORKLOADS if w != "stream_apply"
+    )
+    assert choices("algorithms", "--executor") == EXECUTORS
+
+
 def test_info_command(konect_file, capsys):
     assert main(["info", konect_file]) == 0
     out = capsys.readouterr().out

@@ -14,7 +14,10 @@ and each must be named (``ast.Name``, ``ast.Attribute`` or a
 ``from ... import`` name) somewhere outside its own ``def`` in
 ``src/repro``, ``benchmarks/``, ``examples/`` or ``scripts/``, or be a
 key of :data:`KEPT` with the reason it stays.  A package ``__init__``'s
-``from ... import`` is a re-export, not a caller, and does not count.
+``from ... import`` is a re-export, not a caller, and does not count;
+nor does a use inside a module that defines a top-level function or
+class of the same name, except for that module's own definition (a
+script calling its own ``replay`` is no caller of the library's).
 Library surface that only its own tests call fails here.
 """
 
@@ -240,13 +243,14 @@ def test_every_subcommand_is_invoked():
 CALLER_ROOTS = ("benchmarks", "examples", "scripts")
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def _public_defs(tree: ast.Module):
     """``(qualname, node)`` of every public top-level function and
     class, and of every public method of a public class."""
     for node in tree.body:
-        if not isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ) or node.name.startswith("_"):
+        if not isinstance(node, _DEFS) or node.name.startswith("_"):
             continue
         yield node.name, node
         if isinstance(node, ast.ClassDef):
@@ -257,13 +261,16 @@ def _public_defs(tree: ast.Module):
 
 
 class _Uses(ast.NodeVisitor):
-    """Every name a tree uses, with the ids of the defs around each use."""
+    """Every name a tree uses, with the tree's path and the ids of the
+    defs around each use."""
 
     def __init__(
-        self, uses: dict[str, list[frozenset[int]]], count_imports: bool
+        self, uses: dict[str, list[tuple[Path, frozenset[int]]]], path: Path
     ) -> None:
         self.uses = uses
-        self.count_imports = count_imports
+        self.path = path
+        # a package __init__ imports to re-export, which calls nothing
+        self.count_imports = path.name != "__init__.py"
         self.stack: list[int] = []
 
     def _enter(self, node) -> None:
@@ -274,7 +281,7 @@ class _Uses(ast.NodeVisitor):
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _enter
 
     def _use(self, name: str) -> None:
-        self.uses.setdefault(name, []).append(frozenset(self.stack))
+        self.uses.setdefault(name, []).append((self.path, frozenset(self.stack)))
 
     def visit_Name(self, node: ast.Name) -> None:
         self._use(node.id)
@@ -292,16 +299,18 @@ class _Uses(ast.NodeVisitor):
 @functools.lru_cache(maxsize=1)
 def _uncalled_public_names() -> frozenset[str]:
     """``module::qualname`` of every public name outside ORACLES that no
-    code but its own ``def`` names."""
+    code but its own ``def`` names.  A use in a module with a top-level
+    def of that name counts for that module's def only."""
     repo = Path(__file__).resolve().parents[1]
     files = list(PACKAGE.rglob("*.py"))
     for root in CALLER_ROOTS:
         files.extend((repo / root).rglob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
-    uses: dict[str, list[frozenset[int]]] = {}
+    uses: dict[str, list[tuple[Path, frozenset[int]]]] = {}
+    defines = {}
     for path, tree in trees.items():
-        # a package __init__ imports to re-export, which calls nothing
-        _Uses(uses, count_imports=path.name != "__init__.py").visit(tree)
+        _Uses(uses, path).visit(tree)
+        defines[path] = {n.name for n in tree.body if isinstance(n, _DEFS)}
     uncalled = set()
     for path in PACKAGE.rglob("*.py"):
         rel = path.relative_to(PACKAGE).as_posix()
@@ -309,7 +318,11 @@ def _uncalled_public_names() -> frozenset[str]:
             continue
         for qualname, node in _public_defs(trees[path]):
             name = qualname.rpartition(".")[2]
-            if all(id(node) in around for around in uses.get(name, ())):
+            if not any(
+                id(node) not in around
+                and (where == path or name not in defines[where])
+                for where, around in uses.get(name, ())
+            ):
                 uncalled.add(f"{rel}::{qualname}")
     return frozenset(uncalled)
 

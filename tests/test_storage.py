@@ -93,6 +93,20 @@ class TestGraphStorage:
     def test_repr_mentions_layout(self):
         assert "mmap" in repr(make_storage(_graph(), "mmap"))
 
+    def test_tip_on_a_storage_view_is_a_typed_error(self):
+        """A tip peel needs the graph itself (its tip numbers, its
+        survivor subgraphs): planning one on an ``mmap`` view, or running
+        a tip plan on one, raises a ``ValueError`` naming the layout."""
+        g = _graph()
+        store = make_storage(g, "mmap")
+        match = "workload 'tip' runs on the raw layout.*'mmap'"
+        with pytest.raises(ValueError, match=match):
+            engine.plan(store, "tip", k=1, calibration=DEFAULTS)
+        tip_plan = engine.plan(g, "tip", k=1, calibration=DEFAULTS)
+        with pytest.raises(ValueError, match=match):
+            engine.execute(tip_plan, store)
+        assert engine.execute(tip_plan, g).kept.any()
+
 
 class TestMmapCSR:
     def test_from_graph_counts_and_cleans_up(self):

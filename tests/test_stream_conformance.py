@@ -24,7 +24,7 @@ Sources of scripts:
 - the split phase (each edge on its cheaper pivot, two passes) forced
   on graphs with a hub on each side, against a brute-force enumeration
   and both pinned sides in every probe mode, plus hand-built butterflies
-  with one edge in each group (the closure cross term);
+  with one edge in each group (G1's pass counts them);
 - hand-written adversarial cases (re-insert after delete,
   delete-then-insert inside one batch, hub-heavy batches, empty batches,
   intra-batch duplicates);
@@ -50,7 +50,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import count_butterflies, vertex_butterfly_counts
-from repro.core.stream import STREAM_APPLY_STRATEGIES, StreamingButterflyCounter
+from repro.core.stream import StreamingButterflyCounter
 from repro.core.stream import counter as stream_counter
 from repro.core.stream.script import (
     format_script,
@@ -58,6 +58,7 @@ from repro.core.stream.script import (
     load_script,
     parse_script,
 )
+from repro.engine.plan import STREAM_STRATEGIES
 from repro.graphs import (
     BipartiteGraph,
     erdos_renyi_bipartite,
@@ -189,9 +190,8 @@ def test_randomized_scripts_conform_right_probe(case):
 @given(_scripts())
 def test_left_and_right_probes_agree(case):
     """One side's probe credits both sides: pinning left and pinning right
-    must give the same stats (global delta, intra-batch closures) and
-    bit-identical per-vertex arrays after every batch, equal to a
-    recount."""
+    must give the same stats and bit-identical per-vertex arrays after
+    every batch, equal to a recount."""
     name, ops = case
     g = CORPUS[name]
     shape = (g.n_left, g.n_right)
@@ -310,7 +310,7 @@ def test_empty_batches_are_noops():
         g, [("flush",), ("flush",), ("flush",)]
     )
     assert counter.count == before
-    assert counter.last_stats["batch_size"] == 0
+    assert counter.apply()["batch_size"] == 0
 
 
 def test_intra_batch_duplicates_collapse():
@@ -372,7 +372,7 @@ def test_non_integral_batch_ids_rejected_naming_the_row(kind, edges, bad_row):
     counter = StreamingButterflyCounter(g)
     with pytest.raises(ValueError, match=f"must be integers.*row {bad_row}"):
         counter.apply(**{kind: edges})
-    assert counter.n_edges == g.n_edges and counter.last_stats is None
+    assert (counter.n_edges, counter.count) == (g.n_edges, count_butterflies(g))
 
 
 def test_integral_float_batch_ids_accepted():
@@ -679,34 +679,32 @@ def _butterflies(edges):
 
 
 def _brute_force_batch(edges, insert, delete):
-    """One batch's ``created``/``destroyed``/``intra_batch_closures`` and
-    the edge set after it, from every butterfly before and after each
-    phase; also the destroyed and created butterflies themselves."""
+    """One batch's ``created``/``destroyed`` and the edge set after it,
+    from every butterfly before and after each phase; also the destroyed
+    and created butterflies themselves and the edges the batch changed."""
     gone = edges & set(delete)
     kept = edges - gone
     added = set(insert) - kept
     between = _butterflies(kept)
     destroyed = _butterflies(edges) - between
     created = _butterflies(kept | added) - between
-    stats = {
-        "created": len(created),
-        "destroyed": len(destroyed),
-        "intra_batch_closures": sum(len(b & gone) >= 2 for b in destroyed)
-        + sum(len(b & added) >= 2 for b in created),
-    }
-    return stats, kept | added, destroyed, created
+    stats = {"created": len(created), "destroyed": len(destroyed)}
+    return stats, kept | added, destroyed, created, gone | added
 
 
 @pytest.mark.parametrize("probe_side", [None, "left", "right"])
 @pytest.mark.parametrize("name", ["complete", "er", "planted", "powerlaw"])
-def test_intra_batch_closures_match_brute_force(name, probe_side):
-    """``intra_batch_closures`` is the created plus destroyed butterflies
-    holding at least two edges of their phase's batch — checked against
-    enumerating every butterfly before and after each phase."""
+def test_self_closing_batches_match_brute_force(name, probe_side):
+    """Batches whose edges close butterflies with each other (two or more
+    batch edges in one butterfly) give the ``created``/``destroyed``, the
+    count and both per-vertex arrays of enumerating every butterfly
+    before and after each phase; ``recount`` gives the same stats."""
     g = CORPUS[name]
+    shape = (g.n_left, g.n_right)
     rng = np.random.default_rng(11)
     counter = StreamingButterflyCounter(g)
     counter._probe_side = probe_side
+    recount = StreamingButterflyCounter(g)
     edges = {tuple(map(int, e)) for e in g.edges()}
     closures = 0
     for _ in range(6):
@@ -717,14 +715,17 @@ def test_intra_batch_closures_match_brute_force(name, probe_side):
         vs = rng.choice(g.n_right, size=3, replace=False)
         insert = [(int(u), int(v)) for u in us for v in vs]
         stats = counter.apply(insert=insert, delete=delete)
-        want, edges, _, _ = _brute_force_batch(edges, insert, delete)
+        assert recount.apply(insert=insert, delete=delete, strategy="recount") == stats
+        want, edges, destroyed, created, changed = _brute_force_batch(
+            edges, insert, delete
+        )
         assert {key: stats[key] for key in want} == want
-        closures += want["intra_batch_closures"]
+        want_count, want_left, want_right = _reference_counts(shape, edges)
+        assert counter.count == want_count
+        assert np.array_equal(counter.vertex_counts("left"), want_left)
+        assert np.array_equal(counter.vertex_counts("right"), want_right)
+        closures += sum(len(b & changed) >= 2 for b in destroyed | created)
     assert closures > 0
-    recount = StreamingButterflyCounter(g).apply(
-        insert=insert, delete=delete, strategy="recount"
-    )
-    assert recount["intra_batch_closures"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -835,7 +836,7 @@ def test_split_phases_match_brute_force_and_both_sides(mode, case):
                      for side, c in counters.items()}
         if batch_no == 0:
             assert passes[:2] == [["G1", "G2"], ["G1", "G2"]]
-        want, edges, _, _ = _brute_force_batch(edges, insert, delete)
+        want, edges, _, _, _ = _brute_force_batch(edges, insert, delete)
         want_count, want_left, want_right = _reference_counts(shape, edges)
         context = f"batch {batch_no} of {case}"
         assert stats[None] == stats["left"] == stats["right"], context
@@ -860,11 +861,11 @@ _HAND_BUILT_OPS = (
 
 
 def test_split_phase_closes_butterflies_across_the_groups():
-    """Butterflies with one G1 edge and one G2 edge (the closure cross
-    term of G1's pass) in a delete and an insert phase: {(0, 1), (0, 0),
-    (1, 1), (1, 0)}, whose G2 edge is a leg of an ``x`` of G1's pair
-    {0, 1}, and {(0, 2), (0, 0), (2, 2), (2, 0)}, whose G2 edge is the
-    other leg of G1's ``y`` row."""
+    """Butterflies with one G1 edge and one G2 edge in a delete and an
+    insert phase, counted by G1's pass (its graphs hold G2's edges):
+    {(0, 1), (0, 0), (1, 1), (1, 0)}, whose G2 edge is a leg of an ``x``
+    of G1's pair {0, 1}, and {(0, 2), (0, 0), (2, 2), (2, 0)}, whose G2
+    edge is the other leg of G1's ``y`` row."""
     g = _two_hub_graph(_HAND_BUILT_LEAVES)
     batch = sorted(_HAND_BUILT_G1 | _HAND_BUILT_G2)
     edges = {tuple(map(int, e)) for e in g.edges()}
@@ -873,7 +874,9 @@ def test_split_phase_closes_butterflies_across_the_groups():
         with _split_gate(0), _recorded_passes() as passes:
             stats = counter.apply(insert=insert, delete=delete)
         assert passes == [["G1", "G2"]]
-        want, edges, destroyed, created = _brute_force_batch(edges, insert, delete)
+        want, edges, destroyed, created, _ = _brute_force_batch(
+            edges, insert, delete
+        )
         assert {key: stats[key] for key in want} == want
         crossing = [
             b for b in destroyed | created
@@ -887,7 +890,7 @@ def test_split_phase_closes_butterflies_across_the_groups():
 
 
 @pytest.mark.parametrize("gate", [0, None])
-@pytest.mark.parametrize("strategy", STREAM_APPLY_STRATEGIES)
+@pytest.mark.parametrize("strategy", STREAM_STRATEGIES)
 def test_one_splice_per_phase(gate, strategy):
     """Every phase splices its state once, split or not, recount or
     incremental: a split phase reads both of its groups' graphs from the
@@ -941,7 +944,7 @@ def _assert_views_fresh(counter, edges, context=""):
     _scripts(),
     st.sampled_from(sorted(PROBE_MODES)),
     st.sampled_from(("left", "right")),
-    st.sampled_from(STREAM_APPLY_STRATEGIES),
+    st.sampled_from(STREAM_STRATEGIES),
 )
 def test_spliced_views_equal_a_fresh_build(case, mode, side, strategy):
     name, ops = case
