@@ -19,9 +19,10 @@ compressed index arrays, so the only dtypes that matter are:
     ``int32`` storage for the tip peel's same-side pair table (partner
     row slots, the slot → vertex map, and each pair's loss C(c, 2) when
     the largest possible one fits).  Storage only, never an accumulator:
-    the table exists only under a byte cap that keeps every stored id
-    below 2³¹, each multiplicity is widened to ``COUNT_DTYPE`` before its
-    C(c, 2) product, and each loss before it is summed or subtracted.
+    ids and multiplicities stay below 2³¹ on any graph whose int64 index
+    arrays fit in 16 GiB, each multiplicity is widened to ``COUNT_DTYPE``
+    before its C(c, 2) product, and each loss before it is summed or
+    subtracted.
 
 ``RANK_DTYPE``
     ``int32`` storage for the vertex-priority kernels' rank-space ids

@@ -3,7 +3,6 @@
 from repro._lazy import lazy_exports
 
 _LAZY = {
-    "tip_decrement_batch": "repro.core.peeling.buckets",
     "tip_numbers_bucket_parallel": "repro.core.peeling.buckets",
     "wing_numbers_bucket": "repro.core.peeling.buckets",
     "tip_numbers": "repro.core.peeling.decompose",

@@ -20,12 +20,13 @@ total decrement volume.
   counts, and the rounds run over that one compact count vector, a
   peeled slot parked at a sentinel: a round is one min, one mask, one
   label write and one subtraction of its members' rows.  Past
-  :data:`PAIR_TABLE_MAX_BYTES` a graph peels by re-expanding each
-  round's wedges instead (:func:`tip_decrement_batch`).  Either way the
-  table is dropped when the rounds end and the tip numbers are left on
-  the graph: a vertex is in the k-tip exactly when its tip number is
-  ≥ k, so a later :func:`~repro.core.peeling.tip.k_tip` on the same
-  graph reads its kept set off them and runs no round.
+  :data:`PAIR_TABLE_WEDGES_PER_EDGE` upper wedges per edge a side peels
+  by re-expanding each round's wedges instead (:func:`_tip_decrements`),
+  which peaks lower there.  Either way the table is dropped when the
+  rounds end and the tip numbers are left on the graph: a vertex is in
+  the k-tip exactly when its tip number is ≥ k, so a later
+  :func:`~repro.core.peeling.tip.k_tip` on the same graph reads its kept
+  set off them and runs no round.
 - **Wings.**  :func:`wing_numbers_bucket` is the one wing peel.  Its
   initial supports come from one ranked-wedge pass
   (:func:`~repro.core.priority.edge_butterfly_support_priority`).  Each
@@ -57,33 +58,19 @@ from repro.graphs.bipartite import BipartiteGraph
 from repro.sparsela import choose2, gather_slices, segment_sums
 from repro.sparsela.kernels import run_starts
 
-__all__ = [
-    "wing_numbers_bucket",
-    "tip_decrement_batch",
-    "tip_numbers_bucket_parallel",
-]
+__all__ = ["wing_numbers_bucket", "tip_numbers_bucket_parallel"]
 
-#: Peak bytes the tip peel's pair table may reach, build transients
-#: included.  A graph whose table would pass it peels by wedge rounds
-#: instead.  On the e2e shapes (seeds 0–9) ``occupations`` (~130k pairs,
-#: a 3.6–4.0 MB build peak) takes the table with >= 1.28x headroom;
-#: ``github``, ``skewed`` and ``dense`` (0.3–4.6M pairs) fall back.  A build gives up
-#: as soon as it would cross the cap, so the cap is also what an aborted
-#: build adds to the fallback's peak — that is what keeps it this low.
-#: It also keeps every stored partner id and multiplicity below 2^31.
-#: A fixed constant, not a knob; read at call time, so tests can force
-#: either path.
-PAIR_TABLE_MAX_BYTES: int = 8 << 20
-
-#: Build bytes held per wedge of a chunk (the int64 gather index, the
-#: int64 ramp and int32 run lengths every chunk slices from buffers sized
-#: to the largest one, the sort keys, the repeat flags and positions;
-#: later its part's placement transients, each pair having taken >= 2
-#: wedges) and per stored pair besides its loss (its int32 partner in a
-#: chunk part, then once per endpoint in the table); each pair also
-#: holds its loss three times, at the loss's own width.
-_BYTES_PER_WEDGE = 32
-_BYTES_PER_PAIR = 12
+#: A side builds its pair table only when its pruned upper wedges W are
+#: at most this many per edge; past it the tip peel takes the wedge rounds,
+#: refused before any wedge is expanded.  Each stored pair takes >= 2 upper
+#: wedges, so a build holds at most W/2 pairs, and at most 64 B per vertex,
+#: edge, wedge of its largest chunk and pair: its tracemalloc peak stays
+#: under 64·(n + m + nnz) + 96·W bytes + 64 KiB.  The e2e sides it refuses
+#: (``github``-right, ``dense``: W/nnz >= 116.5 on seeds 0–9, <= 74.9 on
+#: the rest) peak 2.9–15x lower by wedge rounds (EXPERIMENTS.md, "The tip
+#: table is admitted by its wedge count").  Read at call time, so tests can
+#: force either path (-inf refuses every side).
+PAIR_TABLE_WEDGES_PER_EDGE: float = 100
 
 #: The largest loss C(c, 2) the table stores as int32; a side whose
 #: largest degree d has C(d, 2) above it stores int64 losses.  Read at
@@ -103,14 +90,14 @@ _PEELED = np.iinfo(COUNT_DTYPE).max
 _RECOUNT_RATIO = 8
 
 
-def tip_decrement_batch(
+def _tip_decrements(
     pivot_major, complementary, ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Butterfly-count losses caused by removing the vertex batch ``ids``.
 
     The round kernel of the wedge fallback of
-    :func:`tip_numbers_bucket_parallel`, for graphs whose pair table
-    would pass :data:`PAIR_TABLE_MAX_BYTES`.  Vectorised over the whole
+    :func:`tip_numbers_bucket_parallel`, for sides past
+    :data:`PAIR_TABLE_WEDGES_PER_EDGE`.  Vectorised over the whole
     batch: one gather expands every wedge of every removed vertex, and
     one sort of the endpoint-major keys ``w·|ids| + batch_pos`` yields
     the pairwise multiplicities already grouped by endpoint, so the
@@ -161,7 +148,7 @@ def tip_decrement_batch(
 
 
 def _pair_table(pivot_major, complementary):
-    """The pivot side's same-side pair table, or ``None`` past the cap.
+    """The pivot side's same-side pair table, or ``None`` if refused.
 
     Returns ``(table, vertex, counts)`` in *survivor space*: only the
     pivots with at least one pair of c ≥ 2 common neighbours get a row,
@@ -188,30 +175,20 @@ def _pair_table(pivot_major, complementary):
     Once every chunk is reduced the slots are known, and each chunk's
     part is placed in both rows of its pairs (the partners' rows by one
     stable argsort), its partners relabelled to slots as it goes, and
-    freed.  Before the first chunk the fixed arrays, the pruned views
-    and the largest chunk are charged to :data:`PAIR_TABLE_MAX_BYTES` and
-    the rest caps the pair count, so a graph with more pairs returns
-    ``None`` as soon as a chunk would cross it: the whole peak, build
-    transients included, stays under it.
+    freed.  Before the first chunk a side past
+    :data:`PAIR_TABLE_WEDGES_PER_EDGE` is refused (``None``).  A slot is
+    below n and a multiplicity at most nnz/2, so the int32 storage holds
+    while n < 2^31 and nnz < 2^32 (16 and 32 GiB of int64 index arrays).
     """
     n, nnz = pivot_major.major_dim, pivot_major.nnz
-    cap = PAIR_TABLE_MAX_BYTES
     indptr, indices = pivot_major.indptr, pivot_major.indices
     c_indptr, endpoints = complementary.indptr, complementary.indices
-    # E- and n-length arrays held here and by the caller plus 8 KiB of
-    # sort scratch, then the pruned views and masks, checked before use
-    fixed = 8 * (3 * nnz + 8 * (n + 1) + 1024)
-    if fixed > cap:
-        return None
     deg = np.diff(indptr)
     d_max = int(deg.max(initial=0))
     narrow = d_max * (d_max - 1) // 2 <= _NARROW_LOSS_LIMIT
-    loss_dtype = np.dtype(PAIR_DTYPE if narrow else COUNT_DTYPE)
+    loss_dtype = PAIR_DTYPE if narrow else COUNT_DTYPE
     keep = deg != 1
     if not keep.all():
-        fixed += 8 * (3 * nnz + n + complementary.major_dim + 2)
-        if fixed > cap:
-            return None
         indices = indices[np.repeat(keep, deg)]
         deg *= keep
         indptr = np.concatenate(([0], np.cumsum(deg, dtype=INDEX_DTYPE)))
@@ -231,16 +208,15 @@ def _pair_table(pivot_major, complementary):
     row_work = segment_sums(length, indptr, dtype=COUNT_DTYPE)
     prefix = np.zeros(n + 1, dtype=COUNT_DTYPE)
     np.cumsum(row_work, out=prefix[1:])
+    # ``not <=``: a ratio of -inf refuses every side, an edgeless one too
+    if not prefix[-1] <= PAIR_TABLE_WEDGES_PER_EDGE * nnz:
+        return None
     panels = [
         (lo, hi, int(prefix[hi] - prefix[lo]))
         for lo, hi in work_bounded_panels(row_work, PRIORITY_PANEL_BUDGET)
         if prefix[hi] > prefix[lo]
     ]
     largest = max((wedges for _, _, wedges in panels), default=0)
-    per_pair = _BYTES_PER_PAIR + 3 * loss_dtype.itemsize
-    max_pairs = (cap - fixed - _BYTES_PER_WEDGE * largest) // per_pair
-    if max_pairs < 0:
-        return None
     parts = []
     upper_ptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
     lower_ptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
@@ -274,8 +250,6 @@ def _pair_table(pivot_major, complementary):
         keys = keys[np.flatnonzero(keys[1:] == keys[:-1])]
         firsts = run_starts(keys)
         found = firsts.size
-        if filled + found > max_pairs:
-            return None
         if not found:
             continue
         c = run_buf[:found]
@@ -440,11 +414,12 @@ def tip_numbers_bucket_parallel(
     the ``peel.tip.pair_table_bytes`` gauge (the table and its slot map);
     the table is dropped when the rounds end.
 
-    A graph whose table would pass :data:`PAIR_TABLE_MAX_BYTES` (build
-    transients included) counts ``peel.tip.pair_table_fallback`` and
-    peels by wedge rounds: initial counts from one serial vertex-priority
-    pass (:func:`~repro.core.priority.vertex_butterfly_counts_priority`),
-    then each round's losses from :func:`tip_decrement_batch`.
+    A side with more than :data:`PAIR_TABLE_WEDGES_PER_EDGE` upper
+    wedges per edge (leaves pruned) builds no table: it counts
+    ``peel.tip.pair_table_fallback`` and peels by wedge rounds, initial
+    counts from one serial vertex-priority pass
+    (:func:`~repro.core.priority.vertex_butterfly_counts_priority`), then
+    each round's losses from :func:`_tip_decrements`.
 
     Both paths run in-process and never resolve a pool.  ``n_workers``
     is validated (``>= 1``) and otherwise ignored.  Both leave a
@@ -489,7 +464,7 @@ def _tip_wedge_rounds(graph, side, tip) -> None:
         pivot_major, complementary, counts = graph.csc, graph.csr, right
     del left, right
     for members in _bucket_rounds(counts, tip):
-        affected, lost = tip_decrement_batch(pivot_major, complementary, members)
+        affected, lost = _tip_decrements(pivot_major, complementary, members)
         counts[affected] -= lost
 
 

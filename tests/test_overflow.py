@@ -115,7 +115,7 @@ def test_edge_support_on_the_wide_build(big_biclique: BipartiteGraph) -> None:
 def test_tip_numbers_past_2_31(big_biclique: BipartiteGraph) -> None:
     # the pair table holds (hub, hub) once per endpoint with its loss
     # C(70 000, 2), stored int64: C(d_max, 2) passes int32 on this side.
-    # No pivot is a leaf, so no pruned view is charged and the table fits
+    # Its 70 000 upper wedges are half a wedge per edge: the table is built
     with obs.capture() as metrics:
         tips = tip_numbers_bucket_parallel(big_biclique, side="left", n_workers=1)
     assert "peel.tip.pair_table_fallback" not in metrics
@@ -148,15 +148,11 @@ def test_tip_round_losses_past_2_31(big_biclique: BipartiteGraph) -> None:
     assert tips.tolist() == [EXPECTED, EXPECTED, 48_000 * 47_999]
 
 
-def test_tip_wide_loss_rounds_past_2_31(
-    big_biclique: BipartiteGraph, monkeypatch: pytest.MonkeyPatch
-) -> None:
+def test_tip_wide_loss_rounds_past_2_31(big_biclique: BipartiteGraph) -> None:
     # with c = 66 000 the third vertex's loss to each hub, C(c, 2), passes
     # int32 on its own; the third vertex peels first, and the tip rounds
     # must subtract that int64 loss from each hub whole (a wrapped one
-    # would lift the hubs above the level).  The build's one-row chunk of
-    # 136k wedges needs a cap above 8 MiB
-    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 16 << 20)
+    # would lift the hubs above the level)
     g = _with_third_row(big_biclique, 66_000)
     third = 66_000 * 65_999
     assert third // 2 > 2**31

@@ -1,10 +1,11 @@
 """Round-based bucket peeling must match the reference fixpoints bitwise.
 
 The round loops extract the whole minimum bucket per round.  Tips take
-their losses from a one-time same-side pair table, or — past the table's
-byte cap — re-expand each round's wedges; wings enumerate the butterflies
-through each round's peeled edges, or recount the survivor graph's
-support when enumerating would cost far more.  Every round runs
+their losses from a one-time same-side pair table, or — on a side with
+more upper wedges per edge than the table admits — re-expand each
+round's wedges; wings enumerate the butterflies through each round's
+peeled edges, or recount the survivor graph's support when enumerating
+would cost far more.  Every round runs
 in-process: no decomposition resolves a pool.  The contract is *bitwise
 identity* with the heap ``tip_numbers`` and ``wing_numbers`` — on every
 corpus shape, both sides, for the pair table and the wedge fallback, and
@@ -33,7 +34,6 @@ from repro.core import (
     k_tip_lookahead,
     k_wing,
     k_wing_linear_algebra,
-    tip_decrement_batch,
     tip_numbers,
     tip_numbers_bucket_parallel,
     wing_numbers,
@@ -47,6 +47,11 @@ from repro.graphs import (
     power_law_bipartite,
 )
 from repro.sparsela import choose2
+
+
+#: A ``PAIR_TABLE_WEDGES_PER_EDGE`` that refuses every side's table, an
+#: edgeless one (0 wedges, 0 edges) too: every tip call takes the fallback.
+REFUSE = float("-inf")
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -112,9 +117,9 @@ def test_wing_parallel_matches_serial_bucket(graph_name, n_workers):
 def test_tip_parallel_pooled_rounds_match_serial_bucket(
     graph_name, side, monkeypatch
 ):
-    """With the pair-table cap at 0 every graph takes the wedge fallback;
+    """With every table refused every graph takes the wedge fallback;
     ``n_workers=2`` still runs its rounds in-process."""
-    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
+    monkeypatch.setattr(buckets, "PAIR_TABLE_WEDGES_PER_EDGE", REFUSE)
     got = tip_numbers_bucket_parallel(
         GRAPHS[graph_name], side=side, n_workers=2
     )
@@ -140,7 +145,7 @@ def test_tip_parallel_light_rounds_skip_the_pool():
 
 def test_tip_fallback_light_rounds_skip_the_pool(monkeypatch):
     """Forced onto the wedge fallback, a call still makes no dispatch."""
-    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
+    monkeypatch.setattr(buckets, "PAIR_TABLE_WEDGES_PER_EDGE", REFUSE)
     assert _dispatches_per_call(GRAPHS["powerlaw"]) == [0, 0]
 
 
@@ -159,14 +164,14 @@ def _forbid_pools(monkeypatch) -> None:
 
 def test_tip_pair_table_never_resolves_a_pool(monkeypatch):
     """Neither tip path touches a pool, even asked for two workers: the
-    pair table, and the wedge fallback forced by a zero cap."""
+    pair table, and the wedge fallback forced by refusing every table."""
     _forbid_pools(monkeypatch)
-    for cap in (buckets.PAIR_TABLE_MAX_BYTES, 0):
-        monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", cap)
+    for ratio in (buckets.PAIR_TABLE_WEDGES_PER_EDGE, REFUSE):
+        monkeypatch.setattr(buckets, "PAIR_TABLE_WEDGES_PER_EDGE", ratio)
         with obs.capture() as metrics:
             got = tip_numbers_bucket_parallel(GRAPHS["planted"], n_workers=2)
         np.testing.assert_array_equal(got, TIP_REFERENCE[("planted", "left")])
-        assert ("peel.tip.pair_table_fallback" in metrics) == (cap == 0)
+        assert ("peel.tip.pair_table_fallback" in metrics) == (ratio == REFUSE)
 
 
 def test_wing_recount_never_resolves_a_pool(monkeypatch):
@@ -213,7 +218,7 @@ def _tip_paths(g: BipartiteGraph, side: str) -> tuple[np.ndarray, ...]:
             wide = tip_numbers_bucket_parallel(g, side=side, n_workers=1)
             (_, _, loss), _, _ = buckets._pair_table(*_views(g, side))
         assert loss.dtype == np.int64 or loss.size == 0
-        with mock.patch.object(buckets, "PAIR_TABLE_MAX_BYTES", 0):
+        with mock.patch.object(buckets, "PAIR_TABLE_WEDGES_PER_EDGE", REFUSE):
             fallback = tip_numbers_bucket_parallel(g, side=side, n_workers=1)
     assert metrics.value("peel.tip.pair_table_fallback") == 1
     return table, wide, fallback
@@ -255,9 +260,9 @@ def test_tip_table_and_fallback_match_the_heap_reference(g):
             np.testing.assert_array_equal(tips, reference)
 
 
-def _decompose(g: BipartiteGraph, side: str, cap: int) -> np.ndarray:
-    """``tip_numbers_bucket_parallel`` under ``cap``, checked to leave no
-    array of the pair table it built alive once it returns."""
+def _decompose(g: BipartiteGraph, side: str, ratio: float) -> np.ndarray:
+    """``tip_numbers_bucket_parallel`` under the wedge ``ratio``, checked
+    to leave no array of the pair table it built alive once it returns."""
     built = []
     real = buckets._pair_table
 
@@ -270,12 +275,12 @@ def _decompose(g: BipartiteGraph, side: str, cap: int) -> np.ndarray:
             )
         return table
 
-    with mock.patch.object(buckets, "PAIR_TABLE_MAX_BYTES", cap):
+    with mock.patch.object(buckets, "PAIR_TABLE_WEDGES_PER_EDGE", ratio):
         with mock.patch.object(buckets, "_pair_table", recording):
             tips = tip_numbers_bucket_parallel(g, side=side, n_workers=1)
     gc.collect()
     assert [ref() for ref in built if ref() is not None] == []
-    assert bool(built) == bool(cap)
+    assert bool(built) == (ratio != REFUSE)
     return tips
 
 
@@ -291,17 +296,17 @@ def _decompose(g: BipartiteGraph, side: str, cap: int) -> np.ndarray:
 def test_k_tip_after_a_decomposition_matches_a_fresh_graph(g):
     """On both sides, for every k in {0, 1, each tip number, max + 1}: a
     ``k_tip`` on a graph decomposed by the pair table or by the wedge
-    fallback (cap 0) reads ``tip >= k`` in 0 rounds, and equals in
-    ``kept`` and subgraph the recount rounds on a fresh graph, the
-    look-ahead sweep and the matrix form of eqs. (19)–(22).  The tip
+    fallback (every table refused) reads ``tip >= k`` in 0 rounds, and
+    equals in ``kept`` and subgraph the recount rounds on a fresh graph,
+    the look-ahead sweep and the matrix form of eqs. (19)–(22).  The tip
     numbers handed back are the caller's to change, and a decomposition
     leaves no pair table behind."""
     for side in ("left", "right"):
         reference = tip_numbers(g, side=side)
         decomposed = []
-        for cap in (buckets.PAIR_TABLE_MAX_BYTES, 0):
+        for ratio in (buckets.PAIR_TABLE_WEDGES_PER_EDGE, REFUSE):
             h = BipartiteGraph(g.edges(), g.n_left, g.n_right)
-            tips = _decompose(h, side, cap)
+            tips = _decompose(h, side, ratio)
             np.testing.assert_array_equal(tips, reference)
             tips += 1  # no later k-tip may see this
             decomposed.append(h)
@@ -584,27 +589,27 @@ def test_k_tip_after_tip_numbers_builds_one_table(monkeypatch):
 
 def test_tip_numbers_are_left_per_side_on_either_path(monkeypatch):
     """Each side keeps its own tip numbers, whichever path left them and
-    whatever the cap is afterwards; a later decomposition of the same
-    side replaces them."""
+    whatever the wedge ratio is afterwards; a later decomposition of the
+    same side replaces them."""
     builds = _counting_pair_table(monkeypatch)
     g = _fresh_planted()
-    k, default = 3, buckets.PAIR_TABLE_MAX_BYTES
+    k, default = 3, buckets.PAIR_TABLE_WEDGES_PER_EDGE
 
     def reused(side):
         with obs.capture() as metrics:
             k_tip(g, k, side=side)
         return metrics.value("peel.tip.tip_numbers_reused") == 1
 
-    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
+    monkeypatch.setattr(buckets, "PAIR_TABLE_WEDGES_PER_EDGE", REFUSE)
     left = tip_numbers_bucket_parallel(g, n_workers=1)
     assert reused("left") and not reused("right")
     before = g._tip_numbers["left"]
-    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", default)
+    monkeypatch.setattr(buckets, "PAIR_TABLE_WEDGES_PER_EDGE", default)
     np.testing.assert_array_equal(tip_numbers_bucket_parallel(g, n_workers=1), left)
     assert g._tip_numbers["left"] is not before
     right = tip_numbers_bucket_parallel(g, side="right", n_workers=1)
     assert builds == [False, True, True]
-    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
+    monkeypatch.setattr(buckets, "PAIR_TABLE_WEDGES_PER_EDGE", REFUSE)
     for side, tips in (("left", left), ("right", right)):
         assert reused(side)
         np.testing.assert_array_equal(k_tip(g, k, side=side).kept, tips >= k)
@@ -633,70 +638,81 @@ def test_derived_graphs_start_without_tip_numbers():
         np.testing.assert_array_equal(got.kept, tips >= k)
 
 
-def test_pair_table_peak_stays_under_the_cap(monkeypatch):
-    """Whatever the cap, building the table (or giving up on it) never
-    allocates past it, build transients included — also where leaf
-    pivots are pruned first (one in ``g``, 400 more in ``leafy``), so
-    the pruned views are charged.  The 1 KiB steps cross the caps at
-    which ``g`` gives up after pruning and the leaf-free ``K_{40,30}``
-    gives up just past its fixed arrays (numpy's sort scratch counts)."""
-    g = planted_bicliques(60, 60, 3, 12, 12, background_edges=300, seed=7)
-    hubs = np.argsort(-np.diff(g.csc.indptr), kind="stable")[:10]
-    leafy = _with_leaves(g, "left", np.repeat(hubs, 40))
-    assert (np.diff(g.csr.indptr) == 1).sum() >= 1
-    assert (np.diff(leafy.csr.indptr) == 1).sum() >= 400
-    caps = (*range(1 << 14, 1 << 16, 1 << 10), *(1 << k for k in (17, 18, 19, 20, 22)))
-    for graph in (g, leafy, BipartiteGraph.complete(40, 30)):
-        pm, comp = graph.csr, graph.csc
-        built = []
-        for cap in caps:
-            monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", cap)
-            tracemalloc.start()
-            try:
-                table = buckets._pair_table(pm, comp)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= cap, cap
-            built.append(table is not None)
-        # the sweep covers both outcomes
-        assert not built[0] and built[-1]
+def _upper_wedges(pivot_major, complementary) -> int:
+    """W, the pivot side's upper wedges once its degree-1 pivots are
+    pruned: Σ C(d, 2) over the other side's degrees into the kept pivots."""
+    deg = np.diff(pivot_major.indptr)
+    kept = pivot_major.indices[np.repeat(deg != 1, deg)]
+    return int(choose2(np.bincount(kept, minlength=complementary.major_dim)).sum())
 
 
-def test_tip_dense_biclique_over_the_cap_falls_back(monkeypatch):
-    """A dense biclique whose table passes a lowered cap gives up part-way
-    through the build and takes the fallback; the aborted build adds at
-    most the cap to the fallback's own peak."""
-    g = BipartiteGraph.complete(400, 20)
+def _counting_chunks(monkeypatch) -> list:
+    """Record the size of each chunk the pair-table build reduces."""
     chunks = []
 
     def counting_choose2(x):
         chunks.append(len(x))
         return choose2(x)
 
-    def traced_peel(cap):
-        monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", cap)
+    monkeypatch.setattr(buckets, "choose2", counting_choose2)
+    return chunks
+
+
+def test_pair_table_is_admitted_by_its_wedge_count(monkeypatch):
+    """Swept over the ratio, ``_pair_table`` returns ``None`` exactly when
+    the side's pruned upper wedges W pass ratio · nnz, and then reduces no
+    chunk.  A build it admits stays, tracemalloc peak included, under the
+    bound documented at ``PAIR_TABLE_WEDGES_PER_EDGE``:
+    64·(n + m + nnz) + 96·W + 64 KiB bytes — also where leaf pivots are
+    pruned first (one in ``g``, 400 more in ``leafy``)."""
+    g = planted_bicliques(60, 60, 3, 12, 12, background_edges=300, seed=7)
+    hubs = np.argsort(-np.diff(g.csc.indptr), kind="stable")[:10]
+    leafy = _with_leaves(g, "left", np.repeat(hubs, 40))
+    assert (np.diff(g.csr.indptr) == 1).sum() >= 1
+    assert (np.diff(leafy.csr.indptr) == 1).sum() >= 400
+    chunks = _counting_chunks(monkeypatch)
+    for graph in (g, leafy, BipartiteGraph.complete(40, 30)):
+        for pm, comp in ((graph.csr, graph.csc), (graph.csc, graph.csr)):
+            n, m, nnz = pm.major_dim, comp.major_dim, pm.nnz
+            wedges = _upper_wedges(pm, comp)
+            bound = 64 * (n + m + nnz) + 96 * wedges + (64 << 10)
+            per_edge = wedges / nnz
+            built = []
+            for ratio in (0, *(per_edge * f for f in (0.5, 0.99, 1, 1.01, 2)), 100):
+                monkeypatch.setattr(buckets, "PAIR_TABLE_WEDGES_PER_EDGE", ratio)
+                chunks.clear()
+                tracemalloc.start()
+                try:
+                    table = buckets._pair_table(pm, comp)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert (table is None) == (wedges > ratio * nnz), ratio
+                assert bool(chunks) == (table is not None), ratio
+                assert peak <= bound, ratio
+                built.append(table is not None)
+            # the sweep covers both outcomes
+            assert not built[0] and built[-1]
+
+
+def test_tip_dense_biclique_takes_the_fallback(monkeypatch):
+    """``K_{400,20}``'s left side has ~200 upper wedges per edge, past the
+    default ratio: the tip peel refuses its table before reducing a chunk
+    and takes the wedge fallback.  Its right side (~10 per edge) takes the
+    table; both match the heap reference."""
+    g = BipartiteGraph.complete(400, 20)
+    ratio = buckets.PAIR_TABLE_WEDGES_PER_EDGE
+    assert _upper_wedges(g.csr, g.csc) > 1.5 * ratio * g.n_edges
+    assert _upper_wedges(g.csc, g.csr) < ratio * g.n_edges / 5
+    chunks = _counting_chunks(monkeypatch)
+    for side, fallback in (("left", True), ("right", False)):
         chunks.clear()
         with obs.capture() as metrics:
-            tracemalloc.start()
-            try:
-                tips = tip_numbers_bucket_parallel(g, n_workers=1)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert metrics.value("peel.tip.pair_table_fallback") == 1
-        assert "peel.tip.pair_table_bytes" not in metrics
-        return tips, peak
-
-    monkeypatch.setattr(buckets, "choose2", counting_choose2)
-    # cap 0: straight to the fallback, before any table array exists
-    _, fallback_peak = traced_peel(0)
-    assert not chunks
-    cap = 2 << 20
-    tips, peak = traced_peel(cap)
-    assert chunks  # the build reduced some chunks before giving up
-    assert peak <= cap + fallback_peak
-    np.testing.assert_array_equal(tips, tip_numbers(g, side="left"))
+            tips = tip_numbers_bucket_parallel(g, side=side, n_workers=1)
+        assert ("peel.tip.pair_table_fallback" in metrics) == fallback
+        assert ("peel.tip.pair_table_bytes" in metrics) != fallback
+        assert bool(chunks) != fallback
+        np.testing.assert_array_equal(tips, tip_numbers(g, side=side))
 
 
 def test_tip_parallel_rejects_bad_args():
@@ -730,13 +746,13 @@ def test_tip_decrement_batch_matches_single_removals():
     }
     for name, members in batches.items():
         ids = np.array(members, dtype=np.int64)
-        affected, lost = tip_decrement_batch(pm, comp, ids)
+        affected, lost = buckets._tip_decrements(pm, comp, ids)
         assert np.all(np.diff(affected) > 0) and np.all(lost > 0), name
         dense = np.zeros(pm.major_dim, dtype=np.int64)
         dense[affected] = lost
         expected = np.zeros(pm.major_dim, dtype=np.int64)
         for v in ids:
-            a_v, l_v = tip_decrement_batch(
+            a_v, l_v = buckets._tip_decrements(
                 pm, comp, np.array([v], dtype=np.int64)
             )
             expected[a_v] += l_v
@@ -752,7 +768,8 @@ def test_tip_decrement_batch_matches_single_removals():
 
 def test_tip_decrement_batch_empty_ids():
     g = GRAPHS["er"]
-    affected, lost = tip_decrement_batch(g.csr, g.csc, np.array([], dtype=np.int64))
+    no_ids = np.array([], dtype=np.int64)
+    affected, lost = buckets._tip_decrements(g.csr, g.csc, no_ids)
     assert affected.size == 0 and lost.size == 0
 
 
@@ -782,7 +799,7 @@ def test_tip_trace_names_the_path(table, monkeypatch):
     round-size gauge is there on both paths."""
     g = GRAPHS["planted"]
     if not table:
-        monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
+        monkeypatch.setattr(buckets, "PAIR_TABLE_WEDGES_PER_EDGE", REFUSE)
     with obs.capture() as metrics:
         tip_numbers_bucket_parallel(g, n_workers=1)
     assert metrics.value("peel.rounds.bucket_occupancy") >= 1
@@ -801,10 +818,12 @@ def test_tip_trace_names_the_path(table, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "cap", (buckets.PAIR_TABLE_MAX_BYTES, 0), ids=("pair-table", "fallback")
+    "ratio",
+    (buckets.PAIR_TABLE_WEDGES_PER_EDGE, REFUSE),
+    ids=("pair-table", "fallback"),
 )
-def test_tip_metrics_are_a_no_op_when_disabled(cap, monkeypatch):
-    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", cap)
+def test_tip_metrics_are_a_no_op_when_disabled(ratio, monkeypatch):
+    monkeypatch.setattr(buckets, "PAIR_TABLE_WEDGES_PER_EDGE", ratio)
     with obs.capture() as metrics:
         with obs.disabled():
             tip_numbers_bucket_parallel(GRAPHS["planted"], n_workers=1)

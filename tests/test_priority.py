@@ -561,12 +561,13 @@ def test_tip_row_prices_the_tip_numbers_a_decomposition_left(monkeypatch):
     the tip numbers left on the graph, so the row prices one
     survivor-graph build over the edges and counts no wedge; the reuse is
     counted by the k-tip, not by the plan.  Tip numbers the wedge
-    fallback left (cap 0) count the same; the other side still recounts."""
+    fallback left (every table refused) count the same; the other side
+    still recounts."""
     from repro.core.peeling import buckets, tip_numbers_bucket_parallel
 
     g = power_law_bipartite(60, 80, 600, seed=4)
     (recount,) = engine.candidate_plans(g, "tip", k=1, calibration=DEFAULTS)
-    monkeypatch.setattr(buckets, "PAIR_TABLE_MAX_BYTES", 0)
+    monkeypatch.setattr(buckets, "PAIR_TABLE_WEDGES_PER_EDGE", float("-inf"))
     tip_numbers_bucket_parallel(g)
 
     def no_wedges(graph):
